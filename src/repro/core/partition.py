@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..geometry import Rect
 from .keypointer import KEYPTR_SIZE
@@ -225,6 +225,26 @@ class SpatialPartitioner:
         self.num_partitions = num_partitions
         self.scheme = scheme
 
+    @classmethod
+    def for_inputs(
+        cls,
+        tuples_r: Sequence,
+        tuples_s: Sequence,
+        num_partitions: int,
+        num_tiles: int,
+        scheme: str = SCHEME_HASH,
+    ) -> "SpatialPartitioner":
+        """The partitioner a join of these two (non-empty) inputs uses: the
+        universe is the union of both sides' MBRs, tiled at least once per
+        partition.  Every parallel backend and the serve tier's admission
+        estimate build theirs here, so they always agree on the grid."""
+        universe = Rect.union_all(t.mbr for t in tuples_r).union(
+            Rect.union_all(t.mbr for t in tuples_s)
+        )
+        return cls(
+            universe, num_partitions, max(num_tiles, num_partitions), scheme
+        )
+
     @property
     def num_tiles(self) -> int:
         return self.grid.num_tiles
@@ -243,6 +263,20 @@ class SpatialPartitioner:
     def tile_assignments(self, rect: Rect) -> List[TileAssignment]:
         """The MBR's two-layer ``(tile, class)`` replica slots."""
         return self.grid.tile_assignments(rect)
+
+    def route(self, rect: Rect) -> Dict[int, List[TileAssignment]]:
+        """The MBR's replica slots grouped by receiving partition.
+
+        Keys are exactly :meth:`partitions_for_rect`, ascending; each
+        value keeps :meth:`tile_assignments` order.  This is the routing
+        rule: the spill pass, the serial rebuild of a pair and the spill
+        footprint all place a tuple by calling it.
+        """
+        by_part: Dict[int, List[TileAssignment]] = {}
+        for slot in self.tile_assignments(rect):
+            by_part.setdefault(self.partition_of_tile(slot[0]), []).append(slot)
+        # Most MBRs sit inside one tile; this runs once per input tuple.
+        return dict(sorted(by_part.items())) if len(by_part) > 1 else by_part
 
     def owner_of_pair(self, rect_r: Rect, rect_s: Rect) -> int:
         """The partition whose merge emits this pair (its reference tile's

@@ -52,28 +52,24 @@ def _rebuild_injected(message: str, kind: str) -> "InjectedFaultError":
 def apply_worker_faults(
     faults: Optional[WorkerFaults], pair: int, attempt: int
 ) -> None:
-    """Fire this (pair, attempt)'s planned worker faults, if any.
-
-    Order matters and is fixed: a crash pre-empts everything (the process
-    dies), a hang or straggler sleep happens next (the task is *stuck*,
-    not failed), and a read error raises last — modelling the first spill
-    read of the task blowing up.
-    """
+    """Fire this (pair, attempt)'s planned worker faults, if any, in the
+    order :meth:`~repro.faults.plan.WorkerFaults.firing` fixes."""
     if faults is None:
         return
-    if attempt in faults.crash_attempts:
-        # A real crash: no exception, no cleanup, the process is simply
-        # gone.  The coordinator sees BrokenProcessPool.
-        os._exit(WORKER_CRASH_EXIT_CODE)
-    if attempt in faults.hang_attempts:
-        time.sleep(faults.hang_s)
-    if attempt in faults.slow_attempts:
-        time.sleep(faults.slow_s)
-    if attempt in faults.read_error_attempts:
-        raise InjectedFaultError(
-            f"injected spill read error (pair {pair}, attempt {attempt})",
-            kind="disk_read_error",
-        )
+    for kind in faults.firing(attempt):
+        if kind == "worker_crash":
+            # A real crash: no exception, no cleanup, the process is
+            # simply gone.  The coordinator sees BrokenProcessPool.
+            os._exit(WORKER_CRASH_EXIT_CODE)
+        elif kind == "hang":
+            time.sleep(faults.hang_s)
+        elif kind == "slow_task":
+            time.sleep(faults.slow_s)
+        else:
+            raise InjectedFaultError(
+                f"injected spill read error (pair {pair}, attempt {attempt})",
+                kind=kind,
+            )
 
 
 class WriteErrorInjector:

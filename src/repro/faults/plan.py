@@ -41,7 +41,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 DEFAULT_HANG_S = 30.0
 """Injected sleep for a hung task; meant to exceed any sane task timeout."""
@@ -129,6 +129,27 @@ class WorkerFaults:
             len(self.read_error_attempts) + len(self.crash_attempts)
             + len(self.hang_attempts) + len(self.slow_attempts)
         )
+
+    def firing(self, attempt: int) -> List[str]:
+        """The fault kinds that fire on this attempt, in injection order.
+
+        A crash pre-empts the attempt's other faults (the process dies);
+        then a hang or straggler sleep (the task is *stuck*, not failed);
+        a read error raises last, modelling the task's first spill read
+        blowing up.  The worker injects from this list and the coordinator
+        journals from it, so the two can never disagree.
+        """
+        if attempt in self.crash_attempts:
+            return ["worker_crash"]
+        return [
+            kind
+            for kind, attempts in (
+                ("hang", self.hang_attempts),
+                ("slow_task", self.slow_attempts),
+                ("disk_read_error", self.read_error_attempts),
+            )
+            if attempt in attempts
+        ]
 
 
 @dataclass(frozen=True)

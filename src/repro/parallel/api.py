@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from ..core.pbsm import PBSMConfig
 from ..core.predicates import Predicate
 from ..faults.plan import FaultPlan
+from ..obs.journal import NULL_JOURNAL
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..storage.tuples import SpatialTuple
@@ -35,7 +36,7 @@ from .engine import (
     ParallelPBSM,
     serial_feature_pairs,
 )
-from .process import ProcessPBSM
+from .process import DEFAULT_MAX_TASK_RETRIES, ProcessPBSM
 
 BACKEND_SERIAL = "serial"
 BACKEND_SIMULATED = "simulated"
@@ -99,6 +100,8 @@ def parallel_join(
         )
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
+    if journal is None:
+        journal = NULL_JOURNAL
     if backend == BACKEND_SERIAL:
         wall_start = time.perf_counter()
         pairs, sim_seconds = serial_feature_pairs(tuples_r, tuples_s, predicate)
@@ -112,27 +115,23 @@ def parallel_join(
         )
     if backend == BACKEND_SIMULATED:
         num_tiles = config.num_tiles if config is not None else 1024
-        extra = {}
-        if journal is not None:
-            extra["journal"] = journal
         engine = ParallelPBSM(
             workers, scheme=scheme, num_tiles=num_tiles,
-            tracer=tracer, metrics=metrics,
-            **extra,
+            tracer=tracer, metrics=metrics, journal=journal,
         )
         return engine.run(tuples_r, tuples_s, predicate)
     if backend == BACKEND_PROCESS:
-        extra = {}
-        if max_task_retries is not None:
-            extra["max_task_retries"] = max_task_retries
-        if journal is not None:
-            extra["journal"] = journal
         engine = ProcessPBSM(
             workers, num_partitions=num_partitions, config=config,
             start_method=start_method, tracer=tracer, metrics=metrics,
+            journal=journal,
             fault_plan=fault_plan, task_timeout_s=task_timeout_s,
+            max_task_retries=(
+                DEFAULT_MAX_TASK_RETRIES
+                if max_task_retries is None
+                else max_task_retries
+            ),
             checkpoint_dir=checkpoint_dir, disk_budget=disk_budget,
-            **extra,
         )
         if resume:
             return engine.resume(tuples_r, tuples_s, predicate)

@@ -216,12 +216,8 @@ class ParallelPBSM:
             self.journal.emit(EVENT_RUN_FINISHED, results=0, degraded_pairs=[])
             return ParallelJoinResult([], scheme=self.scheme)
 
-        universe = Rect.union_all(t.mbr for t in tuples_r).union(
-            Rect.union_all(t.mbr for t in tuples_s)
-        )
-        partitioner = SpatialPartitioner(
-            universe, self.num_nodes, max(self.num_tiles, self.num_nodes),
-            SCHEME_HASH,
+        partitioner = SpatialPartitioner.for_inputs(
+            tuples_r, tuples_s, self.num_nodes, self.num_tiles, SCHEME_HASH
         )
 
         frag_r = self._decluster(tuples_r, partitioner)

@@ -148,7 +148,7 @@ to force ``spawn`` on platforms that default to ``fork``)."""
 DEFAULT_MAX_TASK_RETRIES = 2
 """Retry budget per partition pair before the coordinator degrades it."""
 
-DEFAULT_RETRY_BACKOFF_S = 0.05
+RETRY_BACKOFF_S = 0.05
 """Base of the exponential backoff between retries of one pair."""
 
 PARTITION_WRITE_RETRIES = 3
@@ -157,7 +157,7 @@ PARTITION_WRITE_RETRIES = 3
 _POLL_S = 0.25
 """Executor wait slice when task deadlines are armed."""
 
-DEFAULT_SAMPLE_INTERVAL_S = 0.5
+SAMPLE_INTERVAL_S = 0.5
 """Coordinator sampler cadence: how often a journaling run records its
 queue depth / inflight / utilization timeseries."""
 
@@ -210,12 +210,10 @@ class RunPoolProvider:
         initializer=None,
         initargs: tuple = (),
     ) -> ProcessPoolExecutor:
-        if initializer is not None:
-            return ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=context,
-                initializer=initializer, initargs=initargs,
-            )
-        return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
+        return ProcessPoolExecutor(
+            max_workers=max_workers, mp_context=context,
+            initializer=initializer, initargs=initargs,
+        )
 
     def discard(self, pool: ProcessPoolExecutor) -> None:
         """Drop a broken or wedged pool without waiting on its workers."""
@@ -237,17 +235,13 @@ class ProcessPBSM:
         config: Optional[PBSMConfig] = None,
         memory_bytes: int = DEFAULT_TASK_MEMORY,
         start_method: Optional[str] = None,
-        spill_dir: Optional[str] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         journal=NULL_JOURNAL,
-        sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
         fault_plan: Optional[FaultPlan] = None,
         task_timeout_s: Optional[float] = None,
         deadline_s: Optional[float] = None,
         max_task_retries: int = DEFAULT_MAX_TASK_RETRIES,
-        retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-        degrade_on_failure: bool = True,
         checkpoint_dir: Optional[str] = None,
         kill_coordinator_after: Optional[int] = None,
         kill_hard: bool = False,
@@ -263,17 +257,13 @@ class ProcessPBSM:
         self.num_partitions = num_partitions or workers * DEFAULT_TASKS_PER_WORKER
         self.memory_bytes = memory_bytes
         self.start_method = start_method or os.environ.get(START_METHOD_ENV)
-        self.spill_dir = spill_dir
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.journal = journal
         """Flight recorder (:class:`repro.obs.journal.RunJournal`); the
         default :data:`NULL_JOURNAL` records nothing.  When enabled, the
         coordinator also opens a heartbeat side channel to the workers and
-        samples its own scheduling state every ``sample_interval_s``."""
-        if sample_interval_s <= 0:
-            raise ValueError("sample interval must be positive")
-        self.sample_interval_s = sample_interval_s
+        samples its own scheduling state every :data:`SAMPLE_INTERVAL_S`."""
         self.fault_plan = fault_plan
         if task_timeout_s is not None and task_timeout_s <= 0:
             raise ValueError("task timeout must be positive")
@@ -290,8 +280,6 @@ class ProcessPBSM:
         if max_task_retries < 0:
             raise ValueError("retry budget cannot be negative")
         self.max_task_retries = max_task_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.degrade_on_failure = degrade_on_failure
         self.checkpoint_dir = checkpoint_dir
         """Directory for durable run state (manifest, result log, spills);
         ``None`` disables checkpointing and keeps spills in a tempdir."""
@@ -383,75 +371,59 @@ class ProcessPBSM:
         faults never fire here (they live in ``run_pair_task``), and the
         run deadline still applies, checked between pairs.
         """
-        started = time.perf_counter()
+        early = self._start(
+            "process-serial", 0, tuples_r, tuples_s, resuming=False
+        )
+        if early is not None:
+            return early
+        outcomes = self._rebuild_pairs(
+            dict.fromkeys(range(self.num_partitions), "breaker_shed"),
+            tuples_r, tuples_s,
+            self._partitioner(tuples_r, tuples_s), predicate,
+        )
+        return self._finish(
+            "process-serial", outcomes, tuples_r, tuples_s,
+            placed_r=sum(o.count_r for o in outcomes),
+            placed_s=sum(o.count_s for o in outcomes),
+        )
+
+    # ------------------------------------------------------------------ #
+    # run lifecycle: start, deadline, finish
+    # ------------------------------------------------------------------ #
+
+    def _start(
+        self,
+        backend: str,
+        workers: int,
+        tuples_r: Sequence[SpatialTuple],
+        tuples_s: Sequence[SpatialTuple],
+        **fields,
+    ) -> Optional[ParallelJoinResult]:
+        """Begin a run: reset the per-run tallies, arm the deadline and
+        journal the start (``fields`` ride the event).  An empty input has
+        nothing to partition: the run ends here and its (empty) result is
+        returned; otherwise ``None``."""
+        self._started = time.perf_counter()
         self._faults = TallyCounter()
-        self._arm_deadline()
-        self.journal.emit(
-            EVENT_RUN_STARTED,
-            backend="process-serial",
-            workers=0,
-            partitions=self.num_partitions,
-            tuples_r=len(tuples_r),
-            tuples_s=len(tuples_s),
-            resuming=False,
-        )
-        if not tuples_r or not tuples_s:
-            self.journal.emit(EVENT_RUN_FINISHED, results=0, degraded_pairs=[])
-            return ParallelJoinResult(
-                [], backend="process-serial",
-                wall_s=time.perf_counter() - started,
-            )
-        partitioner = self._partitioner(tuples_r, tuples_s)
-        outcomes: List[PairTaskResult] = []
-        for index in range(self.num_partitions):
-            if self._deadline_expired():
-                raise self._deadline_error(
-                    queued=self.num_partitions - index,
-                    inflight=[],
-                    completed=len(outcomes),
-                )
-            outcomes.append(
-                self._degraded_pair(
-                    index, "breaker_shed",
-                    tuples_r, tuples_s, partitioner, predicate,
-                )
-            )
-        merged, concat_dropped = merge_sorted_unique(
-            [o.pairs for o in outcomes]
-        )
-        duplicates_dropped = concat_dropped + sum(
-            o.duplicates_dropped for o in outcomes
-        )
-        self.metrics.counter("merge.duplicates_dropped").inc(
-            duplicates_dropped
-        )
-        self.journal.emit(
-            EVENT_RUN_FINISHED,
-            results=len(merged),
-            degraded_pairs=sorted(o.index for o in outcomes),
-            replayed_pairs=[],
-        )
-        return ParallelJoinResult(
-            merged,
-            nodes=self._node_reports(outcomes),
-            storage_factor_r=sum(o.count_r for o in outcomes) / len(tuples_r),
-            storage_factor_s=sum(o.count_s for o in outcomes) / len(tuples_s),
-            backend="process-serial",
-            wall_s=time.perf_counter() - started,
-            degraded_pairs=sorted(o.index for o in outcomes),
-            fault_summary=self._fault_summary(),
-            duplicates_dropped=duplicates_dropped,
-        )
-
-    # ------------------------------------------------------------------ #
-    # run deadline
-    # ------------------------------------------------------------------ #
-
-    def _arm_deadline(self) -> None:
         self._deadline_at = (
             time.monotonic() + self.deadline_s
             if self.deadline_s is not None
             else None
+        )
+        self.journal.emit(
+            EVENT_RUN_STARTED,
+            backend=backend,
+            workers=workers,
+            partitions=self.num_partitions,
+            tuples_r=len(tuples_r),
+            tuples_s=len(tuples_s),
+            **fields,
+        )
+        if tuples_r and tuples_s:
+            return None
+        self.journal.emit(EVENT_RUN_FINISHED, results=0, degraded_pairs=[])
+        return ParallelJoinResult(
+            [], backend=backend, wall_s=time.perf_counter() - self._started
         )
 
     def _deadline_expired(self) -> bool:
@@ -479,6 +451,80 @@ class ProcessPBSM:
             pending=queued + len(inflight),
         )
 
+    def _finish(
+        self,
+        backend: str,
+        outcomes: List[PairTaskResult],
+        tuples_r: Sequence[SpatialTuple],
+        tuples_s: Sequence[SpatialTuple],
+        *,
+        placed_r: int,
+        placed_s: int,
+        resumed: Sequence[int] = (),
+        store: Optional[CheckpointStore] = None,
+    ) -> ParallelJoinResult:
+        """End a run: merge the per-pair streams, mark the checkpoint
+        complete, journal the finish and assemble the result."""
+        outcomes.sort(key=lambda o: o.index)
+        # Two-layer partitioning guarantees every result pair belongs to
+        # exactly one task, so the per-task sorted lists are disjoint:
+        # merging them is a streaming k-way interleave, not a sorted-set
+        # union.  The drop counter is the invariant's tripwire — it must
+        # stay 0 and CI gates on it.
+        merge_started = time.perf_counter()
+        with self.tracer.span("process.merge", streams=len(outcomes)):
+            merged, concat_dropped = merge_sorted_unique(
+                [o.pairs for o in outcomes]
+            )
+        coordinator_merge_s = time.perf_counter() - merge_started
+        duplicates_dropped = concat_dropped + sum(
+            o.duplicates_dropped for o in outcomes
+        )
+        self.metrics.counter("merge.duplicates_dropped").inc(
+            duplicates_dropped
+        )
+        if store is not None and store.manifest.state != STATE_COMPLETE:
+            store.append_event(
+                {"type": "complete", "result_count": len(merged)}
+            )
+        degraded_pairs = sorted(o.index for o in outcomes if o.degraded)
+        self.journal.emit(
+            EVENT_RUN_FINISHED,
+            results=len(merged),
+            degraded_pairs=degraded_pairs,
+            replayed_pairs=list(resumed),
+        )
+        return ParallelJoinResult(
+            merged,
+            nodes=self._node_reports(outcomes),
+            storage_factor_r=placed_r / len(tuples_r),
+            storage_factor_s=placed_s / len(tuples_s),
+            backend=backend,
+            wall_s=time.perf_counter() - self._started,
+            tasks=[
+                TaskReport(
+                    index=o.index,
+                    cost_estimate=o.count_r + o.count_s,
+                    candidates=o.candidates,
+                    results=len(o.pairs),
+                    wall_s=o.wall_s,
+                    worker_pid=o.worker_pid,
+                    attempts=o.attempt + 1,
+                    degraded=o.degraded,
+                    resumed=o.index in resumed,
+                )
+                for o in outcomes
+            ],
+            degraded_pairs=degraded_pairs,
+            fault_summary=self._fault_summary(),
+            resumed_pairs=list(resumed),
+            checkpoint_run_id=(
+                store.fingerprint.run_id if store is not None else ""
+            ),
+            duplicates_dropped=duplicates_dropped,
+            coordinator_merge_s=coordinator_merge_s,
+        )
+
     def _run(
         self,
         tuples_r: Sequence[SpatialTuple],
@@ -487,9 +533,6 @@ class ProcessPBSM:
         *,
         resuming: bool,
     ) -> ParallelJoinResult:
-        started = time.perf_counter()
-        self._faults = TallyCounter()
-        self._arm_deadline()
         self._disk_degraded = set()
         self._disk_injector = None
         budget = self.disk_budget
@@ -509,31 +552,20 @@ class ProcessPBSM:
                 )
                 budget.bind(injector=self._disk_injector)
         self._budget = budget
-        self.journal.emit(
-            EVENT_RUN_STARTED,
-            backend="process",
-            workers=self.workers,
-            partitions=self.num_partitions,
-            tuples_r=len(tuples_r),
-            tuples_s=len(tuples_s),
+        early = self._start(
+            "process", self.workers, tuples_r, tuples_s,
             resuming=resuming,
             disk_budget=budget.max_bytes if budget is not None else None,
         )
-        if not tuples_r or not tuples_s:
-            self.journal.emit(EVENT_RUN_FINISHED, results=0, degraded_pairs=[])
-            return ParallelJoinResult(
-                [], backend="process", wall_s=time.perf_counter() - started
-            )
+        if early is not None:
+            return early
 
         store: Optional[CheckpointStore] = None
-        manifest: Optional[JoinManifest] = None
         committed: Dict[int, PairTaskResult] = {}
-        run_id = ""
         if self.checkpoint_dir is not None:
             fingerprint = RunFingerprint.compute(
                 tuples_r, tuples_s, predicate, self.num_partitions, self.config
             )
-            run_id = fingerprint.run_id
             # A resume is the recovery run: the plan's coordinator-kill and
             # torn-manifest points already fired (or are waived) — re-arming
             # them would make recovery unrecoverable.  An *explicit*
@@ -564,9 +596,7 @@ class ProcessPBSM:
             store.begin(manifest)
             spill_root = str(store.spill_dir)
         else:
-            spill_root = tempfile.mkdtemp(
-                prefix="repro-pbsm-", dir=self.spill_dir
-            )
+            spill_root = tempfile.mkdtemp(prefix="repro-pbsm-")
         self._active_store = store
 
         spills_r: SideSpills = []
@@ -613,10 +643,9 @@ class ProcessPBSM:
                     self.metrics.merge_snapshot(prior.metrics)
             on_result: Optional[Callable[[PairTaskResult], None]] = None
             if store is not None:
-                assert manifest is not None
                 if (
-                    manifest.pairs_total is None
-                    and manifest.state != STATE_COMPLETE
+                    store.manifest.pairs_total is None
+                    and store.manifest.state != STATE_COMPLETE
                 ):
                     store.append_event(
                         {
@@ -627,64 +656,25 @@ class ProcessPBSM:
                     )
                 on_result = store.append_result
             with self.tracer.span("process.execute", tasks=len(tasks)):
-                outcomes, exhausted, quarantined = self._execute(
-                    tasks, on_result=on_result
-                )
-            failed = set(exhausted) | quarantined
-            if failed:
-                degraded = self._degrade_pairs(
-                    failed, exhausted, quarantined,
-                    tuples_r, tuples_s, partitioner, predicate,
-                )
-                if store is not None:
-                    for outcome in degraded:
-                        store.append_result(outcome)
-                outcomes.extend(degraded)
+                outcomes, failed = self._execute(tasks, on_result=on_result)
             # Partitions whose spills were dropped under disk pressure
-            # never became tasks; rebuild them in memory — no spill, no
-            # budget charge — so the answer stays byte-identical.
-            for index in sorted(self._disk_degraded - set(committed)):
-                outcome = self._degraded_pair(
-                    index, "disk_full",
-                    tuples_r, tuples_s, partitioner, predicate,
-                )
-                self._count("degraded")
-                self.journal.emit(
-                    EVENT_DEGRADED, pair=index, reason="disk_full"
-                )
-                if store is not None:
-                    store.append_result(outcome)
-                outcomes.append(outcome)
-            outcomes.extend(committed[index] for index in sorted(committed))
-            outcomes.sort(key=lambda o: o.index)
-            # Two-layer partitioning guarantees every result pair belongs
-            # to exactly one task, so the per-task sorted lists are
-            # disjoint: merging them is a streaming k-way interleave, not
-            # a sorted-set union.  The drop counter is the invariant's
-            # tripwire — it must stay 0 and CI gates on it.
-            merge_started = time.perf_counter()
-            with self.tracer.span("process.merge", streams=len(outcomes)):
-                merged, concat_dropped = merge_sorted_unique(
-                    [o.pairs for o in outcomes]
-                )
-            coordinator_merge_s = time.perf_counter() - merge_started
-            duplicates_dropped = concat_dropped + sum(
-                o.duplicates_dropped for o in outcomes
+            # never became tasks; like the pairs the pool gave up on, they
+            # are rebuilt in memory — no spill, no budget charge — so the
+            # answer stays byte-identical.
+            failed.update(
+                dict.fromkeys(self._disk_degraded - set(committed), "disk_full")
             )
-            self.metrics.counter("merge.duplicates_dropped").inc(
-                duplicates_dropped
+            outcomes.extend(
+                self._rebuild_pairs(
+                    failed, tuples_r, tuples_s, partitioner, predicate,
+                    on_result=on_result,
+                )
             )
-            if store is not None:
-                assert manifest is not None
-                if manifest.state != STATE_COMPLETE:
-                    store.append_event(
-                        {"type": "complete", "result_count": len(merged)}
-                    )
-            self.journal.emit(
-                EVENT_RUN_FINISHED,
-                results=len(merged),
-                degraded_pairs=sorted(o.index for o in outcomes if o.degraded),
-                replayed_pairs=sorted(committed),
+            outcomes.extend(committed.values())
+            result = self._finish(
+                "process", outcomes, tuples_r, tuples_s,
+                placed_r=placed_r, placed_s=placed_s,
+                resumed=sorted(committed), store=store,
             )
         finally:
             if store is not None:
@@ -699,37 +689,6 @@ class ProcessPBSM:
                         release = getattr(spill, "release_budget", None)
                         if release is not None:
                             release()
-
-        result = ParallelJoinResult(
-            merged,
-            nodes=self._node_reports(outcomes),
-            storage_factor_r=placed_r / len(tuples_r),
-            storage_factor_s=placed_s / len(tuples_s),
-            backend="process",
-            wall_s=time.perf_counter() - started,
-            tasks=[
-                TaskReport(
-                    index=o.index,
-                    cost_estimate=o.count_r + o.count_s,
-                    candidates=o.candidates,
-                    results=len(o.pairs),
-                    wall_s=o.wall_s,
-                    worker_pid=o.worker_pid,
-                    attempts=o.attempt + 1,
-                    degraded=o.degraded,
-                    resumed=o.index in committed,
-                )
-                for o in outcomes
-            ],
-            degraded_pairs=sorted(
-                o.index for o in outcomes if o.degraded
-            ),
-            fault_summary=self._fault_summary(),
-            resumed_pairs=sorted(committed),
-            checkpoint_run_id=run_id,
-            duplicates_dropped=duplicates_dropped,
-            coordinator_merge_s=coordinator_merge_s,
-        )
         self.metrics.gauge("parallel.process.partitions").set(self.num_partitions)
         self.metrics.gauge("parallel.process.workers").set(self.workers)
         self.metrics.counter("parallel.process.tasks").inc(len(outcomes))
@@ -909,16 +868,28 @@ class ProcessPBSM:
         tuples_r: Sequence[SpatialTuple],
         tuples_s: Sequence[SpatialTuple],
     ) -> SpatialPartitioner:
-        from ..geometry import Rect
-
-        universe = Rect.union_all(t.mbr for t in tuples_r).union(
-            Rect.union_all(t.mbr for t in tuples_s)
+        return SpatialPartitioner.for_inputs(
+            tuples_r, tuples_s,
+            self.num_partitions, self.config.num_tiles, self.config.scheme,
         )
-        return SpatialPartitioner(
-            universe,
-            self.num_partitions,
-            max(self.config.num_tiles, self.num_partitions),
-            self.config.scheme,
+
+    def spill_footprint(
+        self,
+        tuples_r: Sequence[SpatialTuple],
+        tuples_s: Sequence[SpatialTuple],
+    ) -> int:
+        """The bytes this engine's partition phase would spill for these
+        inputs — exactly an unconstrained run's metered spill peak.
+        Checkpoint manifest and result-log bytes are not included; the
+        spills dominate by orders of magnitude."""
+        if not tuples_r or not tuples_s:
+            return 0
+        partitioner = self._partitioner(tuples_r, tuples_s)
+        return sum(
+            PartitionSpill.record_bytes(t, slots)
+            for tuples in (tuples_r, tuples_s)
+            for t in tuples
+            for slots in partitioner.route(t.mbr).values()
         )
 
     def _partition_side_resilient(
@@ -961,9 +932,10 @@ class ProcessPBSM:
         """Spill one input, replicated across the partitions it overlaps.
 
         Each tuple's two-layer ``(tile, class)`` slots — computed from the
-        exact f64 MBR — are grouped by the partition their tile hashes to;
-        every receiving partition gets one tagged key-pointer per slot and
-        the full tuple once.  With ``atomic=True`` (checkpointed runs)
+        exact f64 MBR — are routed to the partitions their tiles hash to
+        (:meth:`~repro.core.partition.SpatialPartitioner.route`); every
+        receiving partition gets one tagged key-pointer per slot and the
+        full tuple once.  With ``atomic=True`` (checkpointed runs)
         each spill stages through ``*.tmp`` and only reaches its final
         name sealed, so a resume can trust any spill file that exists
         under the run directory.
@@ -988,27 +960,22 @@ class ProcessPBSM:
         try:
             for ordinal, t in enumerate(tuples):
                 injector.check(side, ordinal)
-                by_part: Dict[int, List[Tuple[int, int]]] = {}
-                for tile, cls in partitioner.tile_assignments(t.mbr):
-                    by_part.setdefault(
-                        partitioner.partition_of_tile(tile), []
-                    ).append((tile, cls))
-                for p in sorted(by_part):
+                for p, slots in partitioner.route(t.mbr).items():
                     if p in self._disk_degraded:
                         continue
                     try:
-                        spills[p].add(t, by_part[p])
+                        spills[p].add(t, slots)
                     except DiskFullError:
                         if not self._recover_spill_pressure(
                             side, p, spills, routed.get(p, ()),
-                            spill_root, atomic, t, by_part[p],
+                            spill_root, atomic, t, slots,
                         ):
                             self._disk_degraded.add(p)
                             routed.pop(p, None)
                             continue
                     placed += 1
                     if budget is not None:
-                        routed.setdefault(p, []).append((t, by_part[p]))
+                        routed.setdefault(p, []).append((t, slots))
         except BaseException:
             # Abort, not remove: discard in-progress temp files *and* any
             # sealed output, leaving no spill litter on the failure path.
@@ -1186,30 +1153,30 @@ class ProcessPBSM:
         self,
         tasks: List[PairTask],
         on_result: Optional[Callable[[PairTaskResult], None]] = None,
-    ) -> Tuple[List[PairTaskResult], Dict[int, WorkerTaskError], Set[int]]:
+    ) -> Tuple[List[PairTaskResult], Dict[int, str]]:
         """Run the tasks on the pool, recovering from task and pool faults.
 
-        Returns ``(outcomes, exhausted, quarantined)``: completed results,
-        pairs whose retry budget ran out (with their last error), and pairs
-        whose spill files failed integrity checks.  The shared submission
-        queue is what rebalances skew; retries simply re-enter it, so a
-        re-dispatched pair lands on whichever worker survives and frees up
-        first.
+        Returns ``(outcomes, failed)``: completed results, and the pairs
+        the pool gave up on mapped to why — ``"retry_exhausted"`` (the
+        retry budget ran out) or ``"corrupt_spill"`` (a spill file failed
+        its integrity check); the caller rebuilds those serially.  The
+        shared submission queue is what rebalances skew; retries simply
+        re-enter it, so a re-dispatched pair lands on whichever worker
+        survives and frees up first.
 
         ``on_result`` observes each harvested result *before* its spans and
         metrics are adopted — the checkpoint layer commits the pair there,
         so a kill mid-harvest loses at most the one uncommitted result.
         """
         if not tasks:
-            return [], {}, set()
+            return [], {}
         context = multiprocessing.get_context(self.start_method)
         max_workers = min(self.workers, len(tasks))
         by_index = {task.index: task for task in tasks}
         attempts: Dict[int, int] = {task.index: 0 for task in tasks}
         to_submit: List[int] = [task.index for task in tasks]  # LPT order
         outcomes: List[PairTaskResult] = []
-        exhausted: Dict[int, WorkerTaskError] = {}
-        quarantined: Set[int] = set()
+        failed: Dict[int, str] = {}
         pool: Optional[ProcessPoolExecutor] = None
         inflight: Dict[Future, int] = {}
         deadlines: Dict[Future, float] = {}
@@ -1223,38 +1190,16 @@ class ProcessPBSM:
         # arguments, which is the one spawn-safe way to inherit a queue).
         # Only a journaling run with a *private* pool pays for it — a
         # shared pool serves many runs at once and cannot carry one run's
-        # initializer state.
+        # initializer state.  Without a queue there is no initializer and
+        # the pool ignores ``initargs``.
         heartbeats = (
             context.Queue()
             if journal.enabled and not provider.shared
             else None
         )
+        initializer = init_worker_heartbeats if heartbeats is not None else None
         worker_phase: Dict[int, dict] = {}
-        next_sample = time.monotonic() + self.sample_interval_s
-
-        def planned_kinds(index: int, attempt: int) -> List[str]:
-            """The fault kinds the plan pinned to this (pair, attempt) that
-            will actually fire, in injection order — how the coordinator
-            tells *injected* trouble apart from collateral damage (innocent
-            pairs requeued by a BrokenProcessPool).  Attribution happens at
-            dispatch, not at failure or harvest: a dispatched attempt
-            always executes its planned injection, so the emitted set is a
-            pure function of the plan — harvest-time detection would race
-            against whichever unrelated crash broke the pool first."""
-            faults = by_index[index].faults
-            if faults is None:
-                return []
-            if attempt in faults.crash_attempts:
-                # A crash pre-empts the rest of the attempt's faults.
-                return ["worker_crash"]
-            kinds = []
-            if attempt in faults.hang_attempts:
-                kinds.append("hang")
-            if attempt in faults.slow_attempts:
-                kinds.append("slow_task")
-            if attempt in faults.read_error_attempts:
-                kinds.append("disk_read_error")
-            return kinds
+        next_sample = time.monotonic() + SAMPLE_INTERVAL_S
 
         def drain_heartbeats() -> None:
             if heartbeats is None:
@@ -1275,7 +1220,7 @@ class ProcessPBSM:
             nonlocal next_sample
             if not journal.enabled or time.monotonic() < next_sample:
                 return
-            next_sample = time.monotonic() + self.sample_interval_s
+            next_sample = time.monotonic() + SAMPLE_INTERVAL_S
             journal.emit(
                 EVENT_SAMPLE,
                 queued=len(to_submit),
@@ -1288,38 +1233,24 @@ class ProcessPBSM:
                 },
             )
 
-        def abandon_pool() -> None:
-            """Drop a broken or wedged pool; in-flight work is requeued by
-            the caller.  The provider disposes without waiting: a hung
-            worker must not hold the coordinator hostage."""
-            nonlocal pool
-            if pool is not None:
-                provider.discard(pool)
-                pool = None
-            inflight.clear()
-            deadlines.clear()
-            self._count("pool_respawns")
-            journal.emit(EVENT_POOL_RESPAWN, queued=len(to_submit))
-
         def on_failure(index: int, error: WorkerTaskError) -> None:
             """Charge one attempt; requeue within budget, else give up."""
             self._count("task_failures")
-            failed_attempt = attempts[index]
             if error.corruption:
                 # The file is wrong on disk — no retry can fix it.
-                quarantined.add(index)
+                failed[index] = "corrupt_spill"
                 self._count("quarantined")
                 journal.emit(
-                    EVENT_QUARANTINED, pair=index, attempt=failed_attempt
+                    EVENT_QUARANTINED, pair=index, attempt=attempts[index]
                 )
                 return
             attempt = attempts[index] = attempts[index] + 1
             if attempt > self.max_task_retries:
-                exhausted[index] = error
+                failed[index] = "retry_exhausted"
                 self._count("retry_exhausted")
                 return
             self._count("retries")
-            backoff = self.retry_backoff_s * (2 ** (attempt - 1))
+            backoff = RETRY_BACKOFF_S * (2 ** (attempt - 1))
             backoff_hist.observe(backoff)
             journal.emit(
                 EVENT_RETRY,
@@ -1329,6 +1260,31 @@ class ProcessPBSM:
             if backoff > 0:
                 time.sleep(backoff)
             to_submit.append(index)
+
+        def lose_pool(
+            charged: Sequence[int] = (), cause: str = "", message: str = ""
+        ) -> None:
+            """The pool is gone — broken, wedged, or walked away from.
+
+            Every ``charged`` pair pays one attempt for ``cause``; every
+            other in-flight pair requeues free (it never got to finish).
+            The provider disposes without waiting: a hung worker must not
+            hold the coordinator hostage."""
+            nonlocal pool
+            survivors = [i for i in inflight.values() if i not in charged]
+            inflight.clear()
+            deadlines.clear()
+            if pool is not None:
+                provider.discard(pool)
+                pool = None
+            for index in charged:
+                on_failure(
+                    index,
+                    WorkerTaskError(index, attempts[index], 0, cause, message),
+                )
+            to_submit.extend(survivors)
+            self._count("pool_respawns")
+            journal.emit(EVENT_POOL_RESPAWN, queued=len(to_submit))
 
         def harvest(index: int, outcome: PairTaskResult) -> None:
             """Journal one harvested result: the worker's wire events are
@@ -1351,8 +1307,8 @@ class ProcessPBSM:
                     # Cooperative cancellation.  Everything harvested so
                     # far was already committed through ``on_result``, so a
                     # checkpointed retry resumes instead of restarting.
-                    # In-flight futures ride the same pool-abandonment path
-                    # a task timeout uses (a wedged worker cannot be killed
+                    # In-flight futures ride the same pool-loss path a
+                    # task timeout uses (a wedged worker cannot be killed
                     # without breaking the pool); with nothing in flight
                     # the pool is left healthy for its other tenants.
                     error = self._deadline_error(
@@ -1361,17 +1317,13 @@ class ProcessPBSM:
                         completed=len(outcomes),
                     )
                     if inflight:
-                        abandon_pool()
+                        lose_pool()
                     raise error
                 if pool is None:
-                    if heartbeats is not None:
-                        pool = provider.acquire(
-                            max_workers, context,
-                            initializer=init_worker_heartbeats,
-                            initargs=(heartbeats,),
-                        )
-                    else:
-                        pool = provider.acquire(max_workers, context)
+                    pool = provider.acquire(
+                        max_workers, context,
+                        initializer=initializer, initargs=(heartbeats,),
+                    )
                 while to_submit:
                     index = to_submit.pop(0)
                     task = dataclasses.replace(
@@ -1386,8 +1338,7 @@ class ProcessPBSM:
                         # resubmit everything (no attempt charged — the
                         # task never reached a worker).
                         to_submit.insert(0, index)
-                        to_submit.extend(inflight.values())
-                        abandon_pool()
+                        lose_pool()
                         break
                     inflight[future] = index
                     journal.emit(
@@ -1395,7 +1346,16 @@ class ProcessPBSM:
                         pair=index, attempt=task.attempt,
                         cost=task.cost_estimate,
                     )
-                    for kind in planned_kinds(index, task.attempt):
+                    # Planned faults are journaled at dispatch, not at
+                    # failure or harvest: a dispatched attempt always
+                    # executes its planned injection, so the emitted set is
+                    # a pure function of the plan and tells *injected*
+                    # trouble apart from collateral damage (innocent pairs
+                    # requeued by a BrokenProcessPool) — harvest-time
+                    # detection would race against whichever unrelated
+                    # crash broke the pool first.
+                    faults = task.faults
+                    for kind in faults.firing(task.attempt) if faults else ():
                         journal.emit(
                             EVENT_FAULT_INJECTED,
                             kind=kind, pair=index, attempt=task.attempt,
@@ -1427,7 +1387,7 @@ class ProcessPBSM:
                 drain_heartbeats()
                 maybe_sample()
                 # Harvest everything that finished, well or badly.
-                pool_broke = False
+                broken: List[int] = []
                 for future in [f for f in inflight if f.done()]:
                     index = inflight.pop(future)
                     deadlines.pop(future, None)
@@ -1439,15 +1399,7 @@ class ProcessPBSM:
                         # CancelledError reaches here only on a shared
                         # pool: a co-tenant's discard cancelled our queued
                         # future — same recovery as a pool death.
-                        pool_broke = True
-                        on_failure(
-                            index,
-                            WorkerTaskError(
-                                index, attempts[index], 0,
-                                "BrokenProcessPool",
-                                "worker process died mid-task",
-                            ),
-                        )
+                        broken.append(index)
                     else:
                         outcomes.append(outcome)
                         harvest(index, outcome)
@@ -1459,19 +1411,13 @@ class ProcessPBSM:
                             )
                         if outcome.metrics:
                             self.metrics.merge_snapshot(outcome.metrics)
-                if pool_broke:
+                if broken:
                     # Every surviving in-flight future is doomed with the
-                    # pool; charge them the shared crash and requeue.
-                    for future, index in list(inflight.items()):
-                        on_failure(
-                            index,
-                            WorkerTaskError(
-                                index, attempts[index], 0,
-                                "BrokenProcessPool",
-                                "pool broke while task was in flight",
-                            ),
-                        )
-                    abandon_pool()
+                    # pool; they share the crash's charge.
+                    lose_pool(
+                        broken + list(inflight.values()),
+                        "BrokenProcessPool", "worker process died mid-task",
+                    )
                     continue
 
                 # Enforce task deadlines: a wedged worker cannot be killed
@@ -1482,33 +1428,24 @@ class ProcessPBSM:
                     # (any completed-but-unharvested future postpones this
                     # to the next round, so results are never dropped)
                     now = time.monotonic()
-                    timed_out = {
+                    timed_out = [
                         inflight[f]
                         for f, deadline in deadlines.items()
                         if now > deadline
-                    }
+                    ]
+                    for index in timed_out:
+                        self._count("timeouts")
+                        journal.emit(
+                            EVENT_TIMEOUT,
+                            pair=index,
+                            attempt=attempts[index],
+                            timeout_s=self.task_timeout_s,
+                        )
                     if timed_out:
-                        for index in list(inflight.values()):
-                            if index in timed_out:
-                                self._count("timeouts")
-                                journal.emit(
-                                    EVENT_TIMEOUT,
-                                    pair=index,
-                                    attempt=attempts[index],
-                                    timeout_s=self.task_timeout_s,
-                                )
-                                on_failure(
-                                    index,
-                                    WorkerTaskError(
-                                        index, attempts[index], 0,
-                                        "TaskTimeout",
-                                        f"no result within "
-                                        f"{self.task_timeout_s}s",
-                                    ),
-                                )
-                            else:
-                                to_submit.append(index)
-                        abandon_pool()
+                        lose_pool(
+                            timed_out, "TaskTimeout",
+                            f"no result within {self.task_timeout_s}s",
+                        )
         finally:
             if pool is not None:
                 provider.release(pool)
@@ -1516,96 +1453,92 @@ class ProcessPBSM:
             if heartbeats is not None:
                 heartbeats.close()
                 heartbeats.join_thread()
-        outcomes.sort(key=lambda o: o.index)
-        return outcomes, exhausted, quarantined
+        return outcomes, failed
 
     # ------------------------------------------------------------------ #
     # graceful degradation
     # ------------------------------------------------------------------ #
 
-    def _degrade_pairs(
+    def _rebuild_pairs(
         self,
-        failed: Set[int],
-        exhausted: Dict[int, WorkerTaskError],
-        quarantined: Set[int],
+        reasons: Dict[int, str],
         tuples_r: Sequence[SpatialTuple],
         tuples_s: Sequence[SpatialTuple],
         partitioner: SpatialPartitioner,
         predicate: Predicate,
+        on_result: Optional[Callable[[PairTaskResult], None]] = None,
     ) -> List[PairTaskResult]:
-        """Rebuild the pairs the process path gave up on, serially.
+        """Serially rebuild pairs from the base relations, in index order.
 
-        The coordinator still holds the base relations, so a partition
-        whose spill files are corrupt or whose task kept dying is simply
-        re-derived from source tuples and merged in-process — slower, but
-        exact.  With ``degrade_on_failure=False`` the first exhausted
-        pair's error (pair id, attempt, worker context attached) is raised
-        instead.
+        ``reasons`` maps each pair to why the process path does not have
+        it: ``retry_exhausted`` / ``corrupt_spill`` (the pool gave up),
+        ``disk_full`` (its spill was dropped under pressure) or
+        ``breaker_shed`` (there is no pool: :meth:`run_serial`).  The
+        coordinator still holds the base relations, so the partitions are
+        re-derived from source tuples in one routing pass and merged
+        in-process — slower, but exact.  Routing through
+        :func:`~repro.parallel.tasks.fid_keypointer` applies the spill
+        path's f32 rounding and f64-derived ``(tile, class)`` tags, so
+        each merge sees bit-identical input to what a worker would have
+        read.  The run deadline is checked between pairs; ``on_result``
+        commits each rebuilt pair as it completes.
         """
-        if not self.degrade_on_failure:
-            index = min(failed)
-            error = exhausted.get(index)
-            if error is None:
-                error = WorkerTaskError(
-                    index, 0, 0,
-                    "SpillCorruptionError",
-                    "partition spill quarantined by integrity check",
-                    corruption=True,
-                )
-            raise error
-        results = []
-        for index in sorted(failed):
+        if not reasons:
+            return []
+        sides = []
+        for tuples in (tuples_r, tuples_s):
+            kps: Dict[int, list] = {index: [] for index in reasons}
+            lookup: Dict[int, dict] = {index: {} for index in reasons}
+            for t in tuples:
+                for p, slots in partitioner.route(t.mbr).items():
+                    if p in reasons:
+                        kps[p].extend(
+                            fid_keypointer(t, tile, cls) for tile, cls in slots
+                        )
+                        lookup[p][t.feature_id] = t
+            sides.append((kps, lookup))
+        (kps_r, lookup_r), (kps_s, lookup_s) = sides
+        results: List[PairTaskResult] = []
+        for index in sorted(reasons):
             if self._deadline_expired():
                 raise self._deadline_error(
-                    queued=len(failed) - len(results),
+                    queued=len(reasons) - len(results),
                     inflight=[],
                     completed=len(results),
                 )
-            reason = "corrupt_spill" if index in quarantined else "retry_exhausted"
-            results.append(
-                self._degraded_pair(
-                    index, reason, tuples_r, tuples_s, partitioner, predicate
+            reason = reasons[index]
+            started = time.perf_counter()
+            # Popped, so each partition's rebuilt input is freed once merged.
+            part_r, part_s = kps_r.pop(index), kps_s.pop(index)
+            with self.tracer.span("process.degraded_pair", pair=index) as span:
+                span.tag("degraded", True)
+                span.tag("reason", reason)
+                pairs, candidates, dropped = merge_refine_pair(
+                    part_r, part_s,
+                    lookup_r.pop(index), lookup_s.pop(index),
+                    predicate, self.memory_bytes, self.config,
+                    label=f"degraded.{index}",
+                    tracer=self.tracer, metrics=self.metrics,
                 )
+                span.tag("results", len(pairs))
+            outcome = PairTaskResult(
+                index=index,
+                worker_pid=os.getpid(),
+                pairs=pairs,
+                candidates=candidates,
+                count_r=len(part_r),
+                count_s=len(part_s),
+                wall_s=time.perf_counter() - started,
+                degraded=True,
+                degraded_reason=reason,
+                duplicates_dropped=dropped,
             )
             self._count("degraded")
             self.journal.emit(EVENT_DEGRADED, pair=index, reason=reason)
+            if on_result is not None:
+                on_result(outcome)
+            results.append(outcome)
         return results
-
-    def _degraded_pair(
-        self,
-        index: int,
-        reason: str,
-        tuples_r: Sequence[SpatialTuple],
-        tuples_s: Sequence[SpatialTuple],
-        partitioner: SpatialPartitioner,
-        predicate: Predicate,
-    ) -> PairTaskResult:
-        """Serially merge one partition pair from the base relations."""
-        started = time.perf_counter()
-        with self.tracer.span("process.degraded_pair", pair=index) as span:
-            span.tag("degraded", True)
-            span.tag("reason", reason)
-            kps_r, lookup_r = _rebuild_partition(tuples_r, partitioner, index)
-            kps_s, lookup_s = _rebuild_partition(tuples_s, partitioner, index)
-            pairs, candidates, dropped = merge_refine_pair(
-                kps_r, kps_s, lookup_r, lookup_s,
-                predicate, self.memory_bytes, self.config,
-                label=f"degraded.{index}",
-                tracer=self.tracer, metrics=self.metrics,
-            )
-            span.tag("results", len(pairs))
-        return PairTaskResult(
-            index=index,
-            worker_pid=os.getpid(),
-            pairs=pairs,
-            candidates=candidates,
-            count_r=len(kps_r),
-            count_s=len(kps_s),
-            wall_s=time.perf_counter() - started,
-            degraded=True,
-            degraded_reason=reason,
-            duplicates_dropped=dropped,
-        )
 
     def _node_reports(self, outcomes: List[PairTaskResult]) -> List[NodeReport]:
         """Per-worker rollups: which process did how much, for how long."""
@@ -1620,31 +1553,3 @@ class ProcessPBSM:
             report.local_pairs += len(outcome.pairs)
             report.sim_seconds += outcome.wall_s
         return list(by_pid.values())
-
-
-def _rebuild_partition(
-    tuples: Sequence[SpatialTuple],
-    partitioner: SpatialPartitioner,
-    index: int,
-) -> Tuple[list, dict]:
-    """Re-derive one partition's key-pointers and tuple lookup from source.
-
-    Uses the same pack/unpack rounding as the spill path
-    (:func:`~repro.parallel.tasks.fid_keypointer`), so the degraded merge
-    sees bit-identical MBRs to what the worker would have read — and the
-    same f64-derived ``(tile, class)`` tags, so the rebuilt replica slots
-    and the class-filtered sweep they feed are identical too.
-    """
-    kps = []
-    lookup = {}
-    for t in tuples:
-        slots = [
-            (tile, cls)
-            for tile, cls in partitioner.tile_assignments(t.mbr)
-            if partitioner.partition_of_tile(tile) == index
-        ]
-        if slots:
-            for tile, cls in slots:
-                kps.append(fid_keypointer(t, tile, cls))
-            lookup[t.feature_id] = t
-    return kps, lookup

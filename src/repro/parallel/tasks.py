@@ -59,16 +59,12 @@ from ..geometry import Rect
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import SpillCorruptionError
-from ..storage.spill import SpillWriter, read_spill
+from ..storage.spill import FRAME_HEADER_SIZE, SpillWriter, read_spill
 from ..storage.tuples import SpatialTuple, deserialize_tuple, serialize_tuple
 
 _FIDKP = struct.Struct("<ffffIIB")
 """One spilled key-pointer: conservative f32 MBR + u32 feature id + u32
 tile + u8 two-layer class."""
-
-KEYPOINTER_RECORD_BYTES = _FIDKP.size
-"""On-disk payload of one spilled key-pointer (the spill frame header is
-extra) — the serve tier's spill-footprint estimator depends on this."""
 
 FidKeyPointer = Tuple[Rect, int, int, int]
 """``(rect, feature_id, tile, class)`` — one two-layer replica slot."""
@@ -227,6 +223,15 @@ class PartitionSpill:
         for tile, cls in slots:
             self._kp.append(pack_fid_keypointer(t.mbr, t.feature_id, tile, cls))
         self._tuples.append(serialize_tuple(t))
+
+    @staticmethod
+    def record_bytes(t: SpatialTuple, slots: Sequence[Tuple[int, int]]) -> int:
+        """The on-disk bytes one :meth:`add` of these arguments writes: a
+        framed key-pointer per slot plus the framed tuple."""
+        return (
+            len(slots) * (FRAME_HEADER_SIZE + _FIDKP.size)
+            + FRAME_HEADER_SIZE + len(serialize_tuple(t))
+        )
 
     def close(self) -> None:
         self._kp.close()

@@ -49,9 +49,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..checkpoint.store import CheckpointMismatchError
 from ..faults.inject import CoordinatorKilledError
-from ..core.pbsm import PBSMConfig
-from ..core.partition import SpatialPartitioner
-from ..geometry import Rect
 from ..obs.journal import (
     EVENT_CACHE_HIT,
     EVENT_DISK_PRESSURE,
@@ -70,11 +67,8 @@ from ..obs.metrics import (
 )
 from ..obs.timeseries import SlowLog, TelemetrySampler
 from ..parallel.process import DeadlineExceededError, ProcessPBSM
-from ..parallel.tasks import KEYPOINTER_RECORD_BYTES
 from ..storage.errors import DiskFullError
 from ..storage.pressure import CATEGORY_CACHE, DiskBudget
-from ..storage.spill import FRAME_HEADER_SIZE
-from ..storage.tuples import serialize_tuple
 from .cache import LOOKUP_HIT, LOOKUP_WARM, ArtifactCache
 from .pool import SharedPoolProvider
 from .query import QueryError, QuerySpec, result_digest
@@ -571,7 +565,9 @@ class JoinServer:
                     with self._lock:
                         self._misses += 1
                     self.metrics.counter("serve.cache.misses").inc()
-                    self._admit_storage(spec, tuples_r, tuples_s, query_id)
+                    self._admit_storage(
+                        spec, tuples_r, tuples_s, query_id, journal
+                    )
                     if self.provider.admit():
                         pairs, drill = self._run_engine(
                             spec, tuples_r, tuples_s, journal,
@@ -699,12 +695,17 @@ class JoinServer:
     # spill-aware admission
     # ------------------------------------------------------------------ #
 
-    def _admit_storage(self, spec, tuples_r, tuples_s, query_id) -> None:
+    def _admit_storage(
+        self, spec, tuples_r, tuples_s, query_id, journal
+    ) -> None:
         """Refuse a query whose spill footprint cannot fit the budget.
 
-        Runs on the miss/warm path, before any engine work.  When the
-        estimate exceeds the headroom, one cache-eviction pass tries to
-        make room; still over, the query gets a typed
+        Runs on the miss/warm path, before any engine work.  The
+        footprint is the engine's own
+        (:meth:`~repro.parallel.process.ProcessPBSM.spill_footprint`), so
+        it is exact for the partition phase.  When it exceeds the
+        headroom, one cache-eviction pass tries to make room; still over,
+        the query gets a typed
         ``storage_overload`` reject instead of dying mid-partition on
         :class:`~repro.storage.errors.DiskFullError` with the disk
         already full of half a run.
@@ -712,7 +713,9 @@ class JoinServer:
         budget = self.disk_budget
         if budget is None or budget.max_bytes is None:
             return
-        estimated = self._estimate_spill_bytes(spec, tuples_r, tuples_s)
+        estimated = self._engine(spec, journal).spill_footprint(
+            tuples_r, tuples_s
+        )
         available = budget.available()
         if estimated > available:
             self.cache.ensure_budget()
@@ -732,42 +735,6 @@ class JoinServer:
             estimated_bytes=estimated,
             available_bytes=available,
         )
-
-    def _estimate_spill_bytes(self, spec, tuples_r, tuples_s) -> int:
-        """Exact partition-phase footprint for this query's inputs.
-
-        Walks the same two-layer partitioner the engine will build and
-        sums the frame bytes each side's scan would spill: one
-        key-pointer frame per ``(tile, class)`` slot plus the serialized
-        tuple once per receiving partition.  Checkpoint manifest and
-        result-log bytes are not modelled — the spills dominate by
-        orders of magnitude.
-        """
-        if not tuples_r or not tuples_s:
-            return 0
-        config = PBSMConfig()
-        partitions = spec.partitions
-        universe = Rect.union_all(t.mbr for t in tuples_r).union(
-            Rect.union_all(t.mbr for t in tuples_s)
-        )
-        partitioner = SpatialPartitioner(
-            universe, partitions, max(config.num_tiles, partitions),
-            config.scheme,
-        )
-        total = 0
-        kp_frame = KEYPOINTER_RECORD_BYTES + FRAME_HEADER_SIZE
-        for tuples in (tuples_r, tuples_s):
-            for t in tuples:
-                receiving = set()
-                slots = 0
-                for tile, _cls in partitioner.tile_assignments(t.mbr):
-                    receiving.add(partitioner.partition_of_tile(tile))
-                    slots += 1
-                total += slots * kp_frame
-                total += len(receiving) * (
-                    FRAME_HEADER_SIZE + len(serialize_tuple(t))
-                )
-        return total
 
     def _materialise(self, spec: QuerySpec):
         """Input tuples for the spec, memoized by dataset key — queries

@@ -92,6 +92,36 @@ class TestAssignment:
         assert by_class[CLASS_A] == 1
 
 
+class TestRouting:
+    @given(
+        universe_rects(),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=40),
+        st.sampled_from([SCHEME_HASH, SCHEME_ROUND_ROBIN]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_route_groups_the_slots_by_partition_in_order(
+        self, rect, num_partitions, extra_tiles, scheme
+    ):
+        partitioner = SpatialPartitioner(
+            UNIVERSE, num_partitions, num_partitions + extra_tiles, scheme
+        )
+        routed = partitioner.route(rect)
+        # Partitions ascending, and exactly the ones the MBR replicates to.
+        assert list(routed) == sorted(partitioner.partitions_for_rect(rect))
+        # Every slot lands in its tile's partition, in assignment order:
+        # regrouping loses nothing, invents nothing, reorders nothing.
+        slots = partitioner.tile_assignments(rect)
+        for p, group in routed.items():
+            assert group == [
+                slot for slot in slots
+                if partitioner.partition_of_tile(slot[0]) == p
+            ]
+        assert sorted(
+            slot for group in routed.values() for slot in group
+        ) == sorted(slots)
+
+
 class TestUniqueness:
     @given(grids(), universe_rects(), universe_rects())
     @settings(max_examples=300, deadline=None)

@@ -82,6 +82,31 @@ class TestCompilation:
         assert hangy.max_hang_s == 9.5
 
 
+class TestFiring:
+    FAULTS = WorkerFaults(
+        read_error_attempts=(0, 1, 3),
+        crash_attempts=(0,),
+        hang_attempts=(1, 2),
+        slow_attempts=(1,),
+    )
+
+    @pytest.mark.parametrize(
+        "attempt, kinds",
+        [
+            (0, ["worker_crash"]),  # the crash pre-empts the read error
+            (1, ["hang", "slow_task", "disk_read_error"]),  # injection order
+            (2, ["hang"]),
+            (3, ["disk_read_error"]),
+            (4, []),
+        ],
+    )
+    def test_firing_table(self, attempt, kinds):
+        assert self.FAULTS.firing(attempt) == kinds
+
+    def test_unplanned_pair_fires_nothing(self):
+        assert WorkerFaults().firing(0) == []
+
+
 class TestDiskFullPoints:
     def test_points_compile_deterministically(self):
         spec = NAMED_SPECS["disk_full"]

@@ -47,22 +47,6 @@ class TestRetryExhaustion:
         assert summary["degraded"] == 1
         assert result.tasks[0].degraded is True
 
-    def test_without_degradation_the_error_carries_context(self, workload):
-        tuples_r, tuples_s, _ = workload
-        engine = ProcessPBSM(
-            2, num_partitions=1,
-            fault_plan=_always_failing_plan(), max_task_retries=1,
-            degrade_on_failure=False,
-        )
-        with pytest.raises(WorkerTaskError) as info:
-            engine.run(tuples_r, tuples_s, intersects)
-        err = info.value
-        assert err.pair_index == 0
-        assert err.corruption is False
-        assert err.cause_type == "InjectedFaultError"
-        assert "partition pair 0" in str(err)
-        assert "attempt" in str(err)
-
 
 class TestQuarantine:
     def test_corruption_skips_retries_and_degrades(self, workload):
@@ -83,21 +67,6 @@ class TestQuarantine:
         # Corruption is not transient: no retry may be burned on it.
         assert "retries" not in summary
         assert len(result.degraded_pairs) == 1
-
-    def test_quarantine_without_degradation_raises_corruption(self, workload):
-        tuples_r, tuples_s, _ = workload
-        plan = FaultPlan(
-            seed=0,
-            num_pairs=4,
-            spec=FaultSpec(torn_frames=1),
-            torn_frames=(TornFrame(side="s", partition=1, frame=3),),
-        )
-        engine = ProcessPBSM(
-            2, num_partitions=4, fault_plan=plan, degrade_on_failure=False,
-        )
-        with pytest.raises(WorkerTaskError) as info:
-            engine.run(tuples_r, tuples_s, intersects)
-        assert info.value.corruption is True
 
 
 class TestWorkerTaskError:

@@ -20,7 +20,7 @@ from repro.data import generate_hydrography, generate_roads
 from repro.faults import CoordinatorKilledError, load_plan
 from repro.obs import RunJournal, Tracer, analyze_events, render_report
 from repro.obs.journal import journal_path, read_journal
-from repro.parallel import ProcessPBSM, serial_feature_pairs
+from repro.parallel import ProcessPBSM, process, serial_feature_pairs
 
 SCALE = 0.001
 NUM_PARTITIONS = 8
@@ -74,12 +74,14 @@ class TestJournaledRun:
         assert all(r["wall_s"] >= 0 for r in finished)
         assert {r["pair"] for r in finished} == set(range(NUM_PARTITIONS))
 
-    def test_sampler_emits_utilization_ticks(self, tmp_path, workload):
+    def test_sampler_emits_utilization_ticks(
+        self, tmp_path, workload, monkeypatch
+    ):
         tuples_r, tuples_s, _ = workload
+        monkeypatch.setattr(process, "SAMPLE_INTERVAL_S", 0.0001)
         journal = RunJournal(journal_path(tmp_path))
         ProcessPBSM(
             WORKERS, num_partitions=NUM_PARTITIONS, journal=journal,
-            sample_interval_s=0.0001,
         ).run(tuples_r, tuples_s, intersects)
         journal.close()
         samples = [

@@ -1,0 +1,108 @@
+"""The coordinator's single-source decisions, checked against each other.
+
+* the serial rebuild of a pair (whatever the reason) returns exactly what
+  the pooled task for that pair returned;
+* a shed ``run_serial`` routes each input tuple once, not once per
+  partition;
+* ``spill_footprint`` is to the byte what an unconstrained run meters.
+"""
+
+import pytest
+
+from repro import intersects
+from repro.checkpoint.manifest import RunFingerprint
+from repro.checkpoint.store import CheckpointStore
+from repro.core.partition import SpatialPartitioner
+from repro.data import generate_hydrography, generate_roads
+from repro.parallel import ProcessPBSM
+from repro.storage import DiskBudget
+
+SCALE = 0.002
+NUM_PAIRS = 8
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return (
+        list(generate_roads(scale=SCALE)),
+        list(generate_hydrography(scale=SCALE)),
+    )
+
+
+@pytest.fixture(scope="module")
+def pooled(workload, tmp_path_factory):
+    """Each pair's result as a pool worker produced it, read back from a
+    checkpointed run's result log."""
+    tuples_r, tuples_s = workload
+    root = str(tmp_path_factory.mktemp("pooled"))
+    engine = ProcessPBSM(2, num_partitions=NUM_PAIRS, checkpoint_dir=root)
+    result = engine.run(tuples_r, tuples_s, intersects)
+    assert result.degraded_pairs == []
+    fingerprint = RunFingerprint.compute(
+        tuples_r, tuples_s, intersects, NUM_PAIRS, engine.config
+    )
+    committed, torn = CheckpointStore(root, fingerprint).replay_results()
+    assert not torn and any(o.pairs for o in committed.values())
+    return committed
+
+
+class TestRebuildPairs:
+    @pytest.mark.parametrize(
+        "reason",
+        ["retry_exhausted", "corrupt_spill", "disk_full", "breaker_shed"],
+    )
+    def test_rebuild_equals_the_pooled_task(self, workload, pooled, reason):
+        tuples_r, tuples_s = workload
+        engine = ProcessPBSM(2, num_partitions=NUM_PAIRS)
+        committed = []
+        rebuilt = engine._rebuild_pairs(
+            dict.fromkeys(pooled, reason), tuples_r, tuples_s,
+            engine._partitioner(tuples_r, tuples_s), intersects,
+            on_result=committed.append,
+        )
+        assert [o.index for o in rebuilt] == sorted(pooled)
+        assert committed == rebuilt
+        for outcome in rebuilt:
+            task = pooled[outcome.index]
+            assert outcome.pairs == task.pairs
+            assert outcome.candidates == task.candidates
+            assert (outcome.count_r, outcome.count_s) == (
+                task.count_r, task.count_s
+            )
+            assert outcome.degraded and outcome.degraded_reason == reason
+        assert engine._fault_summary() == {"degraded": len(pooled)}
+
+    def test_shed_run_routes_each_tuple_once(self, workload, monkeypatch):
+        tuples_r, tuples_s = workload
+        calls = []
+        assign = SpatialPartitioner.tile_assignments
+
+        def counting(self, rect):
+            calls.append(rect)
+            return assign(self, rect)
+
+        monkeypatch.setattr(SpatialPartitioner, "tile_assignments", counting)
+        result = ProcessPBSM(2, num_partitions=NUM_PAIRS).run_serial(
+            tuples_r, tuples_s, intersects
+        )
+        assert len(calls) == len(tuples_r) + len(tuples_s)
+        # A shed run tallies its rebuilt pairs like any other degraded pair.
+        assert result.degraded_pairs == list(range(NUM_PAIRS))
+        assert result.fault_summary == {"degraded": NUM_PAIRS}
+
+
+class TestSpillFootprint:
+    def test_footprint_is_the_metered_spill_peak(self, workload):
+        tuples_r, tuples_s = workload
+        budget = DiskBudget()  # no ceiling: meters, never denies
+        ProcessPBSM(2, num_partitions=NUM_PAIRS, disk_budget=budget).run(
+            tuples_r, tuples_s, intersects
+        )
+        footprint = ProcessPBSM(2, num_partitions=NUM_PAIRS).spill_footprint(
+            tuples_r, tuples_s
+        )
+        assert footprint == budget.snapshot()["peak_by_category"]["spill"] > 0
+
+    def test_empty_input_spills_nothing(self, workload):
+        tuples_r, _ = workload
+        assert ProcessPBSM(2).spill_footprint(tuples_r, []) == 0

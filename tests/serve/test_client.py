@@ -29,16 +29,20 @@ class FlakyServer(threading.Thread):
         self.listener.bind(("127.0.0.1", 0))
         self.listener.listen(8)
         self.port = self.listener.getsockname()[1]
-        self._stop = threading.Event()
+        self._stopping = threading.Event()
+        self._conn = None
 
     def run(self):
-        while not self._stop.is_set():
+        while not self._stopping.is_set():
             try:
                 conn, _addr = self.listener.accept()
             except OSError:
                 return
+            self._conn = conn
             self.connections += 1
             with conn:
+                if self._stopping.is_set():
+                    return  # stop() raced this accept and missed the conn
                 rfile = conn.makefile("r", encoding="utf-8", newline="\n")
                 for line in rfile:
                     if self.mute:
@@ -57,11 +61,19 @@ class FlakyServer(threading.Thread):
                     pass
 
     def stop(self):
-        self._stop.set()
-        try:
-            self.listener.close()
-        except OSError:
-            pass
+        """Die completely: no new connections, and the one already
+        accepted is cut too (a thread still serving it after ``stop()``
+        would answer the client this harness claims to have killed)."""
+        self._stopping.set()
+        for sock in (self.listener, self._conn):
+            if sock is not None:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked thread
+                except OSError:
+                    pass
+        self.listener.close()
+        self.join(timeout=5.0)
+        assert not self.is_alive(), "FlakyServer thread outlived stop()"
 
 
 @pytest.fixture

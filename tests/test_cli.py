@@ -8,6 +8,14 @@ import pytest
 from repro.__main__ import main
 
 
+@pytest.fixture(autouse=True)
+def _run_in_tmp(tmp_path, monkeypatch):
+    # ``chaos`` defaults --out to ./run_out (and ``trace`` to
+    # ./trace_out): keep both out of the repo root, where ``repro
+    # report``'s default argument would read whichever test ran last.
+    monkeypatch.chdir(tmp_path)
+
+
 class TestCLI:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
