@@ -13,7 +13,7 @@ and 4 vs 16 partitions.  Expected shape:
 from repro.bench import BENCH_SCALE, ResultTable, fresh_tiger
 from repro.bench.harness import RESULTS_DIR
 from repro.core import SCHEME_HASH, SCHEME_ROUND_ROBIN, profile_partitioning
-from repro.obs.bench import write_bench_file
+from repro.obs.bench import wall_clock_record, write_bench_file
 
 TILE_SWEEP = (25, 100, 400, 1000, 2000, 4000)
 
@@ -33,24 +33,17 @@ def _skew_record(scheme: str, partitions: int, covs) -> dict:
     figure plots, and that ``repro report`` cross-checks — rides in
     ``notes``.
     """
-    return {
-        "algorithm": f"partitioning-{scheme}/{partitions}",
-        "scale": BENCH_SCALE,
-        "buffer_mb": 8.0,
-        "total_s": 0.0,
-        "cpu_s": 0.0,
-        "io_s": 0.0,
-        "candidates": 0,
-        "result_count": 0,
-        "phases": [],
-        "counters": {"page_reads": 0, "page_writes": 0, "seeks": 0},
-        "notes": {
+    return wall_clock_record(
+        f"partitioning-{scheme}/{partitions}",
+        scale=BENCH_SCALE,
+        buffer_mb=8.0,
+        notes={
             "scheme": scheme,
             "partitions": partitions,
             "tiles": list(TILE_SWEEP),
             "cov": [round(c, 6) for c in covs],
         },
-    }
+    )
 
 
 def test_fig4_partition_balance(benchmark):

@@ -20,13 +20,13 @@ configuration:
 Every configuration must produce the byte-identical sorted pair set.
 """
 
-import heapq
 import os
 
 from repro import intersects
 from repro.bench import BENCH_SCALE, ResultTable
 from repro.bench.harness import RESULTS_DIR, _cached_tuples
-from repro.obs.bench import write_bench_file
+from repro.obs import lpt_replay
+from repro.obs.bench import wall_clock_record, write_bench_file
 from repro.parallel import parallel_join
 
 WORKER_SWEEP = (1, 2, 4)
@@ -36,32 +36,18 @@ WALL_ASSERT_MIN_CPUS = 8
 4 workers + a coordinator need real parallel headroom, not time-slicing."""
 
 
-def lpt_makespan(costs, workers):
-    """Deterministic LPT schedule: assign longest-first to least loaded."""
-    loads = [0] * workers
-    heapq.heapify(loads)
-    for cost in sorted(costs, reverse=True):
-        heapq.heappush(loads, heapq.heappop(loads) + cost)
-    return max(loads)
-
-
 def _record(algorithm, scale, *, result_count, wall_s, notes):
-    """One schema-conforming record; wall time is the only cost here —
-    the process backend has no simulated disk, so the modelled-I/O fields
-    are structurally zero rather than unknown."""
-    return {
-        "algorithm": algorithm,
-        "scale": scale,
-        "buffer_mb": 0.0,
-        "total_s": wall_s,
-        "cpu_s": wall_s,
-        "io_s": 0.0,
-        "candidates": notes.get("candidates", 0),
-        "result_count": result_count,
-        "phases": [],
-        "counters": {"page_reads": 0, "page_writes": 0, "seeks": 0},
-        "notes": notes,
-    }
+    """Wall time is the only cost here: the process backend has no
+    simulated disk."""
+    return wall_clock_record(
+        algorithm,
+        scale=scale,
+        total_s=wall_s,
+        cpu_s=wall_s,
+        candidates=notes.get("candidates", 0),
+        result_count=result_count,
+        notes=notes,
+    )
 
 
 def test_process_backend_speedup(benchmark):
@@ -102,8 +88,18 @@ def test_process_backend_speedup(benchmark):
                 f"duplicate(s) at w={workers}; per-task outputs must be "
                 f"disjoint"
             )
-            costs = [t.cost_estimate for t in result.tasks]
-            lpt = sum(costs) / lpt_makespan(costs, workers)
+            # The deterministic LPT schedule over the cost seeds, replayed
+            # by the same code `repro report` prints its critical path from.
+            replay = lpt_replay(
+                [
+                    {"pair": t.index, "cost": t.cost_estimate}
+                    for t in sorted(
+                        result.tasks, key=lambda t: (-t.cost_estimate, t.index)
+                    )
+                ],
+                workers,
+            )
+            lpt = replay.total_cost / replay.makespan_cost
             wall_speedup = serial.wall_s / result.wall_s
             runs[workers] = (result, lpt, wall_speedup)
             table.add(

@@ -37,7 +37,7 @@ from pathlib import Path
 
 from repro.bench import ResultTable
 from repro.bench.harness import RESULTS_DIR
-from repro.obs.bench import write_bench_file
+from repro.obs.bench import wall_clock_record, write_bench_file
 from repro.parallel import parallel_join
 from repro.serve import (
     JoinServer,
@@ -262,18 +262,14 @@ def test_serve_throughput(benchmark):
         hot = QUERY_MIX[0]
 
         def record(algorithm, lat, result_count):
-            return {
-                "algorithm": algorithm,
-                "scale": hot["scale"],
-                "buffer_mb": 0.0,
-                "total_s": total_s,
-                "cpu_s": total_s,
-                "io_s": 0.0,
-                "candidates": 0,
-                "result_count": result_count,
-                "phases": [],
-                "counters": {"page_reads": 0, "page_writes": 0, "seeks": 0},
-                "notes": {
+            return wall_clock_record(
+                algorithm,
+                scale=hot["scale"],
+                total_s=total_s,
+                cpu_s=total_s,
+                result_count=result_count,
+                telemetry=telemetry_block,
+                notes={
                     "measured": [
                         "total_s", "cpu_s", "latency_p50_s",
                         "latency_p95_s", "latency_p99_s", "throughput_qps",
@@ -303,8 +299,7 @@ def test_serve_throughput(benchmark):
                     # shared with the server's stats and telemetry ops.
                     **outcome_block(stats),
                 },
-                "telemetry": telemetry_block,
-            }
+            )
 
         hot_count = next(
             (r["result_count"] for r in completed if r["_mix_rank"] == 0), 0

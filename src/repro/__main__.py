@@ -44,8 +44,13 @@ Subcommands:
   join|ping|stats|shutdown``);
 * ``plan``  — show which algorithm the paper's decision table picks for a
   described scenario;
-* ``bench-compare`` — diff a fresh ``BENCH_*.json`` against a committed
-  baseline and exit non-zero if deterministic counters drifted;
+* ``top`` — live terminal dashboard over a running server's
+  ``telemetry`` op;
+* ``runs`` — the cross-run warehouse: ``list`` / ``show`` index run
+  directories, serve roots and ``BENCH_*.json`` files; ``compare A B``
+  diffs two of them and is the one regression gate — ``--exact PATTERN``
+  fails on any difference (deterministic counters), ``--gate PATTERN``
+  on growth past ``--threshold`` (exit 4 either way);
 * ``info``  — package, subsystem, and experiment inventory.
 """
 
@@ -85,17 +90,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from . import Database, PBSMJoin, intersects
     from .data import make_tiger_datasets
-    from .obs import (
-        MetricsRegistry,
-        Tracer,
-        write_chrome_trace,
-        write_metrics_json,
-        write_trace_jsonl,
-    )
+    from .obs import MetricsRegistry, Tracer
+    from .obs.export import write_run_dir
 
     db = Database(buffer_mb=args.buffer_mb)
     rels = make_tiger_datasets(
@@ -110,11 +108,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         rels["road"], rels["hydro"], intersects
     )
 
-    out = Path(args.out)
-    trace_path = write_trace_jsonl(tracer, out / "trace.jsonl")
-    metrics_path = write_metrics_json(
+    trace_path, metrics_path, chrome_path = write_run_dir(
+        args.out,
+        tracer,
         metrics,
-        out / "metrics.json",
         extra={
             "algorithm": "PBSM",
             "scale": args.scale,
@@ -122,7 +119,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "result_count": len(result),
         },
     )
-    chrome_path = write_chrome_trace(tracer, out / "chrome_trace.json")
 
     print(result.report.format_table())
     print(f"\n{tracer.span_count} spans from {len(result)} result pairs")
@@ -444,16 +440,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if journal is not None:
             journal.close()
     if out_dir is not None:
-        from .obs import write_chrome_trace, write_metrics_json, write_trace_jsonl
+        from .obs.export import write_run_dir
 
-        write_trace_jsonl(tracer, out_dir / "trace.jsonl")
-        write_metrics_json(
-            metrics, out_dir / "metrics.json",
+        write_run_dir(
+            out_dir, tracer, metrics,
             extra={"plan": plan.to_dict(), "scale": args.scale,
                    "workers": args.workers, "partitions": args.partitions},
+            journal_events=journal.records,
         )
-        write_chrome_trace(tracer, out_dir / "chrome_trace.json",
-                           journal_events=journal.records)
     survived = result.pairs == reference.pairs
 
     summary = dict(result.fault_summary)
@@ -475,31 +469,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     plan_label = Path(args.plan).stem if args.plan.endswith(".json") else args.plan
     if args.bench_out:
-        from .obs.schema import SCHEMA_VERSION, validate_bench_file
+        from .obs.bench import wall_clock_record, write_bench_path
 
-        record = {
-            "algorithm": "PBSM-process",
-            "scale": args.scale,
-            "buffer_mb": 0.0,
-            "total_s": round(result.wall_s, 6),
-            "cpu_s": 0.0,
-            "io_s": 0.0,
-            "candidates": sum(t.candidates for t in result.tasks),
-            "result_count": len(result),
-            "phases": [],
-            "counters": {"page_reads": 0, "page_writes": 0, "seeks": 0},
-            "notes": {"workers": args.workers, "partitions": args.partitions},
-            "faults": faults_block,
-        }
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "benchmark": f"chaos_{plan_label}",
-            "records": [record],
-        }
-        validate_bench_file(document)
-        out = Path(args.bench_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        record = wall_clock_record(
+            "PBSM-process",
+            scale=args.scale,
+            total_s=round(result.wall_s, 6),
+            candidates=sum(t.candidates for t in result.tasks),
+            result_count=len(result),
+            notes={"workers": args.workers, "partitions": args.partitions},
+            faults=faults_block,
+        )
+        write_bench_path(f"chaos_{plan_label}", [record], args.bench_out)
 
     if args.json:
         document = {
@@ -759,16 +740,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     try:
         with ServeClient(args.host, port, timeout=socket_timeout) as client:
-            if args.op == "ping":
-                response = client.ping()
-            elif args.op == "stats":
-                response = client.stats()
-            elif args.op == "telemetry":
-                response = client.telemetry()
-            elif args.op == "metrics":
-                response = client.metrics()
-            elif args.op == "shutdown":
-                response = client.shutdown()
+            if args.op != "join":
+                # ping / stats / telemetry / metrics / shutdown: the client
+                # method is named after the wire op.
+                response = getattr(client, args.op)()
             else:
                 response = client.join(
                     dataset=args.dataset,
@@ -926,7 +901,11 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         ))
     else:
         sys.stdout.write(corpus.render_compare(record_a, record_b, rows))
-    failures = corpus.check_gates(rows, args.gate or [], args.threshold)
+    failures = corpus.check_gates(
+        record_a, record_b,
+        gates=args.gate or (), exact=args.exact or (),
+        threshold=args.threshold,
+    )
     for failure in failures:
         print(f"REGRESSION: {failure}")
     return _RUNS_GATE_EXIT if failures else 0
@@ -949,24 +928,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
           f"buffer={args.buffer_mb} MB")
     print(f"chosen algorithm: {plan.algorithm.upper()}")
     print(f"reason: {plan.reason}")
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from .bench.compare import compare_files
-
-    violations = compare_files(args.baseline, args.fresh)
-    if violations:
-        print(f"bench-compare: {len(violations)} violation(s) vs {args.baseline}")
-        for violation in violations:
-            print(f"  {violation}")
-        print(
-            "If the drift is intentional, re-baseline: re-run the benchmark "
-            "at the baseline's REPRO_BENCH_SCALE and commit the fresh JSON "
-            "(see src/repro/bench/compare.py)."
-        )
-        return 1
-    print(f"bench-compare: OK ({args.fresh} matches {args.baseline})")
     return 0
 
 
@@ -1294,8 +1255,15 @@ def main(argv: list[str] | None = None) -> int:
                               help="restrict to this metric (repeatable); "
                                    "with --trend, the metric to fit")
     runs_compare.add_argument("--gate", action="append", default=None,
-                              help="fail (exit 4) if this metric regressed "
-                                   "past --threshold (repeatable)")
+                              metavar="PATTERN",
+                              help="fail (exit 4) if a metric matching this "
+                                   "fnmatch pattern grew past --threshold "
+                                   "(repeatable)")
+    runs_compare.add_argument("--exact", action="append", default=None,
+                              metavar="PATTERN",
+                              help="fail (exit 4) if a metric matching this "
+                                   "fnmatch pattern differs at all — for "
+                                   "deterministic counters (repeatable)")
     runs_compare.add_argument("--threshold", type=float, default=0.10,
                               help="regression threshold as a fraction "
                                    "(default 0.10 = 10%%)")
@@ -1314,14 +1282,6 @@ def main(argv: list[str] | None = None) -> int:
     plan.add_argument("--index-r", action="store_true", help="road index pre-exists")
     plan.add_argument("--index-s", action="store_true", help="hydro index pre-exists")
     plan.set_defaults(func=_cmd_plan)
-
-    bench_compare = sub.add_parser(
-        "bench-compare",
-        help="fail if a fresh BENCH_*.json drifted from a baseline",
-    )
-    bench_compare.add_argument("baseline", help="committed baseline BENCH_*.json")
-    bench_compare.add_argument("fresh", help="freshly emitted BENCH_*.json")
-    bench_compare.set_defaults(func=_cmd_bench_compare)
 
     info = sub.add_parser("info", help="package inventory")
     info.set_defaults(func=_cmd_info)

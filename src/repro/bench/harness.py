@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..core.stats import JoinResult
 from ..data import sequoia, tiger
@@ -154,13 +154,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"
     return str(value)
-
-
-def run_cold(db: Database, join: Callable[[], JoinResult]) -> JoinResult:
-    """Clear the cache, run the join, return its result."""
-    db.pool.clear()
-    db.pool.reset_counters()
-    return join()
 
 
 def write_bench_json(

@@ -38,11 +38,11 @@ than ``task_finished`` (their spans are likewise tagged ``replayed``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .export import TRACE_FILENAME
 from .journal import (
     EVENT_CHECKPOINT_COMMIT,
     EVENT_DEGRADED,
@@ -61,7 +61,6 @@ from .journal import (
 )
 from .metrics import Histogram
 
-TRACE_FILENAME = "trace.jsonl"
 
 STRAGGLER_TOP_N = 8
 """Rows shown in each straggler table."""
@@ -91,18 +90,18 @@ class SkewStats:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "SkewStats":
+        # Imported here: storage -> obs -> core -> storage is a package cycle.
+        from ..core.partition import coefficient_of_variation
+
         if not values:
             return cls()
-        mean = sum(values) / len(values)
-        variance = sum((v - mean) ** 2 for v in values) / len(values)
-        cov = math.sqrt(variance) / mean if mean else 0.0
         return cls(
             count=len(values),
             total=float(sum(values)),
-            mean=mean,
+            mean=sum(values) / len(values),
             minimum=float(min(values)),
             maximum=float(max(values)),
-            cov=cov,
+            cov=coefficient_of_variation(values),
         )
 
 

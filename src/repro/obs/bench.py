@@ -31,6 +31,13 @@ from .export import report_to_dict
 from .schema import SCHEMA_VERSION, validate_bench_file
 
 
+def _with_blocks(record: dict, **blocks) -> dict:
+    """Attach the optional blocks that were given; an absent block stays
+    absent, so baselines stay byte-comparable."""
+    record.update({k: v for k, v in blocks.items() if v is not None})
+    return record
+
+
 def bench_record(
     report,
     *,
@@ -47,8 +54,7 @@ def bench_record(
     ``buffer_mb_scaled`` the actual pool the scaled run used.  ``faults``
     attaches a chaos block (see ``BENCH_FAULTS_SCHEMA``) when the run
     executed under a fault plan; ``disk`` a storage-pressure block (see
-    ``BENCH_DISK_SCHEMA``).  Leave both ``None`` for runs without them so
-    baselines stay byte-comparable.
+    ``BENCH_DISK_SCHEMA``).  Leave both ``None`` for runs without them.
     """
     base = report_to_dict(report)
     record = {
@@ -67,15 +73,50 @@ def bench_record(
             "seeks": sum(p["seeks"] for p in base["phases"]),
         },
     }
-    if buffer_mb_scaled is not None:
-        record["buffer_mb_scaled"] = buffer_mb_scaled
-    if base["notes"]:
-        record["notes"] = base["notes"]
-    if faults is not None:
-        record["faults"] = faults
-    if disk is not None:
-        record["disk"] = disk
-    return record
+    return _with_blocks(
+        record,
+        buffer_mb_scaled=buffer_mb_scaled,
+        notes=base["notes"] or None,
+        faults=faults,
+        disk=disk,
+    )
+
+
+def wall_clock_record(
+    algorithm: str,
+    *,
+    scale: float,
+    total_s: float = 0.0,
+    cpu_s: float = 0.0,
+    buffer_mb: float = 0.0,
+    candidates: int = 0,
+    result_count: int = 0,
+    notes: dict,
+    faults: Optional[dict] = None,
+    telemetry: Optional[dict] = None,
+) -> dict:
+    """One schema-conforming record for a run with no simulated disk.
+
+    The process backend, the serve tier and the partitioning profiles are
+    costed in wall-clock time only, so the modelled-I/O fields (``io_s``,
+    ``phases``, ``counters``) are structurally zero rather than unknown;
+    the payload rides in ``notes``.  ``faults`` / ``telemetry`` attach
+    the optional blocks of the same names.
+    """
+    record = {
+        "algorithm": algorithm,
+        "scale": scale,
+        "buffer_mb": buffer_mb,
+        "total_s": total_s,
+        "cpu_s": cpu_s,
+        "io_s": 0.0,
+        "candidates": candidates,
+        "result_count": result_count,
+        "phases": [],
+        "counters": {"page_reads": 0, "page_writes": 0, "seeks": 0},
+        "notes": notes,
+    }
+    return _with_blocks(record, faults=faults, telemetry=telemetry)
 
 
 def bench_file_name(benchmark: str) -> str:
@@ -87,16 +128,24 @@ def write_bench_file(
     records: Iterable[dict],
     results_dir: "Path | str",
 ) -> Path:
-    """Assemble, validate, and write ``BENCH_<benchmark>.json``."""
+    """Assemble, validate, and write ``<results_dir>/BENCH_<benchmark>.json``."""
+    return write_bench_path(
+        benchmark, records, Path(results_dir) / bench_file_name(benchmark)
+    )
+
+
+def write_bench_path(
+    benchmark: str, records: Iterable[dict], path: "Path | str"
+) -> Path:
+    """:func:`write_bench_file` to an exact path (``chaos --bench-out``)."""
     document = {
         "schema_version": SCHEMA_VERSION,
         "benchmark": benchmark,
         "records": list(records),
     }
     validate_bench_file(document)
-    results_dir = Path(results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
-    path = results_dir / bench_file_name(benchmark)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -13,27 +13,30 @@ flat numeric ``metrics`` mapping (what it measured — phase timings,
 fault/degrade/dedup counters, disk peaks, latency quantiles).  The
 index is a pure function of file contents: same tree, same bytes out.
 
-:func:`compare_runs` diffs two records metric-by-metric and
-:func:`fit_trend` fits a least-squares slope over a metric's trajectory
-across N runs — the ``repro runs compare`` CLI turns either into a
-non-zero exit past a regression threshold, giving CI a trajectory gate
-instead of a single committed baseline.
+:func:`compare_runs` diffs two records metric-by-metric,
+:func:`check_gates` turns the diff into the repository's one regression
+verdict (exact for deterministic counters, thresholded for measured
+quantities), and :func:`fit_trend` fits a least-squares slope over a
+metric's trajectory across N runs — the ``repro runs compare`` CLI turns
+either into a non-zero exit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .analyze import analyze_events
+from .bench import load_bench_file
+from .export import METRICS_FILENAME
+from .journal import JOURNAL_FILENAME as ENGINE_JOURNAL_FILENAME
 from .journal import read_journal
 from .timeseries import quantile
 
-ENGINE_JOURNAL_FILENAME = "journal.jsonl"
 SERVE_JOURNAL_FILENAME = "serve.jsonl"
-METRICS_FILENAME = "metrics.json"
 BENCH_GLOB_PREFIX = "BENCH_"
 
 KIND_ENGINE = "engine"
@@ -43,15 +46,20 @@ KIND_BENCH = "bench"
 DEFAULT_GATE_THRESHOLD = 0.10
 """A gated metric regresses when ``b > a * (1 + threshold)``."""
 
-_COUNTER_METRICS = {
+
+def cell_key(record: dict) -> str:
+    """What identifies a BENCH cell: ``<algorithm>@<paper buffer MB>``."""
+    return f"{record['algorithm']}@{float(record['buffer_mb'])}"
+
+
+_HEADLINE_METRICS = {
     "merge.duplicates_dropped": "duplicates_dropped",
     "disk.budget.denials": "disk_denials",
     "disk.budget.charged_bytes": "disk_charged_bytes",
-}
-_GAUGE_METRICS = {
     "disk.budget.hwm_bytes": "disk_hwm_bytes",
     "disk.budget.used_bytes": "disk_used_bytes",
 }
+"""Registry counters and gauges an engine run's record carries along."""
 
 
 @dataclass
@@ -217,11 +225,9 @@ def index_bench_file(path: "Path | str", run_id: Optional[str] = None) -> List[R
     Table 4-style breakdowns become comparable trajectories."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise CorpusError(f"{path}: not JSON ({exc})") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("records"), list):
-        raise CorpusError(f"{path}: not a BENCH file (no records list)")
+        data = load_bench_file(path)
+    except ValueError as exc:  # not JSON, or not schema-valid
+        raise CorpusError(f"{path}: not a BENCH file ({exc})") from exc
     base = run_id or path.stem
     out: List[RunRecord] = []
     for i, record in enumerate(data["records"]):
@@ -276,11 +282,7 @@ def _metrics_file_extract(run_dir: Path) -> Dict[str, float]:
     if not isinstance(snapshot, dict):
         return {}
     out: Dict[str, float] = {}
-    for source, target in sorted(_COUNTER_METRICS.items()):
-        entry = snapshot.get(source)
-        if isinstance(entry, dict) and isinstance(entry.get("value"), (int, float)):
-            out[target] = entry["value"]
-    for source, target in sorted(_GAUGE_METRICS.items()):
+    for source, target in _HEADLINE_METRICS.items():
         entry = snapshot.get(source)
         if isinstance(entry, dict) and isinstance(entry.get("value"), (int, float)):
             out[target] = entry["value"]
@@ -291,22 +293,28 @@ def _metrics_file_extract(run_dir: Path) -> Dict[str, float]:
 # the corpus scan
 # --------------------------------------------------------------------- #
 
+_DIR_INDEXERS = (
+    (SERVE_JOURNAL_FILENAME, index_serve_run),
+    (ENGINE_JOURNAL_FILENAME, index_engine_run),
+)
+"""Which journal file makes a directory which kind of run."""
+
 
 def index_path(path: "Path | str") -> RunRecord:
     """Index a single artifact the user pointed at directly.
 
     A directory with a ``serve.jsonl`` is a serve root; with a
-    ``journal.jsonl``, an engine run; a ``*.json`` file, a BENCH file
-    (multi-record files merge with ``<algorithm>.``-prefixed metrics so
-    one comparable record comes back).
+    ``journal.jsonl``, an engine run; a ``*.json`` file, a BENCH file:
+    its cells merge into one comparable record, each cell's metrics
+    prefixed with its :func:`cell_key` and the identity carrying what
+    :func:`check_gates` needs to match cells across two files.
     """
     given = str(path)
     path = Path(path)
     if path.is_dir():
-        if (path / SERVE_JOURNAL_FILENAME).exists():
-            return index_serve_run(path, run_id=given)
-        if (path / ENGINE_JOURNAL_FILENAME).exists():
-            return index_engine_run(path, run_id=given)
+        for filename, indexer in _DIR_INDEXERS:
+            if (path / filename).exists():
+                return indexer(path, run_id=given)
         raise CorpusError(
             f"{path}: neither {SERVE_JOURNAL_FILENAME} nor "
             f"{ENGINE_JOURNAL_FILENAME} found"
@@ -315,21 +323,23 @@ def index_path(path: "Path | str") -> RunRecord:
         records = index_bench_file(path)
         if not records:
             raise CorpusError(f"{path}: BENCH file with no records")
-        if len(records) == 1:
-            record = records[0]
-            record.run_id = path.stem
-            return record
+        scales: Dict[str, object] = {}
+        duplicates = set()
         merged = RunRecord(
             run_id=path.stem,
             path=str(path),
             kind=KIND_BENCH,
-            identity={"benchmark": records[0].identity.get("benchmark"),
-                      "cells": len(records)},
+            identity={"benchmark": records[0].identity["benchmark"],
+                      "cells": len(records), "scales": scales},
         )
-        for i, record in enumerate(records):
-            prefix = str(record.identity.get("algorithm", i))
-            for key in sorted(record.metrics):
-                merged.metrics[f"{prefix}.{key}"] = record.metrics[key]
+        for record in records:
+            key = cell_key(record.identity)
+            if key in scales:
+                duplicates.add(key)
+            scales[key] = record.identity["scale"]
+            for name in sorted(record.metrics):
+                merged.metrics[f"{key}.{name}"] = record.metrics[name]
+        merged.identity["duplicate_cells"] = sorted(duplicates)
         return merged
     raise CorpusError(f"{path}: no such run artifact")
 
@@ -347,16 +357,11 @@ def scan_corpus(root: "Path | str") -> List[RunRecord]:
     )
     for directory in candidates:
         rel = directory.relative_to(root).as_posix() or "."
-        if (directory / SERVE_JOURNAL_FILENAME).exists():
-            try:
-                record = index_serve_run(directory, run_id=rel)
-            except (CorpusError, OSError, ValueError):
+        for filename, indexer in _DIR_INDEXERS:
+            if not (directory / filename).exists():
                 continue
-            record.path = rel
-            records.append(record)
-        if (directory / ENGINE_JOURNAL_FILENAME).exists():
             try:
-                record = index_engine_run(directory, run_id=rel)
+                record = indexer(directory, run_id=rel)
             except (CorpusError, OSError, ValueError):
                 continue
             record.path = rel
@@ -420,31 +425,78 @@ def compare_runs(
 
 
 def check_gates(
-    rows: Sequence[dict],
-    gates: Sequence[str],
+    a: RunRecord,
+    b: RunRecord,
+    gates: Sequence[str] = (),
+    exact: Sequence[str] = (),
     threshold: float = DEFAULT_GATE_THRESHOLD,
 ) -> List[str]:
-    """Regression messages for each gated metric; empty means pass.
+    """Did ``b`` regress from ``a``?  One message per failure; empty = pass.
 
-    A gate fires when ``b > a * (1 + threshold)`` — higher is worse for
-    everything worth gating (latency, wall time, retries, disk peaks).
-    A gated metric missing from either side fires too: a gate that
-    cannot read its metric must fail loudly, not pass silently.
+    ``gates`` and ``exact`` are :mod:`fnmatch` patterns over metric names
+    (a plain name matches itself).  An ``exact`` metric fails on any
+    difference — deterministic counters get zero tolerance in either
+    direction.  A ``gates`` metric fails when ``b > a * (1 + threshold)``:
+    higher is worse for everything worth gating (latency, wall time,
+    modelled I/O seconds, retries, disk peaks), and a value that *fell*
+    is either an improvement or, for a modelled quantity, already caught
+    by the exact counters it is computed from.  A pattern that matches
+    nothing, or a matched metric missing from either side, fails too: a
+    gate that cannot read its metric must fail loudly, not pass silently.
+
+    Two BENCH files must also describe the same experiment whenever
+    anything is gated: same ``benchmark``, the same set of cells (by
+    :func:`cell_key`, none duplicated), each at the same ``scale``.
     """
-    by_metric = {row["metric"]: row for row in rows}
-    failures: List[str] = []
-    for gate in gates:
-        row = by_metric.get(gate)
-        if row is None or row.get("a") is None or row.get("b") is None:
-            failures.append(f"gate {gate}: metric missing from one side")
-            continue
-        limit = row["a"] * (1.0 + threshold)
-        if row["b"] > limit:
-            failures.append(
-                f"gate {gate}: {_fmt_num(row['b'])} exceeds "
-                f"{_fmt_num(row['a'])} by more than {threshold:.0%}"
-            )
+    if not gates and not exact:
+        return []
+    failures = _cell_mismatches(a.identity, b.identity)
+    rows = {row["metric"]: row for row in compare_runs(a, b)}
+    for mode, patterns in (("exact", exact), ("gate", gates)):
+        for pattern in patterns:
+            matched = [
+                row for name, row in rows.items() if fnmatchcase(name, pattern)
+            ]
+            for row in matched or [{"metric": pattern}]:
+                name, va, vb = row["metric"], row.get("a"), row.get("b")
+                if va is None or vb is None:
+                    failures.append(f"{mode} {name}: metric missing from one side")
+                elif mode == "exact":
+                    if va != vb:
+                        failures.append(
+                            f"exact {name}: {_fmt_num(va)} became {_fmt_num(vb)}"
+                        )
+                elif vb > va * (1.0 + threshold):
+                    failures.append(
+                        f"gate {name}: {_fmt_num(vb)} exceeds "
+                        f"{_fmt_num(va)} by more than {threshold:.0%}"
+                    )
     return failures
+
+
+def _cell_mismatches(a: Dict[str, object], b: Dict[str, object]) -> List[str]:
+    """Why two indexed BENCH files are not the same experiment (identity
+    blocks from :func:`index_path`; anything else has no cells to match)."""
+    out: List[str] = []
+    if a.get("benchmark") != b.get("benchmark"):
+        out.append(
+            f"benchmark name mismatch: a={a.get('benchmark')!r} "
+            f"b={b.get('benchmark')!r}"
+        )
+    for side, identity in (("a", a), ("b", b)):
+        for key in identity.get("duplicate_cells", ()):
+            out.append(f"cell {key}: duplicated in {side}")
+    scales_a = a.get("scales", {})
+    scales_b = b.get("scales", {})
+    for key in sorted(set(scales_a) | set(scales_b)):
+        if key not in scales_a or key not in scales_b:
+            out.append(f"cell {key}: in {'a' if key in scales_a else 'b'} only")
+        elif scales_a[key] != scales_b[key]:
+            out.append(
+                f"cell {key}: scale mismatch (a {scales_a[key]} vs b "
+                f"{scales_b[key]}) — re-run at a's scale"
+            )
+    return out
 
 
 def fit_trend(values: Sequence[float]) -> dict:

@@ -12,6 +12,10 @@ Three machine-readable views of one execution:
   phase structure as a flame chart, with per-worker lanes for the
   parallel engine.
 
+:func:`write_run_dir` writes all three under their canonical names — the
+files that, next to a ``journal.jsonl``, make a recorded run directory
+``repro report`` and ``repro runs`` can read.
+
 :func:`report_to_dict` converts a ``JoinReport`` (duck-typed, so this
 module stays import-light) into the JSON shape shared by ``demo --json``
 and the ``BENCH_*.json`` records.
@@ -21,11 +25,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .journal import FAULT_TIMELINE_TYPES, SERVE_TIMELINE_TYPES
 from .metrics import MetricsRegistry
 from .trace import Span, Tracer
+
+TRACE_FILENAME = "trace.jsonl"
+METRICS_FILENAME = "metrics.json"
+CHROME_TRACE_FILENAME = "chrome_trace.json"
 
 
 def span_to_dict(span: Span, tracer: Tracer, span_id: int, parent_id: Optional[int]) -> dict:
@@ -192,6 +200,26 @@ def write_chrome_trace(
         events.extend(chrome_instant_events(journal_events))
     path.write_text(json.dumps({"traceEvents": events}))
     return path
+
+
+def write_run_dir(
+    run_dir: "Path | str",
+    tracer: Tracer,
+    registry: MetricsRegistry,
+    *,
+    extra: Optional[Dict[str, object]] = None,
+    journal_events: Optional[List[dict]] = None,
+) -> Tuple[Path, Path, Path]:
+    """Write a run directory's trace, metrics and timeline files; returns
+    their paths in that order."""
+    run_dir = Path(run_dir)
+    return (
+        write_trace_jsonl(tracer, run_dir / TRACE_FILENAME),
+        write_metrics_json(registry, run_dir / METRICS_FILENAME, extra=extra),
+        write_chrome_trace(
+            tracer, run_dir / CHROME_TRACE_FILENAME, journal_events
+        ),
+    )
 
 
 def report_to_dict(report) -> dict:

@@ -16,7 +16,7 @@ minimum) — enough to reject malformed records at write time.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any
 
 SCHEMA_VERSION = 1
 
@@ -188,12 +188,3 @@ def validate_bench_record(record: dict) -> None:
 
 def validate_bench_file(document: dict) -> None:
     validate(document, BENCH_FILE_SCHEMA)
-
-
-def schema_errors(document: Any, schema: dict) -> List[str]:
-    """Validate, returning error strings instead of raising (CI-friendly)."""
-    try:
-        validate(document, schema)
-    except SchemaError as exc:
-        return [str(exc)]
-    return []

@@ -49,7 +49,7 @@ from ..obs.journal import (
     NULL_JOURNAL,
 )
 from ..obs.metrics import NULL_METRICS
-from ..storage.errors import ManifestCorruptionError, SpillCorruptionError
+from ..storage.errors import ManifestCorruptionError
 from ..storage.pressure import CATEGORY_CACHE
 
 LOOKUP_HIT = "hit"
@@ -61,6 +61,34 @@ QUARANTINE_DIRNAME = "quarantine"
 the ``run-`` prefix, so :func:`inspect_checkpoint_dir` never walks into
 it — quarantined state is invisible to lookup, eviction, and stats, and
 the fingerprint it occupied becomes an ordinary cold miss."""
+
+
+def verified_replay(
+    log_path: Path, result_count: Optional[int]
+) -> Tuple[Optional[List[Tuple[int, int]]], str]:
+    """Is this complete entry servable?  ``(pairs, "")`` or ``(None, why)``.
+
+    The one verdict the query path and the scrubber share.  Two-layer
+    partitioning makes the per-pair logs disjoint, so the replay is a
+    k-way merge, not a set union; the ``complete`` manifest event records
+    the result count, and the replayed merge must reproduce it exactly —
+    anything else (an unreadable log, an unexpected duplicate, a
+    different count) means the directory is lying and is not served.
+    """
+    try:
+        committed, _torn = replay_result_log(log_path)
+    except (OSError, ValueError) as exc:
+        # ManifestCorruptionError (malformed record or mid-file CRC
+        # damage) and a log file deleted out from under us.
+        return None, type(exc).__name__
+    merged, dropped = merge_sorted_unique(
+        [committed[index].pairs for index in sorted(committed)]
+    )
+    if dropped:
+        return None, "duplicate_results"
+    if result_count != len(merged):
+        return None, "result_count_mismatch"
+    return merged, ""
 
 
 class ArtifactCache:
@@ -134,6 +162,18 @@ class ArtifactCache:
     def run_dir(self, fingerprint: RunFingerprint) -> Path:
         return self.root / fingerprint.run_id
 
+    def _manifest(self, fingerprint: RunFingerprint) -> Optional[JoinManifest]:
+        """This fingerprint's manifest, or ``None`` when the entry is
+        missing, unreadable, or filed under another fingerprint."""
+        manifest_path = self.run_dir(fingerprint) / MANIFEST_FILENAME
+        try:
+            manifest = JoinManifest.from_bytes(
+                manifest_path.read_bytes(), label=str(manifest_path)
+            )
+        except (OSError, ManifestCorruptionError):
+            return None
+        return manifest if manifest.fingerprint == fingerprint else None
+
     def lookup(self, fingerprint: RunFingerprint) -> str:
         """Classify this fingerprint's cache state (no side effects).
 
@@ -141,17 +181,8 @@ class ArtifactCache:
         fingerprint that does not match its directory name — is a miss;
         the cold run's ``run()`` discards and rewrites the directory.
         """
-        run_dir = self.run_dir(fingerprint)
-        manifest_path = run_dir / MANIFEST_FILENAME
-        if not manifest_path.exists():
-            return LOOKUP_MISS
-        try:
-            manifest = JoinManifest.from_bytes(
-                manifest_path.read_bytes(), label=str(manifest_path)
-            )
-        except ManifestCorruptionError:
-            return LOOKUP_MISS
-        if manifest.fingerprint != fingerprint:
+        manifest = self._manifest(fingerprint)
+        if manifest is None:
             return LOOKUP_MISS
         if manifest.state == STATE_COMPLETE:
             return LOOKUP_HIT
@@ -165,48 +196,21 @@ class ArtifactCache:
         Returns the sorted feature-id pair set — byte-equal to what the
         run that wrote the log returned — or ``None`` when the entry
         cannot be trusted after all (the caller falls back to the miss
-        path).  Two-layer partitioning makes the per-pair logs disjoint,
-        so the replay is a k-way merge, not a set union; the ``complete``
-        manifest event records the result count, and the replayed merge
-        must reproduce it exactly — anything else (including an
-        unexpected duplicate) means the directory is lying and is not
-        served.
+        path).  Trust is :func:`verified_replay`'s verdict.
 
         Distrust is always a *downgrade*, never an exception: a log that
         is truncated, torn mid-file, or CRC-broken surfaces to the query
         path as a plain miss, with a ``cache_corrupt`` journal event and
         a ``serve.cache.corrupt`` tick recording why.
         """
-        run_dir = self.run_dir(fingerprint)
-        manifest_path = run_dir / MANIFEST_FILENAME
-        try:
-            manifest = JoinManifest.from_bytes(
-                manifest_path.read_bytes(), label=str(manifest_path)
-            )
-        except (OSError, ManifestCorruptionError):
+        manifest = self._manifest(fingerprint)
+        if manifest is None or manifest.state != STATE_COMPLETE:
             return None
-        if (
-            manifest.fingerprint != fingerprint
-            or manifest.state != STATE_COMPLETE
-        ):
-            return None
-        try:
-            committed, _torn = replay_result_log(run_dir / RESULTS_FILENAME)
-        except (OSError, ValueError, SpillCorruptionError) as exc:
-            # ManifestCorruptionError (malformed record) and
-            # SpillCorruptionError (CRC / short frame) both land here —
-            # and so does a log file deleted out from under us.
-            self._distrust(fingerprint.run_id, type(exc).__name__)
-            return None
-        merged, dropped = merge_sorted_unique(
-            [committed[index].pairs for index in sorted(committed)]
+        merged, reason = verified_replay(
+            self.run_dir(fingerprint) / RESULTS_FILENAME, manifest.result_count
         )
-        if dropped or manifest.result_count != len(merged):
-            self._distrust(
-                fingerprint.run_id,
-                "duplicate_results" if dropped else "result_count_mismatch",
-            )
-            return None
+        if merged is None:
+            self._distrust(fingerprint.run_id, reason)
         return merged
 
     def _distrust(self, run_id: str, reason: str) -> None:

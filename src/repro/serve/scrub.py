@@ -44,26 +44,22 @@ the cache) so the fault timeline shows *which* entry went bad.
 from __future__ import annotations
 
 import os
-import struct
 import threading
-import zlib
 from pathlib import Path
 from typing import Optional, Tuple
 
 from ..checkpoint.manifest import _decode
-from ..checkpoint.resultlog import replay_result_log, result_from_wire
+from ..checkpoint.resultlog import result_from_wire
 from ..checkpoint.store import (
     RESULTS_FILENAME,
     STATE_COMPLETE,
     inspect_checkpoint_dir,
 )
-from ..core.refine import merge_sorted_unique
 from ..obs.journal import EVENT_CACHE_SCRUB, NULL_JOURNAL
 from ..obs.metrics import NULL_METRICS
-from ..storage.errors import ManifestCorruptionError
-from ..storage.spill import FRAME_HEADER_SIZE, MAX_RECORD_BYTES
+from ..storage.spill import FRAME_HEADER_SIZE, read_spill
 
-from .cache import ArtifactCache
+from .cache import ArtifactCache, verified_replay
 
 SCRUB_CLEAN = "clean"
 SCRUB_REPAIRED = "repaired"
@@ -74,41 +70,22 @@ SCRUB_SKIPPED = "skipped"
 def intact_prefix(path: Path) -> Tuple[int, int]:
     """``(frames, bytes)`` of the longest trustworthy result-log prefix.
 
-    A frame counts only if its header is whole, its payload passes the
-    CRC, *and* the payload decodes as a pair-result record — a CRC-valid
-    frame holding garbage is damage too.  A missing file is an empty
-    (perfectly intact) log.
+    A frame counts only if the spill reader yields it (whole header,
+    whole payload, CRC match) *and* the payload decodes as a pair-result
+    record — a CRC-valid frame holding garbage is damage too.  A missing
+    file is an empty (perfectly intact) log.
     """
+    frames = intact_bytes = 0
     try:
-        data = path.read_bytes()
-    except OSError:
-        return 0, 0
-    label = str(path)
-    offset = 0
-    frames = 0
-    while True:
-        header = data[offset:offset + FRAME_HEADER_SIZE]
-        if len(header) < FRAME_HEADER_SIZE:
-            break
-        length, crc = struct.unpack("<II", header)
-        if length > MAX_RECORD_BYTES:
-            break
-        payload = data[
-            offset + FRAME_HEADER_SIZE:offset + FRAME_HEADER_SIZE + length
-        ]
-        if len(payload) < length:
-            break
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            break
-        try:
-            result_from_wire(_decode(payload, label, frames))
-        except (
-            KeyError, TypeError, ValueError, ManifestCorruptionError,
-        ):
-            break
-        offset += FRAME_HEADER_SIZE + length
-        frames += 1
-    return frames, offset
+        for record in read_spill(path):
+            result_from_wire(_decode(record, str(path), frames))
+            frames += 1
+            intact_bytes += FRAME_HEADER_SIZE + len(record)
+    except (OSError, KeyError, TypeError, ValueError):
+        # The prefix ends at the first frame the reader or the decoder
+        # refuses (Spill-/ManifestCorruptionError are ValueErrors).
+        pass
+    return frames, intact_bytes
 
 
 class CacheScrubber:
@@ -216,11 +193,7 @@ class CacheScrubber:
         if info.run_id in self.cache.pinned_ids():
             return SCRUB_SKIPPED
         if info.state in ("corrupt", "missing-manifest", "unknown"):
-            return (
-                SCRUB_QUARANTINED
-                if self.cache.quarantine(info.run_id, f"manifest_{info.state}")
-                else SCRUB_SKIPPED
-            )
+            return self._quarantine(info, f"manifest_{info.state}")
         log_path = Path(info.path) / RESULTS_FILENAME
         # The pin re-check and any rewrite share the cache lock with
         # pin(), so no query can start writing this entry mid-repair.
@@ -236,24 +209,21 @@ class CacheScrubber:
                 if info.state == STATE_COMPLETE:
                     # Trimming a *complete* log would contradict the
                     # manifest's result_count: nothing to repair toward.
-                    return (
-                        SCRUB_QUARANTINED
-                        if self.cache.quarantine(
-                            info.run_id, "result_log_damage"
-                        )
-                        else SCRUB_SKIPPED
-                    )
+                    return self._quarantine(info, "result_log_damage")
                 self._trim_log(log_path, intact_bytes)
                 return SCRUB_REPAIRED
-        if info.state == STATE_COMPLETE and not self._replay_matches(
-            log_path, info.result_count
-        ):
-            return (
-                SCRUB_QUARANTINED
-                if self.cache.quarantine(info.run_id, "result_count_mismatch")
-                else SCRUB_SKIPPED
-            )
+        if info.state == STATE_COMPLETE:
+            pairs, reason = verified_replay(log_path, info.result_count)
+            if pairs is None:
+                return self._quarantine(info, reason)
         return SCRUB_CLEAN
+
+    def _quarantine(self, info, reason: str) -> str:
+        """The verdict of handing an entry to the cache's quarantine (it
+        refuses an entry that got pinned or vanished meanwhile)."""
+        if self.cache.quarantine(info.run_id, reason):
+            return SCRUB_QUARANTINED
+        return SCRUB_SKIPPED
 
     @staticmethod
     def _trim_log(log_path: Path, intact_bytes: int) -> None:
@@ -265,18 +235,6 @@ class CacheScrubber:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, log_path)
-
-    @staticmethod
-    def _replay_matches(log_path: Path, result_count) -> bool:
-        """Does the merged replay reproduce the manifest's count exactly?"""
-        try:
-            committed, _torn = replay_result_log(log_path)
-        except (OSError, ValueError):
-            return False
-        merged, dropped = merge_sorted_unique(
-            [committed[index].pairs for index in sorted(committed)]
-        )
-        return not dropped and result_count == len(merged)
 
     # ------------------------------------------------------------------ #
 

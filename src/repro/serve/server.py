@@ -98,6 +98,31 @@ QUERY_JOURNAL_FILENAME = "journal.jsonl"
 
 _DATASET_MEMO_CAP = 16
 
+DRILL_KILL_LIMIT = 1
+"""How many executed queries the coordinator-kill drill soft-kills."""
+
+SLOWLOG_TOP_K = 8
+
+RATE_TALLIES = (
+    "admitted",
+    "completed",
+    "rejected",
+    "failed",
+    "deadline_exceeded",
+    "storage_overload",
+    "degraded",
+    "cache.hits",
+    "cache.misses",
+)
+"""Query tallies the telemetry sampler turns into per-tick rate series
+(``cache.hits`` samples as ``cache_hits``)."""
+
+TALLIES = RATE_TALLIES + ("coalesced",)
+"""Every query tally the server keeps.  Each lives once, as the
+``serve.<name>`` counter of the server's registry: bumped under the
+server lock, read by ``stats``, the drain summary, the telemetry tick
+and the ``metrics`` op alike."""
+
 BREAKER_STATE_CODES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 """Numeric encoding of the breaker state for the telemetry time series
 (a string cannot ride a ring buffer; an unknown state samples as -1)."""
@@ -157,14 +182,11 @@ class JoinServer:
         start_method: Optional[str] = None,
         fault_plan=None,
         kill_coordinator_after: Optional[int] = None,
-        kill_limit: int = 1,
-        metrics: Optional[MetricsRegistry] = None,
         breaker_threshold: int = 5,
         breaker_window_s: float = 30.0,
         breaker_cooldown_s: float = 5.0,
         scrub_interval_s: Optional[float] = None,
         telemetry_interval_s: Optional[float] = None,
-        slowlog_top_k: int = 8,
     ):
         if max_inflight < 1:
             raise ValueError("need at least one in-flight slot")
@@ -179,11 +201,15 @@ class JoinServer:
         self.fault_plan = fault_plan
         self.kill_coordinator_after = kill_coordinator_after
         """Coordinator-kill drill: inject a soft kill after this durable
-        ordinal into the next ``kill_limit`` executed (non-hit) queries;
-        the server recovers each by resuming from its own cache entry."""
+        ordinal into the next :data:`DRILL_KILL_LIMIT` executed (non-hit)
+        queries; the server recovers each by resuming from its own cache
+        entry."""
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
+        self._tally = {
+            name: self.metrics.counter(f"serve.{name}") for name in TALLIES
+        }
         self.journal = ThreadSafeJournal(
             RunJournal(self.out_dir / SERVE_JOURNAL_FILENAME)
         )
@@ -231,27 +257,19 @@ class JoinServer:
             self._telemetry_tick,
             interval_s=telemetry_interval_s if telemetry_interval_s else 1.0,
         )
-        self.slowlog = SlowLog(top_k=slowlog_top_k)
+        self.slowlog = SlowLog(top_k=SLOWLOG_TOP_K)
         self._telemetry_prev: Dict[str, dict] = {}
         self._lock = threading.RLock()
         self._idle = threading.Condition(self._lock)
         self._exec_slots = threading.Semaphore(max_inflight)
         self._leaders: Dict[str, threading.Event] = {}
         self._datasets: Dict[tuple, tuple] = {}
-        self._drill_remaining = kill_limit if kill_coordinator_after else 0
+        self._drill_remaining = (
+            DRILL_KILL_LIMIT if kill_coordinator_after else 0
+        )
         self._seq = 0
         self._queued = 0
         self._inflight = 0
-        self._admitted = 0
-        self._rejected = 0
-        self._completed = 0
-        self._failed = 0
-        self._deadline_exceeded = 0
-        self._storage_overload = 0
-        self._degraded = 0
-        self._hits = 0
-        self._misses = 0
-        self._coalesced = 0
         self._started_at = time.perf_counter()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
@@ -281,12 +299,6 @@ class JoinServer:
         if self.telemetry_interval_s is not None:
             self.sampler.start()
         return self.host, self.port
-
-    def serve_forever(self) -> None:
-        """Block until :meth:`shutdown` completes (however triggered)."""
-        if self._listener is None:
-            self.start()
-        self._stopped.wait()
 
     @property
     def stopped(self) -> threading.Event:
@@ -410,19 +422,19 @@ class JoinServer:
         try:
             spec = QuerySpec.from_wire(payload)
         except QueryError as exc:
-            self.metrics.counter("serve.bad_requests").inc()
+            with self._lock:
+                self.metrics.counter("serve.bad_requests").inc()
             return _error("bad_request", str(exc))
         started = time.perf_counter()
         with self._lock:
             if self._draining.is_set():
-                return self._reject(REJECT_SHUTTING_DOWN)
+                return self._refuse("rejected", REJECT_SHUTTING_DOWN)
             if self._queued + self._inflight >= self.max_inflight + self.max_queue:
-                return self._reject(REJECT_QUEUE_FULL)
-            self._admitted += 1
+                return self._refuse("rejected", REJECT_QUEUE_FULL)
+            self._tally["admitted"].inc()
             self._queued += 1
             self._seq += 1
             query_id = f"query-{self._seq:04d}"
-            self.metrics.counter("serve.admitted").inc()
             self.metrics.gauge("serve.queue_depth").set(self._queued)
         self.journal.emit(
             EVENT_QUERY_RECEIVED, query=query_id, **spec.to_wire()
@@ -438,8 +450,7 @@ class JoinServer:
         try:
             response = self._execute(spec, query_id, started, phases)
             with self._lock:
-                self._completed += 1
-            self.metrics.counter("serve.completed").inc()
+                self._tally["completed"].inc()
             self.slowlog.record(
                 {
                     "query": query_id,
@@ -455,10 +466,8 @@ class JoinServer:
             # A typed reject, not a failure: the query asked for a budget
             # and the budget ran out.  Committed checkpoint state stays in
             # the cache, so a retry of the same spec resumes warm.
-            with self._lock:
-                self._deadline_exceeded += 1
-            self.metrics.counter("serve.deadline_exceeded").inc()
-            return _error(
+            return self._refuse(
+                "deadline_exceeded",
                 REJECT_DEADLINE,
                 str(exc),
                 query=query_id,
@@ -470,10 +479,8 @@ class JoinServer:
             # Spill-aware admission fired: the query would not fit the
             # disk budget even after evicting cold cache entries.  A
             # typed reject with the numbers the client needs to act.
-            with self._lock:
-                self._storage_overload += 1
-            self.metrics.counter("serve.storage_overload").inc()
-            return _error(
+            return self._refuse(
+                "storage_overload",
                 REJECT_STORAGE_OVERLOAD,
                 str(exc),
                 query=query_id,
@@ -485,15 +492,13 @@ class JoinServer:
             # genuinely filled past every engine-side recovery (sweep,
             # sibling gc, degradation).  Same typed reject — a budget
             # problem must never surface as an internal server error.
-            with self._lock:
-                self._storage_overload += 1
-            self.metrics.counter("serve.storage_overload").inc()
             available = (
                 self.disk_budget.available()
                 if self.disk_budget is not None
                 else None
             )
-            return _error(
+            return self._refuse(
+                "storage_overload",
                 REJECT_STORAGE_OVERLOAD,
                 str(exc),
                 query=query_id,
@@ -501,11 +506,11 @@ class JoinServer:
                 available_bytes=available,
             )
         except Exception as exc:  # noqa: BLE001 — one query must not kill the server
-            with self._lock:
-                self._failed += 1
-            self.metrics.counter("serve.failed").inc()
-            return _error(
-                "internal", f"{type(exc).__name__}: {exc}", query=query_id
+            return self._refuse(
+                "failed",
+                "internal",
+                f"{type(exc).__name__}: {exc}",
+                query=query_id,
             )
         finally:
             self._exec_slots.release()
@@ -518,10 +523,8 @@ class JoinServer:
         spec: QuerySpec,
         query_id: str,
         started: float,
-        phases: Optional[Dict[str, float]] = None,
+        phases: Dict[str, float],
     ) -> dict:
-        if phases is None:
-            phases = {}
         mark = time.perf_counter()
         tuples_r, tuples_s = self._materialise(spec)
         phases["materialise_s"] = round(time.perf_counter() - mark, 6)
@@ -543,10 +546,9 @@ class JoinServer:
                 if pairs is not None:
                     source = SOURCE_COALESCED if coalesced else SOURCE_HIT
                     with self._lock:
-                        self._hits += 1
+                        self._tally["cache.hits"].inc()
                         if coalesced:
-                            self._coalesced += 1
-                    self.metrics.counter("serve.cache.hits").inc()
+                            self._tally["coalesced"].inc()
                     for j in (journal, self.journal):
                         j.emit(
                             EVENT_CACHE_HIT,
@@ -563,8 +565,7 @@ class JoinServer:
                         else SOURCE_MISS
                     )
                     with self._lock:
-                        self._misses += 1
-                    self.metrics.counter("serve.cache.misses").inc()
+                        self._tally["cache.misses"].inc()
                     self._admit_storage(
                         spec, tuples_r, tuples_s, query_id, journal
                     )
@@ -582,20 +583,18 @@ class JoinServer:
                         # must not shadow the real entry).
                         source = SOURCE_DEGRADED
                         with self._lock:
-                            self._degraded += 1
-                        self.metrics.counter("serve.degraded").inc()
+                            self._tally["degraded"].inc()
                         pairs = self._run_shed(
                             spec, tuples_r, tuples_s, journal
                         )
                 self.cache.touch(run_id)
                 latency = time.perf_counter() - started
-                self._latency.observe(latency)
+                with self._lock:
+                    self._latency.observe(latency)
                 phases["execute_s"] = round(
                     max(
                         0.0,
-                        latency
-                        - phases.get("queue_s", 0.0)
-                        - phases.get("materialise_s", 0.0),
+                        latency - phases["queue_s"] - phases["materialise_s"],
                     ),
                     6,
                 )
@@ -648,7 +647,8 @@ class JoinServer:
                 result = engine.run(tuples_r, tuples_s, spec.predicate_fn)
         except CoordinatorKilledError as exc:
             drill = {"killed_at_ordinal": exc.ordinal, "resumed": True}
-            self.metrics.counter("serve.drill_kills").inc()
+            with self._lock:
+                self.metrics.counter("serve.drill_kills").inc()
             engine = self._engine(spec, journal)
             result = engine.resume(tuples_r, tuples_s, spec.predicate_fn)
         except CheckpointMismatchError:
@@ -658,7 +658,7 @@ class JoinServer:
             result = self._engine(spec, journal).run(
                 tuples_r, tuples_s, spec.predicate_fn
             )
-        return sorted(set(result.pairs)), drill
+        return result.pairs, drill
 
     def _run_shed(self, spec, tuples_r, tuples_s, journal):
         """The breaker's degraded path: the whole join, serially, in this
@@ -673,7 +673,7 @@ class JoinServer:
             deadline_s=spec.deadline_s,
         )
         result = engine.run_serial(tuples_r, tuples_s, spec.predicate_fn)
-        return sorted(set(result.pairs))
+        return result.pairs
 
     def _engine(self, spec, journal, *, kill_after=None) -> ProcessPBSM:
         return ProcessPBSM(
@@ -777,10 +777,13 @@ class JoinServer:
 
     # ------------------------------------------------------------------ #
 
-    def _reject(self, reason: str) -> dict:
-        self._rejected += 1  # caller holds the lock
-        self.metrics.counter("serve.rejected").inc()
-        return _error(reason, f"query rejected: {reason}")
+    def _refuse(
+        self, tally: str, code: str, message: Optional[str] = None, **extra
+    ) -> dict:
+        """Count one refused query and shape its typed error response."""
+        with self._lock:
+            self._tally[tally].inc()
+        return _error(code, message or f"query rejected: {code}", **extra)
 
     # ------------------------------------------------------------------ #
     # telemetry
@@ -796,8 +799,8 @@ class JoinServer:
         with self._lock:
             queued = self._queued
             inflight = self._inflight
-            hits = self._hits
-            misses = self._misses
+            hits = self._tally["cache.hits"].value
+            misses = self._tally["cache.misses"].value
         readings: Dict[str, float] = {
             "queue_depth": float(queued),
             "inflight": float(inflight),
@@ -805,19 +808,10 @@ class JoinServer:
         lookups = hits + misses
         if lookups:
             readings["cache_hit_ratio"] = round(hits / lookups, 6)
-        for metric, signal in (
-            ("serve.admitted", "admitted"),
-            ("serve.completed", "completed"),
-            ("serve.rejected", "rejected"),
-            ("serve.failed", "failed"),
-            ("serve.deadline_exceeded", "deadline_exceeded"),
-            ("serve.storage_overload", "storage_overload"),
-            ("serve.degraded", "degraded"),
-            ("serve.cache.hits", "cache_hits"),
-            ("serve.cache.misses", "cache_misses"),
-        ):
-            entry = delta.get(metric)
-            readings[signal] = float(entry["value"]) if entry else 0.0
+        for name in RATE_TALLIES:
+            readings[name.replace(".", "_")] = float(
+                delta[f"serve.{name}"]["value"]
+            )
         latency = delta.get("serve.latency_s")
         if latency and latency.get("count"):
             window = Histogram.from_snapshot(latency)
@@ -875,26 +869,27 @@ class JoinServer:
                 "p95_s": self._latency.quantile(0.95),
                 "p99_s": self._latency.quantile(0.99),
             }
+            tally = {name: self._tally[name].value for name in TALLIES}
             return {
-                "admitted": self._admitted,
-                "rejected": self._rejected,
-                "completed": self._completed,
-                "failed": self._failed,
+                "admitted": tally["admitted"],
+                "rejected": tally["rejected"],
+                "completed": tally["completed"],
+                "failed": tally["failed"],
                 "outcomes": {
-                    "completed": self._completed,
-                    "deadline_exceeded": self._deadline_exceeded,
-                    "storage_overload": self._storage_overload,
-                    "degraded": self._degraded,
-                    "rejected": self._rejected,
-                    "failed": self._failed,
+                    "completed": tally["completed"],
+                    "deadline_exceeded": tally["deadline_exceeded"],
+                    "storage_overload": tally["storage_overload"],
+                    "degraded": tally["degraded"],
+                    "rejected": tally["rejected"],
+                    "failed": tally["failed"],
                 },
                 "queued": self._queued,
                 "inflight": self._inflight,
                 "max_inflight": self.max_inflight,
                 "max_queue": self.max_queue,
-                "hits": self._hits,
-                "misses": self._misses,
-                "coalesced": self._coalesced,
+                "hits": tally["cache.hits"],
+                "misses": tally["cache.misses"],
+                "coalesced": tally["coalesced"],
                 "latency": latency,
                 "cache": self.cache.stats(),
                 "disk": (

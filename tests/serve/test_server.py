@@ -301,9 +301,7 @@ class TestFaults:
         assert hit["result_sha256"] == miss["result_sha256"]
 
     def test_coordinator_kill_drill_resumes_and_stays_identical(self, tmp_path):
-        server, host, port = start_server(
-            tmp_path, kill_coordinator_after=4, kill_limit=1
-        )
+        server, host, port = start_server(tmp_path, kill_coordinator_after=4)
         try:
             with ServeClient(host, port) as client:
                 drilled = client.join(**SPEC)
@@ -474,6 +472,77 @@ class TestStatsOp:
         assert stats["scrub"]["running"] is False  # no --scrub-interval
         assert stats["disk"] is None  # no --disk-budget
         assert stats["duplicates_dropped"] == 0
+
+
+    def test_payload_key_sets_are_golden(self, tmp_path):
+        # The wire shapes are a contract (`repro top`, the drills, the
+        # benchmark notes all read them): exactly these keys, no more.
+        server, host, port = start_server(tmp_path)
+        try:
+            with ServeClient(host, port) as client:
+                response = client.stats()
+                telemetry = client.telemetry()["telemetry"]
+        finally:
+            server.shutdown()
+        assert set(response["stats"]) == {
+            "admitted", "rejected", "completed", "failed", "outcomes",
+            "queued", "inflight", "max_inflight", "max_queue", "hits",
+            "misses", "coalesced", "latency", "cache", "disk", "breaker",
+            "scrub", "duplicates_dropped", "pool_generation", "workers",
+            "draining", "uptime_s",
+        }
+        assert set(response["summary"]) == {
+            "outcomes", "breaker_state", "breaker_trips", "scrub_passes",
+            "scrub_quarantined", "duplicates_dropped", "pool_generation",
+        }
+        assert set(telemetry) == {
+            "sampling", "series", "slow_log", "outcomes", "stats",
+        }
+        assert set(telemetry["stats"]) == set(response["stats"])
+
+    def test_concurrent_tallies_lose_no_update(self, tmp_path):
+        # Each tally lives once, as a registry counter bumped under the
+        # server lock: hammering the join path from more threads than
+        # cores must leave stats and the metrics op in exact agreement.
+        from repro.obs import parse_exposition
+
+        threads_n, joins_n = 8, 25
+        server = JoinServer(
+            tmp_path / "cache", tmp_path / "out",
+            max_inflight=4, max_queue=threads_n,
+        )
+        server._execute = lambda spec, query_id, started, phases: {
+            "ok": True, "op": "join", "query": query_id,
+        }
+
+        def hammer():
+            for _ in range(joins_n):
+                assert server._op_join(dict(SPEC))["ok"]
+
+        threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        try:
+            stats = server.stats()
+            parsed = parse_exposition(
+                server._dispatch({"op": "metrics"})["exposition"]
+            )
+        finally:
+            server.shutdown()
+        total = threads_n * joins_n
+        assert stats["completed"] == stats["admitted"] == total
+        assert parsed["repro_serve_completed"]["value"] == total
+        assert parsed["repro_serve_admitted"]["value"] == total
+        assert stats["rejected"] == stats["failed"] == 0
+        assert stats["queued"] == stats["inflight"] == 0
 
 
 class TestStoragePressure:
