@@ -58,16 +58,19 @@ STATE_COMPLETE = "complete"
 
 STATES = (STATE_CREATED, STATE_PARTITIONED, STATE_MERGING, STATE_COMPLETE)
 
-PARTITION_LAYOUT = "two-layer-v1"
+PARTITION_LAYOUT = "two-layer-v2-blocks"
 """The current partition/spill layout generation, part of the fingerprint.
 
-``two-layer-v1``: one tagged ``(tile, class)`` key-pointer per overlapped
-tile, duplicate-free merge.  Artifacts written under an older layout
-(``replicate-dedup-v0``: one untagged key-pointer per overlapped
-*partition*, sorted-set dedup at the coordinator) describe different
-spill bytes and per-pair result logs, so they must never be adopted by a
-resume or served from the artifact cache — a layout bump changes the
-fingerprint digest, turning every stale artifact into a cache miss."""
+``two-layer-v2-blocks``: one tagged ``(tile, class)`` key-pointer per
+overlapped tile, duplicate-free merge, spills written as blocks (one CRC
+frame per run of records, :mod:`repro.parallel.tasks`).  Artifacts
+written under an older layout (``two-layer-v1``: the same records, one
+frame each; ``replicate-dedup-v0``: one untagged key-pointer per
+overlapped *partition*, sorted-set dedup at the coordinator) describe
+different spill bytes or per-pair result logs, so they must never be
+adopted by a resume or served from the artifact cache — a layout bump
+changes the fingerprint digest, turning every stale artifact into a cache
+miss."""
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,33 @@ def _f32_up(value: float) -> float:
     return float(f)
 
 
+def _f32_all(values: np.ndarray, toward: float) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        out = values.astype(np.float32)
+    # Compared in float64, like the scalars: where the cast moved a value
+    # away from ``toward``, step it one float32 back.
+    back = out.astype(np.float64)
+    wrong = back > values if toward < 0 else back < values
+    out[wrong] = np.nextafter(out[wrong], np.float32(toward))
+    return out
+
+
+def f32_down_all(values: np.ndarray) -> np.ndarray:
+    """:func:`_f32_down` over a float64 array, bit for bit."""
+    return _f32_all(values, -np.inf)
+
+
+def f32_up_all(values: np.ndarray) -> np.ndarray:
+    """:func:`_f32_up` over a float64 array, bit for bit."""
+    return _f32_all(values, np.inf)
+
+
+def conservative_f32(mbrs: np.ndarray) -> np.ndarray:
+    """An N×4 float64 ``(xl, yl, xu, yu)`` array as the float32 MBRs a
+    key-pointer stores: lower bounds rounded down, upper bounds up."""
+    return np.hstack([f32_down_all(mbrs[:, :2]), f32_up_all(mbrs[:, 2:])])
+
+
 def pack_keypointer(rect: Rect, oid: OID, tile: int = 0, cls: int = 0) -> bytes:
     return _KEYPTR.pack(
         _f32_down(rect.xl), _f32_down(rect.yl),

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..geometry import Rect
 from .keypointer import KEYPTR_SIZE
@@ -77,6 +79,42 @@ TileAssignment = Tuple[int, int]
 """One replica slot: ``(tile id, class)``."""
 
 
+def mbr_array(items: Sequence) -> np.ndarray:
+    """The N×4 float64 ``(xl, yl, xu, yu)`` array of the items' ``.mbr``
+    — the form batch routing and batch rounding take an input in."""
+    flat = np.fromiter(
+        (
+            bound
+            for item in items
+            for mbr in (item.mbr,)
+            for bound in (mbr.xl, mbr.yl, mbr.xu, mbr.yu)
+        ),
+        np.float64,
+        4 * len(items),
+    )
+    return flat.reshape(len(items), 4)
+
+
+class RoutedSlots(NamedTuple):
+    """One partition's replica slots of a routed input, as columns.
+
+    Row ``i`` is one ``(tile, class)`` slot of input tuple ``ordinal[i]``;
+    rows are in input order, a tuple's slots in ``tile_assignments``
+    order (so they are adjacent)."""
+
+    ordinal: np.ndarray
+    tile: np.ndarray
+    cls: np.ndarray
+
+    @property
+    def tuple_ordinals(self) -> np.ndarray:
+        """The distinct tuples placed in the partition, in input order."""
+        ordinal = self.ordinal
+        keep = np.ones(len(ordinal), dtype=bool)
+        keep[1:] = ordinal[1:] != ordinal[:-1]
+        return ordinal[keep]
+
+
 def estimate_num_partitions(
     card_r: int,
     card_s: int,
@@ -89,16 +127,16 @@ def estimate_num_partitions(
     return max(1, math.ceil((card_r + card_s) * keyptr_size / memory_bytes))
 
 
-def _hash_tile(tile: int) -> int:
-    """A deterministic integer hash (Fibonacci multiply + xor-fold).
+def _hash_tile(tile):
+    """A deterministic integer hash (Fibonacci multiply + xor-fold) of a
+    tile number, or elementwise of a ``uint64`` array of them.
 
     The xor-fold matters: a bare multiplicative hash keeps its low bits
     equal to ``tile``'s low bits, which would make ``hash % P`` collapse to
     round robin whenever P divides a power of two.
     """
     h = (tile * 0x9E3779B1) & 0xFFFFFFFF
-    h ^= h >> 16
-    return h
+    return h ^ (h >> 16)
 
 
 @dataclass(frozen=True)
@@ -145,6 +183,27 @@ class TileGrid:
         r0 = min(max(r0, 0), self.rows - 1)
         r1 = min(max(r1, 0), self.rows - 1)
         return r0, r1, c0, c1
+
+    def tile_span_all(self, mbrs: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """:meth:`tile_span` over an N×4 float64 ``(xl, yl, xu, yu)``
+        array: four int64 columns ``(r0, r1, c0, c1)``.
+
+        The same f64 arithmetic, operation for operation; clamping before
+        the truncation instead of after it gives the same integers and
+        keeps out-of-universe values inside int64."""
+        u = self.universe
+        width = u.width or 1.0
+        height = u.height or 1.0
+
+        def index(distance: np.ndarray, extent: float, count: int) -> np.ndarray:
+            return np.clip(distance / extent * count, 0, count - 1).astype(np.int64)
+
+        return (
+            index(u.yu - mbrs[:, 3], height, self.rows),
+            index(u.yu - mbrs[:, 1], height, self.rows),
+            index(mbrs[:, 0] - u.xl, width, self.cols),
+            index(mbrs[:, 2] - u.xl, width, self.cols),
+        )
 
     def tiles_for_rect(self, rect: Rect) -> List[int]:
         """All tiles the rectangle overlaps (clamped to the universe)."""
@@ -228,19 +287,21 @@ class SpatialPartitioner:
     @classmethod
     def for_inputs(
         cls,
-        tuples_r: Sequence,
-        tuples_s: Sequence,
+        mbrs_r: np.ndarray,
+        mbrs_s: np.ndarray,
         num_partitions: int,
         num_tiles: int,
         scheme: str = SCHEME_HASH,
     ) -> "SpatialPartitioner":
-        """The partitioner a join of these two (non-empty) inputs uses: the
-        universe is the union of both sides' MBRs, tiled at least once per
-        partition.  Every parallel backend and the serve tier's admission
-        estimate build theirs here, so they always agree on the grid."""
-        universe = Rect.union_all(t.mbr for t in tuples_r).union(
-            Rect.union_all(t.mbr for t in tuples_s)
-        )
+        """The partitioner a join of these two (non-empty) inputs uses,
+        from their N×4 ``(xl, yl, xu, yu)`` MBR arrays (:func:`mbr_array`):
+        the universe is the union of both sides' MBRs, tiled at least once
+        per partition.  Every parallel backend and the serve tier's
+        admission estimate build theirs here, so they always agree on the
+        grid."""
+        low = np.minimum(mbrs_r[:, :2].min(axis=0), mbrs_s[:, :2].min(axis=0))
+        high = np.maximum(mbrs_r[:, 2:].max(axis=0), mbrs_s[:, 2:].max(axis=0))
+        universe = Rect(float(low[0]), float(low[1]), float(high[0]), float(high[1]))
         return cls(
             universe, num_partitions, max(num_tiles, num_partitions), scheme
         )
@@ -249,7 +310,9 @@ class SpatialPartitioner:
     def num_tiles(self) -> int:
         return self.grid.num_tiles
 
-    def partition_of_tile(self, tile: int) -> int:
+    def partition_of_tile(self, tile):
+        """The partition of a tile number (or of each of a ``uint64``
+        array of them)."""
         if self.scheme == SCHEME_ROUND_ROBIN:
             return tile % self.num_partitions
         return _hash_tile(tile) % self.num_partitions
@@ -264,19 +327,41 @@ class SpatialPartitioner:
         """The MBR's two-layer ``(tile, class)`` replica slots."""
         return self.grid.tile_assignments(rect)
 
-    def route(self, rect: Rect) -> Dict[int, List[TileAssignment]]:
-        """The MBR's replica slots grouped by receiving partition.
+    def route_all(self, mbrs: np.ndarray) -> List[RoutedSlots]:
+        """Every MBR's replica slots, grouped by receiving partition.
 
-        Keys are exactly :meth:`partitions_for_rect`, ascending; each
-        value keeps :meth:`tile_assignments` order.  This is the routing
-        rule: the spill pass, the serial rebuild of a pair and the spill
-        footprint all place a tuple by calling it.
+        ``mbrs`` is an N×4 float64 ``(xl, yl, xu, yu)`` array; element
+        ``p`` of the result holds partition ``p``'s slots.  This is the
+        routing rule — the spill pass, the serial rebuild of a pair and
+        the spill footprint all place tuples by calling it — and it must
+        agree, slot for slot, with :meth:`tile_assignments` +
+        :meth:`partition_of_tile` applied to each rectangle in turn: the
+        merge's per-tile class filter is only duplicate-free when every
+        copy of an object carries the tags the scalar functions (which
+        §3.5 repartitioning and the tests' oracle call) would give it.
         """
-        by_part: Dict[int, List[TileAssignment]] = {}
-        for slot in self.tile_assignments(rect):
-            by_part.setdefault(self.partition_of_tile(slot[0]), []).append(slot)
-        # Most MBRs sit inside one tile; this runs once per input tuple.
-        return dict(sorted(by_part.items())) if len(by_part) > 1 else by_part
+        r0, r1, c0, c1 = self.grid.tile_span_all(mbrs)
+        width = c1 - c0 + 1
+        slots = (r1 - r0 + 1) * width
+        ordinal = np.repeat(np.arange(len(mbrs)), slots)
+        # Position of each slot inside its MBR's row-major tile block.
+        within = np.arange(len(ordinal)) - np.repeat(np.cumsum(slots) - slots, slots)
+        row = r0[ordinal] + within // width[ordinal]
+        col = c0[ordinal] + within % width[ordinal]
+        tile = row * self.grid.cols + col
+        # Off the bottom row is C, off the left column is B, both is D.
+        cls = (row != r1[ordinal]) * CLASS_C + (col != c0[ordinal]) * CLASS_B
+        partition = self.partition_of_tile(tile.astype(np.uint64))
+        order = np.argsort(partition, kind="stable")
+        bounds = np.searchsorted(
+            partition[order], np.arange(self.num_partitions + 1)
+        )
+        return [
+            RoutedSlots(ordinal[chosen], tile[chosen], cls[chosen])
+            for chosen in (
+                order[start:end] for start, end in zip(bounds, bounds[1:])
+            )
+        ]
 
     def owner_of_pair(self, rect_r: Rect, rect_s: Rect) -> int:
         """The partition whose merge emits this pair (its reference tile's

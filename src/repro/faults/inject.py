@@ -75,10 +75,10 @@ def apply_worker_faults(
 class WriteErrorInjector:
     """One-shot spill-write failures for the coordinator's partition scan.
 
-    The coordinator calls :meth:`check` once per record it appends while
-    spilling a side; when the planned ordinal is crossed the injector
-    raises — exactly once per planned fault, so the coordinator's rewrite
-    of that side succeeds on retry.
+    The coordinator calls :meth:`check` with the tuple ordinals of each
+    partition it is about to write while spilling a side; when a planned
+    ordinal is among them the injector raises — exactly once per planned
+    fault, so the coordinator's rewrite of that side succeeds on retry.
     """
 
     def __init__(self, plan: Optional[FaultPlan], *, journal=NULL_JOURNAL):
@@ -98,17 +98,20 @@ class WriteErrorInjector:
                 self._pending.discard(key)
                 self._pending.add((side, key[1] % records_in_side))
 
-    def check(self, side: str, ordinal: int) -> None:
-        key = (side, ordinal)
-        if key in self._pending:
+    def check(self, side: str, ordinals) -> None:
+        """Raise for the first planned fault of ``side`` among the tuple
+        ``ordinals`` (a collection supporting ``in``) about to be spilled."""
+        for key in sorted(self._pending):
+            if key[0] != side or key[1] not in ordinals:
+                continue
             self._pending.discard(key)
             self.fired += 1
             self.journal.emit(
                 EVENT_FAULT_INJECTED,
-                kind="disk_write_error", side=side, ordinal=ordinal,
+                kind="disk_write_error", side=side, ordinal=key[1],
             )
             raise InjectedFaultError(
-                f"injected spill write error (side {side!r}, record {ordinal})",
+                f"injected spill write error (side {side!r}, record {key[1]})",
                 kind="disk_write_error",
             )
 

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.partition import SCHEME_HASH, SpatialPartitioner
+from ..core.partition import SCHEME_HASH, SpatialPartitioner, mbr_array
 from ..core.pbsm import PBSMConfig, PBSMJoin
 from ..core.predicates import Predicate
 from ..core.refine import dedup_sorted_pairs, merge_sorted_unique
@@ -217,7 +217,8 @@ class ParallelPBSM:
             return ParallelJoinResult([], scheme=self.scheme)
 
         partitioner = SpatialPartitioner.for_inputs(
-            tuples_r, tuples_s, self.num_nodes, self.num_tiles, SCHEME_HASH
+            mbr_array(tuples_r), mbr_array(tuples_s),
+            self.num_nodes, self.num_tiles, SCHEME_HASH,
         )
 
         frag_r = self._decluster(tuples_r, partitioner)

@@ -79,7 +79,7 @@ from ..checkpoint.manifest import (
     RunFingerprint,
 )
 from ..checkpoint.store import CheckpointMismatchError, CheckpointStore
-from ..core.partition import SpatialPartitioner
+from ..core.partition import SpatialPartitioner, mbr_array
 from ..core.pbsm import PBSMConfig
 from ..core.refine import merge_sorted_unique
 from ..core.predicates import Predicate
@@ -120,15 +120,18 @@ from ..storage.spill import TMP_SUFFIX
 from ..storage.tuples import SpatialTuple
 from .engine import NodeReport, ParallelJoinResult, TaskReport
 from .tasks import (
+    InputSide,
     PairTask,
     PairTaskResult,
     PartitionSpill,
     SpillHandle,
     WorkerTaskError,
-    fid_keypointer,
+    decode_keypointers,
     init_worker_heartbeats,
-    merge_refine_pair,
+    refine_pair,
     run_pair_task,
+    spill_bytes,
+    sweep_pair,
 )
 
 SideSpills = List[Union[PartitionSpill, SpillHandle]]
@@ -376,10 +379,11 @@ class ProcessPBSM:
         )
         if early is not None:
             return early
+        side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
         outcomes = self._rebuild_pairs(
             dict.fromkeys(range(self.num_partitions), "breaker_shed"),
-            tuples_r, tuples_s,
-            self._partitioner(tuples_r, tuples_s), predicate,
+            side_r, side_s,
+            self._partitioner(side_r.mbrs, side_s.mbrs), predicate,
         )
         return self._finish(
             "process-serial", outcomes, tuples_r, tuples_s,
@@ -602,16 +606,17 @@ class ProcessPBSM:
         spills_r: SideSpills = []
         spills_s: SideSpills = []
         try:
-            partitioner = self._partitioner(tuples_r, tuples_s)
             injector = WriteErrorInjector(self.fault_plan, journal=self.journal)
             fresh_sides: Set[str] = set()
             with self.tracer.span("process.partition"):
+                side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
+                partitioner = self._partitioner(side_r.mbrs, side_s.mbrs)
                 spills_r, placed_r = self._obtain_side(
-                    "r", tuples_r, partitioner, spill_root, injector,
+                    "r", side_r, partitioner, spill_root, injector,
                     store, fresh_sides,
                 )
                 spills_s, placed_s = self._obtain_side(
-                    "s", tuples_s, partitioner, spill_root, injector,
+                    "s", side_s, partitioner, spill_root, injector,
                     store, fresh_sides,
                 )
             if self.fault_plan and self.fault_plan.torn_frames and fresh_sides:
@@ -666,7 +671,7 @@ class ProcessPBSM:
             )
             outcomes.extend(
                 self._rebuild_pairs(
-                    failed, tuples_r, tuples_s, partitioner, predicate,
+                    failed, side_r, side_s, partitioner, predicate,
                     on_result=on_result,
                 )
             )
@@ -751,7 +756,7 @@ class ProcessPBSM:
     def _obtain_side(
         self,
         side: str,
-        tuples: Sequence[SpatialTuple],
+        columns: InputSide,
         partitioner: SpatialPartitioner,
         spill_root: str,
         injector: WriteErrorInjector,
@@ -780,7 +785,7 @@ class ProcessPBSM:
                     return handles, int(seal["placed"])
                 self._count("spill_sides_rebuilt")
         spills, placed = self._partition_side_resilient(
-            side, tuples, partitioner, spill_root, injector,
+            side, columns, partitioner, spill_root, injector,
             atomic=store is not None,
         )
         fresh_sides.add(side)
@@ -863,13 +868,10 @@ class ProcessPBSM:
     # partitioning + spilling
     # ------------------------------------------------------------------ #
 
-    def _partitioner(
-        self,
-        tuples_r: Sequence[SpatialTuple],
-        tuples_s: Sequence[SpatialTuple],
-    ) -> SpatialPartitioner:
+    def _partitioner(self, mbrs_r, mbrs_s) -> SpatialPartitioner:
+        """The run's partitioner, from both sides' N×4 MBR arrays."""
         return SpatialPartitioner.for_inputs(
-            tuples_r, tuples_s,
+            mbrs_r, mbrs_s,
             self.num_partitions, self.config.num_tiles, self.config.scheme,
         )
 
@@ -879,23 +881,25 @@ class ProcessPBSM:
         tuples_s: Sequence[SpatialTuple],
     ) -> int:
         """The bytes this engine's partition phase would spill for these
-        inputs — exactly an unconstrained run's metered spill peak.
-        Checkpoint manifest and result-log bytes are not included; the
-        spills dominate by orders of magnitude."""
+        inputs — exactly an unconstrained run's metered spill peak, from
+        the routed record counts and the tuples' serialised sizes (nothing
+        is serialised to measure it).  Checkpoint manifest and result-log
+        bytes are not included; the spills dominate by orders of
+        magnitude."""
         if not tuples_r or not tuples_s:
             return 0
-        partitioner = self._partitioner(tuples_r, tuples_s)
+        sides = [(mbr_array(ts), ts) for ts in (tuples_r, tuples_s)]
+        partitioner = self._partitioner(sides[0][0], sides[1][0])
         return sum(
-            PartitionSpill.record_bytes(t, slots)
-            for tuples in (tuples_r, tuples_s)
-            for t in tuples
-            for slots in partitioner.route(t.mbr).values()
+            spill_bytes(routed, tuples)
+            for mbrs, tuples in sides
+            for routed in partitioner.route_all(mbrs)
         )
 
     def _partition_side_resilient(
         self,
         side: str,
-        tuples: Sequence[SpatialTuple],
+        columns: InputSide,
         partitioner: SpatialPartitioner,
         spill_root: str,
         injector: WriteErrorInjector,
@@ -906,12 +910,12 @@ class ProcessPBSM:
         Spill paths are deterministic and the writer truncates, so a retry
         simply starts the side over; the injector is one-shot, so planned
         write errors cannot starve the bounded retry loop."""
-        injector.arm_side(side, len(tuples))
+        injector.arm_side(side, len(columns.tuples))
         last: Optional[Exception] = None
         for _ in range(PARTITION_WRITE_RETRIES + 1):
             try:
                 return self._partition_side(
-                    side, tuples, partitioner, spill_root, injector, atomic
+                    side, columns, partitioner, spill_root, injector, atomic
                 )
             except InjectedFaultError as exc:
                 last = exc
@@ -923,7 +927,7 @@ class ProcessPBSM:
     def _partition_side(
         self,
         side: str,
-        tuples: Sequence[SpatialTuple],
+        columns: InputSide,
         partitioner: SpatialPartitioner,
         spill_root: str,
         injector: WriteErrorInjector,
@@ -931,80 +935,75 @@ class ProcessPBSM:
     ) -> Tuple[List[PartitionSpill], int]:
         """Spill one input, replicated across the partitions it overlaps.
 
-        Each tuple's two-layer ``(tile, class)`` slots — computed from the
-        exact f64 MBR — are routed to the partitions their tiles hash to
-        (:meth:`~repro.core.partition.SpatialPartitioner.route`); every
-        receiving partition gets one tagged key-pointer per slot and the
-        full tuple once.  With ``atomic=True`` (checkpointed runs)
-        each spill stages through ``*.tmp`` and only reaches its final
-        name sealed, so a resume can trust any spill file that exists
-        under the run directory.
+        The side is dealt a window of tuples at a time
+        (:meth:`~repro.parallel.tasks.InputSide.dealt`): each window is
+        routed at once — every tuple's two-layer ``(tile, class)`` slots,
+        computed from the exact f64 MBR, grouped by the partition their
+        tiles hash to — and every receiving partition gets one tagged
+        key-pointer per slot and the full tuple once, so no more than a
+        block per partition is ever buffered.  With ``atomic=True``
+        (checkpointed runs) each spill stages through ``*.tmp`` and only
+        reaches its final name sealed, so a resume can trust any spill
+        file that exists under the run directory.
 
         A spill write denied by the disk budget triggers one reclaim-and-
-        replay of that partition (stale orphans swept, finished sibling
-        checkpoint runs collected, the partition's spill rewritten from
-        its routed tuples); a second denial *degrades* the partition —
-        its spills are replaced with sealed empty files so no task is
-        built, and the coordinator rebuilds the pair serially in memory
-        after the merge phase.  Either way the run finishes exact."""
-        budget = self._budget
+        rewrite of that partition (stale orphans swept, finished sibling
+        checkpoint runs collected, the partition's spill rewritten whole);
+        a second denial *degrades* the partition — its spills are replaced
+        with sealed empty files so no task is built, and the coordinator
+        rebuilds the pair serially in memory after the merge phase.
+        Either way the run finishes exact."""
         spills = [
-            PartitionSpill(spill_root, side, p, atomic=atomic, budget=budget)
+            PartitionSpill(
+                spill_root, side, p, atomic=atomic, budget=self._budget
+            )
             for p in range(self.num_partitions)
         ]
-        placed = 0
-        # Per-partition replay log for disk-pressure recovery: every tuple
-        # fully added to a partition, with its slots.  Only kept when a
-        # budget could deny a write.
-        routed: Dict[int, List[Tuple[SpatialTuple, List[Tuple[int, int]]]]] = {}
+        streaming = set(range(self.num_partitions)) - self._disk_degraded
         try:
-            for ordinal, t in enumerate(tuples):
-                injector.check(side, ordinal)
-                for p, slots in partitioner.route(t.mbr).items():
-                    if p in self._disk_degraded:
-                        continue
-                    try:
-                        spills[p].add(t, slots)
-                    except DiskFullError:
-                        if not self._recover_spill_pressure(
-                            side, p, spills, routed.get(p, ()),
-                            spill_root, atomic, t, slots,
-                        ):
-                            self._disk_degraded.add(p)
-                            routed.pop(p, None)
-                            continue
-                    placed += 1
-                    if budget is not None:
-                        routed.setdefault(p, []).append((t, slots))
+            for window, p, keypointers, records in columns.dealt(partitioner):
+                injector.check(side, window)
+                if p not in streaming:
+                    continue
+                try:
+                    spills[p].extend(keypointers, records)
+                except DiskFullError:
+                    # Settled one way or the other — rewritten whole and
+                    # sealed, or degraded — so it leaves the stream.
+                    streaming.discard(p)
+                    if not self._recover_spill_pressure(
+                        side, p, spills, spill_root, atomic,
+                        columns, partitioner,
+                    ):
+                        self._disk_degraded.add(p)
+            for spill in spills:
+                spill.close()
         except BaseException:
             # Abort, not remove: discard in-progress temp files *and* any
             # sealed output, leaving no spill litter on the failure path.
             for spill in spills:
                 spill.abort()
             raise
-        for spill in spills:
-            spill.close()
         skew = self.metrics.histogram(f"parallel.partition.keypointers_{side}")
         for spill in spills:
             skew.observe(spill.count)
-        return spills, placed
+        return spills, sum(spill.tuples for spill in spills)
 
     def _recover_spill_pressure(
         self,
         side: str,
         p: int,
         spills: List[PartitionSpill],
-        replay,
         spill_root: str,
         atomic: bool,
-        t: SpatialTuple,
-        slots: List[Tuple[int, int]],
+        columns: InputSide,
+        partitioner: SpatialPartitioner,
     ) -> bool:
-        """One reclaim-and-replay attempt for a budget-denied partition.
+        """One reclaim-and-rewrite attempt for a budget-denied partition.
 
-        Returns True when the partition's spill was rewritten in full
-        (including the tuple whose add was denied); False means the
-        partition was degraded — its spills are now sealed empty files,
+        Returns True when the partition's spill was rewritten in full —
+        its share of the spill pass dealt again — and sealed; False means
+        the partition was degraded: its spills are now sealed empty files,
         so no task is built and the pair is rebuilt serially instead.
         """
         budget = self._budget
@@ -1023,9 +1022,11 @@ class ProcessPBSM:
             spill_root, side, p, atomic=atomic, budget=budget
         )
         try:
-            for prev_t, prev_slots in replay:
-                spills[p].add(prev_t, prev_slots)
-            spills[p].add(t, slots)
+            for _window, _p, keypointers, records in columns.dealt(
+                partitioner, only=p
+            ):
+                spills[p].extend(keypointers, records)
+            spills[p].close()
         except DiskFullError:
             spills[p].abort()
             empty = PartitionSpill(spill_root, side, p, atomic=atomic)
@@ -1462,8 +1463,8 @@ class ProcessPBSM:
     def _rebuild_pairs(
         self,
         reasons: Dict[int, str],
-        tuples_r: Sequence[SpatialTuple],
-        tuples_s: Sequence[SpatialTuple],
+        side_r: InputSide,
+        side_s: InputSide,
         partitioner: SpatialPartitioner,
         predicate: Predicate,
         on_result: Optional[Callable[[PairTaskResult], None]] = None,
@@ -1475,29 +1476,19 @@ class ProcessPBSM:
         ``disk_full`` (its spill was dropped under pressure) or
         ``breaker_shed`` (there is no pool: :meth:`run_serial`).  The
         coordinator still holds the base relations, so the partitions are
-        re-derived from source tuples in one routing pass and merged
-        in-process — slower, but exact.  Routing through
-        :func:`~repro.parallel.tasks.fid_keypointer` applies the spill
-        path's f32 rounding and f64-derived ``(tile, class)`` tags, so
-        each merge sees bit-identical input to what a worker would have
-        read.  The run deadline is checked between pairs; ``on_result``
-        commits each rebuilt pair as it completes.
+        re-derived from source tuples in one routing pass per side and
+        merged in-process — slower, but exact.  Each merge is fed the
+        key-pointer block the spill pass would have written, decoded the
+        way a worker decodes it, so it sees bit-identical input to what a
+        worker would have read.  The run deadline is checked between
+        pairs; ``on_result`` commits each rebuilt pair as it completes.
         """
         if not reasons:
             return []
-        sides = []
-        for tuples in (tuples_r, tuples_s):
-            kps: Dict[int, list] = {index: [] for index in reasons}
-            lookup: Dict[int, dict] = {index: {} for index in reasons}
-            for t in tuples:
-                for p, slots in partitioner.route(t.mbr).items():
-                    if p in reasons:
-                        kps[p].extend(
-                            fid_keypointer(t, tile, cls) for tile, cls in slots
-                        )
-                        lookup[p][t.feature_id] = t
-            sides.append((kps, lookup))
-        (kps_r, lookup_r), (kps_s, lookup_s) = sides
+        routed_r = partitioner.route_all(side_r.mbrs)
+        routed_s = partitioner.route_all(side_s.mbrs)
+        lookup_r = {t.feature_id: t for t in side_r.tuples}
+        lookup_s = {t.feature_id: t for t in side_s.tuples}
         results: List[PairTaskResult] = []
         for index in sorted(reasons):
             if self._deadline_expired():
@@ -1508,24 +1499,29 @@ class ProcessPBSM:
                 )
             reason = reasons[index]
             started = time.perf_counter()
-            # Popped, so each partition's rebuilt input is freed once merged.
-            part_r, part_s = kps_r.pop(index), kps_s.pop(index)
+            part_r = decode_keypointers(
+                side_r.keypointers(routed_r[index]).tobytes()
+            )
+            part_s = decode_keypointers(
+                side_s.keypointers(routed_s[index]).tobytes()
+            )
             with self.tracer.span("process.degraded_pair", pair=index) as span:
                 span.tag("degraded", True)
                 span.tag("reason", reason)
-                pairs, candidates, dropped = merge_refine_pair(
-                    part_r, part_s,
-                    lookup_r.pop(index), lookup_s.pop(index),
-                    predicate, self.memory_bytes, self.config,
+                candidates = sweep_pair(
+                    part_r, part_s, self.memory_bytes, self.config,
                     label=f"degraded.{index}",
                     tracer=self.tracer, metrics=self.metrics,
+                )
+                pairs, dropped = refine_pair(
+                    candidates, lookup_r, lookup_s, predicate
                 )
                 span.tag("results", len(pairs))
             outcome = PairTaskResult(
                 index=index,
                 worker_pid=os.getpid(),
                 pairs=pairs,
-                candidates=candidates,
+                candidates=len(candidates),
                 count_r=len(part_r),
                 count_s=len(part_s),
                 wall_s=time.perf_counter() - started,

@@ -15,6 +15,14 @@ process can read back (:mod:`repro.storage.spill`):
 * a **tuple spill** — the partition's full tuples (``serialize_tuple``
   format), the refinement step's input.
 
+Both are written as *blocks*: one CRC frame holds a partition's share of
+a :data:`SPILL_BLOCK_RECORDS`-tuple window of the input — a key-pointer
+frame is the records back to back, a tuple frame a feature-id/offset
+directory followed by the serialised tuples — so neither side pays a
+Python call per record for framing.  A worker reads and checks every frame of both files, but
+decodes a tuple only when a candidate references it
+(:class:`TupleSpill`).
+
 A :class:`PairTask` names those files plus the join configuration; it
 pickles in a few hundred bytes no matter how large the partition is.
 :func:`run_pair_task` — a module-level function so it imports cleanly
@@ -43,14 +51,20 @@ did, which is exactly what the live view and the post-mortem need.
 
 from __future__ import annotations
 
+import gc
 import os
 import struct
 import time
 import traceback
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.keypointer import _f32_down, _f32_up
+import numpy as np
+
+from ..core.keypointer import conservative_f32
+from ..core.partition import RoutedSlots, SpatialPartitioner, mbr_array
 from ..core.pbsm import PBSMConfig, merge_partition_pair
 from ..core.predicates import Predicate
 from ..faults.inject import apply_worker_faults
@@ -60,14 +74,44 @@ from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import SpillCorruptionError
 from ..storage.spill import FRAME_HEADER_SIZE, SpillWriter, read_spill
-from ..storage.tuples import SpatialTuple, deserialize_tuple, serialize_tuple
+from ..storage.tuples import (
+    SpatialTuple,
+    deserialize_tuple,
+    serialize_tuple,
+    tuple_size_bytes,
+)
+
+SPILL_BLOCK_RECORDS = 4096
+"""Tuples per window of the spill pass, hence the most a block holds: a
+partition's share of one window is one frame in each of its files.  Large
+enough that framing, CRC and the budget charge are paid per block rather
+than per record; small enough that a window's serialised tuples are a few
+hundred kilobytes."""
 
 _FIDKP = struct.Struct("<ffffIIB")
 """One spilled key-pointer: conservative f32 MBR + u32 feature id + u32
 tile + u8 two-layer class."""
 
+KEYPOINTER_DTYPE = np.dtype(
+    [("mbr", "<f4", (4,)), ("fid", "<u4"), ("tile", "<u4"), ("cls", "u1")]
+)
+"""A block of :data:`_FIDKP` records as a packed structured array."""
+assert KEYPOINTER_DTYPE.itemsize == _FIDKP.size
+
+_U32 = np.dtype("<u4")
+"""The tuple block's directory words: record count, then one feature id
+per record, then ``count + 1`` offsets into the payload area that
+follows (``offsets[i]:offsets[i + 1]`` is record ``i``)."""
+
 FidKeyPointer = Tuple[Rect, int, int, int]
 """``(rect, feature_id, tile, class)`` — one two-layer replica slot."""
+
+TupleRecord = Tuple[int, bytes]
+"""``(feature_id, serialize_tuple bytes)`` — one tuple on its way to a
+tuple spill."""
+
+_FROZEN_PID = 0
+"""The process whose inherited heap :func:`run_pair_task` already froze."""
 
 _HEARTBEAT_QUEUE = None
 """Worker-process global: the coordinator's heartbeat queue, installed by
@@ -101,31 +145,89 @@ def _heartbeat(pair: int, attempt: int, phase: str) -> None:
         pass
 
 
-def pack_fid_keypointer(
-    rect: Rect, feature_id: int, tile: int = 0, cls: int = 0
-) -> bytes:
-    return _FIDKP.pack(
-        _f32_down(rect.xl), _f32_down(rect.yl),
-        _f32_up(rect.xu), _f32_up(rect.yu),
-        feature_id, tile, cls,
+class InputSide:
+    """One join input in column form, built once per run: the tuples,
+    their exact f64 MBRs (what routing reads), the conservative f32 MBRs
+    and the feature ids (what a key-pointer stores)."""
+
+    def __init__(self, tuples: Sequence[SpatialTuple]):
+        self.tuples = tuples
+        self.mbrs = mbr_array(tuples)
+        self.mbrs_f32 = conservative_f32(self.mbrs)
+        self.fids = np.fromiter(
+            (t.feature_id for t in tuples), _U32, len(tuples)
+        )
+
+    def keypointers(self, routed: RoutedSlots) -> np.ndarray:
+        """The key-pointer block of one partition's routed slots: rounded
+        MBRs, tags from the exact-MBR routing."""
+        block = np.empty(len(routed.ordinal), KEYPOINTER_DTYPE)
+        block["mbr"] = self.mbrs_f32[routed.ordinal]
+        block["fid"] = self.fids[routed.ordinal]
+        block["tile"] = routed.tile
+        block["cls"] = routed.cls
+        return block
+
+    def dealt(
+        self, partitioner: SpatialPartitioner, only: Optional[int] = None
+    ) -> Iterator[Tuple[range, int, np.ndarray, List[TupleRecord]]]:
+        """The spill pass: ``(window, partition, key-pointers, tuple
+        records)`` for every partition (or ``only`` one) that places
+        tuples of each window of :data:`SPILL_BLOCK_RECORDS` input
+        ordinals.  A partition's records, window after window, are its
+        records in input order.  Each window is serialised whole, once, in
+        input order — walking the relation the way it sits in memory costs
+        half what partition order does in cache misses — and then dealt; a
+        rewrite of ``only`` one partition pays for the whole windows too,
+        which is the price of the one code path."""
+        for start in range(0, len(self.tuples), SPILL_BLOCK_RECORDS):
+            stop = min(start + SPILL_BLOCK_RECORDS, len(self.tuples))
+            records = tuple_records(self.tuples[start:stop])
+            routed_window = partitioner.route_all(self.mbrs[start:stop])
+            for p, routed in enumerate(routed_window):
+                if only in (None, p) and len(routed.ordinal):
+                    placed = routed.tuple_ordinals.tolist()
+                    routed = routed._replace(ordinal=routed.ordinal + start)
+                    yield (
+                        range(start, stop), p, self.keypointers(routed),
+                        [records[i] for i in placed],
+                    )
+
+
+def decode_keypointers(payload: bytes) -> List[FidKeyPointer]:
+    """A key-pointer block's bytes as the sweep's input records."""
+    return [
+        (Rect(xl, yl, xu, yu), fid, tile, cls)
+        for xl, yl, xu, yu, fid, tile, cls in _FIDKP.iter_unpack(payload)
+    ]
+
+
+def tuple_records(tuples: Sequence[SpatialTuple]) -> List[TupleRecord]:
+    return [(t.feature_id, serialize_tuple(t)) for t in tuples]
+
+
+def pack_tuple_block(records: Sequence[TupleRecord]) -> bytes:
+    """One tuple frame's payload: directory, then the tuples back to back."""
+    fids, payloads = zip(*records)
+    directory = np.zeros(2 * len(records) + 2, _U32)
+    directory[0] = len(records)
+    directory[1 : len(records) + 1] = fids
+    directory[len(records) + 2 :] = np.cumsum([len(p) for p in payloads])
+    return directory.tobytes() + b"".join(payloads)
+
+
+def spill_bytes(routed: RoutedSlots, tuples: Sequence[SpatialTuple]) -> int:
+    """The bytes the spill pass puts on disk for one partition's routed
+    slots: the block format's footprint, kept beside its writer so the
+    two cannot drift, and computed without serialising anything."""
+    placed = routed.tuple_ordinals
+    blocks = len(np.unique(placed // SPILL_BLOCK_RECORDS))
+    return (
+        blocks * (2 * FRAME_HEADER_SIZE + 2 * _U32.itemsize)
+        + len(routed.ordinal) * _FIDKP.size
+        + len(placed) * 2 * _U32.itemsize
+        + sum(tuple_size_bytes(tuples[i]) for i in placed.tolist())
     )
-
-
-def unpack_fid_keypointer(record: bytes) -> FidKeyPointer:
-    xl, yl, xu, yu, fid, tile, cls = _FIDKP.unpack(record)
-    return Rect(xl, yl, xu, yu), fid, tile, cls
-
-
-def fid_keypointer(t: SpatialTuple, tile: int = 0, cls: int = 0) -> FidKeyPointer:
-    """The key-pointer a tuple spills to, with identical f32 rounding.
-
-    The coordinator's degraded path rebuilds a partition from base tuples;
-    routing through the pack/unpack pair guarantees the rebuilt MBRs are
-    bit-identical to what a worker would have read from the spill file.
-    Tile/class tags come from the exact f64 MBR, so the rebuilt replica
-    slots are identical too.
-    """
-    return unpack_fid_keypointer(pack_fid_keypointer(t.mbr, t.feature_id, tile, cls))
 
 
 class WorkerTaskError(RuntimeError):
@@ -174,12 +276,17 @@ class WorkerTaskError(RuntimeError):
 class PartitionSpill:
     """Writer for one partition's key-pointer + tuple spill files.
 
-    A context manager with writer semantics: a clean ``with`` exit seals
-    both files, an exception aborts them (partial files are deleted, so a
-    failed partitioning pass cannot leak ``.kp``/``.tup`` litter).  With
-    ``atomic=True`` both files stage through ``*.tmp`` and only appear
-    under their final names once complete — what checkpointed runs need so
-    a resume can trust any spill file that *exists*.
+    Records enter a block at a time (:meth:`extend`, the coordinator's
+    pass) or one tuple at a time (:meth:`add`, which buffers a block's
+    worth and then calls :meth:`extend`): one on-disk format, one place
+    that writes it.
+
+    :meth:`close` seals both files, :meth:`abort` deletes whatever reached
+    the disk (a failed partitioning pass must not leak ``.kp``/``.tup``
+    litter).  With ``atomic=True`` both files stage through ``*.tmp`` and
+    only appear under their final names once complete — what checkpointed
+    runs need so a resume can trust any spill file that *exists*.  With a
+    ``budget`` every block is charged before it is written.
     """
 
     def __init__(
@@ -198,15 +305,12 @@ class PartitionSpill:
         self._tuples = SpillWriter(
             self.tuple_path, atomic=atomic, budget=budget
         )
-
-    @property
-    def count(self) -> int:
-        return self._kp.count
-
-    @property
-    def charged(self) -> int:
-        """Bytes this spill holds against its disk budget."""
-        return self._kp.charged + self._tuples.charged
+        self.count = 0
+        """Key-pointer records spilled — replica slots, which is exactly
+        the sweep work a worker will do: the LPT cost seed."""
+        self.tuples = 0
+        """Tuples spilled (each once, however many slots it has)."""
+        self._added: List[Tuple[SpatialTuple, Sequence[Tuple[int, int]]]] = []
 
     def release_budget(self) -> None:
         """Return both writers' charged bytes (the files left the disk)."""
@@ -214,51 +318,53 @@ class PartitionSpill:
         self._tuples.release_budget()
 
     def add(self, t: SpatialTuple, slots: Sequence[Tuple[int, int]]) -> None:
-        """Spill one tuple with its two-layer ``(tile, class)`` slots.
+        """Spill one tuple with its two-layer ``(tile, class)`` slots: one
+        key-pointer record per slot (the merge's per-tile groups), the
+        full tuple once.  ``count`` / ``tuples`` include it once its block
+        is written — at the latest by :meth:`close`."""
+        self._added.append((t, slots))
+        if len(self._added) == SPILL_BLOCK_RECORDS:
+            self._extend_added()
 
-        One key-pointer record per slot (the merge's per-tile groups), the
-        full tuple once.  ``count`` — the LPT cost seed — therefore counts
-        replica slots, which is exactly the sweep work a worker will do.
-        """
-        for tile, cls in slots:
-            self._kp.append(pack_fid_keypointer(t.mbr, t.feature_id, tile, cls))
-        self._tuples.append(serialize_tuple(t))
-
-    @staticmethod
-    def record_bytes(t: SpatialTuple, slots: Sequence[Tuple[int, int]]) -> int:
-        """The on-disk bytes one :meth:`add` of these arguments writes: a
-        framed key-pointer per slot plus the framed tuple."""
-        return (
-            len(slots) * (FRAME_HEADER_SIZE + _FIDKP.size)
-            + FRAME_HEADER_SIZE + len(serialize_tuple(t))
+    def _extend_added(self) -> None:
+        """Hand the tuples buffered by :meth:`add` to :meth:`extend`."""
+        added, self._added = self._added, []
+        side = InputSide([t for t, _slots in added])
+        slots = np.array(
+            [
+                (ordinal, tile, cls)
+                for ordinal, (_t, slots) in enumerate(added)
+                for tile, cls in slots
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        self.extend(
+            side.keypointers(RoutedSlots(*slots.T)), tuple_records(side.tuples)
         )
 
+    def extend(
+        self, keypointers: np.ndarray, records: Sequence[TupleRecord]
+    ) -> None:
+        """Spill one block: a run of key-pointer records
+        (:data:`KEYPOINTER_DTYPE`) and the serialised tuples they point
+        to, one frame in each file."""
+        self._kp.append(keypointers.tobytes())
+        self._tuples.append(pack_tuple_block(records))
+        self.count += len(keypointers)
+        self.tuples += len(records)
+
     def close(self) -> None:
+        """Write what :meth:`add` still buffers and seal both files."""
+        if self._added:
+            self._extend_added()
         self._kp.close()
         self._tuples.close()
 
     def abort(self) -> None:
         """Discard both writes, deleting whatever reached the disk."""
+        self._added = []
         self._kp.abort()
         self._tuples.abort()
-
-    def remove(self) -> None:
-        """Delete the files (a failed partitioning pass starts over)."""
-        self.close()
-        for path in (self.kp_path, self.tuple_path):
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-
-    def __enter__(self) -> "PartitionSpill":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.abort()
-        else:
-            self.close()
 
 
 @dataclass(frozen=True)
@@ -276,17 +382,86 @@ class SpillHandle:
     count: int
 
 
+def _blocks(path: str) -> Iterator[Tuple[bytes, Callable[[str], Exception]]]:
+    """Every frame of a spill file — CRC-checked by :func:`read_spill` —
+    with the error to raise when its payload is not a well-formed block,
+    located like the framing violations are."""
+    offset = 0
+    for index, payload in enumerate(read_spill(path)):
+
+        def violation(message: str, index=index, offset=offset) -> Exception:
+            return SpillCorruptionError(
+                f"{message} in {path} (frame {index} at byte {offset})",
+                path=path, frame_index=index, offset=offset,
+            )
+
+        yield payload, violation
+        offset += FRAME_HEADER_SIZE + len(payload)
+
+
 def read_keypointer_spill(path: str) -> List[FidKeyPointer]:
-    return [unpack_fid_keypointer(record) for record in read_spill(path)]
-
-
-def read_tuple_spill(path: str) -> Dict[int, SpatialTuple]:
-    """The partition's tuples keyed by feature id (refinement's lookup)."""
-    out: Dict[int, SpatialTuple] = {}
-    for record in read_spill(path):
-        t = deserialize_tuple(record)
-        out[t.feature_id] = t
+    out: List[FidKeyPointer] = []
+    for payload, violation in _blocks(path):
+        if len(payload) % _FIDKP.size:
+            raise violation(
+                f"key-pointer block of {len(payload)} bytes is not a whole "
+                f"number of {_FIDKP.size}-byte records"
+            )
+        out.extend(decode_keypointers(payload))
     return out
+
+
+class TupleSpill(Mapping):
+    """A partition's tuple spill as a read-only ``feature id → tuple``
+    mapping (refinement's lookup) that decodes on demand.
+
+    Opening it reads and CRC-checks **every** frame and validates every
+    block directory — integrity is a property of the file read, not of
+    the tuples used — but a tuple is deserialised only on its first
+    lookup (and memoised): most spilled tuples are never referenced by a
+    candidate.  ``len()`` is the number of records in the file.
+    """
+
+    def __init__(self, path: str):
+        self._where: Dict[int, Tuple[bytes, int, int]] = {}
+        self._decoded: Dict[int, SpatialTuple] = {}
+        for payload, violation in _blocks(path):
+            words = np.frombuffer(payload, _U32, len(payload) // _U32.itemsize)
+            count = int(words[0]) if len(words) else 0
+            body = (2 * count + 2) * _U32.itemsize
+            ends = words[count + 1 : 2 * count + 2].astype(np.int64) + body
+            if (
+                len(ends) != count + 1
+                or ends[0] != body
+                or ends[-1] != len(payload)
+                or (ends[1:] < ends[:-1]).any()
+            ):
+                raise violation("tuple block directory does not fit its payload")
+            ends = ends.tolist()
+            self._where.update(
+                zip(
+                    words[1 : count + 1].tolist(),
+                    zip(repeat(payload), ends, ends[1:]),
+                )
+            )
+
+    def __getitem__(self, feature_id: int) -> SpatialTuple:
+        t = self._decoded.get(feature_id)
+        if t is None:
+            payload, start, end = self._where[feature_id]
+            t = self._decoded[feature_id] = deserialize_tuple(payload[start:end])
+        return t
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._where)
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+
+def read_tuple_spill(path: str) -> TupleSpill:
+    """The partition's tuples keyed by feature id, decoded lazily."""
+    return TupleSpill(path)
 
 
 @dataclass(frozen=True)
@@ -369,8 +544,8 @@ def sweep_pair(
 
 def refine_pair(
     candidates: Sequence[Tuple[int, int]],
-    tuples_r: Dict[int, SpatialTuple],
-    tuples_s: Dict[int, SpatialTuple],
+    tuples_r: Mapping,
+    tuples_s: Mapping,
     predicate: Predicate,
 ) -> Tuple[List[Tuple[int, int]], int]:
     """Exact predicate over the sorted candidates of one pair.
@@ -396,35 +571,6 @@ def refine_pair(
     return results, dropped
 
 
-def merge_refine_pair(
-    kps_r: Sequence[FidKeyPointer],
-    kps_s: Sequence[FidKeyPointer],
-    tuples_r: Dict[int, SpatialTuple],
-    tuples_s: Dict[int, SpatialTuple],
-    predicate: Predicate,
-    memory_bytes: int,
-    config: PBSMConfig,
-    *,
-    label: str,
-    tracer: Tracer = NULL_TRACER,
-    metrics: MetricsRegistry = NULL_METRICS,
-) -> Tuple[List[Tuple[int, int]], int, int]:
-    """Merge + refine one in-memory partition pair; the shared heart of the
-    worker task and the coordinator's degraded rebuild.
-
-    Returns ``(sorted exact feature-id pairs, candidate count, duplicates
-    dropped)``.  Both callers feeding it identical inputs get identical
-    output, which is what makes graceful degradation invisible in the
-    final pair set.
-    """
-    candidates = sweep_pair(
-        kps_r, kps_s, memory_bytes, config,
-        label=label, tracer=tracer, metrics=metrics,
-    )
-    pairs, dropped = refine_pair(candidates, tuples_r, tuples_s, predicate)
-    return pairs, len(candidates), dropped
-
-
 def run_pair_task(task: PairTask) -> PairTaskResult:
     """Execute one partition-pair task inside a worker process.
 
@@ -440,6 +586,15 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
     index, attempt, and pid attached (corruption flagged); planned faults
     fire first, keyed by the task's attempt number.
     """
+    global _FROZEN_PID
+    if _FROZEN_PID != os.getpid():
+        # Once per process: a forked worker inherits the coordinator's
+        # heap — both input relations, which no task touches — and every
+        # collection a task triggers would walk all of it.  Frozen, the
+        # collector sees only what tasks allocate.  (Under ``spawn`` there
+        # is next to nothing to freeze.)
+        gc.freeze()
+        _FROZEN_PID = os.getpid()
     try:
         apply_worker_faults(task.faults, task.index, task.attempt)
         return _run_pair_task(task)

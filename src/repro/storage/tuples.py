@@ -26,6 +26,17 @@ _U16 = struct.Struct("<H")
 _POINT = struct.Struct("<dd")
 
 
+def _unpack_run(data: bytes, pos: int):
+    """A u16 point count and that many ``(x, y)`` doubles at ``pos``,
+    decoded in one ``struct`` call: ``(points, next pos)``."""
+    (npoints,) = _U16.unpack_from(data, pos)
+    start = pos + _U16.size
+    end = start + npoints * _POINT.size
+    if end > len(data):
+        raise struct.error("coordinate run overruns the record")
+    return list(_POINT.iter_unpack(data[start:end])), end
+
+
 @dataclass(frozen=True)
 class SpatialTuple:
     """One record of a spatial relation."""
@@ -86,26 +97,14 @@ def deserialize_tuple(data: bytes) -> SpatialTuple:
 
     geom: Geometry
     if tag == _GEOM_POLYLINE:
-        (npoints,) = _U16.unpack_from(data, pos)
-        pos += _U16.size
-        points = []
-        for _ in range(npoints):
-            x, y = _POINT.unpack_from(data, pos)
-            pos += _POINT.size
-            points.append((x, y))
+        points, pos = _unpack_run(data, pos)
         geom = Polyline(points)
     elif tag == _GEOM_POLYGON:
         (nrings,) = _U16.unpack_from(data, pos)
         pos += _U16.size
         rings = []
         for _ in range(nrings):
-            (npoints,) = _U16.unpack_from(data, pos)
-            pos += _U16.size
-            ring = []
-            for _ in range(npoints):
-                x, y = _POINT.unpack_from(data, pos)
-                pos += _POINT.size
-                ring.append((x, y))
+            ring, pos = _unpack_run(data, pos)
             rings.append(ring)
         geom = Polygon(rings[0], rings[1:])
     else:

@@ -206,6 +206,31 @@ class TestResumeSemantics:
         with pytest.raises(CheckpointMismatchError):
             make_engine(tmp_path).resume(tuples_r[:-1], tuples_s, intersects)
 
+    def test_a_per_record_layout_checkpoint_is_never_adopted(
+        self, tmp_path, workload, monkeypatch
+    ):
+        # A run checkpointed under two-layer-v1 left one-frame-per-record
+        # spills the block reader must never be pointed at.  The layout is
+        # part of the run id, so this engine sees a different join's state:
+        # resume refuses it, run starts over — nothing adopted, nothing
+        # replayed, no corruption error, same answer.
+        tuples_r, tuples_s, expected = workload
+        monkeypatch.setattr(
+            "repro.checkpoint.manifest.PARTITION_LAYOUT", "two-layer-v1"
+        )
+        with pytest.raises(CoordinatorKilledError):
+            make_engine(tmp_path, kill_coordinator_after=6).run(
+                tuples_r, tuples_s, intersects
+            )
+        monkeypatch.undo()
+        with pytest.raises(CheckpointMismatchError):
+            make_engine(tmp_path).resume(tuples_r, tuples_s, intersects)
+        result = make_engine(tmp_path).run(tuples_r, tuples_s, intersects)
+        assert result.pairs == expected
+        assert result.resumed_pairs == [] and result.degraded_pairs == []
+        assert "spill_sides_adopted" not in result.fault_summary
+        assert len(list(tmp_path.glob("run-*"))) == 2
+
     def test_resume_of_an_empty_directory_is_a_fresh_run(
         self, tmp_path, workload
     ):

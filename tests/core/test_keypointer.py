@@ -1,5 +1,20 @@
 """Tests for key-pointer elements and their temporary files."""
 
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.keypointer import (
+    _f32_down,
+    _f32_up,
+    conservative_f32,
+    f32_down_all,
+    f32_up_all,
+)
 from repro.core import (
     KEYPTR_SIZE,
     CandidateFile,
@@ -94,3 +109,58 @@ class TestCandidateFile:
         cf = CandidateFile(db.pool)
         assert cf.read_all() == []
         assert cf.count == 0
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}f", *values)
+
+
+def _halfway(f32_value, nudge):
+    """The f64 exactly halfway between a float32 and its successor —
+    where round-to-nearest-even and the conservative step are easiest to
+    get wrong — or one f64 ulp to either side of it."""
+    low = np.float32(f32_value)
+    mid = (float(low) + float(np.nextafter(low, np.float32(np.inf)))) / 2
+    return math.nextafter(mid, nudge) if nudge else mid
+
+
+F64_CORNERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),  # f32-exact
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e30, -1e30, 1e-46]),
+    st.builds(
+        _halfway,
+        st.floats(min_value=-(2.0**100), max_value=2.0**100, width=32),
+        st.sampled_from([0, -math.inf, math.inf]),
+    ),
+)
+
+
+class TestBatchRounding:
+    """The block spill writer rounds a whole side at once; the key-pointer
+    bytes it writes must be the bytes the scalar pair would have packed
+    (candidate counts are pinned to them), at every magnitude."""
+
+    # Beyond float32's range the scalar cast warns; both forms then agree
+    # on +-inf stepped back to the largest finite float32.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @given(st.lists(F64_CORNERS, max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_batch_rounding_equals_the_scalar_pair_bit_for_bit(self, values):
+        array = np.array(values, dtype=np.float64)
+        assert f32_down_all(array).tobytes() == _bits(
+            [_f32_down(v) for v in values]
+        )
+        assert f32_up_all(array).tobytes() == _bits(
+            [_f32_up(v) for v in values]
+        )
+
+    def test_conservative_f32_rounds_lower_bounds_down_upper_bounds_up(self):
+        mbrs = np.array([[0.1, 0.2, 0.3, 0.4], [-0.1, -0.2, 1e30, 16777217.0]])
+        rounded = conservative_f32(mbrs)
+        assert rounded.dtype == np.float32 and rounded.shape == mbrs.shape
+        for row, exact in zip(rounded.tolist(), mbrs.tolist()):
+            assert row == [
+                _f32_down(exact[0]), _f32_down(exact[1]),
+                _f32_up(exact[2]), _f32_up(exact[3]),
+            ]

@@ -15,8 +15,10 @@ These hold for arbitrary rectangles (degenerate, clamped, spanning),
 which is what Hypothesis is for.
 """
 
+import math
 from collections import Counter
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,34 +94,86 @@ class TestAssignment:
         assert by_class[CLASS_A] == 1
 
 
-class TestRouting:
-    @given(
-        universe_rects(),
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=0, max_value=40),
-        st.sampled_from([SCHEME_HASH, SCHEME_ROUND_ROBIN]),
+def as_array(rects):
+    return np.array(
+        [(r.xl, r.yl, r.xu, r.yu) for r in rects], dtype=np.float64
+    ).reshape(len(rects), 4)
+
+
+def oracle_routing(partitioner, rects):
+    """The scalar routing rule, one rectangle at a time: per partition,
+    the ``(ordinal, tile, class)`` rows in input order, a rectangle's
+    slots in ``tile_assignments`` order."""
+    rows = [[] for _ in range(partitioner.num_partitions)]
+    for ordinal, rect in enumerate(rects):
+        for tile, cls in partitioner.tile_assignments(rect):
+            rows[partitioner.partition_of_tile(tile)].append(
+                (ordinal, tile, cls)
+            )
+    return rows
+
+
+@st.composite
+def routing_cases(draw):
+    """A partitioner and rectangles biased toward what batch arithmetic
+    gets wrong first: bounds exactly on tile edges (and one ulp either
+    side), zero-area MBRs, MBRs on and beyond the universe's edges."""
+    num_partitions = draw(st.sampled_from([1, 3, 8, 16]))
+    partitioner = SpatialPartitioner(
+        UNIVERSE,
+        num_partitions,
+        num_partitions + draw(st.integers(min_value=0, max_value=60)),
+        draw(st.sampled_from([SCHEME_HASH, SCHEME_ROUND_ROBIN])),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_route_groups_the_slots_by_partition_in_order(
-        self, rect, num_partitions, extra_tiles, scheme
-    ):
-        partitioner = SpatialPartitioner(
-            UNIVERSE, num_partitions, num_partitions + extra_tiles, scheme
+    grid = partitioner.grid
+    edges_x = [UNIVERSE.xl + UNIVERSE.width * c / grid.cols
+               for c in range(grid.cols + 1)]
+    edges_y = [UNIVERSE.yl + UNIVERSE.height * r / grid.rows
+               for r in range(grid.rows + 1)]
+
+    def coordinate(edges):
+        on_edge = st.sampled_from(edges)
+        near_edge = st.builds(
+            math.nextafter, on_edge, st.sampled_from([-math.inf, math.inf])
         )
-        routed = partitioner.route(rect)
-        # Partitions ascending, and exactly the ones the MBR replicates to.
-        assert list(routed) == sorted(partitioner.partitions_for_rect(rect))
-        # Every slot lands in its tile's partition, in assignment order:
-        # regrouping loses nothing, invents nothing, reorders nothing.
-        slots = partitioner.tile_assignments(rect)
-        for p, group in routed.items():
-            assert group == [
-                slot for slot in slots
-                if partitioner.partition_of_tile(slot[0]) == p
-            ]
-        assert sorted(
-            slot for group in routed.values() for slot in group
-        ) == sorted(slots)
+        anywhere = st.floats(min_value=-1e6, max_value=1e6)
+        return st.one_of(on_edge, near_edge, anywhere, st.just(1e30))
+
+    def rect():
+        xa, xb = draw(coordinate(edges_x)), draw(coordinate(edges_x))
+        ya, yb = draw(coordinate(edges_y)), draw(coordinate(edges_y))
+        if draw(st.booleans()):  # zero area: a point or a segment
+            xb = xa
+        return Rect(min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb))
+
+    return partitioner, [rect() for _ in range(draw(st.integers(0, 12)))]
+
+
+class TestRouting:
+    @given(routing_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_route_all_equals_the_scalar_oracle(self, case):
+        # The spill pass places tuples with route_all; §3.5 repartitioning
+        # and every oracle use the scalar functions.  They must agree slot
+        # for slot, or copies of one object disagree on their tags.
+        partitioner, rects = case
+        routed = partitioner.route_all(as_array(rects))
+        assert len(routed) == partitioner.num_partitions
+        for slots, expected in zip(routed, oracle_routing(partitioner, rects)):
+            assert list(zip(
+                slots.ordinal.tolist(), slots.tile.tolist(), slots.cls.tolist()
+            )) == expected
+            assert slots.tuple_ordinals.tolist() == sorted(
+                {ordinal for ordinal, _tile, _cls in expected}
+            )
+
+    @given(st.lists(universe_rects(), min_size=1, max_size=8),
+           st.lists(universe_rects(), min_size=1, max_size=8))
+    def test_for_inputs_takes_the_union_of_both_sides(self, rects_r, rects_s):
+        partitioner = SpatialPartitioner.for_inputs(
+            as_array(rects_r), as_array(rects_s), 4, 16
+        )
+        assert partitioner.grid.universe == Rect.union_all(rects_r + rects_s)
 
 
 class TestUniqueness:

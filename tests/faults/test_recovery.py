@@ -6,8 +6,14 @@ import pytest
 
 from repro import intersects
 from repro.data import generate_hydrography, generate_roads
-from repro.faults import FaultPlan, FaultSpec, TornFrame, WorkerFaults
-from repro.parallel import ProcessPBSM, WorkerTaskError, parallel_join, serial_feature_pairs
+from repro.faults import FaultPlan, FaultSpec, TornFrame, WorkerFaults, tear_frame
+from repro.parallel import (
+    ProcessPBSM,
+    WorkerTaskError,
+    parallel_join,
+    serial_feature_pairs,
+    tasks,
+)
 
 SCALE = 0.001
 
@@ -66,6 +72,34 @@ class TestQuarantine:
         assert summary["degraded"] == 1
         # Corruption is not transient: no retry may be burned on it.
         assert "retries" not in summary
+        assert len(result.degraded_pairs) == 1
+
+
+    @pytest.mark.parametrize("frame", [0, -1])
+    def test_a_torn_tuple_spill_is_quarantined_and_rebuilt(
+        self, workload, frame, monkeypatch
+    ):
+        # The tuple reader decodes lazily but checks every frame, so damage
+        # anywhere in a .tup file — even in tuples no candidate needs —
+        # must take the same quarantine-and-rebuild path as a torn .kp.
+        # (Fault plans only tear .kp files; this tears a .tup by hand,
+        # after partitioning and before any task reads it.)
+        monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", 16)
+        tuples_r, tuples_s, expected = workload
+
+        class TearsATupleSpill(ProcessPBSM):
+            def _build_tasks(self, spills_r, spills_s, predicate):
+                built = super()._build_tasks(spills_r, spills_s, predicate)
+                assert tear_frame(built[0].tuples_s_path, frame) >= 0
+                return built
+
+        result = TearsATupleSpill(2, num_partitions=4).run(
+            tuples_r, tuples_s, intersects
+        )
+        assert result.pairs == expected
+        assert result.fault_summary == {
+            "task_failures": 1, "quarantined": 1, "degraded": 1,
+        }
         assert len(result.degraded_pairs) == 1
 
 

@@ -2,9 +2,10 @@
 
 * the serial rebuild of a pair (whatever the reason) returns exactly what
   the pooled task for that pair returned;
-* a shed ``run_serial`` routes each input tuple once, not once per
+* a shed ``run_serial`` routes each input side once, not once per
   partition;
-* ``spill_footprint`` is to the byte what an unconstrained run meters.
+* ``spill_footprint`` is to the byte what an unconstrained run meters;
+* a run starved of disk, or denied one write, returns the same pairs.
 """
 
 import pytest
@@ -14,7 +15,9 @@ from repro.checkpoint.manifest import RunFingerprint
 from repro.checkpoint.store import CheckpointStore
 from repro.core.partition import SpatialPartitioner
 from repro.data import generate_hydrography, generate_roads
+from repro.faults import FaultPlan, FaultSpec
 from repro.parallel import ProcessPBSM
+from repro.parallel.tasks import InputSide
 from repro.storage import DiskBudget
 
 SCALE = 0.002
@@ -55,9 +58,10 @@ class TestRebuildPairs:
         tuples_r, tuples_s = workload
         engine = ProcessPBSM(2, num_partitions=NUM_PAIRS)
         committed = []
+        side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
         rebuilt = engine._rebuild_pairs(
-            dict.fromkeys(pooled, reason), tuples_r, tuples_s,
-            engine._partitioner(tuples_r, tuples_s), intersects,
+            dict.fromkeys(pooled, reason), side_r, side_s,
+            engine._partitioner(side_r.mbrs, side_s.mbrs), intersects,
             on_result=committed.append,
         )
         assert [o.index for o in rebuilt] == sorted(pooled)
@@ -72,20 +76,20 @@ class TestRebuildPairs:
             assert outcome.degraded and outcome.degraded_reason == reason
         assert engine._fault_summary() == {"degraded": len(pooled)}
 
-    def test_shed_run_routes_each_tuple_once(self, workload, monkeypatch):
+    def test_shed_run_routes_each_side_once(self, workload, monkeypatch):
         tuples_r, tuples_s = workload
         calls = []
-        assign = SpatialPartitioner.tile_assignments
+        route_all = SpatialPartitioner.route_all
 
-        def counting(self, rect):
-            calls.append(rect)
-            return assign(self, rect)
+        def counting(self, mbrs):
+            calls.append(len(mbrs))
+            return route_all(self, mbrs)
 
-        monkeypatch.setattr(SpatialPartitioner, "tile_assignments", counting)
+        monkeypatch.setattr(SpatialPartitioner, "route_all", counting)
         result = ProcessPBSM(2, num_partitions=NUM_PAIRS).run_serial(
             tuples_r, tuples_s, intersects
         )
-        assert len(calls) == len(tuples_r) + len(tuples_s)
+        assert calls == [len(tuples_r), len(tuples_s)]
         # A shed run tallies its rebuilt pairs like any other degraded pair.
         assert result.degraded_pairs == list(range(NUM_PAIRS))
         assert result.fault_summary == {"degraded": NUM_PAIRS}
@@ -106,3 +110,48 @@ class TestSpillFootprint:
     def test_empty_input_spills_nothing(self, workload):
         tuples_r, _ = workload
         assert ProcessPBSM(2).spill_footprint(tuples_r, []) == 0
+
+
+class TestDiskPressure:
+    """The block writer charges a frame at a time — some of them only when
+    a spill is closed — and recovery rewrites a partition from its routed
+    columns; the answer must not notice."""
+
+    def test_half_the_footprint_degrades_but_stays_exact(
+        self, workload, pooled
+    ):
+        tuples_r, tuples_s = workload
+        engine = ProcessPBSM(2, num_partitions=NUM_PAIRS)
+        cap = engine.spill_footprint(tuples_r, tuples_s) // 2
+        budget = DiskBudget(cap)
+        result = ProcessPBSM(
+            2, num_partitions=NUM_PAIRS, disk_budget=budget
+        ).run(tuples_r, tuples_s, intersects)
+        assert result.pairs == sorted(
+            pair for task in pooled.values() for pair in task.pairs
+        )
+        assert result.duplicates_dropped == 0
+        summary = result.fault_summary
+        assert summary["disk_pressure"] >= 1
+        assert summary["disk_degraded"] == len(result.degraded_pairs) >= 1
+        assert budget.snapshot()["high_watermark_bytes"] <= cap
+
+    def test_an_injected_denial_is_recovered_by_one_rewrite(
+        self, workload, pooled
+    ):
+        tuples_r, tuples_s = workload
+        plan = FaultPlan(
+            seed=0, num_pairs=NUM_PAIRS, spec=FaultSpec(disk_full=1),
+            disk_full_points=(("spill", 5000),),
+        )
+        result = ProcessPBSM(
+            2, num_partitions=NUM_PAIRS, fault_plan=plan
+        ).run(tuples_r, tuples_s, intersects)
+        assert result.pairs == sorted(
+            pair for task in pooled.values() for pair in task.pairs
+        )
+        assert result.degraded_pairs == []
+        assert result.fault_summary == {
+            "disk_pressure": 1, "disk_full_recovered": 1,
+            "injected_disk_full": 1,
+        }

@@ -1,6 +1,7 @@
 """ArtifactCache: lookup classification, result-log replay, pinning, and
 the one shared LRU-by-bytes eviction policy (cache + ``checkpoints gc``)."""
 
+import dataclasses
 import os
 
 from hypothesis import given, settings
@@ -37,9 +38,9 @@ def make_result(index, pairs):
     )
 
 
-def seed_complete_run(root, salt=0, pad_bytes=0):
+def seed_complete_run(root, salt=0, pad_bytes=0, fingerprint=None):
     """A finished run whose disjoint pair logs merge to {(1,2),(3,4),(5,6)}."""
-    store = CheckpointStore(root, make_fingerprint(salt))
+    store = CheckpointStore(root, fingerprint or make_fingerprint(salt))
     with store:
         store.begin(JoinManifest(store.fingerprint))
         store.append_event(SEAL_R)
@@ -55,8 +56,8 @@ def seed_complete_run(root, salt=0, pad_bytes=0):
     return store
 
 
-def seed_partial_run(root, salt=0):
-    store = CheckpointStore(root, make_fingerprint(salt))
+def seed_partial_run(root, salt=0, fingerprint=None):
+    store = CheckpointStore(root, fingerprint or make_fingerprint(salt))
     with store:
         store.begin(JoinManifest(store.fingerprint))
         store.append_event(SEAL_R)
@@ -78,6 +79,18 @@ class TestLookup:
         seed_partial_run(tmp_path)
         cache = ArtifactCache(tmp_path)
         assert cache.lookup(make_fingerprint()) == LOOKUP_WARM
+
+    def test_entries_of_the_per_record_spill_layout_are_misses(self, tmp_path):
+        # two-layer-v1 artifacts hold one-frame-per-record spills the block
+        # reader cannot adopt: the layout tag keeps them out of reach.
+        for salt, seed in ((0, seed_complete_run), (1, seed_partial_run)):
+            old = dataclasses.replace(
+                make_fingerprint(salt), layout="two-layer-v1"
+            )
+            seed(tmp_path, fingerprint=old)
+            cache = ArtifactCache(tmp_path)
+            assert cache.lookup(old) != LOOKUP_MISS  # the entry is intact
+            assert cache.lookup(make_fingerprint(salt)) == LOOKUP_MISS
 
     def test_corrupt_manifest_is_a_miss_not_an_error(self, tmp_path):
         store = seed_complete_run(tmp_path)
