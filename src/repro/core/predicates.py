@@ -16,15 +16,17 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+import numpy as np
+
 from ..geometry import (
     Polygon,
     Polyline,
     Rect,
+    any_segments_intersect,
     maximal_enclosed_rect,
-    polygon_contains_filtered,
     polylines_intersect_naive,
     polylines_intersect_sweep,
-    segments_intersect,
+    ring_segments,
 )
 from ..storage.relation import OID
 from ..storage.tuples import SpatialTuple
@@ -41,10 +43,9 @@ def _geoms_intersect(a, b, polyline_test) -> bool:
         return a.intersects(b)
     # Mixed polyline/polygon: boundary crossing, or the line lies inside.
     line, poly = (a, b) if isinstance(a, Polyline) else (b, a)
-    for p1, p2 in zip(line.points, line.points[1:]):
-        for p3, p4 in poly.segments():
-            if segments_intersect(p1, p2, p3, p4):
-                return True
+    chain = np.array(line.points)
+    if any_segments_intersect(chain[:-1], chain[1:], *ring_segments(poly.rings)):
+        return True
     return poly.contains_point(*line.points[0])
 
 
@@ -111,4 +112,4 @@ class ContainsWithFilters:
             self.filter_hits += 1
             return True
         self.exact_tests += 1
-        return polygon_contains_filtered(r.geom, s.geom, None)
+        return r.geom.contains(s.geom)

@@ -2,6 +2,7 @@
 
 from .curves import CurveMapper, hilbert_d, hilbert_xy, morton_d, morton_xy
 from .interval_tree import IntervalTree
+from .kernels import any_segments_intersect, points_in_ring, ring_segments
 from .planesweep import (
     naive_join_pairs,
     sweep_join,
@@ -35,6 +36,7 @@ __all__ = [
     "Polygon",
     "Polyline",
     "Rect",
+    "any_segments_intersect",
     "hilbert_d",
     "hilbert_xy",
     "maximal_enclosed_rect",
@@ -44,11 +46,13 @@ __all__ = [
     "on_segment",
     "orientation",
     "point_in_ring",
+    "points_in_ring",
     "polygon_contains_filtered",
     "polylines_intersect_naive",
     "polylines_intersect_sweep",
     "rect_inside_polygon",
     "ring_area_signed",
+    "ring_segments",
     "segment_intersection_point",
     "segments_intersect",
     "sweep_join",

@@ -9,6 +9,14 @@ predicates the paper needs are:
 Containment is tested with the paper's naive O(n^2) boundary algorithm by
 default; the [BKSS94] MBR/MER pre-filters discussed in §4.4 are available as
 an optional fast path (see :func:`polygon_contains_filtered`).
+
+The all-pairs parts of these tests (segment against segment, vertex against
+ring edge) run on the array kernels of :mod:`repro.geometry.kernels`, whose
+answers equal the scalar :func:`point_in_ring` and
+:func:`~repro.geometry.segment.segments_intersect` bit for bit.  Coordinate
+arrays are built from the rings on each call, after the MBR test, and are
+not kept on the polygon: a join sees each outer polygon about once, and
+arrays held by long-lived input tuples cost resident memory for no reuse.
 """
 
 from __future__ import annotations
@@ -16,8 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from .kernels import any_segments_intersect, points_in_ring, ring_segments
 from .rect import Rect
-from .segment import on_segment, orientation, segments_intersect
+from .segment import on_segment, orientation
 
 Point = Tuple[float, float]
 
@@ -124,15 +135,21 @@ class Polygon:
 
     def boundary_intersects(self, other: "Polygon") -> bool:
         """True when some boundary segment of one crosses one of the other."""
-        osegs = other.segments()
-        for p1, p2 in self.segments():
-            seg_rect = Rect.from_points((p1, p2))
-            if not seg_rect.intersects(other.mbr):
-                continue
-            for p3, p4 in osegs:
-                if segments_intersect(p1, p2, p3, p4):
-                    return True
-        return False
+        p1, p2 = ring_segments(self.rings)
+        # Only segments whose own box meets the other polygon's MBR can
+        # touch it; typically a handful of the ring enter the n×m test.
+        box = other._mbr
+        near = (
+            (np.minimum(p1[:, 0], p2[:, 0]) <= box.xu)
+            & (box.xl <= np.maximum(p1[:, 0], p2[:, 0]))
+            & (np.minimum(p1[:, 1], p2[:, 1]) <= box.yu)
+            & (box.yl <= np.maximum(p1[:, 1], p2[:, 1]))
+        )
+        if not near.any():
+            return False
+        return any_segments_intersect(
+            p1[near], p2[near], *ring_segments(other.rings)
+        )
 
     def intersects(self, other: "Polygon") -> bool:
         """Exact area/boundary intersection test."""
@@ -156,8 +173,15 @@ class Polygon:
             return False
         if self.boundary_intersects(other):
             return False
-        for x, y in other.shell:
-            if not self.contains_point(x, y):
+        # Every vertex in or on the shell and none strictly inside a hole;
+        # all of them lie in this polygon's MBR already.
+        px, py = np.array(other.shell).T
+        parity, on_boundary = points_in_ring(px, py, np.array(self.shell))
+        if not (on_boundary | parity).all():
+            return False
+        for hole in self.holes:
+            parity, on_boundary = points_in_ring(px, py, np.array(hole))
+            if (parity & ~on_boundary).any():
                 return False
         return True
 
@@ -185,7 +209,7 @@ def _point_strictly_in_ring(x: float, y: float, ring: Sequence[Point]) -> bool:
 # ---------------------------------------------------------------------- #
 
 
-def maximal_enclosed_rect(polygon: Polygon, samples: int = 8) -> Optional[Rect]:
+def maximal_enclosed_rect(polygon: Polygon) -> Optional[Rect]:
     """A (not necessarily maximum) axis-aligned rectangle inside the polygon.
 
     The paper's §4.4 sketches storing a *maximal enclosed rectangle* (MER)
@@ -212,13 +236,13 @@ def maximal_enclosed_rect(polygon: Polygon, samples: int = 8) -> Optional[Rect]:
         return None
     for _ in range(6):
         rect = Rect(cx - half, cy - half, cx + half, cy + half)
-        if rect_inside_polygon(rect, polygon, samples=samples):
+        if rect_inside_polygon(rect, polygon):
             return rect
         half /= 2.0
     return None
 
 
-def rect_inside_polygon(rect: Rect, polygon: Polygon, samples: int = 8) -> bool:
+def rect_inside_polygon(rect: Rect, polygon: Polygon) -> bool:
     """Exact test that an axis-aligned rectangle lies inside a polygon."""
     corners = [
         (rect.xl, rect.yl), (rect.xu, rect.yl),
@@ -227,13 +251,12 @@ def rect_inside_polygon(rect: Rect, polygon: Polygon, samples: int = 8) -> bool:
     for x, y in corners:
         if not polygon.contains_point(x, y):
             return False
-    edges = list(zip(corners, corners[1:] + corners[:1]))
-    for p1, p2 in edges:
-        for p3, p4 in polygon.segments():
-            if segments_intersect(p1, p2, p3, p4):
-                # Touching at the boundary is fine only if no crossing; be
-                # conservative and reject.
-                return False
+    # Touching at the boundary is fine only if no crossing; be conservative
+    # and reject.
+    if any_segments_intersect(
+        *ring_segments([corners]), *ring_segments(polygon.rings)
+    ):
+        return False
     # Guard against a hole fully inside the rectangle.
     for hole in polygon.holes:
         hx, hy = hole[0]

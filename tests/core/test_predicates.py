@@ -74,6 +74,10 @@ class TestContainsWithFilters:
         ]
         for inner in cases:
             assert filtered(outer, inner) == contains(outer, inner)
+        # Each candidate is decided by exactly one of the two: the MBR test
+        # rejects the last two, the first is an MER hit or an exact test.
+        assert filtered.filter_hits >= 2
+        assert filtered.filter_hits + filtered.exact_tests == len(cases)
 
     def test_filters_are_used(self):
         filtered = ContainsWithFilters()
