@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -42,7 +41,6 @@ from ..core.pbsm import PBSMConfig
 from ..core.predicates import Predicate
 from ..storage.errors import ManifestCorruptionError, SpillCorruptionError
 from ..storage.spill import TORN_TAIL_TRUNCATE, pack_frame, read_frames_bytes
-from ..storage.tuples import SpatialTuple, serialize_tuple
 
 MANIFEST_VERSION = 1
 
@@ -96,17 +94,20 @@ class RunFingerprint:
     @classmethod
     def compute(
         cls,
-        tuples_r: Sequence[SpatialTuple],
-        tuples_s: Sequence[SpatialTuple],
+        side_r,
+        side_s,
         predicate: Predicate,
         num_partitions: int,
         config: PBSMConfig,
     ) -> "RunFingerprint":
+        """The fingerprint of a join of two
+        :class:`~repro.parallel.tasks.InputSide` — whose ``crc`` is the
+        order-sensitive CRC32 over the input's serialised tuples."""
         return cls(
-            count_r=len(tuples_r),
-            count_s=len(tuples_s),
-            crc_r=_crc_side(tuples_r),
-            crc_s=_crc_side(tuples_s),
+            count_r=len(side_r),
+            count_s=len(side_s),
+            crc_r=side_r.crc,
+            crc_s=side_s.crc,
             predicate=getattr(predicate, "__name__", repr(predicate)),
             num_partitions=num_partitions,
             config=dataclasses.asdict(config),
@@ -156,14 +157,6 @@ class RunFingerprint:
         return (
             isinstance(other, RunFingerprint) and self.to_dict() == other.to_dict()
         )
-
-
-def _crc_side(tuples: Sequence[SpatialTuple]) -> int:
-    """Order-sensitive CRC32 over one input's serialized tuples."""
-    crc = 0
-    for t in tuples:
-        crc = zlib.crc32(serialize_tuple(t), crc)
-    return crc
 
 
 class JoinManifest:

@@ -1,6 +1,6 @@
 """Deterministic synthetic data: TIGER-style polylines, Sequoia-style polygons."""
 
-from .distributions import Cluster, ClusteredDistribution, uniform_point
+from .distributions import Cluster, ClusteredDistribution
 from .loader import load_relation, make_sequoia_datasets, make_tiger_datasets
 from .sequoia import (
     CALIFORNIA,
@@ -31,5 +31,4 @@ __all__ = [
     "make_sequoia_datasets",
     "make_tiger_datasets",
     "scaled_counts",
-    "uniform_point",
 ]

@@ -9,6 +9,7 @@ are fully deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -42,7 +43,9 @@ class ClusteredDistribution:
         self.clusters = clusters
         self.background_weight = background_weight
         total = sum(c.weight for c in clusters)
-        self._probs = np.array([c.weight / total for c in clusters])
+        cdf = np.array([c.weight / total for c in clusters]).cumsum()
+        self._cdf = (cdf / cdf[-1]).tolist()
+        """What ``Generator.choice(p=)`` searches, ``side="right"``."""
 
     @staticmethod
     def synthesize(
@@ -62,21 +65,19 @@ class ClusteredDistribution:
         return ClusteredDistribution(universe, clusters, background_weight)
 
     def sample_point(self, rng: np.random.Generator) -> Tuple[float, float]:
-        u = self.universe
-        if rng.random() < self.background_weight:
-            return (rng.uniform(u.xl, u.xu), rng.uniform(u.yl, u.yu))
-        idx = rng.choice(len(self.clusters), p=self._probs)
-        c = self.clusters[idx]
-        x = float(np.clip(rng.normal(c.cx, c.sigma), u.xl, u.xu))
-        y = float(np.clip(rng.normal(c.cy, c.sigma), u.yl, u.yu))
-        return (x, y)
-
-    def sample_points(self, n: int, rng: np.random.Generator) -> List[Tuple[float, float]]:
-        return [self.sample_point(rng) for _ in range(n)]
-
-
-def uniform_point(universe: Rect, rng: np.random.Generator) -> Tuple[float, float]:
-    return (
-        rng.uniform(universe.xl, universe.xu),
-        rng.uniform(universe.yl, universe.yu),
-    )
+        """One point of the mixture.  Every draw is numpy's own formula
+        for ``uniform`` / ``choice(p=)`` / ``normal`` on ``random()`` and
+        ``standard_normal()`` — the same stream without the call overhead."""
+        u, random = self.universe, rng.random
+        if random() < self.background_weight:
+            return (
+                u.xl + (u.xu - u.xl) * random(),
+                u.yl + (u.yu - u.yl) * random(),
+            )
+        c = self.clusters[bisect_right(self._cdf, random())]
+        x = c.cx + c.sigma * rng.standard_normal()
+        y = c.cy + c.sigma * rng.standard_normal()
+        return (
+            u.xl if x < u.xl else u.xu if x > u.xu else x,
+            u.yl if y < u.yl else u.yu if y > u.yu else y,
+        )

@@ -61,7 +61,7 @@ def _radial_polygon(
     radii = rng.uniform(min_frac * radius, radius, npoints)
     return [
         (cx + r * math.cos(a), cy + r * math.sin(a))
-        for a, r in zip(angles, radii)
+        for a, r in zip(angles.tolist(), radii.tolist())
     ]
 
 

@@ -20,6 +20,7 @@ in the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
@@ -100,16 +101,23 @@ def generate_polylines(
     dist = _distribution(seed=7_1996)  # shared cluster layout
     rng = np.random.default_rng(seed)
     step_base = spec.step * step_scale
+    # The draws below are numpy's own formulas for ``uniform`` and
+    # ``normal`` on the primitives they are built from — the same stream,
+    # value for value (tests/data/test_generators.py pins it), without the
+    # per-call argument handling that was most of the generator's time.
+    random, standard_normal, sample = rng.random, rng.standard_normal, dist.sample_point
+    cos, sin, wander, two_pi = math.cos, math.sin, spec.wander, 2.0 * math.pi
+    xl, yl, xu, yu = universe.xl, universe.yl, universe.xu, universe.yu
     for i in range(count):
         npoints = max(spec.min_points, int(rng.poisson(spec.avg_points)))
-        x, y = dist.sample_point(rng)
-        heading = rng.uniform(0.0, 2.0 * np.pi)
+        x, y = sample(rng)
+        heading = two_pi * random()
         points: List[Tuple[float, float]] = [(x, y)]
         for _ in range(npoints - 1):
-            heading += rng.normal(0.0, spec.wander)
-            step = step_base * rng.uniform(0.4, 1.6)
-            x = _clip(x + step * np.cos(heading), universe.xl, universe.xu)
-            y = _clip(y + step * np.sin(heading), universe.yl, universe.yu)
+            heading += wander * standard_normal()
+            step = step_base * (0.4 + (1.6 - 0.4) * random())
+            x = _clip(x + step * cos(heading), xl, xu)
+            y = _clip(y + step * sin(heading), yl, yu)
             points.append((x, y))
         if len(points) < 2 or _degenerate(points):
             points = [(x, y), (x + step_base, y + step_base)]

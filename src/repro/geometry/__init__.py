@@ -13,7 +13,6 @@ from .polygon import (
     Polygon,
     maximal_enclosed_rect,
     point_in_ring,
-    polygon_contains_filtered,
     rect_inside_polygon,
     ring_area_signed,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "orientation",
     "point_in_ring",
     "points_in_ring",
-    "polygon_contains_filtered",
     "polylines_intersect_naive",
     "polylines_intersect_sweep",
     "rect_inside_polygon",

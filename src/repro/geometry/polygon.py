@@ -7,8 +7,8 @@ predicates the paper needs are:
 * exact containment of one polygon in another (the island-in-landuse query).
 
 Containment is tested with the paper's naive O(n^2) boundary algorithm by
-default; the [BKSS94] MBR/MER pre-filters discussed in §4.4 are available as
-an optional fast path (see :func:`polygon_contains_filtered`).
+default; the [BKSS94] MBR/MER pre-filters discussed in §4.4 are applied by
+:class:`repro.core.predicates.ContainsWithFilters`.
 
 The all-pairs parts of these tests (segment against segment, vertex against
 ring edge) run on the array kernels of :mod:`repro.geometry.kernels`, whose
@@ -73,7 +73,7 @@ def point_in_ring(x: float, y: float, ring: Sequence[Point]) -> bool:
     return inside
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polygon:
     """A simple polygon with optional holes (a swiss-cheese polygon)."""
 
@@ -263,24 +263,6 @@ def rect_inside_polygon(rect: Rect, polygon: Polygon) -> bool:
         if rect.contains_point(hx, hy):
             return False
     return True
-
-
-def polygon_contains_filtered(
-    outer: Polygon,
-    inner: Polygon,
-    outer_mer: Optional[Rect] = None,
-) -> bool:
-    """Containment with the [BKSS94] MBR/MER pre-filters of §4.4.
-
-    If the inner polygon's MBR fits in the outer polygon's MER, containment
-    is certain and the O(n^2) test is skipped; if the MBRs do not nest,
-    non-containment is certain.  Otherwise fall back to exact geometry.
-    """
-    if not outer.mbr.contains(inner.mbr):
-        return False
-    if outer_mer is not None and outer_mer.contains(inner.mbr) and not outer.holes:
-        return True
-    return outer.contains(inner)
 
 
 def _centroid(ring: Sequence[Point]) -> Point:

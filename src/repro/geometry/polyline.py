@@ -21,7 +21,7 @@ from .segment import segments_intersect
 Point = Tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polyline:
     """An open chain of two or more vertices."""
 
@@ -80,20 +80,39 @@ def polylines_intersect_sweep(a: Polyline, b: Polyline) -> bool:
     sweep keeps, per side, the segments whose x-interval is still open and
     tests only cross-side pairs whose x-intervals overlap.  This matches the
     refinement-step optimisation of §4.4.
-    """
-    events: List[Tuple[float, float, int, Point, Point]] = []
-    for p1, p2 in zip(a.points, a.points[1:]):
-        xl, xu = (p1[0], p2[0]) if p1[0] <= p2[0] else (p2[0], p1[0])
-        events.append((xl, xu, 0, p1, p2))
-    for p3, p4 in zip(b.points, b.points[1:]):
-        xl, xu = (p3[0], p4[0]) if p3[0] <= p4[0] else (p4[0], p3[0])
-        events.append((xl, xu, 1, p3, p4))
-    events.sort(key=lambda e: e[0])
 
-    # Active lists per side, pruned lazily as the sweep front advances.
+    A segment enters the sweep only if its own box, grown by ``pad``,
+    meets the *other* chain's MBR (this repo's addition, not the paper's).
+    Verdicts cannot change: the sweep hands ``segments_intersect`` only
+    pairs whose boxes overlap within ``pad``, and the other segment's box
+    lies inside its chain's MBR, so the mask drops only segments the sweep
+    would never test.  Each comparison below is one the sweep itself makes,
+    with the other segment's bound replaced by the MBR's (rounding is
+    monotonic, so the implication survives it) — both the form the sweep
+    uses when this segment is the event and the one when it is active.
+    """
     # Interval pre-filters are padded so they never reject a pair the
     # (epsilon-tolerant) exact segment test would accept.
     pad = 1e-9
+    events: List[Tuple[float, float, int, Point, Point]] = []
+    for side, (chain, box) in enumerate(((a, b._mbr), (b, a._mbr))):
+        bxl, byl, bxu, byu = box.xl, box.yl, box.xu, box.yu
+        first = len(events)
+        for p1, p2 in zip(chain.points, chain.points[1:]):
+            xl, xu = (p1[0], p2[0]) if p1[0] <= p2[0] else (p2[0], p1[0])
+            if xu < bxl - pad or bxu < xl - pad:
+                continue
+            ylo, yhi = (p1[1], p2[1]) if p1[1] <= p2[1] else (p2[1], p1[1])
+            if (byl > yhi + pad or byu < ylo - pad) and (
+                ylo > byu + pad or yhi < byl - pad
+            ):
+                continue
+            events.append((xl, xu, side, p1, p2))
+        if len(events) == first:
+            return False
+    events.sort(key=lambda e: e[0])
+
+    # Active lists per side, pruned lazily as the sweep front advances.
     active: Tuple[list, list] = ([], [])
     for xl, xu, side, p1, p2 in events:
         opp = active[1 - side]

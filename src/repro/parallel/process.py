@@ -79,7 +79,7 @@ from ..checkpoint.manifest import (
     RunFingerprint,
 )
 from ..checkpoint.store import CheckpointMismatchError, CheckpointStore
-from ..core.partition import SpatialPartitioner, mbr_array
+from ..core.partition import SpatialPartitioner
 from ..core.pbsm import PBSMConfig
 from ..core.refine import merge_sorted_unique
 from ..core.predicates import Predicate
@@ -374,19 +374,16 @@ class ProcessPBSM:
         faults never fire here (they live in ``run_pair_task``), and the
         run deadline still applies, checked between pairs.
         """
-        early = self._start(
-            "process-serial", 0, tuples_r, tuples_s, resuming=False
-        )
+        side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
+        early = self._start("process-serial", 0, side_r, side_s, resuming=False)
         if early is not None:
             return early
-        side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
         outcomes = self._rebuild_pairs(
             dict.fromkeys(range(self.num_partitions), "breaker_shed"),
-            side_r, side_s,
-            self._partitioner(side_r.mbrs, side_s.mbrs), predicate,
+            side_r, side_s, self._partitioner(side_r, side_s), predicate,
         )
         return self._finish(
-            "process-serial", outcomes, tuples_r, tuples_s,
+            "process-serial", outcomes, side_r, side_s,
             placed_r=sum(o.count_r for o in outcomes),
             placed_s=sum(o.count_s for o in outcomes),
         )
@@ -556,8 +553,12 @@ class ProcessPBSM:
                 )
                 budget.bind(injector=self._disk_injector)
         self._budget = budget
+        # An InputSide is used as is — columns a caller's earlier join or
+        # fingerprint built are read, not rebuilt; any other sequence
+        # becomes one for the length of this run.
+        side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
         early = self._start(
-            "process", self.workers, tuples_r, tuples_s,
+            "process", self.workers, side_r, side_s,
             resuming=resuming,
             disk_budget=budget.max_bytes if budget is not None else None,
         )
@@ -568,7 +569,7 @@ class ProcessPBSM:
         committed: Dict[int, PairTaskResult] = {}
         if self.checkpoint_dir is not None:
             fingerprint = RunFingerprint.compute(
-                tuples_r, tuples_s, predicate, self.num_partitions, self.config
+                side_r, side_s, predicate, self.num_partitions, self.config
             )
             # A resume is the recovery run: the plan's coordinator-kill and
             # torn-manifest points already fired (or are waived) — re-arming
@@ -609,8 +610,7 @@ class ProcessPBSM:
             injector = WriteErrorInjector(self.fault_plan, journal=self.journal)
             fresh_sides: Set[str] = set()
             with self.tracer.span("process.partition"):
-                side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
-                partitioner = self._partitioner(side_r.mbrs, side_s.mbrs)
+                partitioner = self._partitioner(side_r, side_s)
                 spills_r, placed_r = self._obtain_side(
                     "r", side_r, partitioner, spill_root, injector,
                     store, fresh_sides,
@@ -677,7 +677,7 @@ class ProcessPBSM:
             )
             outcomes.extend(committed.values())
             result = self._finish(
-                "process", outcomes, tuples_r, tuples_s,
+                "process", outcomes, side_r, side_s,
                 placed_r=placed_r, placed_s=placed_s,
                 resumed=sorted(committed), store=store,
             )
@@ -868,10 +868,10 @@ class ProcessPBSM:
     # partitioning + spilling
     # ------------------------------------------------------------------ #
 
-    def _partitioner(self, mbrs_r, mbrs_s) -> SpatialPartitioner:
-        """The run's partitioner, from both sides' N×4 MBR arrays."""
+    def _partitioner(self, side_r: InputSide, side_s: InputSide) -> SpatialPartitioner:
+        """The run's partitioner, from both sides' MBR columns."""
         return SpatialPartitioner.for_inputs(
-            mbrs_r, mbrs_s,
+            side_r.mbrs, side_s.mbrs,
             self.num_partitions, self.config.num_tiles, self.config.scheme,
         )
 
@@ -882,18 +882,17 @@ class ProcessPBSM:
     ) -> int:
         """The bytes this engine's partition phase would spill for these
         inputs — exactly an unconstrained run's metered spill peak, from
-        the routed record counts and the tuples' serialised sizes (nothing
-        is serialised to measure it).  Checkpoint manifest and result-log
-        bytes are not included; the spills dominate by orders of
-        magnitude."""
+        the routed record counts and the stored records' sizes.
+        Checkpoint manifest and result-log bytes are not included; the
+        spills dominate by orders of magnitude."""
         if not tuples_r or not tuples_s:
             return 0
-        sides = [(mbr_array(ts), ts) for ts in (tuples_r, tuples_s)]
-        partitioner = self._partitioner(sides[0][0], sides[1][0])
+        sides = InputSide(tuples_r), InputSide(tuples_s)
+        partitioner = self._partitioner(*sides)
         return sum(
-            spill_bytes(routed, tuples)
-            for mbrs, tuples in sides
-            for routed in partitioner.route_all(mbrs)
+            spill_bytes(routed, side)
+            for side in sides
+            for routed in partitioner.route_all(side.mbrs)
         )
 
     def _partition_side_resilient(
@@ -910,7 +909,7 @@ class ProcessPBSM:
         Spill paths are deterministic and the writer truncates, so a retry
         simply starts the side over; the injector is one-shot, so planned
         write errors cannot starve the bounded retry loop."""
-        injector.arm_side(side, len(columns.tuples))
+        injector.arm_side(side, len(columns))
         last: Optional[Exception] = None
         for _ in range(PARTITION_WRITE_RETRIES + 1):
             try:
@@ -1487,8 +1486,8 @@ class ProcessPBSM:
             return []
         routed_r = partitioner.route_all(side_r.mbrs)
         routed_s = partitioner.route_all(side_s.mbrs)
-        lookup_r = {t.feature_id: t for t in side_r.tuples}
-        lookup_s = {t.feature_id: t for t in side_s.tuples}
+        lookup_r = {t.feature_id: t for t in side_r}
+        lookup_s = {t.feature_id: t for t in side_s}
         results: List[PairTaskResult] = []
         for index in sorted(reasons):
             if self._deadline_expired():

@@ -54,12 +54,14 @@ from __future__ import annotations
 import gc
 import os
 import struct
+import threading
 import time
 import traceback
+import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,12 +76,7 @@ from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import SpillCorruptionError
 from ..storage.spill import FRAME_HEADER_SIZE, SpillWriter, read_spill
-from ..storage.tuples import (
-    SpatialTuple,
-    deserialize_tuple,
-    serialize_tuple,
-    tuple_size_bytes,
-)
+from ..storage.tuples import SpatialTuple, deserialize_tuple, serialize_tuple
 
 SPILL_BLOCK_RECORDS = 4096
 """Tuples per window of the spill pass, hence the most a block holds: a
@@ -145,18 +142,52 @@ def _heartbeat(pair: int, attempt: int, phase: str) -> None:
         pass
 
 
-class InputSide:
-    """One join input in column form, built once per run: the tuples,
-    their exact f64 MBRs (what routing reads), the conservative f32 MBRs
-    and the feature ids (what a key-pointer stores)."""
+class InputSide(tuple):
+    """One materialised join input: the immutable sequence of its tuples,
+    owning two column groups that are each built once, on first touch,
+    and kept for as long as the input is:
 
-    def __init__(self, tuples: Sequence[SpatialTuple]):
-        self.tuples = tuples
-        self.mbrs = mbr_array(tuples)
-        self.mbrs_f32 = conservative_f32(self.mbrs)
-        self.fids = np.fromiter(
-            (t.feature_id for t in tuples), _U32, len(tuples)
-        )
+    * the *routing columns* — ``mbrs`` (exact f64 N×4, what routing
+      reads), ``mbrs_f32`` (conservatively rounded) and ``fids`` (what a
+      key-pointer stores);
+    * the *stored form* — ``payload`` (every ``serialize_tuple`` record
+      back to back in one ``bytes``), ``offsets`` (N+1 int64: record ``i``
+      is ``payload[offsets[i]:offsets[i + 1]]``) and ``crc`` (the
+      order-sensitive CRC32 of the records, the run fingerprint's content
+      check).
+
+    Whoever holds the input across joins (``QuerySpec.generate`` returns
+    two of these; the server memoises them) therefore serialises it once;
+    an engine handed any other sequence wraps it for the length of the
+    run, and ``InputSide(side) is side`` as with any immutable.  This is
+    the only place the engine and the server serialise a tuple."""
+
+    _building = threading.Lock()
+    """Held by whoever builds a column group, of any side: the builders
+    are interpreter-bound, so two of them would take turns anyway."""
+
+    def __new__(cls, tuples: Iterable[SpatialTuple] = ()):
+        return tuples if isinstance(tuples, cls) else super().__new__(cls, tuples)
+
+    def __getattr__(self, name: str):
+        """Reached only for a column not built yet: build its group — one
+        builder at a time, and whoever finds a column missing waits here
+        for it, so nobody holds a ``payload`` without its ``offsets``."""
+        if name not in ("mbrs", "mbrs_f32", "fids", "payload", "offsets", "crc"):
+            raise AttributeError(name)
+        with self._building:
+            if name in self.__dict__:
+                pass  # built while this thread waited for the lock
+            elif name in ("payload", "offsets", "crc"):
+                records = [serialize_tuple(t) for t in self]
+                self.offsets = np.cumsum([0, *map(len, records)], dtype=np.int64)
+                self.payload = b"".join(records)
+                self.crc = zlib.crc32(self.payload)
+            else:
+                self.mbrs = mbr_array(self)
+                self.mbrs_f32 = conservative_f32(self.mbrs)
+                self.fids = np.fromiter((t.feature_id for t in self), _U32, len(self))
+        return self.__dict__[name]
 
     def keypointers(self, routed: RoutedSlots) -> np.ndarray:
         """The key-pointer block of one partition's routed slots: rounded
@@ -168,6 +199,12 @@ class InputSide:
         block["cls"] = routed.cls
         return block
 
+    def records(self, ordinals: np.ndarray) -> List[TupleRecord]:
+        """The stored records of the tuples at ``ordinals``."""
+        starts, ends = self.offsets[ordinals].tolist(), self.offsets[ordinals + 1].tolist()
+        fids, payload = self.fids[ordinals].tolist(), self.payload
+        return [(fid, payload[a:b]) for fid, a, b in zip(fids, starts, ends)]
+
     def dealt(
         self, partitioner: SpatialPartitioner, only: Optional[int] = None
     ) -> Iterator[Tuple[range, int, np.ndarray, List[TupleRecord]]]:
@@ -175,22 +212,16 @@ class InputSide:
         records)`` for every partition (or ``only`` one) that places
         tuples of each window of :data:`SPILL_BLOCK_RECORDS` input
         ordinals.  A partition's records, window after window, are its
-        records in input order.  Each window is serialised whole, once, in
-        input order — walking the relation the way it sits in memory costs
-        half what partition order does in cache misses — and then dealt; a
-        rewrite of ``only`` one partition pays for the whole windows too,
-        which is the price of the one code path."""
-        for start in range(0, len(self.tuples), SPILL_BLOCK_RECORDS):
-            stop = min(start + SPILL_BLOCK_RECORDS, len(self.tuples))
-            records = tuple_records(self.tuples[start:stop])
+        records in input order."""
+        for start in range(0, len(self), SPILL_BLOCK_RECORDS):
+            stop = min(start + SPILL_BLOCK_RECORDS, len(self))
             routed_window = partitioner.route_all(self.mbrs[start:stop])
             for p, routed in enumerate(routed_window):
                 if only in (None, p) and len(routed.ordinal):
-                    placed = routed.tuple_ordinals.tolist()
                     routed = routed._replace(ordinal=routed.ordinal + start)
                     yield (
                         range(start, stop), p, self.keypointers(routed),
-                        [records[i] for i in placed],
+                        self.records(routed.tuple_ordinals),
                     )
 
 
@@ -200,10 +231,6 @@ def decode_keypointers(payload: bytes) -> List[FidKeyPointer]:
         (Rect(xl, yl, xu, yu), fid, tile, cls)
         for xl, yl, xu, yu, fid, tile, cls in _FIDKP.iter_unpack(payload)
     ]
-
-
-def tuple_records(tuples: Sequence[SpatialTuple]) -> List[TupleRecord]:
-    return [(t.feature_id, serialize_tuple(t)) for t in tuples]
 
 
 def pack_tuple_block(records: Sequence[TupleRecord]) -> bytes:
@@ -216,17 +243,17 @@ def pack_tuple_block(records: Sequence[TupleRecord]) -> bytes:
     return directory.tobytes() + b"".join(payloads)
 
 
-def spill_bytes(routed: RoutedSlots, tuples: Sequence[SpatialTuple]) -> int:
+def spill_bytes(routed: RoutedSlots, side: InputSide) -> int:
     """The bytes the spill pass puts on disk for one partition's routed
     slots: the block format's footprint, kept beside its writer so the
-    two cannot drift, and computed without serialising anything."""
+    two cannot drift, with the record sizes read off ``side.offsets``."""
     placed = routed.tuple_ordinals
     blocks = len(np.unique(placed // SPILL_BLOCK_RECORDS))
     return (
         blocks * (2 * FRAME_HEADER_SIZE + 2 * _U32.itemsize)
         + len(routed.ordinal) * _FIDKP.size
         + len(placed) * 2 * _U32.itemsize
-        + sum(tuple_size_bytes(tuples[i]) for i in placed.tolist())
+        + int((side.offsets[placed + 1] - side.offsets[placed]).sum())
     )
 
 
@@ -329,18 +356,11 @@ class PartitionSpill:
     def _extend_added(self) -> None:
         """Hand the tuples buffered by :meth:`add` to :meth:`extend`."""
         added, self._added = self._added, []
-        side = InputSide([t for t, _slots in added])
-        slots = np.array(
-            [
-                (ordinal, tile, cls)
-                for ordinal, (_t, slots) in enumerate(added)
-                for tile, cls in slots
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        self.extend(
-            side.keypointers(RoutedSlots(*slots.T)), tuple_records(side.tuples)
-        )
+        side = InputSide(t for t, _slots in added)
+        ordinal = np.repeat(np.arange(len(side)), [len(slots) for _t, slots in added])
+        tags = np.array([slot for _t, slots in added for slot in slots], np.int64)
+        routed = RoutedSlots(ordinal, *tags.reshape(-1, 2).T)
+        self.extend(side.keypointers(routed), side.records(np.arange(len(side))))
 
     def extend(
         self, keypointers: np.ndarray, records: Sequence[TupleRecord]

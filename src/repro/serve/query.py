@@ -17,13 +17,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..core.pbsm import PBSMConfig
 from ..core.predicates import Predicate, contains, intersects, intersects_naive
 from ..data import sequoia, tiger
 from ..checkpoint.manifest import RunFingerprint
 from ..parallel.process import DEFAULT_TASK_MEMORY, DEFAULT_TASKS_PER_WORKER
+from ..parallel.tasks import InputSide
 from ..storage.tuples import SpatialTuple
 
 DATASETS: Dict[str, Tuple[Callable, Callable]] = {
@@ -139,28 +140,30 @@ class QuerySpec:
         """What the input tuples depend on (the server memoizes by this)."""
         return (self.dataset, self.scale, self.seed)
 
-    def generate(self) -> Tuple[List[SpatialTuple], List[SpatialTuple]]:
-        """Materialise the two inputs (deterministic in ``dataset_key``).
+    def generate(self) -> Tuple[InputSide, InputSide]:
+        """Materialise the two inputs (deterministic in ``dataset_key``),
+        each an :class:`~repro.parallel.tasks.InputSide`: whoever keeps
+        the pair keeps what its joins and fingerprints derive from it.
 
         ``seed=0`` keeps each generator's default seed, exactly like the
         ``parallel`` subcommand without ``--seed``; otherwise the R side
         uses ``seed`` and the S side ``seed + 1`` (same convention)."""
         gen_r, gen_s = DATASETS[self.dataset]
         if self.seed == 0:
-            return list(gen_r(self.scale)), list(gen_s(self.scale))
+            return InputSide(gen_r(self.scale)), InputSide(gen_s(self.scale))
         return (
-            list(gen_r(self.scale, seed=self.seed)),
-            list(gen_s(self.scale, seed=self.seed + 1)),
+            InputSide(gen_r(self.scale, seed=self.seed)),
+            InputSide(gen_s(self.scale, seed=self.seed + 1)),
         )
 
     def fingerprint(
         self,
-        tuples_r: List[SpatialTuple],
-        tuples_s: List[SpatialTuple],
+        tuples_r: Sequence[SpatialTuple],
+        tuples_s: Sequence[SpatialTuple],
     ) -> RunFingerprint:
         return RunFingerprint.compute(
-            tuples_r, tuples_s, self.predicate_fn,
-            self.partitions, PBSMConfig(),
+            InputSide(tuples_r), InputSide(tuples_s),
+            self.predicate_fn, self.partitions, PBSMConfig(),
         )
 
     # ------------------------------------------------------------------ #

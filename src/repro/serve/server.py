@@ -44,6 +44,7 @@ import json
 import socket
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -263,7 +264,7 @@ class JoinServer:
         self._idle = threading.Condition(self._lock)
         self._exec_slots = threading.Semaphore(max_inflight)
         self._leaders: Dict[str, threading.Event] = {}
-        self._datasets: Dict[tuple, tuple] = {}
+        self._datasets: Dict[tuple, Future] = {}
         self._drill_remaining = (
             DRILL_KILL_LIMIT if kill_coordinator_after else 0
         )
@@ -737,19 +738,28 @@ class JoinServer:
         )
 
     def _materialise(self, spec: QuerySpec):
-        """Input tuples for the spec, memoized by dataset key — queries
-        differing only in predicate or partitioning share one generation."""
+        """The spec's two :class:`~repro.parallel.tasks.InputSide`,
+        memoised by dataset key — queries differing only in predicate or
+        partitioning share one generation and one set of columns.
+        Single-flight: the first query for a key generates, concurrent
+        ones wait for its result (or its error, which leaves no entry)."""
         key = spec.dataset_key
         with self._lock:
-            cached = self._datasets.get(key)
-        if cached is not None:
-            return cached
-        data = spec.generate()
-        with self._lock:
-            if len(self._datasets) >= _DATASET_MEMO_CAP:
-                self._datasets.pop(next(iter(self._datasets)))
-            self._datasets[key] = data
-        return data
+            flight = self._datasets.get(key)
+            leading = flight is None
+            if leading:
+                if len(self._datasets) >= _DATASET_MEMO_CAP:
+                    self._datasets.pop(next(iter(self._datasets)))
+                flight = self._datasets[key] = Future()
+        if leading:
+            try:
+                flight.set_result(spec.generate())
+            except BaseException as exc:
+                with self._lock:
+                    if self._datasets.get(key) is flight:
+                        del self._datasets[key]
+                flight.set_exception(exc)
+        return flight.result()
 
     # ------------------------------------------------------------------ #
     # coalescing

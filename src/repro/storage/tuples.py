@@ -37,7 +37,7 @@ def _unpack_run(data: bytes, pos: int):
     return list(_POINT.iter_unpack(data[start:end])), end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpatialTuple:
     """One record of a spatial relation."""
 

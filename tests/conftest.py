@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
@@ -41,6 +43,25 @@ def polyline_points(draw, max_points: int = 12):
 # --------------------------------------------------------------------- #
 # fixtures
 # --------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def serialised(monkeypatch):
+    """Every ``serialize_tuple`` call made from now on through any module
+    of the program (in this process), as the list of feature ids
+    serialised: tests assert on its length or clear it with ``del [:]``."""
+    from repro.storage.tuples import serialize_tuple
+
+    calls = []
+
+    def counting(t):
+        calls.append(t.feature_id)
+        return serialize_tuple(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and hasattr(module, "serialize_tuple"):
+            monkeypatch.setattr(module, "serialize_tuple", counting)
+    return calls
 
 
 @pytest.fixture

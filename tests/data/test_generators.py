@@ -1,5 +1,7 @@
 """Tests for the synthetic TIGER and Sequoia data generators."""
 
+import hashlib
+
 import pytest
 
 from repro.data import (
@@ -20,6 +22,7 @@ from repro.data.tiger import (
     ROAD_AVG_POINTS,
 )
 from repro.geometry import Polygon, Polyline
+from repro.storage.tuples import serialize_tuple
 
 
 class TestScaledCounts:
@@ -150,3 +153,60 @@ class TestSequoiaGenerators:
         )
         for t in generate_landuse_polygons(scale=0.001):
             assert padded.contains(t.mbr)
+
+
+GOLDEN_SCALE = 0.004
+GOLDEN_STREAM = {
+    "road": (
+        "8fcf6553a6d76b08f6061b13276c989583732361e35796cf3bd2824dfd5b45ef",
+        "2e5f9fc5a8b1c9a4dd0cdf2138aff608da9ce7ea9170206df5453835f2478eb3",
+    ),
+    "hydro": (
+        "394ce9cac3b6998d9ec270d5618bb27dc38ba3c6b2ec71287f46f19734296fa5",
+        "b60d1a05170b2bc262fb48f0982250aa8c517f06228bdca52058ddcfdc3530fa",
+    ),
+    "rail": (
+        "fbf6ade884955ff05d8f40dbcc2bd65b5d13d1d200ea50234b8984a487322d08",
+        "fb8a8a863c31db49ac870a06441fbfa70c23fd4e4aa7885b64716280a943a6ec",
+    ),
+    "landuse": (
+        "3385317c7f286e9318d3ef10aa65147d77ebd85b8a5eb1453a1edbe9b051e3c1",
+        "c1836607aa4edfc5c31f6d01f0bc4644eca1c8369f572740193f477125514aca",
+    ),
+    "island": (
+        "49e4f84561c6d0383fc9e5df58efe3341dcec03bcefc53982e0a6733c2e51b9e",
+        "8d1b84decacb82dce341d0a01e08f8afb586cebf24975a8b1b4469896895f7dd",
+    ),
+}
+"""SHA-256 over ``serialize_tuple`` of every tuple of a generator at
+``GOLDEN_SCALE``, for (its default seed, seed 1996) — recorded at commit
+61d888c, before the generators' draws were rewritten onto ``random()`` /
+``standard_normal()``.  Every committed digest, baseline and
+EXPERIMENTS.md number rests on these streams not moving."""
+
+
+class TestGoldenStream:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_STREAM))
+    def test_serialised_tuples_are_the_recorded_bytes(self, name):
+        generate = {
+            "road": generate_roads,
+            "hydro": generate_hydrography,
+            "rail": generate_rail,
+            "landuse": generate_landuse_polygons,
+            "island": generate_islands,
+        }[name]
+        observed = tuple(
+            hashlib.sha256(
+                b"".join(map(serialize_tuple, generate(GOLDEN_SCALE, **seed)))
+            ).hexdigest()
+            for seed in ({}, {"seed": 1996})
+        )
+        assert observed == GOLDEN_STREAM[name]
+
+    def test_every_coordinate_is_a_python_float(self):
+        for t in generate_roads(GOLDEN_SCALE / 4):
+            assert all(type(c) is float for p in t.geom.points for c in p)
+        for t in generate_islands(GOLDEN_SCALE):
+            assert all(
+                type(c) is float for ring in t.geom.rings for p in ring for c in p
+            )

@@ -10,7 +10,6 @@ from repro.geometry import (
     Rect,
     maximal_enclosed_rect,
     point_in_ring,
-    polygon_contains_filtered,
     rect_inside_polygon,
     ring_area_signed,
 )
@@ -174,12 +173,3 @@ class TestMERFilters:
     def test_rect_rejected_when_hole_inside(self):
         cheese = Polygon(SQUARE, [SMALL_SQUARE])
         assert not rect_inside_polygon(Rect(3, 3, 7, 7), cheese)
-
-    def test_filtered_containment_matches_exact(self):
-        outer = star_polygon(0, 0, 10, seed=6)
-        mer = maximal_enclosed_rect(outer)
-        for seed in range(10):
-            inner = star_polygon(seed - 5, 0, 2, seed=seed + 10)
-            exact = outer.contains(inner)
-            filtered = polygon_contains_filtered(outer, inner, mer)
-            assert filtered == exact, f"seed {seed}: filtered {filtered} != {exact}"

@@ -36,7 +36,6 @@ from repro.parallel.tasks import (
     run_pair_task,
     spill_bytes,
     sweep_pair,
-    tuple_records,
 )
 from repro.storage import SpillCorruptionError
 from repro.storage.spill import FRAME_HEADER_SIZE, read_spill_all, write_spill
@@ -92,10 +91,10 @@ class TestOneFormat:
         partitioner, side, _ = sides
         bulk = spill_side(tmp_path / "bulk", "r", partitioner, side)
         single = PartitionSpill(str(tmp_path / "single"), "r", 0)
-        for t in side.tuples:
+        for t in side:
             single.add(t, partitioner.tile_assignments(t.mbr))
         single.close()
-        assert single.count == bulk.count >= len(side.tuples)
+        assert single.count == bulk.count >= len(side)
         for one, other in (
             (single.kp_path, bulk.kp_path),
             (single.tuple_path, bulk.tuple_path),
@@ -115,16 +114,16 @@ class TestOneFormat:
                 _f32_up(t.mbr.xu), _f32_up(t.mbr.yu),
                 t.feature_id, tile, cls,
             )
-            for t in side.tuples
+            for t in side
             for tile, cls in partitioner.tile_assignments(t.mbr)
         )
         frames = read_spill_all(spill.kp_path)
         assert b"".join(frames) == expected
-        assert len(frames) == -(-len(side.tuples) // BLOCK)  # one a window
+        assert len(frames) == -(-len(side) // BLOCK)  # one a window
         records = read_keypointer_spill(spill.kp_path)
         assert [(fid, tile, cls) for _rect, fid, tile, cls in records] == [
             (t.feature_id, tile, cls)
-            for t in side.tuples
+            for t in side
             for tile, cls in partitioner.tile_assignments(t.mbr)
         ]
 
@@ -132,11 +131,11 @@ class TestOneFormat:
         partitioner, side, _ = sides
         spill = spill_side(tmp_path, "r", partitioner, side)
         (routed,) = partitioner.route_all(side.mbrs)
-        assert spill_bytes(routed, side.tuples) == (
+        assert spill_bytes(routed, side) == (
             os.path.getsize(spill.kp_path) + os.path.getsize(spill.tuple_path)
         )
         (nothing,) = partitioner.route_all(side.mbrs[:0])
-        assert spill_bytes(nothing, []) == 0
+        assert spill_bytes(nothing, InputSide()) == 0
 
 
 def block_fids(block):
@@ -158,12 +157,12 @@ class TestLazyTuples:
 
         monkeypatch.setattr(tasks, "deserialize_tuple", counting)
         lookup = read_tuple_spill(spill.tuple_path)
-        assert len(lookup) == len(side.tuples) and not decoded
-        wanted = side.tuples[len(side.tuples) // 2]
+        assert len(lookup) == len(side) and not decoded
+        wanted = side[len(side) // 2]
         assert lookup[wanted.feature_id] == wanted
         assert lookup[wanted.feature_id] is lookup[wanted.feature_id]
         assert decoded == [serialize_tuple(wanted)]
-        assert sorted(lookup) == sorted(t.feature_id for t in side.tuples)
+        assert sorted(lookup) == sorted(t.feature_id for t in side)
 
     def test_absent_feature_id_is_a_key_error(self, tmp_path, sides):
         partitioner, side, _ = sides
@@ -171,9 +170,9 @@ class TestLazyTuples:
             spill_side(tmp_path, "r", partitioner, side).tuple_path
         )
         with pytest.raises(KeyError):
-            lookup[max(t.feature_id for t in side.tuples) + 1]
+            lookup[max(t.feature_id for t in side) + 1]
         with pytest.raises(TypeError):
-            lookup[0] = side.tuples[0]  # read-only
+            lookup[0] = side[0]  # read-only
 
 
 class TestIntegrity:
@@ -207,7 +206,7 @@ class TestIntegrity:
         self, tmp_path, word, value
     ):
         good = tasks.pack_tuple_block(
-            tuple_records(list(generate_roads(scale=0.001))[:3])
+            InputSide(list(generate_roads(scale=0.001))[:3]).records(np.arange(3))
         )
         # The directory: [count=3, fid, fid, fid, 0, end, end, end].
         head = np.frombuffer(good[: 8 * 4], "<u4").copy()

@@ -42,7 +42,8 @@ def pooled(workload, tmp_path_factory):
     result = engine.run(tuples_r, tuples_s, intersects)
     assert result.degraded_pairs == []
     fingerprint = RunFingerprint.compute(
-        tuples_r, tuples_s, intersects, NUM_PAIRS, engine.config
+        InputSide(tuples_r), InputSide(tuples_s), intersects, NUM_PAIRS,
+        engine.config,
     )
     committed, torn = CheckpointStore(root, fingerprint).replay_results()
     assert not torn and any(o.pairs for o in committed.values())
@@ -61,7 +62,7 @@ class TestRebuildPairs:
         side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
         rebuilt = engine._rebuild_pairs(
             dict.fromkeys(pooled, reason), side_r, side_s,
-            engine._partitioner(side_r.mbrs, side_s.mbrs), intersects,
+            engine._partitioner(side_r, side_s), intersects,
             on_result=committed.append,
         )
         assert [o.index for o in rebuilt] == sorted(pooled)

@@ -2,6 +2,7 @@
 shutdown, fault survival, and the coordinator-kill drill — all against a
 real TCP socket."""
 
+import gc
 import json
 import os
 import signal
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from repro.checkpoint import inspect_checkpoint_dir
 from repro.faults import load_plan
 from repro.parallel import parallel_join
+from repro.parallel.tasks import InputSide
 from repro.serve import (
     JoinServer,
     QuerySpec,
@@ -184,6 +187,163 @@ class TestCoalescing:
         assert sources == ["coalesced", "miss"]
         assert results[0]["result_sha256"] == results[1]["result_sha256"]
         assert server.stats()["misses"] == 1
+
+
+class TestMaterialise:
+    """The dataset memo: one generation and one serialisation per dataset,
+    whoever asks and however many ask at once."""
+
+    def test_four_cold_queries_generate_once_and_share_the_pair(
+        self, tmp_path, monkeypatch
+    ):
+        server = JoinServer(tmp_path / "cache", tmp_path / "out")
+        generate = QuerySpec.generate
+        calls, release = [], threading.Event()
+
+        def slow_generate(spec):
+            calls.append(spec.dataset_key)
+            assert release.wait(timeout=30.0)
+            return generate(spec)
+
+        monkeypatch.setattr(QuerySpec, "generate", slow_generate)
+        specs = [QuerySpec(num_partitions=p, **SPEC) for p in (0, 5, 6, 7)]
+        got = [None] * len(specs)
+
+        def materialise(i):
+            got[i] = server._materialise(specs[i])
+
+        threads = [
+            threading.Thread(target=materialise, args=(i,), daemon=True)
+            for i in range(len(specs))
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.3)  # all four are now waiting on the one generator
+            assert len(calls) == 1 and got == [None] * 4
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            release.set()
+            server.shutdown()
+        assert len(calls) == 1
+        assert all(isinstance(side, InputSide) for pair in got for side in pair)
+        assert all(
+            pair[0] is got[0][0] and pair[1] is got[0][1] for pair in got
+        )
+
+    def test_failed_generation_wakes_waiters_and_leaves_no_entry(
+        self, tmp_path, monkeypatch
+    ):
+        server = JoinServer(tmp_path / "cache", tmp_path / "out")
+        generate = QuerySpec.generate
+        entered, release = threading.Event(), threading.Event()
+
+        def failing(spec):
+            entered.set()
+            assert release.wait(timeout=30.0)
+            raise OSError("generator fell over")
+
+        monkeypatch.setattr(QuerySpec, "generate", failing)
+        spec = QuerySpec(**SPEC)
+        errors = []
+
+        def materialise():
+            try:
+                server._materialise(spec)
+            except OSError as exc:
+                errors.append(str(exc))
+
+        threads = [
+            threading.Thread(target=materialise, daemon=True) for _ in range(3)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            assert entered.wait(timeout=30.0)
+            time.sleep(0.2)
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert errors == ["generator fell over"] * 3
+            assert server._datasets == {}
+            # Nothing poisoned: the next query generates afresh.
+            monkeypatch.setattr(QuerySpec, "generate", generate)
+            side_r, side_s = server._materialise(spec)
+            assert len(side_r) > len(side_s) > 0
+        finally:
+            release.set()
+            server.shutdown()
+
+    def test_eviction_at_the_cap_leaves_the_pair_collectable(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.serve import server as server_module
+
+        tuples = list(QuerySpec(**SPEC).generate()[1])[:8]
+        monkeypatch.setattr(
+            QuerySpec, "generate",
+            lambda spec: (InputSide(tuples), InputSide(tuples[:4])),
+        )
+        server = JoinServer(tmp_path / "cache", tmp_path / "out")
+        try:
+            first = server._materialise(QuerySpec(seed=1, **SPEC))
+            # A tuple subclass cannot be weakly referenced; its columns can.
+            columns = [
+                weakref.ref(column)
+                for side in first
+                for column in (side.mbrs, side.offsets)
+            ]
+            del first
+            for seed in range(2, server_module._DATASET_MEMO_CAP + 1):
+                server._materialise(QuerySpec(seed=seed, **SPEC))
+            gc.collect()
+            assert all(ref() is not None for ref in columns)  # still memoised
+            server._materialise(
+                QuerySpec(seed=server_module._DATASET_MEMO_CAP + 1, **SPEC)
+            )
+            gc.collect()
+            assert len(server._datasets) == server_module._DATASET_MEMO_CAP
+            assert all(ref() is None for ref in columns)
+        finally:
+            server.shutdown()
+
+    def test_memoised_miss_warm_resume_and_hit_serialise_nothing(
+        self, tmp_path, serialised
+    ):
+        from repro.faults import CoordinatorKilledError
+        from repro.parallel import ProcessPBSM
+
+        spec = QuerySpec(**SPEC)
+        tuples_r, tuples_s = spec.generate()
+        with pytest.raises(CoordinatorKilledError):
+            ProcessPBSM(
+                spec.workers, num_partitions=24,
+                checkpoint_dir=str(tmp_path / "cache"),
+                kill_coordinator_after=4,
+            ).run(tuples_r, tuples_s, spec.predicate_fn)
+        del serialised[:]  # the seeding run serialised the test's own pair
+        server, host, port = start_server(tmp_path)
+        try:
+            with ServeClient(host, port) as client:
+                cold = client.join(**SPEC)
+                assert cold["source"] == "miss"
+                # The server's own pair, serialised once, in input order.
+                assert len(serialised) == len(tuples_r) + len(tuples_s)
+                del serialised[:]
+                miss = client.join(num_partitions=9, **SPEC)
+                warm = client.join(num_partitions=24, **SPEC)
+                hit = client.join(**SPEC)
+        finally:
+            server.shutdown()
+        assert [r["source"] for r in (miss, warm, hit)] == ["miss", "warm", "hit"]
+        assert {r["result_sha256"] for r in (cold, miss, warm, hit)} == {
+            cold["result_sha256"]
+        }
+        assert serialised == []
 
 
 class TestAdmission:

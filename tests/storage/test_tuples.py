@@ -1,5 +1,8 @@
 """Tests for spatial tuple serialisation."""
 
+import copy
+import dataclasses
+import pickle
 import struct
 
 import pytest
@@ -147,3 +150,35 @@ class TestAccessors:
     def test_num_points(self):
         assert polyline_tuple().num_points == 3
         assert polygon_tuple().num_points == 4
+
+
+class TestSlots:
+    """The three record classes are frozen *and* slotted: no per-instance
+    ``__dict__`` (a generated relation is tens of thousands of them), and
+    still picklable — a ``PairTaskResult`` never carries one, but degraded
+    results, fault plans and user code may — through the
+    ``__getstate__`` / ``__setstate__`` pair ``dataclass(slots=True)``
+    writes for a frozen class."""
+
+    CASES = [
+        polyline_tuple(),
+        polygon_tuple(holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]]),
+    ]
+
+    @pytest.mark.parametrize("t", CASES, ids=["polyline", "polygon"])
+    def test_no_instance_dict_and_still_frozen(self, t):
+        for record in (t, t.geom):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, dataclasses.fields(record)[0].name, 1)
+            with pytest.raises((AttributeError, TypeError)):
+                record.extra = 1  # no slot for it (TypeError before 3.12)
+
+    @pytest.mark.parametrize("t", CASES, ids=["polyline", "polygon"])
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, t, protocol):
+        back = pickle.loads(pickle.dumps(t, protocol))
+        assert back == t and back is not t
+        # The cached MBR is excluded from ``==``: check it came along.
+        assert back.mbr == t.mbr and back.geom.mbr == t.geom.mbr
+        assert copy.deepcopy(t) == t and copy.copy(t.geom) == t.geom
