@@ -7,8 +7,15 @@ configuration:
 
 * ``wall_speedup``       — measured wall-clock vs serial.  Honest but
   hardware-bound: on a box with fewer cores than workers the pool
-  time-slices and this can drop below 1.0, so it is only *asserted* on
-  machines with real parallel headroom (``WALL_ASSERT_MIN_CPUS``).
+  time-slices and the ratio measures the box, so there the cell is left
+  blank (and ``wall_speedup_vs_serial`` out of the record); it is only
+  *asserted* on machines with real parallel headroom
+  (``WALL_ASSERT_MIN_CPUS``).  It also only means something at a scale
+  where join work outweighs process spawn: the committed table is
+  ``REPRO_BENCH_SCALE=0.4`` (scale 0.2, ~17 s), CI's smoke run is not.
+  The inputs are plain lists, so every process run here also serialises
+  both of them — the one-shot cost a caller holding an ``InputSide``
+  pays once.
 * ``work_speedup``       — measured per-worker work distribution
   (total task seconds / busiest worker's seconds): how evenly the LPT
   order plus the shared-queue stealing spread the work.
@@ -100,11 +107,20 @@ def test_process_backend_speedup(benchmark):
                 workers,
             )
             lpt = replay.total_cost / replay.makespan_cost
-            wall_speedup = serial.wall_s / result.wall_s
+            wall_speedup = (
+                serial.wall_s / result.wall_s
+                if (os.cpu_count() or 1) >= workers
+                else None
+            )
             runs[workers] = (result, lpt, wall_speedup)
             table.add(
-                workers, result.wall_s, wall_speedup, result.speedup,
-                lpt, len(result.tasks),
+                workers, result.wall_s,
+                "" if wall_speedup is None else wall_speedup,
+                result.speedup, lpt, len(result.tasks),
+            )
+            measured = (
+                {} if wall_speedup is None
+                else {"wall_speedup_vs_serial": round(wall_speedup, 4)}
             )
             records.append(
                 _record(
@@ -116,7 +132,7 @@ def test_process_backend_speedup(benchmark):
                         "workers": workers,
                         "tasks": len(result.tasks),
                         "candidates": sum(t.candidates for t in result.tasks),
-                        "wall_speedup_vs_serial": round(wall_speedup, 4),
+                        **measured,
                         "work_speedup": round(result.speedup, 4),
                         "lpt_speedup": round(lpt, 4),
                         "cpu_count": os.cpu_count(),

@@ -56,8 +56,9 @@ DEFAULT_NUM_TILES = 1024
 """The tile count the paper settled on for its experiments (§4.3)."""
 
 K = TypeVar("K")
-"""Key-pointer payload: an OID in the single-node join, a feature id in the
-multiprocess backend.  The merge phase never looks inside it."""
+"""Key-pointer payload: an OID in the single-node join, a feature id where
+tests hold the process backend to it.  The merge phase never looks inside
+it."""
 
 TaggedKeyPointer = Tuple[Rect, K, int, int]
 """One merge-phase input record: ``(rect, key, tile, class)`` — the MBR, an
@@ -70,6 +71,14 @@ class PBSMConfig:
 
     Frozen (and containing only plain values), so a config travels by
     pickle to the worker processes of the multiprocess backend unchanged.
+
+    ``use_interval_tree`` and ``handle_partition_skew`` choose *how*
+    :func:`merge_partition_pair` finds a tile group's intersecting pairs,
+    never which pairs: they matter to single-node :class:`PBSMJoin` (and
+    its cost meter) and change nothing a worker of the process backend
+    emits — its filter step is one array join
+    (:func:`repro.parallel.tasks.sweep_pair`) that bounds its temporaries
+    by chunking rather than by recursion.
     """
 
     num_tiles: int = DEFAULT_NUM_TILES
@@ -103,9 +112,9 @@ def merge_partition_pair(
 
     A module-level function over plain ``(Rect, key, tile, class)``
     sequences so it is independently executable: :class:`PBSMJoin` drives
-    it against key-pointer files and a candidate file, while the
-    multiprocess backend pickles the surrounding task and calls it inside
-    a worker process with feature-id payloads.
+    it against key-pointer files and a candidate file, and the process
+    backend's array join (:func:`repro.parallel.tasks.sweep_pair`) is held
+    to its output, pair for pair, by ``tests/parallel/test_array_join.py``.
 
     The sweep runs per tile group: copies of both sides sharing a tile are
     swept together and a pair is emitted only when its class combination

@@ -1,9 +1,11 @@
-"""Array kernels for the polygon refinement predicates.
+"""Array kernels for the refinement predicates.
 
 The polygon predicates are all-pairs tests — every boundary segment of one
 polygon against every segment of the other, every vertex against every ring
 edge — so they run here as numpy broadcasts over coordinate arrays instead
 of one :func:`~repro.geometry.segment.segments_intersect` call per pair.
+The polyline predicate has a columnar form too, over many chain pairs at
+once (:func:`polylines_intersect_each`).
 
 The kernels must return the scalar functions' answers bit for bit (result
 digests are gated byte-identical), so each repeats the scalar arithmetic
@@ -12,18 +14,40 @@ code's association order.  ``np.cross``, ``einsum`` and ``@`` may fuse or
 reorder and are not used.  ``tests/geometry/test_kernels.py`` holds every
 kernel equal to a reference built from the scalar primitives.
 
-Polylines stay on the early-exit sweep (``polylines_intersect_sweep``): on
-TIGER's short chains an all-pairs kernel is slower than a sweep that stops
-at the first hit.
+One pair of polylines stays on the early-exit sweep
+(``polylines_intersect_sweep``): on TIGER's short chains an all-pairs kernel
+is slower than a sweep that stops at the first hit.  What pays is the
+cross-pair form, where a few dozen array calls cover every candidate of a
+partition pair.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .polyline import SWEEP_PAD
 from .segment import _EPS
+
+EXPANSION_CHUNK_ROWS = 1 << 16
+"""The most rows :func:`ragged_rows` expands at a time.  Everything built
+from a chunk is a few dozen arrays of this many 8-byte elements at most —
+megabytes, whatever the skew of the input — and still enough rows to keep
+the per-call overhead of numpy out of sight."""
+
+
+def ragged_rows(counts: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The rows ``(i, k)`` for ``k < counts[i]``, in order, as ``(i, k)``
+    column pairs of at most :data:`EXPANSION_CHUNK_ROWS` rows: a join's
+    expansion with its temporaries bounded."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    firsts = ends - counts
+    for start in range(0, total, EXPANSION_CHUNK_ROWS):
+        rows = np.arange(start, min(start + EXPANSION_CHUNK_ROWS, total))
+        owner = np.searchsorted(ends, rows, side="right")
+        yield owner, rows - firsts[owner]
 
 
 def ring_segments(
@@ -69,23 +93,48 @@ def any_segments_intersect(
     """
     if len(a1) == 0 or len(b1) == 0:
         return False
-    x1, y1, x2, y2 = a1[:, 0, None], a1[:, 1, None], a2[:, 0, None], a2[:, 1, None]
-    x3, y3, x4, y4 = b1[:, 0], b1[:, 1], b2[:, 0], b2[:, 1]
-    d1 = _orientation(x3, y3, x4, y4, x1, y1)
-    d2 = _orientation(x3, y3, x4, y4, x2, y2)
-    d3 = _orientation(x1, y1, x2, y2, x3, y3)
-    d4 = _orientation(x1, y1, x2, y2, x4, y4)
-    # A proper crossing has all four orientations nonzero, so each differing
-    # pair multiplies to -1.
-    if ((d1 * d2 < 0) & (d3 * d4 < 0)).any():
+    ends = (
+        a1[:, 0, None], a1[:, 1, None], a2[:, 0, None], a2[:, 1, None],
+        b1[:, 0], b1[:, 1], b2[:, 0], b2[:, 1],
+    )
+    turns = _orientations(*ends)
+    if _proper(*turns).any():
         return True
-    # Touching and collinear overlap: an endpoint on the other segment.
-    return bool((
+    return bool(_touching(*turns, *ends).any())
+
+
+def segments_intersect_each(x1, y1, x2, y2, x3, y3, x4, y4) -> np.ndarray:
+    """Broadcast :func:`~repro.geometry.segment.segments_intersect` of
+    ``(x1, y1)(x2, y2)`` against ``(x3, y3)(x4, y4)``."""
+    ends = (x1, y1, x2, y2, x3, y3, x4, y4)
+    turns = _orientations(*ends)
+    return _proper(*turns) | _touching(*turns, *ends)
+
+
+def _orientations(x1, y1, x2, y2, x3, y3, x4, y4):
+    """``segments_intersect``'s ``d1 .. d4``."""
+    return (
+        _orientation(x3, y3, x4, y4, x1, y1),
+        _orientation(x3, y3, x4, y4, x2, y2),
+        _orientation(x1, y1, x2, y2, x3, y3),
+        _orientation(x1, y1, x2, y2, x4, y4),
+    )
+
+
+def _proper(d1, d2, d3, d4) -> np.ndarray:
+    """A proper crossing has all four orientations nonzero, so each differing
+    pair multiplies to -1."""
+    return (d1 * d2 < 0) & (d3 * d4 < 0)
+
+
+def _touching(d1, d2, d3, d4, x1, y1, x2, y2, x3, y3, x4, y4) -> np.ndarray:
+    """Touching and collinear overlap: an endpoint on the other segment."""
+    return (
         ((d1 == 0) & _on_segment(x3, y3, x1, y1, x4, y4))
         | ((d2 == 0) & _on_segment(x3, y3, x2, y2, x4, y4))
         | ((d3 == 0) & _on_segment(x1, y1, x3, y3, x2, y2))
         | ((d4 == 0) & _on_segment(x1, y1, x4, y4, x2, y2))
-    ).any())
+    )
 
 
 def points_in_ring(
@@ -116,3 +165,118 @@ def points_in_ring(
         x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
         crossings = ((y1 > y) != (y2 > y)) & (x_cross > x)
     return np.logical_xor.reduce(crossings, axis=1), on_boundary
+
+
+class _Segments(NamedTuple):
+    """The segments of a run of chains, as columns: segment ``first[i] + k``
+    is the ``k``-th of chain ``i``."""
+
+    first: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+    xl: np.ndarray
+    xu: np.ndarray
+    ylo: np.ndarray
+    yhi: np.ndarray
+
+
+Chains = Tuple[np.ndarray, np.ndarray, np.ndarray]
+"""``(x, y, first)``: chain ``i`` is the points ``first[i]:first[i + 1]`` of
+the two coordinate columns, at least two of them."""
+
+
+def _segments(x: np.ndarray, y: np.ndarray, first: np.ndarray) -> _Segments:
+    # Every point but a chain's last starts a segment.
+    start = np.delete(np.arange(len(x)), first[1:] - 1)
+    x1, y1, x2, y2 = x[start], y[start], x[start + 1], y[start + 1]
+    return _Segments(
+        first - np.arange(len(first)), x1, y1, x2, y2,
+        np.minimum(x1, x2), np.maximum(x1, x2),
+        np.minimum(y1, y2), np.maximum(y1, y2),
+    )
+
+
+def _mbrs(x: np.ndarray, y: np.ndarray, first: np.ndarray):
+    """Each chain's exact MBR, ``Rect.from_points`` of its points."""
+    return (
+        np.minimum.reduceat(x, first[:-1]), np.minimum.reduceat(y, first[:-1]),
+        np.maximum.reduceat(x, first[:-1]), np.maximum.reduceat(y, first[:-1]),
+    )
+
+
+def _near(segs: _Segments, of: np.ndarray, meet: np.ndarray, box):
+    """The sweep's entry mask: for each pair whose MBRs ``meet``, the
+    segments of its chain ``of`` whose box, grown by the pad, reaches the
+    other chain's MBR ``box`` — ``(pair, segment)`` columns in pair order."""
+    pad = SWEEP_PAD
+    counts = np.where(meet, segs.first[of + 1] - segs.first[of], 0)
+    pairs: List[np.ndarray] = [counts[:0]]
+    kept: List[np.ndarray] = [counts[:0]]
+    for pair, k in ragged_rows(counts):
+        s = segs.first[of[pair]] + k
+        bxl, byl, bxu, byu = (bound[pair] for bound in box)
+        xl, xu, ylo, yhi = segs.xl[s], segs.xu[s], segs.ylo[s], segs.yhi[s]
+        keep = ~(
+            (xu < bxl - pad) | (bxu < xl - pad)
+            | (
+                ((byl > yhi + pad) | (byu < ylo - pad))
+                & ((ylo > byu + pad) | (yhi < byl - pad))
+            )
+        )
+        pairs.append(pair[keep])
+        kept.append(s[keep])
+    return np.concatenate(pairs), np.concatenate(kept)
+
+
+def polylines_intersect_each(
+    chains_a: Chains, chains_b: Chains, of_a: np.ndarray, of_b: np.ndarray
+) -> Tuple[np.ndarray, int]:
+    """``a.mbr.intersects(b.mbr) and polylines_intersect_sweep(a, b)`` for
+    chain ``of_a[p]`` of ``chains_a`` against chain ``of_b[p]`` of
+    ``chains_b``, every pair ``p`` at once: the verdicts, and how many
+    segment pairs reached the exact test.
+
+    The sweep's verdict is "some segment pair it would test intersects",
+    and the pairs it would test — were it never to stop early — are those
+    that pass its entry mask, whose x-intervals overlap within the pad and
+    whose y-intervals do.  Those comparisons are made here as the sweep
+    makes them (the y-test is not symmetric in floating point, so it is
+    taken from the side of whichever segment the sweep would hold as the
+    event: the one with the larger ``xl``, chain ``b``'s on a tie), over all
+    pairs in a few array calls, and the survivors of every pair go through
+    :func:`segments_intersect_each` together.
+    """
+    pad = SWEEP_PAD
+    a, b = _segments(*chains_a), _segments(*chains_b)
+    box_a = axl, ayl, axu, ayu = [bound[of_a] for bound in _mbrs(*chains_a)]
+    box_b = bxl, byl, bxu, byu = [bound[of_b] for bound in _mbrs(*chains_b)]
+    meet = (axl <= bxu) & (bxl <= axu) & (ayl <= byu) & (byl <= ayu)
+    pair_a, near_a = _near(a, of_a, meet, box_b)
+    pair_b, near_b = _near(b, of_b, meet, box_a)
+    count_a = np.bincount(pair_a, minlength=len(meet))
+    count_b = np.bincount(pair_b, minlength=len(meet))
+    first_a = np.cumsum(count_a) - count_a
+    first_b = np.cumsum(count_b) - count_b
+    hits = np.zeros(len(meet), dtype=bool)
+    tested = 0
+    for pair, k in ragged_rows(count_a * count_b):
+        sa = near_a[first_a[pair] + k // count_b[pair]]
+        sb = near_b[first_b[pair] + k % count_b[pair]]
+        a_ylo, a_yhi, b_ylo, b_yhi = a.ylo[sa], a.yhi[sa], b.ylo[sb], b.yhi[sb]
+        keep = (
+            (a.xu[sa] >= b.xl[sb] - pad) & (b.xu[sb] >= a.xl[sa] - pad)
+            & ~np.where(
+                a.xl[sa] <= b.xl[sb],
+                (a_ylo > b_yhi + pad) | (a_yhi < b_ylo - pad),
+                (b_ylo > a_yhi + pad) | (b_yhi < a_ylo - pad),
+            )
+        )
+        pair, sa, sb = pair[keep], sa[keep], sb[keep]
+        tested += len(pair)
+        hits[pair[segments_intersect_each(
+            a.x1[sa], a.y1[sa], a.x2[sa], a.y2[sa],
+            b.x1[sb], b.y1[sb], b.x2[sb], b.y2[sb],
+        )]] = True
+    return hits, tested

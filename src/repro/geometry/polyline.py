@@ -20,6 +20,10 @@ from .segment import segments_intersect
 
 Point = Tuple[float, float]
 
+SWEEP_PAD = 1e-9
+"""How far the sweep's interval pre-filters are grown, so that they never
+reject a pair the (epsilon-tolerant) exact segment test would accept."""
+
 
 @dataclass(frozen=True, slots=True)
 class Polyline:
@@ -91,9 +95,7 @@ def polylines_intersect_sweep(a: Polyline, b: Polyline) -> bool:
     monotonic, so the implication survives it) — both the form the sweep
     uses when this segment is the event and the one when it is active.
     """
-    # Interval pre-filters are padded so they never reject a pair the
-    # (epsilon-tolerant) exact segment test would accept.
-    pad = 1e-9
+    pad = SWEEP_PAD
     events: List[Tuple[float, float, int, Point, Point]] = []
     for side, (chain, box) in enumerate(((a, b._mbr), (b, a._mbr))):
         bxl, byl, bxu, byu = box.xl, box.yl, box.xu, box.yu

@@ -126,7 +126,6 @@ from .tasks import (
     PartitionSpill,
     SpillHandle,
     WorkerTaskError,
-    decode_keypointers,
     init_worker_heartbeats,
     refine_pair,
     run_pair_task,
@@ -1477,9 +1476,9 @@ class ProcessPBSM:
         coordinator still holds the base relations, so the partitions are
         re-derived from source tuples in one routing pass per side and
         merged in-process — slower, but exact.  Each merge is fed the
-        key-pointer block the spill pass would have written, decoded the
-        way a worker decodes it, so it sees bit-identical input to what a
-        worker would have read.  The run deadline is checked between
+        key-pointer block the spill pass would have written, so it sees
+        bit-identical input to what a worker would have read; refinement
+        looks the live tuples up.  The run deadline is checked between
         pairs; ``on_result`` commits each rebuilt pair as it completes.
         """
         if not reasons:
@@ -1498,12 +1497,8 @@ class ProcessPBSM:
                 )
             reason = reasons[index]
             started = time.perf_counter()
-            part_r = decode_keypointers(
-                side_r.keypointers(routed_r[index]).tobytes()
-            )
-            part_s = decode_keypointers(
-                side_s.keypointers(routed_s[index]).tobytes()
-            )
+            part_r = side_r.keypointers(routed_r[index])
+            part_s = side_s.keypointers(routed_s[index])
             with self.tracer.span("process.degraded_pair", pair=index) as span:
                 span.tag("degraded", True)
                 span.tag("reason", reason)

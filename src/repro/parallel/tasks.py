@@ -19,9 +19,12 @@ Both are written as *blocks*: one CRC frame holds a partition's share of
 a :data:`SPILL_BLOCK_RECORDS`-tuple window of the input — a key-pointer
 frame is the records back to back, a tuple frame a feature-id/offset
 directory followed by the serialised tuples — so neither side pays a
-Python call per record for framing.  A worker reads and checks every frame of both files, but
-decodes a tuple only when a candidate references it
-(:class:`TupleSpill`).
+Python call per record for framing.  A worker reads and checks every frame
+of both files and keeps them as the arrays they already are: the filter
+step is one array join over the key-pointer records (:func:`sweep_pair`),
+and the tuple spill opens as columns (:class:`TupleSpill`) from which
+:func:`refine_pair` either gathers coordinate runs (polylines under
+``intersects``) or decodes, on first lookup, the tuples a candidate names.
 
 A :class:`PairTask` names those files plus the join configuration; it
 pickles in a few hundred bytes no matter how large the partition is.
@@ -53,30 +56,38 @@ from __future__ import annotations
 
 import gc
 import os
-import struct
 import threading
 import time
 import traceback
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.keypointer import conservative_f32
-from ..core.partition import RoutedSlots, SpatialPartitioner, mbr_array
-from ..core.pbsm import PBSMConfig, merge_partition_pair
-from ..core.predicates import Predicate
+from ..core.partition import (
+    ALLOWED_COMBO_TABLE,
+    RoutedSlots,
+    SpatialPartitioner,
+    mbr_array,
+)
+from ..core.pbsm import PBSMConfig
+from ..core.predicates import Predicate, intersects
 from ..faults.inject import apply_worker_faults
 from ..faults.plan import WorkerFaults
-from ..geometry import Rect
+from ..geometry.kernels import polylines_intersect_each, ragged_rows
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import SpillCorruptionError
 from ..storage.spill import FRAME_HEADER_SIZE, SpillWriter, read_spill
-from ..storage.tuples import SpatialTuple, deserialize_tuple, serialize_tuple
+from ..storage.tuples import (
+    SpatialTuple,
+    deserialize_tuple,
+    polyline_runs,
+    serialize_tuple,
+)
 
 SPILL_BLOCK_RECORDS = 4096
 """Tuples per window of the spill pass, hence the most a block holds: a
@@ -85,23 +96,20 @@ enough that framing, CRC and the budget charge are paid per block rather
 than per record; small enough that a window's serialised tuples are a few
 hundred kilobytes."""
 
-_FIDKP = struct.Struct("<ffffIIB")
-"""One spilled key-pointer: conservative f32 MBR + u32 feature id + u32
-tile + u8 two-layer class."""
-
 KEYPOINTER_DTYPE = np.dtype(
     [("mbr", "<f4", (4,)), ("fid", "<u4"), ("tile", "<u4"), ("cls", "u1")]
 )
-"""A block of :data:`_FIDKP` records as a packed structured array."""
-assert KEYPOINTER_DTYPE.itemsize == _FIDKP.size
+"""One spilled key-pointer — conservative f32 MBR + u32 feature id + u32
+tile + u8 two-layer class, 25 bytes packed: one two-layer replica slot.  A
+key-pointer frame is an array of these, and so is what a worker sweeps."""
+
+_COMBOS = np.array(ALLOWED_COMBO_TABLE)
+"""The mini-join table as a ``[class of r, class of s]`` lookup."""
 
 _U32 = np.dtype("<u4")
 """The tuple block's directory words: record count, then one feature id
 per record, then ``count + 1`` offsets into the payload area that
 follows (``offsets[i]:offsets[i + 1]`` is record ``i``)."""
-
-FidKeyPointer = Tuple[Rect, int, int, int]
-"""``(rect, feature_id, tile, class)`` — one two-layer replica slot."""
 
 TupleRecord = Tuple[int, bytes]
 """``(feature_id, serialize_tuple bytes)`` — one tuple on its way to a
@@ -225,14 +233,6 @@ class InputSide(tuple):
                     )
 
 
-def decode_keypointers(payload: bytes) -> List[FidKeyPointer]:
-    """A key-pointer block's bytes as the sweep's input records."""
-    return [
-        (Rect(xl, yl, xu, yu), fid, tile, cls)
-        for xl, yl, xu, yu, fid, tile, cls in _FIDKP.iter_unpack(payload)
-    ]
-
-
 def pack_tuple_block(records: Sequence[TupleRecord]) -> bytes:
     """One tuple frame's payload: directory, then the tuples back to back."""
     fids, payloads = zip(*records)
@@ -251,7 +251,7 @@ def spill_bytes(routed: RoutedSlots, side: InputSide) -> int:
     blocks = len(np.unique(placed // SPILL_BLOCK_RECORDS))
     return (
         blocks * (2 * FRAME_HEADER_SIZE + 2 * _U32.itemsize)
-        + len(routed.ordinal) * _FIDKP.size
+        + len(routed.ordinal) * KEYPOINTER_DTYPE.itemsize
         + len(placed) * 2 * _U32.itemsize
         + int((side.offsets[placed + 1] - side.offsets[placed]).sum())
     )
@@ -419,16 +419,18 @@ def _blocks(path: str) -> Iterator[Tuple[bytes, Callable[[str], Exception]]]:
         offset += FRAME_HEADER_SIZE + len(payload)
 
 
-def read_keypointer_spill(path: str) -> List[FidKeyPointer]:
-    out: List[FidKeyPointer] = []
+def read_keypointer_spill(path: str) -> np.ndarray:
+    """A partition's key-pointer records, every frame checked: the
+    :data:`KEYPOINTER_DTYPE` array the frames, back to back, already are."""
+    blocks = [np.empty(0, KEYPOINTER_DTYPE)]
     for payload, violation in _blocks(path):
-        if len(payload) % _FIDKP.size:
+        if len(payload) % KEYPOINTER_DTYPE.itemsize:
             raise violation(
                 f"key-pointer block of {len(payload)} bytes is not a whole "
-                f"number of {_FIDKP.size}-byte records"
+                f"number of {KEYPOINTER_DTYPE.itemsize}-byte records"
             )
-        out.extend(decode_keypointers(payload))
-    return out
+        blocks.append(np.frombuffer(payload, KEYPOINTER_DTYPE))
+    return np.concatenate(blocks)
 
 
 class TupleSpill(Mapping):
@@ -437,46 +439,76 @@ class TupleSpill(Mapping):
 
     Opening it reads and CRC-checks **every** frame and validates every
     block directory — integrity is a property of the file read, not of
-    the tuples used — but a tuple is deserialised only on its first
+    the tuples used — and keeps the file as columns: the records in one
+    buffer, their feature ids and extents as arrays, located through a
+    sorted feature-id index.  A tuple is deserialised only on its first
     lookup (and memoised): most spilled tuples are never referenced by a
-    candidate.  ``len()`` is the number of records in the file.
+    candidate, and :meth:`polylines` serves those that are without
+    building a tuple at all.  ``len()`` is the number of records in the
+    file.
     """
 
     def __init__(self, path: str):
-        self._where: Dict[int, Tuple[bytes, int, int]] = {}
-        self._decoded: Dict[int, SpatialTuple] = {}
+        payloads: List[bytes] = []
+        fids, starts, ends = ([np.empty(0, np.int64)] for _ in range(3))
+        base = 0
         for payload, violation in _blocks(path):
             words = np.frombuffer(payload, _U32, len(payload) // _U32.itemsize)
             count = int(words[0]) if len(words) else 0
             body = (2 * count + 2) * _U32.itemsize
-            ends = words[count + 1 : 2 * count + 2].astype(np.int64) + body
+            bounds = words[count + 1 : 2 * count + 2].astype(np.int64) + body
             if (
-                len(ends) != count + 1
-                or ends[0] != body
-                or ends[-1] != len(payload)
-                or (ends[1:] < ends[:-1]).any()
+                len(bounds) != count + 1
+                or bounds[0] != body
+                or bounds[-1] != len(payload)
+                or (bounds[1:] < bounds[:-1]).any()
             ):
                 raise violation("tuple block directory does not fit its payload")
-            ends = ends.tolist()
-            self._where.update(
-                zip(
-                    words[1 : count + 1].tolist(),
-                    zip(repeat(payload), ends, ends[1:]),
-                )
-            )
+            payloads.append(payload)
+            fids.append(words[1 : count + 1])
+            starts.append(bounds[:-1] + base)
+            ends.append(bounds[1:] + base)
+            base += len(payload)
+        self._buffer = b"".join(payloads)
+        self._fids = np.concatenate(fids)
+        self._starts, self._ends = np.concatenate(starts), np.concatenate(ends)
+        # Stable, so that of two records with one feature id the later is
+        # found, as a mapping filled in file order would have it.
+        self._order = np.argsort(self._fids, kind="stable")
+        self._sorted_fids = self._fids[self._order]
+        self._decoded: Dict[int, SpatialTuple] = {}
 
     def __getitem__(self, feature_id: int) -> SpatialTuple:
         t = self._decoded.get(feature_id)
         if t is None:
-            payload, start, end = self._where[feature_id]
-            t = self._decoded[feature_id] = deserialize_tuple(payload[start:end])
+            at = int(self._sorted_fids.searchsorted(feature_id, side="right")) - 1
+            if at < 0 or self._sorted_fids[at] != feature_id:
+                raise KeyError(feature_id)
+            record = self._order[at]
+            t = self._decoded[feature_id] = deserialize_tuple(
+                self._buffer[self._starts[record] : self._ends[record]]
+            )
         return t
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._where)
+        return iter(self._fids.tolist())
 
     def __len__(self) -> int:
-        return len(self._where)
+        return len(self._fids)
+
+    def polylines(self, feature_ids: np.ndarray):
+        """The records of ``feature_ids`` as coordinate columns ``(x, y,
+        first)`` (:func:`~repro.storage.tuples.polyline_runs`), or ``None``
+        if one of them is not a polyline; ``KeyError`` for an absent id.
+        :meth:`__getitem__` for many ids at once, with no tuple built."""
+        at = np.searchsorted(self._sorted_fids, feature_ids, side="right") - 1
+        absent = (at < 0) | (self._sorted_fids[at] != feature_ids)
+        if absent.any():
+            raise KeyError(int(feature_ids[absent][0]))
+        records = self._order[at]
+        return polyline_runs(
+            self._buffer, self._starts[records], self._ends[records]
+        )
 
 
 def read_tuple_spill(path: str) -> TupleSpill:
@@ -541,9 +573,19 @@ class PairTaskResult:
     coordinator re-emits them into its journal as ``worker_t``."""
 
 
+_RANK_BITS = 31
+"""Bits of a :func:`_tile_x_keys` key that hold the x-rank."""
+
+
+def _tile_x_keys(tiles: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """``(tile, rank)`` as one int64 that sorts as the pair does: a u32
+    tile above a rank below ``2**31`` fills 63 bits and never the sign."""
+    return (tiles.astype(np.int64) << _RANK_BITS) | ranks
+
+
 def sweep_pair(
-    kps_r: Sequence[FidKeyPointer],
-    kps_s: Sequence[FidKeyPointer],
+    kps_r: np.ndarray,
+    kps_s: np.ndarray,
     memory_bytes: int,
     config: PBSMConfig,
     *,
@@ -551,15 +593,84 @@ def sweep_pair(
     tracer: Tracer = NULL_TRACER,
     metrics: MetricsRegistry = NULL_METRICS,
 ) -> List[Tuple[int, int]]:
-    """The filter step for one in-memory pair: candidate feature-id pairs."""
-    candidates: List[Tuple[int, int]] = []
-    merge_partition_pair(
-        kps_r, kps_s,
-        lambda fid_r, fid_s: candidates.append((fid_r, fid_s)),
-        memory_bytes, config,
-        label=label, tracer=tracer, metrics=metrics,
-    )
-    return candidates
+    """The filter step for one in-memory pair: candidate feature-id pairs.
+
+    One array join over both sides' :data:`KEYPOINTER_DTYPE` records that
+    emits what :func:`~repro.core.pbsm.merge_partition_pair` emits — per
+    shared tile, every ``(r, s)`` whose closed MBRs meet and whose class
+    combination the mini-join table admits, each exactly once — in no
+    particular order.  The x-bounds of both sides are replaced by their
+    ranks, so ``(tile, x)`` is one int64 key; with each side sorted on
+    ``(tile, xl)``, the partners of a record are a contiguous range found
+    by two binary searches: as the sweep has it, ``r`` meets the ``s`` that
+    start inside it (``r.xl <= s.xl <= r.xu``) and ``s`` the ``r`` that
+    start strictly inside it (``s.xl < r.xl <= s.xu``).  The ranges are
+    expanded a bounded chunk at a time and the y-overlap and class tests
+    are masks over the chunk.  ``memory_bytes`` and ``config`` change
+    nothing here: the join has no tile group to overflow and nothing to
+    recurse into (see :class:`~repro.core.pbsm.PBSMConfig`).
+    """
+    with tracer.span("merge_pair", pair=label, depth=0) as span:
+        span.tag("len_r", len(kps_r))
+        span.tag("len_s", len(kps_s))
+        if not len(kps_r) or not len(kps_s):
+            return []
+        xl_r, yl_r, xu_r, yu_r = np.ascontiguousarray(kps_r["mbr"].T)
+        xl_s, yl_s, xu_s, yu_s = np.ascontiguousarray(kps_s["mbr"].T)
+        if (
+            ((xl_r > xu_r) | (yl_r > yu_r)).any()
+            or ((xl_s > xu_s) | (yl_s > yu_s)).any()
+        ):
+            raise ValueError("malformed rectangle in a key-pointer block")
+        bounds, ranks = np.unique(
+            np.concatenate((xl_r, xu_r, xl_s, xu_s)), return_inverse=True
+        )
+        if len(bounds) > 1 << _RANK_BITS:
+            raise OverflowError("too many distinct x-bounds for an int64 key")
+        n, m = len(kps_r), len(kps_s)
+        from_r = _tile_x_keys(kps_r["tile"], ranks[:n])
+        to_r = _tile_x_keys(kps_r["tile"], ranks[n : 2 * n])
+        from_s = _tile_x_keys(kps_s["tile"], ranks[2 * n : 2 * n + m])
+        to_s = _tile_x_keys(kps_s["tile"], ranks[2 * n + m :])
+        order_r, order_s = np.argsort(from_r), np.argsort(from_s)
+        sorted_r, sorted_s = from_r[order_r], from_s[order_s]
+        cls_r, cls_s = kps_r["cls"], kps_s["cls"]
+        found_r: List[np.ndarray] = [kps_r["fid"][:0]]
+        found_s: List[np.ndarray] = [kps_s["fid"][:0]]
+
+        def emit(r: np.ndarray, s: np.ndarray) -> None:
+            keep = (
+                (yl_r[r] <= yu_s[s]) & (yl_s[s] <= yu_r[r])
+                & _COMBOS[cls_r[r], cls_s[s]]
+            )
+            found_r.append(kps_r["fid"][r[keep]])
+            found_s.append(kps_s["fid"][s[keep]])
+
+        low = np.searchsorted(sorted_s, from_r, side="left")
+        high = np.searchsorted(sorted_s, to_r, side="right")
+        for r, k in ragged_rows(high - low):
+            emit(r, order_s[low[r] + k])
+        low = np.searchsorted(sorted_r, from_s, side="right")
+        high = np.searchsorted(sorted_r, to_s, side="right")
+        for s, k in ragged_rows(high - low):
+            emit(order_r[low[s] + k], s)
+
+        candidates = list(zip(
+            np.concatenate(found_r).tolist(), np.concatenate(found_s).tolist()
+        ))
+        if tracer.enabled:  # a set per side, for a tag nobody else reads
+            span.tag("tile_groups", len(
+                set(kps_r["tile"].tolist()).intersection(kps_s["tile"].tolist())
+            ))
+        span.tag("candidates", len(candidates))
+        metrics.counter("pbsm.merge.pairs_swept").inc()
+        metrics.histogram("pbsm.merge.inputs_per_pair").observe(
+            len(kps_r) + len(kps_s)
+        )
+        metrics.histogram("pbsm.merge.candidates_per_pair").observe(
+            len(candidates)
+        )
+        return candidates
 
 
 def refine_pair(
@@ -567,6 +678,8 @@ def refine_pair(
     tuples_r: Mapping,
     tuples_s: Mapping,
     predicate: Predicate,
+    *,
+    span=None,
 ) -> Tuple[List[Tuple[int, int]], int]:
     """Exact predicate over the sorted candidates of one pair.
 
@@ -576,28 +689,58 @@ def refine_pair(
     Returns ``(sorted exact pairs, duplicates_dropped)``; a non-zero drop
     count means the dedup-free invariant broke and is surfaced all the way
     up to the coordinator's ``merge.duplicates_dropped`` metric.
+
+    Two forms, one answer.  When the predicate is ``intersects``, both
+    sides are tuple spills and every record a candidate names is a
+    polyline, the verdicts of all candidates come from coordinate columns
+    in one pass (:func:`~repro.geometry.kernels.polylines_intersect_each`)
+    and no tuple is built.  Anything else — polygons, mixed geometry, any
+    other predicate, the live tuples of the coordinator's rebuild — takes
+    the loop: look both tuples up, call the predicate.  ``span``, if
+    given, is tagged with which form ran and what it decoded.
     """
-    results: List[Tuple[int, int]] = []
-    dropped = 0
-    prev: Optional[Tuple[int, int]] = None
-    for pair in sorted(candidates):
-        if pair == prev:
-            dropped += 1
-            continue
-        prev = pair
-        fid_r, fid_s = pair
-        if predicate(tuples_r[fid_r], tuples_s[fid_s]):
-            results.append(pair)
-    return results, dropped
+    pairs = np.array(candidates, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    fresh = np.ones(len(pairs), dtype=bool)
+    fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+    pairs = pairs[fresh]
+    named_r, of_r = np.unique(pairs[:, 0], return_inverse=True)
+    named_s, of_s = np.unique(pairs[:, 1], return_inverse=True)
+    spills = (
+        predicate is intersects
+        and isinstance(tuples_r, TupleSpill)
+        and isinstance(tuples_s, TupleSpill)
+    )
+    chains_r = tuples_r.polylines(named_r) if spills else None
+    chains_s = tuples_s.polylines(named_s) if chains_r is not None else None
+    segment_pairs = 0
+    if chains_s is not None:
+        hits, segment_pairs = polylines_intersect_each(
+            chains_r, chains_s, of_r, of_s
+        )
+    else:
+        hits = np.fromiter(
+            (predicate(tuples_r[r], tuples_s[s]) for r, s in pairs.tolist()),
+            dtype=bool, count=len(pairs),
+        )
+    if span is not None:
+        span.tag("columnar", chains_s is not None)
+        span.tag("records_decoded", len(named_r) + len(named_s))
+        span.tag("segment_pairs", segment_pairs)
+    results = pairs[hits]
+    return (
+        list(zip(results[:, 0].tolist(), results[:, 1].tolist())),
+        len(candidates) - len(pairs),
+    )
 
 
 def run_pair_task(task: PairTask) -> PairTaskResult:
     """Execute one partition-pair task inside a worker process.
 
-    Filter: read the key-pointer spills, plane-sweep per tile group with
-    the two-layer class filter (with §3.5 recursion if configured).
-    Refine: look the candidate feature-id pairs up in the partition's
-    tuple spills and apply the exact predicate.  The returned pair list is
+    Filter: read the key-pointer spills, join them per tile group with the
+    two-layer class filter (:func:`sweep_pair`).  Refine: look the
+    candidate feature-id pairs up in the partition's tuple spills and
+    apply the exact predicate (:func:`refine_pair`).  The returned pair list is
     sorted, exact, and — because only one tile may emit any given pair —
     disjoint from every other task's, so the coordinator's merge is a
     plain ordered concatenation with no dedup barrier.
@@ -664,11 +807,12 @@ def _run_pair_task(task: PairTask) -> PairTaskResult:
         _heartbeat(task.index, task.attempt, "refine")
         with tracer.span(
             "worker.refine", pair=task.index, candidates=len(candidates)
-        ):
+        ) as refine_span:
             tuples_r = read_tuple_spill(task.tuples_r_path)
             tuples_s = read_tuple_spill(task.tuples_s_path)
             pairs, dropped = refine_pair(
-                candidates, tuples_r, tuples_s, task.predicate
+                candidates, tuples_r, tuples_s, task.predicate,
+                span=refine_span,
             )
 
         span.tag("candidates", len(candidates))

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Tuple, Union
+
+import numpy as np
 
 from ..geometry import Polygon, Polyline, Rect
 
@@ -110,6 +112,50 @@ def deserialize_tuple(data: bytes) -> SpatialTuple:
     else:
         raise ValueError(f"unknown geometry tag {tag}")
     return SpatialTuple(feature_id, category, name, geom)
+
+
+def polyline_runs(
+    buffer: bytes, starts: np.ndarray, ends: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The column form of :func:`deserialize_tuple` for polyline records.
+
+    Record ``i`` is ``buffer[starts[i]:ends[i]]``.  Returns ``(x, y,
+    first)`` — record ``i``'s points are ``first[i]:first[i + 1]`` of the
+    two float64 columns — or ``None`` if some record is not a polyline.
+    Nothing outside a record is read: what :func:`deserialize_tuple` and
+    ``Polyline`` reject (a run that overruns its record, fewer than two
+    points) is rejected here, and so is a run that stops short of the
+    record's end.
+    """
+    def windows(dtype: str) -> np.ndarray:
+        """Every window of the buffer as one ``dtype`` value, whatever its
+        alignment: element ``i`` is the bytes from ``i`` on."""
+        size = np.dtype(dtype).itemsize
+        return np.ndarray(
+            (max(len(buffer) - size + 1, 0),), dtype, buffer, strides=(1,)
+        )
+
+    u8, u16, f64 = windows("u1"), windows("<u2"), windows("<f8")
+    name_at = starts + _HEAD.size
+    if (name_at + 2 * _U16.size > ends).any():
+        raise ValueError("a record is shorter than its fixed fields")
+    if (u8[starts] != _GEOM_POLYLINE).any():
+        return None
+    count_at = name_at + _U16.size + u16[name_at]
+    if (count_at + _U16.size > ends).any():
+        raise ValueError("a name overruns its record")
+    counts = u16[count_at].astype(np.int64)
+    run_at = count_at + _U16.size
+    if (counts < 2).any() or (run_at + counts * _POINT.size != ends).any():
+        raise ValueError(
+            "a coordinate run of fewer than two points, or one that does not "
+            "end where its record does"
+        )
+    first = np.concatenate(([0], np.cumsum(counts)))
+    # The x of point k of record i is the double at run_at[i] + 16 k.
+    x_at = np.repeat(run_at - first[:-1] * _POINT.size, counts)
+    x_at += np.arange(first[-1]) * _POINT.size
+    return f64[x_at], f64[x_at + 8], first
 
 
 def tuple_size_bytes(t: SpatialTuple) -> int:

@@ -121,15 +121,22 @@ def scaled(points, scale):
 SEGMENT_LISTS = st.lists(st.tuples(POINTS, POINTS), max_size=6)
 
 
-def rings(max_size=8):
-    return st.lists(POINTS, min_size=3, max_size=max_size, unique=True)
+def rings(max_size=8, scale=1.0):
+    """Vertices still distinct once scaled: a subnormal times 1e-6 is 0.0."""
+    return st.lists(
+        POINTS, min_size=3, max_size=max_size,
+        unique_by=lambda p: (p[0] * scale, p[1] * scale),
+    )
 
 
 @st.composite
 def polygons(draw, scale):
     """Lattice polygons, one in three with a hole; rings need not be simple."""
-    shell = draw(rings())
-    holes = [draw(rings(max_size=5))] if draw(st.integers(0, 2)) == 0 else []
+    shell = draw(rings(scale=scale))
+    holes = (
+        [draw(rings(max_size=5, scale=scale))]
+        if draw(st.integers(0, 2)) == 0 else []
+    )
     return Polygon(scaled(shell, scale), [scaled(h, scale) for h in holes])
 
 

@@ -5,10 +5,12 @@ checks every byte, and workers that freeze the heap they inherit.
   files, whose key-pointer records are the scalar codec's bytes, and
   ``spill_bytes`` is their size;
 * the tuple reader decodes only what is looked up, but any damage to any
-  frame — referenced or not — fails the task as corruption;
+  frame — referenced or not — fails the task as corruption, whether the
+  refine gathers coordinate columns or looks tuples up one by one;
 * a pool worker has a frozen heap after its first task.
 """
 
+import dataclasses
 import gc
 import multiprocessing
 import os
@@ -20,6 +22,7 @@ import pytest
 
 from repro import intersects
 from repro.core.keypointer import _f32_down, _f32_up
+from repro.core.predicates import intersects_naive
 from repro.core.partition import SpatialPartitioner
 from repro.core.pbsm import PBSMConfig
 from repro.data import generate_hydrography, generate_roads
@@ -121,7 +124,8 @@ class TestOneFormat:
         assert b"".join(frames) == expected
         assert len(frames) == -(-len(side) // BLOCK)  # one a window
         records = read_keypointer_spill(spill.kp_path)
-        assert [(fid, tile, cls) for _rect, fid, tile, cls in records] == [
+        assert records.tobytes() == expected
+        assert records[["fid", "tile", "cls"]].tolist() == [
             (t.feature_id, tile, cls)
             for t in side
             for tile, cls in partitioner.tile_assignments(t.mbr)
@@ -267,6 +271,36 @@ class TestIntegrity:
             with open(pair_task.tuples_r_path, "wb") as fh:
                 fh.write(pristine)
         assert run_pair_task(pair_task).pairs == clean.pairs
+
+
+class TestIntegrityThroughTheLookups(TestIntegrity):
+    """The same damage with the refine on its per-pair loop: a predicate
+    other than ``intersects`` reads the spill one tuple at a time, where
+    ``TestIntegrity``'s task gathers coordinate columns."""
+
+    @pytest.fixture
+    def pair_task(self, pair_task):
+        return dataclasses.replace(pair_task, predicate=intersects_naive)
+
+    def test_the_two_tasks_are_the_two_forms(self, pair_task):
+        def refine_tags(task):
+            result = run_pair_task(dataclasses.replace(task, observe=True))
+            (root,) = result.spans
+            (span,) = [
+                child for child in root["children"]
+                if child["name"] == "worker.refine"
+            ]
+            return result, span["tags"]
+
+        loop, loop_tags = refine_tags(pair_task)
+        columnar, tags = refine_tags(
+            dataclasses.replace(pair_task, predicate=intersects)
+        )
+        assert loop.pairs == columnar.pairs and loop.pairs
+        assert loop_tags["columnar"] is False and tags["columnar"] is True
+        assert loop_tags["segment_pairs"] == 0 < tags["segment_pairs"]
+        assert loop_tags["records_decoded"] == tags["records_decoded"] > 0
+        assert tags["candidates"] == columnar.candidates
 
 
 class TestFrozenWorkerHeap:

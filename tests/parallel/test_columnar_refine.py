@@ -1,0 +1,327 @@
+"""The columnar polyline refine returns the per-pair loop's answer.
+
+``refine_pair`` has two forms.  Handed two tuple spills, the ``intersects``
+predicate and candidates that name only polylines, it gathers coordinate
+runs and decides every candidate in a few array calls; handed anything else
+it looks each pair of tuples up and calls the predicate.  Result digests are
+gated byte-identical, so on the same spill files the two must agree on every
+candidate — including the ones decided by a single padded comparison, which
+is why the inputs are ``TestMaskedSweep``'s: lattice chains that touch,
+share vertices and overlap collinearly, scaled 1e-6 ... 1e6, with the second
+chain's MBR a chosen gap (none, zero, either side of the pad) from the
+first's.
+"""
+
+import struct
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import intersects
+from repro.core.partition import SpatialPartitioner
+from repro.core.pbsm import PBSMConfig
+from repro.core.predicates import intersects_naive
+from repro.geometry import Polygon, Polyline, kernels
+from repro.obs import Tracer
+from repro.parallel import tasks
+from repro.parallel.process import DEFAULT_TASK_MEMORY
+from repro.parallel.tasks import InputSide, read_tuple_spill, refine_pair
+from repro.serve.query import QuerySpec
+from repro.storage.spill import write_spill
+from repro.storage.tuples import SpatialTuple, polyline_runs, serialize_tuple
+from tests.geometry.test_polyline import PAD, chain_pairs
+
+NAMES = st.sampled_from(["", "a", "é", "道路 101", "x" * 300])
+S_BASE = 100
+"""Feature ids of the S side start here, so a swapped pair cannot pass."""
+
+
+def spill(path, tuples, block=3):
+    """A tuple spill of ``tuples``, ``block`` records a frame."""
+    records = InputSide(tuples).records(np.arange(len(tuples)))
+    write_spill(path, [
+        tasks.pack_tuple_block(records[at : at + block])
+        for at in range(0, len(records), block)
+    ])
+    return str(path)
+
+
+def refined(candidates, path_r, path_s, predicate):
+    """``refine_pair`` over freshly opened spills: its answer and what it
+    tagged the span with."""
+    span = Tracer().start_span("worker.refine")
+    answer = refine_pair(
+        candidates, read_tuple_spill(path_r), read_tuple_spill(path_s),
+        predicate, span=span,
+    )
+    return answer, span.tags
+
+
+def by_the_loop(r, s):
+    """``intersects`` under another identity: the per-pair loop."""
+    return intersects(r, s)
+
+
+@st.composite
+def batches(draw):
+    """A few chain pairs as two relations, every R chain a candidate
+    against every S chain, some candidates more than once, in any order."""
+    pairs = draw(st.lists(chain_pairs(), min_size=1, max_size=4))
+    tuples_r = [
+        SpatialTuple(i, 1, draw(NAMES), a) for i, (a, _b) in enumerate(pairs)
+    ]
+    tuples_s = [
+        SpatialTuple(S_BASE + i, 2, draw(NAMES), b)
+        for i, (_a, b) in enumerate(pairs)
+    ]
+    once = [(r.feature_id, s.feature_id) for r in tuples_r for s in tuples_s]
+    again = draw(st.lists(st.sampled_from(once), max_size=4))
+    return tuples_r, tuples_s, draw(st.permutations(once + again)), len(again)
+
+
+class TestAgainstTheLoop:
+    @given(batches(), st.sampled_from([1, 5, 1 << 16]))
+    @settings(max_examples=500, deadline=None)
+    def test_same_pairs_same_drops(self, tmp_path_factory, batch, chunk_rows):
+        tuples_r, tuples_s, candidates, repeats = batch
+        directory = tmp_path_factory.mktemp("spills")
+        path_r = spill(directory / "r.tup", tuples_r)
+        path_s = spill(directory / "s.tup", tuples_s)
+        with mock.patch.object(kernels, "EXPANSION_CHUNK_ROWS", chunk_rows):
+            columnar, tags = refined(candidates, path_r, path_s, intersects)
+        loop, loop_tags = refined(candidates, path_r, path_s, by_the_loop)
+        assert columnar == loop
+        assert tags["columnar"] is True and loop_tags["columnar"] is False
+        assert tags["records_decoded"] == loop_tags["records_decoded"] == (
+            len(tuples_r) + len(tuples_s)
+        )
+        by_fid = {t.feature_id: t.geom for t in (*tuples_r, *tuples_s)}
+        pairs, dropped = columnar
+        assert dropped == repeats
+        assert pairs == [
+            pair for pair in sorted(set(candidates))
+            if by_fid[pair[0]].intersects(by_fid[pair[1]])
+        ]
+        assert all(type(fid) is int for pair in pairs for fid in pair)
+
+    def test_every_candidate_of_a_join(self, tmp_path):
+        """The candidates a real sweep produces, all partitions in one."""
+        spec = QuerySpec(dataset="road_hydro", scale=0.01, seed=11)
+        side_r, side_s = map(InputSide, spec.generate())
+        partitioner = SpatialPartitioner.for_inputs(
+            side_r.mbrs, side_s.mbrs, 1, PBSMConfig().num_tiles
+        )
+        (routed_r,), (routed_s,) = (
+            partitioner.route_all(side.mbrs) for side in (side_r, side_s)
+        )
+        candidates = tasks.sweep_pair(
+            side_r.keypointers(routed_r), side_s.keypointers(routed_s),
+            DEFAULT_TASK_MEMORY, PBSMConfig(), label="0",
+        )
+        path_r = spill(tmp_path / "r.tup", side_r, block=64)
+        path_s = spill(tmp_path / "s.tup", side_s, block=64)
+        columnar, tags = refined(candidates, path_r, path_s, intersects)
+        assert columnar == refined(candidates, path_r, path_s, by_the_loop)[0]
+        assert tags["columnar"] and tags["segment_pairs"] > len(candidates) / 2
+        assert 100 < len(columnar[0]) < len(candidates) and columnar[1] == 0
+
+    def test_no_candidates(self, tmp_path):
+        path = spill(tmp_path / "r.tup", [line(1, [(0, 0), (1, 1)])])
+        answer, tags = refined([], path, path, intersects)
+        assert answer == ([], 0)
+        assert tags == {
+            "columnar": True, "records_decoded": 0, "segment_pairs": 0,
+        }
+
+
+def line(fid, points, name="n"):
+    return SpatialTuple(fid, 1, name, Polyline(points))
+
+
+ELL = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+"""The chain the hand-made cases are held against."""
+
+
+class TestWhichFormRuns:
+    """The form follows from the predicate's identity and the geometry
+    tags of the records candidates name — from nothing else."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        square = Polygon([(0.5, 0.5), (3.0, 0.5), (3.0, 3.0), (0.5, 3.0)])
+        tuples_r = [line(1, ELL), line(2, [(5.0, 5.0), (6.0, 6.0)])]
+        tuples_s = [
+            line(S_BASE, [(0.5, -1.0), (0.5, 2.0)]),
+            SpatialTuple(S_BASE + 1, 2, "square", square),
+            line(S_BASE + 2, [(9.0, 9.0), (9.5, 9.5)]),
+        ]
+        return (
+            spill(tmp_path / "r.tup", tuples_r), spill(tmp_path / "s.tup", tuples_s),
+            tuples_r, tuples_s,
+        )
+
+    LINES_ONLY = [(1, S_BASE), (2, S_BASE), (1, S_BASE + 2), (2, S_BASE + 2)]
+
+    def test_polylines_under_intersects_are_columnar(self, paths):
+        path_r, path_s, _, _ = paths
+        answer, tags = refined(self.LINES_ONLY, path_r, path_s, intersects)
+        assert answer == ([(1, S_BASE)], 0)
+        assert tags == {
+            "columnar": True, "records_decoded": 4, "segment_pairs": 1,
+        }
+
+    def test_a_polygon_among_the_named_records_takes_the_loop(self, paths):
+        path_r, path_s, _, _ = paths
+        candidates = self.LINES_ONLY + [(1, S_BASE + 1), (2, S_BASE + 1)]
+        answer, tags = refined(candidates, path_r, path_s, intersects)
+        assert answer == ([(1, S_BASE), (1, S_BASE + 1)], 0)
+        assert answer == refined(candidates, path_r, path_s, by_the_loop)[0]
+        assert tags == {
+            "columnar": False, "records_decoded": 5, "segment_pairs": 0,
+        }
+
+    @pytest.mark.parametrize(
+        "predicate", [intersects_naive, lambda r, s: intersects(r, s)],
+        ids=["intersects_naive", "lambda"],
+    )
+    def test_any_other_predicate_takes_the_loop(self, paths, predicate):
+        path_r, path_s, _, _ = paths
+        answer, tags = refined(self.LINES_ONLY, path_r, path_s, predicate)
+        assert answer == ([(1, S_BASE)], 0)
+        assert tags["columnar"] is False and tags["segment_pairs"] == 0
+
+    def test_live_tuples_take_the_loop(self, paths):
+        """The coordinator's rebuild looks tuples up in plain dicts."""
+        _, _, tuples_r, tuples_s = paths
+        span = Tracer().start_span("x")
+        answer = refine_pair(
+            self.LINES_ONLY,
+            {t.feature_id: t for t in tuples_r},
+            {t.feature_id: t for t in tuples_s},
+            intersects, span=span,
+        )
+        assert answer == ([(1, S_BASE)], 0) and span.tags["columnar"] is False
+
+    @pytest.mark.parametrize("predicate", [intersects, by_the_loop])
+    def test_an_absent_feature_id_is_a_key_error(self, paths, predicate):
+        path_r, path_s, _, _ = paths
+        for candidates in ([(1, S_BASE), (3, S_BASE)], [(1, S_BASE + 9)]):
+            with pytest.raises(KeyError):
+                refined(candidates, path_r, path_s, predicate)
+
+
+class TestTheTestsWouldNotice:
+    """Mutants of the two pieces a verdict hangs on, each killed by a
+    hand-made pair — so the differential test above is not vacuous there."""
+
+    @pytest.fixture
+    def a_hair_apart(self, tmp_path):
+        """MBRs overlap, and the only contact is a vertex of one chain
+        1e-13 off a segment of the other: inside the exact test's
+        tolerance, so only the pad lets the pair reach it."""
+        hook = [(1.0 + 1e-13, 0.5), (2.0, 0.5), (2.0, 3.0), (0.5, 3.0), (0.5, 2.0)]
+        return (
+            spill(tmp_path / "r.tup", [line(1, ELL)]),
+            spill(tmp_path / "s.tup", [line(S_BASE, hook)]),
+        )
+
+    def test_the_pad(self, a_hair_apart):
+        candidates = [(1, S_BASE)]
+        loop = refined(candidates, *a_hair_apart, by_the_loop)[0]
+        assert loop == ([(1, S_BASE)], 0)
+        assert refined(candidates, *a_hair_apart, intersects)[0] == loop
+        assert kernels.SWEEP_PAD == PAD
+        with mock.patch.object(kernels, "SWEEP_PAD", 0.0):
+            assert refined(candidates, *a_hair_apart, intersects)[0] != loop
+
+    def test_the_mbr_is_of_the_whole_chain(self, tmp_path):
+        """Only the last point of the second chain reaches the first."""
+        path_r = spill(tmp_path / "r.tup", [line(1, ELL)])
+        path_s = spill(
+            tmp_path / "s.tup", [line(S_BASE, [(5.0, 5.0), (4.0, 4.0), (0.5, 0.0)])]
+        )
+        candidates = [(1, S_BASE)]
+        loop = refined(candidates, path_r, path_s, by_the_loop)[0]
+        assert loop == ([(1, S_BASE)], 0)
+        assert refined(candidates, path_r, path_s, intersects)[0] == loop
+
+        def first_segment_only(x, y, first):
+            at = first[:-1]
+            return (
+                np.minimum(x[at], x[at + 1]), np.minimum(y[at], y[at + 1]),
+                np.maximum(x[at], x[at + 1]), np.maximum(y[at], y[at + 1]),
+            )
+
+        with mock.patch.object(kernels, "_mbrs", first_segment_only):
+            assert refined(candidates, path_r, path_s, intersects)[0] != loop
+
+
+class TestRecordsAreReadWithinTheirBounds:
+    """``polyline_runs`` trusts a record's extent, not its point count."""
+
+    def records(self, *blobs):
+        buffer = b"".join(blobs)
+        ends = np.cumsum([len(blob) for blob in blobs])
+        return buffer, ends - [len(blob) for blob in blobs], ends
+
+    def with_count(self, t, count):
+        blob = serialize_tuple(t)
+        at = len(blob) - 16 * len(t.geom.points) - 2
+        assert struct.unpack_from("<H", blob, at) == (len(t.geom.points),)
+        return blob[:at] + struct.pack("<H", count) + blob[at + 2 :]
+
+    def test_round_trip(self):
+        tuples = [
+            line(1, ELL, ""), line(2, [(0.1, 0.2), (0.3, 0.4)], "道路"),
+            line(3, [(float(i), -float(i)) for i in range(7)], "x" * 300),
+        ]
+        x, y, first = polyline_runs(*self.records(*map(serialize_tuple, tuples)))
+        assert first.tolist() == [0, 3, 5, 12]
+        assert list(zip(x.tolist(), y.tolist())) == [
+            point for t in tuples for point in t.geom.points
+        ]
+
+    def test_no_records(self):
+        x, y, first = polyline_runs(b"", np.zeros(0, np.int64), np.zeros(0, np.int64))
+        assert len(x) == len(y) == 0 and first.tolist() == [0]
+
+    @pytest.mark.parametrize("count", [4, 2, 1, 0, 0xFFFF])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_a_run_that_is_not_the_rest_of_its_record(self, count, position):
+        """Three points stored; the count says otherwise.  One more would
+        read into the next record (or past the buffer), fewer would leave
+        bytes unaccounted for: both are refused, wherever the record is."""
+        bad = self.with_count(line(1, ELL), count)
+        good = serialize_tuple(line(2, ELL))
+        blobs = (bad, good) if position == "first" else (good, bad)
+        with pytest.raises(ValueError, match="coordinate run"):
+            polyline_runs(*self.records(*blobs))
+
+    def test_a_name_that_overruns_its_record(self):
+        blob = bytearray(serialize_tuple(line(1, ELL, "ab")))
+        struct.pack_into("<H", blob, 7, 0xFFFF)
+        with pytest.raises(ValueError, match="name overruns"):
+            polyline_runs(*self.records(bytes(blob), serialize_tuple(line(2, ELL))))
+
+    def test_a_record_shorter_than_its_fixed_fields(self):
+        with pytest.raises(ValueError, match="shorter"):
+            polyline_runs(*self.records(serialize_tuple(line(1, ELL))[:10]))
+
+    def test_a_bad_record_fails_the_refine_in_either_form(self, tmp_path):
+        good = serialize_tuple(line(1, ELL))
+        for count, loop_error in ((4, struct.error), (1, ValueError)):
+            path = tmp_path / f"bad{count}.tup"
+            write_spill(path, [tasks.pack_tuple_block([
+                (1, good), (2, self.with_count(line(2, ELL), count)), (3, good),
+            ])])
+            with pytest.raises(ValueError, match="coordinate run"):
+                refined([(1, 1), (2, 2)], str(path), str(path), intersects)
+            with pytest.raises(loop_error):
+                refined([(1, 1), (2, 2)], str(path), str(path), by_the_loop)
+            # A bad record nobody names is not read at all.
+            assert refined([(1, 3)], str(path), str(path), intersects)[0] == (
+                [(1, 3)], 0
+            )

@@ -9,6 +9,7 @@ at any worker count.
 import pytest
 
 from repro import intersects
+from repro.core.pbsm import PBSMConfig
 from repro.data import generate_hydrography, generate_roads
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import (
@@ -82,6 +83,30 @@ class TestCrossBackendEquivalence:
             tuples_r, tuples_s, intersects
         )
         assert result.pairs == expected
+
+    @pytest.mark.parametrize("flags, engine", [
+        ({"use_interval_tree": True}, {}),
+        # A few hundred bytes of task memory: every tile group of every
+        # pair would overflow and repartition, if a worker had groups.
+        ({"handle_partition_skew": True}, {"memory_bytes": 256}),
+    ], ids=["interval_tree", "partition_skew"])
+    def test_sweep_variant_flags_change_nothing_a_worker_emits(
+        self, workload, flags, engine
+    ):
+        """The footnote-1 and §3.5 variants are single-node PBSM's: a
+        worker's filter step is one array join whatever the config says."""
+        from repro.serve.query import result_digest
+
+        tuples_r, tuples_s, expected = workload
+        default = ProcessPBSM(2).run(tuples_r, tuples_s, intersects)
+        flagged = ProcessPBSM(2, config=PBSMConfig(**flags), **engine).run(
+            tuples_r, tuples_s, intersects
+        )
+        assert result_digest(flagged.pairs) == result_digest(default.pairs)
+        assert flagged.pairs == expected
+        assert [t.candidates for t in flagged.tasks] == [
+            t.candidates for t in default.tasks
+        ]
 
     def test_empty_inputs(self):
         result = ProcessPBSM(2).run([], [], intersects)
@@ -166,6 +191,13 @@ class TestWorkerObservability:
             assert "worker" in span.tags
             child_names = {c.name for c in span.children}
             assert child_names == {"worker.merge", "worker.refine"}
+            # The refine says which form it ran and what that decoded:
+            # roads x hydrography under ``intersects`` is the columnar one.
+            (refine,) = (c for c in span.children if c.name == "worker.refine")
+            assert refine.tags["columnar"] is True
+            assert refine.tags["records_decoded"] <= 2 * refine.tags["candidates"]
+            # Every result is at least one segment pair that intersected.
+            assert refine.tags["segment_pairs"] >= span.tags["results"]
         assert tracer.find("process.partition")
         assert tracer.find("process.execute")
 
