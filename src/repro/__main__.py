@@ -11,7 +11,9 @@ Subcommands:
 * ``parallel`` — run a spatial join on a parallel backend
   (``--backend process|simulated|serial --workers N``, ``--dataset``
   picks the input pair, including the polygon workload
-  ``landuse_island``) and report the wall/critical-path numbers plus
+  ``landuse_island``; ``--predicate`` the exact test, ``contains`` on that
+  pair being the paper's Sequoia query) and report the wall/critical-path
+  numbers plus
   the ``merge.duplicates_dropped`` invariant (two-layer partitioning
   keeps it at 0); ``--verify`` cross-checks the pair set
   against the serial reference; ``--checkpoint-dir D`` makes the
@@ -185,13 +187,21 @@ def _live_renderer(stream):
 
 
 def _cmd_parallel(args: argparse.Namespace) -> int:
-    from . import intersects
     from .checkpoint import CheckpointMismatchError
     from .obs import RunJournal, journal_path
     from .parallel import parallel_join
-    from .serve.query import DATASETS, result_digest
+    from .serve.query import DATASETS, QueryError, QuerySpec, result_digest
     from .storage import DiskFullError
 
+    try:
+        # The names a served query may use, and its rule that ``contains``
+        # needs a polygon pair; nothing else of the spec is used.
+        predicate = QuerySpec(
+            dataset=args.dataset, predicate=args.predicate
+        ).predicate_fn
+    except QueryError as exc:
+        print(f"parallel: {exc}", file=sys.stderr)
+        return 2
     if args.resume and not args.checkpoint_dir:
         print("parallel: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
@@ -232,7 +242,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
 
     try:
         result = parallel_join(
-            side_r, side_s, intersects,
+            side_r, side_s, predicate,
             backend=args.backend, workers=args.workers, scheme=args.scheme,
             start_method=args.start_method, journal=journal,
             checkpoint_dir=args.checkpoint_dir, resume=args.resume,
@@ -251,7 +261,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
 
     verified = None
     if args.verify and args.backend != "serial":
-        reference = parallel_join(side_r, side_s, intersects, backend="serial")
+        reference = parallel_join(side_r, side_s, predicate, backend="serial")
         verified = reference.pairs == result.pairs
 
     if args.json:
@@ -259,6 +269,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
             "backend": result.backend,
             "workers": args.workers,
             "dataset": args.dataset,
+            "predicate": args.predicate,
             "scale": args.scale,
             "seed": args.seed,
             "result_count": len(result),
@@ -302,7 +313,8 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         f"{len(side_r)} x {len(side_s)} features ({args.dataset}, "
         f"scale={args.scale}) on backend={result.backend!r}"
     )
-    print(f"{len(result)} intersecting pairs "
+    found = "contained" if args.predicate == "contains" else "intersecting"
+    print(f"{len(result)} {found} pairs "
           f"(merge duplicates dropped: {result.duplicates_dropped})")
     print(
         f"wall {result.wall_s:.3f}s; per-{'worker' if args.backend == 'process' else 'node'} "
@@ -988,6 +1000,12 @@ def main(argv: list[str] | None = None) -> int:
                           help="input pair: TIGER roads x hydrography "
                                "(default), roads x rail, or the SEQUOIA-style "
                                "polygon workload landuse x islands")
+    parallel.add_argument("--predicate", default="intersects",
+                          help="exact predicate, by the name a served query "
+                               "gives it: intersects (default), "
+                               "intersects_naive, or contains (the paper's "
+                               "Sequoia query; needs --dataset "
+                               "landuse_island)")
     parallel.add_argument("--scheme", default="replicate_objects",
                           choices=["replicate_objects", "replicate_mbrs"],
                           help="boundary-object declustering (simulated only)")

@@ -24,7 +24,8 @@ of both files and keeps them as the arrays they already are: the filter
 step is one array join over the key-pointer records (:func:`sweep_pair`),
 and the tuple spill opens as columns (:class:`TupleSpill`) from which
 :func:`refine_pair` either gathers coordinate runs (polylines under
-``intersects``) or decodes, on first lookup, the tuples a candidate names.
+``intersects``, polygons under ``contains``) or decodes, on first lookup,
+the tuples a candidate names.
 
 A :class:`PairTask` names those files plus the join configuration; it
 pickles in a few hundred bytes no matter how large the partition is.
@@ -74,10 +75,16 @@ from ..core.partition import (
     mbr_array,
 )
 from ..core.pbsm import PBSMConfig
-from ..core.predicates import Predicate, intersects
+from ..core.predicates import Predicate, contains, intersects
 from ..faults.inject import apply_worker_faults
 from ..faults.plan import WorkerFaults
-from ..geometry.kernels import polylines_intersect_each, ragged_rows
+from ..geometry.kernels import (
+    dense_ranks,
+    grouped_keys,
+    polygons_contain_each,
+    polylines_intersect_each,
+    ragged_rows,
+)
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import SpillCorruptionError
@@ -85,6 +92,7 @@ from ..storage.spill import FRAME_HEADER_SIZE, SpillWriter, read_spill
 from ..storage.tuples import (
     SpatialTuple,
     deserialize_tuple,
+    polygon_runs,
     polyline_runs,
     serialize_tuple,
 )
@@ -248,7 +256,12 @@ def spill_bytes(routed: RoutedSlots, side: InputSide) -> int:
     slots: the block format's footprint, kept beside its writer so the
     two cannot drift, with the record sizes read off ``side.offsets``."""
     placed = routed.tuple_ordinals
-    blocks = len(np.unique(placed // SPILL_BLOCK_RECORDS))
+    # Ascending, so a new block is a change of quotient.  (Counting them
+    # with an index-less ``np.unique`` would import ``numpy.ma``.)
+    blocks = (
+        int(np.count_nonzero(np.diff(placed // SPILL_BLOCK_RECORDS))) + 1
+        if len(placed) else 0
+    )
     return (
         blocks * (2 * FRAME_HEADER_SIZE + 2 * _U32.itemsize)
         + len(routed.ordinal) * KEYPOINTER_DTYPE.itemsize
@@ -443,7 +456,7 @@ class TupleSpill(Mapping):
     buffer, their feature ids and extents as arrays, located through a
     sorted feature-id index.  A tuple is deserialised only on its first
     lookup (and memoised): most spilled tuples are never referenced by a
-    candidate, and :meth:`polylines` serves those that are without
+    candidate, and :meth:`columns` serves those that are without
     building a tuple at all.  ``len()`` is the number of records in the
     file.
     """
@@ -496,19 +509,18 @@ class TupleSpill(Mapping):
     def __len__(self) -> int:
         return len(self._fids)
 
-    def polylines(self, feature_ids: np.ndarray):
-        """The records of ``feature_ids`` as coordinate columns ``(x, y,
-        first)`` (:func:`~repro.storage.tuples.polyline_runs`), or ``None``
-        if one of them is not a polyline; ``KeyError`` for an absent id.
+    def columns(self, feature_ids: np.ndarray, decode):
+        """The records of ``feature_ids`` as the coordinate columns
+        ``decode`` makes of them (:func:`~repro.storage.tuples.polyline_runs`
+        or :func:`~repro.storage.tuples.polygon_runs`), or ``None`` if one
+        of them is not of its geometry; ``KeyError`` for an absent id.
         :meth:`__getitem__` for many ids at once, with no tuple built."""
         at = np.searchsorted(self._sorted_fids, feature_ids, side="right") - 1
         absent = (at < 0) | (self._sorted_fids[at] != feature_ids)
         if absent.any():
             raise KeyError(int(feature_ids[absent][0]))
         records = self._order[at]
-        return polyline_runs(
-            self._buffer, self._starts[records], self._ends[records]
-        )
+        return decode(self._buffer, self._starts[records], self._ends[records])
 
 
 def read_tuple_spill(path: str) -> TupleSpill:
@@ -573,16 +585,6 @@ class PairTaskResult:
     coordinator re-emits them into its journal as ``worker_t``."""
 
 
-_RANK_BITS = 31
-"""Bits of a :func:`_tile_x_keys` key that hold the x-rank."""
-
-
-def _tile_x_keys(tiles: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """``(tile, rank)`` as one int64 that sorts as the pair does: a u32
-    tile above a rank below ``2**31`` fills 63 bits and never the sign."""
-    return (tiles.astype(np.int64) << _RANK_BITS) | ranks
-
-
 def sweep_pair(
     kps_r: np.ndarray,
     kps_s: np.ndarray,
@@ -622,16 +624,13 @@ def sweep_pair(
             or ((xl_s > xu_s) | (yl_s > yu_s)).any()
         ):
             raise ValueError("malformed rectangle in a key-pointer block")
-        bounds, ranks = np.unique(
-            np.concatenate((xl_r, xu_r, xl_s, xu_s)), return_inverse=True
+        rank_xl_r, rank_xu_r, rank_xl_s, rank_xu_s = dense_ranks(
+            xl_r, xu_r, xl_s, xu_s
         )
-        if len(bounds) > 1 << _RANK_BITS:
-            raise OverflowError("too many distinct x-bounds for an int64 key")
-        n, m = len(kps_r), len(kps_s)
-        from_r = _tile_x_keys(kps_r["tile"], ranks[:n])
-        to_r = _tile_x_keys(kps_r["tile"], ranks[n : 2 * n])
-        from_s = _tile_x_keys(kps_s["tile"], ranks[2 * n : 2 * n + m])
-        to_s = _tile_x_keys(kps_s["tile"], ranks[2 * n + m :])
+        from_r = grouped_keys(kps_r["tile"], rank_xl_r)
+        to_r = grouped_keys(kps_r["tile"], rank_xu_r)
+        from_s = grouped_keys(kps_s["tile"], rank_xl_s)
+        to_s = grouped_keys(kps_s["tile"], rank_xu_s)
         order_r, order_s = np.argsort(from_r), np.argsort(from_s)
         sorted_r, sorted_s = from_r[order_r], from_s[order_s]
         cls_r, cls_s = kps_r["cls"], kps_s["cls"]
@@ -690,14 +689,17 @@ def refine_pair(
     count means the dedup-free invariant broke and is surfaced all the way
     up to the coordinator's ``merge.duplicates_dropped`` metric.
 
-    Two forms, one answer.  When the predicate is ``intersects``, both
-    sides are tuple spills and every record a candidate names is a
-    polyline, the verdicts of all candidates come from coordinate columns
-    in one pass (:func:`~repro.geometry.kernels.polylines_intersect_each`)
-    and no tuple is built.  Anything else — polygons, mixed geometry, any
-    other predicate, the live tuples of the coordinator's rebuild — takes
-    the loop: look both tuples up, call the predicate.  ``span``, if
-    given, is tagged with which form ran and what it decoded.
+    Two forms, one answer.  When both sides are tuple spills and the
+    predicate is ``intersects`` with every record a candidate names a
+    polyline, or ``contains`` with every one a polygon, the verdicts of all
+    candidates come from coordinate columns in one pass
+    (:func:`~repro.geometry.kernels.polylines_intersect_each`,
+    :func:`~repro.geometry.kernels.polygons_contain_each`) and no tuple is
+    built.  Anything else — polygons under ``intersects``, mixed geometry,
+    any other predicate, the live tuples of the coordinator's rebuild —
+    takes the loop: look both tuples up, call the predicate.  ``span``, if
+    given, is tagged with which form ran, what it decoded and how many
+    rows reached the exact tests.
     """
     pairs = np.array(candidates, dtype=np.int64).reshape(-1, 2)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
@@ -706,27 +708,31 @@ def refine_pair(
     pairs = pairs[fresh]
     named_r, of_r = np.unique(pairs[:, 0], return_inverse=True)
     named_s, of_s = np.unique(pairs[:, 1], return_inverse=True)
-    spills = (
-        predicate is intersects
-        and isinstance(tuples_r, TupleSpill)
-        and isinstance(tuples_s, TupleSpill)
-    )
-    chains_r = tuples_r.polylines(named_r) if spills else None
-    chains_s = tuples_s.polylines(named_s) if chains_r is not None else None
-    segment_pairs = 0
-    if chains_s is not None:
-        hits, segment_pairs = polylines_intersect_each(
-            chains_r, chains_s, of_r, of_s
-        )
+    decode = decide = None
+    if isinstance(tuples_r, TupleSpill) and isinstance(tuples_s, TupleSpill):
+        if predicate is intersects:
+            decode, decide = polyline_runs, polylines_intersect_each
+        elif predicate is contains:
+            decode, decide = polygon_runs, polygons_contain_each
+    columns_r = columns_s = None
+    if decode is not None:
+        columns_r = tuples_r.columns(named_r, decode)
+    if columns_r is not None:
+        columns_s = tuples_s.columns(named_s, decode)
+    rows = {"segment_pairs": 0, "vertex_rows": 0}
+    if columns_s is not None:
+        hits, tested = decide(columns_r, columns_s, of_r, of_s)
+        rows.update(tested)
     else:
         hits = np.fromiter(
             (predicate(tuples_r[r], tuples_s[s]) for r, s in pairs.tolist()),
             dtype=bool, count=len(pairs),
         )
     if span is not None:
-        span.tag("columnar", chains_s is not None)
+        span.tag("columnar", columns_s is not None)
         span.tag("records_decoded", len(named_r) + len(named_s))
-        span.tag("segment_pairs", segment_pairs)
+        for name, count in rows.items():
+            span.tag(name, count)
     results = pairs[hits]
     return (
         list(zip(results[:, 0].tolist(), results[:, 1].tolist())),

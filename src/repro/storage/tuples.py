@@ -114,6 +114,42 @@ def deserialize_tuple(data: bytes) -> SpatialTuple:
     return SpatialTuple(feature_id, category, name, geom)
 
 
+def _windows(buffer: bytes, dtype: str) -> np.ndarray:
+    """Every window of the buffer as one ``dtype`` value, whatever its
+    alignment: element ``i`` is the bytes from ``i`` on."""
+    size = np.dtype(dtype).itemsize
+    return np.ndarray(
+        (max(len(buffer) - size + 1, 0),), dtype, buffer, strides=(1,)
+    )
+
+
+def _geometry_at(
+    buffer: bytes, starts: np.ndarray, ends: np.ndarray, tag: int
+) -> Optional[np.ndarray]:
+    """The record-head walk both column decoders share: where each
+    record's geometry begins — the u16 after its name, inside the record —
+    or ``None`` if some record does not carry ``tag``."""
+    name_at = starts + _HEAD.size
+    if (name_at + 2 * _U16.size > ends).any():
+        raise ValueError("a record is shorter than its fixed fields")
+    if (_windows(buffer, "u1")[starts] != tag).any():
+        return None
+    at = name_at + _U16.size + _windows(buffer, "<u2")[name_at]
+    if (at + _U16.size > ends).any():
+        raise ValueError("a name overruns its record")
+    return at
+
+
+def _points(buffer: bytes, run_at: np.ndarray, first: np.ndarray):
+    """The ``(x, y)`` columns of coordinate runs: run ``i`` is the
+    ``first[i + 1] - first[i]`` points stored from byte ``run_at[i]`` on."""
+    # The x of point k of run i is the double at run_at[i] + 16 k.
+    x_at = np.repeat(run_at - first[:-1] * _POINT.size, np.diff(first))
+    x_at += np.arange(first[-1]) * _POINT.size
+    f64 = _windows(buffer, "<f8")
+    return f64[x_at], f64[x_at + 8]
+
+
 def polyline_runs(
     buffer: bytes, starts: np.ndarray, ends: np.ndarray
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -127,24 +163,10 @@ def polyline_runs(
     points) is rejected here, and so is a run that stops short of the
     record's end.
     """
-    def windows(dtype: str) -> np.ndarray:
-        """Every window of the buffer as one ``dtype`` value, whatever its
-        alignment: element ``i`` is the bytes from ``i`` on."""
-        size = np.dtype(dtype).itemsize
-        return np.ndarray(
-            (max(len(buffer) - size + 1, 0),), dtype, buffer, strides=(1,)
-        )
-
-    u8, u16, f64 = windows("u1"), windows("<u2"), windows("<f8")
-    name_at = starts + _HEAD.size
-    if (name_at + 2 * _U16.size > ends).any():
-        raise ValueError("a record is shorter than its fixed fields")
-    if (u8[starts] != _GEOM_POLYLINE).any():
+    count_at = _geometry_at(buffer, starts, ends, _GEOM_POLYLINE)
+    if count_at is None:
         return None
-    count_at = name_at + _U16.size + u16[name_at]
-    if (count_at + _U16.size > ends).any():
-        raise ValueError("a name overruns its record")
-    counts = u16[count_at].astype(np.int64)
+    counts = _windows(buffer, "<u2")[count_at].astype(np.int64)
     run_at = count_at + _U16.size
     if (counts < 2).any() or (run_at + counts * _POINT.size != ends).any():
         raise ValueError(
@@ -152,10 +174,62 @@ def polyline_runs(
             "end where its record does"
         )
     first = np.concatenate(([0], np.cumsum(counts)))
-    # The x of point k of record i is the double at run_at[i] + 16 k.
-    x_at = np.repeat(run_at - first[:-1] * _POINT.size, counts)
-    x_at += np.arange(first[-1]) * _POINT.size
-    return f64[x_at], f64[x_at + 8], first
+    return (*_points(buffer, run_at, first), first)
+
+
+def polygon_runs(
+    buffer: bytes, starts: np.ndarray, ends: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The column form of :func:`deserialize_tuple` for polygon records.
+
+    Returns ``(x, y, ring_first, poly_first)`` — ring ``j`` is the vertices
+    ``ring_first[j]:ring_first[j + 1]`` of the two float64 columns, record
+    ``i``'s rings are ``poly_first[i]:poly_first[i + 1]``, its shell first
+    — or ``None`` if some record is not a polygon.  Rings come out as
+    ``Polygon`` keeps them: one stored closed (last vertex equal to its
+    first) loses the repeat.  Nothing outside a record is read, and what
+    :func:`deserialize_tuple` and ``Polygon`` reject is rejected here — no
+    rings, a ring that overruns its record, fewer than three vertices
+    before or after the repeat is dropped — as are rings that stop short
+    of the record's end.
+    """
+    at = _geometry_at(buffer, starts, ends, _GEOM_POLYGON)
+    if at is None:
+        return None
+    u16, f64 = _windows(buffer, "<u2"), _windows(buffer, "<f8")
+    rings = u16[at].astype(np.int64)
+    if (rings == 0).any():
+        raise ValueError("a polygon record with no rings")
+    poly_first = np.concatenate(([0], np.cumsum(rings)))
+    run_at = np.empty(poly_first[-1], np.int64)
+    counts = np.empty(poly_first[-1], np.int64)
+    # A ring starts where the one before it ends, so the records are
+    # walked a ring at a time, all of them abreast: as many steps as the
+    # most rings any record has.
+    at = at + _U16.size
+    walking = np.arange(len(starts))
+    for depth in range(int(rings.max(initial=0))):
+        walking = walking[rings[walking] > depth]
+        count_at, end = at[walking], ends[walking]
+        if (count_at + _U16.size > end).any():
+            raise ValueError("a ring count overruns its record")
+        count = u16[count_at].astype(np.int64)
+        ring = poly_first[walking] + depth
+        run_at[ring], counts[ring] = count_at + _U16.size, count
+        at[walking] = run_at[ring] + count * _POINT.size
+        if (count < 3).any() or (at[walking] > end).any():
+            raise ValueError(
+                "a ring of fewer than three vertices, or one that overruns "
+                "its record"
+            )
+    if (at != ends).any():
+        raise ValueError("rings that do not end where their record does")
+    last_at = run_at + (counts - 1) * _POINT.size
+    counts -= (f64[run_at] == f64[last_at]) & (f64[run_at + 8] == f64[last_at + 8])
+    if (counts < 3).any():
+        raise ValueError("a ring of fewer than three distinct vertices")
+    ring_first = np.concatenate(([0], np.cumsum(counts)))
+    return (*_points(buffer, run_at, ring_first), ring_first, poly_first)
 
 
 def tuple_size_bytes(t: SpatialTuple) -> int:

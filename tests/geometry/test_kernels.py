@@ -8,6 +8,8 @@ loops live on here as the reference, built only from the scalar
 ``segments_intersect`` / ``point_in_ring`` / ``_point_strictly_in_ring``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.geometry import (
     Polyline,
     Rect,
     any_segments_intersect,
+    kernels,
     point_in_ring,
     points_in_ring,
     polygon as polygon_module,
@@ -26,9 +29,11 @@ from repro.geometry import (
     ring_segments,
     segments_intersect,
 )
+from repro.geometry.kernels import polygons_contain_each
 from repro.geometry.polygon import _point_strictly_in_ring
 from repro.parallel import parallel_join
 from repro.serve.query import QuerySpec, result_digest
+from tests.geometry.test_polygon_property import star_polygons
 
 # ---------------------------------------------------------------------- #
 # the reference: the loops the kernels replaced
@@ -304,6 +309,246 @@ class TestPolygonPredicates:
     def test_ring_segments_close_each_ring(self):
         starts, ends = ring_segments(CHEESE.rings)
         assert list(zip(map(tuple, starts), map(tuple, ends))) == CHEESE.segments()
+
+
+# ---------------------------------------------------------------------- #
+# every candidate pair at once: ``polygons_contain_each``
+# ---------------------------------------------------------------------- #
+
+
+def ring_columns(polys):
+    """Polygons as the kernel takes them: ``(x, y, ring_first, poly_first)``,
+    what ``storage.tuples.polygon_runs`` makes of their records."""
+    rings = [ring for poly in polys for ring in poly.rings]
+    x, y = np.array([point for ring in rings for point in ring]).T
+    return (
+        x, y,
+        np.cumsum([0] + [len(ring) for ring in rings]),
+        np.cumsum([0] + [len(poly.rings) for poly in polys]),
+    )
+
+
+def contain_each(outers, inners, pairs):
+    of_outer, of_inner = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    verdicts, rows = polygons_contain_each(
+        ring_columns(outers), ring_columns(inners), of_outer, of_inner
+    )
+    assert verdicts.dtype == bool and len(verdicts) == len(pairs)
+    assert {type(count) for count in rows.values()} == {int}
+    return verdicts.tolist(), rows
+
+
+def moved(ring, dx, dy):
+    return [(x + dx, y + dy) for x, y in ring]
+
+
+@st.composite
+def outers(draw, scale):
+    """A lattice polygon with none, one or two holes."""
+    holes = draw(st.lists(rings(max_size=5, scale=scale), max_size=2))
+    return Polygon(
+        scaled(draw(rings(scale=scale)), scale),
+        [scaled(hole, scale) for hole in holes],
+    )
+
+
+@st.composite
+def inners(draw, scale, outer):
+    """A polygon made to collide with ``outer``: drawn from the same
+    lattice (so vertices land on the outer's vertices and edges, and edges
+    run along the outer's, horizontal ones among them), or one of the
+    outer's own rings — hence exactly a hole, or the shell — as it is or a
+    lattice step aside, where it straddles what it came from; one in three
+    with a hole of its own."""
+    shell = draw(st.one_of(
+        rings(scale=scale).map(lambda ring: scaled(ring, scale)),
+        st.builds(
+            moved, st.sampled_from(outer.rings),
+            *[st.sampled_from([0.0, scale, -scale])] * 2,
+        # Still distinct once moved: a tiny off-lattice coordinate plus a
+        # lattice step is the step.
+        ).filter(lambda ring: len(set(ring)) == len(ring)),
+    ))
+    holes = (
+        [scaled(draw(rings(max_size=5, scale=scale)), scale)]
+        if draw(st.integers(0, 2)) == 0 else []
+    )
+    return Polygon(shell, holes)
+
+
+@st.composite
+def lattice_batches(draw):
+    """A few outers and, for each, a few inners; every outer a candidate
+    against every inner, some candidates twice."""
+    scale = draw(SCALES)
+    some_outers = draw(st.lists(outers(scale), min_size=1, max_size=3))
+    some_inners = [
+        draw(inners(scale, outer))
+        for outer in some_outers for _ in range(draw(st.integers(1, 2)))
+    ]
+    once = [
+        (o, i) for o in range(len(some_outers)) for i in range(len(some_inners))
+    ]
+    again = draw(st.lists(st.sampled_from(once), max_size=3))
+    return some_outers, some_inners, draw(st.permutations(once + again))
+
+
+def shrunk(poly, factor):
+    """``poly`` scaled about the mean of its vertices: for a star polygon
+    that is not too spiky, inside it below 1 and around it above; the
+    polygon itself at 1."""
+    cx, cy = np.mean(poly.shell, axis=0)
+    return Polygon(
+        [(cx + factor * (x - cx), cy + factor * (y - cy)) for x, y in poly.shell]
+    )
+
+
+CHUNKS = st.sampled_from([1, 5, 1 << 16])
+
+NOTCHED = Polygon(
+    [(0, 0), (2, 0), (2, 2), (4, 2), (4, 0), (6, 0),
+     (6, 6), (4, 6), (4, 4), (2, 4), (2, 6), (0, 6)]
+)
+"""A square with a notch cut in from below (ceiling ``y = 2``) and one from
+above (floor ``y = 4``), both over ``2 <= x <= 4``."""
+
+EPS = 1e-12
+HAND_MADE = {
+    # The vertex rule alone: no outer edge's box meets the island's MBR.
+    "island": (box(0, 0, 30, 30), box(14, 14, 16, 16), True),
+    "beside the hole": (CHEESE, box(1, 1, 3, 3), True),
+    "inside the hole": (CHEESE, box(5, 5, 7, 7), False),
+    "exactly the hole": (CHEESE, box(4, 4, 8, 8), False),
+    "covers the hole (the known deviation)": (CHEESE, box(2, 2, 10, 10), True),
+    "pokes out": (CHEESE, box(11, 11, 13, 13), False),
+    # Slivers lying in a notch, outside the polygon, every vertex within the
+    # tolerance of the notch's floor (ceiling) and so on it; their MBRs miss
+    # the box of every outer edge, so only the vertex rule sees them.  The
+    # vertices at exactly ``y = 4 + EPS`` (``2 - EPS``) sit on the y-range
+    # cut's bound: a cut without its pad, or with a strict bound on that
+    # side, loses them, and with them the verdict.
+    "on the floor, from above": (
+        NOTCHED,
+        Polygon([(2.5, 4 + EPS), (3.5, 4 + EPS), (3.0, 4 + EPS / 2)]),
+        True,
+    ),
+    "on the ceiling, from below": (
+        NOTCHED,
+        Polygon([(2.5, 2 - EPS), (3.5, 2 - EPS), (3.0, 2 - EPS / 2)]),
+        True,
+    ),
+    "in the notch, clear of the floor": (
+        NOTCHED, Polygon([(2.5, 4.5), (3.5, 4.5), (3.0, 5.0)]), False,
+    ),
+    # The same sliver on the far side of a hole's edge: on the hole's
+    # boundary is not strictly inside it.
+    "on a hole's edge, from inside the hole": (
+        CHEESE,
+        Polygon([(5.0, 4 + EPS), (7.0, 4 + EPS), (6.0, 4 + EPS / 2)]),
+        True,
+    ),
+    # Rings need not nest: a "hole" that lies in the notch, outside the
+    # shell, holds the square, and the shell still does not.
+    "in a hole that lies outside the shell": (
+        Polygon(NOTCHED.shell, [[(2.2, 4.2), (3.8, 4.2), (3.8, 7), (2.2, 7)]]),
+        box(2.5, 4.5, 3.5, 5.5),
+        False,
+    ),
+    # The inner polygon's own hole: its vertices are no part of the vertex
+    # rule (this one lies outside the outer polygon altogether) ...
+    "an inner hole far outside": (
+        box(0, 0, 10, 10),
+        Polygon(box(4, 4, 6, 6).shell, [box(20, 20, 21, 21).shell]),
+        True,
+    ),
+    # ... but its edges are part of the boundary test: the shell is clear
+    # of the outer hole, the inner hole's ring crosses that hole's edge.
+    "an inner hole across an outer edge": (
+        CHEESE,
+        Polygon([(1, 1), (5, 1), (2, 4)], [[(5, 3.5), (6, 3.5), (5.5, 4.5)]]),
+        False,
+    ),
+    "the same shell without that hole": (
+        CHEESE, Polygon([(1, 1), (5, 1), (2, 4)]), True,
+    ),
+}
+
+
+class TestPolygonsContainEach:
+    @given(lattice_batches(), CHUNKS)
+    @settings(max_examples=400, deadline=None)
+    def test_lattice_polygons_equal_polygon_contains(self, batch, chunk_rows):
+        some_outers, some_inners, pairs = batch
+        with mock.patch.object(kernels, "EXPANSION_CHUNK_ROWS", chunk_rows):
+            verdicts, _rows = contain_each(some_outers, some_inners, pairs)
+        assert verdicts == [
+            some_outers[o].contains(some_inners[i]) for o, i in pairs
+        ]
+        assert verdicts == [
+            ref_contains(some_outers[o], some_inners[i]) for o, i in pairs
+        ]
+
+    @given(
+        st.lists(star_polygons(), min_size=1, max_size=3),
+        st.lists(star_polygons(max_radius=2.0), max_size=2),
+        CHUNKS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_star_polygons_equal_polygon_contains(self, stars, others, chunk_rows):
+        some_inners = others + [
+            shrunk(star, factor)
+            for star in stars for factor in (0.3, 0.9, 1.0, 1.1)
+        ]
+        pairs = [
+            (o, i) for o in range(len(stars)) for i in range(len(some_inners))
+        ]
+        with mock.patch.object(kernels, "EXPANSION_CHUNK_ROWS", chunk_rows):
+            verdicts, _rows = contain_each(stars, some_inners, pairs)
+        assert verdicts == [stars[o].contains(some_inners[i]) for o, i in pairs]
+
+    @pytest.mark.parametrize("case", HAND_MADE)
+    def test_hand_made_cases(self, case):
+        outer, inner, contained = HAND_MADE[case]
+        assert outer.contains(inner) is contained
+        assert contain_each([outer], [inner], [(0, 0)])[0] == [contained]
+
+    def test_hand_made_cases_all_at_once(self):
+        """Every outer against every inner, in one call."""
+        some_outers = [outer for outer, _inner, _ in HAND_MADE.values()]
+        some_inners = [inner for _outer, inner, _ in HAND_MADE.values()]
+        pairs = [
+            (o, i) for o in range(len(some_outers)) for i in range(len(some_inners))
+        ]
+        verdicts, rows = contain_each(some_outers, some_inners, pairs)
+        assert verdicts == [
+            some_outers[o].contains(some_inners[i]) for o, i in pairs
+        ]
+        assert verdicts.count(True) > len(HAND_MADE) / 2
+        assert rows["segment_pairs"] > 0 and rows["vertex_rows"] > 0
+
+    def test_the_rows_each_test_sees(self):
+        outer, island, _ = HAND_MADE["island"]
+        # No edge's box meets the island: no segment pair.  Each vertex lies
+        # in the y-extent of the two vertical edges alone: 4 x 2 rows of the
+        # 4 x 4 product.
+        assert contain_each([outer], [island], [(0, 0)])[1] == {
+            "segment_pairs": 0, "vertex_rows": 8,
+        }
+        # The boundary test decides; the vertex rule is not reached.
+        _outer, poking, _ = HAND_MADE["pokes out"]
+        assert contain_each([CHEESE], [poking], [(0, 0)])[1] == {
+            "segment_pairs": 0, "vertex_rows": 0,
+        }
+        # ``Rect.contains`` is closed: MBRs that share a bound pass it, and
+        # the edge along the shell is for the boundary test to find.
+        for touching in (box(3, 3, 6, 6), box(0, 1, 2, 3)):
+            verdicts, rows = contain_each([CHEESE], [touching], [(0, 0)])
+            assert verdicts == [False]
+            assert rows["segment_pairs"] > 0 and rows["vertex_rows"] == 0
+
+    def test_no_pairs(self):
+        verdicts, rows = contain_each([CHEESE], [box(1, 1, 2, 2)], [])
+        assert verdicts == [] and rows == {"segment_pairs": 0, "vertex_rows": 0}
 
 
 class TestSequoiaEndToEnd:

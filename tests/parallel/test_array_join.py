@@ -31,7 +31,6 @@ from repro.parallel.process import DEFAULT_TASK_MEMORY
 from repro.parallel.tasks import (
     KEYPOINTER_DTYPE,
     InputSide,
-    _tile_x_keys,
     sweep_pair,
 )
 from repro.serve.query import QuerySpec
@@ -159,7 +158,7 @@ class TestCompositeKey:
     def test_the_largest_tile_and_rank_fit_an_int64(self):
         tiles = np.array([0, 1, 2**32 - 2, 2**32 - 1], "<u4")
         ranks = np.array([0, 1, 2**31 - 2, 2**31 - 1], np.int64)
-        keys = _tile_x_keys(np.repeat(tiles, 4), np.tile(ranks, 4))
+        keys = kernels.grouped_keys(np.repeat(tiles, 4), np.tile(ranks, 4))
         assert keys.dtype == np.int64
         # Sorted as (tile, rank) sorts, so nothing wrapped into the sign.
         assert (np.diff(keys) > 0).all() and keys[0] == 0

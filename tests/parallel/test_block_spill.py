@@ -6,7 +6,8 @@ checks every byte, and workers that freeze the heap they inherit.
   ``spill_bytes`` is their size;
 * the tuple reader decodes only what is looked up, but any damage to any
   frame — referenced or not — fails the task as corruption, whether the
-  refine gathers coordinate columns or looks tuples up one by one;
+  refine gathers coordinate columns (of polylines, of polygons) or looks
+  tuples up one by one;
 * a pool worker has a frozen heap after its first task.
 """
 
@@ -20,9 +21,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro import intersects
+from repro import contains, intersects
 from repro.core.keypointer import _f32_down, _f32_up
-from repro.core.predicates import intersects_naive
+from repro.core.predicates import ContainsWithFilters, intersects_naive
 from repro.core.partition import SpatialPartitioner
 from repro.core.pbsm import PBSMConfig
 from repro.data import generate_hydrography, generate_roads
@@ -40,6 +41,7 @@ from repro.parallel.tasks import (
     spill_bytes,
     sweep_pair,
 )
+from repro.serve.query import QuerySpec
 from repro.storage import SpillCorruptionError
 from repro.storage.spill import FRAME_HEADER_SIZE, read_spill_all, write_spill
 from repro.storage.tuples import serialize_tuple
@@ -135,9 +137,12 @@ class TestOneFormat:
         partitioner, side, _ = sides
         spill = spill_side(tmp_path, "r", partitioner, side)
         (routed,) = partitioner.route_all(side.mbrs)
-        assert spill_bytes(routed, side) == (
+        footprint = spill_bytes(routed, side)
+        assert footprint == (
             os.path.getsize(spill.kp_path) + os.path.getsize(spill.tuple_path)
         )
+        # A reject quotes it over the wire: an int, not a numpy scalar.
+        assert type(footprint) is int
         (nothing,) = partitioner.route_all(side.mbrs[:0])
         assert spill_bytes(nothing, InputSide()) == 0
 
@@ -301,6 +306,40 @@ class TestIntegrityThroughTheLookups(TestIntegrity):
         assert loop_tags["segment_pairs"] == 0 < tags["segment_pairs"]
         assert loop_tags["records_decoded"] == tags["records_decoded"] > 0
         assert tags["candidates"] == columnar.candidates
+
+
+class TestIntegrityThroughThePolygonColumns(TestIntegrity):
+    """The same damage with the refine on ring columns: landuse x islands
+    under ``contains``, where a worker builds no ``Polygon`` — and still
+    fails on a torn frame that no candidate references."""
+
+    @pytest.fixture(scope="class")
+    def sides(self):
+        spec = QuerySpec(dataset="landuse_island", scale=0.01, seed=11,
+                         predicate="contains")
+        side_r, side_s = map(InputSide, spec.generate())
+        partitioner = SpatialPartitioner.for_inputs(
+            side_r.mbrs, side_s.mbrs, 1, PBSMConfig().num_tiles
+        )
+        return partitioner, side_r, side_s
+
+    @pytest.fixture
+    def pair_task(self, pair_task):
+        return dataclasses.replace(pair_task, predicate=contains)
+
+    def test_the_task_is_the_polygon_form(self, pair_task):
+        result = run_pair_task(dataclasses.replace(pair_task, observe=True))
+        (root,) = result.spans
+        (tags,) = [
+            child["tags"] for child in root["children"]
+            if child["name"] == "worker.refine"
+        ]
+        assert result.pairs and tags["columnar"] is True
+        assert tags["segment_pairs"] > 0 < tags["vertex_rows"]
+        loop = run_pair_task(dataclasses.replace(
+            pair_task, predicate=ContainsWithFilters()
+        ))
+        assert loop.pairs == result.pairs
 
 
 class TestFrozenWorkerHeap:

@@ -1,15 +1,17 @@
-"""The columnar polyline refine returns the per-pair loop's answer.
+"""The columnar refine returns the per-pair loop's answer.
 
-``refine_pair`` has two forms.  Handed two tuple spills, the ``intersects``
-predicate and candidates that name only polylines, it gathers coordinate
-runs and decides every candidate in a few array calls; handed anything else
-it looks each pair of tuples up and calls the predicate.  Result digests are
-gated byte-identical, so on the same spill files the two must agree on every
-candidate — including the ones decided by a single padded comparison, which
-is why the inputs are ``TestMaskedSweep``'s: lattice chains that touch,
-share vertices and overlap collinearly, scaled 1e-6 ... 1e6, with the second
-chain's MBR a chosen gap (none, zero, either side of the pad) from the
-first's.
+``refine_pair`` has two forms.  Handed two tuple spills and either the
+``intersects`` predicate with candidates that name only polylines or the
+``contains`` predicate with candidates that name only polygons, it gathers
+coordinate runs and decides every candidate in a few array calls; handed
+anything else it looks each pair of tuples up and calls the predicate.
+Result digests are gated byte-identical, so on the same spill files the two
+must agree on every candidate — including the ones decided by a single
+padded comparison, which is why the polyline inputs are
+``TestMaskedSweep``'s (lattice chains that touch, share vertices and overlap
+collinearly, scaled 1e-6 ... 1e6, with the second chain's MBR a chosen gap
+— none, zero, either side of the pad — from the first's) and the polygon
+inputs ``test_kernels.py``'s lattice batches and hand-made cases.
 """
 
 import struct
@@ -20,10 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import intersects
+from repro import contains, intersects
 from repro.core.partition import SpatialPartitioner
 from repro.core.pbsm import PBSMConfig
-from repro.core.predicates import intersects_naive
+from repro.core.predicates import ContainsWithFilters, intersects_naive
 from repro.geometry import Polygon, Polyline, kernels
 from repro.obs import Tracer
 from repro.parallel import tasks
@@ -32,6 +34,7 @@ from repro.parallel.tasks import InputSide, read_tuple_spill, refine_pair
 from repro.serve.query import QuerySpec
 from repro.storage.spill import write_spill
 from repro.storage.tuples import SpatialTuple, polyline_runs, serialize_tuple
+from tests.geometry.test_kernels import HAND_MADE, lattice_batches
 from tests.geometry.test_polyline import PAD, chain_pairs
 
 NAMES = st.sampled_from(["", "a", "é", "道路 101", "x" * 300])
@@ -65,6 +68,32 @@ def by_the_loop(r, s):
     return intersects(r, s)
 
 
+def contains_by_the_loop(r, s):
+    """``contains`` under another identity."""
+    return contains(r, s)
+
+
+def one_partition(spec, directory):
+    """The join ``spec`` names as a single partition pair: the candidates
+    the sweep finds, and both sides' tuple spills."""
+    side_r, side_s = map(InputSide, spec.generate())
+    partitioner = SpatialPartitioner.for_inputs(
+        side_r.mbrs, side_s.mbrs, 1, PBSMConfig().num_tiles
+    )
+    (routed_r,), (routed_s,) = (
+        partitioner.route_all(side.mbrs) for side in (side_r, side_s)
+    )
+    candidates = tasks.sweep_pair(
+        side_r.keypointers(routed_r), side_s.keypointers(routed_s),
+        DEFAULT_TASK_MEMORY, PBSMConfig(), label="0",
+    )
+    return (
+        candidates,
+        spill(directory / "r.tup", side_r, block=64),
+        spill(directory / "s.tup", side_s, block=64),
+    )
+
+
 @st.composite
 def batches(draw):
     """A few chain pairs as two relations, every R chain a candidate
@@ -82,47 +111,48 @@ def batches(draw):
     return tuples_r, tuples_s, draw(st.permutations(once + again)), len(again)
 
 
+def the_two_forms_agree(
+    directory, tuples_r, tuples_s, candidates, chunk_rows, predicate, loop, holds
+):
+    """``predicate`` (columnar) and ``loop`` (the same test under another
+    identity) over the same spill files: same pairs — those ``holds`` says,
+    as ints — same ``dropped``, and span tags that tell the forms apart."""
+    path_r = spill(directory / "r.tup", tuples_r)
+    path_s = spill(directory / "s.tup", tuples_s)
+    with mock.patch.object(kernels, "EXPANSION_CHUNK_ROWS", chunk_rows):
+        columnar, tags = refined(candidates, path_r, path_s, predicate)
+    looped, loop_tags = refined(candidates, path_r, path_s, loop)
+    assert columnar == looped
+    assert tags["columnar"] is True and loop_tags["columnar"] is False
+    assert tags["records_decoded"] == loop_tags["records_decoded"] == (
+        len({r for r, _s in candidates}) + len({s for _r, s in candidates})
+    )
+    assert loop_tags["segment_pairs"] == loop_tags["vertex_rows"] == 0
+    by_fid = {t.feature_id: t.geom for t in (*tuples_r, *tuples_s)}
+    pairs, dropped = columnar
+    assert dropped == len(candidates) - len(set(candidates))
+    assert pairs == [
+        pair for pair in sorted(set(candidates))
+        if holds(by_fid[pair[0]], by_fid[pair[1]])
+    ]
+    assert all(type(fid) is int for pair in pairs for fid in pair)
+
+
 class TestAgainstTheLoop:
     @given(batches(), st.sampled_from([1, 5, 1 << 16]))
     @settings(max_examples=500, deadline=None)
     def test_same_pairs_same_drops(self, tmp_path_factory, batch, chunk_rows):
         tuples_r, tuples_s, candidates, repeats = batch
-        directory = tmp_path_factory.mktemp("spills")
-        path_r = spill(directory / "r.tup", tuples_r)
-        path_s = spill(directory / "s.tup", tuples_s)
-        with mock.patch.object(kernels, "EXPANSION_CHUNK_ROWS", chunk_rows):
-            columnar, tags = refined(candidates, path_r, path_s, intersects)
-        loop, loop_tags = refined(candidates, path_r, path_s, by_the_loop)
-        assert columnar == loop
-        assert tags["columnar"] is True and loop_tags["columnar"] is False
-        assert tags["records_decoded"] == loop_tags["records_decoded"] == (
-            len(tuples_r) + len(tuples_s)
+        assert repeats == len(candidates) - len(set(candidates))
+        the_two_forms_agree(
+            tmp_path_factory.mktemp("spills"), tuples_r, tuples_s, candidates,
+            chunk_rows, intersects, by_the_loop, Polyline.intersects,
         )
-        by_fid = {t.feature_id: t.geom for t in (*tuples_r, *tuples_s)}
-        pairs, dropped = columnar
-        assert dropped == repeats
-        assert pairs == [
-            pair for pair in sorted(set(candidates))
-            if by_fid[pair[0]].intersects(by_fid[pair[1]])
-        ]
-        assert all(type(fid) is int for pair in pairs for fid in pair)
 
     def test_every_candidate_of_a_join(self, tmp_path):
         """The candidates a real sweep produces, all partitions in one."""
         spec = QuerySpec(dataset="road_hydro", scale=0.01, seed=11)
-        side_r, side_s = map(InputSide, spec.generate())
-        partitioner = SpatialPartitioner.for_inputs(
-            side_r.mbrs, side_s.mbrs, 1, PBSMConfig().num_tiles
-        )
-        (routed_r,), (routed_s,) = (
-            partitioner.route_all(side.mbrs) for side in (side_r, side_s)
-        )
-        candidates = tasks.sweep_pair(
-            side_r.keypointers(routed_r), side_s.keypointers(routed_s),
-            DEFAULT_TASK_MEMORY, PBSMConfig(), label="0",
-        )
-        path_r = spill(tmp_path / "r.tup", side_r, block=64)
-        path_s = spill(tmp_path / "s.tup", side_s, block=64)
+        candidates, path_r, path_s = one_partition(spec, tmp_path)
         columnar, tags = refined(candidates, path_r, path_s, intersects)
         assert columnar == refined(candidates, path_r, path_s, by_the_loop)[0]
         assert tags["columnar"] and tags["segment_pairs"] > len(candidates) / 2
@@ -134,6 +164,7 @@ class TestAgainstTheLoop:
         assert answer == ([], 0)
         assert tags == {
             "columnar": True, "records_decoded": 0, "segment_pairs": 0,
+            "vertex_rows": 0,
         }
 
 
@@ -171,6 +202,7 @@ class TestWhichFormRuns:
         assert answer == ([(1, S_BASE)], 0)
         assert tags == {
             "columnar": True, "records_decoded": 4, "segment_pairs": 1,
+            "vertex_rows": 0,
         }
 
     def test_a_polygon_among_the_named_records_takes_the_loop(self, paths):
@@ -181,6 +213,7 @@ class TestWhichFormRuns:
         assert answer == refined(candidates, path_r, path_s, by_the_loop)[0]
         assert tags == {
             "columnar": False, "records_decoded": 5, "segment_pairs": 0,
+            "vertex_rows": 0,
         }
 
     @pytest.mark.parametrize(
@@ -211,6 +244,144 @@ class TestWhichFormRuns:
         for candidates in ([(1, S_BASE), (3, S_BASE)], [(1, S_BASE + 9)]):
             with pytest.raises(KeyError):
                 refined(candidates, path_r, path_s, predicate)
+
+
+def area(fid, polygon, name="n"):
+    return SpatialTuple(fid, 3, name, polygon)
+
+
+@st.composite
+def polygon_batches(draw):
+    """``test_kernels.py``'s lattice batches as two relations and the
+    candidate list between them, repeats and all."""
+    outers, inners, pairs = draw(lattice_batches())
+    tuples_r = [area(i, outer, draw(NAMES)) for i, outer in enumerate(outers)]
+    tuples_s = [
+        area(S_BASE + i, inner, draw(NAMES)) for i, inner in enumerate(inners)
+    ]
+    return tuples_r, tuples_s, [(o, S_BASE + i) for o, i in pairs]
+
+
+class TestPolygonsAgainstTheLoop:
+    @given(polygon_batches(), st.sampled_from([1, 5, 1 << 16]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_pairs_same_drops(self, tmp_path_factory, batch, chunk_rows):
+        the_two_forms_agree(
+            tmp_path_factory.mktemp("spills"), *batch, chunk_rows,
+            contains, contains_by_the_loop, Polygon.contains,
+        )
+
+    def test_the_hand_made_cases(self, tmp_path):
+        """Among them the slivers only the cut's pad keeps, the inner holes
+        and the known deviation: each outer against each inner."""
+        cases = list(HAND_MADE.values())
+        path_r = spill(tmp_path / "r.tup", [
+            area(i, outer) for i, (outer, _inner, _) in enumerate(cases)
+        ])
+        path_s = spill(tmp_path / "s.tup", [
+            area(S_BASE + i, inner) for i, (_outer, inner, _) in enumerate(cases)
+        ])
+        candidates = [
+            (o, S_BASE + i) for o in range(len(cases)) for i in range(len(cases))
+        ]
+        columnar, tags = refined(candidates, path_r, path_s, contains)
+        assert columnar == refined(
+            candidates, path_r, path_s, contains_by_the_loop
+        )[0]
+        assert tags["columnar"] and tags["vertex_rows"] > 0 < tags["segment_pairs"]
+        for i, (_outer, _inner, contained) in enumerate(cases):
+            assert ((i, S_BASE + i) in columnar[0]) is contained
+
+    def test_every_candidate_of_a_join(self, tmp_path):
+        spec = QuerySpec(dataset="landuse_island", scale=0.02, seed=11,
+                         predicate="contains")
+        candidates, path_r, path_s = one_partition(spec, tmp_path)
+        columnar, tags = refined(candidates, path_r, path_s, contains)
+        assert columnar == refined(
+            candidates, path_r, path_s, contains_by_the_loop
+        )[0]
+        assert tags["columnar"] is True
+        # Both exact tests had work, and the vertex rule far less of it
+        # than the (vertex x edge) product of even one pair in ten.
+        assert tags["segment_pairs"] > len(candidates)
+        assert len(candidates) < tags["vertex_rows"] < 100 * len(candidates)
+        assert 100 < len(columnar[0]) < len(candidates) and columnar[1] == 0
+
+
+class TestWhichFormRunsOnPolygons:
+    @pytest.fixture
+    def paths(self, tmp_path):
+        outer, island, _ = HAND_MADE["island"]
+        tuples_r = [area(1, outer), area(2, island)]
+        tuples_s = [
+            area(S_BASE, island),
+            line(S_BASE + 1, [(14.0, 14.0), (16.0, 16.0)]),
+        ]
+        return spill(tmp_path / "r.tup", tuples_r), spill(tmp_path / "s.tup", tuples_s)
+
+    POLYGONS_ONLY = [(1, S_BASE), (2, S_BASE)]
+
+    def test_polygons_under_contains_are_columnar(self, paths):
+        answer, tags = refined(self.POLYGONS_ONLY, *paths, contains)
+        # The island holds itself no more than ``Polygon.contains`` says.
+        assert answer == ([(1, S_BASE)], 0)
+        assert tags == {
+            "columnar": True, "records_decoded": 3, "segment_pairs": 16,
+            "vertex_rows": 8,
+        }
+
+    def test_no_candidates(self, paths):
+        answer, tags = refined([], *paths, contains)
+        assert answer == ([], 0)
+        assert tags == {
+            "columnar": True, "records_decoded": 0, "segment_pairs": 0,
+            "vertex_rows": 0,
+        }
+
+    def test_a_polyline_among_the_named_records_takes_the_loop(self, paths):
+        """... where ``contains`` refuses it, as it always has."""
+        with pytest.raises(TypeError, match="requires polygon inputs"):
+            refined(self.POLYGONS_ONLY + [(1, S_BASE + 1)], *paths, contains)
+        with pytest.raises(TypeError, match="requires polygon inputs"):
+            refined([(1, S_BASE + 1)], *paths, contains_by_the_loop)
+
+    @pytest.mark.parametrize(
+        "predicate", [intersects, ContainsWithFilters(), contains_by_the_loop],
+        ids=["intersects", "ContainsWithFilters", "another identity"],
+    )
+    def test_any_other_predicate_takes_the_loop(self, paths, predicate):
+        answer, tags = refined(self.POLYGONS_ONLY, *paths, predicate)
+        assert answer[0][0] == (1, S_BASE) and answer[1] == 0
+        assert tags["columnar"] is False
+        assert tags["segment_pairs"] == tags["vertex_rows"] == 0
+
+    @pytest.mark.parametrize("predicate", [contains, contains_by_the_loop])
+    def test_an_absent_feature_id_is_a_key_error(self, paths, predicate):
+        for candidates in ([(1, S_BASE), (3, S_BASE)], [(1, S_BASE + 9)]):
+            with pytest.raises(KeyError):
+                refined(candidates, *paths, predicate)
+
+    def test_a_bad_record_fails_the_refine_in_either_form(self, tmp_path):
+        outer, island, _ = HAND_MADE["island"]
+        good = serialize_tuple(area(1, outer))
+        inner = serialize_tuple(area(2, island))
+        # The ring's vertex count, two bytes before its four points.
+        at = len(inner) - 16 * 4 - 2
+        assert struct.unpack_from("<H", inner, at) == (4,)
+        for count, loop_error in ((5, struct.error), (2, ValueError)):
+            bad = inner[:at] + struct.pack("<H", count) + inner[at + 2 :]
+            path = tmp_path / f"bad{count}.tup"
+            write_spill(path, [tasks.pack_tuple_block([
+                (1, good), (2, bad), (3, inner),
+            ])])
+            with pytest.raises(ValueError, match="ring"):
+                refined([(1, 2)], str(path), str(path), contains)
+            with pytest.raises(loop_error):
+                refined([(1, 2)], str(path), str(path), contains_by_the_loop)
+            # A bad record nobody names is not read at all.
+            assert refined([(1, 3)], str(path), str(path), contains)[0] == (
+                [(1, 3)], 0
+            )
 
 
 class TestTheTestsWouldNotice:

@@ -198,8 +198,42 @@ class TestWorkerObservability:
             assert refine.tags["records_decoded"] <= 2 * refine.tags["candidates"]
             # Every result is at least one segment pair that intersected.
             assert refine.tags["segment_pairs"] >= span.tags["results"]
+            assert refine.tags["vertex_rows"] == 0
         assert tracer.find("process.partition")
         assert tracer.find("process.execute")
+
+    @pytest.mark.parametrize("seed", [1996, 7, 3017])
+    def test_polygon_tasks_are_columnar_and_the_digest_is_the_serial_one(
+        self, seed
+    ):
+        """The paper's Sequoia query, on the seeds ARCHITECTURE.md counts
+        the known deviation of ``Polygon.contains`` on: the workers decide
+        it from ring columns and reproduce the loop's answer, deviation
+        and all."""
+        from repro.serve.query import QuerySpec, result_digest
+
+        spec = QuerySpec(dataset="landuse_island", scale=0.05, seed=seed,
+                         predicate="contains", workers=2)
+        tuples_r, tuples_s = spec.generate()
+        serial = parallel_join(
+            tuples_r, tuples_s, spec.predicate_fn, backend="serial"
+        )
+        tracer = Tracer()
+        process = ProcessPBSM(2, tracer=tracer).run(
+            tuples_r, tuples_s, spec.predicate_fn
+        )
+        assert len(serial.pairs) > 500
+        assert result_digest(process.pairs) == result_digest(serial.pairs)
+        assert process.duplicates_dropped == 0
+        refines = tracer.find("worker.refine")
+        assert len(refines) == len(process.tasks)
+        for refine in refines:
+            assert refine.tags["columnar"] is True
+            assert refine.tags["records_decoded"] <= 2 * refine.tags["candidates"]
+        # Each contained island was decided by its vertices, three at least,
+        # and a height inside a ring lies within two of its edges' extents.
+        assert sum(r.tags["vertex_rows"] for r in refines) >= 6 * len(serial.pairs)
+        assert sum(r.tags["segment_pairs"] for r in refines) > 0
 
 
 class TestCandidateFetchCharging:

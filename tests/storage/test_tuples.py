@@ -5,6 +5,7 @@ import dataclasses
 import pickle
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from repro.storage import (
     serialize_tuple,
     tuple_size_bytes,
 )
+from repro.storage.tuples import polygon_runs, polyline_runs
 from tests.conftest import points, polyline_points
 
 
@@ -113,6 +115,141 @@ class TestCodecProperty:
     def test_a_truncated_coordinate_run_is_an_error(self, t, cut):
         with pytest.raises(struct.error):
             deserialize_tuple(serialize_tuple(t)[:-cut])
+
+
+def records(*blobs):
+    """Records back to back in one buffer, as a tuple spill keeps them:
+    ``(buffer, starts, ends)``."""
+    sizes = np.array([len(blob) for blob in blobs], dtype=np.int64)
+    return b"".join(blobs), np.cumsum(sizes) - sizes, np.cumsum(sizes)
+
+
+def polygon_record(rings, name=b"", tag=2):
+    """A polygon record written field by field, so that it can say what
+    ``serialize_tuple`` never would."""
+    out = struct.pack("<BIH", tag, 7, 10) + struct.pack("<H", len(name)) + name
+    out += struct.pack("<H", len(rings))
+    for ring in rings:
+        out += struct.pack("<H", len(ring))
+        out += b"".join(struct.pack("<dd", x, y) for x, y in ring)
+    return out
+
+
+def rings_of(columns):
+    """``polygon_runs``' columns back as one list of rings per record."""
+    x, y, ring_first, poly_first = columns
+    points = list(zip(x.tolist(), y.tolist()))
+    rings = [points[a:b] for a, b in zip(ring_first[:-1], ring_first[1:])]
+    return [rings[a:b] for a, b in zip(poly_first[:-1], poly_first[1:])]
+
+
+TRIANGLE = [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]
+SQUARE = [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)]
+polygon_tuples = st.builds(
+    SpatialTuple,
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**16 - 1),
+    st.sampled_from(["", "a", "é", "土地 7", "x" * 300]),
+    st.builds(Polygon, ring_points, st.lists(ring_points, max_size=3)),
+)
+
+
+class TestPolygonRuns:
+    """The column decoder is ``deserialize_tuple`` for many polygon records
+    at once: the same rings from the same bytes, the same records refused,
+    and no byte read outside the record it belongs to."""
+
+    @given(st.lists(polygon_tuples, max_size=5))
+    def test_round_tripped_polygons_decode_as_deserialize_tuple_does(self, tuples):
+        blobs = [serialize_tuple(t) for t in tuples]
+        assert rings_of(polygon_runs(*records(*blobs))) == [
+            [list(ring) for ring in deserialize_tuple(blob).geom.rings]
+            for blob in blobs
+        ]
+
+    def test_rings_stored_closed_lose_the_repeat(self):
+        """``serialize_tuple`` writes rings open, but ``Polygon`` accepts a
+        ring whose last vertex repeats its first, and so must this."""
+        blobs = [
+            polygon_record([TRIANGLE + TRIANGLE[:1], SQUARE], b"closed shell"),
+            polygon_record([TRIANGLE, SQUARE + SQUARE[:1], SQUARE]),
+            polygon_record([TRIANGLE]),
+        ]
+        decoded = rings_of(polygon_runs(*records(*blobs)))
+        assert decoded == [
+            [TRIANGLE, SQUARE], [TRIANGLE, SQUARE, SQUARE], [TRIANGLE],
+        ]
+        assert decoded == [
+            [list(ring) for ring in deserialize_tuple(blob).geom.rings]
+            for blob in blobs
+        ]
+
+    def test_no_records(self):
+        empty = np.zeros(0, np.int64)
+        x, y, ring_first, poly_first = polygon_runs(b"", empty, empty)
+        assert len(x) == len(y) == 0
+        assert ring_first.tolist() == poly_first.tolist() == [0]
+
+    def test_a_polyline_among_the_records_is_none(self):
+        polygon, polyline = map(
+            serialize_tuple, (polygon_tuple(), polyline_tuple())
+        )
+        assert polygon_runs(*records(polygon, polyline, polygon)) is None
+        assert polyline_runs(*records(polyline, polygon)) is None
+        # Any tag but the decoder's own: the per-tuple path names it.
+        unknown = polygon_record([TRIANGLE], tag=99)
+        assert polygon_runs(*records(polygon, unknown)) is None
+        with pytest.raises(ValueError, match="unknown geometry tag"):
+            deserialize_tuple(unknown)
+
+    # What ``deserialize_tuple`` / ``Polygon`` refuse — or, for the bytes
+    # left over, what no writer produces.  Each bad record is decoded as
+    # the first of the buffer, where reading past its end would read a
+    # well-formed neighbour, and as the last, where it would read past the
+    # buffer: ``ValueError`` both times, never ``IndexError``.
+    two_rings = polygon_record([TRIANGLE, SQUARE])
+    MALFORMED = {
+        "shorter than its fixed fields": (two_rings[:10], "shorter"),
+        "name overruns": (
+            two_rings[:7] + struct.pack("<H", 0xFFFF) + two_rings[9:],
+            "name overruns",
+        ),
+        "no rings": (polygon_record([]), "no rings"),
+        "more rings than stored": (
+            two_rings[:9] + struct.pack("<H", 3) + two_rings[11:],
+            "ring count overruns",
+        ),
+        "fewer rings than stored": (
+            two_rings[:9] + struct.pack("<H", 1) + two_rings[11:],
+            "do not end where",
+        ),
+        "a ring count past the end": (
+            two_rings[:11] + struct.pack("<H", 200) + two_rings[13:],
+            "overruns its record",
+        ),
+        "trailing bytes": (two_rings + b"\0" * 16, "do not end where"),
+        "truncated": (two_rings[:-8], "overruns its record"),
+        "a ring of two vertices": (
+            polygon_record([TRIANGLE, SQUARE[:2]]), "fewer than three vertices",
+        ),
+        "a closed ring of two distinct vertices": (
+            polygon_record([TRIANGLE[:2] + TRIANGLE[:1]]),
+            "fewer than three distinct",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_a_malformed_record_is_refused_wherever_it_is(self, case, position):
+        bad, message = self.MALFORMED[case]
+        good = serialize_tuple(polygon_tuple())
+        blobs = (bad, good) if position == "first" else (good, bad)
+        with pytest.raises(ValueError, match=message):
+            polygon_runs(*records(*blobs))
+        # Bytes left over are what only the columns refuse.
+        if case not in ("trailing bytes", "fewer rings than stored"):
+            with pytest.raises((ValueError, IndexError, struct.error)):
+                deserialize_tuple(bad)
 
 
 class TestSizing:

@@ -113,6 +113,38 @@ class TestParallelCLI:
         assert "partition-pair tasks" in out
         assert "intersecting pairs" in out
 
+    def test_the_sequoia_query_on_either_backend(self, capsys):
+        """``--predicate contains``: the paper's landuse x island query, the
+        process backend's digest the serial reference's."""
+        documents = {}
+        for backend in ("serial", "process"):
+            assert main(["parallel", "--backend", backend, "--workers", "2",
+                         "--dataset", "landuse_island", "--predicate",
+                         "contains", "--scale", "0.02", "--json"]) == 0
+            documents[backend] = json.loads(capsys.readouterr().out)
+        serial, process = documents["serial"], documents["process"]
+        assert serial["predicate"] == process["predicate"] == "contains"
+        assert process["result_digest"] == serial["result_digest"]
+        assert process["result_count"] == serial["result_count"] > 100
+        assert process["merge"]["duplicates_dropped"] == 0
+        # Containment is the narrower question of the same pair.
+        assert main(["parallel", "--backend", "serial", "--dataset",
+                     "landuse_island", "--scale", "0.02", "--json"]) == 0
+        overlap = json.loads(capsys.readouterr().out)
+        assert overlap["predicate"] == "intersects"
+        assert overlap["result_count"] > serial["result_count"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--predicate", "contains"], "needs polygon inputs"),
+        (["--predicate", "touches"], "unknown predicate"),
+    ])
+    def test_a_predicate_the_query_spec_refuses_is_a_usage_error(
+        self, capsys, flags, message
+    ):
+        assert main(["parallel", "--backend", "serial", *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+
     def test_seed_changes_workload(self, capsys):
         def run(seed):
             assert main(["parallel", "--backend", "serial", "--scale", "0.002",
