@@ -25,7 +25,6 @@ from .core import (
     PBSMJoin,
     contains,
     intersects,
-    pbsm_join,
 )
 from .geometry import Polygon, Polyline, Rect
 from .index import RStarTree, bulk_load_rstar
@@ -61,6 +60,5 @@ __all__ = [
     "bulk_load_rstar",
     "contains",
     "intersects",
-    "pbsm_join",
     "__version__",
 ]

@@ -17,6 +17,18 @@ pair) died with it.  ``repro.checkpoint`` makes that work durable:
   and the *checkpoint ordinal* clock that the fault layer keys
   coordinator-kill and torn-manifest injections to.
 
+This package is also the only code that knows what a run directory looks
+like on disk, whether it can be trusted and how it is repaired: one
+manifest loader (:func:`~repro.checkpoint.store.load_manifest`), one walk
+of the result log (:func:`~repro.checkpoint.resultlog.replay_result_log`),
+one verdict on a finished run
+(:func:`~repro.checkpoint.resultlog.verified_replay`) and one repair — the
+log cut to its intact prefix whenever it is opened for append.  The CLI,
+the artifact cache and the scrubber ask here
+(:func:`~repro.checkpoint.store.inspect_checkpoint_dir`,
+:func:`~repro.checkpoint.store.scrub_run_dir`); none of them opens a file
+in a run directory itself.
+
 The invariant the whole package serves: for any kill point and any fault
 plan within budget, **kill + resume produces byte-identical join results
 to an uninterrupted run** — the resumed coordinator re-merges only the
@@ -34,7 +46,7 @@ from .manifest import (
     JoinManifest,
     RunFingerprint,
 )
-from .resultlog import ResultLog, replay_result_log, result_from_wire, result_to_wire
+from .resultlog import ResultLog, replay_result_log, verified_replay
 from .store import (
     MANIFEST_FILENAME,
     RESULTS_FILENAME,
@@ -46,6 +58,8 @@ from .store import (
     GCReport,
     gc_checkpoint_dir,
     inspect_checkpoint_dir,
+    run_dirs,
+    scrub_run_dir,
     select_lru_victims,
 )
 
@@ -71,7 +85,8 @@ __all__ = [
     "gc_checkpoint_dir",
     "inspect_checkpoint_dir",
     "replay_result_log",
-    "result_from_wire",
-    "result_to_wire",
+    "run_dirs",
+    "scrub_run_dir",
     "select_lru_victims",
+    "verified_replay",
 ]

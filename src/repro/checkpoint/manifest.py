@@ -35,12 +35,12 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.pbsm import PBSMConfig
 from ..core.predicates import Predicate
 from ..storage.errors import ManifestCorruptionError, SpillCorruptionError
-from ..storage.spill import TORN_TAIL_TRUNCATE, pack_frame, read_frames_bytes
+from ..storage.spill import TORN_TAIL_TRUNCATE, Frame, pack_frame, read_frames_bytes
 
 MANIFEST_VERSION = 1
 
@@ -251,25 +251,20 @@ class JoinManifest:
         :class:`ManifestCorruptionError`.
         """
         torn: List[SpillCorruptionError] = []
-        try:
-            records = list(
-                read_frames_bytes(
-                    data,
-                    label=label,
-                    torn_tail=TORN_TAIL_TRUNCATE,
-                    on_torn_tail=torn.append,
-                )
-            )
-        except SpillCorruptionError as exc:
-            raise ManifestCorruptionError(
-                f"manifest framing corrupt mid-log: {exc}",
-                path=label, frame_index=exc.frame_index,
-            ) from exc
-        if not records:
+        frames = read_json_frames(
+            read_frames_bytes(
+                data,
+                label=label,
+                torn_tail=TORN_TAIL_TRUNCATE,
+                on_torn_tail=torn.append,
+            ),
+            "manifest",
+        )
+        _, header = next(frames, (None, None))
+        if header is None:
             raise ManifestCorruptionError(
                 "manifest has no intact header frame", path=label, frame_index=0
             )
-        header = _decode(records[0], label, 0)
         if (
             header.get("type") != HEADER_TYPE
             or header.get("version") != MANIFEST_VERSION
@@ -288,13 +283,12 @@ class JoinManifest:
                 path=label, frame_index=0,
             ) from exc
         events = []
-        for index, record in enumerate(records[1:], start=1):
-            event = _decode(record, label, index)
+        for frame, event in frames:
             if event.get("type") not in EVENT_TYPES:
                 raise ManifestCorruptionError(
-                    f"manifest frame {index} has unknown event type "
+                    f"manifest frame {frame.index} has unknown event type "
                     f"{event.get('type')!r}",
-                    path=label, frame_index=index,
+                    path=label, frame_index=frame.index,
                 )
             events.append(event)
         manifest = cls(fingerprint, events)
@@ -306,18 +300,32 @@ def _encode(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _decode(record: bytes, label: str, frame_index: int) -> dict:
-    """A CRC-valid frame must still be a JSON object to be believed."""
+def read_json_frames(
+    frames: Iterable[Frame], what: str
+) -> Iterator[Tuple[Frame, dict]]:
+    """The framed-JSON read the manifest and the result log share: every
+    intact frame, in file order, with the object it holds.
+
+    A framing violation the frame reader did not take for a torn tail, or
+    a CRC-valid frame that is not a JSON object, raises
+    :class:`ManifestCorruptionError` naming that frame — *after* every
+    frame before it has been yielded, so a caller that keeps what it has
+    consumed keeps an intact prefix.
+    """
     try:
-        payload = json.loads(record.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        for frame in frames:
+            try:
+                payload = json.loads(frame.record.decode())
+                if not isinstance(payload, dict):
+                    raise ValueError("not an object")
+            except ValueError as exc:  # UnicodeDecode-, JSONDecodeError too
+                raise ManifestCorruptionError(
+                    f"{what} frame {frame.index} is not a JSON object: {exc}",
+                    path=frame.label, frame_index=frame.index,
+                ) from exc
+            yield frame, payload
+    except SpillCorruptionError as exc:
         raise ManifestCorruptionError(
-            f"manifest frame {frame_index} is not JSON: {exc}",
-            path=label, frame_index=frame_index,
+            f"{what} framing corrupt mid-file: {exc}",
+            path=exc.path, frame_index=exc.frame_index,
         ) from exc
-    if not isinstance(payload, dict):
-        raise ManifestCorruptionError(
-            f"manifest frame {frame_index} is not an object",
-            path=label, frame_index=frame_index,
-        )
-    return payload

@@ -9,22 +9,29 @@ considers the pair *committed*.  A resume replays the log to learn which
 pairs never need merging again, and re-adopts their spans and metrics so
 the observability story of a resumed run covers the whole join.
 
-Unlike the manifest, this file is never rewritten: appends are cheap and a
-torn final frame (the coordinator died mid-append) is exactly the torn-tail
-case the spill framing already recovers — the pair whose append tore was
-never committed, so dropping it is correct, not lossy.
+Unlike the manifest, this file is never rewritten.  Two-layer
+partitioning makes every pair's result disjoint from every other's, so
+any CRC-valid, well-formed **prefix** of the log is a correct partial
+answer, and the only repair the format ever needs is cutting what follows
+that prefix — a torn final frame (the coordinator died mid-append: the
+pair never committed) and damage further in (the pairs behind it return
+to uncommitted) alike.  This module holds the one walk that finds the
+prefix (:func:`replay_result_log`), the one cut (:func:`cut_result_log`,
+made before any writer appends) and the one verdict on a finished log
+(:func:`verified_replay`).
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, BinaryIO, Dict, List, Optional, Tuple
 
+from ..core.refine import merge_sorted_unique
 from ..storage.errors import ManifestCorruptionError, SpillCorruptionError
-from ..storage.spill import TORN_TAIL_TRUNCATE, pack_frame, read_spill
+from ..storage.spill import TORN_TAIL_TRUNCATE, pack_frame, read_frames
 
-from .manifest import _decode, _encode
+from .manifest import _encode, read_json_frames
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from ..parallel.tasks import PairTaskResult
@@ -77,8 +84,25 @@ def result_from_wire(payload: dict) -> "PairTaskResult":
     )
 
 
+def cut_result_log(path: "Path | str", intact_bytes: int) -> None:
+    """The log's one repair: cut the file to ``intact_bytes`` — the prefix
+    :func:`replay_result_log` vouched for — dropping whatever follows."""
+    try:
+        if os.path.getsize(path) > intact_bytes:
+            with open(path, "r+b") as fh:
+                fh.truncate(intact_bytes)
+                os.fsync(fh.fileno())
+    except FileNotFoundError:
+        pass
+
+
 class ResultLog:
     """Append-only writer for the result log; one fsync per commit.
+
+    A writer is made for a log already walked: it says how long the
+    prefix it trusts is (0 to start over) and :func:`cut_result_log` drops
+    the rest first, so an append can never land behind bytes no walk has
+    accepted.  The file is opened (and created) by the first append.
 
     With a ``budget`` (:class:`~repro.storage.pressure.DiskBudget`) every
     frame is charged under ``checkpoint`` *before* it is written, so a
@@ -86,18 +110,20 @@ class ResultLog:
     with the log unchanged — the pair simply was never committed.
     """
 
-    def __init__(self, path: "Path | str", *, budget=None):
+    def __init__(self, path: "Path | str", intact_bytes: int, *, budget=None):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self.budget = budget
-        self._fh: Optional[BinaryIO] = self.path.open("ab")
+        self._fh: Optional[BinaryIO] = None
+        cut_result_log(self.path, intact_bytes)
 
     def append(self, result: "PairTaskResult", *, fsync: bool = True) -> int:
         """Durably commit one pair result; returns the bytes appended."""
-        assert self._fh is not None, "result log is closed"
         frame = pack_frame(_encode(result_to_wire(result)))
         if self.budget is not None:
             self.budget.charge(len(frame), "checkpoint")
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = self.path.open("ab")
         self._fh.write(frame)
         self._fh.flush()
         if fsync:
@@ -118,46 +144,72 @@ class ResultLog:
 
 def replay_result_log(
     path: "Path | str",
-    *,
-    on_torn_tail: Optional[Callable[[SpillCorruptionError], None]] = None,
-) -> Tuple[Dict[int, "PairTaskResult"], bool]:
-    """Read back the committed pair results, keyed by pair index.
+) -> Tuple[Dict[int, "PairTaskResult"], int, Optional[ValueError]]:
+    """Walk the log once: ``(committed, intact_bytes, ended_by)``.
 
-    A torn final frame is a clean end of log (the interrupted append never
-    committed); ``on_torn_tail`` observes it and the second return value
-    reports it.  Mid-log damage or a CRC-valid record that is not a
-    well-formed result means the log cannot be trusted and raises
-    :class:`ManifestCorruptionError` — the caller discards the log and
-    requeues every pair, trading redone work for a guaranteed-correct
-    answer.  Duplicate indexes keep the first occurrence: the first append
-    is the one whose commit the coordinator acted on.
+    ``committed`` is the results of the log's intact prefix keyed by pair
+    index, ``intact_bytes`` that prefix's length in the file, and
+    ``ended_by`` what stopped the walk: ``None`` at a clean end of file (a
+    missing file is an empty log); the frame reader's
+    :class:`SpillCorruptionError` for a torn final frame — an interrupted
+    append that never committed; a :class:`ManifestCorruptionError` for
+    anything else — framing damage with bytes after it, or a CRC-valid
+    frame that is not a well-formed pair result.  Whatever ended it, the
+    prefix is trustworthy and the rest of the file is not.  Duplicate
+    indexes keep the first occurrence: the first append is the one whose
+    commit the coordinator acted on.
     """
-    path = Path(path)
     committed: Dict[int, PairTaskResult] = {}
+    intact_bytes = 0
     torn: List[SpillCorruptionError] = []
-    if not path.exists():
-        return committed, False
-    label = str(path)
     try:
-        records = list(
-            read_spill(path, torn_tail=TORN_TAIL_TRUNCATE, on_torn_tail=torn.append)
-        )
-    except SpillCorruptionError as exc:
-        raise ManifestCorruptionError(
-            f"result log corrupt mid-file: {exc}",
-            path=label, frame_index=exc.frame_index,
-        ) from exc
-    for index, record in enumerate(records):
-        payload = _decode(record, label, index)
-        try:
-            result = result_from_wire(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestCorruptionError(
-                f"result log frame {index} is not a pair result: {exc}",
-                path=label, frame_index=index,
-            ) from exc
-        committed.setdefault(result.index, result)
-    if torn and on_torn_tail is not None:
-        for error in torn:
-            on_torn_tail(error)
-    return committed, bool(torn)
+        for frame, payload in read_json_frames(
+            read_frames(
+                path, torn_tail=TORN_TAIL_TRUNCATE, on_torn_tail=torn.append
+            ),
+            "result log",
+        ):
+            try:
+                result = result_from_wire(payload)
+            except (KeyError, TypeError, ValueError) as exc:
+                return committed, intact_bytes, ManifestCorruptionError(
+                    f"result log frame {frame.index} is not a pair result: "
+                    f"{exc}",
+                    path=frame.label, frame_index=frame.index,
+                )
+            committed.setdefault(result.index, result)
+            intact_bytes = frame.end
+    except FileNotFoundError:
+        pass
+    except ManifestCorruptionError as exc:
+        return committed, intact_bytes, exc
+    return committed, intact_bytes, torn[0] if torn else None
+
+
+def verified_replay(
+    log_path: "Path | str", result_count: Optional[int]
+) -> Tuple[Optional[List[Tuple[int, int]]], str]:
+    """Is this complete run servable?  ``(pairs, "")`` or ``(None, why)``.
+
+    The one verdict the query path and the scrubber share.  A finished
+    log has no tail to cut: anything that ends its walk early means the
+    directory is damaged.  Two-layer partitioning makes the per-pair logs
+    disjoint, so the replay is a k-way merge, not a set union; the
+    ``complete`` manifest event records the result count, and the replayed
+    merge must reproduce it exactly — an unexpected duplicate or a
+    different count means the directory is lying.  Neither is served.
+    """
+    try:
+        committed, _intact_bytes, ended_by = replay_result_log(log_path)
+    except OSError as exc:
+        return None, type(exc).__name__
+    if ended_by is not None:
+        return None, "result_log_damage"
+    merged, dropped = merge_sorted_unique(
+        [committed[index].pairs for index in sorted(committed)]
+    )
+    if dropped:
+        return None, "duplicate_results"
+    if result_count != len(merged):
+        return None, "result_count_mismatch"
+    return merged, ""

@@ -38,15 +38,16 @@ from ..obs.journal import (
     NULL_JOURNAL,
 )
 from ..storage.disk import SimulatedDisk, atomic_write_bytes
-from ..storage.errors import (
-    DiskFullError,
-    ManifestCorruptionError,
-    SpillCorruptionError,
-)
+from ..storage.errors import DiskFullError, ManifestCorruptionError
 from ..storage.spill import sweep_orphan_spills
 
 from .manifest import STATE_COMPLETE, JoinManifest, RunFingerprint
-from .resultlog import ResultLog, replay_result_log
+from .resultlog import (
+    ResultLog,
+    cut_result_log,
+    replay_result_log,
+    verified_replay,
+)
 
 if TYPE_CHECKING:  # imported only for typing to avoid a package cycle
     from ..parallel.tasks import PairTaskResult
@@ -144,13 +145,18 @@ class CheckpointStore:
     def load(self) -> Optional[JoinManifest]:
         """Read the manifest back, or ``None`` when this run has none.
 
-        Propagates :class:`ManifestCorruptionError`; a torn tail is
-        recovered silently (``manifest.recovered_torn_tail`` reports it).
+        Propagates :class:`ManifestCorruptionError` — raised too for a
+        manifest filed under this run's directory that describes another
+        join; a torn tail is recovered silently
+        (``manifest.recovered_torn_tail`` reports it).
         """
-        if not self.manifest_path.exists():
-            return None
-        data = self.manifest_path.read_bytes()
-        manifest = JoinManifest.from_bytes(data, label=str(self.manifest_path))
+        manifest = load_manifest(self.run_dir)
+        if manifest is not None and manifest.fingerprint != self.fingerprint:
+            raise ManifestCorruptionError(
+                f"manifest in {self.run_dir} belongs to "
+                f"{manifest.fingerprint.run_id}, not {self.fingerprint.run_id}",
+                path=str(self.manifest_path), frame_index=0,
+            )
         self.manifest = manifest
         return manifest
 
@@ -192,7 +198,7 @@ class CheckpointStore:
     def append_result(self, result: "PairTaskResult") -> None:
         """Durably commit one pair result (append + fsync; durable)."""
         if self._results is None:
-            self._results = ResultLog(self.results_path, budget=self.budget)
+            self.replay_results()
         nbytes = self._write_durable(
             lambda: self._results.append(result), DURABLE_RESULT
         )
@@ -238,20 +244,26 @@ class CheckpointStore:
                 self.budget.release(info.bytes_total, "checkpoint")
         return freed
 
-    def replay_results(
-        self,
-        *,
-        on_torn_tail: Optional[Callable[[SpillCorruptionError], None]] = None,
-    ) -> Tuple[Dict[int, "PairTaskResult"], bool]:
-        """Committed results keyed by pair index (see
-        :func:`~repro.checkpoint.resultlog.replay_result_log`)."""
-        return replay_result_log(self.results_path, on_torn_tail=on_torn_tail)
+    def replay_results(self) -> Tuple[Dict[int, "PairTaskResult"], bool]:
+        """Adopt the result log's intact prefix: its committed results
+        keyed by pair index, and whether anything followed it.
+
+        What followed — a torn final frame, or a damaged frame and
+        everything behind it — is cut from the file here, as this run's
+        writer is made (:class:`~repro.checkpoint.resultlog.ResultLog`),
+        so the next commit can never land behind bytes a later replay
+        would stop at.  The pairs that were cut are uncommitted again.
+        """
+        self.close()
+        committed, intact_bytes, ended_by = replay_result_log(self.results_path)
+        self._results = ResultLog(
+            self.results_path, intact_bytes, budget=self.budget
+        )
+        return committed, ended_by is not None
 
     def discard_results(self) -> None:
-        """Drop an untrustworthy result log: every pair gets requeued."""
-        if self._results is not None:
-            self._results.close()
-            self._results = None
+        """Drop the result log: every pair gets requeued."""
+        self.close()
         try:
             self.results_path.unlink()
         except FileNotFoundError:
@@ -268,9 +280,9 @@ class CheckpointStore:
     def sibling_run_ids(self) -> List[str]:
         """Other runs' ids present in the same checkpoint directory."""
         return [
-            p.name
-            for p in sorted(self.root.glob(f"{RUN_DIR_PREFIX}*"))
-            if p.is_dir() and p.name != self.fingerprint.run_id
+            run_dir.name
+            for run_dir in run_dirs(self.root)
+            if run_dir.name != self.fingerprint.run_id
         ]
 
     def close(self) -> None:
@@ -381,56 +393,96 @@ def _dir_bytes(path: Path) -> int:
     return total
 
 
+def run_dirs(root: "Path | str") -> List[Path]:
+    """Every run directory under ``root``, in name order."""
+    return [
+        path
+        for path in sorted(Path(root).glob(f"{RUN_DIR_PREFIX}*"))
+        if path.is_dir()
+    ]
+
+
+def load_manifest(run_dir: Path) -> Optional[JoinManifest]:
+    """The one reader of a run directory's manifest: ``None`` when there
+    is none, :class:`ManifestCorruptionError` when its bytes cannot be
+    trusted (:meth:`JoinManifest.from_bytes` has the contract)."""
+    path = run_dir / MANIFEST_FILENAME
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    return JoinManifest.from_bytes(data, label=str(path))
+
+
+def _manifest_state(run_dir: Path) -> Tuple[Optional[JoinManifest], str, str]:
+    """``(manifest, state, error)`` — a run directory without a
+    trustworthy manifest still has a state to list and a reason."""
+    try:
+        manifest = load_manifest(run_dir)
+    except ManifestCorruptionError as exc:
+        return None, "corrupt", str(exc)
+    if manifest is None:
+        return None, "missing-manifest", "no manifest.bin in run directory"
+    return manifest, manifest.state, ""
+
+
+def inspect_run_dir(run_dir: Path) -> CheckpointInfo:
+    """Summarise one run directory: its manifest read once, its result
+    log walked once."""
+    manifest, state, error = _manifest_state(run_dir)
+    committed, _intact_bytes, ended_by = replay_result_log(
+        run_dir / RESULTS_FILENAME
+    )
+    if isinstance(ended_by, ManifestCorruptionError):
+        # A torn tail is what every killed run leaves; damage is not.
+        error = error or f"result log untrustworthy: {ended_by}"
+    try:
+        mtime = (run_dir / MANIFEST_FILENAME).stat().st_mtime
+    except OSError:
+        mtime = run_dir.stat().st_mtime
+    return CheckpointInfo(
+        run_id=run_dir.name,
+        path=str(run_dir),
+        state=state,
+        pairs_done=len(committed),
+        pairs_total=manifest.pairs_total if manifest else None,
+        result_count=manifest.result_count if manifest else None,
+        bytes_total=_dir_bytes(run_dir),
+        mtime=mtime,
+        error=error,
+    )
+
+
 def inspect_checkpoint_dir(root: "Path | str") -> List[CheckpointInfo]:
     """Summarise every run directory under ``root`` (corrupt ones included)."""
-    root = Path(root)
-    infos: List[CheckpointInfo] = []
-    for run_dir in sorted(root.glob(f"{RUN_DIR_PREFIX}*")):
-        if not run_dir.is_dir():
-            continue
-        manifest_path = run_dir / MANIFEST_FILENAME
-        state = "unknown"
-        pairs_total: Optional[int] = None
-        result_count: Optional[int] = None
-        error = ""
-        try:
-            mtime = manifest_path.stat().st_mtime
-        except OSError:
-            mtime = run_dir.stat().st_mtime
-        if manifest_path.exists():
-            try:
-                manifest = JoinManifest.from_bytes(
-                    manifest_path.read_bytes(), label=str(manifest_path)
-                )
-                state = manifest.state
-                pairs_total = manifest.pairs_total
-                result_count = manifest.result_count
-            except ManifestCorruptionError as exc:
-                state = "corrupt"
-                error = str(exc)
-        else:
-            state = "missing-manifest"
-            error = "no manifest.bin in run directory"
-        pairs_done = 0
-        try:
-            committed, _torn = replay_result_log(run_dir / RESULTS_FILENAME)
-            pairs_done = len(committed)
-        except ManifestCorruptionError as exc:
-            error = error or f"result log untrustworthy: {exc}"
-        infos.append(
-            CheckpointInfo(
-                run_id=run_dir.name,
-                path=str(run_dir),
-                state=state,
-                pairs_done=pairs_done,
-                pairs_total=pairs_total,
-                result_count=result_count,
-                bytes_total=_dir_bytes(run_dir),
-                mtime=mtime,
-                error=error,
-            )
-        )
-    return infos
+    return [inspect_run_dir(run_dir) for run_dir in run_dirs(root)]
+
+
+def scrub_run_dir(run_dir: Path) -> Tuple[bool, str]:
+    """Verify one run directory at rest, each file read once:
+    ``(repaired, unservable)``.
+
+    ``unservable`` names why the directory can never answer or resume a
+    query — no trustworthy manifest, or a *complete* run that fails
+    :func:`~repro.checkpoint.resultlog.verified_replay` (a finished log
+    has nothing to repair toward: cutting it would contradict the
+    manifest's ``result_count``).  An *incomplete* run whose log does not
+    end cleanly is repaired the way a resume would repair it — cut to its
+    intact prefix, the pairs behind the cut uncommitted again — and
+    reported ``repaired``.  ``(False, "")`` is a clean bill.
+    """
+    manifest, state, _error = _manifest_state(run_dir)
+    if manifest is None:
+        return False, f"manifest_{state}"
+    log_path = run_dir / RESULTS_FILENAME
+    if manifest.state == STATE_COMPLETE:
+        pairs, reason = verified_replay(log_path, manifest.result_count)
+        return False, ("" if pairs is not None else reason)
+    _committed, intact_bytes, ended_by = replay_result_log(log_path)
+    if ended_by is None:
+        return False, ""
+    cut_result_log(log_path, intact_bytes)
+    return True, ""
 
 
 def gc_checkpoint_dir(

@@ -396,14 +396,3 @@ class PBSMJoin:
             kps_r, kps_s, out.append, memory, self.config,
             depth=depth, label=label, tracer=self.tracer, metrics=self.metrics,
         )
-
-
-def pbsm_join(
-    pool: BufferPool,
-    rel_r: Relation,
-    rel_s: Relation,
-    predicate: Predicate,
-    config: Optional[PBSMConfig] = None,
-) -> JoinResult:
-    """Functional convenience wrapper around :class:`PBSMJoin`."""
-    return PBSMJoin(pool, config).run(rel_r, rel_s, predicate)

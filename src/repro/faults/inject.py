@@ -13,17 +13,14 @@ from __future__ import annotations
 
 import os
 import signal
-import struct
 import time
 from pathlib import Path
 from typing import Callable, Optional, Set, Tuple
 
 from ..obs.journal import EVENT_FAULT_INJECTED, NULL_JOURNAL
-from ..storage.errors import DiskFullError
-from ..storage.spill import FRAME_HEADER_SIZE
+from ..storage.errors import DiskFullError, SpillCorruptionError
+from ..storage.spill import FRAME_HEADER_SIZE, read_frames
 from .plan import FaultPlan, WorkerFaults
-
-_HEADER = struct.Struct("<II")
 
 WORKER_CRASH_EXIT_CODE = 87
 """Distinctive exit code for injected crashes (eases log forensics)."""
@@ -281,21 +278,19 @@ def tear_frame(path: "Path | str", frame: int) -> int:
     byte of the chosen frame is XOR-flipped (for an empty payload, the
     stored CRC is flipped instead), which the reader's CRC32 check must
     report as a :class:`~repro.storage.errors.SpillCorruptionError` at
-    exactly that frame.  Returns -1 for an empty file (nothing to tear).
+    exactly that frame.  Returns -1 for an empty file (nothing to tear)
+    and for one the reader already refuses (nothing more to prove).
     """
     path = Path(path)
-    data = bytearray(path.read_bytes())
-    offsets = []
-    cursor = 0
-    while cursor + FRAME_HEADER_SIZE <= len(data):
-        length, _ = _HEADER.unpack_from(data, cursor)
-        offsets.append((cursor, length))
-        cursor += FRAME_HEADER_SIZE + length
-    if not offsets:
+    try:
+        frames = list(read_frames(path))
+    except SpillCorruptionError:
         return -1
-    target = frame % len(offsets)
-    offset, length = offsets[target]
-    flip_at = offset + FRAME_HEADER_SIZE if length else offset + 4
+    if not frames:
+        return -1
+    target = frames[frame % len(frames)]
+    flip_at = target.offset + (FRAME_HEADER_SIZE if target.record else 4)
+    data = bytearray(path.read_bytes())
     data[flip_at] ^= 0xFF
     path.write_bytes(bytes(data))
-    return target
+    return target.index

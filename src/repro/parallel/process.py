@@ -619,9 +619,8 @@ class ProcessPBSM:
                     store, fresh_sides,
                 )
             if self.fault_plan and self.fault_plan.torn_frames and fresh_sides:
-                # Only freshly written sides: re-tearing an adopted spill
-                # would XOR the same byte back to clean — and the fault
-                # already happened in the run that wrote it.
+                # Only freshly written sides: for an adopted spill the
+                # fault already happened in the run that wrote it.
                 self._apply_torn_frames(spills_r, spills_s, fresh_sides)
             all_tasks = self._build_tasks(spills_r, spills_s, predicate)
             tasks = [t for t in all_tasks if t.index not in committed]
@@ -718,8 +717,9 @@ class ProcessPBSM:
         manifest — a torn tail recovers to its intact prefix, a corrupt
         manifest (or one for a directory holding only *other* joins) is
         handled per the contract in :meth:`resume` — and replays the
-        result log into the committed-pair map; an untrustworthy log is
-        discarded wholesale, requeueing every pair.
+        result log's intact prefix into the committed-pair map; whatever
+        followed the prefix is cut from the file before this run appends
+        to it, and only the pairs behind the cut are requeued.
         """
         if not resuming:
             store.discard_results()
@@ -739,15 +739,9 @@ class ProcessPBSM:
             return JoinManifest(store.fingerprint), {}
         if manifest.recovered_torn_tail:
             self._count("torn_tail_recovered")
-        committed: Dict[int, PairTaskResult] = {}
-        try:
-            committed, torn = store.replay_results()
-            if torn:
-                self._count("torn_tail_recovered")
-        except ManifestCorruptionError:
-            self._count("result_log_discarded")
-            store.discard_results()
-            committed = {}
+        committed, cut = store.replay_results()
+        if cut:
+            self._count("torn_tail_recovered")
         if committed:
             self._count("resumed_pairs", len(committed))
         return manifest, committed

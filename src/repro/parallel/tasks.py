@@ -63,7 +63,7 @@ import traceback
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,7 +88,7 @@ from ..geometry.kernels import (
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import SpillCorruptionError
-from ..storage.spill import FRAME_HEADER_SIZE, SpillWriter, read_spill
+from ..storage.spill import FRAME_HEADER_SIZE, SpillWriter, read_frames
 from ..storage.tuples import (
     SpatialTuple,
     deserialize_tuple,
@@ -415,30 +415,14 @@ class SpillHandle:
     count: int
 
 
-def _blocks(path: str) -> Iterator[Tuple[bytes, Callable[[str], Exception]]]:
-    """Every frame of a spill file — CRC-checked by :func:`read_spill` —
-    with the error to raise when its payload is not a well-formed block,
-    located like the framing violations are."""
-    offset = 0
-    for index, payload in enumerate(read_spill(path)):
-
-        def violation(message: str, index=index, offset=offset) -> Exception:
-            return SpillCorruptionError(
-                f"{message} in {path} (frame {index} at byte {offset})",
-                path=path, frame_index=index, offset=offset,
-            )
-
-        yield payload, violation
-        offset += FRAME_HEADER_SIZE + len(payload)
-
-
 def read_keypointer_spill(path: str) -> np.ndarray:
     """A partition's key-pointer records, every frame checked: the
     :data:`KEYPOINTER_DTYPE` array the frames, back to back, already are."""
     blocks = [np.empty(0, KEYPOINTER_DTYPE)]
-    for payload, violation in _blocks(path):
+    for frame in read_frames(path):
+        payload = frame.record
         if len(payload) % KEYPOINTER_DTYPE.itemsize:
-            raise violation(
+            raise frame.violation(
                 f"key-pointer block of {len(payload)} bytes is not a whole "
                 f"number of {KEYPOINTER_DTYPE.itemsize}-byte records"
             )
@@ -465,7 +449,8 @@ class TupleSpill(Mapping):
         payloads: List[bytes] = []
         fids, starts, ends = ([np.empty(0, np.int64)] for _ in range(3))
         base = 0
-        for payload, violation in _blocks(path):
+        for frame in read_frames(path):
+            payload = frame.record
             words = np.frombuffer(payload, _U32, len(payload) // _U32.itemsize)
             count = int(words[0]) if len(words) else 0
             body = (2 * count + 2) * _U32.itemsize
@@ -476,7 +461,9 @@ class TupleSpill(Mapping):
                 or bounds[-1] != len(payload)
                 or (bounds[1:] < bounds[:-1]).any()
             ):
-                raise violation("tuple block directory does not fit its payload")
+                raise frame.violation(
+                    "tuple block directory does not fit its payload"
+                )
             payloads.append(payload)
             fids.append(words[1 : count + 1])
             starts.append(bounds[:-1] + base)

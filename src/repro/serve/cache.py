@@ -32,15 +32,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..checkpoint.manifest import JoinManifest, RunFingerprint
-from ..checkpoint.resultlog import replay_result_log
-from ..core.refine import merge_sorted_unique
-from ..checkpoint.store import (
-    MANIFEST_FILENAME,
-    RESULTS_FILENAME,
+from ..checkpoint import (
     STATE_COMPLETE,
+    CheckpointStore,
+    RunFingerprint,
     inspect_checkpoint_dir,
     select_lru_victims,
+    verified_replay,
 )
 from ..obs.journal import (
     EVENT_CACHE_CORRUPT,
@@ -61,34 +59,6 @@ QUARANTINE_DIRNAME = "quarantine"
 the ``run-`` prefix, so :func:`inspect_checkpoint_dir` never walks into
 it — quarantined state is invisible to lookup, eviction, and stats, and
 the fingerprint it occupied becomes an ordinary cold miss."""
-
-
-def verified_replay(
-    log_path: Path, result_count: Optional[int]
-) -> Tuple[Optional[List[Tuple[int, int]]], str]:
-    """Is this complete entry servable?  ``(pairs, "")`` or ``(None, why)``.
-
-    The one verdict the query path and the scrubber share.  Two-layer
-    partitioning makes the per-pair logs disjoint, so the replay is a
-    k-way merge, not a set union; the ``complete`` manifest event records
-    the result count, and the replayed merge must reproduce it exactly —
-    anything else (an unreadable log, an unexpected duplicate, a
-    different count) means the directory is lying and is not served.
-    """
-    try:
-        committed, _torn = replay_result_log(log_path)
-    except (OSError, ValueError) as exc:
-        # ManifestCorruptionError (malformed record or mid-file CRC
-        # damage) and a log file deleted out from under us.
-        return None, type(exc).__name__
-    merged, dropped = merge_sorted_unique(
-        [committed[index].pairs for index in sorted(committed)]
-    )
-    if dropped:
-        return None, "duplicate_results"
-    if result_count != len(merged):
-        return None, "result_count_mismatch"
-    return merged, ""
 
 
 class ArtifactCache:
@@ -119,6 +89,11 @@ class ArtifactCache:
         self._pins: Dict[str, int] = {}
         self._recency: Dict[str, int] = {}
         self._clock = 0
+        self._hits: Dict[str, CheckpointStore] = {}
+        """What :meth:`lookup` loaded for an entry pinned at the time,
+        kept for the :meth:`replay` that follows so a cache hit reads its
+        manifest once.  Only the pin's holder writes a pinned entry, so
+        the manifest cannot change under it; :meth:`unpin` drops it."""
 
     # ------------------------------------------------------------------ #
     # pinning
@@ -142,6 +117,7 @@ class ArtifactCache:
             count = self._pins.get(run_id, 0) - 1
             if count <= 0:
                 self._pins.pop(run_id, None)
+                self._hits.pop(run_id, None)
             else:
                 self._pins[run_id] = count
 
@@ -159,34 +135,32 @@ class ArtifactCache:
     # lookup + replay
     # ------------------------------------------------------------------ #
 
-    def run_dir(self, fingerprint: RunFingerprint) -> Path:
-        return self.root / fingerprint.run_id
-
-    def _manifest(self, fingerprint: RunFingerprint) -> Optional[JoinManifest]:
-        """This fingerprint's manifest, or ``None`` when the entry is
-        missing, unreadable, or filed under another fingerprint."""
-        manifest_path = self.run_dir(fingerprint) / MANIFEST_FILENAME
+    def _entry(self, fingerprint: RunFingerprint) -> Optional[CheckpointStore]:
+        """This fingerprint's run directory with its manifest loaded, or
+        ``None`` when the entry is missing, unreadable, or filed under
+        another fingerprint."""
+        entry = CheckpointStore(self.root, fingerprint)
         try:
-            manifest = JoinManifest.from_bytes(
-                manifest_path.read_bytes(), label=str(manifest_path)
-            )
+            return entry if entry.load() is not None else None
         except (OSError, ManifestCorruptionError):
             return None
-        return manifest if manifest.fingerprint == fingerprint else None
 
     def lookup(self, fingerprint: RunFingerprint) -> str:
-        """Classify this fingerprint's cache state (no side effects).
+        """Classify this fingerprint's cache state.
 
         Anything unreadable — missing manifest, corrupt framing, a
         fingerprint that does not match its directory name — is a miss;
         the cold run's ``run()`` discards and rewrites the directory.
         """
-        manifest = self._manifest(fingerprint)
-        if manifest is None:
+        entry = self._entry(fingerprint)
+        if entry is None:
             return LOOKUP_MISS
-        if manifest.state == STATE_COMPLETE:
-            return LOOKUP_HIT
-        return LOOKUP_WARM
+        if entry.manifest.state != STATE_COMPLETE:
+            return LOOKUP_WARM
+        with self._lock:
+            if fingerprint.run_id in self._pins:
+                self._hits[fingerprint.run_id] = entry
+        return LOOKUP_HIT
 
     def replay(
         self, fingerprint: RunFingerprint
@@ -196,18 +170,21 @@ class ArtifactCache:
         Returns the sorted feature-id pair set — byte-equal to what the
         run that wrote the log returned — or ``None`` when the entry
         cannot be trusted after all (the caller falls back to the miss
-        path).  Trust is :func:`verified_replay`'s verdict.
+        path).  Trust is :func:`~repro.checkpoint.verified_replay`'s
+        verdict.
 
         Distrust is always a *downgrade*, never an exception: a log that
         is truncated, torn mid-file, or CRC-broken surfaces to the query
         path as a plain miss, with a ``cache_corrupt`` journal event and
         a ``serve.cache.corrupt`` tick recording why.
         """
-        manifest = self._manifest(fingerprint)
-        if manifest is None or manifest.state != STATE_COMPLETE:
+        with self._lock:
+            entry = self._hits.pop(fingerprint.run_id, None)
+        entry = entry or self._entry(fingerprint)
+        if entry is None or entry.manifest.state != STATE_COMPLETE:
             return None
         merged, reason = verified_replay(
-            self.run_dir(fingerprint) / RESULTS_FILENAME, manifest.result_count
+            entry.results_path, entry.manifest.result_count
         )
         if merged is None:
             self._distrust(fingerprint.run_id, reason)

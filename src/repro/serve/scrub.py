@@ -5,20 +5,21 @@ entry; this thread defends against everything the protocol cannot see —
 bit rot, a truncating filesystem, an operator's stray ``dd`` — by
 re-verifying entries **at rest**, before a query trips over them.
 
-One :meth:`CacheScrubber.scrub_once` pass walks every unpinned run
+One :meth:`CacheScrubber.scrub_once` pass visits every unpinned run
 directory under the :class:`~repro.serve.cache.ArtifactCache` root and
-classifies it:
+asks :func:`repro.checkpoint.scrub_run_dir` — the one module that knows
+what a run directory holds — to judge it, reading each file once:
 
 * **clean** — the manifest loads, every result-log frame passes its CRC
   and decodes as a pair result, and (for a ``complete`` entry) the
   merged replay matches the manifest's ``result_count`` with zero
   duplicates dropped.
-* **repaired** — a *warm* entry whose result log is damaged part-way:
-  the log is atomically rewritten down to its longest intact frame
-  prefix.  Committed pairs in the prefix survive; the damaged tail's
-  pairs simply return to *uncommitted*, so the next warm resume re-runs
+* **repaired** — a *warm* entry whose result log does not end cleanly
+  was cut to its longest intact frame prefix, exactly as a resume would
+  cut it.  Committed pairs in the prefix survive; the pairs behind the
+  cut simply return to *uncommitted*, so the next warm resume re-runs
   only those — the cheapest correct outcome.
-* **quarantined** — anything a trim cannot make honest (corrupt or
+* **quarantined** — anything a cut cannot make honest (corrupt or
   missing manifest; a ``complete`` entry whose log is damaged or whose
   replay count disagrees) is moved to ``quarantine/`` via
   :meth:`~repro.serve.cache.ArtifactCache.quarantine`.  The fingerprint
@@ -26,8 +27,9 @@ classifies it:
 
 Pinned entries are always skipped: a pin means a query thread is mid
 read or write in there, and whatever looks wrong is just in flux.  The
-pin check and any rewrite happen under the cache lock, and pinning
-itself takes that lock, so an entry cannot gain a writer mid-repair.
+pin check, the read and any repair happen under the cache lock, and
+pinning itself takes that lock, so an entry cannot gain a writer
+mid-repair.
 
 Every pass ends by re-enforcing the cache's byte budget
 (:meth:`~repro.serve.cache.ArtifactCache.ensure_budget`), so LRU
@@ -43,49 +45,20 @@ the cache) so the fault timeline shows *which* entry went bad.
 
 from __future__ import annotations
 
-import os
 import threading
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..checkpoint.manifest import _decode
-from ..checkpoint.resultlog import result_from_wire
-from ..checkpoint.store import (
-    RESULTS_FILENAME,
-    STATE_COMPLETE,
-    inspect_checkpoint_dir,
-)
+from ..checkpoint import run_dirs, scrub_run_dir
 from ..obs.journal import EVENT_CACHE_SCRUB, NULL_JOURNAL
 from ..obs.metrics import NULL_METRICS
-from ..storage.spill import FRAME_HEADER_SIZE, read_spill
 
-from .cache import ArtifactCache, verified_replay
+from .cache import ArtifactCache
 
 SCRUB_CLEAN = "clean"
 SCRUB_REPAIRED = "repaired"
 SCRUB_QUARANTINED = "quarantined"
 SCRUB_SKIPPED = "skipped"
-
-
-def intact_prefix(path: Path) -> Tuple[int, int]:
-    """``(frames, bytes)`` of the longest trustworthy result-log prefix.
-
-    A frame counts only if the spill reader yields it (whole header,
-    whole payload, CRC match) *and* the payload decodes as a pair-result
-    record — a CRC-valid frame holding garbage is damage too.  A missing
-    file is an empty (perfectly intact) log.
-    """
-    frames = intact_bytes = 0
-    try:
-        for record in read_spill(path):
-            result_from_wire(_decode(record, str(path), frames))
-            frames += 1
-            intact_bytes += FRAME_HEADER_SIZE + len(record)
-    except (OSError, KeyError, TypeError, ValueError):
-        # The prefix ends at the first frame the reader or the decoder
-        # refuses (Spill-/ManifestCorruptionError are ValueErrors).
-        pass
-    return frames, intact_bytes
 
 
 class CacheScrubber:
@@ -152,8 +125,8 @@ class CacheScrubber:
     def scrub_once(self) -> dict:
         """Walk every entry once; returns this pass's tallies."""
         scanned = repaired = quarantined = 0
-        for info in inspect_checkpoint_dir(self.cache.root):
-            verdict = self._scrub_entry(info)
+        for run_dir in run_dirs(self.cache.root):
+            verdict = self._scrub_entry(run_dir)
             if verdict == SCRUB_SKIPPED:
                 continue
             scanned += 1
@@ -189,52 +162,20 @@ class CacheScrubber:
             "evicted": evicted,
         }
 
-    def _scrub_entry(self, info) -> str:
-        if info.run_id in self.cache.pinned_ids():
-            return SCRUB_SKIPPED
-        if info.state in ("corrupt", "missing-manifest", "unknown"):
-            return self._quarantine(info, f"manifest_{info.state}")
-        log_path = Path(info.path) / RESULTS_FILENAME
-        # The pin re-check and any rewrite share the cache lock with
-        # pin(), so no query can start writing this entry mid-repair.
+    def _scrub_entry(self, run_dir: Path) -> str:
+        run_id = run_dir.name
+        # The pin check, the read and any repair share the cache lock
+        # with pin(), so no query can start writing this entry meanwhile.
         with self.cache._lock:
-            if info.run_id in self.cache.pinned_ids():
+            if run_id in self.cache.pinned_ids():
                 return SCRUB_SKIPPED
-            frames, intact_bytes = intact_prefix(log_path)
-            try:
-                log_bytes = log_path.stat().st_size
-            except OSError:
-                log_bytes = 0
-            if intact_bytes < log_bytes:
-                if info.state == STATE_COMPLETE:
-                    # Trimming a *complete* log would contradict the
-                    # manifest's result_count: nothing to repair toward.
-                    return self._quarantine(info, "result_log_damage")
-                self._trim_log(log_path, intact_bytes)
-                return SCRUB_REPAIRED
-        if info.state == STATE_COMPLETE:
-            pairs, reason = verified_replay(log_path, info.result_count)
-            if pairs is None:
-                return self._quarantine(info, reason)
-        return SCRUB_CLEAN
-
-    def _quarantine(self, info, reason: str) -> str:
-        """The verdict of handing an entry to the cache's quarantine (it
-        refuses an entry that got pinned or vanished meanwhile)."""
-        if self.cache.quarantine(info.run_id, reason):
-            return SCRUB_QUARANTINED
-        return SCRUB_SKIPPED
-
-    @staticmethod
-    def _trim_log(log_path: Path, intact_bytes: int) -> None:
-        """Atomically rewrite the log down to its intact prefix."""
-        tmp = log_path.with_name(log_path.name + ".scrub")
-        with open(tmp, "wb") as fh:
-            with open(log_path, "rb") as src:
-                fh.write(src.read(intact_bytes))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, log_path)
+            repaired, unservable = scrub_run_dir(run_dir)
+            if not unservable:
+                return SCRUB_REPAIRED if repaired else SCRUB_CLEAN
+            # The cache refuses an entry that vanished meanwhile.
+            if self.cache.quarantine(run_id, unservable):
+                return SCRUB_QUARANTINED
+            return SCRUB_SKIPPED
 
     # ------------------------------------------------------------------ #
 

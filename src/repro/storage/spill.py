@@ -40,7 +40,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, List, Optional
+from typing import BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, Optional
 
 from .errors import SpillCorruptionError
 
@@ -187,13 +187,44 @@ def sweep_orphan_spills(directory: "Path | str") -> List[str]:
     return removed
 
 
+class Frame(NamedTuple):
+    """One frame of a framed file and where it sits: what a reader needs
+    to report damage *inside* a CRC-valid payload the way the scanner
+    reports damage to the framing itself."""
+
+    label: str
+    index: int
+    offset: int
+    """Byte offset of the frame's header."""
+    record: bytes
+
+    @property
+    def end(self) -> int:
+        """Byte offset just past the frame: the length of the file's
+        prefix that ends with it."""
+        return self.offset + FRAME_HEADER_SIZE + len(self.record)
+
+    def violation(self, message: str) -> SpillCorruptionError:
+        """The corruption error for this frame, located like every other."""
+        return _violation(message, self.label, self.index, self.offset)
+
+
+def _violation(
+    message: str, label: str, frame_index: int, offset: int
+) -> SpillCorruptionError:
+    return SpillCorruptionError(
+        f"{message} in {label} (frame {frame_index} at byte {offset})",
+        path=label, frame_index=frame_index, offset=offset,
+    )
+
+
 def _read_frames(
     fh: BinaryIO,
     size: int,
     label: str,
     torn_tail: str,
     on_torn_tail: Optional[Callable[[SpillCorruptionError], None]],
-) -> Iterator[bytes]:
+) -> Iterator[Frame]:
     """The framing scanner shared by file and in-memory readers.
 
     ``torn_tail`` picks the policy for a framing violation whose damaged
@@ -212,15 +243,12 @@ def _read_frames(
         if not header:
             return
 
-        def violation(message: str, *, at_tail: bool) -> SpillCorruptionError:
-            error = SpillCorruptionError(
-                f"{message} in {label} (frame {frame_index} at byte {offset})",
-                path=label, frame_index=frame_index, offset=offset,
-            )
+        def violation(message: str, *, at_tail: bool) -> None:
+            error = _violation(message, label, frame_index, offset)
             if at_tail and torn_tail == TORN_TAIL_TRUNCATE:
                 if on_torn_tail is not None:
                     on_torn_tail(error)
-                return None  # type: ignore[return-value]  # sentinel: stop
+                return
             raise error
 
         if len(header) < FRAME_HEADER_SIZE:
@@ -249,18 +277,18 @@ def _read_frames(
                 at_tail=frame_end >= size,
             )
             return
-        yield record
+        yield Frame(label, frame_index, offset, record)
         frame_index += 1
         offset = frame_end
 
 
-def read_spill(
+def read_frames(
     path: "Path | str",
     *,
     torn_tail: str = TORN_TAIL_ERROR,
     on_torn_tail: Optional[Callable[[SpillCorruptionError], None]] = None,
-) -> Iterator[bytes]:
-    """Yield the records of a spill file in write order.
+) -> Iterator[Frame]:
+    """Yield the frames of a spill file in write order, each positioned.
 
     Raises :class:`SpillCorruptionError` on any framing violation: a torn
     header, an implausible length, a truncated record, or a CRC mismatch.
@@ -280,11 +308,25 @@ def read_frames_bytes(
     label: str = "<bytes>",
     torn_tail: str = TORN_TAIL_ERROR,
     on_torn_tail: Optional[Callable[[SpillCorruptionError], None]] = None,
-) -> Iterator[bytes]:
-    """:func:`read_spill` over an in-memory byte string (manifest loading)."""
+) -> Iterator[Frame]:
+    """:func:`read_frames` over an in-memory byte string (manifest loading)."""
     yield from _read_frames(
         io.BytesIO(data), len(data), label, torn_tail, on_torn_tail
     )
+
+
+def read_spill(
+    path: "Path | str",
+    *,
+    torn_tail: str = TORN_TAIL_ERROR,
+    on_torn_tail: Optional[Callable[[SpillCorruptionError], None]] = None,
+) -> Iterator[bytes]:
+    """The records of :func:`read_frames`, for readers that need no
+    positions."""
+    for frame in read_frames(
+        path, torn_tail=torn_tail, on_torn_tail=on_torn_tail
+    ):
+        yield frame.record
 
 
 def read_spill_all(

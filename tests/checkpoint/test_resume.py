@@ -61,7 +61,7 @@ def committed_indexes(checkpoint_dir):
     if not logs:
         return set()
     (log,) = logs
-    committed, _torn = replay_result_log(log)
+    committed, _intact_bytes, _ended_by = replay_result_log(log)
     return set(committed)
 
 
@@ -144,6 +144,72 @@ class TestTornState:
         assert result.pairs == expected
         assert set(result.resumed_pairs) == after
         assert result.fault_summary.get("torn_tail_recovered", 0) >= 1
+        # The tail was cut before the resume appended: the finished log
+        # replays clean, lists every pair, and a second resume adopts
+        # them all instead of finding damage mid-file.
+        committed, intact_bytes, ended_by = replay_result_log(log)
+        assert ended_by is None and intact_bytes == log.stat().st_size
+        assert set(committed) == set(range(NUM_PARTITIONS))
+        again = make_engine(tmp_path).resume(tuples_r, tuples_s, intersects)
+        assert again.pairs == expected
+        assert again.resumed_pairs == list(range(NUM_PARTITIONS))
+        assert not [k for k in again.fault_summary if k.endswith("_discarded")]
+        assert "torn_tail_recovered" not in again.fault_summary
+
+    def test_torn_tail_then_a_second_kill_still_converges(
+        self, tmp_path, workload
+    ):
+        # kill -> tear -> resume killed again -> resume: the last life
+        # adopts the union of what both earlier lives committed.
+        tuples_r, tuples_s, expected = workload
+        with pytest.raises(CoordinatorKilledError):
+            make_engine(tmp_path, kill_coordinator_after=7).run(
+                tuples_r, tuples_s, intersects
+            )
+        (log,) = tmp_path.glob(f"run-*/{RESULTS_FILENAME}")
+        assert tear_tail(log)
+        first_life = committed_indexes(tmp_path)
+        assert len(first_life) == 2
+        # The resumed coordinator's ordinals: 1 = manifest, 2 and 3 = two
+        # result commits.
+        with pytest.raises(CoordinatorKilledError):
+            make_engine(tmp_path, kill_coordinator_after=3).resume(
+                tuples_r, tuples_s, intersects
+            )
+        both_lives = committed_indexes(tmp_path)
+        assert first_life < both_lives and len(both_lives) == 4
+        result = make_engine(tmp_path).resume(tuples_r, tuples_s, intersects)
+        assert result.pairs == expected
+        assert set(result.resumed_pairs) == both_lives
+        assert not [k for k in result.fault_summary if k.endswith("_discarded")]
+
+    def test_mid_file_damage_resumes_from_the_intact_prefix(
+        self, tmp_path, workload
+    ):
+        # An incomplete run's log damaged part-way keeps its prefix —
+        # what the scrubber does to a warm entry, on the path a query
+        # takes — and the pairs behind the damage are merged again.
+        tuples_r, tuples_s, expected = workload
+        with pytest.raises(CoordinatorKilledError):
+            make_engine(tmp_path, kill_coordinator_after=7).run(
+                tuples_r, tuples_s, intersects
+            )
+        (log,) = tmp_path.glob(f"run-*/{RESULTS_FILENAME}")
+        first_frame_end = 8 + int.from_bytes(log.read_bytes()[:4], "little")
+        data = bytearray(log.read_bytes())
+        data[first_frame_end + 10] ^= 0xFF  # frame 1 of 3: not the tail
+        log.write_bytes(bytes(data))
+        prefix = committed_indexes(tmp_path)
+        assert len(prefix) == 1
+
+        result = make_engine(tmp_path).resume(tuples_r, tuples_s, intersects)
+        assert result.pairs == expected
+        assert set(result.resumed_pairs) == prefix
+        assert result.fault_summary.get("torn_tail_recovered") == 1
+        assert not [k for k in result.fault_summary if k.endswith("_discarded")]
+        committed, _intact_bytes, ended_by = replay_result_log(log)
+        assert ended_by is None
+        assert set(committed) == set(range(NUM_PARTITIONS))
 
     def test_torn_manifest_tail_recovers_the_prefix(self, tmp_path, workload):
         tuples_r, tuples_s, expected = workload

@@ -15,6 +15,7 @@ from repro.checkpoint import (
 from repro.faults import CheckpointFaultGate, CoordinatorKilledError, tear_tail
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.parallel import PairTaskResult
+from repro.storage import DiskBudget, DiskFullError
 from repro.storage.disk import SimulatedDisk
 
 
@@ -103,6 +104,8 @@ class TestResultRoundTrip:
         committed, torn = store.replay_results()
         assert torn
         assert sorted(committed) == [0]
+        # The replay cut the tail from the file, not just skipped it.
+        assert store.replay_results() == (committed, False)
 
     def test_discard_results_requeues_everything(self, tmp_path):
         store = CheckpointStore(tmp_path, make_fingerprint())
@@ -173,6 +176,74 @@ class TestFaultGate:
         # Serialization keeps plans replayable: same dict, same points.
         again = FaultPlan.from_dict(kill.to_dict())
         assert again.coordinator_kill_ordinals == kill.coordinator_kill_ordinals
+
+
+class _Recorder:
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event_type, **fields):
+        self.events.append((event_type, fields))
+
+
+class TestDiskFullRecovery:
+    """A denied durable write frees completed sibling runs — finished
+    with, under pressure — and retries once; then the denial stands."""
+
+    def _complete_sibling(self, root, budget):
+        done = CheckpointStore(root, make_fingerprint(1), budget=budget)
+        with done:
+            done.begin(JoinManifest(done.fingerprint))
+            done.append_result(make_result(0))
+            done.append_event({"type": "complete", "result_count": 1})
+        return done
+
+    def test_denied_manifest_write_reclaims_a_complete_sibling(self, tmp_path):
+        budget = DiskBudget()
+        sibling = self._complete_sibling(tmp_path, budget)
+        sibling_bytes = budget.used
+        assert sibling_bytes == sum(
+            f.stat().st_size for f in sibling.run_dir.iterdir() if f.is_file()
+        )
+        budget.max_bytes = sibling_bytes + 8  # no room for a second manifest
+        journal = _Recorder()
+        store = CheckpointStore(
+            tmp_path, make_fingerprint(0), budget=budget, journal=journal
+        )
+        with store:
+            store.begin(JoinManifest(store.fingerprint))
+        assert not sibling.run_dir.exists()
+        assert budget.denials == 1
+        assert budget.used == store.manifest_path.stat().st_size
+        assert store.ordinal == 1
+        assert store.load().events == []
+        assert [
+            (kind, fields.get("action"), fields.get("bytes_freed"))
+            for kind, fields in journal.events
+            if kind != "checkpoint_commit"
+        ] == [
+            ("disk_pressure", None, None),
+            ("disk_full_recovered", "sibling_gc", sibling_bytes),
+        ]
+
+    def test_second_denial_propagates_with_the_manifest_intact(self, tmp_path):
+        budget = DiskBudget()
+        journal = _Recorder()
+        store = CheckpointStore(
+            tmp_path, make_fingerprint(0), budget=budget, journal=journal
+        )
+        with store:
+            store.begin(JoinManifest(store.fingerprint))
+            before = store.manifest_path.read_bytes()
+            budget.max_bytes = budget.used  # nothing fits, nothing to free
+            with pytest.raises(DiskFullError):
+                store.append_event(SEAL_R)
+        assert budget.denials == 2
+        assert store.manifest_path.read_bytes() == before
+        reloaded = CheckpointStore(tmp_path, make_fingerprint(0)).load()
+        assert reloaded.events == []
+        kinds = [kind for kind, _fields in journal.events]
+        assert kinds == ["checkpoint_commit", "disk_pressure"]
 
 
 class TestHousekeeping:

@@ -118,6 +118,23 @@ class TestReplay:
         cache = ArtifactCache(tmp_path)
         assert cache.replay(make_fingerprint()) == [(1, 2), (3, 4), (5, 6)]
 
+    def test_a_hit_reads_each_file_once(self, tmp_path, opens):
+        # lookup then replay under the query's pin, as the server calls
+        # them: the manifest lookup loaded is the one replay verifies by.
+        store = seed_complete_run(tmp_path)
+        cache = ArtifactCache(tmp_path)
+        fingerprint = make_fingerprint()
+        opens.clear()
+        with cache.pinned(fingerprint.run_id):
+            assert cache.lookup(fingerprint) == LOOKUP_HIT
+            assert cache.replay(fingerprint) == [(1, 2), (3, 4), (5, 6)]
+        assert opens == {
+            str(store.manifest_path): 1, str(store.results_path): 1,
+        }
+        # Unpinned, nothing is remembered between the calls.
+        assert cache.lookup(fingerprint) == LOOKUP_HIT
+        assert cache._hits == {}
+
     def test_overlapping_pair_logs_refuse_to_serve(self, tmp_path):
         # Two-layer partitioning makes per-pair logs disjoint by
         # construction; a duplicate across logs means the artifacts were

@@ -21,7 +21,6 @@ from repro.serve import (
     ArtifactCache,
     CacheScrubber,
 )
-from repro.serve.scrub import intact_prefix
 
 SEAL_R = {"type": "spills_sealed", "side": "r", "files": [], "placed": 0}
 SEAL_S = {"type": "spills_sealed", "side": "s", "files": [], "placed": 0}
@@ -75,6 +74,13 @@ def flip_byte(path, offset):
     data = bytearray(path.read_bytes())
     data[offset] ^= 0xFF
     path.write_bytes(bytes(data))
+
+
+def intact_prefix(path):
+    """``(frames, bytes)`` of a result log's intact prefix, as the one
+    walk in ``repro.checkpoint`` reports it."""
+    committed, intact_bytes, _ended_by = replay_result_log(path)
+    return len(committed), intact_bytes
 
 
 def scrubber_for(tmp_path, **kwargs):
@@ -133,6 +139,18 @@ class TestScrubOnce:
                            "evicted": 0}
         assert scrubber.stats()["passes"] == 1
 
+    def test_a_pass_reads_each_file_of_an_entry_once(self, tmp_path, opens):
+        stores = [seed_complete_run(tmp_path, salt=salt) for salt in range(3)]
+        stores.append(seed_warm_run(tmp_path, salt=3))
+        cache, scrubber = scrubber_for(tmp_path)
+        opens.clear()
+        assert scrubber.scrub_once()["scanned"] == 4
+        assert opens == {
+            str(path): 1
+            for store in stores
+            for path in (store.manifest_path, store.results_path)
+        }
+
     def test_damaged_complete_entry_is_quarantined(self, tmp_path):
         store = seed_complete_run(tmp_path)
         run_id = store.fingerprint.run_id
@@ -173,8 +191,8 @@ class TestScrubOnce:
         assert tallies == {"scanned": 1, "repaired": 1, "quarantined": 0,
                            "evicted": 0}
         assert store.results_path.stat().st_size == first_frame
-        committed, torn = replay_result_log(store.results_path)
-        assert sorted(committed) == [0] and not torn
+        committed, _, ended_by = replay_result_log(store.results_path)
+        assert sorted(committed) == [0] and ended_by is None
         assert cache.lookup(make_fingerprint()) == LOOKUP_WARM
         # The next pass finds nothing left to do.
         assert scrubber.scrub_once() == {

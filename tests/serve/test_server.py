@@ -97,6 +97,46 @@ class TestCachePaths:
         assert response["ok"] and response["source"] == "warm"
         assert response["result_sha256"] == one_shot_digest(SPEC)
 
+    def test_warm_entry_with_a_torn_log_tail_fills_a_servable_hit(
+        self, tmp_path
+    ):
+        # The interrupted run committed three pairs and the last append
+        # tore.  The warm resume must cut that tail before appending
+        # behind it — otherwise the entry it completes is corrupt
+        # mid-file: never served, then quarantined by the scrubber.
+        from repro.faults import CoordinatorKilledError, tear_tail
+        from repro.parallel import ProcessPBSM
+
+        spec = QuerySpec(**SPEC)
+        tuples_r, tuples_s = spec.generate()
+        engine = ProcessPBSM(
+            spec.workers,
+            checkpoint_dir=str(tmp_path / "cache"),
+            kill_coordinator_after=7,
+        )
+        with pytest.raises(CoordinatorKilledError):
+            engine.run(tuples_r, tuples_s, spec.predicate_fn)
+        (log,) = (tmp_path / "cache").glob("run-*/results.log")
+        assert tear_tail(log)
+
+        server, host, port = start_server(tmp_path)
+        try:
+            with ServeClient(host, port) as client:
+                warm = client.join(**SPEC)
+                hit = client.join(**SPEC)
+            scrubbed = server.scrubber.scrub_once()
+            corrupt = server.metrics.counter("serve.cache.corrupt").value
+        finally:
+            server.shutdown()
+        assert warm["ok"] and warm["source"] == "warm"
+        assert warm["result_sha256"] == one_shot_digest(SPEC)
+        assert hit["ok"] and hit["source"] == "hit"
+        assert hit["result_sha256"] == warm["result_sha256"]
+        assert corrupt == 0
+        assert scrubbed == {
+            "scanned": 1, "repaired": 0, "quarantined": 0, "evicted": 0,
+        }
+
     def test_served_pairs_match_when_requested(self, tmp_path):
         server, host, port = start_server(tmp_path)
         try:
