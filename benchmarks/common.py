@@ -1,7 +1,11 @@
-"""Shared helpers for the join benchmarks."""
+"""Shared helpers for the join benchmarks and the serve drills."""
 
 from __future__ import annotations
 
+import signal
+import subprocess
+import sys
+from pathlib import Path
 from typing import Callable, Dict, Tuple
 
 from repro import (
@@ -17,6 +21,7 @@ from repro.bench import (
     write_bench_json,
 )
 from repro.core.stats import JoinResult
+from repro.serve import read_port_file, wait_for_server
 from repro.storage import Database, Relation
 
 ALGORITHMS = ("PBSM", "R-tree", "INL")
@@ -109,3 +114,42 @@ def assert_same_results(results: Dict[float, Dict[str, JoinResult]]) -> None:
                     f"{len(pairs)} pairs vs {len(reference)} "
                     f"({missing} missing, {extra} unexpected)"
                 )
+
+
+WORKERS = 2
+"""The drill server's ``--workers``, and what the drills' queries ask for."""
+
+
+def start_server(out: Path, *extra) -> Tuple[subprocess.Popen, int]:
+    """The drills' fixture: ``python -m repro serve`` as a subprocess,
+    :data:`WORKERS` workers, cache and journals under ``out``, any
+    ``extra`` CLI arguments passed through; returns once it accepts
+    connections, as ``(process, port)``.  Stop it with :func:`drain`."""
+    out.mkdir(parents=True, exist_ok=True)
+    port_file = out / "port.txt"
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--cache-dir", str(out / "cache"),
+            "--out", str(out),
+            "--port-file", str(port_file),
+            "--workers", str(WORKERS),
+            *map(str, extra),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    port = read_port_file(port_file, timeout_s=60.0)
+    wait_for_server("127.0.0.1", port, timeout_s=60.0)
+    return proc, port
+
+
+def drain(proc: subprocess.Popen) -> str:
+    """SIGTERM the server and hold it to a clean drain: exit status 0 and
+    the "drained" summary in its output, which is returned."""
+    proc.send_signal(signal.SIGTERM)
+    output, _ = proc.communicate(timeout=120.0)
+    assert proc.returncode == 0, f"server exited {proc.returncode}:\n{output}"
+    assert "drained" in output, f"clean-shutdown summary missing:\n{output}"
+    return output

@@ -30,24 +30,18 @@ CI runs it in the ``serve-chaos`` job and uploads both out directories.
 """
 
 import json
-import signal
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
 
+from common import WORKERS, drain, start_server
 from repro.faults import load_plan
 from repro.parallel import parallel_join
-from repro.serve import (
-    QuerySpec,
-    ServeClient,
-    read_port_file,
-    result_digest,
-    wait_for_server,
-)
+from repro.serve import QuerySpec, ServeClient, result_digest
 
-WORKERS = 2
+ADMISSION = ("--max-inflight", "2", "--max-queue", "8")
 FAULT_SEED = 3
 FAULT_PAIRS = 8  # matches the specs' default partitions (workers * 4)
 HANG_S = 4.0
@@ -69,37 +63,6 @@ def one_shot_digest(fields):
     return result_digest(result.pairs)
 
 
-def start_server(out, *extra):
-    out.mkdir(parents=True, exist_ok=True)
-    port_file = out / "port.txt"
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--cache-dir", str(out / "cache"),
-            "--out", str(out),
-            "--port-file", str(port_file),
-            "--workers", str(WORKERS),
-            "--max-inflight", "2",
-            "--max-queue", "8",
-            *extra,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    port = read_port_file(port_file, timeout_s=60.0)
-    wait_for_server("127.0.0.1", port, timeout_s=60.0)
-    return proc, port
-
-
-def drain(proc):
-    proc.send_signal(signal.SIGTERM)
-    output, _ = proc.communicate(timeout=120.0)
-    assert proc.returncode == 0, f"server exited {proc.returncode}:\n{output}"
-    assert "drained" in output, f"clean-shutdown summary missing:\n{output}"
-    return output
-
-
 def journal_types(path):
     return [
         json.loads(line)["type"] for line in path.read_text().splitlines()
@@ -116,7 +79,7 @@ def phase_a(out: Path) -> None:
         )
     }
     proc, port = start_server(
-        out,
+        out, *ADMISSION,
         "--faults", "deadline_stall",
         "--fault-seed", str(FAULT_SEED),
         "--fault-pairs", str(FAULT_PAIRS),
@@ -239,7 +202,7 @@ def phase_b(out: Path) -> None:
         "scrub_corruption", seed=FAULT_SEED, num_pairs=FAULT_PAIRS
     )
     assert plan.cache_corruption_ordinals, "plan lost its ordinals"
-    proc, port = start_server(out, "--scrub-interval", "0.5")
+    proc, port = start_server(out, *ADMISSION, "--scrub-interval", "0.5")
     try:
         with ServeClient("127.0.0.1", port, timeout=300.0) as client:
             first = client.join(**STALLED)

@@ -17,19 +17,12 @@ CI runs it in the ``serve-smoke`` job and uploads the out directory.
 
 import json
 import random
-import signal
-import subprocess
 import sys
 from pathlib import Path
 
+from common import drain, start_server
 from repro.parallel import parallel_join
-from repro.serve import (
-    QuerySpec,
-    ServeClient,
-    read_port_file,
-    result_digest,
-    wait_for_server,
-)
+from repro.serve import QuerySpec, ServeClient, result_digest
 
 N_QUERIES = 20
 MIX_SEED = 96
@@ -43,27 +36,10 @@ QUERY_MIX = [
 
 
 def main(out_dir: str = "serve-out") -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    port_file = out / "port.txt"
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--cache-dir", str(out / "cache"),
-            "--out", str(out),
-            "--port-file", str(port_file),
-            "--workers", "2",
-            "--max-inflight", "2",
-            "--max-queue", "8",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
+    proc, port = start_server(
+        Path(out_dir), "--max-inflight", "2", "--max-queue", "8"
     )
     try:
-        port = read_port_file(port_file, timeout_s=60.0)
-        wait_for_server("127.0.0.1", port, timeout_s=60.0)
-
         rng = random.Random(MIX_SEED)
         responses = []
         with ServeClient("127.0.0.1", port, timeout=300.0) as client:
@@ -93,16 +69,13 @@ def main(out_dir: str = "serve-out") -> int:
                 f"served result for {key} != one-shot parallel run"
             )
 
-        proc.send_signal(signal.SIGTERM)
-        output, _ = proc.communicate(timeout=120.0)
+        output = drain(proc)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
 
     print(output)
-    assert proc.returncode == 0, f"server exited {proc.returncode}"
-    assert "drained" in output, "clean-shutdown summary missing"
     print(
         f"serve smoke ok: {len(responses)} queries, {len(hits)} hits "
         f"({len(hits) / len(responses):.0%}), {len(by_spec)} distinct joins, "

@@ -34,25 +34,17 @@ CI runs it in the ``storage-pressure`` job and uploads the out directory.
 """
 
 import json
-import signal
-import subprocess
 import sys
 from pathlib import Path
 
+from common import WORKERS, drain, start_server
 from repro.faults import FaultPlan, load_plan
 from repro.faults.plan import NAMED_SPECS
 from repro.obs import RunJournal
 from repro.parallel import parallel_join
-from repro.serve import (
-    QuerySpec,
-    ServeClient,
-    read_port_file,
-    result_digest,
-    wait_for_server,
-)
+from repro.serve import QuerySpec, ServeClient, result_digest
 from repro.storage import DiskBudget
 
-WORKERS = 2
 FIELDS = {"dataset": "road_hydro", "scale": 0.004, "workers": WORKERS}
 PLAN_PATH = Path(__file__).parent / "faultplans" / "disk_full.json"
 PLAN_SEEDS = (0, 1, 2)
@@ -175,35 +167,6 @@ def phase_3_replay(out: Path) -> None:
         print(f"  seed {seed}: {len(injected_a)} injection(s) "
               f"{[(c, o) for c, o, _ in injected_a]} replayed identically, "
               f"recoveries {recovered_a}")
-
-
-def start_server(out, *extra):
-    out.mkdir(parents=True, exist_ok=True)
-    port_file = out / "port.txt"
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--cache-dir", str(out / "cache"),
-            "--out", str(out),
-            "--port-file", str(port_file),
-            "--workers", str(WORKERS),
-            *extra,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    port = read_port_file(port_file, timeout_s=60.0)
-    wait_for_server("127.0.0.1", port, timeout_s=60.0)
-    return proc, port
-
-
-def drain(proc):
-    proc.send_signal(signal.SIGTERM)
-    output, _ = proc.communicate(timeout=120.0)
-    assert proc.returncode == 0, f"server exited {proc.returncode}:\n{output}"
-    assert "drained" in output, f"clean-shutdown summary missing:\n{output}"
-    return output
 
 
 def phase_4_serve(out: Path, peak: int, baseline: str) -> None:

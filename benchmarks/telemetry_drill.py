@@ -26,13 +26,13 @@ Run locally with ``PYTHONPATH=src python benchmarks/telemetry_drill.py``;
 CI runs it in the ``telemetry`` job and uploads the out directory.
 """
 
-import signal
 import subprocess
 import sys
 from pathlib import Path
 
+from common import drain, start_server
 from repro.obs import parse_exposition
-from repro.serve import ServeClient, read_port_file, wait_for_server
+from repro.serve import ServeClient
 
 QUERY_MIX = [
     {"dataset": "road_hydro", "scale": 0.006, "predicate": "intersects"},
@@ -58,36 +58,10 @@ def repro(*args, check=True, timeout=300):
     return result
 
 
-def start_serve(out: Path, *extra):
-    port_file = out / "port.txt"
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--cache-dir", str(out / "cache"),
-            "--out", str(out),
-            "--port-file", str(port_file),
-            "--workers", "2",
-            *map(str, extra),
-        ],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    port = read_port_file(port_file, timeout_s=60.0)
-    wait_for_server("127.0.0.1", port, timeout_s=60.0)
-    return proc, port
-
-
-def drain(proc) -> str:
-    proc.send_signal(signal.SIGTERM)
-    output, _ = proc.communicate(timeout=120.0)
-    assert proc.returncode == 0, f"server exited {proc.returncode}:\n{output}"
-    assert "drained" in output
-    return output
-
-
 def phase_a_live_scrape(root: Path) -> None:
     out = root / "live"
     out.mkdir(parents=True)
-    proc, port = start_serve(out, "--telemetry-interval", "0.2")
+    proc, port = start_server(out, "--telemetry-interval", "0.2")
     try:
         with ServeClient("127.0.0.1", port, timeout=300.0) as client:
             for i in range(N_QUERIES):
@@ -150,7 +124,7 @@ def phase_a_live_scrape(root: Path) -> None:
 
 def run_recorded(out: Path, *extra) -> None:
     out.mkdir(parents=True)
-    proc, port = start_serve(out, *extra)
+    proc, port = start_server(out, *extra)
     try:
         with ServeClient("127.0.0.1", port, timeout=300.0) as client:
             for fields in QUERY_MIX:

@@ -84,14 +84,19 @@ def result_from_wire(payload: dict) -> "PairTaskResult":
     )
 
 
-def cut_result_log(path: "Path | str", intact_bytes: int) -> None:
+def cut_result_log(path: "Path | str", intact_bytes: int, budget=None) -> None:
     """The log's one repair: cut the file to ``intact_bytes`` — the prefix
-    :func:`replay_result_log` vouched for — dropping whatever follows."""
+    :func:`replay_result_log` vouched for — dropping whatever follows, and
+    returning it to ``budget``: the dropped frames were charged under
+    ``checkpoint`` when they were appended."""
     try:
-        if os.path.getsize(path) > intact_bytes:
+        cut = os.path.getsize(path) - intact_bytes
+        if cut > 0:
             with open(path, "r+b") as fh:
                 fh.truncate(intact_bytes)
                 os.fsync(fh.fileno())
+            if budget is not None:
+                budget.release(cut, "checkpoint")
     except FileNotFoundError:
         pass
 
@@ -114,7 +119,7 @@ class ResultLog:
         self.path = Path(path)
         self.budget = budget
         self._fh: Optional[BinaryIO] = None
-        cut_result_log(self.path, intact_bytes)
+        cut_result_log(self.path, intact_bytes, budget)
 
     def append(self, result: "PairTaskResult", *, fsync: bool = True) -> int:
         """Durably commit one pair result; returns the bytes appended."""

@@ -458,9 +458,9 @@ def inspect_checkpoint_dir(root: "Path | str") -> List[CheckpointInfo]:
     return [inspect_run_dir(run_dir) for run_dir in run_dirs(root)]
 
 
-def scrub_run_dir(run_dir: Path) -> Tuple[bool, str]:
+def scrub_run_dir(run_dir: Path, budget=None) -> Tuple[bool, str]:
     """Verify one run directory at rest, each file read once:
-    ``(repaired, unservable)``.
+    ``(repaired, unservable)``.  Bytes a repair cuts go back to ``budget``.
 
     ``unservable`` names why the directory can never answer or resume a
     query — no trustworthy manifest, or a *complete* run that fails
@@ -481,7 +481,7 @@ def scrub_run_dir(run_dir: Path) -> Tuple[bool, str]:
     _committed, intact_bytes, ended_by = replay_result_log(log_path)
     if ended_by is None:
         return False, ""
-    cut_result_log(log_path, intact_bytes)
+    cut_result_log(log_path, intact_bytes, budget)
     return True, ""
 
 

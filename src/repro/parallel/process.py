@@ -126,7 +126,7 @@ from .tasks import (
     PartitionSpill,
     SpillHandle,
     WorkerTaskError,
-    init_worker_heartbeats,
+    init_pool_worker,
     refine_pair,
     run_pair_task,
     spill_bytes,
@@ -199,8 +199,8 @@ class RunPoolProvider:
     to multiplex many concurrent queries onto one resident pool.
 
     ``shared`` tells the coordinator whether it may install per-pool
-    worker state (the heartbeat initializer): only a private pool can
-    carry one run's heartbeat queue.
+    worker state (the initializer and its heartbeat queue): only a
+    private pool can carry one run's heartbeat queue.
     """
 
     shared = False
@@ -365,13 +365,16 @@ class ProcessPBSM:
     ) -> ParallelJoinResult:
         """The whole join, serially, in this process: the shed path.
 
-        No pool, no spills, no checkpoint.  Every partition pair is
-        rebuilt from the base relations through the same machinery the
-        degraded path uses, so the answer is byte-identical to any other
-        backend — the serve tier's circuit breaker leans on that to serve
-        ``degraded`` responses whose digests match a healthy run's.  Worker
-        faults never fire here (they live in ``run_pair_task``), and the
-        run deadline still applies, checked between pairs.
+        No pool, no spills, no checkpoint — the paper's first case (§3.1:
+        both key-pointer sets fit in memory, so no partition file is
+        written) with the base relations' own records fetched for the
+        refinement.  Every partition pair is rebuilt through the same
+        machinery the degraded path uses, so the answer is byte-identical
+        to any other backend — the serve tier's circuit breaker leans on
+        that to serve ``degraded`` responses whose digests match a healthy
+        run's.  Worker faults never fire here (they live in
+        ``run_pair_task``), and the run deadline still applies, checked
+        between pairs.
         """
         side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
         early = self._start("process-serial", 0, side_r, side_s, resuming=False)
@@ -1182,15 +1185,14 @@ class ProcessPBSM:
         # via the pool initializer (initargs travel as process-constructor
         # arguments, which is the one spawn-safe way to inherit a queue).
         # Only a journaling run with a *private* pool pays for it — a
-        # shared pool serves many runs at once and cannot carry one run's
-        # initializer state.  Without a queue there is no initializer and
-        # the pool ignores ``initargs``.
+        # shared pool serves many runs at once, cannot carry one run's
+        # initializer state and runs the initializer itself.
         heartbeats = (
             context.Queue()
             if journal.enabled and not provider.shared
             else None
         )
-        initializer = init_worker_heartbeats if heartbeats is not None else None
+        initializer = None if provider.shared else init_pool_worker
         worker_phase: Dict[int, dict] = {}
         next_sample = time.monotonic() + SAMPLE_INTERVAL_S
 
@@ -1472,15 +1474,15 @@ class ProcessPBSM:
         merged in-process — slower, but exact.  Each merge is fed the
         key-pointer block the spill pass would have written, so it sees
         bit-identical input to what a worker would have read; refinement
-        looks the live tuples up.  The run deadline is checked between
-        pairs; ``on_result`` commits each rebuilt pair as it completes.
+        fetches from the sides' own stored records (``InputSide.stored``),
+        in whichever form a worker's would have taken.  The run deadline is
+        checked between pairs; ``on_result`` commits each rebuilt pair as
+        it completes.
         """
         if not reasons:
             return []
         routed_r = partitioner.route_all(side_r.mbrs)
         routed_s = partitioner.route_all(side_s.mbrs)
-        lookup_r = {t.feature_id: t for t in side_r}
-        lookup_s = {t.feature_id: t for t in side_s}
         results: List[PairTaskResult] = []
         for index in sorted(reasons):
             if self._deadline_expired():
@@ -1502,7 +1504,8 @@ class ProcessPBSM:
                     tracer=self.tracer, metrics=self.metrics,
                 )
                 pairs, dropped = refine_pair(
-                    candidates, lookup_r, lookup_s, predicate
+                    candidates, side_r.stored, side_s.stored, predicate,
+                    span=span,
                 )
                 span.tag("results", len(pairs))
             outcome = PairTaskResult(

@@ -22,10 +22,11 @@ directory followed by the serialised tuples — so neither side pays a
 Python call per record for framing.  A worker reads and checks every frame
 of both files and keeps them as the arrays they already are: the filter
 step is one array join over the key-pointer records (:func:`sweep_pair`),
-and the tuple spill opens as columns (:class:`TupleSpill`) from which
-:func:`refine_pair` either gathers coordinate runs (polylines under
-``intersects``, polygons under ``contains``) or decodes, on first lookup,
-the tuples a candidate names.
+and the tuple spill opens as columns (:class:`StoredRecords` — the type
+an :class:`InputSide` also gives its own records, for the coordinator's
+rebuilds) from which :func:`refine_pair` either gathers coordinate runs
+(polylines under ``intersects``, polygons under ``contains``) or decodes,
+on first lookup, the tuples a candidate names.
 
 A :class:`PairTask` names those files plus the join configuration; it
 pickles in a few hundred bytes no matter how large the partition is.
@@ -47,7 +48,7 @@ Flight-recorder hooks: when the coordinator runs a journal
 (:mod:`repro.obs.journal`), workers ship their task-lifecycle events
 (``task_started``/``task_finished``) back on the result wire alongside
 spans and metrics, and ping a **heartbeat queue** — installed in each
-pool worker by :func:`init_worker_heartbeats` — at every phase boundary.
+pool worker by :func:`init_pool_worker` — at every phase boundary.
 The queue is the only channel that outlives a worker crash: a result
 wire from a dead process never arrives, but its last heartbeat already
 did, which is exactly what the live view and the post-mortem need.
@@ -56,6 +57,7 @@ did, which is exactly what the live view and the post-mortem need.
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 import threading
 import time
@@ -126,22 +128,44 @@ tuple spill."""
 _FROZEN_PID = 0
 """The process whose inherited heap :func:`run_pair_task` already froze."""
 
+PARENT_POLL_S = 0.25
+"""How often a pool worker checks that its coordinator is still alive."""
+
 _HEARTBEAT_QUEUE = None
 """Worker-process global: the coordinator's heartbeat queue, installed by
-:func:`init_worker_heartbeats` when the pool is spawned with a journal.
+:func:`init_pool_worker` when the pool is spawned with a journal.
 ``None`` (the default) keeps the hot path ping-free."""
 
 
-def init_worker_heartbeats(queue) -> None:
-    """Pool initializer: arm this worker's heartbeat channel.
+def init_pool_worker(heartbeats=None) -> None:
+    """Pool initializer, run by every worker as it starts.
 
-    Passed as ``initializer=init_worker_heartbeats, initargs=(queue,)``
-    to ``ProcessPoolExecutor`` — multiprocessing queues survive that trip
-    under every start method because they are process-constructor
+    *The worker dies with its coordinator.*  A hard-killed coordinator
+    cannot shut its pool down, and a worker holds an end of the very pipe
+    it waits on for calls (fork-started ones each other's as well), so
+    the end-of-file that would stop it never arrives: without this the
+    workers sit parentless for ever.  A daemon thread compares
+    ``os.getppid()`` with the process that started this one — the same
+    under ``fork`` and ``spawn``, in a run's own pool and in a shared
+    one — every :data:`PARENT_POLL_S`, and leaves without clean-up, as
+    the coordinator did.  Armed here and not by the first task: a worker
+    that is still starting when the coordinator dies never gets one.
+
+    *Its heartbeat channel is armed*, if the run journals: passed as
+    ``initargs=(queue,)``, because multiprocessing queues survive that
+    trip under every start method — they are process-constructor
     arguments, not task payloads.
     """
     global _HEARTBEAT_QUEUE
-    _HEARTBEAT_QUEUE = queue
+    _HEARTBEAT_QUEUE = heartbeats
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        while os.getppid() == parent.pid:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watchdog", daemon=True).start()
 
 
 def _heartbeat(pair: int, attempt: int, phase: str) -> None:
@@ -160,7 +184,7 @@ def _heartbeat(pair: int, attempt: int, phase: str) -> None:
 
 class InputSide(tuple):
     """One materialised join input: the immutable sequence of its tuples,
-    owning two column groups that are each built once, on first touch,
+    owning three column groups that are each built once, on first touch,
     and kept for as long as the input is:
 
     * the *routing columns* — ``mbrs`` (exact f64 N×4, what routing
@@ -170,7 +194,10 @@ class InputSide(tuple):
       back to back in one ``bytes``), ``offsets`` (N+1 int64: record ``i``
       is ``payload[offsets[i]:offsets[i + 1]]``) and ``crc`` (the
       order-sensitive CRC32 of the records, the run fingerprint's content
-      check).
+      check);
+    * ``stored`` — the stored form and ``fids`` as :class:`StoredRecords`,
+      sharing their memory: what refinement fetches from when the side
+      itself, not a spill of it, is at hand.
 
     Whoever holds the input across joins (``QuerySpec.generate`` returns
     two of these; the server memoises them) therefore serialises it once;
@@ -178,9 +205,10 @@ class InputSide(tuple):
     run, and ``InputSide(side) is side`` as with any immutable.  This is
     the only place the engine and the server serialise a tuple."""
 
-    _building = threading.Lock()
+    _building = threading.RLock()
     """Held by whoever builds a column group, of any side: the builders
-    are interpreter-bound, so two of them would take turns anyway."""
+    are interpreter-bound, so two of them would take turns anyway.
+    (Re-entrant: ``stored`` is built from the other two groups.)"""
 
     def __new__(cls, tuples: Iterable[SpatialTuple] = ()):
         return tuples if isinstance(tuples, cls) else super().__new__(cls, tuples)
@@ -189,7 +217,9 @@ class InputSide(tuple):
         """Reached only for a column not built yet: build its group — one
         builder at a time, and whoever finds a column missing waits here
         for it, so nobody holds a ``payload`` without its ``offsets``."""
-        if name not in ("mbrs", "mbrs_f32", "fids", "payload", "offsets", "crc"):
+        if name not in (
+            "mbrs", "mbrs_f32", "fids", "payload", "offsets", "crc", "stored"
+        ):
             raise AttributeError(name)
         with self._building:
             if name in self.__dict__:
@@ -199,6 +229,10 @@ class InputSide(tuple):
                 self.offsets = np.cumsum([0, *map(len, records)], dtype=np.int64)
                 self.payload = b"".join(records)
                 self.crc = zlib.crc32(self.payload)
+            elif name == "stored":
+                self.stored = StoredRecords(
+                    self.payload, self.offsets[:-1], self.offsets[1:], self.fids, self
+                )
             else:
                 self.mbrs = mbr_array(self)
                 self.mbrs_f32 = conservative_f32(self.mbrs)
@@ -430,64 +464,50 @@ def read_keypointer_spill(path: str) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-class TupleSpill(Mapping):
-    """A partition's tuple spill as a read-only ``feature id → tuple``
-    mapping (refinement's lookup) that decodes on demand.
+class StoredRecords(Mapping):
+    """A relation's stored records — every ``serialize_tuple`` record in
+    one buffer, with the extents and feature id of each — as a read-only
+    ``feature id → tuple`` mapping: what refinement fetches from.
 
-    Opening it reads and CRC-checks **every** frame and validates every
-    block directory — integrity is a property of the file read, not of
-    the tuples used — and keeps the file as columns: the records in one
-    buffer, their feature ids and extents as arrays, located through a
-    sorted feature-id index.  A tuple is deserialised only on its first
-    lookup (and memoised): most spilled tuples are never referenced by a
-    candidate, and :meth:`columns` serves those that are without
-    building a tuple at all.  ``len()`` is the number of records in the
-    file.
+    One type, two constructors.  :func:`read_tuple_spill` makes it of a
+    partition's ``.tup`` file, and a lookup decodes the record on first
+    use (and memoises it): most spilled tuples are never referenced by a
+    candidate.  :class:`InputSide` makes it of its own columns, as views,
+    and a lookup returns the side's ``live`` tuple — nothing is decoded,
+    so a side kept across joins never grows a second copy of itself.
+    Either way the records are located through a sorted feature-id index
+    built once, and :meth:`columns` serves many of them without building
+    a tuple at all.  ``len()`` is the number of records.
     """
 
-    def __init__(self, path: str):
-        payloads: List[bytes] = []
-        fids, starts, ends = ([np.empty(0, np.int64)] for _ in range(3))
-        base = 0
-        for frame in read_frames(path):
-            payload = frame.record
-            words = np.frombuffer(payload, _U32, len(payload) // _U32.itemsize)
-            count = int(words[0]) if len(words) else 0
-            body = (2 * count + 2) * _U32.itemsize
-            bounds = words[count + 1 : 2 * count + 2].astype(np.int64) + body
-            if (
-                len(bounds) != count + 1
-                or bounds[0] != body
-                or bounds[-1] != len(payload)
-                or (bounds[1:] < bounds[:-1]).any()
-            ):
-                raise frame.violation(
-                    "tuple block directory does not fit its payload"
-                )
-            payloads.append(payload)
-            fids.append(words[1 : count + 1])
-            starts.append(bounds[:-1] + base)
-            ends.append(bounds[1:] + base)
-            base += len(payload)
-        self._buffer = b"".join(payloads)
-        self._fids = np.concatenate(fids)
-        self._starts, self._ends = np.concatenate(starts), np.concatenate(ends)
+    def __init__(
+        self, buffer: bytes, starts: np.ndarray, ends: np.ndarray,
+        fids: np.ndarray, live: Optional[Sequence[SpatialTuple]] = None,
+    ):
+        self._buffer, self._starts, self._ends = buffer, starts, ends
+        self._fids, self._live = fids, live
         # Stable, so that of two records with one feature id the later is
-        # found, as a mapping filled in file order would have it.
-        self._order = np.argsort(self._fids, kind="stable")
-        self._sorted_fids = self._fids[self._order]
-        self._decoded: Dict[int, SpatialTuple] = {}
+        # found, as a mapping filled in record order would have it.
+        self._order = np.argsort(fids, kind="stable")
+        # (int64, as a spill's already are: what a lookup is asked for,
+        # so no search converts the index again.)
+        self._sorted_fids = fids[self._order].astype(np.int64, copy=False)
+        self._found: Dict[int, SpatialTuple] = {}
 
     def __getitem__(self, feature_id: int) -> SpatialTuple:
-        t = self._decoded.get(feature_id)
+        t = self._found.get(feature_id)
         if t is None:
             at = int(self._sorted_fids.searchsorted(feature_id, side="right")) - 1
             if at < 0 or self._sorted_fids[at] != feature_id:
                 raise KeyError(feature_id)
             record = self._order[at]
-            t = self._decoded[feature_id] = deserialize_tuple(
-                self._buffer[self._starts[record] : self._ends[record]]
-            )
+            if self._live is not None:
+                t = self._live[record]
+            else:
+                t = deserialize_tuple(
+                    self._buffer[self._starts[record] : self._ends[record]]
+                )
+            self._found[feature_id] = t
         return t
 
     def __iter__(self) -> Iterator[int]:
@@ -510,9 +530,41 @@ class TupleSpill(Mapping):
         return decode(self._buffer, self._starts[records], self._ends[records])
 
 
-def read_tuple_spill(path: str) -> TupleSpill:
-    """The partition's tuples keyed by feature id, decoded lazily."""
-    return TupleSpill(path)
+def read_tuple_spill(path: str) -> StoredRecords:
+    """A partition's tuple spill as :class:`StoredRecords`.
+
+    Reads and CRC-checks **every** frame and validates every block
+    directory — integrity is a property of the file read, not of the
+    tuples used — and keeps the frames' payloads, directories included,
+    as the one buffer the records' extents point into.
+    """
+    payloads: List[bytes] = []
+    fids, starts, ends = ([np.empty(0, np.int64)] for _ in range(3))
+    base = 0
+    for frame in read_frames(path):
+        payload = frame.record
+        words = np.frombuffer(payload, _U32, len(payload) // _U32.itemsize)
+        count = int(words[0]) if len(words) else 0
+        body = (2 * count + 2) * _U32.itemsize
+        bounds = words[count + 1 : 2 * count + 2].astype(np.int64) + body
+        if (
+            len(bounds) != count + 1
+            or bounds[0] != body
+            or bounds[-1] != len(payload)
+            or (bounds[1:] < bounds[:-1]).any()
+        ):
+            raise frame.violation(
+                "tuple block directory does not fit its payload"
+            )
+        payloads.append(payload)
+        fids.append(words[1 : count + 1])
+        starts.append(bounds[:-1] + base)
+        ends.append(bounds[1:] + base)
+        base += len(payload)
+    return StoredRecords(
+        b"".join(payloads), np.concatenate(starts), np.concatenate(ends),
+        np.concatenate(fids),
+    )
 
 
 @dataclass(frozen=True)
@@ -661,8 +713,8 @@ def sweep_pair(
 
 def refine_pair(
     candidates: Sequence[Tuple[int, int]],
-    tuples_r: Mapping,
-    tuples_s: Mapping,
+    records_r: StoredRecords,
+    records_s: StoredRecords,
     predicate: Predicate,
     *,
     span=None,
@@ -676,17 +728,18 @@ def refine_pair(
     count means the dedup-free invariant broke and is surfaced all the way
     up to the coordinator's ``merge.duplicates_dropped`` metric.
 
-    Two forms, one answer.  When both sides are tuple spills and the
-    predicate is ``intersects`` with every record a candidate names a
-    polyline, or ``contains`` with every one a polygon, the verdicts of all
-    candidates come from coordinate columns in one pass
+    Two forms, one answer, chosen by the predicate and the records'
+    geometry — not by who holds the records, a worker (a spill's) or the
+    coordinator (the side's own).  When the predicate is ``intersects``
+    with every record a candidate names a polyline, or ``contains`` with
+    every one a polygon, the verdicts of all candidates come from
+    coordinate columns in one pass
     (:func:`~repro.geometry.kernels.polylines_intersect_each`,
     :func:`~repro.geometry.kernels.polygons_contain_each`) and no tuple is
-    built.  Anything else — polygons under ``intersects``, mixed geometry,
-    any other predicate, the live tuples of the coordinator's rebuild —
-    takes the loop: look both tuples up, call the predicate.  ``span``, if
-    given, is tagged with which form ran, what it decoded and how many
-    rows reached the exact tests.
+    built.  What needs a tuple — polygons under ``intersects``, mixed
+    geometry, any other predicate — takes the loop: look both tuples up,
+    call the predicate.  ``span``, if given, is tagged with which form
+    ran, what it decoded and how many rows reached the exact tests.
     """
     pairs = np.array(candidates, dtype=np.int64).reshape(-1, 2)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
@@ -696,23 +749,22 @@ def refine_pair(
     named_r, of_r = np.unique(pairs[:, 0], return_inverse=True)
     named_s, of_s = np.unique(pairs[:, 1], return_inverse=True)
     decode = decide = None
-    if isinstance(tuples_r, TupleSpill) and isinstance(tuples_s, TupleSpill):
-        if predicate is intersects:
-            decode, decide = polyline_runs, polylines_intersect_each
-        elif predicate is contains:
-            decode, decide = polygon_runs, polygons_contain_each
+    if predicate is intersects:
+        decode, decide = polyline_runs, polylines_intersect_each
+    elif predicate is contains:
+        decode, decide = polygon_runs, polygons_contain_each
     columns_r = columns_s = None
     if decode is not None:
-        columns_r = tuples_r.columns(named_r, decode)
+        columns_r = records_r.columns(named_r, decode)
     if columns_r is not None:
-        columns_s = tuples_s.columns(named_s, decode)
+        columns_s = records_s.columns(named_s, decode)
     rows = {"segment_pairs": 0, "vertex_rows": 0}
     if columns_s is not None:
         hits, tested = decide(columns_r, columns_s, of_r, of_s)
         rows.update(tested)
     else:
         hits = np.fromiter(
-            (predicate(tuples_r[r], tuples_s[s]) for r, s in pairs.tolist()),
+            (predicate(records_r[r], records_s[s]) for r, s in pairs.tolist()),
             dtype=bool, count=len(pairs),
         )
     if span is not None:

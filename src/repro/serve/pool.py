@@ -48,6 +48,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Deque, Optional
 
 from ..obs.journal import EVENT_BREAKER, NULL_JOURNAL
+from ..parallel.tasks import init_pool_worker
 
 BREAKER_CLOSED = "closed"
 """Healthy: pool-backed queries flow."""
@@ -103,8 +104,9 @@ class SharedPoolProvider:
         the *server*, and run fingerprints exclude worker count, so a
         query asking for 2 workers and one asking for 8 are the same
         join either way.  Initializers are refused: they carry one run's
-        state into workers that serve everybody (the engine already
-        skips its heartbeat initializer for ``shared`` providers).
+        state into workers that serve everybody (the engine passes none
+        to ``shared`` providers).  The pool runs the engine's own, with no
+        heartbeat queue, so that its workers die with the server.
         """
         if initializer is not None:
             raise ValueError(
@@ -115,7 +117,8 @@ class SharedPoolProvider:
                 raise RuntimeError("shared pool provider is closed")
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers, mp_context=context
+                    max_workers=self.max_workers, mp_context=context,
+                    initializer=init_pool_worker,
                 )
                 self.generation += 1
             return self._pool

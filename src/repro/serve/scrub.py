@@ -169,7 +169,7 @@ class CacheScrubber:
         with self.cache._lock:
             if run_id in self.cache.pinned_ids():
                 return SCRUB_SKIPPED
-            repaired, unservable = scrub_run_dir(run_dir)
+            repaired, unservable = scrub_run_dir(run_dir, self.cache.budget)
             if not unservable:
                 return SCRUB_REPAIRED if repaired else SCRUB_CLEAN
             # The cache refuses an entry that vanished meanwhile.

@@ -8,9 +8,11 @@ from repro.checkpoint import (
     STATE_MERGING,
     CheckpointStore,
     JoinManifest,
+    ResultLog,
     RunFingerprint,
     gc_checkpoint_dir,
     inspect_checkpoint_dir,
+    replay_result_log,
 )
 from repro.faults import CheckpointFaultGate, CoordinatorKilledError, tear_tail
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -106,6 +108,21 @@ class TestResultRoundTrip:
         assert sorted(committed) == [0]
         # The replay cut the tail from the file, not just skipped it.
         assert store.replay_results() == (committed, False)
+
+    def test_a_cut_tail_goes_back_to_the_budget(self, tmp_path):
+        """A long-lived ledger (the server's) must not drift upward with
+        every repaired entry: what the cut drops was charged."""
+        budget = DiskBudget()
+        log = tmp_path / "results.log"
+        with ResultLog(log, 0, budget=budget) as writer:
+            kept = writer.append(make_result(0))
+            writer.append(make_result(1))
+        assert budget.snapshot()["used_bytes"] == log.stat().st_size > kept
+        assert tear_tail(log)
+        _committed, intact_bytes, ended_by = replay_result_log(log)
+        assert intact_bytes == kept and ended_by is not None
+        ResultLog(log, intact_bytes, budget=budget)
+        assert budget.snapshot()["used_bytes"] == log.stat().st_size == kept
 
     def test_discard_results_requeues_everything(self, tmp_path):
         store = CheckpointStore(tmp_path, make_fingerprint())

@@ -1,10 +1,18 @@
-"""Recovery mechanics: retries, exhaustion, quarantine, degraded rebuilds."""
+"""Recovery mechanics: retries, exhaustion, quarantine, degraded rebuilds,
+and a coordinator's death taking its workers with it."""
 
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro import intersects
+from repro.__main__ import main
 from repro.data import generate_hydrography, generate_roads
 from repro.faults import FaultPlan, FaultSpec, TornFrame, WorkerFaults, tear_frame
 from repro.parallel import (
@@ -146,3 +154,55 @@ class TestConfiguration:
             ProcessPBSM(2, task_timeout_s=-1.5)
         with pytest.raises(ValueError):
             ProcessPBSM(2, max_task_retries=-1)
+
+
+def group_members(pgid):
+    """The live (not zombie) processes of process group ``pgid``."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        try:
+            # "pid (comm) state ppid pgrp ...", and comm may hold spaces.
+            state, _ppid, pgrp = (
+                (entry / "stat").read_text().rpartition(")")[2].split()[:3]
+            )
+        except (OSError, ValueError):
+            continue  # not a process, or one that exited under the scan
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestCoordinatorDeath:
+    def test_a_hard_killed_coordinator_leaves_no_worker_behind(
+        self, tmp_path, capsys
+    ):
+        """SIGKILL mid-merge: the pool is never shut down, and fork-started
+        workers hold each other's pipe ends, so no end-of-file stops them
+        — their parent watchdog must.  Then the run resumes."""
+        args = [
+            "chaos", "--plan", "none", "--scale", "0.01", "--workers", "2",
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+            "--out", str(tmp_path / "out"),
+        ]
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        coordinator = subprocess.Popen(
+            [sys.executable, "-m", "repro", *args,
+             "--kill-coordinator-after", "6", "--kill-hard"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,  # its own group: it and its workers
+        )
+        assert coordinator.wait(timeout=120) == -signal.SIGKILL
+        deadline = time.monotonic() + 2.0
+        while group_members(coordinator.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = group_members(coordinator.pid)
+        for pid in orphans:  # a failing run must not leak them either
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
+
+        assert main([*args, "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "resumed" in out and "survived: OK" in out

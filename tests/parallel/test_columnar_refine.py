@@ -1,10 +1,12 @@
 """The columnar refine returns the per-pair loop's answer.
 
-``refine_pair`` has two forms.  Handed two tuple spills and either the
-``intersects`` predicate with candidates that name only polylines or the
-``contains`` predicate with candidates that name only polygons, it gathers
-coordinate runs and decides every candidate in a few array calls; handed
-anything else it looks each pair of tuples up and calls the predicate.
+``refine_pair`` has two forms.  Handed either the ``intersects`` predicate
+with candidates that name only polylines or the ``contains`` predicate
+with candidates that name only polygons, it gathers coordinate runs and
+decides every candidate in a few array calls; handed anything else it
+looks each pair of tuples up and calls the predicate.  Whose records they
+are — a tuple spill's or an ``InputSide``'s own — decides nothing: both
+are one type, held to one behaviour at the end of this file.
 Result digests are gated byte-identical, so on the same spill files the two
 must agree on every candidate — including the ones decided by a single
 padded comparison, which is why the polyline inputs are
@@ -33,7 +35,12 @@ from repro.parallel.process import DEFAULT_TASK_MEMORY
 from repro.parallel.tasks import InputSide, read_tuple_spill, refine_pair
 from repro.serve.query import QuerySpec
 from repro.storage.spill import write_spill
-from repro.storage.tuples import SpatialTuple, polyline_runs, serialize_tuple
+from repro.storage.tuples import (
+    SpatialTuple,
+    polygon_runs,
+    polyline_runs,
+    serialize_tuple,
+)
 from tests.geometry.test_kernels import HAND_MADE, lattice_batches
 from tests.geometry.test_polyline import PAD, chain_pairs
 
@@ -226,17 +233,24 @@ class TestWhichFormRuns:
         assert answer == ([(1, S_BASE)], 0)
         assert tags["columnar"] is False and tags["segment_pairs"] == 0
 
-    def test_live_tuples_take_the_loop(self, paths):
-        """The coordinator's rebuild looks tuples up in plain dicts."""
-        _, _, tuples_r, tuples_s = paths
-        span = Tracer().start_span("x")
-        answer = refine_pair(
-            self.LINES_ONLY,
-            {t.feature_id: t for t in tuples_r},
-            {t.feature_id: t for t in tuples_s},
-            intersects, span=span,
-        )
-        assert answer == ([(1, S_BASE)], 0) and span.tags["columnar"] is False
+    def test_a_sides_own_records_take_the_form_its_spill_would(self, paths):
+        """The coordinator's rebuild hands over ``InputSide.stored``."""
+        path_r, path_s, tuples_r, tuples_s = paths
+        stored_r, stored_s = InputSide(tuples_r).stored, InputSide(tuples_s).stored
+        with_a_polygon = self.LINES_ONLY + [(1, S_BASE + 1)]
+        for candidates, predicate, columnar in (
+            (self.LINES_ONLY, intersects, True),
+            (with_a_polygon, intersects, False),
+            (self.LINES_ONLY, by_the_loop, False),
+        ):
+            span = Tracer().start_span("process.degraded_pair")
+            answer = refine_pair(
+                candidates, stored_r, stored_s, predicate, span=span
+            )
+            assert span.tags["columnar"] is columnar
+            assert (answer, span.tags) == refined(
+                candidates, path_r, path_s, predicate
+            )
 
     @pytest.mark.parametrize("predicate", [intersects, by_the_loop])
     def test_an_absent_feature_id_is_a_key_error(self, paths, predicate):
@@ -496,3 +510,56 @@ class TestRecordsAreReadWithinTheirBounds:
             assert refined([(1, 3)], str(path), str(path), intersects)[0] == (
                 [(1, 3)], 0
             )
+
+
+@st.composite
+def relations(draw):
+    """A few tuples of either geometry whose feature ids repeat, and
+    feature ids to ask for: present ones in any order, some twice."""
+    geoms = st.one_of(
+        chain_pairs().map(lambda pair: pair[0]),
+        st.sampled_from([outer for outer, _inner, _ in HAND_MADE.values()]),
+    )
+    tuples = [
+        SpatialTuple(fid, 1, name, geom)
+        for fid, name, geom in draw(st.lists(
+            st.tuples(st.integers(0, 7), NAMES, geoms), min_size=1, max_size=8
+        ))
+    ]
+    present = st.sampled_from(sorted({t.feature_id for t in tuples}))
+    return tuples, np.array(draw(st.lists(present, max_size=6)), np.int64)
+
+
+class TestSideAndSpillRecords:
+    """One stored-record type, two constructors: the same tuples as an
+    ``InputSide``'s own records and as a tuple spill's answer alike."""
+
+    @given(relations())
+    @settings(max_examples=200, deadline=None)
+    def test_same_tuples_same_lookups(self, tmp_path_factory, drawn):
+        tuples, asked = drawn
+        side = InputSide(tuples)
+        of_side = side.stored
+        of_spill = read_tuple_spill(
+            spill(tmp_path_factory.mktemp("records") / "r.tup", tuples)
+        )
+        assert of_side is side.stored  # built once, kept with the side
+        assert len(of_side) == len(of_spill) == len(tuples)
+        assert list(of_side) == list(of_spill) == [t.feature_id for t in tuples]
+        # Of two records with one feature id the later is found — and a
+        # side hands out its own tuple where a spill decodes a copy.
+        for fid, at in {t.feature_id: i for i, t in enumerate(tuples)}.items():
+            assert of_side[fid] is side[at]
+            assert of_spill[fid] == side[at] and of_spill[fid] is not side[at]
+        for decode in (polyline_runs, polygon_runs):
+            columns, twin = of_side.columns(asked, decode), of_spill.columns(asked, decode)
+            assert (columns is None) is (twin is None)
+            for column, other in zip(columns or (), twin or ()):
+                assert column.dtype == other.dtype
+                assert np.array_equal(column, other)
+        for records in (of_side, of_spill):
+            for absent in (-1, 8, 1 << 32):
+                with pytest.raises(KeyError):
+                    records[absent]
+                with pytest.raises(KeyError):
+                    records.columns(np.array([*asked, absent]), polyline_runs)

@@ -6,14 +6,16 @@
   handed a plain list, a cold ``InputSide`` or one whose columns are built;
 * *the memo is used* — ``serialize_tuple`` runs once per tuple per
   ``InputSide``, whoever asks first, and never again;
-* the sequence is immutable and its columns are safe to first-touch from
-  two threads.
+* the sequence is immutable and its columns — the stored-record index a
+  shed run refines from among them — are safe to first-touch from two
+  threads.
 """
 
 import hashlib
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from repro import intersects
 from repro.checkpoint.manifest import RunFingerprint
 from repro.core.pbsm import PBSMConfig
 from repro.data import generate_hydrography, generate_roads
-from repro.parallel import ProcessPBSM
+from repro.parallel import ProcessPBSM, parallel_join, tasks
 from repro.parallel.tasks import InputSide
 from repro.serve.query import QuerySpec
 from repro.storage import DiskBudget
@@ -158,12 +160,28 @@ class TestSerialisedOnce:
             assert len(serialised) == len(tuples_r) + len(tuples_s)
 
     def test_serial_and_shed_runs_need_no_stored_form(self, workload, serialised):
+        """... of their own.  The serial backend loads the tuples into its
+        own heap files and builds no column of the side; a shed run refines
+        from the side's stored records — made once if nobody has, then
+        read — and from a side that has them serialises nothing and
+        decodes nothing."""
         side_r, side_s = InputSide(workload[0]), InputSide(workload[1])
-        ProcessPBSM(2, num_partitions=PARTITIONS).run_serial(
-            side_r, side_s, intersects
-        )
-        assert serialised == [] and "payload" not in vars(side_r)
-        assert "mbrs" in vars(side_r)
+        serial = parallel_join(side_r, side_s, intersects, backend="serial")
+        assert not vars(side_r) and not vars(side_s)
+        del serialised[:]
+        engine = ProcessPBSM(2, num_partitions=PARTITIONS)
+        shed = engine.run_serial(side_r, side_s, intersects)
+        assert serialised == [t.feature_id for t in side_r + side_s]
+        columns = dict(vars(side_r))
+        assert {"mbrs", "payload", "stored"} <= set(columns)
+        del serialised[:]
+        with mock.patch.object(tasks, "deserialize_tuple") as decode:
+            for predicate in (intersects, lambda r, s: intersects(r, s)):
+                again = engine.run_serial(side_r, side_s, predicate)
+                assert again.pairs == shed.pairs == serial.pairs != []
+        assert serialised == [] and not decode.called
+        assert vars(side_r).keys() == columns.keys()
+        assert all(vars(side_r)[name] is columns[name] for name in columns)
 
 
 class TestImmutableAndShared:
@@ -183,6 +201,7 @@ class TestImmutableAndShared:
 
     ORDERS = (
         ("payload", "offsets"), ("crc",), ("offsets", "mbrs"), ("fids", "payload"),
+        ("stored", "crc"),
     )
 
     @staticmethod
@@ -198,7 +217,7 @@ class TestImmutableAndShared:
             # Whatever was touched first, the whole group is there.
             seen.append((
                 side.payload, side.offsets, side.crc,
-                side.mbrs, side.mbrs_f32, side.fids,
+                side.mbrs, side.mbrs_f32, side.fids, side.stored,
             ))
 
         threads = [
@@ -228,3 +247,40 @@ class TestImmutableAndShared:
                     assert len(offsets) == len(side) + 1
         finally:
             sys.setswitchinterval(interval)
+
+    def test_two_shed_runs_sharing_a_side_index_its_records_once(
+        self, workload, monkeypatch
+    ):
+        """The server's case: a memoised side, a breaker open, two queries."""
+        indexed = []
+
+        def counting(buffer, starts, ends, fids, live):
+            indexed.append(live)
+            return stored_records(buffer, starts, ends, fids, live)
+
+        stored_records = tasks.StoredRecords
+        monkeypatch.setattr(tasks, "StoredRecords", counting)
+        side_r, side_s = InputSide(workload[0]), InputSide(workload[1])
+        answers, barrier = [], threading.Barrier(2)
+
+        def shed():
+            barrier.wait()
+            answers.append(ProcessPBSM(2, num_partitions=PARTITIONS).run_serial(
+                side_r, side_s, intersects
+            ).pairs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=shed) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(indexed) == 2 and {id(side) for side in indexed} == {
+            id(side_r), id(side_s)
+        }
+        assert len(answers) == 2 and answers[0] == answers[1] != []

@@ -1,22 +1,33 @@
 """The coordinator's single-source decisions, checked against each other.
 
-* the serial rebuild of a pair (whatever the reason) returns exactly what
-  the pooled task for that pair returned;
+* the serial rebuild of a pair (whatever the reason, the predicate and
+  the geometry) returns exactly what the pooled task for that pair
+  returned, refining from the sides' own stored records in the form the
+  worker's refine took;
 * a shed ``run_serial`` routes each input side once, not once per
   partition;
 * ``spill_footprint`` is to the byte what an unconstrained run meters;
 * a run starved of disk, or denied one write, returns the same pairs.
 """
 
+import dataclasses
+
 import pytest
 
-from repro import intersects
+from repro import contains, intersects
 from repro.checkpoint.manifest import RunFingerprint
 from repro.checkpoint.store import CheckpointStore
 from repro.core.partition import SpatialPartitioner
-from repro.data import generate_hydrography, generate_roads
+from repro.data import (
+    generate_hydrography,
+    generate_islands,
+    generate_landuse_polygons,
+    generate_roads,
+)
+from repro.data.tiger import WISCONSIN
 from repro.faults import FaultPlan, FaultSpec
-from repro.parallel import ProcessPBSM
+from repro.obs import Tracer
+from repro.parallel import ProcessPBSM, parallel_join
 from repro.parallel.tasks import InputSide
 from repro.storage import DiskBudget
 
@@ -32,17 +43,14 @@ def workload():
     )
 
 
-@pytest.fixture(scope="module")
-def pooled(workload, tmp_path_factory):
+def pooled_run(tuples_r, tuples_s, predicate, root):
     """Each pair's result as a pool worker produced it, read back from a
     checkpointed run's result log."""
-    tuples_r, tuples_s = workload
-    root = str(tmp_path_factory.mktemp("pooled"))
-    engine = ProcessPBSM(2, num_partitions=NUM_PAIRS, checkpoint_dir=root)
-    result = engine.run(tuples_r, tuples_s, intersects)
+    engine = ProcessPBSM(2, num_partitions=NUM_PAIRS, checkpoint_dir=str(root))
+    result = engine.run(tuples_r, tuples_s, predicate)
     assert result.degraded_pairs == []
     fingerprint = RunFingerprint.compute(
-        InputSide(tuples_r), InputSide(tuples_s), intersects, NUM_PAIRS,
+        InputSide(tuples_r), InputSide(tuples_s), predicate, NUM_PAIRS,
         engine.config,
     )
     committed, torn = CheckpointStore(root, fingerprint).replay_results()
@@ -50,20 +58,79 @@ def pooled(workload, tmp_path_factory):
     return committed
 
 
+@pytest.fixture(scope="module")
+def pooled(workload, tmp_path_factory):
+    return pooled_run(*workload, intersects, tmp_path_factory.mktemp("pooled"))
+
+
+@pytest.fixture(scope="module")
+def joins(workload, pooled, tmp_path_factory):
+    """``name → (R, S, predicate, pooled results, pairs columnar?)``:
+    polylines under ``intersects`` and polygons under ``contains`` — the
+    columnar refine's two cases — and a join it must leave to the loop, an
+    R that mixes roads with land-use polygons."""
+    roads, hydro = workload
+    landuse = list(generate_landuse_polygons(scale=5 * SCALE))
+    islands = list(generate_islands(scale=5 * SCALE))
+    fields = generate_landuse_polygons(scale=SCALE, universe=WISCONSIN)
+    mixed = roads + [
+        dataclasses.replace(t, feature_id=len(roads) + i)
+        for i, t in enumerate(fields)
+    ]
+    return {
+        "road_hydro": (roads, hydro, intersects, pooled, True),
+        "landuse_island": (
+            landuse, islands, contains,
+            pooled_run(landuse, islands, contains, tmp_path_factory.mktemp("p")),
+            True,
+        ),
+        "mixed": (
+            mixed, hydro, intersects,
+            pooled_run(mixed, hydro, intersects, tmp_path_factory.mktemp("m")),
+            False,
+        ),
+    }
+
+
+REASONS = ("retry_exhausted", "corrupt_spill", "disk_full", "breaker_shed")
+
+
+def rebuilt_pairs(tuples_r, tuples_s, predicate, reason="breaker_shed"):
+    """Every pair rebuilt for ``reason``: the outcomes, those committed,
+    each pair's ``columnar`` span tag, and the engine's fault tally."""
+    tracer = Tracer()
+    engine = ProcessPBSM(2, num_partitions=NUM_PAIRS, tracer=tracer)
+    committed = []
+    side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
+    rebuilt = engine._rebuild_pairs(
+        dict.fromkeys(range(NUM_PAIRS), reason), side_r, side_s,
+        engine._partitioner(side_r, side_s), predicate,
+        on_result=committed.append,
+    )
+    columnar = [
+        span.tags["columnar"] for span in tracer.find("process.degraded_pair")
+    ]
+    return rebuilt, committed, columnar, engine._fault_summary()
+
+
 class TestRebuildPairs:
     @pytest.mark.parametrize(
-        "reason",
-        ["retry_exhausted", "corrupt_spill", "disk_full", "breaker_shed"],
+        "reason,join",
+        [
+            # (The polyline join's ids are the reasons alone, as they were
+            # when it was the only join.)
+            pytest.param(reason, join, id=reason + suffix)
+            for join, suffix in (
+                ("road_hydro", ""), ("landuse_island", "-landuse_island"),
+                ("mixed", "-mixed"),
+            )
+            for reason in REASONS
+        ],
     )
-    def test_rebuild_equals_the_pooled_task(self, workload, pooled, reason):
-        tuples_r, tuples_s = workload
-        engine = ProcessPBSM(2, num_partitions=NUM_PAIRS)
-        committed = []
-        side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
-        rebuilt = engine._rebuild_pairs(
-            dict.fromkeys(pooled, reason), side_r, side_s,
-            engine._partitioner(side_r, side_s), intersects,
-            on_result=committed.append,
+    def test_rebuild_equals_the_pooled_task(self, joins, reason, join):
+        tuples_r, tuples_s, predicate, pooled, all_columnar = joins[join]
+        rebuilt, committed, columnar, tally = rebuilt_pairs(
+            tuples_r, tuples_s, predicate, reason
         )
         assert [o.index for o in rebuilt] == sorted(pooled)
         assert committed == rebuilt
@@ -75,7 +142,27 @@ class TestRebuildPairs:
                 task.count_r, task.count_s
             )
             assert outcome.degraded and outcome.degraded_reason == reason
-        assert engine._fault_summary() == {"degraded": len(pooled)}
+        assert tally == {"degraded": len(pooled)}
+        # The form follows from predicate and geometry, as in a worker:
+        # candidates that name a polygon under ``intersects`` — here, some
+        # of every pair's — are left to the loop.
+        assert columnar == [all_columnar] * NUM_PAIRS
+
+    def test_what_needs_a_tuple_takes_the_loop_to_the_same_answer(self, joins):
+        roads, hydro, _, pooled, _ = joins["road_hydro"]
+        rebuilt, _, columnar, _ = rebuilt_pairs(
+            roads, hydro, lambda r, s: intersects(r, s)
+        )
+        assert not any(columnar)
+        assert [o.pairs for o in rebuilt] == [
+            pooled[o.index].pairs for o in rebuilt
+        ]
+        landuse, islands, *_ = joins["landuse_island"]
+        rebuilt, _, columnar, _ = rebuilt_pairs(landuse, islands, intersects)
+        assert not any(columnar)
+        assert sorted(pair for o in rebuilt for pair in o.pairs) == (
+            parallel_join(landuse, islands, intersects, backend="serial").pairs
+        ) != []
 
     def test_shed_run_routes_each_side_once(self, workload, monkeypatch):
         tuples_r, tuples_s = workload
