@@ -1,59 +1,28 @@
 """Command-line entry point: ``python -m repro``.
 
-Subcommands:
+``python -m repro --help`` lists the subcommands, ``python -m repro <cmd>
+--help`` each one's flags, and ``python -m repro info`` prints the same
+list beside the package inventory: the parser in :func:`build_parser` is
+the one description of this surface, so nothing here restates it.
 
-* ``demo``  — run a small PBSM join end to end and print the cost report
-  (``--json`` for the machine-readable report, ``--seed`` for alternative
-  reproducible datasets);
-* ``trace`` — run a PBSM road × hydro join under the ``repro.obs``
-  observability layer and write the JSONL trace, metrics snapshot, and
-  chrome-trace timeline;
-* ``parallel`` — run a spatial join on a parallel backend
-  (``--backend process|simulated|serial --workers N``, ``--dataset``
-  picks the input pair, including the polygon workload
-  ``landuse_island``; ``--predicate`` the exact test, ``contains`` on that
-  pair being the paper's Sequoia query) and report the wall/critical-path
-  numbers plus
-  the ``merge.duplicates_dropped`` invariant (two-layer partitioning
-  keeps it at 0); ``--verify`` cross-checks the pair set
-  against the serial reference; ``--checkpoint-dir D`` makes the
-  coordinator's state durable and ``--resume`` continues an interrupted
-  checkpointed run; ``--out DIR`` records the run journal and ``--live``
-  streams in-flight progress from worker heartbeats;
-* ``chaos`` — run the road × hydro join on the process backend under a
-  named (or JSON-file) fault plan, verify the pair set against the serial
-  reference, and report the fault/recovery tallies; non-zero exit when the
-  join did not survive; writes the flight-recorder artifacts
-  (``journal.jsonl``, ``trace.jsonl``, ``chrome_trace.json``,
-  ``metrics.json``) to ``--out`` (default ``run_out``) for ``repro
-  report``; ``--kill-coordinator-after N`` kills the coordinator after
-  checkpoint ordinal N (soft kill auto-resumes in the same invocation;
-  ``--kill-hard`` sends real SIGKILL for a CI resume);
-* ``report`` — analyze a recorded run directory (journal + optional
-  trace) and render the markdown run report: partition skew (the Figure 4
-  CoV statistic), LPT critical path, straggler ranking, and the
-  fault/retry timeline; ``--timings`` appends the measured
-  (non-deterministic) sections;
-* ``checkpoints`` — list, inspect, or garbage-collect the join manifests
-  under a checkpoint directory (``gc --max-bytes N`` prunes
-  least-recently-used runs to a size budget — the serve cache's policy);
-* ``serve`` — run the resident join service: a long-lived coordinator on
-  a local TCP socket multiplexing queries onto one shared process pool,
-  with admission control (bounded in-flight + queue, explicit rejects)
-  and a fingerprint-keyed artifact cache that answers repeated queries
-  from their committed result logs and resumes half-finished ones;
-* ``query`` — one-shot client for a running server (``--op
-  join|ping|stats|shutdown``);
-* ``plan``  — show which algorithm the paper's decision table picks for a
-  described scenario;
-* ``top`` — live terminal dashboard over a running server's
-  ``telemetry`` op;
-* ``runs`` — the cross-run warehouse: ``list`` / ``show`` index run
-  directories, serve roots and ``BENCH_*.json`` files; ``compare A B``
-  diffs two of them and is the one regression gate — ``--exact PATTERN``
-  fails on any difference (deterministic counters), ``--gate PATTERN``
-  on growth past ``--threshold`` (exit 4 either way);
-* ``info``  — package, subsystem, and experiment inventory.
+This module parses, dispatches and prints; it decides nothing twice:
+
+* ``parallel`` and ``chaos`` are one function (:func:`_cmd_join`) —
+  ``chaos`` is ``parallel`` with a fault plan, fixed to the process
+  backend and always verified against the serial reference.
+* Which flag combinations are legal is for the code the flag acts on to
+  say: ``parallel_join`` / ``ProcessPBSM`` / ``gc_checkpoint_dir`` raise
+  ``ValueError`` naming the flag, and :func:`main` prints it as
+  ``<cmd>: message`` with exit 2.  Only what is about the shell itself is
+  checked here (``--live``/``--out`` on a backend with nothing to
+  record, a hang no longer than the task timeout, a missing port).
+* Recovery from a soft coordinator kill is
+  :meth:`~repro.parallel.process.ProcessPBSM.run_through_kill`; what a
+  recorded run is handed and writes is :class:`~repro.obs.export.RunRecorder`;
+  ``--live`` is :func:`~repro.obs.journal.live_renderer`.
+
+Every subcommand imports what it needs when it runs, so ``info`` or a
+usage error never pays for the engine.
 """
 
 from __future__ import annotations
@@ -63,22 +32,32 @@ import json
 import sys
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    from . import Database, PBSMJoin, intersects
+def _tiger_relations(args: argparse.Namespace):
+    """The single-node subcommands' input: a database of ``--buffer-mb``
+    holding TIGER roads and hydrography at ``--scale``."""
     from .data import make_tiger_datasets
-    from .obs import report_to_dict
+    from .storage import Database
 
     db = Database(buffer_mb=args.buffer_mb)
     rels = make_tiger_datasets(
-        db, scale=args.scale, include=("road", "hydro"), seed=args.seed
+        db, scale=args.scale, include=("road", "hydro"),
+        seed=getattr(args, "seed", None),
     )
+    db.pool.clear()
+    return db, rels["road"], rels["hydro"]
+
+
+def _cmd_demo(args: argparse.Namespace) -> int:
+    from . import PBSMJoin, intersects
+    from .obs import report_to_dict
+
+    db, road, hydro = _tiger_relations(args)
     if not args.json:
         print(
-            f"loaded {len(rels['road'])} roads and {len(rels['hydro'])} "
+            f"loaded {len(road)} roads and {len(hydro)} "
             f"hydrography features (scale={args.scale})"
         )
-    db.pool.clear()
-    result = PBSMJoin(db.pool).run(rels["road"], rels["hydro"], intersects)
+    result = PBSMJoin(db.pool).run(road, hydro, intersects)
     if args.json:
         document = report_to_dict(result.report)
         document["scale"] = args.scale
@@ -92,24 +71,17 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from . import Database, PBSMJoin, intersects
-    from .data import make_tiger_datasets
+    from . import PBSMJoin, intersects
     from .obs import MetricsRegistry, Tracer
     from .obs.export import write_run_dir
 
-    db = Database(buffer_mb=args.buffer_mb)
-    rels = make_tiger_datasets(
-        db, scale=args.scale, include=("road", "hydro"), seed=args.seed
-    )
-    db.pool.clear()
+    db, road, hydro = _tiger_relations(args)
     db.pool.reset_counters()
-
     tracer = Tracer(disk=db.disk, pool=db.pool)
     metrics = MetricsRegistry()
     result = PBSMJoin(db.pool, tracer=tracer, metrics=metrics).run(
-        rels["road"], rels["hydro"], intersects
+        road, hydro, intersects
     )
-
     trace_path, metrics_path, chrome_path = write_run_dir(
         args.out,
         tracer,
@@ -130,107 +102,54 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _live_renderer(stream):
-    """Journal ``on_event`` hook: one progress line per interesting event.
+def _cmd_join(args: argparse.Namespace) -> int:
+    """``parallel`` and ``chaos``: one join from a shell.
 
-    This is the whole ``parallel --live`` implementation — the journal
-    already sees every dispatch, heartbeat, completion, and fault as it
-    happens, so live progress is just a callback that prints them.
+    ``chaos`` is ``parallel`` with a fault plan — the parser fixes what it
+    does not offer (process backend, road x hydro, ``intersects``, always
+    verified) — so inputs, recording, engine, recovery and exit codes are
+    written once; only the two reports differ, as their readers expect.
     """
-    state = {"done": 0, "total": None}
-
-    def on_event(record: dict) -> None:
-        kind = record.get("type")
-        line = None
-        if kind == "run_started":
-            line = (f"run started: backend={record.get('backend')} "
-                    f"workers={record.get('workers')} "
-                    f"partitions={record.get('partitions')}")
-        elif kind == "schedule":
-            state["total"] = len(record.get("order", []))
-            line = f"{state['total']} partition-pair tasks scheduled (LPT order)"
-        elif kind == "task_dispatched":
-            line = f"-> pair {record.get('pair')} attempt {record.get('attempt')}"
-        elif kind == "worker_heartbeat":
-            line = (f"   worker {record.get('pid')} pair {record.get('pair')} "
-                    f"{record.get('phase')}")
-        elif kind in ("task_finished", "task_replayed"):
-            state["done"] += 1
-            total = state["total"] if state["total"] is not None else "?"
-            verb = "replayed" if kind == "task_replayed" else "done"
-            line = (f"<- pair {record.get('pair')} {verb} "
-                    f"({state['done']}/{total}, "
-                    f"{record.get('results', 0)} results)")
-        elif kind == "node_finished":
-            line = (f"<- node {record.get('node')} finished "
-                    f"({record.get('local_pairs', 0)} local pairs)")
-        elif kind == "fault_injected":
-            line = f"!! fault {record.get('kind')} pair {record.get('pair')}"
-        elif kind == "retry":
-            line = (f"!! retry pair {record.get('pair')} "
-                    f"attempt {record.get('attempt')} "
-                    f"(cause {record.get('cause')})")
-        elif kind == "pool_respawn":
-            line = "!! worker pool respawned"
-        elif kind == "run_finished":
-            line = f"run finished: {record.get('results')} result pairs"
-        if line is not None and not state.get("dead"):
-            # A dead stream (e.g. the output piped to a pager that quit)
-            # must not kill the join: stop rendering, keep flying.
-            try:
-                stream.write(f"[live] {line}\n")
-                stream.flush()
-            except (OSError, ValueError):
-                state["dead"] = True
-
-    return on_event
-
-
-def _cmd_parallel(args: argparse.Namespace) -> int:
     from .checkpoint import CheckpointMismatchError
-    from .obs import RunJournal, journal_path
-    from .parallel import parallel_join
-    from .serve.query import DATASETS, QueryError, QuerySpec, result_digest
-    from .storage import DiskFullError
+    from .obs import RunRecorder, live_renderer
+    from .parallel import ProcessPBSM, parallel_join
+    from .serve.query import DATASETS, QuerySpec
+    from .storage import DiskBudget, DiskFullError
 
-    try:
-        # The names a served query may use, and its rule that ``contains``
-        # needs a polygon pair; nothing else of the spec is used.
-        predicate = QuerySpec(
-            dataset=args.dataset, predicate=args.predicate
-        ).predicate_fn
-    except QueryError as exc:
-        print(f"parallel: {exc}", file=sys.stderr)
-        return 2
-    if args.resume and not args.checkpoint_dir:
-        print("parallel: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.checkpoint_dir and args.backend != "process":
-        print("parallel: --checkpoint-dir requires --backend process",
-              file=sys.stderr)
-        return 2
-    if (args.live or args.out) and args.backend == "serial":
-        print("parallel: --live/--out need a scheduled backend "
-              "(process or simulated); the serial reference has no "
-              "journal to record", file=sys.stderr)
-        return 2
-    budget = None
-    if args.disk_budget is not None:
-        if args.backend != "process":
-            print("parallel: --disk-budget requires --backend process "
-                  "(the other backends write no real bytes to govern)",
-                  file=sys.stderr)
-            return 2
-        from .storage import DiskBudget
+    plan = None
+    chaos_options = {}
+    if args.plan is not None:
+        from .faults import load_plan
 
-        budget = DiskBudget(args.disk_budget)
-
-    journal = None
-    if args.live or args.out:
-        journal = RunJournal(
-            journal_path(args.out) if args.out else None,
-            on_event=_live_renderer(sys.stdout) if args.live else None,
+        plan = load_plan(
+            args.plan, seed=args.plan_seed, num_pairs=args.partitions,
+            hang_s=args.hang_s,
         )
+        if 0 < plan.max_hang_s <= args.timeout:
+            raise ValueError(
+                f"plan hangs for {plan.max_hang_s}s but the task timeout "
+                f"is {args.timeout}s; hangs would never trip it "
+                "(raise --hang-s or lower --timeout)"
+            )
+        chaos_options = dict(
+            num_partitions=args.partitions, fault_plan=plan,
+            task_timeout_s=args.timeout, max_task_retries=args.retries,
+            kill_coordinator_after=args.kill_coordinator_after,
+            kill_hard=args.kill_hard,
+        )
+    # The names a served query may use, and its rule that ``contains``
+    # needs a polygon pair; nothing else of the spec is used.
+    predicate = QuerySpec(
+        dataset=args.dataset, predicate=args.predicate
+    ).predicate_fn
+    if (args.live or args.out) and args.backend == "serial":
+        raise ValueError(
+            "--live/--out need a scheduled backend (process or simulated); "
+            "the serial reference has no journal to record"
+        )
+    budget = (
+        DiskBudget(args.disk_budget) if args.disk_budget is not None else None
+    )
 
     gen_r, gen_s = DATASETS[args.dataset]
     if args.seed is None:
@@ -240,29 +159,66 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         side_r = list(gen_r(args.scale, seed=args.seed))
         side_s = list(gen_s(args.scale, seed=args.seed + 1))
 
-    try:
-        result = parallel_join(
-            side_r, side_s, predicate,
-            backend=args.backend, workers=args.workers, scheme=args.scheme,
-            start_method=args.start_method, journal=journal,
-            checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-            disk_budget=budget,
+    # A recorded run: `parallel --out` keeps the journal, `chaos --out`
+    # the whole flight recorder `python -m repro report` diagnoses.
+    recorder = None
+    if args.live or args.out:
+        recorder = RunRecorder(
+            args.out or None,
+            spans=plan is not None,
+            on_event=live_renderer(sys.stdout) if args.live else None,
         )
+    observers = recorder.observers if recorder is not None else {}
+    killed_at = None
+    try:
+        if args.backend == "process":
+            engine = ProcessPBSM(
+                args.workers, start_method=args.start_method,
+                checkpoint_dir=args.checkpoint_dir, disk_budget=budget,
+                **chaos_options, **observers,
+            )
+            result, killed_at = engine.run_through_kill(
+                side_r, side_s, predicate, resume=args.resume
+            )
+        else:
+            result = parallel_join(
+                side_r, side_s, predicate,
+                backend=args.backend, workers=args.workers,
+                scheme=args.scheme, checkpoint_dir=args.checkpoint_dir,
+                resume=args.resume, disk_budget=budget, **observers,
+            )
     except CheckpointMismatchError as exc:
-        print(f"parallel: {exc}", file=sys.stderr)
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except DiskFullError as exc:
-        print(f"parallel: disk budget exhausted past every recovery: {exc}",
-              file=sys.stderr)
+        print(f"{args.command}: disk budget exhausted past every recovery: "
+              f"{exc}", file=sys.stderr)
         return 3
     finally:
-        if journal is not None:
-            journal.close()
-
+        if recorder is not None:
+            recorder.journal.close()
+    if plan is not None and recorder is not None:
+        recorder.write(
+            extra={"plan": plan.to_dict(), "scale": args.scale,
+                   "workers": args.workers, "partitions": args.partitions},
+        )
     verified = None
     if args.verify and args.backend != "serial":
         reference = parallel_join(side_r, side_s, predicate, backend="serial")
         verified = reference.pairs == result.pairs
+    if plan is not None:
+        _report_chaos(
+            args, plan, result, len(reference), verified, killed_at, recorder
+        )
+    else:
+        _report_parallel(
+            args, result, (len(side_r), len(side_s)), verified, budget, recorder
+        )
+    return 0 if verified in (None, True) else 1
+
+
+def _report_parallel(args, result, sizes, verified, budget, recorder) -> None:
+    from .serve.query import result_digest
 
     if args.json:
         document = {
@@ -303,14 +259,13 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         if budget is not None:
             document["disk"] = budget.snapshot()
         if args.out:
-            document["journal"] = str(journal.path)
+            document["journal"] = str(recorder.journal.path)
         if verified is not None:
             document["verified_against_serial"] = verified
         print(json.dumps(document, indent=2, sort_keys=True))
-        return 0 if verified in (None, True) else 1
-
+        return
     print(
-        f"{len(side_r)} x {len(side_s)} features ({args.dataset}, "
+        f"{sizes[0]} x {sizes[1]} features ({args.dataset}, "
         f"scale={args.scale}) on backend={result.backend!r}"
     )
     found = "contained" if args.predicate == "contains" else "intersecting"
@@ -341,137 +296,25 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
               f"{snap['used_bytes']} still on disk, "
               f"{snap['denials']} denial(s)")
     if args.out:
-        print(f"run journal: {journal.path}  "
+        print(f"run journal: {recorder.journal.path}  "
               f"(analyze with `python -m repro report {args.out}`)")
     if verified is not None:
         print(f"verified against serial reference: {'OK' if verified else 'MISMATCH'}")
-        return 0 if verified else 1
-    return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
+def _report_chaos(
+    args, plan, result, reference_count, survived, killed_at, recorder
+) -> None:
     from pathlib import Path
-
-    from . import intersects
-    from .checkpoint import CheckpointMismatchError
-    from .data import tiger
-    from .faults import CoordinatorKilledError, load_plan
-    from .parallel import ProcessPBSM, parallel_join
-
-    try:
-        plan = load_plan(
-            args.plan, seed=args.seed, num_pairs=args.partitions,
-            hang_s=args.hang_s,
-        )
-    except (ValueError, OSError) as exc:
-        print(f"chaos: {exc}", file=sys.stderr)
-        return 2
-    if plan.max_hang_s > 0 and plan.max_hang_s <= args.timeout:
-        print(
-            f"chaos: plan hangs for {plan.max_hang_s}s but the task timeout "
-            f"is {args.timeout}s; hangs would never trip it "
-            "(raise --hang-s or lower --timeout)",
-            file=sys.stderr,
-        )
-        return 2
-    wants_checkpoint_faults = bool(
-        plan.coordinator_kill_ordinals or plan.torn_manifest_ordinals
-    )
-    if args.kill_coordinator_after is not None and args.kill_coordinator_after < 1:
-        print("chaos: --kill-coordinator-after must be >= 1", file=sys.stderr)
-        return 2
-    if (args.kill_coordinator_after is not None or wants_checkpoint_faults) \
-            and not args.checkpoint_dir:
-        print(
-            "chaos: coordinator kills / torn manifests need --checkpoint-dir "
-            "(there is no durable state to recover without one)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume and not args.checkpoint_dir:
-        print("chaos: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-
-    roads = list(tiger.generate_roads(args.scale))
-    hydro = list(tiger.generate_hydrography(args.scale))
-    reference = parallel_join(roads, hydro, intersects, backend="serial")
-
-    # Flight recorder: every chaos run leaves a run directory that
-    # `python -m repro report` can diagnose without re-running anything.
-    out_dir = Path(args.out) if args.out else None
-    journal = tracer = metrics = None
-    recorder = {}
-    if out_dir is not None:
-        from .obs import (
-            MetricsRegistry,
-            RunJournal,
-            Tracer,
-            journal_path,
-        )
-
-        journal = RunJournal(journal_path(out_dir))
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-        recorder = {"journal": journal, "tracer": tracer, "metrics": metrics}
-
-    engine = ProcessPBSM(
-        args.workers, num_partitions=args.partitions,
-        start_method=args.start_method, fault_plan=plan,
-        task_timeout_s=args.timeout, max_task_retries=args.retries,
-        checkpoint_dir=args.checkpoint_dir,
-        kill_coordinator_after=args.kill_coordinator_after,
-        kill_hard=args.kill_hard,
-        **recorder,
-    )
-    killed_at = None
-    try:
-        try:
-            if args.resume:
-                result = engine.resume(roads, hydro, intersects)
-            else:
-                result = engine.run(roads, hydro, intersects)
-        except CheckpointMismatchError as exc:
-            print(f"chaos: {exc}", file=sys.stderr)
-            return 2
-        except CoordinatorKilledError as exc:
-            # Soft kill: the coordinator "died" after a durable checkpoint
-            # op.  Resume from the same checkpoint directory in this
-            # process, which is the whole point — everything committed
-            # before the kill must carry the rest of the join.
-            killed_at = exc.ordinal
-            if not args.json:
-                print(
-                    f"coordinator killed after checkpoint ordinal "
-                    f"{exc.ordinal}; resuming from {args.checkpoint_dir} ..."
-                )
-            # Disarm the explicit kill or the recovery run would die at
-            # the same ordinal forever.
-            engine.kill_coordinator_after = None
-            result = engine.resume(roads, hydro, intersects)
-    finally:
-        if journal is not None:
-            journal.close()
-    if out_dir is not None:
-        from .obs.export import write_run_dir
-
-        write_run_dir(
-            out_dir, tracer, metrics,
-            extra={"plan": plan.to_dict(), "scale": args.scale,
-                   "workers": args.workers, "partitions": args.partitions},
-            journal_events=journal.records,
-        )
-    survived = result.pairs == reference.pairs
 
     summary = dict(result.fault_summary)
     faults_block = {
         "injected": sum(
             v for k, v in summary.items() if k.startswith("injected_")
         ),
-        "retries": summary.get("retries", 0),
-        "timeouts": summary.get("timeouts", 0),
-        "quarantined": summary.get("quarantined", 0),
-        "degraded": summary.get("degraded", 0),
-        "pool_respawns": summary.get("pool_respawns", 0),
+        **{tally: summary.get(tally, 0) for tally in (
+            "retries", "timeouts", "quarantined", "degraded", "pool_respawns",
+        )},
         "survived": survived,
         "plan": plan.to_dict(),
     }
@@ -501,7 +344,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             "workers": args.workers,
             "partitions": args.partitions,
             "result_count": len(result),
-            "reference_count": len(reference),
+            "reference_count": reference_count,
             "wall_s": round(result.wall_s, 6),
             "degraded_pairs": result.degraded_pairs,
             "fault_summary": summary,
@@ -512,11 +355,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             document["checkpoint_run_id"] = result.checkpoint_run_id
             document["coordinator_killed_at"] = killed_at
             document["resumed_pairs"] = result.resumed_pairs
-        if out_dir is not None:
-            document["run_dir"] = str(out_dir)
+        if recorder is not None:
+            document["run_dir"] = str(recorder.run_dir)
         print(json.dumps(document, indent=2, sort_keys=True))
-        return 0 if survived else 1
-
+        return
+    if killed_at is not None:
+        print(f"coordinator killed after checkpoint ordinal {killed_at}; "
+              f"resuming from {args.checkpoint_dir} ...")
     print(
         f"chaos plan {plan_label!r} (seed={plan.seed}, "
         f"{plan.spec.total_faults} fault(s)) over {args.workers} workers x "
@@ -538,29 +383,31 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             line += (f"; resumed {len(result.resumed_pairs)} committed "
                      f"pair(s): {result.resumed_pairs}")
         print(line)
-    if out_dir is not None:
-        print(f"flight recorder: {out_dir}/  "
-              f"(analyze with `python -m repro report {out_dir}`)")
+    if recorder is not None:
+        print(f"flight recorder: {recorder.run_dir}/  "
+              f"(analyze with `python -m repro report {recorder.run_dir}`)")
     print(
-        f"{len(result)} pairs vs {len(reference)} serial reference pairs "
+        f"{len(result)} pairs vs {reference_count} serial reference pairs "
         f"in {result.wall_s:.3f}s"
     )
     print(f"survived: {'OK — pair set identical to fault-free serial run' if survived else 'MISMATCH'}")
-    return 0 if survived else 1
+
+
+def _emit(args: argparse.Namespace, document, render) -> None:
+    """``--json`` prints ``document``; otherwise what ``render()`` returns,
+    written as it is (the renderers end their own last line)."""
+    if args.json:
+        print(json.dumps(document, indent=2, sort_keys=True))
+    else:
+        sys.stdout.write(render())
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .obs import analyze_run, render_report
 
-    try:
-        analysis = analyze_run(args.run_dir)
-    except FileNotFoundError as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(analysis.to_dict(), indent=2, sort_keys=True))
-        return 0
-    print(render_report(analysis, timings=args.timings), end="")
+    analysis = analyze_run(args.run_dir)
+    _emit(args, analysis.to_dict(),
+          lambda: render_report(analysis, timings=args.timings))
     return 0
 
 
@@ -568,27 +415,22 @@ def _cmd_checkpoints(args: argparse.Namespace) -> int:
     import time as _time
     from pathlib import Path
 
-    from .checkpoint import gc_checkpoint_dir, inspect_checkpoint_dir
+    from .checkpoint import gc_checkpoint_dir, inspect_checkpoint_dir, stat_checkpoint_dir
 
     root = Path(args.dir)
     if not root.is_dir():
-        print(f"checkpoints: no such directory: {root}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no such directory: {root}")
 
-    infos = inspect_checkpoint_dir(root)
+    # gc reports sizes and ages; only list / inspect read the logs.
+    walk = stat_checkpoint_dir if args.action == "gc" else inspect_checkpoint_dir
+    infos = walk(root)
     by_id = {info.run_id: info for info in infos}
+    if args.action == "inspect" and args.run_id is None:
+        raise ValueError("inspect needs a run id")
+    if args.action != "list" and args.run_id not in (None, *by_id):
+        raise ValueError(f"unknown run id {args.run_id!r} in {root}")
 
     if args.action == "gc":
-        if args.run_id is not None and args.run_id not in by_id:
-            print(f"checkpoints: unknown run id {args.run_id!r} in {root}",
-                  file=sys.stderr)
-            return 2
-        if args.max_bytes is not None and (
-            args.run_id is not None or args.all_runs
-        ):
-            print("checkpoints: --max-bytes is its own policy; drop the "
-                  "run id / --all", file=sys.stderr)
-            return 2
         report = gc_checkpoint_dir(root, run_id=args.run_id,
                                    all_runs=args.all_runs,
                                    max_bytes=args.max_bytes,
@@ -621,14 +463,7 @@ def _cmd_checkpoints(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "inspect":
-        if args.run_id is None:
-            print("checkpoints: inspect needs a run id", file=sys.stderr)
-            return 2
-        info = by_id.get(args.run_id)
-        if info is None:
-            print(f"checkpoints: unknown run id {args.run_id!r} in {root}",
-                  file=sys.stderr)
-            return 2
+        info = by_id[args.run_id]
         if args.json:
             print(json.dumps(info.to_dict(), indent=2, sort_keys=True))
             return 0
@@ -727,20 +562,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _server_port(args: argparse.Namespace) -> int:
+    """Where `query` and `top` find the server: ``--port``, else the port
+    file a ``repro serve --port-file`` wrote."""
+    if args.port is not None:
+        return args.port
+    if not args.port_file:
+        raise ValueError("need a port (--port) or a port file")
+    from .serve import read_port_file
+
+    return read_port_file(args.port_file)
+
+
 _QUERY_TIMEOUT_GRACE_S = 30.0
 """Socket-timeout slack past the query deadline: enough for the server
 to notice the deadline, abandon the pool, and write its typed reject."""
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from .serve import ServeClient, read_port_file
+    from .serve import ServeClient
 
-    port = args.port
-    if port is None and args.port_file:
-        port = read_port_file(args.port_file)
-    if port is None:
-        print("query: need --port or --port-file", file=sys.stderr)
-        return 2
+    port = _server_port(args)
     # --timeout is the *query deadline*: the server enforces it through
     # deadline_s and answers a typed reject.  The socket timeout trails it
     # by a grace period so the server's answer (not a client-side timeout)
@@ -777,14 +619,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
     import time
 
     from .obs.top import render_top
-    from .serve import ServeClient, read_port_file
+    from .serve import ServeClient
 
-    port = args.port
-    if port is None and args.port_file:
-        port = read_port_file(args.port_file)
-    if port is None:
-        print("top: need a port file argument or --port", file=sys.stderr)
-        return 2
+    port = _server_port(args)
     # Clear-and-redraw only on a real terminal; piped output appends
     # plain frames and dies quietly when the pipe closes (head, less).
     interactive = sys.stdout.isatty() and not args.once
@@ -826,38 +663,27 @@ def _cmd_runs(args: argparse.Namespace) -> int:
 
     if args.runs_op == "list":
         records = corpus.scan_corpus(args.root)
-        if args.json:
-            print(json.dumps(
-                [r.to_dict() for r in records], indent=2, sort_keys=True
-            ))
-        else:
-            sys.stdout.write(corpus.render_list(records))
+        _emit(args, [r.to_dict() for r in records],
+              lambda: corpus.render_list(records))
         return 0
 
     if args.runs_op == "show":
         records = corpus.scan_corpus(args.root)
         record = corpus.find_record(records, args.run_id)
         if record is None:
-            print(
-                f"runs: no run {args.run_id!r} under {args.root} "
-                f"({len(records)} runs indexed; try `repro runs list`)",
-                file=sys.stderr,
+            raise ValueError(
+                f"no run {args.run_id!r} under {args.root} "
+                f"({len(records)} runs indexed; try `repro runs list`)"
             )
-            return 2
-        if args.json:
-            print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
-        else:
-            sys.stdout.write(corpus.render_show(record))
+        _emit(args, record.to_dict(), lambda: corpus.render_show(record))
         return 0
 
     # compare: two artifacts, or --trend over a corpus
     if args.trend:
         if len(args.paths) != 1 or not args.metric:
-            print(
-                "runs compare --trend needs exactly one corpus root and "
-                "--metric", file=sys.stderr,
+            raise ValueError(
+                "compare --trend needs exactly one corpus root and --metric"
             )
-            return 2
         metric = args.metric[0]
         records = [
             r for r in corpus.scan_corpus(args.paths[0])
@@ -869,24 +695,19 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             if metric in r.metrics
         ]
         if len(points) < 2:
-            print(
-                f"runs: metric {metric!r} present in {len(points)} run(s); "
-                "a trend needs at least 2", file=sys.stderr,
+            raise ValueError(
+                f"metric {metric!r} present in {len(points)} run(s); "
+                "a trend needs at least 2"
             )
-            return 2
         run_ids = [p[0] for p in points]
         values = [p[1] for p in points]
         trend = corpus.fit_trend(values)
-        if args.json:
-            print(json.dumps(
-                {"metric": metric, "runs": run_ids, "values": values,
-                 "trend": trend},
-                indent=2, sort_keys=True,
-            ))
-        else:
-            sys.stdout.write(
-                corpus.render_trend(metric, run_ids, values, trend)
-            )
+        _emit(
+            args,
+            {"metric": metric, "runs": run_ids, "values": values,
+             "trend": trend},
+            lambda: corpus.render_trend(metric, run_ids, values, trend),
+        )
         if trend["slope_frac"] > args.threshold:
             print(
                 f"REGRESSION: {metric} trends "
@@ -897,22 +718,15 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         return 0
 
     if len(args.paths) != 2:
-        print("runs compare needs exactly two run artifacts", file=sys.stderr)
-        return 2
-    try:
-        record_a = corpus.index_path(args.paths[0])
-        record_b = corpus.index_path(args.paths[1])
-    except corpus.CorpusError as exc:
-        print(f"runs: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("compare needs exactly two run artifacts")
+    record_a = corpus.index_path(args.paths[0])
+    record_b = corpus.index_path(args.paths[1])
     rows = corpus.compare_runs(record_a, record_b, metrics=args.metric or None)
-    if args.json:
-        print(json.dumps(
-            {"a": record_a.to_dict(), "b": record_b.to_dict(), "rows": rows},
-            indent=2, sort_keys=True,
-        ))
-    else:
-        sys.stdout.write(corpus.render_compare(record_a, record_b, rows))
+    _emit(
+        args,
+        {"a": record_a.to_dict(), "b": record_b.to_dict(), "rows": rows},
+        lambda: corpus.render_compare(record_a, record_b, rows),
+    )
     failures = corpus.check_gates(
         record_a, record_b,
         gates=args.gate or (), exact=args.exact or (),
@@ -925,17 +739,12 @@ def _cmd_runs(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     from .core.planner import choose_algorithm
-    from .storage import Database
-    from .data import make_tiger_datasets
     from .index import bulk_load_rstar
 
-    db = Database(buffer_mb=args.buffer_mb)
-    rels = make_tiger_datasets(db, scale=args.scale, include=("road", "hydro"))
-    idx_r = bulk_load_rstar(db.pool, rels["road"]) if args.index_r else None
-    idx_s = bulk_load_rstar(db.pool, rels["hydro"]) if args.index_s else None
-    plan = choose_algorithm(
-        rels["road"], rels["hydro"], db.pool.capacity, idx_r, idx_s
-    )
+    db, road, hydro = _tiger_relations(args)
+    idx_r = bulk_load_rstar(db.pool, road) if args.index_r else None
+    idx_s = bulk_load_rstar(db.pool, hydro) if args.index_s else None
+    plan = choose_algorithm(road, hydro, db.pool.capacity, idx_r, idx_s)
     print(f"scenario: index on road={args.index_r}, index on hydro={args.index_s}, "
           f"buffer={args.buffer_mb} MB")
     print(f"chosen algorithm: {plan.algorithm.upper()}")
@@ -944,57 +753,98 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(_args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from . import __version__
 
     print(f"repro {__version__} — Partition Based Spatial-Merge Join "
-          "(Patel & DeWitt, SIGMOD 1996)")
-    print(__doc__)
-    print("subsystems: repro.geometry, repro.storage, repro.index, "
-          "repro.core, repro.joins, repro.exec, repro.data, repro.bench, "
-          "repro.parallel, repro.checkpoint, repro.serve")
+          "(Patel & DeWitt, SIGMOD 1996)\n")
+    print(build_parser().format_help())
+    packages = sorted(Path(__file__).parent.glob("*/__init__.py"))
+    print("subsystems: "
+          + ", ".join(f"repro.{init.parent.name}" for init in packages))
     print("reproduce the paper: pytest benchmarks/ --benchmark-only")
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+_SHARED_FLAGS = {
+    "data": [
+        ("--scale", dict(type=float, default=0.01,
+                         help="dataset size; 1.0 is the paper's cardinalities")),
+        ("--seed", dict(type=int, default=None,
+                        help="base seed for the data generators")),
+    ],
+    "pool": [
+        ("--workers", dict(type=int, default=2,
+                           help="worker processes: the pool's size (virtual "
+                                "nodes on the simulated backend)")),
+        ("--start-method", dict(default=None,
+                                choices=["fork", "spawn", "forkserver"],
+                                help="multiprocessing start method")),
+    ],
+    "durable": [
+        ("--checkpoint-dir", dict(default=None,
+                                  help="make coordinator state durable under "
+                                       "this directory (process backend only; "
+                                       "required by coordinator-kill / "
+                                       "torn-manifest faults)")),
+        ("--resume", dict(action="store_true",
+                          help="continue a checkpointed run instead of "
+                               "starting over (a plan's checkpoint faults "
+                               "are not re-armed)")),
+    ],
+    "endpoint": [
+        ("--host", dict(default="127.0.0.1")),
+        ("--port", dict(type=int, default=None, help="the server's TCP port")),
+    ],
+}
+"""The flag groups several subcommands repeat, declared once."""
+
+
+def _shared(group: str, **defaults) -> argparse.ArgumentParser:
+    """A parent parser holding one shared flag group, with this
+    subcommand's ``defaults``.  Built fresh per use: argparse shares a
+    parent's actions among its children, so a default set for one would
+    leak into the rest."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, options in _SHARED_FLAGS[group]:
+        parent.add_argument(flag, **options)
+    parent.set_defaults(**defaults)
+    return parent
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="PBSM spatial join reproduction",
     )
     sub = parser.add_subparsers(dest="command")
 
-    demo = sub.add_parser("demo", help="run a small PBSM join")
-    demo.add_argument("--scale", type=float, default=0.01)
+    demo = sub.add_parser("demo", parents=[_shared("data")],
+                          help="run a small PBSM join")
     demo.add_argument("--buffer-mb", type=float, default=8.0)
-    demo.add_argument("--seed", type=int, default=None,
-                      help="base seed for the data generators")
     demo.add_argument("--json", action="store_true",
                       help="emit the cost report as JSON instead of a table")
     demo.set_defaults(func=_cmd_demo)
 
     trace = sub.add_parser(
-        "trace", help="run a traced PBSM join and dump trace/metrics files"
+        "trace", parents=[_shared("data")],
+        help="run a traced PBSM join and dump trace/metrics files",
     )
-    trace.add_argument("--scale", type=float, default=0.01)
     trace.add_argument("--buffer-mb", type=float, default=8.0)
-    trace.add_argument("--seed", type=int, default=None,
-                       help="base seed for the data generators")
     trace.add_argument("--out", default="trace_out",
                        help="directory for trace.jsonl / metrics.json / "
                             "chrome_trace.json")
     trace.set_defaults(func=_cmd_trace)
 
     parallel = sub.add_parser(
-        "parallel", help="run the join on a parallel backend"
+        "parallel",
+        parents=[_shared("data"), _shared("pool", workers=4),
+                 _shared("durable")],
+        help="run the join on a parallel backend",
     )
     parallel.add_argument("--backend", default="process",
                           choices=["process", "simulated", "serial"])
-    parallel.add_argument("--workers", type=int, default=4,
-                          help="worker processes (process) or virtual nodes "
-                               "(simulated)")
-    parallel.add_argument("--scale", type=float, default=0.01)
-    parallel.add_argument("--seed", type=int, default=None,
-                          help="base seed for the data generators")
     parallel.add_argument("--dataset", default="road_hydro",
                           choices=["road_hydro", "road_rail", "landuse_island"],
                           help="input pair: TIGER roads x hydrography "
@@ -1009,15 +859,9 @@ def main(argv: list[str] | None = None) -> int:
     parallel.add_argument("--scheme", default="replicate_objects",
                           choices=["replicate_objects", "replicate_mbrs"],
                           help="boundary-object declustering (simulated only)")
-    parallel.add_argument("--start-method", default=None,
-                          choices=["fork", "spawn", "forkserver"],
-                          help="multiprocessing start method (process only)")
     parallel.add_argument("--verify", action="store_true",
                           help="cross-check the pair set against the serial "
                                "reference; non-zero exit on mismatch")
-    parallel.add_argument("--checkpoint-dir", default=None,
-                          help="make coordinator state durable under this "
-                               "directory (process backend only)")
     parallel.add_argument("--disk-budget", type=int, default=None,
                           metavar="N",
                           help="hard ceiling on spill+checkpoint bytes "
@@ -1025,9 +869,6 @@ def main(argv: list[str] | None = None) -> int:
                                "reclaims, then degrades pairs to the serial "
                                "no-spill path — the pair set stays "
                                "byte-identical")
-    parallel.add_argument("--resume", action="store_true",
-                          help="continue a checkpointed run instead of "
-                               "starting over")
     parallel.add_argument("--out", default=None, metavar="DIR",
                           help="record the run journal to DIR/journal.jsonl "
                                "for `repro report`")
@@ -1037,20 +878,21 @@ def main(argv: list[str] | None = None) -> int:
                                "journal sees it")
     parallel.add_argument("--json", action="store_true",
                           help="emit the run summary as JSON")
-    parallel.set_defaults(func=_cmd_parallel)
+    parallel.set_defaults(func=_cmd_join, plan=None)
 
     chaos = sub.add_parser(
         "chaos",
+        parents=[_shared("pool"), _shared("durable")],
         help="run the join under a fault plan and verify it survives",
     )
     chaos.add_argument("--plan", default="combined",
                        help="named fault plan (none, disk_error, torn_frame, "
                             "worker_crash, hang, slow, combined) or a path to "
                             "a plan JSON file")
-    chaos.add_argument("--seed", type=int, default=0,
+    chaos.add_argument("--seed", type=int, default=0, dest="plan_seed",
+                       metavar="SEED",
                        help="fault-plan compilation seed (named plans only)")
     chaos.add_argument("--scale", type=float, default=0.002)
-    chaos.add_argument("--workers", type=int, default=2)
     chaos.add_argument("--partitions", type=int, default=8,
                        help="partition-pair count = the fault domain size")
     chaos.add_argument("--timeout", type=float, default=2.0,
@@ -1059,14 +901,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="retry budget per partition pair")
     chaos.add_argument("--hang-s", type=float, default=6.0,
                        help="injected hang duration; must exceed --timeout")
-    chaos.add_argument("--start-method", default=None,
-                       choices=["fork", "spawn", "forkserver"])
-    chaos.add_argument("--checkpoint-dir", default=None,
-                       help="durable coordinator state; required for "
-                            "coordinator-kill / torn-manifest faults")
-    chaos.add_argument("--resume", action="store_true",
-                       help="continue a checkpointed chaos run (checkpoint "
-                            "faults are not re-armed on resume)")
     chaos.add_argument("--kill-coordinator-after", type=int, default=None,
                        metavar="N",
                        help="kill the coordinator after checkpoint ordinal N "
@@ -1084,7 +918,13 @@ def main(argv: list[str] | None = None) -> int:
                             "'' disables recording")
     chaos.add_argument("--json", action="store_true",
                        help="emit the chaos report as JSON")
-    chaos.set_defaults(func=_cmd_chaos)
+    # What `parallel` offers and `chaos` fixes: the process backend, the
+    # generators' own seeds, and a verdict against the serial reference.
+    chaos.set_defaults(
+        func=_cmd_join, backend="process", dataset="road_hydro",
+        predicate="intersects", seed=None, verify=True, live=False,
+        disk_budget=None,
+    )
 
     report = sub.add_parser(
         "report",
@@ -1129,11 +969,10 @@ def main(argv: list[str] | None = None) -> int:
 
     serve = sub.add_parser(
         "serve",
-        help="run the resident join service (local TCP, JSON lines)",
+        parents=[_shared("endpoint", port=0), _shared("pool")],
+        help="run the resident join service (local TCP, JSON lines; "
+             "--port 0 picks a free port)",
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="TCP port to bind (0 picks a free one)")
     serve.add_argument("--port-file", default=None,
                        help="write the bound port here once listening")
     serve.add_argument("--cache-dir", required=True,
@@ -1142,8 +981,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--out", default="serve_out",
                        help="journal root: serve.jsonl plus one query-NNNN/ "
                             "run dir per served query (for `repro report`)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="size of the single shared worker pool")
     serve.add_argument("--max-inflight", type=int, default=2,
                        help="queries executing at once")
     serve.add_argument("--max-queue", type=int, default=8,
@@ -1159,8 +996,6 @@ def main(argv: list[str] | None = None) -> int:
                             "over-footprint queries get a typed "
                             "error=storage_overload reject with "
                             "estimated_bytes/available_bytes")
-    serve.add_argument("--start-method", default=None,
-                       choices=["fork", "forkserver", "spawn"])
     serve.add_argument("--faults", default=None, metavar="PLAN",
                        help="named fault plan or plan JSON applied to every "
                             "executed (non-cached) query")
@@ -1172,8 +1007,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="drill: soft-kill the next executed query after "
                             "checkpoint ordinal N, then recover it by "
                             "resuming the cache entry")
-    serve.set_defaults(func=_cmd_serve)
-
     serve.add_argument("--fault-hang-s", type=float, default=None,
                        metavar="S",
                        help="override the fault plan's hang duration "
@@ -1196,22 +1029,20 @@ def main(argv: list[str] | None = None) -> int:
                        help="sample live telemetry every S seconds (the "
                             "`telemetry` wire op and `repro top` read it; "
                             "default: sampler off)")
+    serve.set_defaults(func=_cmd_serve)
 
     query = sub.add_parser(
-        "query", help="one-shot client for a running join server"
+        "query",
+        parents=[_shared("endpoint"), _shared("data", seed=0)],
+        help="one-shot client for a running join server (--seed 0 keeps "
+             "the generators' own seeds, like `parallel` without --seed)",
     )
-    query.add_argument("--host", default="127.0.0.1")
-    query.add_argument("--port", type=int, default=None)
     query.add_argument("--port-file", default=None,
                        help="read the port a `repro serve --port-file` wrote")
     query.add_argument("--op", default="join",
                        choices=["join", "ping", "stats", "telemetry",
                                 "metrics", "shutdown"])
     query.add_argument("--dataset", default="road_hydro")
-    query.add_argument("--scale", type=float, default=0.01)
-    query.add_argument("--seed", type=int, default=0,
-                       help="generator seed (0 = generator defaults, like "
-                            "`parallel` without --seed)")
     query.add_argument("--predicate", default="intersects")
     query.add_argument("--workers", type=int, default=2)
     query.add_argument("--pairs", action="store_true",
@@ -1226,13 +1057,12 @@ def main(argv: list[str] | None = None) -> int:
 
     top = sub.add_parser(
         "top",
+        parents=[_shared("endpoint")],
         help="live terminal dashboard for a running join server",
     )
     top.add_argument("port_file", nargs="?", default=None,
-                     help="port file a `repro serve --port-file` wrote")
-    top.add_argument("--host", default="127.0.0.1")
-    top.add_argument("--port", type=int, default=None,
-                     help="connect directly instead of reading a port file")
+                     help="port file a `repro serve --port-file` wrote "
+                          "(or connect directly with --port)")
     top.add_argument("--interval", type=float, default=1.0, metavar="S",
                      help="poll the telemetry op every S seconds")
     top.add_argument("--window", type=float, default=None, metavar="S",
@@ -1251,14 +1081,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     runs_list.add_argument("root", help="directory tree to scan")
     runs_list.add_argument("--json", action="store_true")
-    runs_list.set_defaults(func=_cmd_runs)
     runs_show = runs_sub.add_parser(
         "show", help="one indexed run's identity and metrics"
     )
     runs_show.add_argument("root", help="directory tree to scan")
     runs_show.add_argument("run_id", help="run id from `repro runs list`")
     runs_show.add_argument("--json", action="store_true")
-    runs_show.set_defaults(func=_cmd_runs)
     runs_compare = runs_sub.add_parser(
         "compare",
         help="diff two runs metric-by-metric, or --trend a corpus; "
@@ -1292,7 +1120,7 @@ def main(argv: list[str] | None = None) -> int:
                               choices=["engine", "serve", "bench"],
                               help="with --trend, only index runs of this kind")
     runs_compare.add_argument("--json", action="store_true")
-    runs_compare.set_defaults(func=_cmd_runs)
+    runs.set_defaults(func=_cmd_runs)
 
     plan = sub.add_parser("plan", help="apply the paper's algorithm-choice rules")
     plan.add_argument("--scale", type=float, default=0.005)
@@ -1303,12 +1131,23 @@ def main(argv: list[str] | None = None) -> int:
 
     info = sub.add_parser("info", help="package inventory")
     info.set_defaults(func=_cmd_info)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, FileNotFoundError) as exc:
+        # A flag combination the code it acts on refuses (its message
+        # names the flag), one of the shell's own refusals above, or a
+        # file the command line names that is not there: usage errors.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,7 +27,10 @@ log cut to its intact prefix whenever it is opened for append.  The CLI,
 the artifact cache and the scrubber ask here
 (:func:`~repro.checkpoint.store.inspect_checkpoint_dir`,
 :func:`~repro.checkpoint.store.scrub_run_dir`); none of them opens a file
-in a run directory itself.
+in a run directory itself.  "How many bytes, how old" is a different
+question from "what state": :func:`~repro.checkpoint.store.stat_checkpoint_dir`
+answers it from ``stat`` alone, which is all eviction and the cache's
+``stats`` need.
 
 The invariant the whole package serves: for any kill point and any fault
 plan within budget, **kill + resume produces byte-identical join results
@@ -56,11 +59,14 @@ from .store import (
     CheckpointMismatchError,
     CheckpointStore,
     GCReport,
+    RunDirSize,
     gc_checkpoint_dir,
     inspect_checkpoint_dir,
     run_dirs,
     scrub_run_dir,
     select_lru_victims,
+    stat_checkpoint_dir,
+    stat_run_dir,
 )
 
 __all__ = [
@@ -81,6 +87,7 @@ __all__ = [
     "GCReport",
     "JoinManifest",
     "ResultLog",
+    "RunDirSize",
     "RunFingerprint",
     "gc_checkpoint_dir",
     "inspect_checkpoint_dir",
@@ -88,5 +95,7 @@ __all__ = [
     "run_dirs",
     "scrub_run_dir",
     "select_lru_victims",
+    "stat_checkpoint_dir",
+    "stat_run_dir",
     "verified_replay",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs.journal import (
     EVENT_CHECKPOINT_COMMIT,
@@ -342,13 +342,23 @@ class GCReport:
     bytes_freed: int = 0
 
 
+class RunDirSize(NamedTuple):
+    """What eviction and accounting need of a run directory — how big,
+    how old — read from ``stat`` alone: no file is opened."""
+
+    run_id: str
+    path: str
+    bytes_total: int
+    mtime: float
+
+
 def select_lru_victims(
-    infos: List[CheckpointInfo],
+    infos: "Sequence[RunDirSize | CheckpointInfo]",
     max_bytes: int,
     *,
     pinned: "frozenset[str] | set[str]" = frozenset(),
     recency: Optional[Dict[str, int]] = None,
-) -> List[CheckpointInfo]:
+) -> "List[RunDirSize | CheckpointInfo]":
     """The one LRU-by-bytes eviction policy for run directories.
 
     Both ``repro checkpoints gc --max-bytes`` and the serving tier's
@@ -366,12 +376,12 @@ def select_lru_victims(
         raise ValueError("max_bytes cannot be negative")
     total = sum(info.bytes_total for info in infos)
 
-    def age_key(info: CheckpointInfo):
+    def age_key(info):
         if recency is not None and info.run_id in recency:
             return (1, recency[info.run_id], info.run_id)
         return (0, info.mtime, info.run_id)
 
-    victims: List[CheckpointInfo] = []
+    victims = []
     for info in sorted(infos, key=age_key):
         if total <= max_bytes:
             break
@@ -400,6 +410,22 @@ def run_dirs(root: "Path | str") -> List[Path]:
         for path in sorted(Path(root).glob(f"{RUN_DIR_PREFIX}*"))
         if path.is_dir()
     ]
+
+
+def stat_run_dir(run_dir: Path) -> RunDirSize:
+    """Size one run directory without reading it; its age is its
+    manifest's (the last durable state change), else the directory's."""
+    try:
+        mtime = (run_dir / MANIFEST_FILENAME).stat().st_mtime
+    except OSError:
+        mtime = run_dir.stat().st_mtime
+    return RunDirSize(run_dir.name, str(run_dir), _dir_bytes(run_dir), mtime)
+
+
+def stat_checkpoint_dir(root: "Path | str") -> List[RunDirSize]:
+    """Size every run directory under ``root`` — what the serve cache's
+    ``stats`` and eviction passes walk, on every tick and every query."""
+    return [stat_run_dir(run_dir) for run_dir in run_dirs(root)]
 
 
 def load_manifest(run_dir: Path) -> Optional[JoinManifest]:
@@ -436,10 +462,7 @@ def inspect_run_dir(run_dir: Path) -> CheckpointInfo:
     if isinstance(ended_by, ManifestCorruptionError):
         # A torn tail is what every killed run leaves; damage is not.
         error = error or f"result log untrustworthy: {ended_by}"
-    try:
-        mtime = (run_dir / MANIFEST_FILENAME).stat().st_mtime
-    except OSError:
-        mtime = run_dir.stat().st_mtime
+    size = stat_run_dir(run_dir)
     return CheckpointInfo(
         run_id=run_dir.name,
         path=str(run_dir),
@@ -447,8 +470,8 @@ def inspect_run_dir(run_dir: Path) -> CheckpointInfo:
         pairs_done=len(committed),
         pairs_total=manifest.pairs_total if manifest else None,
         result_count=manifest.result_count if manifest else None,
-        bytes_total=_dir_bytes(run_dir),
-        mtime=mtime,
+        bytes_total=size.bytes_total,
+        mtime=size.mtime,
         error=error,
     )
 
@@ -511,15 +534,16 @@ def gc_checkpoint_dir(
     exact code that will later perform it.
     """
     report = GCReport()
-    infos = inspect_checkpoint_dir(root)
     if max_bytes is not None:
         if run_id is not None or all_runs:
             raise ValueError(
                 "--max-bytes is its own policy; combine it with neither a "
                 "run id nor --all"
             )
+        infos = stat_checkpoint_dir(root)
         victims = {v.run_id for v in select_lru_victims(infos, max_bytes)}
     else:
+        infos = inspect_checkpoint_dir(root)
         victims = None
     for info in infos:
         if victims is not None:

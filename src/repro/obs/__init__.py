@@ -42,6 +42,7 @@ from .bench import (
     write_bench_file,
 )
 from .export import (
+    RunRecorder,
     chrome_instant_events,
     chrome_trace_events,
     report_to_dict,
@@ -81,6 +82,7 @@ from .journal import (
     NullJournal,
     RunJournal,
     journal_path,
+    live_renderer,
     read_journal,
 )
 from .metrics import (
@@ -134,6 +136,7 @@ __all__ = [
     "RunAnalysis",
     "RunJournal",
     "RunRecord",
+    "RunRecorder",
     "SCHEMA_VERSION",
     "SERVE_TIMELINE_TYPES",
     "SchemaError",
@@ -158,6 +161,7 @@ __all__ = [
     "index_path",
     "index_serve_run",
     "journal_path",
+    "live_renderer",
     "load_bench_file",
     "lpt_replay",
     "metric_name",

@@ -82,7 +82,7 @@ class RunRecord:
         }
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     """An artifact the indexer was pointed at directly is unusable."""
 
 
@@ -149,25 +149,15 @@ def index_serve_run(out_dir: "Path | str", run_id: Optional[str] = None) -> RunR
     if not journal_path.exists():
         raise CorpusError(f"no {SERVE_JOURNAL_FILENAME} under {out_dir}")
     records = read_journal(journal_path)
+    analysis = analyze_events(records, run_dir=str(out_dir))
+    tallies = analysis.event_counts
     datasets: set = set()
     seeds: set = set()
-    tallies: Dict[str, int] = {}
     sources: Dict[str, int] = {}
     latencies: List[float] = []
-    scrub: Dict[str, int] = {}
-    telemetry = {"ticks": 0, "queue_depth_max": 0, "inflight_max": 0}
     for record in records:
         kind = record.get("type")
-        tallies[kind] = tallies.get(kind, 0) + 1
-        if kind == "sample" and record.get("kind") == "telemetry":
-            telemetry["ticks"] += 1
-            telemetry["queue_depth_max"] = max(
-                telemetry["queue_depth_max"], int(record.get("queued", 0) or 0)
-            )
-            telemetry["inflight_max"] = max(
-                telemetry["inflight_max"], int(record.get("inflight", 0) or 0)
-            )
-        elif kind == "query_received":
+        if kind == "query_received":
             if record.get("dataset") is not None:
                 datasets.add(str(record["dataset"]))
             if record.get("seed") is not None:
@@ -177,10 +167,6 @@ def index_serve_run(out_dir: "Path | str", run_id: Optional[str] = None) -> RunR
             sources[source] = sources.get(source, 0) + 1
             if record.get("latency_s") is not None:
                 latencies.append(float(record["latency_s"]))
-        elif kind == "cache_scrub":
-            scrub["passes"] = scrub.get("passes", 0) + 1
-            for key in ("scanned", "repaired", "quarantined", "evicted"):
-                scrub[key] = scrub.get(key, 0) + int(record.get(key, 0) or 0)
     identity: Dict[str, object] = {
         "datasets": sorted(datasets),
         "seeds": sorted(seeds),
@@ -196,9 +182,11 @@ def index_serve_run(out_dir: "Path | str", run_id: Optional[str] = None) -> RunR
     }
     for source in sorted(sources):
         metrics[f"source.{source}"] = sources[source]
-    for key in sorted(scrub):
-        metrics[f"scrub.{key}"] = scrub[key]
-    if telemetry["ticks"]:
+    # Scrub totals and telemetry peaks come off the analyzer's fold.
+    for key, total in sorted(analysis.serve.get("scrub", {}).items()):
+        metrics[f"scrub.{key}"] = total
+    telemetry = analysis.serve.get("telemetry")
+    if telemetry:
         metrics["telemetry_ticks"] = telemetry["ticks"]
         metrics["queue_depth_max"] = telemetry["queue_depth_max"]
         metrics["inflight_max"] = telemetry["inflight_max"]

@@ -14,7 +14,8 @@ Three machine-readable views of one execution:
 
 :func:`write_run_dir` writes all three under their canonical names — the
 files that, next to a ``journal.jsonl``, make a recorded run directory
-``repro report`` and ``repro runs`` can read.
+``repro report`` and ``repro runs`` can read; :class:`RunRecorder` is the
+journal, tracer and registry of one such run, made and written in one place.
 
 :func:`report_to_dict` converts a ``JoinReport`` (duck-typed, so this
 module stays import-light) into the JSON shape shared by ``demo --json``
@@ -27,7 +28,14 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .journal import FAULT_TIMELINE_TYPES, SERVE_TIMELINE_TYPES
+from .journal import (
+    FAULT_TIMELINE_TYPES,
+    SERVE_TIMELINE_TYPES,
+    OnJournalEvent,
+    RunJournal,
+    journal_path,
+    read_journal,
+)
 from .metrics import MetricsRegistry
 from .trace import Span, Tracer
 
@@ -220,6 +228,44 @@ def write_run_dir(
             tracer, run_dir / CHROME_TRACE_FILENAME, journal_events
         ),
     )
+
+
+class RunRecorder:
+    """The observers one recorded join is handed, and where they land.
+
+    Always a journal: ``run_dir/journal.jsonl``, or memory-only without a
+    directory (``parallel --live`` alone).  With ``spans`` a tracer and a
+    metrics registry ride along, and :meth:`write` puts their files
+    beside the journal — the flight recorder ``repro chaos`` leaves.
+    :attr:`observers` is what an engine takes as keyword arguments.
+    """
+
+    def __init__(
+        self,
+        run_dir: "Path | str | None" = None,
+        *,
+        spans: bool,
+        on_event: Optional[OnJournalEvent] = None,
+    ):
+        self.run_dir = Path(run_dir) if run_dir is not None else None
+        self.journal = RunJournal(
+            journal_path(self.run_dir) if self.run_dir is not None else None,
+            on_event=on_event,
+        )
+        self.observers: Dict[str, object] = {"journal": self.journal}
+        if spans:
+            self.observers.update(tracer=Tracer(), metrics=MetricsRegistry())
+
+    def write(self, extra: Optional[Dict[str, object]] = None) -> None:
+        """The closed journal's run directory gets its trace, metrics and
+        timeline files (the journal's own events mark the timeline)."""
+        write_run_dir(
+            self.run_dir,
+            self.observers["tracer"],
+            self.observers["metrics"],
+            extra=extra,
+            journal_events=read_journal(self.journal.path),
+        )
 
 
 def report_to_dict(report) -> dict:

@@ -201,10 +201,18 @@ OnJournalEvent = Callable[[Dict[str, object]], None]
 class RunJournal:
     """Append-only JSONL event stream for one run.
 
-    ``path=None`` keeps the journal in memory only (events still reach
-    ``on_event`` and ``records`` — what a pure ``--live`` session uses);
-    with a path every event is written and flushed immediately, so a
-    crashed coordinator leaves a readable journal up to its last moment.
+    ``path=None`` keeps the journal in memory only: events reach
+    ``on_event`` and accumulate in ``records`` — what a pure ``--live``
+    session uses.  With a path every event is written and flushed
+    immediately, so a crashed coordinator leaves a readable journal up to
+    its last moment, and the file is the only copy: ``records`` stays
+    empty (a resident server's journal would otherwise grow for the life
+    of the process); :func:`read_journal` reads it back.
+
+    ``emit`` and ``close`` hold the journal's own mutex, so any number of
+    threads (every query thread of the serving tier, plus its cache and
+    sampler) may share one journal: no line is interleaved, no ``seq``
+    handed out twice.
     """
 
     enabled = True
@@ -219,6 +227,7 @@ class RunJournal:
         self.on_event = on_event
         self.epoch = time.perf_counter()
         self.records: List[dict] = []
+        self._lock = threading.Lock()
         self._seq = 0
         self._fh = None
         if self.path is not None:
@@ -232,25 +241,28 @@ class RunJournal:
                 f"unknown journal event type {event_type!r}; add it to the "
                 f"vocabulary in repro.obs.journal before emitting it"
             )
-        self._seq += 1
-        record: Dict[str, object] = {
-            "seq": self._seq,
-            "t": round(time.perf_counter() - self.epoch, 6),
-            "type": event_type,
-        }
-        record.update(fields)
-        self.records.append(record)
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._fh.flush()
-        if self.on_event is not None:
-            self.on_event(record)
+        with self._lock:
+            self._seq += 1
+            record: Dict[str, object] = {
+                "seq": self._seq,
+                "t": round(time.perf_counter() - self.epoch, 6),
+                "type": event_type,
+            }
+            record.update(fields)
+            if self.path is None:
+                self.records.append(record)
+            elif self._fh is not None:
+                self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+                self._fh.flush()
+            if self.on_event is not None:
+                self.on_event(record)
         return record
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def __enter__(self) -> "RunJournal":
         return self
@@ -279,44 +291,6 @@ class NullJournal:
         pass
 
 
-class ThreadSafeJournal:
-    """Lock-wrapped journal for multi-threaded emitters.
-
-    A :class:`RunJournal` assumes one writer — the coordinator's
-    scheduling loop.  The serving tier has many (every query thread plus
-    the cache), so it wraps its service-level journal in this: same
-    interface, one mutex around ``emit``/``close``.  Per-query journals
-    stay unwrapped; each belongs to exactly one thread.
-    """
-
-    def __init__(self, journal: RunJournal):
-        self._journal = journal
-        self._lock = threading.Lock()
-        self.enabled = journal.enabled
-
-    @property
-    def path(self) -> Optional[Path]:
-        return self._journal.path
-
-    @property
-    def records(self) -> List[dict]:
-        return self._journal.records
-
-    def emit(self, event_type: str, **fields: object) -> dict:
-        with self._lock:
-            return self._journal.emit(event_type, **fields)
-
-    def close(self) -> None:
-        with self._lock:
-            self._journal.close()
-
-    def __enter__(self) -> "ThreadSafeJournal":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
 NULL_JOURNAL = NullJournal()
 """Shared disabled journal — the default for every instrumented path."""
 
@@ -342,3 +316,60 @@ def read_journal(path: "Path | str") -> List[dict]:
 
 def journal_path(run_dir: "Path | str") -> Path:
     return Path(run_dir) / JOURNAL_FILENAME
+
+
+def live_renderer(stream) -> OnJournalEvent:
+    """An ``on_event`` hook that writes one ``[live]`` progress line per
+    interesting event to ``stream``.
+
+    This is the whole ``parallel --live`` implementation — the journal
+    already sees every dispatch, heartbeat, completion, and fault as it
+    happens, so live progress is just a callback that prints them.
+    """
+    state = {"done": 0, "total": None}
+
+    def on_event(record: dict) -> None:
+        kind = record.get("type")
+        line = None
+        if kind == "run_started":
+            line = (f"run started: backend={record.get('backend')} "
+                    f"workers={record.get('workers')} "
+                    f"partitions={record.get('partitions')}")
+        elif kind == "schedule":
+            state["total"] = len(record.get("order", []))
+            line = f"{state['total']} partition-pair tasks scheduled (LPT order)"
+        elif kind == "task_dispatched":
+            line = f"-> pair {record.get('pair')} attempt {record.get('attempt')}"
+        elif kind == "worker_heartbeat":
+            line = (f"   worker {record.get('pid')} pair {record.get('pair')} "
+                    f"{record.get('phase')}")
+        elif kind in ("task_finished", "task_replayed"):
+            state["done"] += 1
+            total = state["total"] if state["total"] is not None else "?"
+            verb = "replayed" if kind == "task_replayed" else "done"
+            line = (f"<- pair {record.get('pair')} {verb} "
+                    f"({state['done']}/{total}, "
+                    f"{record.get('results', 0)} results)")
+        elif kind == "node_finished":
+            line = (f"<- node {record.get('node')} finished "
+                    f"({record.get('local_pairs', 0)} local pairs)")
+        elif kind == "fault_injected":
+            line = f"!! fault {record.get('kind')} pair {record.get('pair')}"
+        elif kind == "retry":
+            line = (f"!! retry pair {record.get('pair')} "
+                    f"attempt {record.get('attempt')} "
+                    f"(cause {record.get('cause')})")
+        elif kind == "pool_respawn":
+            line = "!! worker pool respawned"
+        elif kind == "run_finished":
+            line = f"run finished: {record.get('results')} result pairs"
+        if line is not None and not state.get("dead"):
+            # A dead stream (e.g. the output piped to a pager that quit)
+            # must not kill the join: stop rendering, keep flying.
+            try:
+                stream.write(f"[live] {line}\n")
+                stream.flush()
+            except (OSError, ValueError):
+                state["dead"] = True
+
+    return on_event

@@ -60,7 +60,7 @@ def parallel_join(
     journal=None,
     fault_plan: Optional[FaultPlan] = None,
     task_timeout_s: Optional[float] = None,
-    max_task_retries: Optional[int] = None,
+    max_task_retries: int = DEFAULT_MAX_TASK_RETRIES,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     disk_budget=None,
@@ -92,14 +92,14 @@ def parallel_join(
         )
     if backend != BACKEND_PROCESS and disk_budget is not None:
         raise ValueError(
-            f"a disk budget requires the process backend, not {backend!r}"
+            f"a disk budget (--disk-budget) requires the process backend, "
+            f"not {backend!r}"
         )
     if backend != BACKEND_PROCESS and (checkpoint_dir is not None or resume):
         raise ValueError(
-            f"checkpoint/resume requires the process backend, not {backend!r}"
+            f"checkpoint_dir (--checkpoint-dir) / resume (--resume) require "
+            f"the process backend, not {backend!r}"
         )
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume=True requires checkpoint_dir")
     if journal is None:
         journal = NULL_JOURNAL
     if backend == BACKEND_SERIAL:
@@ -126,11 +126,7 @@ def parallel_join(
             start_method=start_method, tracer=tracer, metrics=metrics,
             journal=journal,
             fault_plan=fault_plan, task_timeout_s=task_timeout_s,
-            max_task_retries=(
-                DEFAULT_MAX_TASK_RETRIES
-                if max_task_retries is None
-                else max_task_retries
-            ),
+            max_task_retries=max_task_retries,
             checkpoint_dir=checkpoint_dir, disk_budget=disk_budget,
         )
         if resume:

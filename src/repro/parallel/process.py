@@ -85,6 +85,7 @@ from ..core.refine import merge_sorted_unique
 from ..core.predicates import Predicate
 from ..faults.inject import (
     CheckpointFaultGate,
+    CoordinatorKilledError,
     DiskFullInjector,
     InjectedFaultError,
     WriteErrorInjector,
@@ -285,14 +286,23 @@ class ProcessPBSM:
         self.checkpoint_dir = checkpoint_dir
         """Directory for durable run state (manifest, result log, spills);
         ``None`` disables checkpointing and keeps spills in a tempdir."""
-        if kill_coordinator_after is not None:
-            if checkpoint_dir is None:
-                raise ValueError(
-                    "kill_coordinator_after requires checkpoint_dir: an "
-                    "unchecked coordinator kill just loses the run"
-                )
-            if kill_coordinator_after < 1:
-                raise ValueError("kill ordinal must be >= 1")
+        if checkpoint_dir is None and (
+            kill_coordinator_after is not None
+            or fault_plan is not None
+            and (
+                fault_plan.coordinator_kill_ordinals
+                or fault_plan.torn_manifest_ordinals
+            )
+        ):
+            raise ValueError(
+                "coordinator kills / torn manifests need checkpoint_dir "
+                "(--checkpoint-dir): without durable state a kill just "
+                "loses the run and a planned one never fires"
+            )
+        if kill_coordinator_after is not None and kill_coordinator_after < 1:
+            raise ValueError(
+                "kill ordinal (--kill-coordinator-after) must be >= 1"
+            )
         self.kill_coordinator_after = kill_coordinator_after
         self.kill_hard = kill_hard
         self.pool_provider = pool_provider or RunPoolProvider()
@@ -354,8 +364,29 @@ class ProcessPBSM:
         manifest degrades to a fresh (but still checkpointed) run.
         """
         if self.checkpoint_dir is None:
-            raise ValueError("resume() requires checkpoint_dir")
+            raise ValueError("resume needs checkpoint_dir (--checkpoint-dir)")
         return self._run(tuples_r, tuples_s, predicate, resuming=True)
+
+    def run_through_kill(
+        self, tuples_r, tuples_s, predicate: Predicate, *, resume: bool = False
+    ) -> Tuple[ParallelJoinResult, Optional[int]]:
+        """:meth:`run` (or :meth:`resume`), recovered from a soft
+        coordinator kill the way a crashed one-shot run is: by resuming
+        from the same checkpoint directory, where everything committed
+        before the kill must carry the rest of the join.
+
+        Returns the result and the checkpoint ordinal the coordinator was
+        killed after (``None``: nobody killed it).  The explicit
+        ``kill_coordinator_after`` is disarmed first, or the recovery run
+        would die at the same ordinal forever; a plan's kill points are
+        never re-armed on a resume.
+        """
+        start = self.resume if resume else self.run
+        try:
+            return start(tuples_r, tuples_s, predicate), None
+        except CoordinatorKilledError as exc:
+            self.kill_coordinator_after = None
+            return self.resume(tuples_r, tuples_s, predicate), exc.ordinal
 
     def run_serial(
         self,

@@ -36,8 +36,9 @@ from ..checkpoint import (
     STATE_COMPLETE,
     CheckpointStore,
     RunFingerprint,
-    inspect_checkpoint_dir,
     select_lru_victims,
+    stat_checkpoint_dir,
+    stat_run_dir,
     verified_replay,
 )
 from ..obs.journal import (
@@ -56,7 +57,7 @@ LOOKUP_MISS = "miss"
 
 QUARANTINE_DIRNAME = "quarantine"
 """Subdirectory corrupt entries are moved into.  It does not start with
-the ``run-`` prefix, so :func:`inspect_checkpoint_dir` never walks into
+the ``run-`` prefix, so :func:`stat_checkpoint_dir` never walks into
 it — quarantined state is invisible to lookup, eviction, and stats, and
 the fingerprint it occupied becomes an ordinary cold miss."""
 
@@ -224,10 +225,9 @@ class ArtifactCache:
                 # Quarantined bytes leave the *governed* serving set (no
                 # walker ever counts them again); operators collect the
                 # quarantine directory out-of-band.
-                freed = sum(
-                    f.stat().st_size for f in src.rglob("*") if f.is_file()
+                self.budget.release(
+                    stat_run_dir(src).bytes_total, CATEGORY_CACHE
                 )
-                self.budget.release(freed, CATEGORY_CACHE)
             shutil.move(str(src), str(dest))
             self._recency.pop(run_id, None)
             self.journal.emit(
@@ -242,7 +242,7 @@ class ArtifactCache:
 
     def bytes_total(self) -> int:
         return sum(
-            info.bytes_total for info in inspect_checkpoint_dir(self.root)
+            info.bytes_total for info in stat_checkpoint_dir(self.root)
         )
 
     def ensure_budget(self) -> List[str]:
@@ -255,7 +255,7 @@ class ArtifactCache:
         if self.max_bytes is None:
             return []
         with self._lock:
-            infos = inspect_checkpoint_dir(self.root)
+            infos = stat_checkpoint_dir(self.root)
             victims = select_lru_victims(
                 infos,
                 self.max_bytes,
@@ -280,7 +280,7 @@ class ArtifactCache:
 
     def stats(self) -> dict:
         with self._lock:
-            infos = inspect_checkpoint_dir(self.root)
+            infos = stat_checkpoint_dir(self.root)
             return {
                 "entries": len(infos),
                 "bytes_total": sum(i.bytes_total for i in infos),

@@ -49,7 +49,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..checkpoint.store import CheckpointMismatchError
-from ..faults.inject import CoordinatorKilledError
 from ..obs.journal import (
     EVENT_CACHE_HIT,
     EVENT_DISK_PRESSURE,
@@ -57,7 +56,6 @@ from ..obs.journal import (
     EVENT_QUERY_RECEIVED,
     EVENT_SAMPLE,
     RunJournal,
-    ThreadSafeJournal,
 )
 from ..obs.expo import render_exposition
 from ..obs.metrics import (
@@ -211,9 +209,7 @@ class JoinServer:
         self._tally = {
             name: self.metrics.counter(f"serve.{name}") for name in TALLIES
         }
-        self.journal = ThreadSafeJournal(
-            RunJournal(self.out_dir / SERVE_JOURNAL_FILENAME)
-        )
+        self.journal = RunJournal(self.out_dir / SERVE_JOURNAL_FILENAME)
         self.disk_budget: Optional[DiskBudget] = (
             DiskBudget(disk_budget_bytes, metrics=self.metrics)
             if disk_budget_bytes is not None
@@ -640,25 +636,22 @@ class JoinServer:
                 self._drill_remaining -= 1
                 kill_after = self.kill_coordinator_after
         engine = self._engine(spec, journal, kill_after=kill_after)
-        drill: Optional[dict] = None
         try:
-            if resume:
-                result = engine.resume(tuples_r, tuples_s, spec.predicate_fn)
-            else:
-                result = engine.run(tuples_r, tuples_s, spec.predicate_fn)
-        except CoordinatorKilledError as exc:
-            drill = {"killed_at_ordinal": exc.ordinal, "resumed": True}
-            with self._lock:
-                self.metrics.counter("serve.drill_kills").inc()
-            engine = self._engine(spec, journal)
-            result = engine.resume(tuples_r, tuples_s, spec.predicate_fn)
+            result, killed_at = engine.run_through_kill(
+                tuples_r, tuples_s, spec.predicate_fn, resume=resume
+            )
         except CheckpointMismatchError:
             # The warm entry was for this fingerprint at lookup time, so
             # this should be unreachable; treat it as a cold start rather
             # than failing the query on our own bookkeeping.
-            result = self._engine(spec, journal).run(
+            result, killed_at = self._engine(spec, journal).run_through_kill(
                 tuples_r, tuples_s, spec.predicate_fn
             )
+        drill: Optional[dict] = None
+        if killed_at is not None:
+            drill = {"killed_at_ordinal": killed_at, "resumed": True}
+            with self._lock:
+                self.metrics.counter("serve.drill_kills").inc()
         return result.pairs, drill
 
     def _run_shed(self, spec, tuples_r, tuples_s, journal):

@@ -1,6 +1,8 @@
 """Tests for the run journal: vocabulary, persistence, torn tails."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -73,6 +75,42 @@ class TestPersistence:
             fh.write('{"seq": 3, "t": 0.5, "type": "task_fin')  # torn write
         records = read_journal(path)
         assert [r["type"] for r in records] == ["run_started", "task_dispatched"]
+
+    def test_a_file_backed_journal_keeps_no_second_copy(self, tmp_path):
+        # The serve tier's journal lives as long as the server: what is on
+        # disk must not also pile up in memory.
+        path = journal_path(tmp_path)
+        with RunJournal(path) as journal:
+            for i in range(50):
+                journal.emit("sample", queued=i)
+            assert journal.records == []
+        assert [r["queued"] for r in read_journal(path)] == list(range(50))
+
+    def test_many_threads_share_one_journal(self, tmp_path):
+        # emit() holds the journal's own mutex: no torn or interleaved
+        # line, no seq handed out twice — with far more threads than cores
+        # and the interpreter switching between them as often as it can.
+        path = journal_path(tmp_path)
+        journal = RunJournal(path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [journal.emit("sample") for _ in range(200)]
+                )
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            journal.close()
+        assert len(path.read_text().splitlines()) == 1600
+        assert sorted(r["seq"] for r in read_journal(path)) == list(range(1, 1601))
 
     def test_memory_only_journal_keeps_records(self):
         journal = RunJournal()

@@ -340,6 +340,27 @@ class TestGcMaxBytes:
             raise AssertionError("mixed gc policies must be rejected")
 
 
+class TestSizingReadsNoLog:
+    def test_stats_and_eviction_stat_their_entries(self, tmp_path, opens):
+        """How many bytes, how old: the questions ``stats`` (every ``repro
+        top`` tick) and eviction (every query under ``--max-cache-bytes``)
+        ask are answered from ``stat`` — no result log is opened, let
+        alone parsed."""
+        old = seed_complete_run(tmp_path, salt=0, pad_bytes=4096)
+        new = seed_complete_run(tmp_path, salt=1)
+        aged = os.path.getmtime(old.manifest_path) - 1000
+        os.utime(old.manifest_path, (aged, aged))
+        opens.clear()
+        cache = ArtifactCache(tmp_path, max_bytes=4096)
+        stats = cache.stats()
+        assert stats["entries"] == 2 and stats["bytes_total"] > 4096
+        assert cache.bytes_total() == stats["bytes_total"]
+        assert cache.ensure_budget() == [old.run_dir.name]
+        report = gc_checkpoint_dir(tmp_path, max_bytes=0, dry_run=True)
+        assert report.removed == [new.run_dir.name]
+        assert not any(path.endswith("results.log") for path in opens), opens
+
+
 class TestDiskBudgetRelease:
     """Evictions and quarantines must return their bytes to an attached
     disk budget — the serve tier's admission headroom comes back when

@@ -2,10 +2,11 @@
 
 import multiprocessing
 import threading
-import time
+from types import SimpleNamespace
 
 import pytest
 
+import repro.serve.pool
 from repro.serve import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -26,6 +27,24 @@ class _Recorder:
 
     def emit(self, event_type, **fields):
         self.events.append((event_type, fields))
+
+
+class _Clock:
+    now = 1000.0
+
+    def advance(self, seconds):
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The breaker's ``time.monotonic``, advanced by hand: cooldowns and
+    windows elapse when the test says so, however fast the host is."""
+    clock = _Clock()
+    monkeypatch.setattr(
+        repro.serve.pool, "time", SimpleNamespace(monotonic=lambda: clock.now)
+    )
+    return clock
 
 
 def trip(provider, failures=1):
@@ -150,7 +169,7 @@ class TestBreaker:
         finally:
             provider.close()
 
-    def test_half_open_probe_success_closes(self):
+    def test_half_open_probe_success_closes(self, clock):
         provider = SharedPoolProvider(
             2, breaker_threshold=1, breaker_window_s=30.0,
             breaker_cooldown_s=0.2,
@@ -158,7 +177,7 @@ class TestBreaker:
         try:
             trip(provider)
             assert not provider.admit()
-            time.sleep(0.25)
+            clock.advance(0.25)
             assert provider.admit()  # the probe
             assert provider.breaker_stats()["state"] == BREAKER_HALF_OPEN
             assert not provider.admit()  # one probe per cooldown window
@@ -170,14 +189,14 @@ class TestBreaker:
         finally:
             provider.close()
 
-    def test_half_open_probe_failure_reopens(self):
+    def test_half_open_probe_failure_reopens(self, clock):
         provider = SharedPoolProvider(
             2, breaker_threshold=1, breaker_window_s=30.0,
             breaker_cooldown_s=0.2,
         )
         try:
             trip(provider)
-            time.sleep(0.25)
+            clock.advance(0.25)
             assert provider.admit()
             assert provider.breaker_stats()["state"] == BREAKER_HALF_OPEN
             trip(provider)  # the probe's pool died
@@ -188,7 +207,7 @@ class TestBreaker:
         finally:
             provider.close()
 
-    def test_vanished_probe_cannot_wedge_the_breaker(self):
+    def test_vanished_probe_cannot_wedge_the_breaker(self, clock):
         # A probe that never reports (client gone, crash before either
         # report path) must not leave the breaker half-open forever: the
         # next cooldown window simply claims a fresh probe.
@@ -198,17 +217,17 @@ class TestBreaker:
         )
         try:
             trip(provider)
-            time.sleep(0.25)
+            clock.advance(0.25)
             assert provider.admit()  # probe #1 — vanishes, never reports
             assert not provider.admit()
-            time.sleep(0.25)
+            clock.advance(0.25)
             assert provider.admit()  # probe #2
             provider.report_success()
             assert provider.breaker_stats()["state"] == BREAKER_CLOSED
         finally:
             provider.close()
 
-    def test_failures_age_out_of_the_window(self):
+    def test_failures_age_out_of_the_window(self, clock):
         provider = SharedPoolProvider(
             2, breaker_threshold=3, breaker_window_s=0.2,
             breaker_cooldown_s=60.0,
@@ -216,7 +235,7 @@ class TestBreaker:
         try:
             trip(provider, failures=2)
             assert provider.breaker_stats()["failures_in_window"] == 2
-            time.sleep(0.25)
+            clock.advance(0.25)
             assert provider.breaker_stats()["failures_in_window"] == 0
             # Old failures cannot conspire with new ones across windows.
             trip(provider, failures=2)

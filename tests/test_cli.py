@@ -483,6 +483,123 @@ class TestCheckpointCLI:
         assert len(report["removed"]) == 1
 
 
+def _engine(**options):
+    from repro.parallel import ProcessPBSM
+
+    return ProcessPBSM(2, **options)
+
+
+def _join(**options):
+    from repro.core.predicates import intersects
+    from repro.parallel import parallel_join
+
+    return parallel_join([], [], intersects, **options)
+
+
+def _plan(name):
+    from repro.faults import load_plan
+
+    return load_plan(name, seed=3)
+
+
+def _spec(**fields):
+    from repro.serve import QuerySpec
+
+    return QuerySpec(**fields)
+
+
+def _gc(**policy):
+    from repro.checkpoint import gc_checkpoint_dir
+
+    return gc_checkpoint_dir(".", **policy)
+
+
+SMALL = ["--scale", "0.001"]
+REFUSED = [
+    # (argv, the flag stderr must name, the library call that owns the
+    #  refusal — None where the refusal is about the shell and stays here)
+    (["parallel", "--resume", *SMALL], "--checkpoint-dir",
+     lambda: _engine().resume([], [], None)),
+    (["parallel", "--backend", "serial", "--checkpoint-dir", "x", *SMALL],
+     "--checkpoint-dir", lambda: _join(backend="serial", checkpoint_dir="x")),
+    (["parallel", "--backend", "simulated", "--resume", *SMALL], "--resume",
+     lambda: _join(backend="simulated", resume=True)),
+    (["parallel", "--backend", "serial", "--disk-budget", "1000", *SMALL],
+     "--disk-budget", lambda: _join(backend="serial", disk_budget=object())),
+    (["parallel", "--predicate", "contains"], "contains",
+     lambda: _spec(predicate="contains")),
+    (["parallel", "--backend", "serial", "--live"], "--live", None),
+    (["parallel", "--backend", "serial", "--out", "d"], "--out", None),
+    (["chaos", "--plan", "none", "--kill-coordinator-after", "3", *SMALL],
+     "--checkpoint-dir", lambda: _engine(kill_coordinator_after=3)),
+    (["chaos", "--plan", "coordinator_kill", "--seed", "3", *SMALL],
+     "--checkpoint-dir", lambda: _engine(fault_plan=_plan("coordinator_kill"))),
+    (["chaos", "--plan", "none", "--checkpoint-dir", "x",
+      "--kill-coordinator-after", "0", *SMALL], "--kill-coordinator-after",
+     lambda: _engine(checkpoint_dir="x", kill_coordinator_after=0)),
+    (["chaos", "--plan", "none", "--resume", *SMALL], "--checkpoint-dir",
+     lambda: _engine().resume([], [], None)),
+    (["chaos", "--plan", "hang", "--timeout", "5", "--hang-s", "1"],
+     "--hang-s", None),
+    (["chaos", "--plan", "thermonuclear"], "thermonuclear",
+     lambda: _plan("thermonuclear")),
+    (["checkpoints", "gc", "--dir", ".", "--max-bytes", "0", "--all"],
+     "--max-bytes", lambda: _gc(max_bytes=0, all_runs=True)),
+    (["query"], "--port", None),
+    (["top"], "--port", None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, library", REFUSED, ids=[" ".join(r[0]) for r in REFUSED]
+)
+def test_a_refused_flag_combination_is_a_usage_error(
+    capsys, argv, flag, library
+):
+    """Exit 2, nothing on stdout, the flag named on stderr — and where the
+    code the flag acts on owns the refusal, an API caller is refused too."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]}: ") and flag in captured.err
+    if library is not None:
+        with pytest.raises(ValueError):
+            library()
+
+
+def test_one_kill_and_resume_behind_the_cli_and_the_server(capsys, tmp_path):
+    """``chaos --kill-coordinator-after`` and the server's drill recover a
+    soft kill through the same helper: both return an unkilled run's
+    answer, part of it adopted from what the dead coordinator committed."""
+    from repro.obs import read_journal
+    from repro.serve import JoinServer, ServeClient
+
+    run = ["--scale", "0.001", "--workers", "2", "--json"]
+    assert main(["parallel", *run]) == 0
+    unkilled = json.loads(capsys.readouterr().out)
+
+    assert main(["chaos", "--plan", "none", *run, "--checkpoint-dir",
+                 str(tmp_path / "ckpt"), "--kill-coordinator-after", "6"]) == 0
+    chaos = json.loads(capsys.readouterr().out)
+    assert chaos["survived"] and chaos["coordinator_killed_at"] == 6
+    assert chaos["result_count"] == unkilled["result_count"]
+    assert len(chaos["resumed_pairs"]) > 0
+
+    server = JoinServer(tmp_path / "cache", tmp_path / "out", workers=2,
+                        kill_coordinator_after=6)
+    host, port = server.start()
+    try:
+        with ServeClient(host, port) as client:
+            served = client.join(dataset="road_hydro", scale=0.001, workers=2)
+    finally:
+        server.shutdown()
+    assert served["drill"] == {"killed_at_ordinal": 6, "resumed": True}
+    assert served["result_sha256"] == unkilled["result_digest"]
+    replayed = [r for r in read_journal(Path(served["journal"]) / "journal.jsonl")
+                if r["type"] == "task_replayed"]
+    assert len(replayed) > 0
+
+
 def write_serve_journal(root, latencies):
     """A minimal serve root: one query_received/query_done per latency."""
     root.mkdir(parents=True, exist_ok=True)
