@@ -109,6 +109,7 @@ def phase_2_budgets(out: Path, peak: int, baseline: str) -> None:
             assert pressure, f"no disk_pressure events at {fraction:g}x"
         print(f"  {fraction:g}x ({cap} bytes): digest identical, "
               f"{snap['denials']} denial(s), "
+              f"{len(result.degraded_pairs)} degraded pair(s), "
               f"{len(pressure)} pressure episode(s), 0 duplicates")
 
 

@@ -60,7 +60,6 @@ import os
 import shutil
 import tempfile
 import time
-from pathlib import Path
 from collections import Counter as TallyCounter
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -79,7 +78,7 @@ from ..checkpoint.manifest import (
     RunFingerprint,
 )
 from ..checkpoint.store import CheckpointMismatchError, CheckpointStore
-from ..core.partition import SpatialPartitioner
+from ..core.partition import RoutedSlots, SpatialPartitioner
 from ..core.pbsm import PBSMConfig
 from ..core.refine import merge_sorted_unique
 from ..core.predicates import Predicate
@@ -117,10 +116,11 @@ from ..obs.metrics import LATENCY_BUCKETS_S, NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import DiskFullError, ManifestCorruptionError
 from ..storage.pressure import DiskBudget
-from ..storage.spill import TMP_SUFFIX
+from ..storage.spill import sweep_orphan_spills
 from ..storage.tuples import SpatialTuple
 from .engine import NodeReport, ParallelJoinResult, TaskReport
 from .tasks import (
+    DEFAULT_TASK_MEMORY,
     InputSide,
     PairTask,
     PairTaskResult,
@@ -137,9 +137,6 @@ from .tasks import (
 SideSpills = List[Union[PartitionSpill, SpillHandle]]
 """One side's per-partition spills: freshly written or checkpoint-adopted."""
 
-DEFAULT_TASK_MEMORY = 8 * 1024 * 1024
-"""Per-task merge memory budget (drives §3.5 recursion, when enabled)."""
-
 DEFAULT_TASKS_PER_WORKER = 4
 """Partition count multiplier: more pairs than workers, so LPT ordering
 and queue-based stealing have room to balance skewed pairs."""
@@ -155,7 +152,7 @@ RETRY_BACKOFF_S = 0.05
 """Base of the exponential backoff between retries of one pair."""
 
 PARTITION_WRITE_RETRIES = 3
-"""Bounded rewrites of one side's spill pass on a write error."""
+"""Bounded rewrites of one partition's spill on a write error."""
 
 _POLL_S = 0.25
 """Executor wait slice when task deadlines are armed."""
@@ -227,6 +224,34 @@ class RunPoolProvider:
         pool.shutdown(wait=True)
 
 
+class RunRouting:
+    """Where one run's tuples go: ``routing["r"]`` / ``routing["s"]`` is
+    that side's :meth:`~repro.core.partition.SpatialPartitioner.route_all`
+    — one :class:`~repro.core.partition.RoutedSlots` per partition —
+    computed on first use and read by everything that places tuples: the
+    spill pass and its rewrites, the serial rebuild of a pair, the spill
+    footprint.  The paper scans each input once (§3.1); so does a run.  (A
+    resumed run that adopts both sides and rebuilds nothing never routes.)
+    """
+
+    def __init__(
+        self, partitioner: SpatialPartitioner, side_r: InputSide, side_s: InputSide
+    ):
+        self._partitioner = partitioner
+        self.sides = {"r": side_r, "s": side_s}
+        self._routed: Dict[str, List[RoutedSlots]] = {}
+
+    def __getitem__(self, side: str) -> List[RoutedSlots]:
+        if side not in self._routed:
+            self._routed[side] = self._partitioner.route_all(self.sides[side].mbrs)
+        return self._routed[side]
+
+    def placed(self, side: str) -> int:
+        """Tuples placed, each once per partition it reaches: the
+        numerator of ``storage_factor``, whichever path ran the join."""
+        return sum(len(routed.tuple_ordinals) for routed in self[side])
+
+
 class ProcessPBSM:
     """PBSM executed across real worker processes, surviving their faults."""
 
@@ -236,7 +261,6 @@ class ProcessPBSM:
         *,
         num_partitions: Optional[int] = None,
         config: Optional[PBSMConfig] = None,
-        memory_bytes: int = DEFAULT_TASK_MEMORY,
         start_method: Optional[str] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -258,7 +282,6 @@ class ProcessPBSM:
         if num_partitions is not None and num_partitions < 1:
             raise ValueError("need at least one partition")
         self.num_partitions = num_partitions or workers * DEFAULT_TASKS_PER_WORKER
-        self.memory_bytes = memory_bytes
         self.start_method = start_method or os.environ.get(START_METHOD_ENV)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -411,14 +434,14 @@ class ProcessPBSM:
         early = self._start("process-serial", 0, side_r, side_s, resuming=False)
         if early is not None:
             return early
+        routing = self._routing(side_r, side_s)
         outcomes = self._rebuild_pairs(
             dict.fromkeys(range(self.num_partitions), "breaker_shed"),
-            side_r, side_s, self._partitioner(side_r, side_s), predicate,
+            side_r, side_s, routing, predicate,
         )
         return self._finish(
             "process-serial", outcomes, side_r, side_s,
-            placed_r=sum(o.count_r for o in outcomes),
-            placed_s=sum(o.count_s for o in outcomes),
+            placed_r=routing.placed("r"), placed_s=routing.placed("s"),
         )
 
     # ------------------------------------------------------------------ #
@@ -643,13 +666,13 @@ class ProcessPBSM:
             injector = WriteErrorInjector(self.fault_plan, journal=self.journal)
             fresh_sides: Set[str] = set()
             with self.tracer.span("process.partition"):
-                partitioner = self._partitioner(side_r, side_s)
+                routing = self._routing(side_r, side_s)
                 spills_r, placed_r = self._obtain_side(
-                    "r", side_r, partitioner, spill_root, injector,
+                    "r", side_r, routing, spill_root, injector,
                     store, fresh_sides,
                 )
                 spills_s, placed_s = self._obtain_side(
-                    "s", side_s, partitioner, spill_root, injector,
+                    "s", side_s, routing, spill_root, injector,
                     store, fresh_sides,
                 )
             if self.fault_plan and self.fault_plan.torn_frames and fresh_sides:
@@ -703,7 +726,7 @@ class ProcessPBSM:
             )
             outcomes.extend(
                 self._rebuild_pairs(
-                    failed, side_r, side_s, partitioner, predicate,
+                    failed, side_r, side_s, routing, predicate,
                     on_result=on_result,
                 )
             )
@@ -784,7 +807,7 @@ class ProcessPBSM:
         self,
         side: str,
         columns: InputSide,
-        partitioner: SpatialPartitioner,
+        routing: RunRouting,
         spill_root: str,
         injector: WriteErrorInjector,
         store: Optional[CheckpointStore],
@@ -811,10 +834,11 @@ class ProcessPBSM:
                     )
                     return handles, int(seal["placed"])
                 self._count("spill_sides_rebuilt")
-        spills, placed = self._partition_side_resilient(
-            side, columns, partitioner, spill_root, injector,
+        spills = self._spill_side(
+            side, columns, routing[side], spill_root, injector,
             atomic=store is not None,
         )
+        placed = routing.placed(side)
         fresh_sides.add(side)
         self.journal.emit(
             EVENT_PARTITION_SEALED,
@@ -895,11 +919,15 @@ class ProcessPBSM:
     # partitioning + spilling
     # ------------------------------------------------------------------ #
 
-    def _partitioner(self, side_r: InputSide, side_s: InputSide) -> SpatialPartitioner:
-        """The run's partitioner, from both sides' MBR columns."""
-        return SpatialPartitioner.for_inputs(
-            side_r.mbrs, side_s.mbrs,
-            self.num_partitions, self.config.num_tiles, self.config.scheme,
+    def _routing(self, side_r: InputSide, side_s: InputSide) -> RunRouting:
+        """The run's routing, its partitioner made from both sides' MBR
+        columns."""
+        return RunRouting(
+            SpatialPartitioner.for_inputs(
+                side_r.mbrs, side_s.mbrs,
+                self.num_partitions, self.config.num_tiles, self.config.scheme,
+            ),
+            side_r, side_s,
         )
 
     def spill_footprint(
@@ -914,186 +942,135 @@ class ProcessPBSM:
         spills dominate by orders of magnitude."""
         if not tuples_r or not tuples_s:
             return 0
-        sides = InputSide(tuples_r), InputSide(tuples_s)
-        partitioner = self._partitioner(*sides)
+        routing = self._routing(InputSide(tuples_r), InputSide(tuples_s))
         return sum(
             spill_bytes(routed, side)
-            for side in sides
-            for routed in partitioner.route_all(side.mbrs)
+            for name, side in routing.sides.items()
+            for routed in routing[name]
         )
 
-    def _partition_side_resilient(
+    def _spill_side(
         self,
         side: str,
         columns: InputSide,
-        partitioner: SpatialPartitioner,
+        routed: List[RoutedSlots],
         spill_root: str,
         injector: WriteErrorInjector,
-        atomic: bool = False,
-    ) -> Tuple[List[PartitionSpill], int]:
-        """Spill one side, rewriting the whole pass on a disk write error.
-
-        Spill paths are deterministic and the writer truncates, so a retry
-        simply starts the side over; the injector is one-shot, so planned
-        write errors cannot starve the bounded retry loop."""
+        atomic: bool,
+    ) -> List[PartitionSpill]:
+        """Spill one input, replicated across the partitions it overlaps:
+        for each partition in turn, every tuple's two-layer ``(tile,
+        class)`` slots there — routed from the exact f64 MBR — as one
+        tagged key-pointer each, and the full tuple once.  A partition is
+        written whole (:meth:`_spill_partition`) before the next is
+        opened, so a failure costs the one being written; the side's files
+        are sealed together at the end, their fsyncs back to back (spaced
+        a partition's work apart they take longer, and less steadily)."""
         injector.arm_side(side, len(columns))
-        last: Optional[Exception] = None
-        for _ in range(PARTITION_WRITE_RETRIES + 1):
-            try:
-                return self._partition_side(
-                    side, columns, partitioner, spill_root, injector, atomic
-                )
-            except InjectedFaultError as exc:
-                last = exc
-                self._count("injected_write_errors")
-                self._count("partition_retries")
-        assert last is not None
-        raise last
-
-    def _partition_side(
-        self,
-        side: str,
-        columns: InputSide,
-        partitioner: SpatialPartitioner,
-        spill_root: str,
-        injector: WriteErrorInjector,
-        atomic: bool = False,
-    ) -> Tuple[List[PartitionSpill], int]:
-        """Spill one input, replicated across the partitions it overlaps.
-
-        The side is dealt a window of tuples at a time
-        (:meth:`~repro.parallel.tasks.InputSide.dealt`): each window is
-        routed at once — every tuple's two-layer ``(tile, class)`` slots,
-        computed from the exact f64 MBR, grouped by the partition their
-        tiles hash to — and every receiving partition gets one tagged
-        key-pointer per slot and the full tuple once, so no more than a
-        block per partition is ever buffered.  With ``atomic=True``
-        (checkpointed runs) each spill stages through ``*.tmp`` and only
-        reaches its final name sealed, so a resume can trust any spill
-        file that exists under the run directory.
-
-        A spill write denied by the disk budget triggers one reclaim-and-
-        rewrite of that partition (stale orphans swept, finished sibling
-        checkpoint runs collected, the partition's spill rewritten whole);
-        a second denial *degrades* the partition — its spills are replaced
-        with sealed empty files so no task is built, and the coordinator
-        rebuilds the pair serially in memory after the merge phase.
-        Either way the run finishes exact."""
-        spills = [
-            PartitionSpill(
-                spill_root, side, p, atomic=atomic, budget=self._budget
-            )
-            for p in range(self.num_partitions)
-        ]
-        streaming = set(range(self.num_partitions)) - self._disk_degraded
+        spills: List[PartitionSpill] = []
         try:
-            for window, p, keypointers, records in columns.dealt(partitioner):
-                injector.check(side, window)
-                if p not in streaming:
-                    continue
-                try:
-                    spills[p].extend(keypointers, records)
-                except DiskFullError:
-                    # Settled one way or the other — rewritten whole and
-                    # sealed, or degraded — so it leaves the stream.
-                    streaming.discard(p)
-                    if not self._recover_spill_pressure(
-                        side, p, spills, spill_root, atomic,
-                        columns, partitioner,
-                    ):
-                        self._disk_degraded.add(p)
+            for p, slots in enumerate(routed):
+                spills.append(
+                    self._spill_partition(
+                        side, p, columns, slots, spill_root, injector, atomic,
+                        spills,
+                    )
+                )
             for spill in spills:
                 spill.close()
         except BaseException:
-            # Abort, not remove: discard in-progress temp files *and* any
-            # sealed output, leaving no spill litter on the failure path.
+            # Abort, not remove: discard the output, sealed or not, of
+            # the partitions before the one that failed (which aborted
+            # its own), leaving no spill litter on the failure path.
             for spill in spills:
                 spill.abort()
             raise
         skew = self.metrics.histogram(f"parallel.partition.keypointers_{side}")
         for spill in spills:
             skew.observe(spill.count)
-        return spills, sum(spill.tuples for spill in spills)
+        return spills
 
-    def _recover_spill_pressure(
+    def _spill_partition(
         self,
         side: str,
         p: int,
-        spills: List[PartitionSpill],
-        spill_root: str,
-        atomic: bool,
         columns: InputSide,
-        partitioner: SpatialPartitioner,
-    ) -> bool:
-        """One reclaim-and-rewrite attempt for a budget-denied partition.
+        routed: RoutedSlots,
+        spill_root: str,
+        injector: WriteErrorInjector,
+        atomic: bool,
+        written: List[PartitionSpill],
+    ) -> PartitionSpill:
+        """Write partition ``p``'s two spill files, a block at a time
+        (:meth:`~repro.parallel.tasks.InputSide.blocks`), and retry *here*
+        when a write fails — the one place a failed spill write is
+        recovered; the writer comes back complete but unsealed, after
+        those in ``written``.  With ``atomic=True`` (checkpointed runs)
+        the files stage through ``*.tmp`` and only reach their final names
+        sealed, so a resume can trust any spill file that exists under the
+        run directory.  Whatever fails, the partial files are aborted — and
+        their budget charge released — before anything else happens.
 
-        Returns True when the partition's spill was rewritten in full —
-        its share of the spill pass dealt again — and sealed; False means
-        the partition was degraded: its spills are now sealed empty files,
-        so no task is built and the pair is rebuilt serially instead.
-        """
-        budget = self._budget
-        self._count("disk_pressure")
-        self.journal.emit(
-            EVENT_DISK_PRESSURE, category="spill", side=side, partition=p
-        )
-        # Reclaim, cheapest first: the partition's own partial spill (its
-        # frames are being rewritten anyway), stale orphan temp files,
-        # and — when checkpointing — completed sibling runs.
-        spills[p].abort()
-        self._sweep_stale_orphans(spill_root, spills)
-        if self._active_store is not None:
-            self._active_store.reclaim_completed_siblings()
-        spills[p] = PartitionSpill(
-            spill_root, side, p, atomic=atomic, budget=budget
-        )
-        try:
-            for _window, _p, keypointers, records in columns.dealt(
-                partitioner, only=p
-            ):
-                spills[p].extend(keypointers, records)
-            spills[p].close()
-        except DiskFullError:
-            spills[p].abort()
-            empty = PartitionSpill(spill_root, side, p, atomic=atomic)
-            empty.close()
-            spills[p] = empty
-            self._count("disk_degraded")
-            return False
-        self._count("disk_full_recovered")
-        self.journal.emit(
-            EVENT_DISK_FULL_RECOVERED,
-            category="spill", side=side, partition=p, action="sweep_retry",
-        )
-        return True
+        * A write error (the plan's; the injector is one-shot, so it
+          cannot starve the loop) → rewrite the partition, at most
+          :data:`PARTITION_WRITE_RETRIES` times.
+        * A write the disk budget denies → reclaim, cheapest first (the
+          partial files; stale orphan temp files, the partitions already
+          ``written`` sealed first so that none of them is this run's;
+          and — when checkpointing — completed sibling runs), and rewrite
+          **once**.
+        * A second denial → the partition is *degraded*: its spill is a
+          sealed empty file, so no task is built, and the coordinator
+          rebuilds the pair serially in memory after the merge phase (as
+          it does for the other side of a partition already degraded).
 
-    def _sweep_stale_orphans(
-        self, spill_root: str, spills: List[PartitionSpill]
-    ) -> int:
-        """Delete orphan ``*.tmp`` files that are not a live writer's
-        staging file, crediting their bytes back to the budget — the
-        budget models the spill directory's footprint, so any file freed
-        is headroom regained.  Returns bytes freed."""
-        live = set()
-        for spill in spills:
-            live.add(spill.kp_path + TMP_SUFFIX)
-            live.add(spill.tuple_path + TMP_SUFFIX)
-        root = Path(spill_root)
-        freed = 0
-        if not root.is_dir():
-            return 0
-        for path in sorted(root.rglob("*" + TMP_SUFFIX)):
-            if str(path) in live:
-                continue
+        Every way the run finishes exact."""
+        write_errors, denied = 0, False
+        while p not in self._disk_degraded:
+            spill = PartitionSpill(
+                spill_root, side, p, atomic=atomic, budget=self._budget
+            )
             try:
-                size = path.stat().st_size
-                os.unlink(path)
-            except OSError:
-                continue
-            freed += size
-        if freed and self._budget is not None:
-            self._budget.release(freed, "spill")
-        return freed
+                for window, keypointers, records in columns.blocks(routed):
+                    injector.check(side, window)
+                    spill.extend(keypointers, records)
+            except InjectedFaultError:
+                spill.abort()
+                write_errors += 1
+                self._count("injected_write_errors")
+                self._count("partition_retries")
+                if write_errors > PARTITION_WRITE_RETRIES:
+                    raise
+            except DiskFullError:
+                spill.abort()
+                if denied:
+                    self._count("disk_degraded")
+                    self._disk_degraded.add(p)
+                    break
+                denied = True
+                self._count("disk_pressure")
+                self.journal.emit(
+                    EVENT_DISK_PRESSURE, category="spill", side=side, partition=p
+                )
+                for earlier in written:
+                    earlier.close()
+                sweep_orphan_spills(spill_root, self._budget)
+                if self._active_store is not None:
+                    self._active_store.reclaim_completed_siblings()
+            except BaseException:
+                spill.abort()
+                raise
+            else:
+                if denied:
+                    self._count("disk_full_recovered")
+                    self.journal.emit(
+                        EVENT_DISK_FULL_RECOVERED, category="spill",
+                        side=side, partition=p, action="sweep_retry",
+                    )
+                return spill
+        empty = PartitionSpill(spill_root, side, p, atomic=atomic)
+        empty.close()
+        return empty
 
     def _apply_torn_frames(
         self,
@@ -1152,7 +1129,6 @@ class ProcessPBSM:
                 tuples_s_path=spill_s.tuple_path,
                 count_r=spill_r.count,
                 count_s=spill_s.count,
-                memory_bytes=self.memory_bytes,
                 config=self.config,
                 predicate=predicate,
                 observe=observe,
@@ -1490,7 +1466,7 @@ class ProcessPBSM:
         reasons: Dict[int, str],
         side_r: InputSide,
         side_s: InputSide,
-        partitioner: SpatialPartitioner,
+        routing: RunRouting,
         predicate: Predicate,
         on_result: Optional[Callable[[PairTaskResult], None]] = None,
     ) -> List[PairTaskResult]:
@@ -1512,8 +1488,7 @@ class ProcessPBSM:
         """
         if not reasons:
             return []
-        routed_r = partitioner.route_all(side_r.mbrs)
-        routed_s = partitioner.route_all(side_s.mbrs)
+        routed_r, routed_s = routing["r"], routing["s"]
         results: List[PairTaskResult] = []
         for index in sorted(reasons):
             if self._deadline_expired():
@@ -1530,7 +1505,7 @@ class ProcessPBSM:
                 span.tag("degraded", True)
                 span.tag("reason", reason)
                 candidates = sweep_pair(
-                    part_r, part_s, self.memory_bytes, self.config,
+                    part_r, part_s, DEFAULT_TASK_MEMORY, self.config,
                     label=f"degraded.{index}",
                     tracer=self.tracer, metrics=self.metrics,
                 )

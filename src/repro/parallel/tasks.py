@@ -73,7 +73,6 @@ from ..core.keypointer import conservative_f32
 from ..core.partition import (
     ALLOWED_COMBO_TABLE,
     RoutedSlots,
-    SpatialPartitioner,
     mbr_array,
 )
 from ..core.pbsm import PBSMConfig
@@ -99,8 +98,12 @@ from ..storage.tuples import (
     serialize_tuple,
 )
 
+DEFAULT_TASK_MEMORY = 8 * 1024 * 1024
+"""What callers hand :func:`sweep_pair` as ``memory_bytes``: the array
+join has nothing to overflow, so no caller has another value to give."""
+
 SPILL_BLOCK_RECORDS = 4096
-"""Tuples per window of the spill pass, hence the most a block holds: a
+"""Input ordinals per window, hence the most tuples a block holds: a
 partition's share of one window is one frame in each of its files.  Large
 enough that framing, CRC and the budget charge are paid per block rather
 than per record; small enough that a window's serialised tuples are a few
@@ -255,24 +258,25 @@ class InputSide(tuple):
         fids, payload = self.fids[ordinals].tolist(), self.payload
         return [(fid, payload[a:b]) for fid, a, b in zip(fids, starts, ends)]
 
-    def dealt(
-        self, partitioner: SpatialPartitioner, only: Optional[int] = None
-    ) -> Iterator[Tuple[range, int, np.ndarray, List[TupleRecord]]]:
-        """The spill pass: ``(window, partition, key-pointers, tuple
-        records)`` for every partition (or ``only`` one) that places
-        tuples of each window of :data:`SPILL_BLOCK_RECORDS` input
-        ordinals.  A partition's records, window after window, are its
-        records in input order."""
-        for start in range(0, len(self), SPILL_BLOCK_RECORDS):
-            stop = min(start + SPILL_BLOCK_RECORDS, len(self))
-            routed_window = partitioner.route_all(self.mbrs[start:stop])
-            for p, routed in enumerate(routed_window):
-                if only in (None, p) and len(routed.ordinal):
-                    routed = routed._replace(ordinal=routed.ordinal + start)
-                    yield (
-                        range(start, stop), p, self.keypointers(routed),
-                        self.records(routed.tuple_ordinals),
-                    )
+    def blocks(
+        self, routed: RoutedSlots
+    ) -> Iterator[Tuple[range, np.ndarray, List[TupleRecord]]]:
+        """One partition's spill, a block at a time: ``(window,
+        key-pointers, tuple records)`` for every window of
+        :data:`SPILL_BLOCK_RECORDS` input ordinals the partition places
+        tuples of — its ``routed`` slots cut where ``ordinal //
+        SPILL_BLOCK_RECORDS`` changes, which is what :func:`spill_bytes`
+        counts.  Block after block, the records are the partition's in
+        input order."""
+        window = routed.ordinal // SPILL_BLOCK_RECORDS
+        cuts = np.flatnonzero(np.diff(window, prepend=-1, append=-1)).tolist()
+        for start, stop in zip(cuts, cuts[1:]):
+            block = RoutedSlots(*(column[start:stop] for column in routed))
+            first = int(window[start]) * SPILL_BLOCK_RECORDS
+            yield (
+                range(first, min(first + SPILL_BLOCK_RECORDS, len(self))),
+                self.keypointers(block), self.records(block.tuple_ordinals),
+            )
 
 
 def pack_tuple_block(records: Sequence[TupleRecord]) -> bytes:
@@ -578,7 +582,6 @@ class PairTask:
     tuples_s_path: str
     count_r: int
     count_s: int
-    memory_bytes: int
     config: PBSMConfig
     predicate: Predicate
     observe: bool = False
@@ -845,7 +848,7 @@ def _run_pair_task(task: PairTask) -> PairTaskResult:
             kps_r = read_keypointer_spill(task.kp_r_path)
             kps_s = read_keypointer_spill(task.kp_s_path)
             candidates = sweep_pair(
-                kps_r, kps_s, task.memory_bytes, task.config,
+                kps_r, kps_s, DEFAULT_TASK_MEMORY, task.config,
                 label=str(task.index), tracer=tracer, metrics=metrics,
             )
 

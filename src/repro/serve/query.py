@@ -81,6 +81,9 @@ class QuerySpec:
     num_partitions: int = 0
     """0 means the process backend's default (workers x tasks/worker)."""
     memory_bytes: int = DEFAULT_TASK_MEMORY
+    """Kept on the wire and validated, but it no longer reaches the
+    engine: the filter step's array join has nothing to overflow
+    (:func:`~repro.parallel.tasks.sweep_pair`)."""
     include_pairs: bool = False
     """Ship the full result pair list back (costly; off by default —
     responses always carry the count and a SHA-256 of the sorted pairs)."""

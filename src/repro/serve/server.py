@@ -661,7 +661,6 @@ class JoinServer:
         engine = ProcessPBSM(
             spec.workers,
             num_partitions=spec.partitions,
-            memory_bytes=spec.memory_bytes,
             journal=journal,
             metrics=self.metrics,
             deadline_s=spec.deadline_s,
@@ -673,7 +672,6 @@ class JoinServer:
         return ProcessPBSM(
             spec.workers,
             num_partitions=spec.partitions,
-            memory_bytes=spec.memory_bytes,
             start_method=self.start_method,
             journal=journal,
             metrics=self.metrics,

@@ -166,12 +166,15 @@ def write_spill(path: "Path | str", records: Iterable[bytes]) -> int:
         return writer.count
 
 
-def sweep_orphan_spills(directory: "Path | str") -> List[str]:
+def sweep_orphan_spills(directory: "Path | str", budget=None) -> List[str]:
     """Delete every unsealed ``*.tmp`` file under ``directory``.
 
     Atomic writers that died before their rename leave these behind; the
     coordinator calls this on its failure paths (and before a resume) so
-    an abandoned partitioning pass cannot leak its frames forever.
+    an abandoned partitioning pass cannot leak its frames forever, and
+    under disk pressure (its own writers sealed or aborted first) with its
+    ``budget``, which is credited the bytes freed: it models the
+    directory's footprint, so any file gone is headroom regained.
     Returns the paths removed.
     """
     directory = Path(directory)
@@ -180,10 +183,13 @@ def sweep_orphan_spills(directory: "Path | str") -> List[str]:
         return removed
     for path in sorted(directory.rglob(f"*{TMP_SUFFIX}")):
         try:
+            size = path.stat().st_size
             os.unlink(path)
         except FileNotFoundError:
             continue
         removed.append(str(path))
+        if budget is not None:
+            budget.release(size, "spill")
     return removed
 
 

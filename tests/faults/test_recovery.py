@@ -14,7 +14,9 @@ import pytest
 from repro import intersects
 from repro.__main__ import main
 from repro.data import generate_hydrography, generate_roads
-from repro.faults import FaultPlan, FaultSpec, TornFrame, WorkerFaults, tear_frame
+from repro.faults import (
+    FaultPlan, FaultSpec, TornFrame, WorkerFaults, WriteError, tear_frame,
+)
 from repro.parallel import (
     ProcessPBSM,
     WorkerTaskError,
@@ -22,6 +24,7 @@ from repro.parallel import (
     serial_feature_pairs,
     tasks,
 )
+from repro.storage import DiskBudget
 
 SCALE = 0.001
 
@@ -60,6 +63,38 @@ class TestRetryExhaustion:
         assert summary["retry_exhausted"] == 1
         assert summary["degraded"] == 1
         assert result.tasks[0].degraded is True
+
+
+class TestSpillWriteError:
+    def test_a_write_error_rewrites_the_partition_it_hit(
+        self, workload, monkeypatch
+    ):
+        """... not the side: what the run charges beyond its footprint is
+        at most that partition's two files."""
+        monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", 16)
+        tuples_r, tuples_s, expected = workload
+        ordinal = len(tuples_r) - 1  # the side's last window: all but written
+        plan = FaultPlan(
+            seed=0, num_pairs=4, spec=FaultSpec(disk_write_errors=1),
+            write_errors=(WriteError(side="r", ordinal=ordinal),),
+        )
+        budget = DiskBudget()  # no ceiling: meters every byte charged
+        engine = ProcessPBSM(
+            2, num_partitions=4, fault_plan=plan, disk_budget=budget
+        )
+        result = engine.run(tuples_r, tuples_s, intersects)
+        assert result.pairs == expected
+        assert result.fault_summary == {
+            "injected_write_errors": 1, "partition_retries": 1,
+        }
+        side_r, side_s = tasks.InputSide(tuples_r), tasks.InputSide(tuples_s)
+        hit = next(  # the first partition with a block in that window
+            routed for routed in engine._routing(side_r, side_s)["r"]
+            if ordinal // 16 in routed.ordinal // 16
+        )
+        assert 0 < budget.charged_clock["spill"] - engine.spill_footprint(
+            tuples_r, tuples_s
+        ) <= tasks.spill_bytes(hit, side_r)
 
 
 class TestQuarantine:

@@ -17,6 +17,7 @@ import multiprocessing
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from repro.core.partition import SpatialPartitioner
 from repro.core.pbsm import PBSMConfig
 from repro.data import generate_hydrography, generate_roads
 from repro.faults import tear_frame
-from repro.parallel import WorkerTaskError
+from repro.parallel import ProcessPBSM, WorkerTaskError
 from repro.parallel import tasks
 from repro.parallel.process import DEFAULT_TASK_MEMORY, START_METHOD_ENV
 from repro.parallel.tasks import (
@@ -70,7 +71,7 @@ def sides():
 def spill_side(directory, name, partitioner, side):
     """Partition 0 of ``side``, spilled the way the coordinator does."""
     spill = PartitionSpill(str(directory), name, 0)
-    for _window, _p, keypointers, records in side.dealt(partitioner, only=0):
+    for _window, keypointers, records in side.blocks(partitioner.route_all(side.mbrs)[0]):
         spill.extend(keypointers, records)
     spill.close()
     return spill
@@ -86,8 +87,7 @@ def pair_task(tmp_path, sides):
         kp_r_path=spill_r.kp_path, kp_s_path=spill_s.kp_path,
         tuples_r_path=spill_r.tuple_path, tuples_s_path=spill_s.tuple_path,
         count_r=spill_r.count, count_s=spill_s.count,
-        memory_bytes=DEFAULT_TASK_MEMORY, config=PBSMConfig(),
-        predicate=intersects,
+        config=PBSMConfig(), predicate=intersects,
     )
 
 
@@ -106,6 +106,38 @@ class TestOneFormat:
         ):
             with open(one, "rb") as a, open(other, "rb") as b:
                 assert a.read() == b.read()
+
+    def test_engine_files_are_what_add_writes_a_window_at_a_time(
+        self, tmp_path, sides
+    ):
+        """The format pin, over many windows and four partitions: a block
+        is a partition's share of one window of ``BLOCK`` input ordinals,
+        and its bytes are the ones ``add`` makes of those tuples."""
+        _, side_r, side_s = sides
+        ProcessPBSM(2, num_partitions=4, checkpoint_dir=str(tmp_path / "run")).run(
+            side_r, side_s, intersects
+        )
+        partitioner = SpatialPartitioner.for_inputs(
+            side_r.mbrs, side_s.mbrs, 4, PBSMConfig().num_tiles
+        )
+        for name, side in (("r", side_r), ("s", side_s)):
+            spills = [PartitionSpill(str(tmp_path), name, p) for p in range(4)]
+            for ordinal, t in enumerate(side):
+                slots = partitioner.tile_assignments(t.mbr)
+                for p in {partitioner.partition_of_tile(tile) for tile, _ in slots}:
+                    spills[p].add(t, [
+                        slot for slot in slots
+                        if partitioner.partition_of_tile(slot[0]) == p
+                    ])
+                if (ordinal + 1) % BLOCK == 0:  # the window ends: cut here
+                    for spill in spills:
+                        if spill._added:
+                            spill._extend_added()
+            for spill in spills:
+                spill.close()
+                for path in map(Path, (spill.kp_path, spill.tuple_path)):
+                    (written,) = (tmp_path / "run").rglob(path.name)
+                    assert written.read_bytes() == path.read_bytes() != b""
 
     def test_keypointer_records_are_the_scalar_codecs_bytes(
         self, tmp_path, sides
@@ -257,7 +289,7 @@ class TestIntegrity:
         candidates = sweep_pair(
             read_keypointer_spill(pair_task.kp_r_path),
             read_keypointer_spill(pair_task.kp_s_path),
-            pair_task.memory_bytes, pair_task.config, label="0",
+            DEFAULT_TASK_MEMORY, pair_task.config, label="0",
         )
         referenced = {fid_r for fid_r, _fid_s in candidates}
         blocks = read_spill_all(pair_task.tuples_r_path)

@@ -139,8 +139,8 @@ class TestSerialisedOnce:
         assert spec.fingerprint(side_r, side_s).run_id == GOLDEN_RUN_ID
         engine = ProcessPBSM(2, num_partitions=PARTITIONS)
         footprint = engine.spill_footprint(side_r, side_s)
-        # Starved of disk, the engine rewrites denied partitions whole
-        # (``dealt(only=p)``) — from the stored form, not from the tuples.
+        # Starved of disk, the engine rewrites denied partitions whole —
+        # from the stored form, not from the tuples.
         starved = ProcessPBSM(
             2, num_partitions=PARTITIONS, disk_budget=DiskBudget(footprint // 2)
         ).run(side_r, side_s, intersects)

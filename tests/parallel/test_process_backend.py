@@ -84,14 +84,14 @@ class TestCrossBackendEquivalence:
         )
         assert result.pairs == expected
 
-    @pytest.mark.parametrize("flags, engine", [
-        ({"use_interval_tree": True}, {}),
-        # A few hundred bytes of task memory: every tile group of every
+    @pytest.mark.parametrize("flags", [
+        {"use_interval_tree": True},
+        # A few hundred bytes of merge memory: every tile group of every
         # pair would overflow and repartition, if a worker had groups.
-        ({"handle_partition_skew": True}, {"memory_bytes": 256}),
+        {"handle_partition_skew": True, "memory_bytes": 256},
     ], ids=["interval_tree", "partition_skew"])
     def test_sweep_variant_flags_change_nothing_a_worker_emits(
-        self, workload, flags, engine
+        self, workload, flags
     ):
         """The footnote-1 and §3.5 variants are single-node PBSM's: a
         worker's filter step is one array join whatever the config says."""
@@ -99,7 +99,7 @@ class TestCrossBackendEquivalence:
 
         tuples_r, tuples_s, expected = workload
         default = ProcessPBSM(2).run(tuples_r, tuples_s, intersects)
-        flagged = ProcessPBSM(2, config=PBSMConfig(**flags), **engine).run(
+        flagged = ProcessPBSM(2, config=PBSMConfig(**flags)).run(
             tuples_r, tuples_s, intersects
         )
         assert result_digest(flagged.pairs) == result_digest(default.pairs)

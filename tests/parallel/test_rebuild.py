@@ -4,8 +4,8 @@
   the geometry) returns exactly what the pooled task for that pair
   returned, refining from the sides' own stored records in the form the
   worker's refine took;
-* a shed ``run_serial`` routes each input side once, not once per
-  partition;
+* a run routes each input side once — a shed ``run_serial``, and a pool
+  run whose spill pass and rebuild of a degraded pair both place tuples;
 * ``spill_footprint`` is to the byte what an unconstrained run meters;
 * a run starved of disk, or denied one write, returns the same pairs.
 """
@@ -25,8 +25,8 @@ from repro.data import (
     generate_roads,
 )
 from repro.data.tiger import WISCONSIN
-from repro.faults import FaultPlan, FaultSpec
-from repro.obs import Tracer
+from repro.faults import FaultPlan, FaultSpec, WorkerFaults
+from repro.obs import RunJournal, Tracer
 from repro.parallel import ProcessPBSM, parallel_join
 from repro.parallel.tasks import InputSide
 from repro.storage import DiskBudget
@@ -104,7 +104,7 @@ def rebuilt_pairs(tuples_r, tuples_s, predicate, reason="breaker_shed"):
     side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
     rebuilt = engine._rebuild_pairs(
         dict.fromkeys(range(NUM_PAIRS), reason), side_r, side_s,
-        engine._partitioner(side_r, side_s), predicate,
+        engine._routing(side_r, side_s), predicate,
         on_result=committed.append,
     )
     columnar = [
@@ -164,8 +164,9 @@ class TestRebuildPairs:
             parallel_join(landuse, islands, intersects, backend="serial").pairs
         ) != []
 
-    def test_shed_run_routes_each_side_once(self, workload, monkeypatch):
-        tuples_r, tuples_s = workload
+    @pytest.fixture
+    def routed(self, monkeypatch):
+        """The length of every input ``route_all`` is called with."""
         calls = []
         route_all = SpatialPartitioner.route_all
 
@@ -174,13 +175,49 @@ class TestRebuildPairs:
             return route_all(self, mbrs)
 
         monkeypatch.setattr(SpatialPartitioner, "route_all", counting)
+        return calls
+
+    def test_shed_run_routes_each_side_once(self, workload, routed):
+        tuples_r, tuples_s = workload
         result = ProcessPBSM(2, num_partitions=NUM_PAIRS).run_serial(
             tuples_r, tuples_s, intersects
         )
-        assert calls == [len(tuples_r), len(tuples_s)]
+        assert routed == [len(tuples_r), len(tuples_s)]
         # A shed run tallies its rebuilt pairs like any other degraded pair.
         assert result.degraded_pairs == list(range(NUM_PAIRS))
         assert result.fault_summary == {"degraded": NUM_PAIRS}
+
+    def test_storage_factor_is_tuples_placed_on_every_path(self, workload):
+        """... over tuples read — not key-pointer slots, which a shed run
+        used to sum."""
+        engine = ProcessPBSM(2, num_partitions=NUM_PAIRS)
+        pool, shed = (
+            run(*workload, intersects) for run in (engine.run, engine.run_serial)
+        )
+        assert (pool.storage_factor_r, pool.storage_factor_s) == (
+            shed.storage_factor_r, shed.storage_factor_s
+        )
+        assert 1 < pool.storage_factor_r < pool.storage_factor_s
+
+    def test_pool_run_that_degrades_a_pair_routes_each_side_once(
+        self, workload, pooled, routed
+    ):
+        """The spill pass and the rebuild of the pair the pool gave up on
+        read one routing."""
+        tuples_r, tuples_s = workload
+        plan = FaultPlan(
+            seed=0, num_pairs=NUM_PAIRS, spec=FaultSpec(disk_read_errors=1),
+            worker_faults={3: WorkerFaults(read_error_attempts=(0,))},
+        )
+        result = ProcessPBSM(
+            2, num_partitions=NUM_PAIRS, fault_plan=plan, max_task_retries=0
+        ).run(tuples_r, tuples_s, intersects)
+        assert routed == [len(tuples_r), len(tuples_s)]
+        assert result.degraded_pairs == [3]
+        assert result.fault_summary["retry_exhausted"] == 1
+        assert result.pairs == sorted(
+            pair for task in pooled.values() for pair in task.pairs
+        )
 
 
 class TestSpillFootprint:
@@ -243,3 +280,63 @@ class TestDiskPressure:
             "disk_pressure": 1, "disk_full_recovered": 1,
             "injected_disk_full": 1,
         }
+
+    def test_a_denial_after_the_first_partition_spares_the_ones_written(
+        self, workload, pooled, tmp_path
+    ):
+        """A checkpointed side's files are sealed together at its end, so a
+        denial at a later partition finds earlier ones still staged: they
+        are sealed before the orphan sweep, which must not take them."""
+        tuples_r, tuples_s = workload
+        engine = ProcessPBSM(2, num_partitions=NUM_PAIRS)
+        plan = FaultPlan(
+            seed=0, num_pairs=NUM_PAIRS, spec=FaultSpec(disk_full=1),
+            disk_full_points=(
+                ("spill", engine.spill_footprint(tuples_r, tuples_s) // 3),
+            ),
+        )
+        journal = RunJournal()
+        result = ProcessPBSM(
+            2, num_partitions=NUM_PAIRS, fault_plan=plan, journal=journal,
+            checkpoint_dir=str(tmp_path),
+        ).run(tuples_r, tuples_s, intersects)
+        [denied] = [r for r in journal.records if r["type"] == "disk_pressure"]
+        assert denied["partition"] > 0
+        assert result.degraded_pairs == []
+        assert result.fault_summary["disk_full_recovered"] == 1
+        assert result.pairs == sorted(
+            pair for task in pooled.values() for pair in task.pairs
+        )
+        assert len(list(tmp_path.rglob("part*.[rs].*"))) == 4 * NUM_PAIRS
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_a_second_denial_degrades_the_partition_and_nothing_adopts_it(
+        self, workload, pooled, tmp_path
+    ):
+        """Partition 0 of side ``r`` is denied, rewritten, denied again:
+        both its sides become sealed empty files, no side is sealed in
+        the manifest, and a resume partitions again from the inputs."""
+        tuples_r, tuples_s = workload
+        plan = FaultPlan(
+            seed=0, num_pairs=NUM_PAIRS, spec=FaultSpec(disk_full=2),
+            disk_full_points=(("spill", 5000), ("spill", 20000)),
+        )
+        result = ProcessPBSM(
+            2, num_partitions=NUM_PAIRS, fault_plan=plan,
+            checkpoint_dir=str(tmp_path),
+        ).run(tuples_r, tuples_s, intersects)
+        assert result.degraded_pairs == [0]
+        assert result.fault_summary == {
+            "disk_pressure": 1, "disk_degraded": 1, "degraded": 1,
+            "injected_disk_full": 2,
+        }
+        files = sorted(tmp_path.rglob("part0000.*"))
+        assert len(files) == 4 and not any(f.stat().st_size for f in files)
+        resumed = ProcessPBSM(
+            2, num_partitions=NUM_PAIRS, checkpoint_dir=str(tmp_path)
+        ).resume(tuples_r, tuples_s, intersects)
+        assert resumed.fault_summary == {"resumed_pairs": NUM_PAIRS}
+        assert all(f.stat().st_size for f in files)
+        assert resumed.pairs == result.pairs == sorted(
+            pair for task in pooled.values() for pair in task.pairs
+        )

@@ -1,9 +1,14 @@
 """Fixtures shared by the serving-tier tests."""
 
 from collections import Counter
+from concurrent.futures import Future
 from pathlib import Path
+from threading import Semaphore
+from types import SimpleNamespace
 
 import pytest
+
+import repro.serve.pool
 
 
 @pytest.fixture
@@ -19,3 +24,37 @@ def opens(monkeypatch):
 
     monkeypatch.setattr(Path, "open", counting_open)
     return counts
+
+
+class _Clock:
+    now = 1000.0
+
+    def advance(self, seconds):
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The breaker's ``time.monotonic``, advanced by hand: cooldowns and
+    windows elapse when the test says so, however fast the host is."""
+    clock = _Clock()
+    monkeypatch.setattr(
+        repro.serve.pool, "time", SimpleNamespace(monotonic=lambda: clock.now)
+    )
+    return clock
+
+
+@pytest.fixture
+def waiting(monkeypatch):
+    """A semaphore released by every thread as it reaches
+    ``Future.result()``: acquire it N times and N threads are waiting on a
+    flight (or about to), however slow the host is."""
+    reached = Semaphore(0)
+    result = Future.result
+
+    def counted(self, timeout=None):
+        reached.release()
+        return result(self, timeout)
+
+    monkeypatch.setattr(Future, "result", counted)
+    return reached

@@ -2,11 +2,9 @@
 
 import multiprocessing
 import threading
-from types import SimpleNamespace
 
 import pytest
 
-import repro.serve.pool
 from repro.serve import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -27,24 +25,6 @@ class _Recorder:
 
     def emit(self, event_type, **fields):
         self.events.append((event_type, fields))
-
-
-class _Clock:
-    now = 1000.0
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-@pytest.fixture
-def clock(monkeypatch):
-    """The breaker's ``time.monotonic``, advanced by hand: cooldowns and
-    windows elapse when the test says so, however fast the host is."""
-    clock = _Clock()
-    monkeypatch.setattr(
-        repro.serve.pool, "time", SimpleNamespace(monotonic=lambda: clock.now)
-    )
-    return clock
 
 
 def trip(provider, failures=1):

@@ -234,7 +234,7 @@ class TestMaterialise:
     whoever asks and however many ask at once."""
 
     def test_four_cold_queries_generate_once_and_share_the_pair(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, waiting
     ):
         server = JoinServer(tmp_path / "cache", tmp_path / "out")
         generate = QuerySpec.generate
@@ -259,7 +259,8 @@ class TestMaterialise:
         try:
             for thread in threads:
                 thread.start()
-            time.sleep(0.3)  # all four are now waiting on the one generator
+            for _ in threads[1:]:  # three wait on the flight of the fourth
+                assert waiting.acquire(timeout=30.0)
             assert len(calls) == 1 and got == [None] * 4
             release.set()
             for thread in threads:
@@ -275,7 +276,7 @@ class TestMaterialise:
         )
 
     def test_failed_generation_wakes_waiters_and_leaves_no_entry(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, waiting
     ):
         server = JoinServer(tmp_path / "cache", tmp_path / "out")
         generate = QuerySpec.generate
@@ -303,7 +304,8 @@ class TestMaterialise:
             for thread in threads:
                 thread.start()
             assert entered.wait(timeout=30.0)
-            time.sleep(0.2)
+            for _ in threads[1:]:
+                assert waiting.acquire(timeout=30.0)
             release.set()
             for thread in threads:
                 thread.join(timeout=30.0)
@@ -597,14 +599,14 @@ class TestBreaker:
         # path never writes a run directory for its fingerprint.
         assert not (tmp_path / "cache" / run_id_of(self.OTHER)).exists()
 
-    def test_half_open_probe_closes_the_breaker(self, tmp_path):
+    def test_half_open_probe_closes_the_breaker(self, tmp_path, clock):
         server, host, port = start_server(
             tmp_path, breaker_threshold=1, breaker_cooldown_s=0.3
         )
         try:
             retire_pool_generation(server)
             assert server.provider.breaker_stats()["state"] == "open"
-            time.sleep(0.35)
+            clock.advance(0.35)
             with ServeClient(host, port) as client:
                 probe = client.join(**SPEC)
             stats = server.stats()
