@@ -4,92 +4,50 @@
 The paper closes by observing that PBSM "will parallelize efficiently"
 because its tiled spatial partitioning function doubles as a declustering
 strategy for a shared-nothing machine [DNSS92-style virtual-processor
-round robin].  This example simulates that design:
+round robin].  This example runs that design on the simulated backend:
 
 * both inputs are declustered across N virtual nodes with the same tiled
   partitioning function PBSM uses internally (objects spanning node
   boundaries are replicated, the "replicate the object entirely" choice of
   §5);
-* each node runs an independent in-memory plane-sweep merge + refinement
-  over its partitions only;
-* the union of node outputs (after dedup) must equal the serial PBSM
-  result, and the simulated parallel time is max(node times).
+* each node runs single-node PBSM over its own fragments and keeps only
+  the pairs whose reference tile it owns, so node outputs are disjoint;
+* the merged node outputs must equal the serial PBSM result, and the
+  simulated parallel time is max(node times).
 
 Run:  python examples/parallel_pbsm.py
 """
 
-import time
-from collections import defaultdict
-
-from repro import Database, PBSMJoin, intersects
-from repro.core import SpatialPartitioner, dedup_sorted_pairs
-from repro.data import make_tiger_datasets
-from repro.geometry import sweep_join
+from repro import intersects
+from repro.data import generate_hydrography, generate_roads
+from repro.parallel import parallel_join
 
 
 def main() -> None:
     num_nodes = 8
-    db = Database(buffer_mb=8.0)
-    rels = make_tiger_datasets(db, scale=0.01, include=("road", "hydro"))
-    roads, rivers = rels["road"], rels["hydro"]
+    roads = list(generate_roads(scale=0.01))
+    rivers = list(generate_hydrography(scale=0.01))
 
-    # ---- serial reference ------------------------------------------- #
-    db.pool.clear()
-    serial = PBSMJoin(db.pool).run(roads, rivers, intersects)
+    serial = parallel_join(roads, rivers, intersects, backend="serial")
     print(f"serial PBSM: {len(serial)} pairs")
 
-    # ---- decluster with the tiled partitioning function -------------- #
-    universe = roads.universe.union(rivers.universe)
-    partitioner = SpatialPartitioner(
-        universe, num_partitions=num_nodes, num_tiles=1024, scheme="hash"
+    result = parallel_join(
+        roads, rivers, intersects, backend="simulated", workers=num_nodes
     )
-    node_roads = defaultdict(list)
-    node_rivers = defaultdict(list)
-    for oid, t in roads.scan():
-        for node in partitioner.partitions_for_rect(t.mbr):
-            node_roads[node].append((t.mbr, (oid, t)))
-    for oid, t in rivers.scan():
-        for node in partitioner.partitions_for_rect(t.mbr):
-            node_rivers[node].append((t.mbr, (oid, t)))
+    print(f"declustered over {num_nodes} nodes, storage factor "
+          f"{result.storage_factor_r:.3f} (roads) / "
+          f"{result.storage_factor_s:.3f} (rivers)")
+    for node in result.nodes:
+        print(f"  node {node.node_id}: {node.tuples_r:5d} roads, "
+              f"{node.tuples_s:5d} rivers -> {node.local_pairs:4d} pairs "
+              f"({node.sim_seconds:.2f} simulated s)")
 
-    replication = (
-        sum(len(v) for v in node_roads.values()) / len(roads)
-        + sum(len(v) for v in node_rivers.values()) / len(rivers)
-    ) / 2
-    print(f"declustered over {num_nodes} nodes, "
-          f"replication factor {replication:.3f}")
-
-    # ---- each node joins its own data ------------------------------- #
-    node_times = []
-    all_pairs = []
-    for node in range(num_nodes):
-        t0 = time.perf_counter()
-        candidates = []
-        sweep_join(
-            node_roads[node],
-            node_rivers[node],
-            lambda a, b: candidates.append((a, b)),
-        )
-        pairs = [
-            (oid_r, oid_s)
-            for (oid_r, t_r), (oid_s, t_s) in candidates
-            if intersects(t_r, t_s)
-        ]
-        node_times.append(time.perf_counter() - t0)
-        all_pairs.extend(pairs)
-        print(f"  node {node}: {len(node_roads[node]):5d} roads, "
-              f"{len(node_rivers[node]):5d} rivers -> {len(pairs):4d} pairs "
-              f"({node_times[-1] * 1000:.0f} ms)")
-
-    merged = dedup_sorted_pairs(sorted(all_pairs))
-    assert merged == serial.pairs, "parallel result differs from serial!"
-
-    total = sum(node_times)
-    critical_path = max(node_times)
-    print(f"\nparallel result identical to serial ({len(merged)} pairs)")
-    print(f"sum of node work: {total * 1000:.0f} ms; "
-          f"critical path: {critical_path * 1000:.0f} ms; "
-          f"speedup at {num_nodes} nodes: {total / critical_path:.1f}x")
+    assert result.pairs == serial.pairs, "parallel result differs from serial!"
+    assert result.duplicates_dropped == 0
+    print(f"\nparallel result identical to serial ({len(result)} pairs)")
+    print(f"sum of node work: {result.total_work_s:.2f} s; "
+          f"critical path: {result.critical_path_s:.2f} s; "
+          f"speedup at {num_nodes} nodes: {result.speedup:.1f}x")
 
 
 if __name__ == "__main__":

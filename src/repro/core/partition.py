@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Sequence, Set, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -79,24 +79,26 @@ TileAssignment = Tuple[int, int]
 """One replica slot: ``(tile id, class)``."""
 
 
-def mbr_array(items: Sequence) -> np.ndarray:
-    """The N×4 float64 ``(xl, yl, xu, yu)`` array of the items' ``.mbr``
-    — the form batch routing and batch rounding take an input in."""
+def rect_array(rects: Sequence[Rect]) -> np.ndarray:
+    """The N×4 float64 ``(xl, yl, xu, yu)`` array of the rectangles — the
+    form batch routing and batch rounding take an input in."""
     flat = np.fromiter(
-        (
-            bound
-            for item in items
-            for mbr in (item.mbr,)
-            for bound in (mbr.xl, mbr.yl, mbr.xu, mbr.yu)
-        ),
+        (bound for r in rects for bound in (r.xl, r.yl, r.xu, r.yu)),
         np.float64,
-        4 * len(items),
+        4 * len(rects),
     )
-    return flat.reshape(len(items), 4)
+    return flat.reshape(len(rects), 4)
+
+
+def mbr_array(items: Sequence) -> np.ndarray:
+    """:func:`rect_array` of the items' ``.mbr``."""
+    return rect_array([item.mbr for item in items])
 
 
 class RoutedSlots(NamedTuple):
-    """One partition's replica slots of a routed input, as columns.
+    """Replica slots of an input, as columns — every slot
+    (:meth:`TileGrid.slots_all`) or one partition's
+    (:meth:`SpatialPartitioner.route_all`).
 
     Row ``i`` is one ``(tile, class)`` slot of input tuple ``ordinal[i]``;
     rows are in input order, a tuple's slots in ``tile_assignments``
@@ -205,22 +207,14 @@ class TileGrid:
             index(mbrs[:, 2] - u.xl, width, self.cols),
         )
 
-    def tiles_for_rect(self, rect: Rect) -> List[int]:
-        """All tiles the rectangle overlaps (clamped to the universe)."""
-        r0, r1, c0, c1 = self.tile_span(rect)
-        return [
-            self.tile_id(r, c)
-            for r in range(r0, r1 + 1)
-            for c in range(c0, c1 + 1)
-        ]
-
     def tile_assignments(self, rect: Rect) -> List[TileAssignment]:
         """Every overlapped tile with its two-layer class tag.
 
         Exactly one assignment per overlapped tile, and exactly one of
         them is class A (the first tile, ``(r1, c0)``); the split into
         B/C/D records which of that tile's borders the MBR crossed to
-        reach each other tile.
+        reach each other tile.  The scalar form of :meth:`slots_all`:
+        the tests' oracle and the benchmark replay's router.
         """
         r0, r1, c0, c1 = self.tile_span(rect)
         out: List[TileAssignment] = []
@@ -233,17 +227,30 @@ class TileGrid:
                 out.append((self.tile_id(r, c), cls))
         return out
 
-    def reference_tile(self, rect_r: Rect, rect_s: Rect) -> int:
-        """The one tile allowed to emit the pair ``(rect_r, rect_s)``.
+    def slots_all(self, mbrs: np.ndarray) -> RoutedSlots:
+        """Every two-layer ``(tile, class)`` slot of an N×4 float64
+        ``(xl, yl, xu, yu)`` array, as columns: rows in input order, each
+        MBR's slots in :meth:`tile_assignments` order.
 
-        The tile holding the pair's reference point ``(max(xl), max(yl))``:
-        column ``max(c0_r, c0_s)``, row ``min(r1_r, r1_s)``.  For rects
-        that overlap, this is the unique tile both MBRs are assigned to
-        whose class combination :data:`ALLOWED_CLASS_COMBOS` admits.
+        This is the placement rule every caller shares — the spill pass
+        and the serial join through :meth:`SpatialPartitioner.route_all`,
+        single-node PBSM a heap page at a time, §3.5 repartitioning on a
+        finer grid — and it agrees slot for slot with
+        :meth:`tile_assignments` applied to each rectangle in turn: the
+        merge's per-tile class filter is only duplicate-free when every
+        copy of an object carries the same tags whoever placed it.
         """
-        _r0r, r1r, c0r, _c1r = self.tile_span(rect_r)
-        _r0s, r1s, c0s, _c1s = self.tile_span(rect_s)
-        return self.tile_id(min(r1r, r1s), max(c0r, c0s))
+        r0, r1, c0, c1 = self.tile_span_all(mbrs)
+        width = c1 - c0 + 1
+        slots = (r1 - r0 + 1) * width
+        ordinal = np.repeat(np.arange(len(mbrs)), slots)
+        # Position of each slot inside its MBR's row-major tile block.
+        within = np.arange(len(ordinal)) - np.repeat(np.cumsum(slots) - slots, slots)
+        row = r0[ordinal] + within // width[ordinal]
+        col = c0[ordinal] + within % width[ordinal]
+        # Off the bottom row is C, off the left column is B, both is D.
+        cls = (row != r1[ordinal]) * CLASS_C + (col != c0[ordinal]) * CLASS_B
+        return RoutedSlots(ordinal, row * self.cols + col, cls)
 
     def tile_rect(self, tile: int) -> Rect:
         """The geometric extent of a tile (for visualisation/tests)."""
@@ -317,40 +324,15 @@ class SpatialPartitioner:
             return tile % self.num_partitions
         return _hash_tile(tile) % self.num_partitions
 
-    def partitions_for_rect(self, rect: Rect) -> Set[int]:
-        """Every partition that receives this MBR's key-pointer element."""
-        return {
-            self.partition_of_tile(t) for t in self.grid.tiles_for_rect(rect)
-        }
-
     def tile_assignments(self, rect: Rect) -> List[TileAssignment]:
         """The MBR's two-layer ``(tile, class)`` replica slots."""
         return self.grid.tile_assignments(rect)
 
     def route_all(self, mbrs: np.ndarray) -> List[RoutedSlots]:
-        """Every MBR's replica slots, grouped by receiving partition.
-
-        ``mbrs`` is an N×4 float64 ``(xl, yl, xu, yu)`` array; element
-        ``p`` of the result holds partition ``p``'s slots.  This is the
-        routing rule — the spill pass, the serial rebuild of a pair and
-        the spill footprint all place tuples by calling it — and it must
-        agree, slot for slot, with :meth:`tile_assignments` +
-        :meth:`partition_of_tile` applied to each rectangle in turn: the
-        merge's per-tile class filter is only duplicate-free when every
-        copy of an object carries the tags the scalar functions (which
-        §3.5 repartitioning and the tests' oracle call) would give it.
-        """
-        r0, r1, c0, c1 = self.grid.tile_span_all(mbrs)
-        width = c1 - c0 + 1
-        slots = (r1 - r0 + 1) * width
-        ordinal = np.repeat(np.arange(len(mbrs)), slots)
-        # Position of each slot inside its MBR's row-major tile block.
-        within = np.arange(len(ordinal)) - np.repeat(np.cumsum(slots) - slots, slots)
-        row = r0[ordinal] + within // width[ordinal]
-        col = c0[ordinal] + within % width[ordinal]
-        tile = row * self.grid.cols + col
-        # Off the bottom row is C, off the left column is B, both is D.
-        cls = (row != r1[ordinal]) * CLASS_C + (col != c0[ordinal]) * CLASS_B
+        """Every MBR's replica slots (:meth:`TileGrid.slots_all`), grouped
+        by receiving partition: element ``p`` of the result holds
+        partition ``p``'s slots, in input order."""
+        ordinal, tile, cls = self.grid.slots_all(mbrs)
         partition = self.partition_of_tile(tile.astype(np.uint64))
         order = np.argsort(partition, kind="stable")
         bounds = np.searchsorted(
@@ -363,10 +345,18 @@ class SpatialPartitioner:
             )
         ]
 
-    def owner_of_pair(self, rect_r: Rect, rect_s: Rect) -> int:
-        """The partition whose merge emits this pair (its reference tile's
-        partition) — the global uniqueness anchor for dedup-free merging."""
-        return self.partition_of_tile(self.grid.reference_tile(rect_r, rect_s))
+    def owners(self, mbrs_r: np.ndarray, mbrs_s: np.ndarray) -> np.ndarray:
+        """The partition whose merge emits each pair ``(mbrs_r[i],
+        mbrs_s[i])`` — the global uniqueness anchor for dedup-free merging.
+
+        A pair's reference tile holds its reference point ``(max(xl),
+        max(yl))``: column ``max(c0_r, c0_s)``, row ``min(r1_r, r1_s)``.
+        For overlapping MBRs it is the unique tile both are assigned to
+        whose class combination :data:`ALLOWED_CLASS_COMBOS` admits."""
+        _, r1_r, c0_r, _ = self.grid.tile_span_all(mbrs_r)
+        _, r1_s, c0_s, _ = self.grid.tile_span_all(mbrs_s)
+        tile = np.minimum(r1_r, r1_s) * self.grid.cols + np.maximum(c0_r, c0_s)
+        return self.partition_of_tile(tile.astype(np.uint64))
 
 
 # ---------------------------------------------------------------------- #
@@ -406,21 +396,16 @@ class PartitioningProfile:
 
 
 def profile_partitioning(
-    mbrs: Iterable[Rect],
+    mbrs: Sequence[Rect],
     universe: Rect,
     num_partitions: int,
     num_tiles: int,
     scheme: str,
 ) -> PartitioningProfile:
-    """Dry-run the partitioning function over a stream of MBRs."""
+    """Dry-run the partitioning function over a sequence of MBRs."""
     partitioner = SpatialPartitioner(universe, num_partitions, num_tiles, scheme)
-    counts = [0] * num_partitions
-    n_in = 0
-    n_placed = 0
-    for mbr in mbrs:
-        n_in += 1
-        parts = partitioner.partitions_for_rect(mbr)
-        n_placed += len(parts)
-        for p in parts:
-            counts[p] += 1
-    return PartitioningProfile(counts, n_in, n_placed)
+    counts = [
+        len(routed.tuple_ordinals)
+        for routed in partitioner.route_all(rect_array(mbrs))
+    ]
+    return PartitioningProfile(counts, len(mbrs), sum(counts))

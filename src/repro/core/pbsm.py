@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+import numpy as np
+
 from ..geometry import Rect, sweep_join, sweep_join_interval_tree
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
@@ -47,6 +49,7 @@ from .partition import (
     SpatialPartitioner,
     TileGrid,
     estimate_num_partitions,
+    rect_array,
 )
 from .predicates import Predicate
 from .refine import refine
@@ -220,26 +223,23 @@ def _repartition_pair(
     )
     sub_p = max(2, estimate_num_partitions(len(group_r), len(group_s), memory))
     grid = TileGrid.for_tiles(sub_universe, sub_p)
-    sub_r = [
-        (rect, payload, tile, cls)
-        for rect, payload in group_r
-        for tile, cls in grid.tile_assignments(rect)
-    ]
-    sub_s = [
-        (rect, payload, tile, cls)
-        for rect, payload in group_s
-        for tile, cls in grid.tile_assignments(rect)
-    ]
-    sizes_r: Dict[int, int] = {}
-    for _rect, _payload, tile, _cls in sub_r:
-        sizes_r[tile] = sizes_r.get(tile, 0) + 1
-    sizes_s: Dict[int, int] = {}
-    for _rect, _payload, tile, _cls in sub_s:
-        sizes_s[tile] = sizes_s.get(tile, 0) + 1
-    progress = all(
-        sizes_r[tile] < len(group_r) or sizes_s[tile] < len(group_s)
-        for tile in sizes_r.keys() & sizes_s.keys()
-    )
+
+    def retag(group):
+        """The group's copies with their sub-tile slots, and the number
+        of copies each sub-tile received."""
+        ordinal, tile, cls = grid.slots_all(rect_array([rect for rect, _ in group]))
+        copies = [
+            (*group[i], tile_i, cls_i)
+            for i, tile_i, cls_i in zip(ordinal.tolist(), tile.tolist(), cls.tolist())
+        ]
+        return copies, np.bincount(tile, minlength=grid.num_tiles)
+
+    sub_r, sizes_r = retag(group_r)
+    sub_s, sizes_s = retag(group_s)
+    shared = (sizes_r > 0) & (sizes_s > 0)
+    progress = bool(np.all(
+        (sizes_r[shared] < len(group_r)) | (sizes_s[shared] < len(group_s))
+    ))
     if not progress and metrics is not None:
         # Every input landed in some single sub-tile whole (e.g. identical
         # rectangles): a finer grid cannot split this group, so recursing
@@ -372,12 +372,19 @@ class PBSMJoin:
                 bucket.append((t.mbr, oid, 0, CLASS_A))
             return [bucket]
         files = [KeyPointerFile(self.pool) for _ in range(partitioner.num_partitions)]
-        for oid, t in relation.scan():
-            mbr = t.mbr
-            for tile, cls in partitioner.tile_assignments(mbr):
-                files[partitioner.partition_of_tile(tile)].append(
-                    mbr, oid, tile, cls
-                )
+        # Routed a heap page at a time, appended in scan order: the
+        # interleaving of page reads and key-pointer writes is the I/O
+        # the paper measures.
+        for page in relation.scan_pages():
+            ordinal, tile, cls = partitioner.grid.slots_all(
+                rect_array([t.mbr for _oid, t in page])
+            )
+            partition = partitioner.partition_of_tile(tile.astype(np.uint64))
+            for i, tile_i, cls_i, p in zip(
+                ordinal.tolist(), tile.tolist(), cls.tolist(), partition.tolist()
+            ):
+                oid, t = page[i]
+                files[p].append(t.mbr, oid, tile_i, cls_i)
         return files
 
     def _merge_pair(

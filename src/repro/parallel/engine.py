@@ -33,11 +33,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.partition import SCHEME_HASH, SpatialPartitioner, mbr_array
+from ..core.partition import SCHEME_HASH, RoutedSlots, SpatialPartitioner, mbr_array
 from ..core.pbsm import PBSMConfig, PBSMJoin
 from ..core.predicates import Predicate
-from ..core.refine import dedup_sorted_pairs, merge_sorted_unique
-from ..geometry import Rect
+from ..core.refine import merge_sorted_unique
 from ..obs.journal import (
     EVENT_NODE_FINISHED,
     EVENT_PARTITION_SEALED,
@@ -48,7 +47,7 @@ from ..obs.journal import (
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.database import Database
-from ..storage.relation import OID, Relation
+from ..storage.relation import OID
 from ..storage.tuples import SpatialTuple
 
 REPLICATE_OBJECTS = "replicate_objects"
@@ -62,6 +61,9 @@ SCHEMES = (REPLICATE_OBJECTS, REPLICATE_MBRS)
 
 REMOTE_FETCH_SECONDS = 0.002
 """Charge per remote tuple fetch (a small-message network round trip)."""
+
+NODE_BUFFER_MB = 2.0
+"""Each virtual node's buffer pool."""
 
 
 @dataclass
@@ -168,7 +170,6 @@ class ParallelPBSM:
         self,
         num_nodes: int,
         scheme: str = REPLICATE_OBJECTS,
-        buffer_mb_per_node: float = 2.0,
         num_tiles: int = 1024,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -181,7 +182,6 @@ class ParallelPBSM:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
         self.num_nodes = num_nodes
         self.scheme = scheme
-        self.buffer_mb_per_node = buffer_mb_per_node
         self.num_tiles = num_tiles
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -216,13 +216,13 @@ class ParallelPBSM:
             self.journal.emit(EVENT_RUN_FINISHED, results=0, degraded_pairs=[])
             return ParallelJoinResult([], scheme=self.scheme)
 
+        mbrs_r, mbrs_s = mbr_array(tuples_r), mbr_array(tuples_s)
         partitioner = SpatialPartitioner.for_inputs(
-            mbr_array(tuples_r), mbr_array(tuples_s),
-            self.num_nodes, self.num_tiles, SCHEME_HASH,
+            mbrs_r, mbrs_s, self.num_nodes, self.num_tiles, SCHEME_HASH
         )
 
-        frag_r = self._decluster(tuples_r, partitioner)
-        frag_s = self._decluster(tuples_s, partitioner)
+        frag_r = self._decluster(tuples_r, partitioner.route_all(mbrs_r))
+        frag_s = self._decluster(tuples_s, partitioner.route_all(mbrs_s))
         placed_r = sum(len(frag) for frag in frag_r)
         placed_s = sum(len(frag) for frag in frag_s)
 
@@ -291,21 +291,22 @@ class ParallelPBSM:
     def _decluster(
         self,
         tuples: Sequence[SpatialTuple],
-        partitioner: SpatialPartitioner,
+        routed: List[RoutedSlots],
     ) -> List[List[Tuple[SpatialTuple, bool]]]:
-        """Assign tuples to nodes.  Each fragment entry is ``(tuple,
-        is_home)``: under MBR-only replication, only the home copy counts
-        as locally stored; foreign copies trigger remote fetches in the
-        refinement."""
-        fragments: List[List[Tuple[SpatialTuple, bool]]] = [
-            [] for _ in range(self.num_nodes)
+        """Assign tuples to the nodes their routing places them on.  Each
+        fragment entry is ``(tuple, is_home)``: under MBR-only
+        replication, only the home copy — on the lowest-numbered node —
+        counts as locally stored; foreign copies trigger remote fetches
+        in the refinement."""
+        placed = [slots.tuple_ordinals.tolist() for slots in routed]
+        home = [self.num_nodes] * len(tuples)
+        for node in reversed(range(self.num_nodes)):
+            for i in placed[node]:
+                home[i] = node
+        return [
+            [(tuples[i], home[i] == node) for i in ordinals]
+            for node, ordinals in enumerate(placed)
         ]
-        for t in tuples:
-            nodes = sorted(partitioner.partitions_for_rect(t.mbr))
-            home = nodes[0]
-            for node in nodes:
-                fragments[node].append((t, node == home))
-        return fragments
 
     def _run_node(
         self,
@@ -319,18 +320,18 @@ class ParallelPBSM:
         if not frag_r or not frag_s:
             return report, []
 
-        db = Database(buffer_mb=self.buffer_mb_per_node)
+        db = Database(buffer_mb=NODE_BUFFER_MB)
         rel_r = db.create_relation(f"r@{node_id}")
         rel_s = db.create_relation(f"s@{node_id}")
+        # The tuple each OID was inserted as: the output's feature ids, the
+        # ownership filter's MBRs and the remote-fetch accounting read it.
+        stored: Dict[OID, SpatialTuple] = {}
         foreign: set[Tuple[str, int]] = set()
-        for t, is_home in frag_r:
-            rel_r.insert(t)
-            if not is_home:
-                foreign.add(("r", t.feature_id))
-        for t, is_home in frag_s:
-            rel_s.insert(t)
-            if not is_home:
-                foreign.add(("s", t.feature_id))
+        for side, rel, frag in (("r", rel_r, frag_r), ("s", rel_s, frag_s)):
+            for t, is_home in frag:
+                stored[rel.insert(t)] = t
+                if not is_home:
+                    foreign.add((side, t.feature_id))
         db.pool.clear()
 
         # Per-worker tracing: the node joins against its own disk and pool,
@@ -357,22 +358,6 @@ class ParallelPBSM:
         if node_tracer is not None:
             self.tracer.adopt(node_tracer, worker=node_id)
 
-        # Each result tuple is fetched exactly once; the feature ids and
-        # exact MBRs feed the output pairs, the two-layer ownership filter,
-        # and the remote-fetch accounting below.
-        fids_r: Dict[OID, Tuple[int, Rect]] = {}
-        fids_s: Dict[OID, Tuple[int, Rect]] = {}
-
-        def fid_of(
-            rel: Relation, cache: Dict[OID, Tuple[int, Rect]], oid
-        ) -> Tuple[int, Rect]:
-            entry = cache.get(oid)
-            if entry is None:
-                t = rel.fetch(oid)
-                entry = (t.feature_id, t.mbr)
-                cache[oid] = entry
-            return entry
-
         # The node's local join finds every pair both of whose members
         # overlap one of its tiles — including pairs other nodes also
         # find.  Keep only the pairs this node *owns* (their reference
@@ -380,17 +365,17 @@ class ParallelPBSM:
         # merge needs no dedup.  Remote-fetch accounting stays over every
         # pair the node's refinement materialised, owned or not — the
         # fetches happen either way.
-        pairs: List[Tuple[int, int]] = []
-        touched: set[Tuple[str, int]] = set()
+        found = [(stored[oid_r], stored[oid_s]) for oid_r, oid_s in result.pairs]
+        owners = partitioner.owners(
+            mbr_array([t_r for t_r, _ in found]),
+            mbr_array([t_s for _, t_s in found]),
+        )
+        pairs = [
+            (t_r.feature_id, t_s.feature_id)
+            for (t_r, t_s), owner in zip(found, owners.tolist())
+            if owner == node_id
+        ]
         remote = 0
-        for oid_r, oid_s in result.pairs:
-            fid_r, mbr_r = fid_of(rel_r, fids_r, oid_r)
-            fid_s, mbr_s = fid_of(rel_s, fids_s, oid_s)
-            if partitioner.owner_of_pair(mbr_r, mbr_s) == node_id:
-                pairs.append((fid_r, fid_s))
-            if self.scheme == REPLICATE_MBRS:
-                touched.add(("r", fid_r))
-                touched.add(("s", fid_s))
         if self.scheme == REPLICATE_MBRS:
             # Under MBR-only declustering the refinement must fetch foreign
             # tuples from their home nodes.  By default the charge covers
@@ -398,12 +383,11 @@ class ParallelPBSM:
             # slight undercount, since false-positive candidates fetch too.
             # ``charge_candidate_fetches`` extends it to every distinct
             # foreign tuple the refinement actually examined.
+            examined = result.pairs
             if self.charge_candidate_fetches and result.candidate_pairs is not None:
-                for oid_r, oid_s in dedup_sorted_pairs(
-                    sorted(result.candidate_pairs)
-                ):
-                    touched.add(("r", fid_of(rel_r, fids_r, oid_r)[0]))
-                    touched.add(("s", fid_of(rel_s, fids_s, oid_s)[0]))
+                examined = examined + result.candidate_pairs
+            touched = {("r", stored[oid_r].feature_id) for oid_r, _ in examined}
+            touched |= {("s", stored[oid_s].feature_id) for _, oid_s in examined}
             remote = len(touched & foreign)
 
         pairs.sort()

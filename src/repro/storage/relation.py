@@ -9,7 +9,7 @@ system would keep it in its statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 from ..geometry import Rect
 from .buffer import BufferPool
@@ -95,9 +95,18 @@ class Relation:
 
     def scan(self) -> Iterator[tuple[OID, SpatialTuple]]:
         """Sequential scan in physical order."""
+        for page in self.scan_pages():
+            yield from page
+
+    def scan_pages(self) -> Iterator[List[tuple[OID, SpatialTuple]]]:
+        """Sequential scan in physical order, one heap page's live tuples
+        at a time (each page is read once, before its list is built)."""
         fid = self.heap.file_id
-        for rid, record in self.heap.scan():
-            yield OID(fid, rid.page_no, rid.slot), deserialize_tuple(record)
+        for page_no in range(self.heap.num_pages):
+            yield [
+                (OID(fid, rid.page_no, rid.slot), deserialize_tuple(record))
+                for rid, record in self.heap.scan_page(page_no)
+            ]
 
     def fetch(self, oid: OID) -> SpatialTuple:
         """Fetch one tuple by OID (a random access unless buffered)."""

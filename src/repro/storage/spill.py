@@ -40,7 +40,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, Optional
+from typing import BinaryIO, Callable, Iterator, List, NamedTuple, Optional
 
 from .errors import SpillCorruptionError
 
@@ -156,14 +156,6 @@ class SpillWriter:
             self.abort()
         else:
             self.close()
-
-
-def write_spill(path: "Path | str", records: Iterable[bytes]) -> int:
-    """Write all records to ``path``; returns the record count."""
-    with SpillWriter(path) as writer:
-        for record in records:
-            writer.append(record)
-        return writer.count
 
 
 def sweep_orphan_spills(directory: "Path | str", budget=None) -> List[str]:
@@ -319,27 +311,3 @@ def read_frames_bytes(
     yield from _read_frames(
         io.BytesIO(data), len(data), label, torn_tail, on_torn_tail
     )
-
-
-def read_spill(
-    path: "Path | str",
-    *,
-    torn_tail: str = TORN_TAIL_ERROR,
-    on_torn_tail: Optional[Callable[[SpillCorruptionError], None]] = None,
-) -> Iterator[bytes]:
-    """The records of :func:`read_frames`, for readers that need no
-    positions."""
-    for frame in read_frames(
-        path, torn_tail=torn_tail, on_torn_tail=on_torn_tail
-    ):
-        yield frame.record
-
-
-def read_spill_all(
-    path: "Path | str",
-    *,
-    torn_tail: str = TORN_TAIL_ERROR,
-    on_torn_tail: Optional[Callable[[SpillCorruptionError], None]] = None,
-) -> List[bytes]:
-    """Materialise a whole spill file (partitions are sized to fit)."""
-    return list(read_spill(path, torn_tail=torn_tail, on_torn_tail=on_torn_tail))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro import Database
 from repro.geometry import Rect
+from repro.storage.spill import SpillWriter, read_frames
 
 # --------------------------------------------------------------------- #
 # hypothesis strategies
@@ -38,6 +39,25 @@ def points(draw):
 def polyline_points(draw, max_points: int = 12):
     n = draw(st.integers(min_value=2, max_value=max_points))
     return [draw(points()) for _ in range(n)]
+
+
+# --------------------------------------------------------------------- #
+# spill files, through the writer and the reader the engine uses
+# --------------------------------------------------------------------- #
+
+
+def write_records(path, records) -> int:
+    """Write ``records`` to a spill file; returns the record count."""
+    with SpillWriter(path) as writer:
+        for record in records:
+            writer.append(record)
+    return writer.count
+
+
+def read_records(path, **policy) -> list:
+    """Every record of a spill file (``policy``: ``read_frames``'s
+    torn-tail arguments)."""
+    return [frame.record for frame in read_frames(path, **policy)]
 
 
 # --------------------------------------------------------------------- #

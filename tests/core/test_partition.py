@@ -14,6 +14,7 @@ from repro.core import (
     estimate_num_partitions,
     profile_partitioning,
 )
+from repro.core.partition import rect_array
 from repro.geometry import Rect
 
 UNIVERSE = Rect(0.0, 0.0, 100.0, 100.0)
@@ -26,6 +27,17 @@ def universe_rects(draw, max_size=30.0):
     w = draw(st.floats(min_value=0, max_value=max_size))
     h = draw(st.floats(min_value=0, max_value=max_size))
     return Rect(x, y, min(x + w, 100.0), min(y + h, 100.0))
+
+
+def tiles_of(grid, rect):
+    """The tiles ``slots_all`` places the rectangle in."""
+    return grid.slots_all(rect_array([rect])).tile.tolist()
+
+
+def partitions_of(partitioner, rect):
+    """The partitions ``route_all`` places the rectangle in."""
+    routed = partitioner.route_all(rect_array([rect]))
+    return {p for p, slots in enumerate(routed) if len(slots.ordinal)}
 
 
 class TestEquationOne:
@@ -65,19 +77,18 @@ class TestTileGrid:
 
     def test_tiles_for_rect_single(self):
         grid = TileGrid(UNIVERSE, rows=2, cols=2)
-        assert grid.tiles_for_rect(Rect(10, 60, 20, 70)) == [0]
-        assert grid.tiles_for_rect(Rect(60, 60, 70, 70)) == [1]
-        assert grid.tiles_for_rect(Rect(10, 10, 20, 20)) == [2]
-        assert grid.tiles_for_rect(Rect(60, 10, 70, 20)) == [3]
+        assert tiles_of(grid, Rect(10, 60, 20, 70)) == [0]
+        assert tiles_of(grid, Rect(60, 60, 70, 70)) == [1]
+        assert tiles_of(grid, Rect(10, 10, 20, 20)) == [2]
+        assert tiles_of(grid, Rect(60, 10, 70, 20)) == [3]
 
     def test_tiles_for_rect_spanning(self):
         grid = TileGrid(UNIVERSE, rows=2, cols=2)
-        got = set(grid.tiles_for_rect(Rect(40, 40, 60, 60)))
-        assert got == {0, 1, 2, 3}
+        assert set(tiles_of(grid, Rect(40, 40, 60, 60))) == {0, 1, 2, 3}
 
     def test_rect_outside_universe_clamped(self):
         grid = TileGrid(UNIVERSE, rows=2, cols=2)
-        assert grid.tiles_for_rect(Rect(-50, -50, -10, -10)) == [2]
+        assert tiles_of(grid, Rect(-50, -50, -10, -10)) == [2]
 
     def test_bad_tile_count(self):
         with pytest.raises(ValueError):
@@ -87,7 +98,7 @@ class TestTileGrid:
     @settings(max_examples=100)
     def test_every_rect_lands_in_some_tile(self, rect):
         grid = TileGrid.for_tiles(UNIVERSE, 64)
-        tiles = grid.tiles_for_rect(rect)
+        tiles = tiles_of(grid, rect)
         assert tiles
         # Every reported tile really overlaps the rect.
         for t in tiles:
@@ -114,7 +125,7 @@ class TestPartitioner:
 
     def test_spanning_rect_goes_to_multiple_partitions(self):
         p = SpatialPartitioner(UNIVERSE, 4, 4, scheme=SCHEME_ROUND_ROBIN)
-        assert len(p.partitions_for_rect(Rect(40, 40, 60, 60))) > 1
+        assert len(partitions_of(p, Rect(40, 40, 60, 60))) > 1
 
     @given(universe_rects(), universe_rects())
     @settings(max_examples=200)
@@ -125,14 +136,14 @@ class TestPartitioner:
             return
         for scheme in (SCHEME_HASH, SCHEME_ROUND_ROBIN):
             p = SpatialPartitioner(UNIVERSE, 7, 64, scheme=scheme)
-            assert p.partitions_for_rect(a) & p.partitions_for_rect(b)
+            assert partitions_of(p, a) & partitions_of(p, b)
 
     @given(universe_rects())
     @settings(max_examples=100)
     def test_more_tiles_never_lose_rects(self, rect):
         for tiles in (8, 64, 256):
             p = SpatialPartitioner(UNIVERSE, 8, tiles)
-            assert p.partitions_for_rect(rect)
+            assert partitions_of(p, rect)
 
 
 class TestMetrics:

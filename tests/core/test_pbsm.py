@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database, PBSMConfig, PBSMJoin, intersects
+from repro.bench import fresh_tiger
 from repro.core import SCHEME_HASH, SCHEME_ROUND_ROBIN
 from repro.data import make_tiger_datasets
 from repro.joins import NaiveNestedLoopsJoin
@@ -115,6 +116,38 @@ class TestReporting:
         cfg = PBSMConfig(memory_bytes=8192)
         PBSMJoin(db.pool, cfg).run(rels["road"], rels["hydro"], intersects)
         assert set(db.disk.file_ids()) == files_before
+
+    @pytest.mark.parametrize(
+        "scale,scheme,partitions,phases,candidates,results",
+        [
+            (0.02, SCHEME_HASH, 2,
+             [(173, 52, 14), (101, 23, 9), (60, 9, 9), (583, 0, 9)], 3563, 1131),
+            (0.03, SCHEME_HASH, 3,
+             [(260, 90, 31), (151, 37, 18), (91, 22, 13), (1177, 0, 21)],
+             5498, 1749),
+            (0.02, SCHEME_ROUND_ROBIN, 2,
+             [(173, 56, 15), (101, 20, 9), (60, 10, 8), (584, 0, 9)], 3563, 1131),
+        ],
+    )
+    def test_partition_file_io_is_pinned(
+        self, scale, scheme, partitions, phases, candidates, results
+    ):
+        """The exact simulated I/O of a join that writes partition files
+        (P > 1; the fig-7 smoke gate runs P = 1): every page read, write
+        and seek of each phase.  The interleaving of heap-page reads and
+        key-pointer writes is part of what is pinned — routing the whole
+        scan before writing any key-pointer leaves the reads alone and
+        moves the writes."""
+        db, rels = fresh_tiger(2.0, scale=scale, include=("road", "hydro"))
+        res = PBSMJoin(db.pool, PBSMConfig(scheme=scheme)).run(
+            rels["road"], rels["hydro"], intersects
+        )
+        report = res.report
+        assert report.notes["num_partitions"] == partitions
+        assert [
+            (p.page_reads, p.page_writes, p.seeks) for p in report.phases
+        ] == phases
+        assert (report.candidates, report.result_count) == (candidates, results)
 
     def test_replication_produces_duplicate_candidates(self, tiger_db):
         db, rels, _ = tiger_db

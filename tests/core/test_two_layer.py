@@ -18,7 +18,6 @@ which is what Hypothesis is for.
 import math
 from collections import Counter
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +32,7 @@ from repro.core.partition import (
     SCHEME_ROUND_ROBIN,
     SpatialPartitioner,
     TileGrid,
+    rect_array,
 )
 from repro.core.pbsm import merge_partition_pair
 from repro.geometry import Rect
@@ -65,8 +65,13 @@ class TestAssignment:
         assignments = grid.tile_assignments(rect)
         tiles = [tile for tile, _cls in assignments]
         # One slot per overlapped tile, no tile twice, nothing invented.
-        assert tiles == grid.tiles_for_rect(rect)
+        r0, r1, c0, c1 = grid.tile_span(rect)
+        rows, cols = range(r0, r1 + 1), range(c0, c1 + 1)
+        assert tiles == [grid.tile_id(r, c) for r in rows for c in cols]
         assert len(tiles) == len(set(tiles))
+        # The batch twin places it in the same slots, in the same order.
+        _ordinal, tile, cls = grid.slots_all(rect_array([rect]))
+        assert list(zip(tile.tolist(), cls.tolist())) == assignments
 
     @given(grids(), universe_rects())
     @settings(max_examples=300, deadline=None)
@@ -92,12 +97,6 @@ class TestAssignment:
         # Exactly one class-A copy: the tile holding the clamped
         # bottom-left corner — the object's "first" tile.
         assert by_class[CLASS_A] == 1
-
-
-def as_array(rects):
-    return np.array(
-        [(r.xl, r.yl, r.xu, r.yu) for r in rects], dtype=np.float64
-    ).reshape(len(rects), 4)
 
 
 def oracle_routing(partitioner, rects):
@@ -153,11 +152,12 @@ class TestRouting:
     @given(routing_cases())
     @settings(max_examples=400, deadline=None)
     def test_route_all_equals_the_scalar_oracle(self, case):
-        # The spill pass places tuples with route_all; §3.5 repartitioning
-        # and every oracle use the scalar functions.  They must agree slot
-        # for slot, or copies of one object disagree on their tags.
+        # Every placement in the program goes through route_all's
+        # slots_all; the oracle applies the scalar functions one rectangle
+        # at a time.  They must agree slot for slot, or copies of one
+        # object disagree on their tags.
         partitioner, rects = case
-        routed = partitioner.route_all(as_array(rects))
+        routed = partitioner.route_all(rect_array(rects))
         assert len(routed) == partitioner.num_partitions
         for slots, expected in zip(routed, oracle_routing(partitioner, rects)):
             assert list(zip(
@@ -171,7 +171,7 @@ class TestRouting:
            st.lists(universe_rects(), min_size=1, max_size=8))
     def test_for_inputs_takes_the_union_of_both_sides(self, rects_r, rects_s):
         partitioner = SpatialPartitioner.for_inputs(
-            as_array(rects_r), as_array(rects_s), 4, 16
+            rect_array(rects_r), rect_array(rects_s), 4, 16
         )
         assert partitioner.grid.universe == Rect.union_all(rects_r + rects_s)
 
@@ -191,7 +191,16 @@ class TestUniqueness:
             for tile in cls_a.keys() & cls_b.keys()
             if ALLOWED_COMBO_TABLE[cls_a[tile]][cls_b[tile]]
         ]
-        assert enabled == [grid.reference_tile(a, b)]
+        # The reference tile: the pair's (max(xl), max(yl)) corner.
+        _, r1_a, c0_a, _ = grid.tile_span(a)
+        _, r1_b, c0_b, _ = grid.tile_span(b)
+        reference = grid.tile_id(min(r1_a, r1_b), max(c0_a, c0_b))
+        assert enabled == [reference]
+        # One partition per tile, round robin: the owner is the tile.
+        partitioner = SpatialPartitioner(UNIVERSE, grid.num_tiles, scheme=SCHEME_ROUND_ROBIN)
+        partitioner.grid = grid
+        owners = partitioner.owners(rect_array([a, b]), rect_array([b, a]))
+        assert owners.tolist() == [reference, reference]
 
     @given(grids(), universe_rects(), universe_rects())
     @settings(max_examples=200, deadline=None)

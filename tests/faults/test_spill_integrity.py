@@ -11,10 +11,9 @@ from repro.storage.spill import (
     FRAME_HEADER_SIZE,
     MAX_RECORD_BYTES,
     SpillWriter,
-    read_spill,
-    read_spill_all,
-    write_spill,
+    read_frames,
 )
+from tests.conftest import read_records, write_records
 
 RECORDS = [b"alpha", b"", b"gamma" * 100, b"\x00\xff" * 7]
 
@@ -22,13 +21,13 @@ RECORDS = [b"alpha", b"", b"gamma" * 100, b"\x00\xff" * 7]
 class TestRoundTrip:
     def test_write_then_read(self, tmp_path):
         path = tmp_path / "part.spill"
-        assert write_spill(path, RECORDS) == len(RECORDS)
-        assert read_spill_all(path) == RECORDS
+        assert write_records(path, RECORDS) == len(RECORDS)
+        assert read_records(path) == RECORDS
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.spill"
-        assert write_spill(path, []) == 0
-        assert read_spill_all(path) == []
+        assert write_records(path, []) == 0
+        assert read_records(path) == []
 
     def test_writer_counts_and_is_reentrant_to_close(self, tmp_path):
         path = tmp_path / "w.spill"
@@ -37,7 +36,7 @@ class TestRoundTrip:
             writer.append(b"two")
             assert writer.count == 2
         writer.close()  # idempotent
-        assert read_spill_all(path) == [b"one", b"two"]
+        assert read_records(path) == [b"one", b"two"]
 
     def test_oversized_record_rejected_at_write(self, tmp_path):
         writer = SpillWriter(tmp_path / "big.spill")
@@ -54,12 +53,12 @@ class TestRoundTrip:
 class TestCorruptionDetection:
     def test_torn_payload_byte(self, tmp_path):
         path = tmp_path / "torn.spill"
-        write_spill(path, RECORDS)
+        write_records(path, RECORDS)
         torn = tear_frame(path, 2)
         assert torn == 2
-        reader = read_spill(path)
-        assert next(reader) == RECORDS[0]
-        assert next(reader) == RECORDS[1]
+        reader = read_frames(path)
+        assert next(reader).record == RECORDS[0]
+        assert next(reader).record == RECORDS[1]
         with pytest.raises(SpillCorruptionError) as info:
             next(reader)
         err = info.value
@@ -75,38 +74,38 @@ class TestCorruptionDetection:
         # RECORDS[1] is b"": there is no payload byte to flip, so the
         # injector flips the stored CRC instead — still caught.
         path = tmp_path / "empty_frame.spill"
-        write_spill(path, RECORDS)
+        write_records(path, RECORDS)
         assert tear_frame(path, 1) == 1
         with pytest.raises(SpillCorruptionError) as info:
-            read_spill_all(path)
+            read_records(path)
         assert info.value.frame_index == 1
 
     def test_frame_index_wraps_modulo_record_count(self, tmp_path):
         path = tmp_path / "wrap.spill"
-        write_spill(path, RECORDS)
+        write_records(path, RECORDS)
         assert tear_frame(path, len(RECORDS) + 1) == 1
 
     def test_tearing_an_empty_file_is_a_noop(self, tmp_path):
         path = tmp_path / "none.spill"
-        write_spill(path, [])
+        write_records(path, [])
         assert tear_frame(path, 0) == -1
-        assert read_spill_all(path) == []
+        assert read_records(path) == []
 
     def test_truncated_record(self, tmp_path):
         path = tmp_path / "trunc.spill"
-        write_spill(path, [b"0123456789"])
+        write_records(path, [b"0123456789"])
         data = path.read_bytes()
         path.write_bytes(data[:-4])
         with pytest.raises(SpillCorruptionError, match="truncated record"):
-            read_spill_all(path)
+            read_records(path)
 
     def test_torn_header(self, tmp_path):
         path = tmp_path / "header.spill"
-        write_spill(path, [b"full frame"])
+        write_records(path, [b"full frame"])
         with path.open("ab") as fh:
             fh.write(b"\x07\x00\x00")  # 3 of 8 header bytes
-        reader = read_spill(path)
-        assert next(reader) == b"full frame"
+        reader = read_frames(path)
+        assert next(reader).record == b"full frame"
         with pytest.raises(SpillCorruptionError, match="torn frame header"):
             next(reader)
 
@@ -114,18 +113,18 @@ class TestCorruptionDetection:
         path = tmp_path / "len.spill"
         path.write_bytes(struct.pack("<II", MAX_RECORD_BYTES + 1, 0))
         with pytest.raises(SpillCorruptionError, match="corrupt frame length"):
-            read_spill_all(path)
+            read_records(path)
 
 
 class TestErrorType:
     def test_is_a_value_error_and_a_storage_error(self, tmp_path):
         path = tmp_path / "t.spill"
-        write_spill(path, [b"x"])
+        write_records(path, [b"x"])
         tear_frame(path, 0)
         with pytest.raises(ValueError):
-            read_spill_all(path)
+            read_records(path)
         with pytest.raises(StorageError):
-            read_spill_all(path)
+            read_records(path)
 
     def test_pickles_with_location_intact(self):
         err = SpillCorruptionError(
@@ -147,10 +146,10 @@ class TestTornTailTruncate:
         from repro.storage.spill import TORN_TAIL_TRUNCATE
 
         path = tmp_path / "t.spill"
-        write_spill(path, RECORDS)
+        write_records(path, RECORDS)
         assert tear_tail(path)
         seen = []
-        records = read_spill_all(
+        records = read_records(
             path, torn_tail=TORN_TAIL_TRUNCATE, on_torn_tail=seen.append
         )
         assert records == RECORDS[:-1]
@@ -160,35 +159,35 @@ class TestTornTailTruncate:
         from repro.storage.spill import TORN_TAIL_TRUNCATE
 
         path = tmp_path / "t.spill"
-        write_spill(path, RECORDS)
+        write_records(path, RECORDS)
         data = path.read_bytes()
         path.write_bytes(data[:-3])
-        records = read_spill_all(path, torn_tail=TORN_TAIL_TRUNCATE)
+        records = read_records(path, torn_tail=TORN_TAIL_TRUNCATE)
         assert records == RECORDS[:-1]
 
     def test_mid_log_damage_still_raises(self, tmp_path):
         from repro.storage.spill import TORN_TAIL_TRUNCATE
 
         path = tmp_path / "t.spill"
-        write_spill(path, RECORDS)
+        write_records(path, RECORDS)
         tear_frame(path, 0)  # later intact frames: not a torn tail
         with pytest.raises(SpillCorruptionError):
-            read_spill_all(path, torn_tail=TORN_TAIL_TRUNCATE)
+            read_records(path, torn_tail=TORN_TAIL_TRUNCATE)
 
     def test_default_mode_raises_even_at_the_tail(self, tmp_path):
         from repro.faults import tear_tail
 
         path = tmp_path / "t.spill"
-        write_spill(path, RECORDS)
+        write_records(path, RECORDS)
         tear_tail(path)
         with pytest.raises(SpillCorruptionError):
-            read_spill_all(path)
+            read_records(path)
 
     def test_unknown_mode_is_rejected(self, tmp_path):
         path = tmp_path / "t.spill"
-        write_spill(path, RECORDS)
+        write_records(path, RECORDS)
         with pytest.raises(ValueError):
-            read_spill_all(path, torn_tail="maybe")
+            read_records(path, torn_tail="maybe")
 
 
 class TestAtomicWriter:
@@ -201,7 +200,7 @@ class TestAtomicWriter:
         writer.close()
         assert path.exists()
         assert not path.with_name("part.spill.tmp").exists()
-        assert read_spill_all(path) == [b"alpha"]
+        assert read_records(path) == [b"alpha"]
 
     def test_context_manager_exception_aborts(self, tmp_path):
         path = tmp_path / "part.spill"
@@ -223,7 +222,7 @@ class TestAtomicWriter:
         from repro.storage.spill import sweep_orphan_spills
 
         sealed = tmp_path / "spills" / "r_0.kp"
-        write_spill(sealed, [b"keep me"])
+        write_records(sealed, [b"keep me"])
         orphan = tmp_path / "spills" / "r_1.kp.tmp"
         orphan.write_bytes(b"half")
         nested = tmp_path / "spills" / "deep" / "s_2.tup.tmp"

@@ -44,8 +44,9 @@ from repro.parallel.tasks import (
 )
 from repro.serve.query import QuerySpec
 from repro.storage import SpillCorruptionError
-from repro.storage.spill import FRAME_HEADER_SIZE, read_spill_all, write_spill
+from repro.storage.spill import FRAME_HEADER_SIZE
 from repro.storage.tuples import serialize_tuple
+from tests.conftest import read_records, write_records
 
 BLOCK = 4
 """Records per block in these tests: small, so a partition of a few dozen
@@ -154,7 +155,7 @@ class TestOneFormat:
             for t in side
             for tile, cls in partitioner.tile_assignments(t.mbr)
         )
-        frames = read_spill_all(spill.kp_path)
+        frames = read_records(spill.kp_path)
         assert b"".join(frames) == expected
         assert len(frames) == -(-len(side) // BLOCK)  # one a window
         records = read_keypointer_spill(spill.kp_path)
@@ -220,13 +221,13 @@ class TestIntegrity:
     def located(self, error, path, frame):
         assert error.path == str(path) and error.frame_index == frame
         assert error.offset == sum(
-            FRAME_HEADER_SIZE + len(f) for f in read_spill_all(path)[:frame]
+            FRAME_HEADER_SIZE + len(f) for f in read_records(path)[:frame]
         )
 
     def test_truncated_tail(self, tmp_path, sides):
         partitioner, side, _ = sides
         path = spill_side(tmp_path, "r", partitioner, side).tuple_path
-        frames = len(read_spill_all(path))
+        frames = len(read_records(path))
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) - 3)
         with pytest.raises(SpillCorruptionError, match="truncated") as info:
@@ -253,20 +254,20 @@ class TestIntegrity:
         head = np.frombuffer(good[: 8 * 4], "<u4").copy()
         head[word] = value(head)
         path = tmp_path / "bad.tup"
-        write_spill(path, [good, head.tobytes() + good[8 * 4 :]])
+        write_records(path, [good, head.tobytes() + good[8 * 4 :]])
         with pytest.raises(SpillCorruptionError, match="tuple block") as info:
             read_tuple_spill(str(path))
         self.located(info.value, path, 1)
 
     def test_empty_tuple_frame_is_corruption(self, tmp_path):
         path = tmp_path / "empty.tup"
-        write_spill(path, [b""])
+        write_records(path, [b""])
         with pytest.raises(SpillCorruptionError, match="tuple block"):
             read_tuple_spill(str(path))
 
     def test_keypointer_block_of_a_fractional_record(self, tmp_path):
         path = tmp_path / "bad.kp"
-        write_spill(path, [b"\0" * 50, b"\0" * 26])
+        write_records(path, [b"\0" * 50, b"\0" * 26])
         with pytest.raises(SpillCorruptionError, match="whole number") as info:
             read_keypointer_spill(str(path))
         self.located(info.value, path, 1)
@@ -275,7 +276,7 @@ class TestIntegrity:
         monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", 1 << 20)  # one window
         partitioner, side, _ = sides
         path = spill_side(tmp_path, "r", partitioner, side).kp_path
-        assert len(read_spill_all(path)) == 1
+        assert len(read_records(path)) == 1
         assert tear_frame(path, 5) == 0
         with pytest.raises(SpillCorruptionError, match="checksum") as info:
             read_keypointer_spill(path)
@@ -292,7 +293,7 @@ class TestIntegrity:
             DEFAULT_TASK_MEMORY, pair_task.config, label="0",
         )
         referenced = {fid_r for fid_r, _fid_s in candidates}
-        blocks = read_spill_all(pair_task.tuples_r_path)
+        blocks = read_records(pair_task.tuples_r_path)
         idle = [
             index for index, block in enumerate(blocks)
             if not referenced & block_fids(block)

@@ -34,13 +34,13 @@ from repro.parallel import tasks
 from repro.parallel.process import DEFAULT_TASK_MEMORY
 from repro.parallel.tasks import InputSide, read_tuple_spill, refine_pair
 from repro.serve.query import QuerySpec
-from repro.storage.spill import write_spill
 from repro.storage.tuples import (
     SpatialTuple,
     polygon_runs,
     polyline_runs,
     serialize_tuple,
 )
+from tests.conftest import write_records
 from tests.geometry.test_kernels import HAND_MADE, lattice_batches
 from tests.geometry.test_polyline import PAD, chain_pairs
 
@@ -52,7 +52,7 @@ S_BASE = 100
 def spill(path, tuples, block=3):
     """A tuple spill of ``tuples``, ``block`` records a frame."""
     records = InputSide(tuples).records(np.arange(len(tuples)))
-    write_spill(path, [
+    write_records(path, [
         tasks.pack_tuple_block(records[at : at + block])
         for at in range(0, len(records), block)
     ])
@@ -385,7 +385,7 @@ class TestWhichFormRunsOnPolygons:
         for count, loop_error in ((5, struct.error), (2, ValueError)):
             bad = inner[:at] + struct.pack("<H", count) + inner[at + 2 :]
             path = tmp_path / f"bad{count}.tup"
-            write_spill(path, [tasks.pack_tuple_block([
+            write_records(path, [tasks.pack_tuple_block([
                 (1, good), (2, bad), (3, inner),
             ])])
             with pytest.raises(ValueError, match="ring"):
@@ -499,7 +499,7 @@ class TestRecordsAreReadWithinTheirBounds:
         good = serialize_tuple(line(1, ELL))
         for count, loop_error in ((4, struct.error), (1, ValueError)):
             path = tmp_path / f"bad{count}.tup"
-            write_spill(path, [tasks.pack_tuple_block([
+            write_records(path, [tasks.pack_tuple_block([
                 (1, good), (2, self.with_count(line(2, ELL), count)), (3, good),
             ])])
             with pytest.raises(ValueError, match="coordinate run"):
