@@ -14,7 +14,12 @@ digests are gated byte-identical), so each repeats the scalar arithmetic
 operation for operation as separate elementwise ufuncs, in the scalar
 code's association order.  ``np.cross``, ``einsum`` and ``@`` may fuse or
 reorder and are not used.  ``tests/geometry/test_kernels.py`` holds every
-kernel equal to a reference built from the scalar primitives.
+kernel equal to a reference built from the scalar primitives.  The one
+computation with no scalar twin, :func:`clearance_squares`, is a true-hit
+filter rather than a transcription: a square inside each polygon, kept a
+margin clear of every edge, that decides containment without exact
+geometry wherever it holds the other polygon, and that must never hold
+one ``Polygon.contains`` refuses.
 
 One pair of polylines stays on the early-exit sweep
 (``polylines_intersect_sweep``): on TIGER's short chains an all-pairs kernel
@@ -188,12 +193,16 @@ def _point_against_edge(x, y, x1, y1, x2, y2):
     on_edge = _on_segment(x1, y1, x, y, x2, y2)
     if on_edge.any():
         on_edge &= _orientation(x1, y1, x, y, x2, y2) == 0
+    return on_edge, _ray_crosses(x, y, x1, y1, x2, y2)
+
+
+def _ray_crosses(x, y, x1, y1, x2, y2):
+    """Broadcast, does the ray from the point towards +x cross the edge."""
     # Edges the ray does not straddle (y1 == y2 among them) are masked out,
     # whatever their lane computed; Python floats overflow silently too.
     with np.errstate(all="ignore"):
         x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        crossings = ((y1 > y) != (y2 > y)) & (x_cross > x)
-    return on_edge, crossings
+        return ((y1 > y) != (y2 > y)) & (x_cross > x)
 
 
 class _Segments(NamedTuple):
@@ -329,8 +338,7 @@ def _ring_edges(x, y, ring_first, poly_first) -> _Segments:
     """Every ring closed (:func:`ring_segments`): edge ``v`` runs from
     vertex ``v`` to the next of its ring, from a ring's last vertex back to
     its first, and polygon ``i``'s are ``first[i]:first[i + 1]``."""
-    end = np.arange(1, len(x) + 1)
-    end[ring_first[1:] - 1] = ring_first[:-1]
+    end = _ring_ends(ring_first)
     x2, y2 = x[end], y[end]
     return _Segments(
         ring_first[poly_first], x, y, x2, y2,
@@ -339,9 +347,78 @@ def _ring_edges(x, y, ring_first, poly_first) -> _Segments:
     )
 
 
+def _ring_ends(ring_first: np.ndarray) -> np.ndarray:
+    """The vertex each edge runs to: the next of its ring, a ring's last
+    vertex back to its first."""
+    end = np.arange(1, ring_first[-1] + 1)
+    end[ring_first[1:] - 1] = ring_first[:-1]
+    return end
+
+
 def _shell_mbrs(x, y, ring_first, poly_first):
     """Each polygon's ``mbr``: its shell's."""
     return [bound[poly_first[:-1]] for bound in _mbrs(x, y, ring_first)]
+
+
+def _extents(x, y, ring_first, poly_first):
+    """Each polygon's MBR over all its rings, holes with the shell."""
+    return _mbrs(x, y, ring_first[poly_first])
+
+
+SQUARE_MAX_EXTENT = 1000.0
+"""The widest polygon (width + height of all its rings) given a clearance
+square.  ``orientation``'s tolerance, ``_EPS * max(scale, 1.0)``, exceeds
+the rounding of its cross product, ``3u·|a|₁·|b|₁``, while the two
+difference vectors' L1 norms sum to less than ``4·_EPS / 3u`` ≈ 12,000;
+both lie within the polygon's extent, so up to this width every
+orientation the exact tests compute is the true sign or zero."""
+
+
+def clearance_squares(x, y, ring_first, poly_first):
+    """``(cx, cy, half)``: for each polygon a square about the area centroid
+    of its shell that no ring edge comes near, ``half`` NaN where there is
+    none.
+
+    ``half`` is the least, over every edge of every ring, of the exact L∞
+    distance from the centre to the edge — ``max(gap_x, gap_y, |cross| /
+    (|dx| + |dy|))``, the separating-axis test of a square against a
+    segment — less a margin.  The square counts only where the centre is
+    inside the shell and inside no hole, by the ray cast's parity ring by
+    ring: then every point of the square has that parity too, so an inner
+    polygon whose rings all lie in it is one ``Polygon.contains`` holds.
+    The margin covers what those tests accept short of contact: a vertex
+    "on" an edge of L1 length ``l`` lies within ``min(l, 2·_EPS / l)`` of
+    it (below :data:`SQUARE_MAX_EXTENT`), never more than ``√(2·_EPS)``,
+    which ``2·√_EPS`` covers; and ``_EPS`` of the coordinates' magnitude
+    covers this arithmetic's rounding and the ray cast's, a few ulps of it.
+    """
+    shells, rings = poly_first[:-1], ring_first[:-1]
+    starts, counts = ring_first[shells], np.diff(ring_first[poly_first])
+    end = _ring_ends(ring_first)
+    # Coordinates about each shell's first vertex, then about the centre:
+    # a small polygon far from the origin keeps its digits.
+    ox, oy = x[starts], y[starts]
+    x1, y1 = x - np.repeat(ox, counts), y - np.repeat(oy, counts)
+    x2, y2 = x1[end], y1[end]
+    w = x1 * y2 - x2 * y1
+    with np.errstate(all="ignore"):
+        area6 = 3.0 * np.add.reduceat(w, rings)[shells]
+        cx = np.add.reduceat((x1 + x2) * w, rings)[shells] / area6
+        cy = np.add.reduceat((y1 + y2) * w, rings)[shells] / area6
+        x1, y1 = x1 - np.repeat(cx, counts), y1 - np.repeat(cy, counts)
+        x2, y2 = x1[end], y1[end]
+        line = np.abs(x1 * y2 - x2 * y1) / (np.abs(x2 - x1) + np.abs(y2 - y1))
+        gap = np.maximum(np.minimum(x1, x2), -np.maximum(x1, x2))
+        gap = np.maximum(gap, np.maximum(np.minimum(y1, y2), -np.maximum(y1, y2)))
+        # A zero-length edge has no line: its distance is the gap alone.
+        clearance = np.minimum.reduceat(np.fmax(gap, line), starts)
+    odd = np.logical_xor.reduceat(_ray_crosses(0.0, 0.0, x1, y1, x2, y2), rings)
+    xl, yl, xu, yu = bounds = _extents(x, y, ring_first, poly_first)
+    half = clearance - (2.0 * _EPS ** 0.5 + _EPS * np.max(np.abs(bounds), axis=0))
+    # In the shell, in no hole, not too wide, and room for a square.
+    valid = odd[shells] & (np.add.reduceat(odd, shells, dtype=np.intp) == 1)
+    valid &= (xu - xl + yu - yl <= SQUARE_MAX_EXTENT) & (half > 0.0)
+    return ox + cx, oy + cy, np.where(valid, half, np.nan)
 
 
 def polygons_contain_each(
@@ -349,28 +426,56 @@ def polygons_contain_each(
 ) -> Tuple[np.ndarray, Dict[str, int]]:
     """``Polygon.contains`` of polygon ``of_outer[p]`` of ``outer`` on
     polygon ``of_inner[p]`` of ``inner``, every pair ``p`` at once: the
-    verdicts, and how many rows reached each of the two exact tests.
+    verdicts, how many the clearance square decided, and how many rows
+    reached each of the two exact tests.
 
-    The method's three steps, each over every pair the one before left
-    undecided: the shell MBRs, ``Rect.contains`` as a mask; no boundary
-    crossing (:func:`_boundaries_cross`); every inner shell vertex in or on
-    the outer shell and none strictly inside an outer hole
-    (:func:`_vertices_outside`).
+    The shell MBRs first, ``Rect.contains`` as a mask.  Of the pairs that
+    pass, those whose inner rings all lie in the outer polygon's
+    :func:`clearance_squares` square are contained — §4.4's enclosed
+    rectangle as a true-hit mask.  The rest, alone, go on to the method's
+    two exact tests: every inner shell vertex in or on the outer shell and
+    none strictly inside an outer hole (:func:`_vertices_outside`), then,
+    for the pairs that keep all their vertices, no boundary crossing
+    (:func:`_boundaries_cross`).  The method is the conjunction of the two,
+    so their order changes no verdict; the vertex rule goes first because
+    it rejects more.  Compacting the undecided pairs' polygons into ring
+    columns of their own is what makes the square pay: the vertex rule
+    sorts every vertex of the columns it is given.
     """
-    o, i = _ring_edges(*outer), _ring_edges(*inner)
     oxl, oyl, oxu, oyu = (bound[of_outer] for bound in _shell_mbrs(*outer))
-    box = ixl, iyl, ixu, iyu = [bound[of_inner] for bound in _shell_mbrs(*inner)]
+    ixl, iyl, ixu, iyu = (bound[of_inner] for bound in _shell_mbrs(*inner))
     inside = (oxl <= ixl) & (oyl <= iyl) & (ixu <= oxu) & (iyu <= oyu)
-    crossed, segment_pairs = _boundaries_cross(
-        o, i, of_outer, of_inner, inside, box
-    )
-    clear = inside & ~crossed
-    outside, vertex_rows = _vertices_outside(
-        o, outer, inner, of_outer, of_inner, clear
-    )
-    return clear & ~outside, {
-        "segment_pairs": segment_pairs, "vertex_rows": vertex_rows,
-    }
+    cx, cy, half = (column[of_outer] for column in clearance_squares(*outer))
+    # The inner polygon's extent, not its shell's: a hole need not lie
+    # within its shell, and hole edges take part in the crossing test.
+    jxl, jyl, jxu, jyu = (bound[of_inner] for bound in _extents(*inner))
+    verdicts = inside & (cx - half <= jxl) & (cy - half <= jyl)
+    verdicts &= (jxu <= cx + half) & (jyu <= cy + half)
+    rows = {"square_hits": int(verdicts.sum()), "segment_pairs": 0, "vertex_rows": 0}
+    undecided = np.flatnonzero(inside & ~verdicts)
+    outer, of_outer = _subset(outer, of_outer[undecided])
+    inner, of_inner = _subset(inner, of_inner[undecided])
+    o, i = _ring_edges(*outer), _ring_edges(*inner)
+    outside, rows["vertex_rows"] = _vertices_outside(o, outer, inner, of_outer, of_inner)
+    box = [bound[of_inner] for bound in _shell_mbrs(*inner)]
+    crossed, rows["segment_pairs"] = _boundaries_cross(o, i, of_outer, of_inner, ~outside, box)
+    verdicts[undecided] = ~outside & ~crossed
+    return verdicts, rows
+
+
+def _subset(rings: Rings, of: np.ndarray) -> Tuple[Rings, np.ndarray]:
+    """The polygons ``of`` names as ring columns of their own, and ``of``
+    pointing into them."""
+    x, y, ring_first, poly_first = rings
+    kept = np.zeros(len(poly_first) - 1, dtype=bool)
+    kept[of] = True
+    kept_rings = np.repeat(kept, np.diff(poly_first))
+    kept_vertices = np.repeat(kept_rings, np.diff(ring_first))
+    return (
+        x[kept_vertices], y[kept_vertices],
+        np.concatenate(([0], np.cumsum(np.diff(ring_first)[kept_rings]))),
+        np.concatenate(([0], np.cumsum(np.diff(poly_first)[kept]))),
+    ), np.cumsum(kept)[of] - 1
 
 
 def _boundaries_cross(o: _Segments, i: _Segments, of_outer, of_inner, inside, box):
@@ -391,10 +496,8 @@ def _boundaries_cross(o: _Segments, i: _Segments, of_outer, of_inner, inside, bo
     return crossed, tested
 
 
-def _vertices_outside(
-    o: _Segments, outer: Rings, inner: Rings, of_outer, of_inner, clear
-):
-    """The vertex rule of ``Polygon.contains`` for the pairs ``clear``:
+def _vertices_outside(o: _Segments, outer: Rings, inner: Rings, of_outer, of_inner):
+    """The vertex rule of ``Polygon.contains`` for every pair:
     true where some inner shell vertex is neither in nor on the outer shell,
     or is strictly inside an outer hole.
 
@@ -427,7 +530,7 @@ def _vertices_outside(
     # the on-boundary flag of that vertex in that ring, the outer shell's
     # slots first, then each hole's.
     vertices = shell_len[of_inner]
-    slots = np.where(clear, np.diff(outer_poly_first)[of_outer] * vertices, 0)
+    slots = np.diff(outer_poly_first)[of_outer] * vertices
     slot_first = np.cumsum(slots) - slots
     crossings = np.zeros(slots.sum(), dtype=np.int64)
     on_boundary = np.zeros(len(crossings), dtype=bool)
@@ -435,9 +538,7 @@ def _vertices_outside(
         np.arange(len(outer_ring_first) - 1), np.diff(outer_ring_first)
     )
     tested = 0
-    for pair, k in ragged_rows(
-        np.where(clear, o.first[of_outer + 1] - o.first[of_outer], 0)
-    ):
+    for pair, k in ragged_rows(o.first[of_outer + 1] - o.first[of_outer]):
         edge = o.first[of_outer[pair]] + k
         shell = of_inner[pair]
         low = np.searchsorted(keys, grouped_keys(shell, rank_low[edge]), "left")
@@ -457,9 +558,9 @@ def _vertices_outside(
             on_boundary[slot[on_edge]] = True
 
     parity = crossings % 2 == 1
-    pair = np.repeat(np.arange(len(clear)), slots)
+    pair = np.repeat(np.arange(len(slots)), slots)
     of_shell = np.arange(len(crossings)) - slot_first[pair] < vertices[pair]
     failed = np.where(of_shell, ~(on_boundary | parity), parity & ~on_boundary)
-    outside = np.zeros(len(clear), dtype=bool)
+    outside = np.zeros(len(slots), dtype=bool)
     outside[pair[failed]] = True
     return outside, tested

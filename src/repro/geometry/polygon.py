@@ -26,7 +26,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import any_segments_intersect, points_in_ring, ring_segments
+from .kernels import (
+    any_segments_intersect,
+    clearance_squares,
+    points_in_ring,
+    ring_segments,
+)
 from .rect import Rect
 from .segment import on_segment, orientation
 
@@ -214,32 +219,18 @@ def maximal_enclosed_rect(polygon: Polygon) -> Optional[Rect]:
 
     The paper's §4.4 sketches storing a *maximal enclosed rectangle* (MER)
     per polygon so containment can sometimes be decided from approximations
-    alone.  The MER only needs to be *some* exactly-verified enclosed
-    rectangle, so we use a cheap seed — the square inscribed in the largest
-    centroid-centred circle that the vertices allow — verified with exact
-    geometry and halved a few times on failure.  Returns ``None`` when the
-    centroid is not inside the polygon (e.g. a crescent shape) or no seed
-    verifies.
+    alone.  Any enclosed rectangle will do; this is the one the columnar
+    refine uses, :func:`~repro.geometry.kernels.clearance_squares` of this
+    polygon: the square about its shell's area centroid that no ring edge
+    comes near.  ``None`` when the centroid is not inside the polygon (a
+    crescent, say) or lies in a hole.
     """
-    cx, cy = _centroid(polygon.shell)
-    if not polygon.contains_point(cx, cy):
+    x, y = np.array([point for ring in polygon.rings for point in ring]).T
+    ring_first = np.cumsum([0] + [len(ring) for ring in polygon.rings])
+    (cx,), (cy,), (half,) = clearance_squares(x, y, ring_first, np.array([0, len(ring_first) - 1]))
+    if not half > 0.0:
         return None
-    # Largest centroid-centred circle bounded by the nearest vertex; for
-    # star-shaped polygons (and most land-use blobs) the inscribed square
-    # of that circle is enclosed or nearly so.
-    min_d2 = min((x - cx) ** 2 + (y - cy) ** 2 for x, y in polygon.shell)
-    for hole in polygon.holes:
-        hole_d2 = min((x - cx) ** 2 + (y - cy) ** 2 for x, y in hole)
-        min_d2 = min(min_d2, hole_d2)
-    half = (min_d2**0.5) / (2.0**0.5)
-    if half <= 0.0:
-        return None
-    for _ in range(6):
-        rect = Rect(cx - half, cy - half, cx + half, cy + half)
-        if rect_inside_polygon(rect, polygon):
-            return rect
-        half /= 2.0
-    return None
+    return Rect(float(cx - half), float(cy - half), float(cx + half), float(cy + half))
 
 
 def rect_inside_polygon(rect: Rect, polygon: Polygon) -> bool:
@@ -263,21 +254,3 @@ def rect_inside_polygon(rect: Rect, polygon: Polygon) -> bool:
         if rect.contains_point(hx, hy):
             return False
     return True
-
-
-def _centroid(ring: Sequence[Point]) -> Point:
-    """Area-weighted centroid of a ring (falls back to vertex mean)."""
-    a = ring_area_signed(ring)
-    if abs(a) < 1e-12:
-        xs = sum(p[0] for p in ring) / len(ring)
-        ys = sum(p[1] for p in ring) / len(ring)
-        return (xs, ys)
-    cx = cy = 0.0
-    n = len(ring)
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        w = x1 * y2 - x2 * y1
-        cx += (x1 + x2) * w
-        cy += (y1 + y2) * w
-    return (cx / (6.0 * a), cy / (6.0 * a))

@@ -742,7 +742,8 @@ def refine_pair(
     built.  What needs a tuple — polygons under ``intersects``, mixed
     geometry, any other predicate — takes the loop: look both tuples up,
     call the predicate.  ``span``, if given, is tagged with which form
-    ran, what it decoded and how many rows reached the exact tests.
+    ran, what it decoded, how many rows reached the exact tests and how
+    many candidates were decided without them (``square_hits``).
     """
     pairs = np.array(candidates, dtype=np.int64).reshape(-1, 2)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
@@ -761,7 +762,7 @@ def refine_pair(
         columns_r = records_r.columns(named_r, decode)
     if columns_r is not None:
         columns_s = records_s.columns(named_s, decode)
-    rows = {"segment_pairs": 0, "vertex_rows": 0}
+    rows = {"segment_pairs": 0, "vertex_rows": 0, "square_hits": 0}
     if columns_s is not None:
         hits, tested = decide(columns_r, columns_s, of_r, of_s)
         rows.update(tested)

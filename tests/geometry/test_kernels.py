@@ -8,6 +8,7 @@ loops live on here as the reference, built only from the scalar
 ``segments_intersect`` / ``point_in_ring`` / ``_point_strictly_in_ring``.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.geometry import (
     Rect,
     any_segments_intersect,
     kernels,
+    maximal_enclosed_rect,
     point_in_ring,
     points_in_ring,
     polygon as polygon_module,
@@ -471,6 +473,13 @@ HAND_MADE = {
     "the same shell without that hole": (
         CHEESE, Polygon([(1, 1), (5, 1), (2, 4)]), True,
     ),
+    # The shell lies in the triangle's clearance square; its hole, far
+    # off, crosses the hypotenuse, whose box meets the shell's MBR.
+    "an inner hole across an edge, the shell in the square": (
+        Polygon([(0, 0), (10, 0), (0, 10)]),
+        Polygon(box(3, 3, 3.5, 3.5).shell, [box(8.5, 1, 9.5, 2).shell]),
+        False,
+    ),
 }
 
 
@@ -524,31 +533,147 @@ class TestPolygonsContainEach:
             some_outers[o].contains(some_inners[i]) for o, i in pairs
         ]
         assert verdicts.count(True) > len(HAND_MADE) / 2
-        assert rows["segment_pairs"] > 0 and rows["vertex_rows"] > 0
+        assert all(count > 0 for count in rows.values())
 
     def test_the_rows_each_test_sees(self):
+        # The island lies in the box's clearance square: no exact test.
         outer, island, _ = HAND_MADE["island"]
-        # No edge's box meets the island: no segment pair.  Each vertex lies
-        # in the y-extent of the two vertical edges alone: 4 x 2 rows of the
-        # 4 x 4 product.
         assert contain_each([outer], [island], [(0, 0)])[1] == {
-            "segment_pairs": 0, "vertex_rows": 8,
+            "square_hits": 1, "segment_pairs": 0, "vertex_rows": 0,
         }
-        # The boundary test decides; the vertex rule is not reached.
+        # Beside the square of a long box (centre (15, 5), half-width 5),
+        # its vertices in and no edge's box meeting it: no segment pair.
+        # Each vertex lies in the y-extent of the two vertical edges alone:
+        # 4 x 2 rows of the 4 x 4 product.
+        assert contain_each([box(0, 0, 30, 10)], [box(24, 4, 26, 6)], [(0, 0)]) == (
+            [True], {"square_hits": 0, "segment_pairs": 0, "vertex_rows": 8},
+        )
+        # The MBR test decides; no exact test is reached.
         _outer, poking, _ = HAND_MADE["pokes out"]
         assert contain_each([CHEESE], [poking], [(0, 0)])[1] == {
-            "segment_pairs": 0, "vertex_rows": 0,
+            "square_hits": 0, "segment_pairs": 0, "vertex_rows": 0,
         }
-        # ``Rect.contains`` is closed: MBRs that share a bound pass it, and
+        # ``Rect.contains`` is closed: MBRs that share a bound pass it.  A
+        # vertex strictly inside the hole fails the vertex rule, and the
+        # boundary test is not reached; vertices on the shell pass it, and
         # the edge along the shell is for the boundary test to find.
-        for touching in (box(3, 3, 6, 6), box(0, 1, 2, 3)):
-            verdicts, rows = contain_each([CHEESE], [touching], [(0, 0)])
-            assert verdicts == [False]
-            assert rows["segment_pairs"] > 0 and rows["vertex_rows"] == 0
+        assert contain_each([CHEESE], [box(3, 3, 6, 6)], [(0, 0)]) == (
+            [False], {"square_hits": 0, "segment_pairs": 0, "vertex_rows": 12},
+        )
+        assert contain_each([CHEESE], [box(0, 1, 2, 3)], [(0, 0)]) == (
+            [False], {"square_hits": 0, "segment_pairs": 4, "vertex_rows": 8},
+        )
 
     def test_no_pairs(self):
         verdicts, rows = contain_each([CHEESE], [box(1, 1, 2, 2)], [])
-        assert verdicts == [] and rows == {"segment_pairs": 0, "vertex_rows": 0}
+        assert verdicts == [] and rows == {
+            "square_hits": 0, "segment_pairs": 0, "vertex_rows": 0,
+        }
+
+
+# ---------------------------------------------------------------------- #
+# the clearance square: inners placed on its bounds, outers made to test it
+# ---------------------------------------------------------------------- #
+
+
+CHAMFERS = [1e-7, 3e-7, 5e-7, 1e-6, 1e-3]
+"""Half-lengths of a notch's tip edge.  A vertex in such an edge's box is
+"on" it out to ``_EPS / 4c`` from its line: about the chamfer itself near
+``√_EPS / 2``, the case the square's margin is sized for."""
+
+
+def square_outers(kind, a, c=1e-3):
+    """Outers in a 4 x 4 frame, centroid near ``(2, 2)``, shaped by ``a`` in
+    [0, 1] and the chamfer ``c``."""
+    frame = [(0, 0), (4, 0), (4, 4), (0, 4)]
+    if kind == "star":
+        return Polygon([
+            (2 + (1 + a * (k % 2)) * math.cos(k * math.pi / 4),
+             2 + (1 + a * (k % 3 == 0)) * math.sin(k * math.pi / 4))
+            for k in range(8)
+        ])
+    if kind == "U":  # its centroid lies in the notch, outside it
+        return Polygon([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)])
+    if kind == "hole by the centre":  # holding it while a <= 0.1
+        return Polygon(frame, [box(1.9 + a, 1.5, 2.4 + a, 2.5).shell])
+    if kind == "one hole twice":  # the centre's parity over all rings is odd
+        return Polygon(frame, [box(1.5, 1.5, 2.5, 2.5).shell] * 2)
+    # A notch cut in from the top-right corner along the diagonal, so the
+    # square's corner meets its tip: an edge across the diagonal, 2c long.
+    t = 2.3 + a
+    return Polygon([
+        (0, 0), (4, 0), (4, 3), (t + c, t - c), (t - c, t + c), (3, 4), (0, 4),
+    ])
+
+
+def linf_clearance(poly, cx, cy):
+    """The least L∞ distance from ``(cx, cy)`` to an edge of ``poly``."""
+    def distance(p, q):
+        (x1, y1), (x2, y2) = p, q
+        gap = max(min(x1, x2) - cx, cx - max(x1, x2), min(y1, y2) - cy, cy - max(y1, y2))
+        span = abs(x2 - x1) + abs(y2 - y1)
+        return max(gap, abs((x2 - x1) * (cy - y1) - (y2 - y1) * (cx - x1)) / span
+                   if span else gap)
+    return min(distance(p, q) for p, q in poly.segments())
+
+
+@st.composite
+def square_cases(draw):
+    """An outer moved near ±180 or ±1e6 and, about its square's centre,
+    inner boxes whose half-widths are the square's, the square's ± 1 ulp,
+    the distance to the nearest outer edge ± 1 ulp, and half the square's;
+    one of them pushed out of the square by a side, and a small island
+    whose hole lies on the outer's boundary."""
+    kind = draw(st.sampled_from(
+        ["star", "U", "hole by the centre", "one hole twice", "chamfered notch"]
+    ))
+    unit = draw(st.sampled_from([1e-3, 1.0, 10.0]))
+    ox, oy = draw(st.sampled_from([(0, 0), (178.5, -180), (-180, 89.5), (1e6, -1e6)]))
+    shape = square_outers(
+        kind, draw(st.floats(0, 1)), draw(st.sampled_from(CHAMFERS))
+    )
+
+    def place(ring):
+        return [(ox + x * unit, oy + y * unit) for x, y in ring]
+
+    outer = Polygon(place(shape.shell), [place(hole) for hole in shape.holes])
+    (cx,), (cy,), (half,) = kernels.clearance_squares(*ring_columns([outer]))
+    nearest = linf_clearance(outer, cx, cy)
+    widths = [nearest, math.nextafter(nearest, 0), math.nextafter(nearest, math.inf)]
+    if half > 0:
+        widths += [half, math.nextafter(half, 0), math.nextafter(half, math.inf), half / 2]
+    inners = [box(cx - w, cy - w, cx + w, cy + w) for w in widths]
+    w = half if half > 0 else nearest
+    side = draw(st.sampled_from([cx + w, math.nextafter(cx + w, math.inf)]))
+    inners.append(box(cx - w / 2, cy - w, side, cy))
+    x, y = outer.shell[0]
+    inners.append(Polygon(
+        box(cx - w / 2, cy - w / 2, cx + w / 2, cy + w / 2).shell,
+        [box(x - unit / 4, y - unit / 4, x + unit / 4, y + unit / 4).shell],
+    ))
+    return outer, inners, half
+
+
+class TestClearanceSquare:
+    @given(square_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_inners_on_the_square_equal_polygon_contains(self, case):
+        outer, inners, half = case
+        verdicts, rows = contain_each([outer], inners, [(0, i) for i in range(len(inners))])
+        assert verdicts == [outer.contains(inner) for inner in inners]
+        mer = maximal_enclosed_rect(outer)
+        assert (mer is not None) == (half > 0)
+        if mer is not None:
+            # The half-width box decides without exact geometry, and the
+            # square is enclosed by the tests' own oracle.
+            assert rows["square_hits"] >= 1 and rect_inside_polygon(mer, outer)
+
+    def test_the_outers_have_and_lack_squares_as_designed(self):
+        def has_square(kind, a=0.5):
+            return maximal_enclosed_rect(square_outers(kind, a)) is not None
+        assert has_square("star") and has_square("chamfered notch")
+        assert has_square("hole by the centre") and not has_square("hole by the centre", 0.05)
+        assert not has_square("U") and not has_square("one hole twice")
 
 
 class TestSequoiaEndToEnd:

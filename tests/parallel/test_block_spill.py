@@ -368,7 +368,7 @@ class TestIntegrityThroughThePolygonColumns(TestIntegrity):
             if child["name"] == "worker.refine"
         ]
         assert result.pairs and tags["columnar"] is True
-        assert tags["segment_pairs"] > 0 < tags["vertex_rows"]
+        assert tags["square_hits"] > 0 < tags["vertex_rows"]
         loop = run_pair_task(dataclasses.replace(
             pair_task, predicate=ContainsWithFilters()
         ))

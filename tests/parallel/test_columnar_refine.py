@@ -31,7 +31,7 @@ from repro.core.predicates import ContainsWithFilters, intersects_naive
 from repro.geometry import Polygon, Polyline, kernels
 from repro.obs import Tracer
 from repro.parallel import tasks
-from repro.parallel.process import DEFAULT_TASK_MEMORY
+from repro.parallel.process import DEFAULT_TASK_MEMORY, ProcessPBSM
 from repro.parallel.tasks import InputSide, read_tuple_spill, refine_pair
 from repro.serve.query import QuerySpec
 from repro.storage.tuples import (
@@ -135,6 +135,7 @@ def the_two_forms_agree(
         len({r for r, _s in candidates}) + len({s for _r, s in candidates})
     )
     assert loop_tags["segment_pairs"] == loop_tags["vertex_rows"] == 0
+    assert loop_tags["square_hits"] == 0
     by_fid = {t.feature_id: t.geom for t in (*tuples_r, *tuples_s)}
     pairs, dropped = columnar
     assert dropped == len(candidates) - len(set(candidates))
@@ -171,7 +172,7 @@ class TestAgainstTheLoop:
         assert answer == ([], 0)
         assert tags == {
             "columnar": True, "records_decoded": 0, "segment_pairs": 0,
-            "vertex_rows": 0,
+            "vertex_rows": 0, "square_hits": 0,
         }
 
 
@@ -209,7 +210,7 @@ class TestWhichFormRuns:
         assert answer == ([(1, S_BASE)], 0)
         assert tags == {
             "columnar": True, "records_decoded": 4, "segment_pairs": 1,
-            "vertex_rows": 0,
+            "vertex_rows": 0, "square_hits": 0,
         }
 
     def test_a_polygon_among_the_named_records_takes_the_loop(self, paths):
@@ -220,7 +221,7 @@ class TestWhichFormRuns:
         assert answer == refined(candidates, path_r, path_s, by_the_loop)[0]
         assert tags == {
             "columnar": False, "records_decoded": 5, "segment_pairs": 0,
-            "vertex_rows": 0,
+            "vertex_rows": 0, "square_hits": 0,
         }
 
     @pytest.mark.parametrize(
@@ -314,12 +315,32 @@ class TestPolygonsAgainstTheLoop:
         assert columnar == refined(
             candidates, path_r, path_s, contains_by_the_loop
         )[0]
-        assert tags["columnar"] is True
-        # Both exact tests had work, and the vertex rule far less of it
-        # than the (vertex x edge) product of even one pair in ten.
-        assert tags["segment_pairs"] > len(candidates)
-        assert len(candidates) < tags["vertex_rows"] < 100 * len(candidates)
-        assert 100 < len(columnar[0]) < len(candidates) and columnar[1] == 0
+        # The clearance square decides all the results but one; the exact
+        # tests see only what it leaves.
+        assert len(candidates) == 581 and columnar[1] == 0
+        assert len(columnar[0]) == 333
+        assert tags == {
+            "columnar": True, "records_decoded": 859, "square_hits": 332,
+            "segment_pairs": 516, "vertex_rows": 4198,
+        }
+
+    def test_the_benchmark_join(self):
+        """``sequoia_refine``'s join (seed 1996, scale 0.2) on the shed path,
+        whose rebuilt pairs are tagged as a worker's refine is: the square
+        decides 3,197 of the 3,256 results, and the exact tests see a fifth
+        of the 125,982 + 239,676 rows they saw without it."""
+        spec = QuerySpec(dataset="landuse_island", scale=0.2, seed=1996,
+                         predicate="contains")
+        tracer = Tracer()
+        result = ProcessPBSM(2, tracer=tracer, num_partitions=spec.partitions).run_serial(
+            *spec.generate(), spec.predicate_fn
+        )
+        spans = tracer.find("process.degraded_pair")
+        assert len(result.pairs) == 3256 and result.duplicates_dropped == 0
+        assert {
+            name: sum(span.tags[name] for span in spans)
+            for name in ("square_hits", "segment_pairs", "vertex_rows")
+        } == {"square_hits": 3197, "segment_pairs": 21609, "vertex_rows": 53300}
 
 
 class TestWhichFormRunsOnPolygons:
@@ -337,11 +358,13 @@ class TestWhichFormRunsOnPolygons:
 
     def test_polygons_under_contains_are_columnar(self, paths):
         answer, tags = refined(self.POLYGONS_ONLY, *paths, contains)
-        # The island holds itself no more than ``Polygon.contains`` says.
+        # The island holds itself no more than ``Polygon.contains`` says:
+        # outside its own square, on its own boundary, every edge crossed.
+        # The box holds it by the square alone.
         assert answer == ([(1, S_BASE)], 0)
         assert tags == {
             "columnar": True, "records_decoded": 3, "segment_pairs": 16,
-            "vertex_rows": 8,
+            "vertex_rows": 12, "square_hits": 1,
         }
 
     def test_no_candidates(self, paths):
@@ -349,7 +372,7 @@ class TestWhichFormRunsOnPolygons:
         assert answer == ([], 0)
         assert tags == {
             "columnar": True, "records_decoded": 0, "segment_pairs": 0,
-            "vertex_rows": 0,
+            "vertex_rows": 0, "square_hits": 0,
         }
 
     def test_a_polyline_among_the_named_records_takes_the_loop(self, paths):
@@ -367,7 +390,7 @@ class TestWhichFormRunsOnPolygons:
         answer, tags = refined(self.POLYGONS_ONLY, *paths, predicate)
         assert answer[0][0] == (1, S_BASE) and answer[1] == 0
         assert tags["columnar"] is False
-        assert tags["segment_pairs"] == tags["vertex_rows"] == 0
+        assert tags["segment_pairs"] == tags["vertex_rows"] == tags["square_hits"] == 0
 
     @pytest.mark.parametrize("predicate", [contains, contains_by_the_loop])
     def test_an_absent_feature_id_is_a_key_error(self, paths, predicate):

@@ -230,9 +230,10 @@ class TestWorkerObservability:
         for refine in refines:
             assert refine.tags["columnar"] is True
             assert refine.tags["records_decoded"] <= 2 * refine.tags["candidates"]
-        # Each contained island was decided by its vertices, three at least,
-        # and a height inside a ring lies within two of its edges' extents.
-        assert sum(r.tags["vertex_rows"] for r in refines) >= 6 * len(serial.pairs)
+        # Nearly every contained island lies in its land-use polygon's
+        # clearance square; the exact tests decide the rest.
+        assert sum(r.tags["square_hits"] for r in refines) > 0.9 * len(serial.pairs)
+        assert sum(r.tags["vertex_rows"] for r in refines) > 0
         assert sum(r.tags["segment_pairs"] for r in refines) > 0
 
 
