@@ -32,7 +32,6 @@ from .process import DeadlineExceededError, ProcessPBSM, RunPoolProvider
 from .tasks import (
     PairTask,
     PairTaskResult,
-    PartitionSpill,
     SpillHandle,
     WorkerTaskError,
     run_pair_task,
@@ -49,7 +48,6 @@ __all__ = [
     "PairTaskResult",
     "ParallelJoinResult",
     "ParallelPBSM",
-    "PartitionSpill",
     "ProcessPBSM",
     "RunPoolProvider",
     "SpillHandle",

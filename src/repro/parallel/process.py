@@ -6,8 +6,9 @@ this backend executes the join on real worker processes and is measured in
 real wall-clock seconds:
 
 1. **Partition** — the coordinator runs PBSM's tiled partitioning function
-   over both inputs once, spilling each partition's key-pointers and
-   tuples to files workers can read (:mod:`repro.parallel.tasks`).
+   over both inputs once, spilling each partition's key-pointers to files
+   workers can read; the tuples they refine with are each side's relation
+   file, written once per input (:mod:`repro.parallel.tasks`).
 2. **Schedule** — partition-pair merge tasks are submitted to a
    ``ProcessPoolExecutor`` in longest-processing-time-first order, seeded
    by per-pair key-pointer counts.  LPT places the big pairs first; the
@@ -69,7 +70,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..checkpoint.manifest import (
     STATE_COMPLETE,
@@ -116,7 +117,7 @@ from ..obs.metrics import LATENCY_BUCKETS_S, NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import DiskFullError, ManifestCorruptionError
 from ..storage.pressure import DiskBudget
-from ..storage.spill import sweep_orphan_spills
+from ..storage.spill import SpillWriter, sweep_orphan_spills
 from ..storage.tuples import SpatialTuple
 from .engine import NodeReport, ParallelJoinResult, TaskReport
 from .tasks import (
@@ -124,7 +125,6 @@ from .tasks import (
     InputSide,
     PairTask,
     PairTaskResult,
-    PartitionSpill,
     SpillHandle,
     WorkerTaskError,
     init_pool_worker,
@@ -134,7 +134,7 @@ from .tasks import (
     sweep_pair,
 )
 
-SideSpills = List[Union[PartitionSpill, SpillHandle]]
+SideSpills = List[SpillHandle]
 """One side's per-partition spills: freshly written or checkpoint-adopted."""
 
 DEFAULT_TASKS_PER_WORKER = 4
@@ -660,26 +660,24 @@ class ProcessPBSM:
             spill_root = tempfile.mkdtemp(prefix="repro-pbsm-")
         self._active_store = store
 
-        spills_r: SideSpills = []
-        spills_s: SideSpills = []
+        fresh: Dict[str, List[SpillWriter]] = {}
         try:
             injector = WriteErrorInjector(self.fault_plan, journal=self.journal)
-            fresh_sides: Set[str] = set()
             with self.tracer.span("process.partition"):
                 routing = self._routing(side_r, side_s)
                 spills_r, placed_r = self._obtain_side(
-                    "r", side_r, routing, spill_root, injector,
-                    store, fresh_sides,
+                    "r", side_r, routing, spill_root, injector, store, fresh,
                 )
                 spills_s, placed_s = self._obtain_side(
-                    "s", side_s, routing, spill_root, injector,
-                    store, fresh_sides,
+                    "s", side_s, routing, spill_root, injector, store, fresh,
                 )
-            if self.fault_plan and self.fault_plan.torn_frames and fresh_sides:
+            if self.fault_plan and self.fault_plan.torn_frames and fresh:
                 # Only freshly written sides: for an adopted spill the
                 # fault already happened in the run that wrote it.
-                self._apply_torn_frames(spills_r, spills_s, fresh_sides)
-            all_tasks = self._build_tasks(spills_r, spills_s, predicate)
+                self._apply_torn_frames(spills_r, spills_s, set(fresh))
+            all_tasks = self._build_tasks(
+                spills_r, spills_s, side_r, side_s, predicate
+            )
             tasks = [t for t in all_tasks if t.index not in committed]
             self.journal.emit(
                 EVENT_SCHEDULE,
@@ -742,13 +740,11 @@ class ProcessPBSM:
                 store.close()
             else:
                 shutil.rmtree(spill_root, ignore_errors=True)
-                if budget is not None:
-                    # The tempdir's spills just left the disk; checkpoint
-                    # runs keep their charges (the files persist).
-                    for spill in list(spills_r) + list(spills_s):
-                        release = getattr(spill, "release_budget", None)
-                        if release is not None:
-                            release()
+                # The tempdir's spills just left the disk; checkpoint runs
+                # keep their charges (the files persist).
+                for writers in fresh.values():
+                    for writer in writers:
+                        writer.release_budget()
         self.metrics.gauge("parallel.process.partitions").set(self.num_partitions)
         self.metrics.gauge("parallel.process.workers").set(self.workers)
         self.metrics.counter("parallel.process.tasks").inc(len(outcomes))
@@ -811,9 +807,10 @@ class ProcessPBSM:
         spill_root: str,
         injector: WriteErrorInjector,
         store: Optional[CheckpointStore],
-        fresh_sides: Set[str],
+        fresh: Dict[str, List[SpillWriter]],
     ) -> Tuple[SideSpills, int]:
-        """Adopt one side's sealed spills from the checkpoint, else spill it.
+        """Adopt one side's sealed spills from the checkpoint, else spill it
+        (its writers go in ``fresh``).
 
         Adoption requires every recorded file to exist at its recorded
         size; anything less re-partitions the side from the base relation
@@ -834,12 +831,20 @@ class ProcessPBSM:
                     )
                     return handles, int(seal["placed"])
                 self._count("spill_sides_rebuilt")
-        spills = self._spill_side(
-            side, columns, routing[side], spill_root, injector,
+        routed = routing[side]
+        fresh[side] = self._spill_side(
+            side, columns, routed, spill_root, injector,
             atomic=store is not None,
         )
+        # A degraded partition's spill is a sealed empty file.
+        spills = [
+            SpillHandle(str(w.path), 0 if p in self._disk_degraded else len(slots.ordinal))
+            for p, (w, slots) in enumerate(zip(fresh[side], routed))
+        ]
+        skew = self.metrics.histogram(f"parallel.partition.keypointers_{side}")
+        for spill in spills:
+            skew.observe(spill.count)
         placed = routing.placed(side)
-        fresh_sides.add(side)
         self.journal.emit(
             EVENT_PARTITION_SEALED,
             side=side,
@@ -861,42 +866,34 @@ class ProcessPBSM:
                         {
                             "partition": p,
                             "kp": os.path.basename(s.kp_path),
-                            "tup": os.path.basename(s.tuple_path),
                             "kp_bytes": os.path.getsize(s.kp_path),
-                            "tup_bytes": os.path.getsize(s.tuple_path),
                             "count": s.count,
                         }
                         for p, s in enumerate(spills)
                     ],
                 }
             )
-        return list(spills), placed
+        return spills, placed
 
     def _adopt_spills(
         self, seal: dict, spill_root: str
     ) -> Optional[SideSpills]:
-        """Re-validate one seal event against the disk; ``None`` = rebuild."""
+        """Re-validate one seal event against the disk; ``None`` = rebuild.
+        Only the key-pointer fields count: the ``tup`` / ``tup_bytes`` of
+        a seal written when partitions also spilled tuples are ignored."""
         files = seal.get("files", [])
-        if len(files) != self.num_partitions:
-            return None
-        handles: SideSpills = []
-        for entry in files:
-            kp = os.path.join(spill_root, entry["kp"])
-            tup = os.path.join(spill_root, entry["tup"])
-            try:
-                if (
-                    os.path.getsize(kp) != entry["kp_bytes"]
-                    or os.path.getsize(tup) != entry["tup_bytes"]
-                ):
-                    return None
-            except OSError:
-                return None
-            handles.append(
-                SpillHandle(
-                    kp_path=kp, tuple_path=tup, count=int(entry["count"])
-                )
+        handles = [
+            SpillHandle(os.path.join(spill_root, entry["kp"]), int(entry["count"]))
+            for entry in files
+        ]
+        try:
+            intact = len(files) == self.num_partitions and all(
+                os.path.getsize(handle.kp_path) == entry["kp_bytes"]
+                for handle, entry in zip(handles, files)
             )
-        return handles
+        except OSError:
+            return None
+        return handles if intact else None
 
     def _count(self, what: str, amount: int = 1) -> None:
         """One fault/recovery event: tallied on the run *and* in metrics."""
@@ -937,16 +934,15 @@ class ProcessPBSM:
     ) -> int:
         """The bytes this engine's partition phase would spill for these
         inputs — exactly an unconstrained run's metered spill peak, from
-        the routed record counts and the stored records' sizes.
-        Checkpoint manifest and result-log bytes are not included; the
-        spills dominate by orders of magnitude."""
+        the routed key-pointer counts.  Checkpoint manifest and result-log
+        bytes are not included; the spills dominate by orders of magnitude.
+        Nor is the sides' relation files: they are the inputs' stored
+        form, which no run's budget charges."""
         if not tuples_r or not tuples_s:
             return 0
         routing = self._routing(InputSide(tuples_r), InputSide(tuples_s))
         return sum(
-            spill_bytes(routed, side)
-            for name, side in routing.sides.items()
-            for routed in routing[name]
+            spill_bytes(routed) for name in routing.sides for routed in routing[name]
         )
 
     def _spill_side(
@@ -957,17 +953,17 @@ class ProcessPBSM:
         spill_root: str,
         injector: WriteErrorInjector,
         atomic: bool,
-    ) -> List[PartitionSpill]:
-        """Spill one input, replicated across the partitions it overlaps:
-        for each partition in turn, every tuple's two-layer ``(tile,
-        class)`` slots there — routed from the exact f64 MBR — as one
-        tagged key-pointer each, and the full tuple once.  A partition is
-        written whole (:meth:`_spill_partition`) before the next is
-        opened, so a failure costs the one being written; the side's files
-        are sealed together at the end, their fsyncs back to back (spaced
-        a partition's work apart they take longer, and less steadily)."""
+    ) -> List[SpillWriter]:
+        """Spill one input's key-pointers, replicated across the partitions
+        it overlaps: for each partition in turn, every tuple's two-layer
+        ``(tile, class)`` slots there — routed from the exact f64 MBR — as
+        one tagged key-pointer each.  A partition is written whole
+        (:meth:`_spill_partition`) before the next is opened, so a failure
+        costs the one being written; the side's files are sealed together
+        at the end, their fsyncs back to back (spaced a partition's work
+        apart they take longer, and less steadily)."""
         injector.arm_side(side, len(columns))
-        spills: List[PartitionSpill] = []
+        spills: List[SpillWriter] = []
         try:
             for p, slots in enumerate(routed):
                 spills.append(
@@ -985,9 +981,6 @@ class ProcessPBSM:
             for spill in spills:
                 spill.abort()
             raise
-        skew = self.metrics.histogram(f"parallel.partition.keypointers_{side}")
-        for spill in spills:
-            skew.observe(spill.count)
         return spills
 
     def _spill_partition(
@@ -999,23 +992,23 @@ class ProcessPBSM:
         spill_root: str,
         injector: WriteErrorInjector,
         atomic: bool,
-        written: List[PartitionSpill],
-    ) -> PartitionSpill:
-        """Write partition ``p``'s two spill files, a block at a time
+        written: List[SpillWriter],
+    ) -> SpillWriter:
+        """Write partition ``p``'s key-pointer spill, a block at a time
         (:meth:`~repro.parallel.tasks.InputSide.blocks`), and retry *here*
         when a write fails — the one place a failed spill write is
         recovered; the writer comes back complete but unsealed, after
         those in ``written``.  With ``atomic=True`` (checkpointed runs)
-        the files stage through ``*.tmp`` and only reach their final names
+        the file stages through ``*.tmp`` and only reaches its final name
         sealed, so a resume can trust any spill file that exists under the
-        run directory.  Whatever fails, the partial files are aborted — and
-        their budget charge released — before anything else happens.
+        run directory.  Whatever fails, the partial file is aborted — and
+        its budget charge released — before anything else happens.
 
         * A write error (the plan's; the injector is one-shot, so it
           cannot starve the loop) → rewrite the partition, at most
           :data:`PARTITION_WRITE_RETRIES` times.
         * A write the disk budget denies → reclaim, cheapest first (the
-          partial files; stale orphan temp files, the partitions already
+          partial file; stale orphan temp files, the partitions already
           ``written`` sealed first so that none of them is this run's;
           and — when checkpointing — completed sibling runs), and rewrite
           **once**.
@@ -1025,15 +1018,14 @@ class ProcessPBSM:
           it does for the other side of a partition already degraded).
 
         Every way the run finishes exact."""
+        path = os.path.join(spill_root, f"part{p:04d}.{side}.kp")
         write_errors, denied = 0, False
         while p not in self._disk_degraded:
-            spill = PartitionSpill(
-                spill_root, side, p, atomic=atomic, budget=self._budget
-            )
+            spill = SpillWriter(path, atomic=atomic, budget=self._budget)
             try:
-                for window, keypointers, records in columns.blocks(routed):
+                for window, keypointers in columns.blocks(routed):
                     injector.check(side, window)
-                    spill.extend(keypointers, records)
+                    spill.append(keypointers.tobytes())
             except InjectedFaultError:
                 spill.abort()
                 write_errors += 1
@@ -1068,7 +1060,7 @@ class ProcessPBSM:
                         side=side, partition=p, action="sweep_retry",
                     )
                 return spill
-        empty = PartitionSpill(spill_root, side, p, atomic=atomic)
+        empty = SpillWriter(path, atomic=atomic)
         empty.close()
         return empty
 
@@ -1112,9 +1104,12 @@ class ProcessPBSM:
         self,
         spills_r: SideSpills,
         spills_s: SideSpills,
+        side_r: InputSide,
+        side_s: InputSide,
         predicate: Predicate,
     ) -> List[PairTask]:
-        """One task per non-empty partition pair, in LPT order."""
+        """One task per non-empty partition pair, in LPT order, its
+        refinement fetching from the sides' relation files."""
         observe = (
             self.tracer.enabled or self.metrics.enabled
             or self.journal.enabled
@@ -1125,8 +1120,8 @@ class ProcessPBSM:
                 index=p,
                 kp_r_path=spill_r.kp_path,
                 kp_s_path=spill_s.kp_path,
-                tuples_r_path=spill_r.tuple_path,
-                tuples_s_path=spill_s.tuple_path,
+                relation_r_path=side_r.relation_path,
+                relation_s_path=side_s.relation_path,
                 count_r=spill_r.count,
                 count_s=spill_s.count,
                 config=self.config,

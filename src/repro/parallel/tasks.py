@@ -1,32 +1,37 @@
 """Partition-pair merge tasks: the picklable unit of multiprocess PBSM.
 
-The coordinator partitions both inputs once with PBSM's own tiled
-partitioning function and spills, per partition, two kinds of file a worker
-process can read back (:mod:`repro.storage.spill`):
+As in the paper (§3.1–3.2), only key-pointers are partitioned; the
+refinement fetches tuples from the base relations.  Two kinds of file
+(:mod:`repro.storage.spill`) carry that to a worker process:
 
-* a **key-pointer spill** — packed ``<MBR_f32, feature_id, tile, class>``
-  records, the filter step's input: one record per two-layer ``(tile,
-  class)`` replica slot (:mod:`repro.core.partition`), so a worker's merge
-  groups by tile and applies the duplicate-free class filter without any
-  geometry recomputation.  MBRs are rounded conservatively (exactly like
-  the single-node key-pointer files), so the sweep's output stays a
-  superset of the true result; tile/class tags are computed from the exact
-  f64 MBR *before* rounding and persisted;
-* a **tuple spill** — the partition's full tuples (``serialize_tuple``
-  format), the refinement step's input.
+* one **relation file** per input — the side's stored records, in input
+  order, written once on first touch (:attr:`InputSide.relation_path`):
+  the refinement step's input.  A worker opens each relation once and
+  keeps it (:func:`open_relation`), so it reads and checks a side once,
+  not once per task;
+* one **key-pointer spill** per partition and side — packed
+  ``<MBR_f32, feature_id, tile, class>`` records, the filter step's input:
+  one record per two-layer ``(tile, class)`` replica slot
+  (:mod:`repro.core.partition`), so a worker's merge groups by tile and
+  applies the duplicate-free class filter without any geometry
+  recomputation.  MBRs are rounded conservatively (exactly like the
+  single-node key-pointer files), so the sweep's output stays a superset
+  of the true result; tile/class tags are computed from the exact f64 MBR
+  *before* rounding and persisted.
 
-Both are written as *blocks*: one CRC frame holds a partition's share of
-a :data:`SPILL_BLOCK_RECORDS`-tuple window of the input — a key-pointer
-frame is the records back to back, a tuple frame a feature-id/offset
-directory followed by the serialised tuples — so neither side pays a
-Python call per record for framing.  A worker reads and checks every frame
-of both files and keeps them as the arrays they already are: the filter
-step is one array join over the key-pointer records (:func:`sweep_pair`),
-and the tuple spill opens as columns (:class:`StoredRecords` — the type
-an :class:`InputSide` also gives its own records, for the coordinator's
-rebuilds) from which :func:`refine_pair` either gathers coordinate runs
-(polylines under ``intersects``, polygons under ``contains``) or decodes,
-on first lookup, the tuples a candidate names.
+Both are written as *blocks*, one CRC frame per
+:data:`SPILL_BLOCK_RECORDS`-tuple window of the input — a key-pointer
+frame is a partition's records of the window back to back, a relation
+frame the window's feature-id/offset directory followed by its serialised
+tuples — so nothing pays a Python call per record for framing.  A worker
+reads and checks every frame of the files it opens and keeps them as the
+arrays they already are: the filter step is one array join over the
+key-pointer records (:func:`sweep_pair`), and a relation opens as columns
+(:class:`StoredRecords` — the type an :class:`InputSide` also gives its
+own records, for the coordinator's rebuilds) from which
+:func:`refine_pair` either gathers coordinate runs (polylines under
+``intersects``, polygons under ``contains``) or decodes, on first lookup,
+the tuples a candidate names.
 
 A :class:`PairTask` names those files plus the join configuration; it
 pickles in a few hundred bytes no matter how large the partition is.
@@ -56,9 +61,14 @@ did, which is exactly what the live view and the post-mortem need.
 
 from __future__ import annotations
 
+import atexit
+import functools
 import gc
+import itertools
 import multiprocessing
 import os
+import shutil
+import tempfile
 import threading
 import time
 import traceback
@@ -103,11 +113,16 @@ DEFAULT_TASK_MEMORY = 8 * 1024 * 1024
 join has nothing to overflow, so no caller has another value to give."""
 
 SPILL_BLOCK_RECORDS = 4096
-"""Input ordinals per window, hence the most tuples a block holds: a
-partition's share of one window is one frame in each of its files.  Large
-enough that framing, CRC and the budget charge are paid per block rather
-than per record; small enough that a window's serialised tuples are a few
-hundred kilobytes."""
+"""Input ordinals per window: a relation file holds one frame a window,
+and a partition's share of a window is one frame of its key-pointer
+spill.  Large enough that framing, CRC and the budget charge are paid per
+block rather than per record; small enough that a window's serialised
+tuples are a few hundred kilobytes."""
+
+RELATION_MEMO_ENTRIES = 4
+"""Relations a worker keeps open (:func:`open_relation`): both sides of
+this join and of one more — the serve tier's shared pool outlives every
+query, so the memo must not grow with them."""
 
 KEYPOINTER_DTYPE = np.dtype(
     [("mbr", "<f4", (4,)), ("fid", "<u4"), ("tile", "<u4"), ("cls", "u1")]
@@ -124,12 +139,15 @@ _U32 = np.dtype("<u4")
 per record, then ``count + 1`` offsets into the payload area that
 follows (``offsets[i]:offsets[i + 1]`` is record ``i``)."""
 
-TupleRecord = Tuple[int, bytes]
-"""``(feature_id, serialize_tuple bytes)`` — one tuple on its way to a
-tuple spill."""
-
 _FROZEN_PID = 0
 """The process whose inherited heap :func:`run_pair_task` already froze."""
+
+_RELATION_DIR = (0, "")
+"""``(pid, path)``: the directory this process writes relation files in."""
+
+_RELATION_SERIALS = itertools.count()
+"""Relation file names are unique in their directory: two sides may hold
+the same records, and each removes its own file."""
 
 PARENT_POLL_S = 0.25
 """How often a pool worker checks that its coordinator is still alive."""
@@ -157,10 +175,15 @@ def init_pool_worker(heartbeats=None) -> None:
     *Its heartbeat channel is armed*, if the run journals: passed as
     ``initargs=(queue,)``, because multiprocessing queues survive that
     trip under every start method — they are process-constructor
-    arguments, not task payloads.
+    arguments, not task payloads.  A worker's exit does not wait for its
+    unsent pings: one that dies mid-send (a crash) takes the queue's
+    shared write lock with it, and every other worker's exit — hence the
+    pool's shutdown — would wait on that lock for ever.
     """
     global _HEARTBEAT_QUEUE
     _HEARTBEAT_QUEUE = heartbeats
+    if heartbeats is not None:
+        heartbeats.cancel_join_thread()
     parent = multiprocessing.parent_process()
 
     def watch() -> None:
@@ -187,7 +210,7 @@ def _heartbeat(pair: int, attempt: int, phase: str) -> None:
 
 class InputSide(tuple):
     """One materialised join input: the immutable sequence of its tuples,
-    owning three column groups that are each built once, on first touch,
+    owning four column groups that are each built once, on first touch,
     and kept for as long as the input is:
 
     * the *routing columns* — ``mbrs`` (exact f64 N×4, what routing
@@ -200,7 +223,9 @@ class InputSide(tuple):
       check);
     * ``stored`` — the stored form and ``fids`` as :class:`StoredRecords`,
       sharing their memory: what refinement fetches from when the side
-      itself, not a spill of it, is at hand.
+      itself, not a file of it, is at hand;
+    * ``relation_path`` — the stored form written down once as the side's
+      relation file, what a worker's refinement fetches from.
 
     Whoever holds the input across joins (``QuerySpec.generate`` returns
     two of these; the server memoises them) therefore serialises it once;
@@ -211,7 +236,8 @@ class InputSide(tuple):
     _building = threading.RLock()
     """Held by whoever builds a column group, of any side: the builders
     are interpreter-bound, so two of them would take turns anyway.
-    (Re-entrant: ``stored`` is built from the other two groups.)"""
+    (Re-entrant: ``stored`` and the relation file are built from the other
+    groups.)"""
 
     def __new__(cls, tuples: Iterable[SpatialTuple] = ()):
         return tuples if isinstance(tuples, cls) else super().__new__(cls, tuples)
@@ -221,7 +247,7 @@ class InputSide(tuple):
         builder at a time, and whoever finds a column missing waits here
         for it, so nobody holds a ``payload`` without its ``offsets``."""
         if name not in (
-            "mbrs", "mbrs_f32", "fids", "payload", "offsets", "crc", "stored"
+            "mbrs", "mbrs_f32", "fids", "payload", "offsets", "crc", "stored", "_relation"
         ):
             raise AttributeError(name)
         with self._building:
@@ -236,11 +262,25 @@ class InputSide(tuple):
                 self.stored = StoredRecords(
                     self.payload, self.offsets[:-1], self.offsets[1:], self.fids, self
                 )
+            elif name == "_relation":
+                self._relation = _RelationFile(self)
             else:
                 self.mbrs = mbr_array(self)
                 self.mbrs_f32 = conservative_f32(self.mbrs)
                 self.fids = np.fromiter((t.feature_id for t in self), _U32, len(self))
         return self.__dict__[name]
+
+    @property
+    def relation_path(self) -> str:
+        """The side's relation file (:class:`_RelationFile`), written on
+        first touch — and again if something took it off the disk (a
+        temporary-file cleaner outliving a long-running server's side);
+        it goes when the side does."""
+        if not os.path.exists(self._relation.path):
+            with self._building:
+                if not os.path.exists(self._relation.path):
+                    self._relation = _RelationFile(self)
+        return self._relation.path
 
     def keypointers(self, routed: RoutedSlots) -> np.ndarray:
         """The key-pointer block of one partition's routed slots: rounded
@@ -252,60 +292,93 @@ class InputSide(tuple):
         block["cls"] = routed.cls
         return block
 
-    def records(self, ordinals: np.ndarray) -> List[TupleRecord]:
-        """The stored records of the tuples at ``ordinals``."""
-        starts, ends = self.offsets[ordinals].tolist(), self.offsets[ordinals + 1].tolist()
-        fids, payload = self.fids[ordinals].tolist(), self.payload
-        return [(fid, payload[a:b]) for fid, a, b in zip(fids, starts, ends)]
-
-    def blocks(
-        self, routed: RoutedSlots
-    ) -> Iterator[Tuple[range, np.ndarray, List[TupleRecord]]]:
-        """One partition's spill, a block at a time: ``(window,
-        key-pointers, tuple records)`` for every window of
-        :data:`SPILL_BLOCK_RECORDS` input ordinals the partition places
-        tuples of — its ``routed`` slots cut where ``ordinal //
-        SPILL_BLOCK_RECORDS`` changes, which is what :func:`spill_bytes`
-        counts.  Block after block, the records are the partition's in
-        input order."""
+    def blocks(self, routed: RoutedSlots) -> Iterator[Tuple[range, np.ndarray]]:
+        """One partition's key-pointer spill, a block at a time: ``(window,
+        key-pointers)`` for every window of :data:`SPILL_BLOCK_RECORDS`
+        input ordinals the partition places tuples of — its ``routed``
+        slots cut where ``ordinal // SPILL_BLOCK_RECORDS`` changes, which
+        is what :func:`spill_bytes` counts."""
+        keypointers = self.keypointers(routed)
         window = routed.ordinal // SPILL_BLOCK_RECORDS
         cuts = np.flatnonzero(np.diff(window, prepend=-1, append=-1)).tolist()
         for start, stop in zip(cuts, cuts[1:]):
-            block = RoutedSlots(*(column[start:stop] for column in routed))
             first = int(window[start]) * SPILL_BLOCK_RECORDS
             yield (
                 range(first, min(first + SPILL_BLOCK_RECORDS, len(self))),
-                self.keypointers(block), self.records(block.tuple_ordinals),
+                keypointers[start:stop],
             )
 
 
-def pack_tuple_block(records: Sequence[TupleRecord]) -> bytes:
-    """One tuple frame's payload: directory, then the tuples back to back."""
-    fids, payloads = zip(*records)
-    directory = np.zeros(2 * len(records) + 2, _U32)
-    directory[0] = len(records)
-    directory[1 : len(records) + 1] = fids
-    directory[len(records) + 2 :] = np.cumsum([len(p) for p in payloads])
-    return directory.tobytes() + b"".join(payloads)
+def pack_tuple_block(fids: np.ndarray, offsets: np.ndarray, payload: bytes) -> bytes:
+    """One tuple frame's payload: the directory of records ``fids``, then
+    the records — ``payload[offsets[i]:offsets[i + 1]]`` — back to back."""
+    count = len(fids)
+    directory = np.empty(2 * count + 2, _U32)
+    directory[0] = count
+    directory[1 : count + 1] = fids
+    directory[count + 1 :] = offsets - offsets[0]
+    return directory.tobytes() + payload[offsets[0] : offsets[-1]]
 
 
-def spill_bytes(routed: RoutedSlots, side: InputSide) -> int:
+def _relation_dir() -> str:
+    """This process's relation-file directory, under
+    ``tempfile.gettempdir()``, made on first use (or again, if something
+    removed it) and removed at exit — by this process only."""
+    global _RELATION_DIR
+    pid, path = _RELATION_DIR
+    if pid != os.getpid() or not os.path.isdir(path):
+        path = tempfile.mkdtemp(prefix="repro-relations-")
+        atexit.register(_remove_relation_dir, path, os.getpid())
+        _RELATION_DIR = (os.getpid(), path)
+    return path
+
+
+def _remove_relation_dir(path: str, pid: int) -> None:
+    if os.getpid() == pid:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+class _RelationFile:
+    """One side's relation file: its stored records in input order, a
+    tuple-block frame (:func:`pack_tuple_block`) a
+    :data:`SPILL_BLOCK_RECORDS` window — the layout
+    :func:`read_relation` checks frame by frame — named by the side's
+    ``crc`` in this process's relation directory.
+
+    It is the input's stored form, not a spill: no run's disk budget
+    charges it.  It is unlinked when this object is collected, which is
+    when its side is (``InputSide`` is a ``tuple`` and takes no weak
+    reference), and only by the process that wrote it: a forked worker
+    holds a copy of the side, and nothing it collects may take the
+    coordinator's file."""
+
+    def __init__(self, side: InputSide):
+        self.pid = os.getpid()
+        self.path = os.path.join(_relation_dir(), f"{side.crc:08x}-{next(_RELATION_SERIALS)}.rel")
+        with SpillWriter(self.path) as writer:
+            for start in range(0, len(side), SPILL_BLOCK_RECORDS):
+                stop = start + SPILL_BLOCK_RECORDS
+                writer.append(pack_tuple_block(
+                    side.fids[start:stop], side.offsets[start : stop + 1], side.payload
+                ))
+
+    def __del__(self) -> None:
+        if os.getpid() == self.pid:
+            try:
+                os.unlink(self.path)
+            except OSError:
+                pass
+
+
+def spill_bytes(routed: RoutedSlots) -> int:
     """The bytes the spill pass puts on disk for one partition's routed
-    slots: the block format's footprint, kept beside its writer so the
-    two cannot drift, with the record sizes read off ``side.offsets``."""
-    placed = routed.tuple_ordinals
+    slots — its key-pointer frames: the block format's footprint, kept
+    beside the format so the two cannot drift."""
+    window = routed.ordinal // SPILL_BLOCK_RECORDS
     # Ascending, so a new block is a change of quotient.  (Counting them
     # with an index-less ``np.unique`` would import ``numpy.ma``.)
-    blocks = (
-        int(np.count_nonzero(np.diff(placed // SPILL_BLOCK_RECORDS))) + 1
-        if len(placed) else 0
-    )
-    return (
-        blocks * (2 * FRAME_HEADER_SIZE + 2 * _U32.itemsize)
-        + len(routed.ordinal) * KEYPOINTER_DTYPE.itemsize
-        + len(placed) * 2 * _U32.itemsize
-        + int((side.offsets[placed + 1] - side.offsets[placed]).sum())
-    )
+    blocks = int(np.count_nonzero(np.diff(window))) + 1 if len(window) else 0
+    return blocks * FRAME_HEADER_SIZE + len(window) * KEYPOINTER_DTYPE.itemsize
 
 
 class WorkerTaskError(RuntimeError):
@@ -352,105 +425,60 @@ class WorkerTaskError(RuntimeError):
 
 
 class PartitionSpill:
-    """Writer for one partition's key-pointer + tuple spill files.
+    """One partition's key-pointer spill plus a ``.tup`` spill of the
+    tuples it places, written a tuple at a time (:meth:`add`) — used only
+    by ``benchmarks/perf/replay.py``, which ROADMAP item 1(a) deletes
+    together with this class.  The engine spills key-pointers alone
+    (``ProcessPBSM._spill_partition``); its ``.kp`` bytes are this class's
+    (``tests/parallel/test_block_spill.py`` holds them equal)."""
 
-    Records enter a block at a time (:meth:`extend`, the coordinator's
-    pass) or one tuple at a time (:meth:`add`, which buffers a block's
-    worth and then calls :meth:`extend`): one on-disk format, one place
-    that writes it.
-
-    :meth:`close` seals both files, :meth:`abort` deletes whatever reached
-    the disk (a failed partitioning pass must not leak ``.kp``/``.tup``
-    litter).  With ``atomic=True`` both files stage through ``*.tmp`` and
-    only appear under their final names once complete — what checkpointed
-    runs need so a resume can trust any spill file that *exists*.  With a
-    ``budget`` every block is charged before it is written.
-    """
-
-    def __init__(
-        self,
-        directory: str,
-        side: str,
-        index: int,
-        *,
-        atomic: bool = False,
-        budget=None,
-    ):
+    def __init__(self, directory: str, side: str, index: int):
         base = os.path.join(directory, f"part{index:04d}.{side}")
         self.kp_path = base + ".kp"
         self.tuple_path = base + ".tup"
-        self._kp = SpillWriter(self.kp_path, atomic=atomic, budget=budget)
-        self._tuples = SpillWriter(
-            self.tuple_path, atomic=atomic, budget=budget
-        )
+        self._kp = SpillWriter(self.kp_path)
+        self._tuples = SpillWriter(self.tuple_path)
         self.count = 0
-        """Key-pointer records spilled — replica slots, which is exactly
-        the sweep work a worker will do: the LPT cost seed."""
-        self.tuples = 0
-        """Tuples spilled (each once, however many slots it has)."""
+        """Key-pointer records spilled — replica slots."""
         self._added: List[Tuple[SpatialTuple, Sequence[Tuple[int, int]]]] = []
-
-    def release_budget(self) -> None:
-        """Return both writers' charged bytes (the files left the disk)."""
-        self._kp.release_budget()
-        self._tuples.release_budget()
 
     def add(self, t: SpatialTuple, slots: Sequence[Tuple[int, int]]) -> None:
         """Spill one tuple with its two-layer ``(tile, class)`` slots: one
-        key-pointer record per slot (the merge's per-tile groups), the
-        full tuple once.  ``count`` / ``tuples`` include it once its block
-        is written — at the latest by :meth:`close`."""
+        key-pointer record per slot, the full tuple once, a frame in each
+        file per :data:`SPILL_BLOCK_RECORDS` tuples.  ``count`` includes
+        it once its block is written — at the latest by :meth:`close`."""
         self._added.append((t, slots))
         if len(self._added) == SPILL_BLOCK_RECORDS:
-            self._extend_added()
+            self._write_added()
 
-    def _extend_added(self) -> None:
-        """Hand the tuples buffered by :meth:`add` to :meth:`extend`."""
+    def _write_added(self) -> None:
+        """Write the tuples buffered by :meth:`add` as one block."""
         added, self._added = self._added, []
         side = InputSide(t for t, _slots in added)
         ordinal = np.repeat(np.arange(len(side)), [len(slots) for _t, slots in added])
         tags = np.array([slot for _t, slots in added for slot in slots], np.int64)
         routed = RoutedSlots(ordinal, *tags.reshape(-1, 2).T)
-        self.extend(side.keypointers(routed), side.records(np.arange(len(side))))
-
-    def extend(
-        self, keypointers: np.ndarray, records: Sequence[TupleRecord]
-    ) -> None:
-        """Spill one block: a run of key-pointer records
-        (:data:`KEYPOINTER_DTYPE`) and the serialised tuples they point
-        to, one frame in each file."""
-        self._kp.append(keypointers.tobytes())
-        self._tuples.append(pack_tuple_block(records))
-        self.count += len(keypointers)
-        self.tuples += len(records)
+        self._kp.append(side.keypointers(routed).tobytes())
+        self._tuples.append(pack_tuple_block(side.fids, side.offsets, side.payload))
+        self.count += len(ordinal)
 
     def close(self) -> None:
         """Write what :meth:`add` still buffers and seal both files."""
         if self._added:
-            self._extend_added()
+            self._write_added()
         self._kp.close()
         self._tuples.close()
-
-    def abort(self) -> None:
-        """Discard both writes, deleting whatever reached the disk."""
-        self._added = []
-        self._kp.abort()
-        self._tuples.abort()
 
 
 @dataclass(frozen=True)
 class SpillHandle:
-    """A sealed partition spill adopted from a checkpoint, read-only.
-
-    Duck-compatible with :class:`PartitionSpill` where the coordinator
-    builds tasks (``kp_path`` / ``tuple_path`` / ``count``): a resumed run
-    mixes adopted handles and freshly written spills without caring which
-    is which.
-    """
+    """One partition's sealed key-pointer spill, as the coordinator builds
+    tasks from it: freshly written or adopted from a checkpoint."""
 
     kp_path: str
-    tuple_path: str
     count: int
+    """Key-pointer records spilled — replica slots, which is exactly the
+    sweep work a worker will do: the LPT cost seed."""
 
 
 def read_keypointer_spill(path: str) -> np.ndarray:
@@ -473,10 +501,10 @@ class StoredRecords(Mapping):
     one buffer, with the extents and feature id of each — as a read-only
     ``feature id → tuple`` mapping: what refinement fetches from.
 
-    One type, two constructors.  :func:`read_tuple_spill` makes it of a
-    partition's ``.tup`` file, and a lookup decodes the record on first
-    use (and memoises it): most spilled tuples are never referenced by a
-    candidate.  :class:`InputSide` makes it of its own columns, as views,
+    One type, two constructors.  :func:`read_relation` makes it of a
+    side's relation file, and a lookup decodes the record on first use
+    (and memoises it): most tuples are never referenced by a candidate.
+    :class:`InputSide` makes it of its own columns, as views,
     and a lookup returns the side's ``live`` tuple — nothing is decoded,
     so a side kept across joins never grows a second copy of itself.
     Either way the records are located through a sorted feature-id index
@@ -493,7 +521,7 @@ class StoredRecords(Mapping):
         # Stable, so that of two records with one feature id the later is
         # found, as a mapping filled in record order would have it.
         self._order = np.argsort(fids, kind="stable")
-        # (int64, as a spill's already are: what a lookup is asked for,
+        # (int64, as a relation file's already are: what a lookup is asked for,
         # so no search converts the index again.)
         self._sorted_fids = fids[self._order].astype(np.int64, copy=False)
         self._found: Dict[int, SpatialTuple] = {}
@@ -534,8 +562,9 @@ class StoredRecords(Mapping):
         return decode(self._buffer, self._starts[records], self._ends[records])
 
 
-def read_tuple_spill(path: str) -> StoredRecords:
-    """A partition's tuple spill as :class:`StoredRecords`.
+def read_relation(path: str) -> StoredRecords:
+    """A file of tuple blocks — a side's relation file — as
+    :class:`StoredRecords`.
 
     Reads and CRC-checks **every** frame and validates every block
     directory — integrity is a property of the file read, not of the
@@ -571,6 +600,29 @@ def read_tuple_spill(path: str) -> StoredRecords:
     )
 
 
+read_tuple_spill = read_relation
+"""A :class:`PartitionSpill`'s ``.tup`` file — the relation file's block
+layout — as :class:`StoredRecords`; this name is used only by
+``benchmarks/perf/replay.py``, and ROADMAP item 1(a) deletes it with it."""
+
+
+def open_relation(path: str) -> StoredRecords:
+    """A worker's relation, read and checked (:func:`read_relation`) on
+    first use and kept for the tasks after it.
+
+    Kept by path *and* by the file's ``(st_ino, st_size, st_mtime_ns)``,
+    so a different file at that path is read afresh; at most
+    :data:`RELATION_MEMO_ENTRIES` are kept, least recently used dropped
+    first."""
+    stat = os.stat(path)
+    return _relation_as_of(path, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
+@functools.lru_cache(maxsize=RELATION_MEMO_ENTRIES)
+def _relation_as_of(path: str, *_stat: int) -> StoredRecords:
+    return read_relation(path)
+
+
 @dataclass(frozen=True)
 class PairTask:
     """Everything a worker needs to merge + refine one partition pair."""
@@ -578,8 +630,8 @@ class PairTask:
     index: int
     kp_r_path: str
     kp_s_path: str
-    tuples_r_path: str
-    tuples_s_path: str
+    relation_r_path: str
+    relation_s_path: str
     count_r: int
     count_s: int
     config: PBSMConfig
@@ -788,8 +840,9 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
 
     Filter: read the key-pointer spills, join them per tile group with the
     two-layer class filter (:func:`sweep_pair`).  Refine: look the
-    candidate feature-id pairs up in the partition's tuple spills and
-    apply the exact predicate (:func:`refine_pair`).  The returned pair list is
+    candidate feature-id pairs up in both sides' relations
+    (:func:`open_relation`) and apply the exact predicate
+    (:func:`refine_pair`).  The returned pair list is
     sorted, exact, and — because only one tile may emit any given pair —
     disjoint from every other task's, so the coordinator's merge is a
     plain ordered concatenation with no dedup barrier.
@@ -857,10 +910,9 @@ def _run_pair_task(task: PairTask) -> PairTaskResult:
         with tracer.span(
             "worker.refine", pair=task.index, candidates=len(candidates)
         ) as refine_span:
-            tuples_r = read_tuple_spill(task.tuples_r_path)
-            tuples_s = read_tuple_spill(task.tuples_s_path)
             pairs, dropped = refine_pair(
-                candidates, tuples_r, tuples_s, task.predicate,
+                candidates, open_relation(task.relation_r_path),
+                open_relation(task.relation_s_path), task.predicate,
                 span=refine_span,
             )
 

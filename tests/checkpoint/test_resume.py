@@ -17,6 +17,7 @@ from repro.checkpoint import (
     RESULTS_FILENAME,
     CheckpointMismatchError,
     CheckpointStore,
+    JoinManifest,
     RunFingerprint,
     replay_result_log,
 )
@@ -296,6 +297,32 @@ class TestResumeSemantics:
         assert result.resumed_pairs == [] and result.degraded_pairs == []
         assert "spill_sides_adopted" not in result.fault_summary
         assert len(list(tmp_path.glob("run-*"))) == 2
+
+    def test_a_seal_that_lists_tuple_spills_is_adopted_on_its_key_pointers(
+        self, tmp_path, workload
+    ):
+        # A run killed when partitions also spilled tuples sealed each
+        # side with ``tup`` / ``tup_bytes`` beside the key-pointer fields
+        # and left the .tup files next to the .kp ones.  Same layout, same
+        # run id: the resume adopts both sides on their .kp files alone —
+        # here with the .tup files gone — and ends on the same pairs.
+        tuples_r, tuples_s, expected = workload
+        with pytest.raises(CoordinatorKilledError):
+            make_engine(tmp_path, kill_coordinator_after=4).run(
+                tuples_r, tuples_s, intersects
+            )
+        (path,) = tmp_path.glob("run-*/manifest.bin")
+        manifest = JoinManifest.from_bytes(path.read_bytes())
+        for event in manifest.events:
+            for entry in event.get("files", ()):
+                entry["tup"] = entry["kp"][: -len(".kp")] + ".tup"
+                entry["tup_bytes"] = 4 * entry["kp_bytes"]
+        path.write_bytes(manifest.to_bytes())
+        assert JoinManifest.from_bytes(path.read_bytes()).sealed("r")["files"][0]["tup"]
+        result = make_engine(tmp_path).resume(tuples_r, tuples_s, intersects)
+        assert result.pairs == expected and result.duplicates_dropped == 0
+        assert result.fault_summary.get("spill_sides_adopted") == 2
+        assert "spill_sides_rebuilt" not in result.fault_summary
 
     def test_resume_of_an_empty_directory_is_a_fresh_run(
         self, tmp_path, workload

@@ -70,7 +70,7 @@ class TestSpillWriteError:
         self, workload, monkeypatch
     ):
         """... not the side: what the run charges beyond its footprint is
-        at most that partition's two files."""
+        at most that partition's file."""
         monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", 16)
         tuples_r, tuples_s, expected = workload
         ordinal = len(tuples_r) - 1  # the side's last window: all but written
@@ -94,7 +94,7 @@ class TestSpillWriteError:
         )
         assert 0 < budget.charged_clock["spill"] - engine.spill_footprint(
             tuples_r, tuples_s
-        ) <= tasks.spill_bytes(hit, side_r)
+        ) <= tasks.spill_bytes(hit)
 
 
 class TestQuarantine:
@@ -122,28 +122,31 @@ class TestQuarantine:
     def test_a_torn_tuple_spill_is_quarantined_and_rebuilt(
         self, workload, frame, monkeypatch
     ):
-        # The tuple reader decodes lazily but checks every frame, so damage
-        # anywhere in a .tup file — even in tuples no candidate needs —
-        # must take the same quarantine-and-rebuild path as a torn .kp.
-        # (Fault plans only tear .kp files; this tears a .tup by hand,
-        # after partitioning and before any task reads it.)
+        # The tuple file is the side's relation file.  Its reader decodes
+        # lazily but checks every frame, so damage anywhere in it — even
+        # in tuples no candidate needs — must take the same quarantine-
+        # and-rebuild path as a torn .kp, for every pair that reads it.
+        # (Fault plans only tear .kp files; this tears the relation file
+        # by hand, after partitioning and before any task reads it.)
         monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", 16)
         tuples_r, tuples_s, expected = workload
+        built = []
 
-        class TearsATupleSpill(ProcessPBSM):
-            def _build_tasks(self, spills_r, spills_s, predicate):
-                built = super()._build_tasks(spills_r, spills_s, predicate)
-                assert tear_frame(built[0].tuples_s_path, frame) >= 0
+        class TearsARelationFile(ProcessPBSM):
+            def _build_tasks(self, *args):
+                built.extend(super()._build_tasks(*args))
+                assert tear_frame(built[0].relation_s_path, frame) >= 0
                 return built
 
-        result = TearsATupleSpill(2, num_partitions=4).run(
+        result = TearsARelationFile(2, num_partitions=4).run(
             tuples_r, tuples_s, intersects
         )
         assert result.pairs == expected
-        assert result.fault_summary == {
-            "task_failures": 1, "quarantined": 1, "degraded": 1,
-        }
-        assert len(result.degraded_pairs) == 1
+        assert result.duplicates_dropped == 0
+        assert result.fault_summary == dict.fromkeys(
+            ("task_failures", "quarantined", "degraded"), len(built)
+        )
+        assert result.degraded_pairs == sorted(t.index for t in built)
 
 
 class TestWorkerTaskError:
@@ -223,6 +226,7 @@ class TestCoordinatorDeath:
         src = str(Path(__file__).resolve().parents[2] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["TMPDIR"] = str(tmp_path)  # where the killed run's relation files stay
         coordinator = subprocess.Popen(
             [sys.executable, "-m", "repro", *args,
              "--kill-coordinator-after", "6", "--kill-hard"],

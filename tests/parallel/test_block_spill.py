@@ -1,21 +1,27 @@
-"""The block spill format: one on-disk form, a lazy reader that still
-checks every byte, and workers that freeze the heap they inherit.
+"""The block formats: one on-disk form per file kind, a lazy reader that
+still checks every byte, and workers that keep what they have read.
 
-* the block-at-a-time and the one-tuple-at-a-time entries write the same
-  files, whose key-pointer records are the scalar codec's bytes, and
-  ``spill_bytes`` is their size;
-* the tuple reader decodes only what is looked up, but any damage to any
-  frame — referenced or not — fails the task as corruption, whether the
-  refine gathers coordinate columns (of polylines, of polygons) or looks
-  tuples up one by one;
-* a pool worker has a frozen heap after its first task.
+* the engine's key-pointer spill and the one-tuple-at-a-time entry write
+  the same bytes, which are the scalar codec's, and ``spill_bytes`` is
+  their size;
+* the relation reader decodes only what is looked up, but any damage to
+  any frame — referenced or not — fails the task as corruption, whether
+  the refine gathers coordinate columns (of polylines, of polygons) or
+  looks tuples up one by one;
+* a worker reads a relation once, keeps at most the memo's bound, and
+  reads it afresh when the file at its path changes; a pool worker has a
+  frozen heap after its first task;
+* a relation file lives as long as its side, in the process that wrote it.
 """
 
 import dataclasses
 import gc
 import multiprocessing
 import os
+import shutil
 import struct
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -37,14 +43,15 @@ from repro.parallel.tasks import (
     PairTask,
     PartitionSpill,
     read_keypointer_spill,
-    read_tuple_spill,
+    read_relation,
     run_pair_task,
     spill_bytes,
     sweep_pair,
 )
+from repro.serve.pool import SharedPoolProvider
 from repro.serve.query import QuerySpec
 from repro.storage import SpillCorruptionError
-from repro.storage.spill import FRAME_HEADER_SIZE
+from repro.storage.spill import FRAME_HEADER_SIZE, SpillWriter
 from repro.storage.tuples import serialize_tuple
 from tests.conftest import read_records, write_records
 
@@ -52,10 +59,14 @@ BLOCK = 4
 """Records per block in these tests: small, so a partition of a few dozen
 tuples spans many frames."""
 
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
 
 @pytest.fixture(autouse=True)
 def small_blocks(monkeypatch):
     monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", BLOCK)
+    # Each test's own worker memo: tasks run in this process here.
+    tasks._relation_as_of.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -70,54 +81,61 @@ def sides():
 
 
 def spill_side(directory, name, partitioner, side):
-    """Partition 0 of ``side``, spilled the way the coordinator does."""
-    spill = PartitionSpill(str(directory), name, 0)
-    for _window, keypointers, records in side.blocks(partitioner.route_all(side.mbrs)[0]):
-        spill.extend(keypointers, records)
-    spill.close()
-    return spill
+    """Partition 0 of ``side``, its key-pointers spilled the way the
+    coordinator does: ``(path, records)``."""
+    routed = partitioner.route_all(side.mbrs)[0]
+    path = os.path.join(directory, f"part0000.{name}.kp")
+    with SpillWriter(path) as writer:
+        for _window, keypointers in side.blocks(routed):
+            writer.append(keypointers.tobytes())
+    return path, len(routed.ordinal)
+
+
+def relation_copy(directory, name, side):
+    """A copy of ``side``'s relation file that a test may damage."""
+    return shutil.copy(side.relation_path, os.path.join(directory, f"{name}.rel"))
 
 
 @pytest.fixture
 def pair_task(tmp_path, sides):
     partitioner, side_r, side_s = sides
-    spill_r = spill_side(tmp_path, "r", partitioner, side_r)
-    spill_s = spill_side(tmp_path, "s", partitioner, side_s)
+    kp_r, count_r = spill_side(tmp_path, "r", partitioner, side_r)
+    kp_s, count_s = spill_side(tmp_path, "s", partitioner, side_s)
     return PairTask(
-        index=0,
-        kp_r_path=spill_r.kp_path, kp_s_path=spill_s.kp_path,
-        tuples_r_path=spill_r.tuple_path, tuples_s_path=spill_s.tuple_path,
-        count_r=spill_r.count, count_s=spill_s.count,
+        index=0, kp_r_path=kp_r, kp_s_path=kp_s,
+        relation_r_path=relation_copy(tmp_path, "r", side_r),
+        relation_s_path=relation_copy(tmp_path, "s", side_s),
+        count_r=count_r, count_s=count_s,
         config=PBSMConfig(), predicate=intersects,
     )
 
 
 class TestOneFormat:
-    def test_add_and_extend_write_the_same_bytes(self, tmp_path, sides):
+    def test_add_writes_the_engines_bytes(self, tmp_path, sides):
+        """... a partition's key-pointers, and — one partition holding
+        every tuple — the relation file as its ``.tup``."""
         partitioner, side, _ = sides
-        bulk = spill_side(tmp_path / "bulk", "r", partitioner, side)
+        kp, count = spill_side(tmp_path, "r", partitioner, side)
         single = PartitionSpill(str(tmp_path / "single"), "r", 0)
         for t in side:
             single.add(t, partitioner.tile_assignments(t.mbr))
         single.close()
-        assert single.count == bulk.count >= len(side)
-        for one, other in (
-            (single.kp_path, bulk.kp_path),
-            (single.tuple_path, bulk.tuple_path),
-        ):
-            with open(one, "rb") as a, open(other, "rb") as b:
-                assert a.read() == b.read()
+        assert single.count == count >= len(side)
+        for one, other in ((single.kp_path, kp), (single.tuple_path, side.relation_path)):
+            assert Path(one).read_bytes() == Path(other).read_bytes()
 
     def test_engine_files_are_what_add_writes_a_window_at_a_time(
         self, tmp_path, sides
     ):
         """The format pin, over many windows and four partitions: a block
         is a partition's share of one window of ``BLOCK`` input ordinals,
-        and its bytes are the ones ``add`` makes of those tuples."""
+        and its bytes are the ones ``add`` makes of those tuples.  The
+        engine spills key-pointers alone."""
         _, side_r, side_s = sides
         ProcessPBSM(2, num_partitions=4, checkpoint_dir=str(tmp_path / "run")).run(
             side_r, side_s, intersects
         )
+        assert not list((tmp_path / "run").rglob("*.tup"))
         partitioner = SpatialPartitioner.for_inputs(
             side_r.mbrs, side_s.mbrs, 4, PBSMConfig().num_tiles
         )
@@ -133,18 +151,18 @@ class TestOneFormat:
                 if (ordinal + 1) % BLOCK == 0:  # the window ends: cut here
                     for spill in spills:
                         if spill._added:
-                            spill._extend_added()
+                            spill._write_added()
             for spill in spills:
                 spill.close()
-                for path in map(Path, (spill.kp_path, spill.tuple_path)):
-                    (written,) = (tmp_path / "run").rglob(path.name)
-                    assert written.read_bytes() == path.read_bytes() != b""
+                path = Path(spill.kp_path)
+                (written,) = (tmp_path / "run").rglob(path.name)
+                assert written.read_bytes() == path.read_bytes() != b""
 
     def test_keypointer_records_are_the_scalar_codecs_bytes(
         self, tmp_path, sides
     ):
         partitioner, side, _ = sides
-        spill = spill_side(tmp_path, "r", partitioner, side)
+        path, _count = spill_side(tmp_path, "r", partitioner, side)
         expected = b"".join(
             struct.pack(
                 "<ffffIIB",
@@ -155,10 +173,10 @@ class TestOneFormat:
             for t in side
             for tile, cls in partitioner.tile_assignments(t.mbr)
         )
-        frames = read_records(spill.kp_path)
+        frames = read_records(path)
         assert b"".join(frames) == expected
         assert len(frames) == -(-len(side) // BLOCK)  # one a window
-        records = read_keypointer_spill(spill.kp_path)
+        records = read_keypointer_spill(path)
         assert records.tobytes() == expected
         assert records[["fid", "tile", "cls"]].tolist() == [
             (t.feature_id, tile, cls)
@@ -168,16 +186,14 @@ class TestOneFormat:
 
     def test_spill_bytes_is_the_size_on_disk(self, tmp_path, sides):
         partitioner, side, _ = sides
-        spill = spill_side(tmp_path, "r", partitioner, side)
+        path, _count = spill_side(tmp_path, "r", partitioner, side)
         (routed,) = partitioner.route_all(side.mbrs)
-        footprint = spill_bytes(routed, side)
-        assert footprint == (
-            os.path.getsize(spill.kp_path) + os.path.getsize(spill.tuple_path)
-        )
+        footprint = spill_bytes(routed)
+        assert footprint == os.path.getsize(path)
         # A reject quotes it over the wire: an int, not a numpy scalar.
         assert type(footprint) is int
         (nothing,) = partitioner.route_all(side.mbrs[:0])
-        assert spill_bytes(nothing, InputSide()) == 0
+        assert spill_bytes(nothing) == 0
 
 
 def block_fids(block):
@@ -187,9 +203,8 @@ def block_fids(block):
 
 
 class TestLazyTuples:
-    def test_decodes_on_first_lookup_only(self, tmp_path, sides, monkeypatch):
-        partitioner, side, _ = sides
-        spill = spill_side(tmp_path, "r", partitioner, side)
+    def test_decodes_on_first_lookup_only(self, sides, monkeypatch):
+        _, side, _ = sides
         decoded = []
         decode = tasks.deserialize_tuple
 
@@ -198,7 +213,7 @@ class TestLazyTuples:
             return decode(data)
 
         monkeypatch.setattr(tasks, "deserialize_tuple", counting)
-        lookup = read_tuple_spill(spill.tuple_path)
+        lookup = read_relation(side.relation_path)
         assert len(lookup) == len(side) and not decoded
         wanted = side[len(side) // 2]
         assert lookup[wanted.feature_id] == wanted
@@ -206,11 +221,9 @@ class TestLazyTuples:
         assert decoded == [serialize_tuple(wanted)]
         assert sorted(lookup) == sorted(t.feature_id for t in side)
 
-    def test_absent_feature_id_is_a_key_error(self, tmp_path, sides):
-        partitioner, side, _ = sides
-        lookup = read_tuple_spill(
-            spill_side(tmp_path, "r", partitioner, side).tuple_path
-        )
+    def test_absent_feature_id_is_a_key_error(self, sides):
+        _, side, _ = sides
+        lookup = read_relation(side.relation_path)
         with pytest.raises(KeyError):
             lookup[max(t.feature_id for t in side) + 1]
         with pytest.raises(TypeError):
@@ -224,14 +237,13 @@ class TestIntegrity:
             FRAME_HEADER_SIZE + len(f) for f in read_records(path)[:frame]
         )
 
-    def test_truncated_tail(self, tmp_path, sides):
-        partitioner, side, _ = sides
-        path = spill_side(tmp_path, "r", partitioner, side).tuple_path
+    def test_truncated_tail(self, pair_task):
+        path = pair_task.relation_r_path
         frames = len(read_records(path))
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) - 3)
         with pytest.raises(SpillCorruptionError, match="truncated") as info:
-            read_tuple_spill(path)
+            read_relation(path)
         assert info.value.frame_index == frames - 1
 
     @pytest.mark.parametrize(
@@ -247,23 +259,22 @@ class TestIntegrity:
     def test_directory_that_does_not_fit_its_payload(
         self, tmp_path, word, value
     ):
-        good = tasks.pack_tuple_block(
-            InputSide(list(generate_roads(scale=0.001))[:3]).records(np.arange(3))
-        )
+        side = InputSide(list(generate_roads(scale=0.001))[:3])
+        good = tasks.pack_tuple_block(side.fids, side.offsets, side.payload)
         # The directory: [count=3, fid, fid, fid, 0, end, end, end].
         head = np.frombuffer(good[: 8 * 4], "<u4").copy()
         head[word] = value(head)
-        path = tmp_path / "bad.tup"
+        path = tmp_path / "bad.rel"
         write_records(path, [good, head.tobytes() + good[8 * 4 :]])
         with pytest.raises(SpillCorruptionError, match="tuple block") as info:
-            read_tuple_spill(str(path))
+            read_relation(str(path))
         self.located(info.value, path, 1)
 
     def test_empty_tuple_frame_is_corruption(self, tmp_path):
-        path = tmp_path / "empty.tup"
+        path = tmp_path / "empty.rel"
         write_records(path, [b""])
         with pytest.raises(SpillCorruptionError, match="tuple block"):
-            read_tuple_spill(str(path))
+            read_relation(str(path))
 
     def test_keypointer_block_of_a_fractional_record(self, tmp_path):
         path = tmp_path / "bad.kp"
@@ -275,7 +286,7 @@ class TestIntegrity:
     def test_tear_frame_tears_the_only_block(self, tmp_path, sides, monkeypatch):
         monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", 1 << 20)  # one window
         partitioner, side, _ = sides
-        path = spill_side(tmp_path, "r", partitioner, side).kp_path
+        path, _count = spill_side(tmp_path, "r", partitioner, side)
         assert len(read_records(path)) == 1
         assert tear_frame(path, 5) == 0
         with pytest.raises(SpillCorruptionError, match="checksum") as info:
@@ -283,8 +294,10 @@ class TestIntegrity:
         assert info.value.frame_index == 0
 
     def test_any_torn_tuple_frame_fails_the_task_as_corruption(
-        self, pair_task
+        self, pair_task, tmp_path
     ):
+        """... of a relation file — each tear a file of its own, which no
+        worker has read yet."""
         clean = run_pair_task(pair_task)
         assert clean.pairs and clean.candidates
         candidates = sweep_pair(
@@ -293,28 +306,26 @@ class TestIntegrity:
             DEFAULT_TASK_MEMORY, pair_task.config, label="0",
         )
         referenced = {fid_r for fid_r, _fid_s in candidates}
-        blocks = read_records(pair_task.tuples_r_path)
+        blocks = read_records(pair_task.relation_r_path)
         idle = [
             index for index, block in enumerate(blocks)
             if not referenced & block_fids(block)
         ]
         assert idle, "need a block no candidate references"
-        pristine = open(pair_task.tuples_r_path, "rb").read()
         for frame in {0, idle[0], idle[-1], len(blocks) - 1}:
-            assert tear_frame(pair_task.tuples_r_path, frame) == frame
+            torn = shutil.copy(pair_task.relation_r_path, tmp_path / f"torn{frame}")
+            assert tear_frame(torn, frame) == frame
             with pytest.raises(WorkerTaskError) as info:
-                run_pair_task(pair_task)
+                run_pair_task(dataclasses.replace(pair_task, relation_r_path=str(torn)))
             assert info.value.corruption
             assert info.value.cause_type == "SpillCorruptionError"
-            with open(pair_task.tuples_r_path, "wb") as fh:
-                fh.write(pristine)
         assert run_pair_task(pair_task).pairs == clean.pairs
 
 
 class TestIntegrityThroughTheLookups(TestIntegrity):
     """The same damage with the refine on its per-pair loop: a predicate
-    other than ``intersects`` reads the spill one tuple at a time, where
-    ``TestIntegrity``'s task gathers coordinate columns."""
+    other than ``intersects`` reads the relation one tuple at a time,
+    where ``TestIntegrity``'s task gathers coordinate columns."""
 
     @pytest.fixture
     def pair_task(self, pair_task):
@@ -375,6 +386,58 @@ class TestIntegrityThroughThePolygonColumns(TestIntegrity):
         assert loop.pairs == result.pairs
 
 
+def memo_size():
+    """How many relations the calling worker keeps."""
+    return tasks._relation_as_of.cache_info().currsize
+
+
+class TestWorkerRelations:
+    def test_a_worker_reads_each_relation_once(self, pair_task, monkeypatch):
+        reads = []
+        read = tasks.read_relation
+
+        def counting(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(tasks, "read_relation", counting)
+        first, again = run_pair_task(pair_task), run_pair_task(pair_task)
+        assert first.pairs == again.pairs != []
+        assert reads == [pair_task.relation_r_path, pair_task.relation_s_path]
+
+    def test_a_changed_file_is_read_afresh(self, pair_task, tmp_path):
+        """The memo never serves a verified copy of a file that is no
+        longer the one at its path."""
+        path = pair_task.relation_r_path
+        clean = run_pair_task(pair_task)
+        pristine = shutil.copy(path, tmp_path / "pristine")
+        torn = shutil.copy(path, tmp_path / "torn")
+        assert tear_frame(torn, 0) == 0
+        os.replace(torn, path)
+        with pytest.raises(WorkerTaskError) as info:
+            run_pair_task(pair_task)
+        assert info.value.corruption
+        os.replace(pristine, path)
+        assert run_pair_task(pair_task).pairs == clean.pairs
+
+    def test_a_shared_pool_worker_keeps_at_most_the_bound(self):
+        provider = SharedPoolProvider(1)
+        joins = (tasks.RELATION_MEMO_ENTRIES // 2) + 1
+        try:
+            for seed in range(1, joins + 1):
+                spec = QuerySpec(scale=0.001, seed=seed)
+                result = ProcessPBSM(
+                    1, num_partitions=2, pool_provider=provider
+                ).run(*spec.generate(), spec.predicate_fn)
+                assert result.pairs and not result.degraded_pairs
+            pool = provider.acquire(1, None)
+            assert pool.submit(memo_size).result(timeout=60) == (
+                tasks.RELATION_MEMO_ENTRIES
+            )
+        finally:
+            provider.close()
+
+
 class TestFrozenWorkerHeap:
     def test_a_pool_worker_is_frozen_after_its_first_task(self, pair_task):
         context = multiprocessing.get_context(
@@ -388,3 +451,72 @@ class TestFrozenWorkerHeap:
             # Once per process: the second task froze nothing more.
             assert pool.submit(gc.get_freeze_count).result(timeout=60) == frozen
         assert first.pairs == again.pairs and first.worker_pid == again.worker_pid
+
+
+def drop_and_exit(held):
+    """A forked child's end: its copy of the side collected, and its
+    relation directory's exit hook run."""
+    held.clear()
+    gc.collect()
+    tasks._remove_relation_dir(tasks._RELATION_DIR[1], tasks._RELATION_DIR[0])
+
+
+class TestRelationFileLifetime:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_a_fork_worker_that_exits_leaves_the_coordinators_file(self):
+        held = [InputSide(generate_roads(scale=0.001))]
+        tuples_s = list(generate_hydrography(scale=0.001))
+        path = held[0].relation_path
+        first = ProcessPBSM(2, num_partitions=4, start_method="fork").run(
+            held[0], tuples_s, intersects
+        )
+        assert os.path.exists(path)
+        child = multiprocessing.get_context("fork").Process(
+            target=drop_and_exit, args=(held,)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0 and os.path.exists(path)
+        again = ProcessPBSM(2, num_partitions=4, start_method="fork").run(
+            held[0], tuples_s, intersects
+        )
+        assert again.pairs == first.pairs != [] and not again.degraded_pairs
+        # ... and the coordinator's own collection removes it.
+        held.clear()
+        gc.collect()
+        assert not os.path.exists(path)
+
+    def test_collecting_a_side_removes_its_file(self, sides):
+        _, side, _ = sides
+        copy = InputSide(list(side))
+        path = copy.relation_path
+        assert path != side.relation_path and os.path.exists(path)
+        del copy
+        gc.collect()
+        assert not os.path.exists(path) and os.path.exists(side.relation_path)
+
+    def test_a_file_taken_off_the_disk_is_written_again(self, sides):
+        _, side, _ = sides
+        copy = InputSide(list(side))
+        gone = copy.relation_path
+        os.unlink(gone)
+        assert copy.relation_path != gone
+        assert Path(copy.relation_path).read_bytes() == Path(side.relation_path).read_bytes()
+
+    def test_exiting_the_interpreter_removes_its_files(self):
+        code = (
+            "from repro.data import generate_roads\n"
+            "from repro.parallel.tasks import InputSide\n"
+            "side = InputSide(generate_roads(scale=0.001))\n"
+            "print(side.relation_path)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.PIPE, text=True, check=True,
+        )
+        path = Path(done.stdout.strip())
+        assert path.suffix == ".rel"
+        assert not path.exists() and not path.parent.exists()

@@ -5,9 +5,9 @@ with candidates that name only polylines or the ``contains`` predicate
 with candidates that name only polygons, it gathers coordinate runs and
 decides every candidate in a few array calls; handed anything else it
 looks each pair of tuples up and calls the predicate.  Whose records they
-are — a tuple spill's or an ``InputSide``'s own — decides nothing: both
+are — a relation file's or an ``InputSide``'s own — decides nothing: both
 are one type, held to one behaviour at the end of this file.
-Result digests are gated byte-identical, so on the same spill files the two
+Result digests are gated byte-identical, so on the same relation files the two
 must agree on every candidate — including the ones decided by a single
 padded comparison, which is why the polyline inputs are
 ``TestMaskedSweep``'s (lattice chains that touch, share vertices and overlap
@@ -32,7 +32,7 @@ from repro.geometry import Polygon, Polyline, kernels
 from repro.obs import Tracer
 from repro.parallel import tasks
 from repro.parallel.process import DEFAULT_TASK_MEMORY, ProcessPBSM
-from repro.parallel.tasks import InputSide, read_tuple_spill, refine_pair
+from repro.parallel.tasks import InputSide, read_relation, refine_pair
 from repro.serve.query import QuerySpec
 from repro.storage.tuples import (
     SpatialTuple,
@@ -50,21 +50,32 @@ S_BASE = 100
 
 
 def spill(path, tuples, block=3):
-    """A tuple spill of ``tuples``, ``block`` records a frame."""
-    records = InputSide(tuples).records(np.arange(len(tuples)))
+    """A relation file of ``tuples``, ``block`` records a frame."""
+    side = InputSide(tuples)
     write_records(path, [
-        tasks.pack_tuple_block(records[at : at + block])
-        for at in range(0, len(records), block)
+        tasks.pack_tuple_block(
+            side.fids[at : at + block], side.offsets[at : at + block + 1],
+            side.payload,
+        )
+        for at in range(0, len(side), block)
     ])
     return str(path)
 
 
+def tuple_block(*records):
+    """One tuple frame of ``(feature id, record bytes)`` pairs."""
+    fids, blobs = zip(*records)
+    return tasks.pack_tuple_block(
+        np.array(fids), np.cumsum([0, *map(len, blobs)]), b"".join(blobs)
+    )
+
+
 def refined(candidates, path_r, path_s, predicate):
-    """``refine_pair`` over freshly opened spills: its answer and what it
-    tagged the span with."""
+    """``refine_pair`` over freshly opened relation files: its answer and
+    what it tagged the span with."""
     span = Tracer().start_span("worker.refine")
     answer = refine_pair(
-        candidates, read_tuple_spill(path_r), read_tuple_spill(path_s),
+        candidates, read_relation(path_r), read_relation(path_s),
         predicate, span=span,
     )
     return answer, span.tags
@@ -82,7 +93,7 @@ def contains_by_the_loop(r, s):
 
 def one_partition(spec, directory):
     """The join ``spec`` names as a single partition pair: the candidates
-    the sweep finds, and both sides' tuple spills."""
+    the sweep finds, and both sides' relation files."""
     side_r, side_s = map(InputSide, spec.generate())
     partitioner = SpatialPartitioner.for_inputs(
         side_r.mbrs, side_s.mbrs, 1, PBSMConfig().num_tiles
@@ -96,8 +107,8 @@ def one_partition(spec, directory):
     )
     return (
         candidates,
-        spill(directory / "r.tup", side_r, block=64),
-        spill(directory / "s.tup", side_s, block=64),
+        spill(directory / "r.rel", side_r, block=64),
+        spill(directory / "s.rel", side_s, block=64),
     )
 
 
@@ -124,8 +135,8 @@ def the_two_forms_agree(
     """``predicate`` (columnar) and ``loop`` (the same test under another
     identity) over the same spill files: same pairs — those ``holds`` says,
     as ints — same ``dropped``, and span tags that tell the forms apart."""
-    path_r = spill(directory / "r.tup", tuples_r)
-    path_s = spill(directory / "s.tup", tuples_s)
+    path_r = spill(directory / "r.rel", tuples_r)
+    path_s = spill(directory / "s.rel", tuples_s)
     with mock.patch.object(kernels, "EXPANSION_CHUNK_ROWS", chunk_rows):
         columnar, tags = refined(candidates, path_r, path_s, predicate)
     looped, loop_tags = refined(candidates, path_r, path_s, loop)
@@ -167,7 +178,7 @@ class TestAgainstTheLoop:
         assert 100 < len(columnar[0]) < len(candidates) and columnar[1] == 0
 
     def test_no_candidates(self, tmp_path):
-        path = spill(tmp_path / "r.tup", [line(1, [(0, 0), (1, 1)])])
+        path = spill(tmp_path / "r.rel", [line(1, [(0, 0), (1, 1)])])
         answer, tags = refined([], path, path, intersects)
         assert answer == ([], 0)
         assert tags == {
@@ -198,7 +209,7 @@ class TestWhichFormRuns:
             line(S_BASE + 2, [(9.0, 9.0), (9.5, 9.5)]),
         ]
         return (
-            spill(tmp_path / "r.tup", tuples_r), spill(tmp_path / "s.tup", tuples_s),
+            spill(tmp_path / "r.rel", tuples_r), spill(tmp_path / "s.rel", tuples_s),
             tuples_r, tuples_s,
         )
 
@@ -290,10 +301,10 @@ class TestPolygonsAgainstTheLoop:
         """Among them the slivers only the cut's pad keeps, the inner holes
         and the known deviation: each outer against each inner."""
         cases = list(HAND_MADE.values())
-        path_r = spill(tmp_path / "r.tup", [
+        path_r = spill(tmp_path / "r.rel", [
             area(i, outer) for i, (outer, _inner, _) in enumerate(cases)
         ])
-        path_s = spill(tmp_path / "s.tup", [
+        path_s = spill(tmp_path / "s.rel", [
             area(S_BASE + i, inner) for i, (_outer, inner, _) in enumerate(cases)
         ])
         candidates = [
@@ -352,7 +363,7 @@ class TestWhichFormRunsOnPolygons:
             area(S_BASE, island),
             line(S_BASE + 1, [(14.0, 14.0), (16.0, 16.0)]),
         ]
-        return spill(tmp_path / "r.tup", tuples_r), spill(tmp_path / "s.tup", tuples_s)
+        return spill(tmp_path / "r.rel", tuples_r), spill(tmp_path / "s.rel", tuples_s)
 
     POLYGONS_ONLY = [(1, S_BASE), (2, S_BASE)]
 
@@ -407,10 +418,8 @@ class TestWhichFormRunsOnPolygons:
         assert struct.unpack_from("<H", inner, at) == (4,)
         for count, loop_error in ((5, struct.error), (2, ValueError)):
             bad = inner[:at] + struct.pack("<H", count) + inner[at + 2 :]
-            path = tmp_path / f"bad{count}.tup"
-            write_records(path, [tasks.pack_tuple_block([
-                (1, good), (2, bad), (3, inner),
-            ])])
+            path = tmp_path / f"bad{count}.rel"
+            write_records(path, [tuple_block((1, good), (2, bad), (3, inner))])
             with pytest.raises(ValueError, match="ring"):
                 refined([(1, 2)], str(path), str(path), contains)
             with pytest.raises(loop_error):
@@ -432,8 +441,8 @@ class TestTheTestsWouldNotice:
         tolerance, so only the pad lets the pair reach it."""
         hook = [(1.0 + 1e-13, 0.5), (2.0, 0.5), (2.0, 3.0), (0.5, 3.0), (0.5, 2.0)]
         return (
-            spill(tmp_path / "r.tup", [line(1, ELL)]),
-            spill(tmp_path / "s.tup", [line(S_BASE, hook)]),
+            spill(tmp_path / "r.rel", [line(1, ELL)]),
+            spill(tmp_path / "s.rel", [line(S_BASE, hook)]),
         )
 
     def test_the_pad(self, a_hair_apart):
@@ -447,9 +456,9 @@ class TestTheTestsWouldNotice:
 
     def test_the_mbr_is_of_the_whole_chain(self, tmp_path):
         """Only the last point of the second chain reaches the first."""
-        path_r = spill(tmp_path / "r.tup", [line(1, ELL)])
+        path_r = spill(tmp_path / "r.rel", [line(1, ELL)])
         path_s = spill(
-            tmp_path / "s.tup", [line(S_BASE, [(5.0, 5.0), (4.0, 4.0), (0.5, 0.0)])]
+            tmp_path / "s.rel", [line(S_BASE, [(5.0, 5.0), (4.0, 4.0), (0.5, 0.0)])]
         )
         candidates = [(1, S_BASE)]
         loop = refined(candidates, path_r, path_s, by_the_loop)[0]
@@ -521,10 +530,10 @@ class TestRecordsAreReadWithinTheirBounds:
     def test_a_bad_record_fails_the_refine_in_either_form(self, tmp_path):
         good = serialize_tuple(line(1, ELL))
         for count, loop_error in ((4, struct.error), (1, ValueError)):
-            path = tmp_path / f"bad{count}.tup"
-            write_records(path, [tasks.pack_tuple_block([
+            path = tmp_path / f"bad{count}.rel"
+            write_records(path, [tuple_block(
                 (1, good), (2, self.with_count(line(2, ELL), count)), (3, good),
-            ])])
+            )])
             with pytest.raises(ValueError, match="coordinate run"):
                 refined([(1, 1), (2, 2)], str(path), str(path), intersects)
             with pytest.raises(loop_error):
@@ -555,7 +564,7 @@ def relations(draw):
 
 class TestSideAndSpillRecords:
     """One stored-record type, two constructors: the same tuples as an
-    ``InputSide``'s own records and as a tuple spill's answer alike."""
+    ``InputSide``'s own records and as a relation file's answer alike."""
 
     @given(relations())
     @settings(max_examples=200, deadline=None)
@@ -563,8 +572,8 @@ class TestSideAndSpillRecords:
         tuples, asked = drawn
         side = InputSide(tuples)
         of_side = side.stored
-        of_spill = read_tuple_spill(
-            spill(tmp_path_factory.mktemp("records") / "r.tup", tuples)
+        of_spill = read_relation(
+            spill(tmp_path_factory.mktemp("records") / "r.rel", tuples)
         )
         assert of_side is side.stored  # built once, kept with the side
         assert len(of_side) == len(of_spill) == len(tuples)

@@ -8,10 +8,15 @@ Three contracts:
 * two chaos runs with the same seed render **byte-identical** report
   bodies naming the planned fault pairs (the acceptance criterion);
 * a kill-then-resume run journals the adopted pairs as ``task_replayed``
-  and the analyzer excludes them from straggler/critical-path analysis.
+  and the analyzer excludes them from straggler/critical-path analysis;
+* a worker that dies mid-ping cannot keep the others from exiting.
 """
 
+import multiprocessing
+import os
+import threading
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -20,7 +25,7 @@ from repro.data import generate_hydrography, generate_roads
 from repro.faults import CoordinatorKilledError, load_plan
 from repro.obs import RunJournal, Tracer, analyze_events, render_report
 from repro.obs.journal import journal_path, read_journal
-from repro.parallel import ProcessPBSM, process, serial_feature_pairs
+from repro.parallel import ProcessPBSM, process, serial_feature_pairs, tasks
 
 SCALE = 0.001
 NUM_PARTITIONS = 8
@@ -189,3 +194,27 @@ class TestResumeThenReport:
         report = render_report(analysis)
         assert "## Resumed work" in report
         assert f"{analysis.replayed_pairs}" in report
+
+
+class TestHeartbeatChannel:
+    def test_a_lock_a_dead_worker_held_does_not_stall_shutdown(self):
+        """A worker killed while its queue feeder sends a ping leaves the
+        queue's shared write lock taken; the pool's other workers must
+        still exit (their unsent pings are dropped)."""
+        context = multiprocessing.get_context(
+            os.environ.get(process.START_METHOD_ENV)
+        )
+        heartbeats = context.Queue()
+        heartbeats._wlock.acquire()  # what the dead worker took with it
+        pool = ProcessPoolExecutor(
+            1, mp_context=context, initializer=tasks.init_pool_worker,
+            initargs=(heartbeats,),
+        )
+        pool.submit(tasks._heartbeat, 0, 0, "done").result(timeout=60)
+        shutdown = threading.Thread(target=pool.shutdown, daemon=True)
+        shutdown.start()
+        shutdown.join(timeout=30)
+        if shutdown.is_alive():  # a failing run must not leak the worker
+            for worker in pool._processes.values():
+                worker.kill()
+        assert not shutdown.is_alive()

@@ -1,9 +1,10 @@
 """``InputSide``: one materialised input, serialised once.
 
-* *golden identity* — the run fingerprint and every spill byte the engine
-  writes for a fixed input are the values recorded at commit 61d888c
-  (before the columns were kept with the input), whether the engine is
-  handed a plain list, a cold ``InputSide`` or one whose columns are built;
+* *golden identity* — the run fingerprint and every key-pointer spill
+  byte the engine writes for a fixed input are the values recorded at
+  commit 61d888c (before the columns were kept with the input), whether
+  the engine is handed a plain list, a cold ``InputSide`` or one whose
+  columns are built; its relation file is its stored form;
 * *the memo is used* — ``serialize_tuple`` runs once per tuple per
   ``InputSide``, whoever asks first, and never again;
 * the sequence is immutable and its columns — the stored-record index a
@@ -29,6 +30,7 @@ from repro.parallel.tasks import InputSide
 from repro.serve.query import QuerySpec
 from repro.storage import DiskBudget
 from repro.storage.tuples import serialize_tuple
+from tests.conftest import read_records
 
 SCALE = 0.002
 PARTITIONS = 4
@@ -52,9 +54,10 @@ GOLDEN_FINGERPRINT = {
     "predicate": "intersects",
 }
 GOLDEN_RUN_ID = "run-27eaff8cc14a"
-GOLDEN_SPILLS = "f4c70df3637244c2fbf3d149cbafa6ad07d126b65342420e2d8e3a19a0865d2b"
-"""SHA-256 over ``<file name>:<SHA-256 of its bytes>\\n`` for the sixteen
-``.kp`` / ``.tup`` files of the checkpointed run below, sorted by name."""
+GOLDEN_SPILLS = "c168e439a8640b230589572d75cf069afc35f54a8dbd1b629956199356965a90"
+"""SHA-256 over ``<file name>:<SHA-256 of its bytes>\\n`` for the eight
+``.kp`` files of the checkpointed run below, sorted by name — the files
+of the same name the run wrote beside its ``.tup`` files at 61d888c."""
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +69,9 @@ def workload():
 
 
 def spill_digest(root):
-    files = sorted(
-        p for p in Path(root).rglob("*") if p.suffix in (".kp", ".tup")
-    )
-    assert len(files) == 4 * PARTITIONS
+    files = sorted(p for p in Path(root).rglob("*") if p.suffix == ".kp")
+    assert len(files) == 2 * PARTITIONS
+    assert not list(Path(root).rglob("*.tup"))
     listing = "".join(
         f"{p.name}:{hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in files
     )
@@ -108,9 +110,17 @@ class TestGoldenIdentity:
         assert side.offsets.tolist() == [
             sum(map(len, records[:i])) for i in range(len(side) + 1)
         ]
-        assert side.records(np.array([2, 0])) == [
-            (side[2].feature_id, records[2]), (side[0].feature_id, records[0]),
-        ]
+        # The relation file: a window a frame, each its fids' directory
+        # and then the records of the window, back to back.
+        window = tasks.SPILL_BLOCK_RECORDS
+        frames = read_records(side.relation_path)
+        assert len(frames) == -(-len(side) // window)
+        for at, frame in zip(range(0, len(side), window), frames):
+            count = min(window, len(side) - at)
+            assert frame[(2 * count + 2) * 4 :] == b"".join(records[at : at + count])
+            assert np.frombuffer(frame, "<u4", count + 1).tolist() == [
+                count, *(t.feature_id for t in side[at : at + count])
+            ]
 
     def test_wrapping_a_side_is_the_side(self, workload):
         side = InputSide(workload[1])
@@ -131,16 +141,19 @@ class TestSerialisedOnce:
         # spill pass read the same bytes.
         assert serialised == [t.feature_id for t in side_r + side_s]
         del serialised[:]
+        relations = [vars(side)["_relation"] for side in (side_r, side_s)]
 
         ProcessPBSM(
             2, num_partitions=PARTITIONS + 1, checkpoint_dir=str(tmp_path / "b")
         ).run(side_r, side_s, intersects)
+        # ... and one relation file a side, written by the first run.
+        assert [vars(side)["_relation"] for side in (side_r, side_s)] == relations
         spec = QuerySpec(scale=SCALE, num_partitions=PARTITIONS)
         assert spec.fingerprint(side_r, side_s).run_id == GOLDEN_RUN_ID
         engine = ProcessPBSM(2, num_partitions=PARTITIONS)
         footprint = engine.spill_footprint(side_r, side_s)
         # Starved of disk, the engine rewrites denied partitions whole —
-        # from the stored form, not from the tuples.
+        # from the columns, not from the tuples.
         starved = ProcessPBSM(
             2, num_partitions=PARTITIONS, disk_budget=DiskBudget(footprint // 2)
         ).run(side_r, side_s, intersects)

@@ -27,7 +27,7 @@ from repro.data import (
 from repro.data.tiger import WISCONSIN
 from repro.faults import FaultPlan, FaultSpec, WorkerFaults
 from repro.obs import RunJournal, Tracer
-from repro.parallel import ProcessPBSM, parallel_join
+from repro.parallel import ProcessPBSM, parallel_join, tasks
 from repro.parallel.tasks import InputSide
 from repro.storage import DiskBudget
 
@@ -307,19 +307,22 @@ class TestDiskPressure:
         assert result.pairs == sorted(
             pair for task in pooled.values() for pair in task.pairs
         )
-        assert len(list(tmp_path.rglob("part*.[rs].*"))) == 4 * NUM_PAIRS
+        assert len(list(tmp_path.rglob("part*.[rs].*"))) == 2 * NUM_PAIRS
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_a_second_denial_degrades_the_partition_and_nothing_adopts_it(
-        self, workload, pooled, tmp_path
+        self, workload, pooled, tmp_path, monkeypatch
     ):
         """Partition 0 of side ``r`` is denied, rewritten, denied again:
         both its sides become sealed empty files, no side is sealed in
-        the manifest, and a resume partitions again from the inputs."""
+        the manifest, and a resume partitions again from the inputs.
+        (Blocks of 64 tuples: a denial spends every point its frame
+        spans, so the second must fall in a later frame of the rewrite.)"""
+        monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", 64)
         tuples_r, tuples_s = workload
         plan = FaultPlan(
             seed=0, num_pairs=NUM_PAIRS, spec=FaultSpec(disk_full=2),
-            disk_full_points=(("spill", 5000), ("spill", 20000)),
+            disk_full_points=(("spill", 1000), ("spill", 2000)),
         )
         result = ProcessPBSM(
             2, num_partitions=NUM_PAIRS, fault_plan=plan,
@@ -331,7 +334,7 @@ class TestDiskPressure:
             "injected_disk_full": 2,
         }
         files = sorted(tmp_path.rglob("part0000.*"))
-        assert len(files) == 4 and not any(f.stat().st_size for f in files)
+        assert len(files) == 2 and not any(f.stat().st_size for f in files)
         resumed = ProcessPBSM(
             2, num_partitions=NUM_PAIRS, checkpoint_dir=str(tmp_path)
         ).resume(tuples_r, tuples_s, intersects)

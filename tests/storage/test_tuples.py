@@ -118,7 +118,7 @@ class TestCodecProperty:
 
 
 def records(*blobs):
-    """Records back to back in one buffer, as a tuple spill keeps them:
+    """Records back to back in one buffer, as a relation file keeps them:
     ``(buffer, starts, ends)``."""
     sizes = np.array([len(blob) for blob in blobs], dtype=np.int64)
     return b"".join(blobs), np.cumsum(sizes) - sizes, np.cumsum(sizes)

@@ -464,6 +464,7 @@ class TestCheckpointCLI:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["TMPDIR"] = str(tmp_path)  # where the killed run's relation files stay
         proc = subprocess.run(
             [_sys.executable, "-m", "repro", "chaos", "--plan", "none",
              "--scale", "0.001", "--workers", "2",
