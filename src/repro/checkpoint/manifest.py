@@ -315,7 +315,7 @@ def read_json_frames(
     try:
         for frame in frames:
             try:
-                payload = json.loads(frame.record.decode())
+                payload = json.loads(str(frame.record, "utf-8"))
                 if not isinstance(payload, dict):
                     raise ValueError("not an object")
             except ValueError as exc:  # UnicodeDecode-, JSONDecodeError too

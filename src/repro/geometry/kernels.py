@@ -6,8 +6,9 @@ edge — so they run here as numpy broadcasts over coordinate arrays instead
 of one :func:`~repro.geometry.segment.segments_intersect` call per pair.
 Both predicates the paper joins on also have a columnar form, over every
 candidate pair of a partition pair at once and straight from spilled
-coordinate columns: :func:`polylines_intersect_each` and
-:func:`polygons_contain_each`.
+coordinate columns: :func:`polylines_intersect_each`, and
+:func:`polygons_contain_each` for the pairs a stored
+:func:`clearance_squares` square leaves undecided.
 
 The kernels must return the scalar functions' answers bit for bit (result
 digests are gated byte-identical), so each repeats the scalar arithmetic
@@ -355,12 +356,7 @@ def _ring_ends(ring_first: np.ndarray) -> np.ndarray:
     return end
 
 
-def _shell_mbrs(x, y, ring_first, poly_first):
-    """Each polygon's ``mbr``: its shell's."""
-    return [bound[poly_first[:-1]] for bound in _mbrs(x, y, ring_first)]
-
-
-def _extents(x, y, ring_first, poly_first):
+def polygon_extents(x, y, ring_first, poly_first):
     """Each polygon's MBR over all its rings, holes with the shell."""
     return _mbrs(x, y, ring_first[poly_first])
 
@@ -413,7 +409,7 @@ def clearance_squares(x, y, ring_first, poly_first):
         # A zero-length edge has no line: its distance is the gap alone.
         clearance = np.minimum.reduceat(np.fmax(gap, line), starts)
     odd = np.logical_xor.reduceat(_ray_crosses(0.0, 0.0, x1, y1, x2, y2), rings)
-    xl, yl, xu, yu = bounds = _extents(x, y, ring_first, poly_first)
+    xl, yl, xu, yu = bounds = polygon_extents(x, y, ring_first, poly_first)
     half = clearance - (2.0 * _EPS ** 0.5 + _EPS * np.max(np.abs(bounds), axis=0))
     # In the shell, in no hole, not too wide, and room for a square.
     valid = odd[shells] & (np.add.reduceat(odd, shells, dtype=np.intp) == 1)
@@ -422,60 +418,30 @@ def clearance_squares(x, y, ring_first, poly_first):
 
 
 def polygons_contain_each(
-    outer: Rings, inner: Rings, of_outer: np.ndarray, of_inner: np.ndarray
+    outer: Rings, inner: Rings, of_outer: np.ndarray, of_inner: np.ndarray, box
 ) -> Tuple[np.ndarray, Dict[str, int]]:
     """``Polygon.contains`` of polygon ``of_outer[p]`` of ``outer`` on
-    polygon ``of_inner[p]`` of ``inner``, every pair ``p`` at once: the
-    verdicts, how many the clearance square decided, and how many rows
-    reached each of the two exact tests.
+    polygon ``of_inner[p]`` of ``inner``, every pair ``p`` at once, for
+    pairs whose shell MBRs already nest: the verdicts, and how many rows
+    reached each of the method's two exact tests.
 
-    The shell MBRs first, ``Rect.contains`` as a mask.  Of the pairs that
-    pass, those whose inner rings all lie in the outer polygon's
-    :func:`clearance_squares` square are contained — §4.4's enclosed
-    rectangle as a true-hit mask.  The rest, alone, go on to the method's
-    two exact tests: every inner shell vertex in or on the outer shell and
-    none strictly inside an outer hole (:func:`_vertices_outside`), then,
-    for the pairs that keep all their vertices, no boundary crossing
-    (:func:`_boundaries_cross`).  The method is the conjunction of the two,
-    so their order changes no verdict; the vertex rule goes first because
-    it rejects more.  Compacting the undecided pairs' polygons into ring
-    columns of their own is what makes the square pay: the vertex rule
-    sorts every vertex of the columns it is given.
+    ``box`` is each pair's inner shell MBR, ``(xl, yl, xu, yu)`` columns.
+    Every inner shell vertex in or on the outer shell and none strictly
+    inside an outer hole (:func:`_vertices_outside`), then, for the pairs
+    that keep all their vertices, no boundary crossing
+    (:func:`_boundaries_cross`).  The method is the conjunction of the
+    two, so their order changes no verdict; the vertex rule goes first
+    because it rejects more.  The callers hand over only the pairs the
+    :func:`clearance_squares` square left undecided, decoded into ring
+    columns of their own: the vertex rule sorts every vertex of the
+    columns it is given.
     """
-    oxl, oyl, oxu, oyu = (bound[of_outer] for bound in _shell_mbrs(*outer))
-    ixl, iyl, ixu, iyu = (bound[of_inner] for bound in _shell_mbrs(*inner))
-    inside = (oxl <= ixl) & (oyl <= iyl) & (ixu <= oxu) & (iyu <= oyu)
-    cx, cy, half = (column[of_outer] for column in clearance_squares(*outer))
-    # The inner polygon's extent, not its shell's: a hole need not lie
-    # within its shell, and hole edges take part in the crossing test.
-    jxl, jyl, jxu, jyu = (bound[of_inner] for bound in _extents(*inner))
-    verdicts = inside & (cx - half <= jxl) & (cy - half <= jyl)
-    verdicts &= (jxu <= cx + half) & (jyu <= cy + half)
-    rows = {"square_hits": int(verdicts.sum()), "segment_pairs": 0, "vertex_rows": 0}
-    undecided = np.flatnonzero(inside & ~verdicts)
-    outer, of_outer = _subset(outer, of_outer[undecided])
-    inner, of_inner = _subset(inner, of_inner[undecided])
     o, i = _ring_edges(*outer), _ring_edges(*inner)
-    outside, rows["vertex_rows"] = _vertices_outside(o, outer, inner, of_outer, of_inner)
-    box = [bound[of_inner] for bound in _shell_mbrs(*inner)]
-    crossed, rows["segment_pairs"] = _boundaries_cross(o, i, of_outer, of_inner, ~outside, box)
-    verdicts[undecided] = ~outside & ~crossed
-    return verdicts, rows
-
-
-def _subset(rings: Rings, of: np.ndarray) -> Tuple[Rings, np.ndarray]:
-    """The polygons ``of`` names as ring columns of their own, and ``of``
-    pointing into them."""
-    x, y, ring_first, poly_first = rings
-    kept = np.zeros(len(poly_first) - 1, dtype=bool)
-    kept[of] = True
-    kept_rings = np.repeat(kept, np.diff(poly_first))
-    kept_vertices = np.repeat(kept_rings, np.diff(ring_first))
-    return (
-        x[kept_vertices], y[kept_vertices],
-        np.concatenate(([0], np.cumsum(np.diff(ring_first)[kept_rings]))),
-        np.concatenate(([0], np.cumsum(np.diff(poly_first)[kept]))),
-    ), np.cumsum(kept)[of] - 1
+    outside, vertex_rows = _vertices_outside(o, outer, inner, of_outer, of_inner)
+    crossed, segment_pairs = _boundaries_cross(o, i, of_outer, of_inner, ~outside, box)
+    return ~outside & ~crossed, {
+        "vertex_rows": vertex_rows, "segment_pairs": segment_pairs,
+    }
 
 
 def _boundaries_cross(o: _Segments, i: _Segments, of_outer, of_inner, inside, box):

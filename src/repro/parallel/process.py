@@ -591,6 +591,7 @@ class ProcessPBSM:
         resuming: bool,
     ) -> ParallelJoinResult:
         self._disk_degraded = set()
+        self._damaged_files: Set[str] = set()
         self._disk_injector = None
         budget = self.disk_budget
         if (
@@ -675,8 +676,11 @@ class ProcessPBSM:
                 # Only freshly written sides: for an adopted spill the
                 # fault already happened in the run that wrote it.
                 self._apply_torn_frames(spills_r, spills_s, set(fresh))
+            # Held until the run ends: a concurrent run that drops a damaged
+            # relation file must not take it off the disk under these tasks.
+            relations = side_r.relation, side_s.relation
             all_tasks = self._build_tasks(
-                spills_r, spills_s, side_r, side_s, predicate
+                spills_r, spills_s, *(r.path for r in relations), predicate
             )
             tasks = [t for t in all_tasks if t.index not in committed]
             self.journal.emit(
@@ -715,6 +719,11 @@ class ProcessPBSM:
                 on_result = store.append_result
             with self.tracer.span("process.execute", tasks=len(tasks)):
                 outcomes, failed = self._execute(tasks, on_result=on_result)
+            # A relation file that failed its check is damaged in place:
+            # the next run on these sides writes a fresh one.
+            side_r.forget_relation(self._damaged_files)
+            side_s.forget_relation(self._damaged_files)
+            del relations  # the tasks are done with them
             # Partitions whose spills were dropped under disk pressure
             # never became tasks; like the pairs the pool gave up on, they
             # are rebuilt in memory — no spill, no budget charge — so the
@@ -1104,8 +1113,8 @@ class ProcessPBSM:
         self,
         spills_r: SideSpills,
         spills_s: SideSpills,
-        side_r: InputSide,
-        side_s: InputSide,
+        relation_r_path: str,
+        relation_s_path: str,
         predicate: Predicate,
     ) -> List[PairTask]:
         """One task per non-empty partition pair, in LPT order, its
@@ -1120,8 +1129,8 @@ class ProcessPBSM:
                 index=p,
                 kp_r_path=spill_r.kp_path,
                 kp_s_path=spill_s.kp_path,
-                relation_r_path=side_r.relation_path,
-                relation_s_path=side_s.relation_path,
+                relation_r_path=relation_r_path,
+                relation_s_path=relation_s_path,
                 count_r=spill_r.count,
                 count_s=spill_s.count,
                 config=self.config,
@@ -1236,6 +1245,7 @@ class ProcessPBSM:
             if error.corruption:
                 # The file is wrong on disk — no retry can fix it.
                 failed[index] = "corrupt_spill"
+                self._damaged_files.add(error.damaged_path)
                 self._count("quarantined")
                 journal.emit(
                     EVENT_QUARANTINED, pair=index, attempt=attempts[index]

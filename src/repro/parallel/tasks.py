@@ -5,7 +5,7 @@ refinement fetches tuples from the base relations.  Two kinds of file
 (:mod:`repro.storage.spill`) carry that to a worker process:
 
 * one **relation file** per input — the side's stored records, in input
-  order, written once on first touch (:attr:`InputSide.relation_path`):
+  order, written once on first touch (:attr:`InputSide.relation`):
   the refinement step's input.  A worker opens each relation once and
   keeps it (:func:`open_relation`), so it reads and checks a side once,
   not once per task;
@@ -23,15 +23,17 @@ Both are written as *blocks*, one CRC frame per
 :data:`SPILL_BLOCK_RECORDS`-tuple window of the input — a key-pointer
 frame is a partition's records of the window back to back, a relation
 frame the window's feature-id/offset directory followed by its serialised
-tuples — so nothing pays a Python call per record for framing.  A worker
+tuples and, for polygons, their refine rows — so nothing pays a Python
+call per record for framing.  A worker
 reads and checks every frame of the files it opens and keeps them as the
 arrays they already are: the filter step is one array join over the
 key-pointer records (:func:`sweep_pair`), and a relation opens as columns
 (:class:`StoredRecords` — the type an :class:`InputSide` also gives its
 own records, for the coordinator's rebuilds) from which
 :func:`refine_pair` either gathers coordinate runs (polylines under
-``intersects``, polygons under ``contains``) or decodes, on first lookup,
-the tuples a candidate names.
+``intersects``; under ``contains``, the polygons the stored refine rows
+leave undecided) or decodes, on first lookup, the tuples a candidate
+names.
 
 A :class:`PairTask` names those files plus the join configuration; it
 pickles in a few hundred bytes no matter how large the partition is.
@@ -90,8 +92,10 @@ from ..core.predicates import Predicate, contains, intersects
 from ..faults.inject import apply_worker_faults
 from ..faults.plan import WorkerFaults
 from ..geometry.kernels import (
+    clearance_squares,
     dense_ranks,
     grouped_keys,
+    polygon_extents,
     polygons_contain_each,
     polylines_intersect_each,
     ragged_rows,
@@ -99,7 +103,7 @@ from ..geometry.kernels import (
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import SpillCorruptionError
-from ..storage.spill import FRAME_HEADER_SIZE, SpillWriter, read_frames
+from ..storage.spill import FRAME_HEADER_SIZE, SpillWriter, read_frames, read_frames_bytes
 from ..storage.tuples import (
     SpatialTuple,
     deserialize_tuple,
@@ -130,6 +134,16 @@ KEYPOINTER_DTYPE = np.dtype(
 """One spilled key-pointer — conservative f32 MBR + u32 feature id + u32
 tile + u8 two-layer class, 25 bytes packed: one two-layer replica slot.  A
 key-pointer frame is an array of these, and so is what a worker sweeps."""
+
+REFINE_DTYPE = np.dtype(
+    [("mbr", "<f8", (4,)), ("extent", "<f8", (4,)), ("square", "<f8", (3,))]
+)
+"""One polygon's refine columns, 88 bytes: its exact shell MBR (its
+``InputSide.mbrs`` row), its MBR over all rings, and its
+:func:`~repro.geometry.kernels.clearance_squares` square ``(cx, cy,
+half)`` — §4.4's enclosed rectangle, "precomputed and stored along with
+each spatial feature", from which ``contains`` decides most candidates
+without decoding either polygon."""
 
 _COMBOS = np.array(ALLOWED_COMBO_TABLE)
 """The mini-join table as a ``[class of r, class of s]`` lookup."""
@@ -210,7 +224,7 @@ def _heartbeat(pair: int, attempt: int, phase: str) -> None:
 
 class InputSide(tuple):
     """One materialised join input: the immutable sequence of its tuples,
-    owning four column groups that are each built once, on first touch,
+    owning five column groups that are each built once, on first touch,
     and kept for as long as the input is:
 
     * the *routing columns* — ``mbrs`` (exact f64 N×4, what routing
@@ -221,10 +235,12 @@ class InputSide(tuple):
       is ``payload[offsets[i]:offsets[i + 1]]``) and ``crc`` (the
       order-sensitive CRC32 of the records, the run fingerprint's content
       check);
-    * ``stored`` — the stored form and ``fids`` as :class:`StoredRecords`,
+    * ``refine`` — the :data:`REFINE_DTYPE` rows of a polygon side
+      (:func:`refine_columns`), ``None`` for any other;
+    * ``stored`` — the stored form, ``fids`` and ``refine`` as :class:`StoredRecords`,
       sharing their memory: what refinement fetches from when the side
       itself, not a file of it, is at hand;
-    * ``relation_path`` — the stored form written down once as the side's
+    * ``relation`` — the stored form written down once as the side's
       relation file, what a worker's refinement fetches from.
 
     Whoever holds the input across joins (``QuerySpec.generate`` returns
@@ -247,7 +263,8 @@ class InputSide(tuple):
         builder at a time, and whoever finds a column missing waits here
         for it, so nobody holds a ``payload`` without its ``offsets``."""
         if name not in (
-            "mbrs", "mbrs_f32", "fids", "payload", "offsets", "crc", "stored", "_relation"
+            "mbrs", "mbrs_f32", "fids", "payload", "offsets", "crc", "refine",
+            "stored", "_relation",
         ):
             raise AttributeError(name)
         with self._building:
@@ -258,9 +275,12 @@ class InputSide(tuple):
                 self.offsets = np.cumsum([0, *map(len, records)], dtype=np.int64)
                 self.payload = b"".join(records)
                 self.crc = zlib.crc32(self.payload)
+            elif name == "refine":
+                self.refine = refine_columns(self)
             elif name == "stored":
                 self.stored = StoredRecords(
-                    self.payload, self.offsets[:-1], self.offsets[1:], self.fids, self
+                    self.payload, self.offsets[:-1], self.offsets[1:], self.fids,
+                    self, self.refine,
                 )
             elif name == "_relation":
                 self._relation = _RelationFile(self)
@@ -271,16 +291,34 @@ class InputSide(tuple):
         return self.__dict__[name]
 
     @property
-    def relation_path(self) -> str:
-        """The side's relation file (:class:`_RelationFile`), written on
-        first touch — and again if something took it off the disk (a
-        temporary-file cleaner outliving a long-running server's side);
-        it goes when the side does."""
+    def relation(self) -> "_RelationFile":
+        """The side's relation file, written on first touch — and again if
+        something took it off the disk (a temporary-file cleaner outliving
+        a long-running server's side); it goes when the side and every run
+        holding it do."""
         if not os.path.exists(self._relation.path):
             with self._building:
                 if not os.path.exists(self._relation.path):
                     self._relation = _RelationFile(self)
-        return self._relation.path
+        return self._relation
+
+    def forget_relation(self, damaged: Iterable[str]) -> None:
+        """Drop the relation file if it is one of the ``damaged`` paths, so
+        the next :attr:`relation` writes a fresh one: a file that failed
+        its check in place stays failed.  A run still holding it keeps it
+        on the disk until that run ends."""
+        with self._building:
+            relation = self.__dict__.get("_relation")
+            if relation is not None and relation.path in damaged:
+                del self.__dict__["_relation"]
+
+    def tuple_block(self, start: int, stop: int) -> bytes:
+        """Records ``start:stop`` as one tuple frame's payload
+        (:func:`pack_tuple_block`), with their ``refine`` rows if any."""
+        refine = None if self.refine is None else self.refine[start:stop]
+        return pack_tuple_block(
+            self.fids[start:stop], self.offsets[start : stop + 1], self.payload, refine
+        )
 
     def keypointers(self, routed: RoutedSlots) -> np.ndarray:
         """The key-pointer block of one partition's routed slots: rounded
@@ -309,15 +347,39 @@ class InputSide(tuple):
             )
 
 
-def pack_tuple_block(fids: np.ndarray, offsets: np.ndarray, payload: bytes) -> bytes:
+def pack_tuple_block(
+    fids: np.ndarray, offsets: np.ndarray, payload: bytes,
+    refine: Optional[np.ndarray] = None,
+) -> bytes:
     """One tuple frame's payload: the directory of records ``fids``, then
-    the records — ``payload[offsets[i]:offsets[i + 1]]`` — back to back."""
+    the records — ``payload[offsets[i]:offsets[i + 1]]`` — back to back,
+    then their :data:`REFINE_DTYPE` rows, if given."""
     count = len(fids)
     directory = np.empty(2 * count + 2, _U32)
     directory[0] = count
     directory[1 : count + 1] = fids
     directory[count + 1 :] = offsets - offsets[0]
-    return directory.tobytes() + payload[offsets[0] : offsets[-1]]
+    records = payload[offsets[0] : offsets[-1]]
+    return directory.tobytes() + records + (b"" if refine is None else refine.tobytes())
+
+
+def refine_columns(side: InputSide) -> Optional[np.ndarray]:
+    """The side's :data:`REFINE_DTYPE` rows, built a
+    :data:`SPILL_BLOCK_RECORDS` window at a time — the window's records
+    decoded into ring columns, its extents and squares taken, the ring
+    columns dropped — or ``None`` unless every record is a polygon."""
+    blocks = [np.empty(0, REFINE_DTYPE)]
+    for start in range(0, len(side), SPILL_BLOCK_RECORDS):
+        offsets = side.offsets[start : start + SPILL_BLOCK_RECORDS + 1]
+        rings = polygon_runs(side.payload, offsets[:-1], offsets[1:])
+        if rings is None:
+            return None
+        block = np.empty(len(offsets) - 1, REFINE_DTYPE)
+        block["mbr"] = side.mbrs[start : start + len(block)]
+        block["extent"] = np.column_stack(polygon_extents(*rings))
+        block["square"] = np.column_stack(clearance_squares(*rings))
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def _relation_dir() -> str:
@@ -340,8 +402,9 @@ def _remove_relation_dir(path: str, pid: int) -> None:
 
 class _RelationFile:
     """One side's relation file: its stored records in input order, a
-    tuple-block frame (:func:`pack_tuple_block`) a
-    :data:`SPILL_BLOCK_RECORDS` window — the layout
+    tuple-block frame (:func:`pack_tuple_block`, with the window's
+    ``refine`` rows on a polygon side) a :data:`SPILL_BLOCK_RECORDS`
+    window — the layout
     :func:`read_relation` checks frame by frame — named by the side's
     ``crc`` in this process's relation directory.
 
@@ -357,10 +420,7 @@ class _RelationFile:
         self.path = os.path.join(_relation_dir(), f"{side.crc:08x}-{next(_RELATION_SERIALS)}.rel")
         with SpillWriter(self.path) as writer:
             for start in range(0, len(side), SPILL_BLOCK_RECORDS):
-                stop = start + SPILL_BLOCK_RECORDS
-                writer.append(pack_tuple_block(
-                    side.fids[start:stop], side.offsets[start : stop + 1], side.payload
-                ))
+                writer.append(side.tuple_block(start, start + SPILL_BLOCK_RECORDS))
 
     def __del__(self) -> None:
         if os.getpid() == self.pid:
@@ -387,7 +447,8 @@ class WorkerTaskError(RuntimeError):
     Carries the pair index, attempt number, and worker pid (``0`` when the
     failure happened before a worker could report), plus the formatted
     cause.  ``corruption`` marks spill-file damage: retrying cannot help,
-    the coordinator must quarantine and rebuild.
+    the coordinator must quarantine and rebuild; ``damaged_path`` names
+    the file that failed its check.
     """
 
     def __init__(
@@ -399,6 +460,7 @@ class WorkerTaskError(RuntimeError):
         cause_message: str,
         traceback_text: str = "",
         corruption: bool = False,
+        damaged_path: str = "",
     ):
         super().__init__(
             f"partition pair {pair_index} failed on attempt {attempt} "
@@ -412,6 +474,7 @@ class WorkerTaskError(RuntimeError):
         self.cause_message = cause_message
         self.traceback_text = traceback_text
         self.corruption = corruption
+        self.damaged_path = damaged_path
 
     def __reduce__(self):
         return (
@@ -419,7 +482,7 @@ class WorkerTaskError(RuntimeError):
             (
                 self.pair_index, self.attempt, self.worker_pid,
                 self.cause_type, self.cause_message, self.traceback_text,
-                self.corruption,
+                self.corruption, self.damaged_path,
             ),
         )
 
@@ -459,7 +522,7 @@ class PartitionSpill:
         tags = np.array([slot for _t, slots in added for slot in slots], np.int64)
         routed = RoutedSlots(ordinal, *tags.reshape(-1, 2).T)
         self._kp.append(side.keypointers(routed).tobytes())
-        self._tuples.append(pack_tuple_block(side.fids, side.offsets, side.payload))
+        self._tuples.append(side.tuple_block(0, len(side)))
         self.count += len(ordinal)
 
     def close(self) -> None:
@@ -508,16 +571,19 @@ class StoredRecords(Mapping):
     and a lookup returns the side's ``live`` tuple — nothing is decoded,
     so a side kept across joins never grows a second copy of itself.
     Either way the records are located through a sorted feature-id index
-    built once, and :meth:`columns` serves many of them without building
-    a tuple at all.  ``len()`` is the number of records.
+    built once, :meth:`columns` serves many of them without building
+    a tuple at all, and ``refine`` — the records' :data:`REFINE_DTYPE`
+    rows, or ``None`` — without decoding any.  ``len()`` is the number of
+    records.
     """
 
     def __init__(
         self, buffer: bytes, starts: np.ndarray, ends: np.ndarray,
         fids: np.ndarray, live: Optional[Sequence[SpatialTuple]] = None,
+        refine: Optional[np.ndarray] = None,
     ):
         self._buffer, self._starts, self._ends = buffer, starts, ends
-        self._fids, self._live = fids, live
+        self._fids, self._live, self.refine = fids, live, refine
         # Stable, so that of two records with one feature id the later is
         # found, as a mapping filled in record order would have it.
         self._order = np.argsort(fids, kind="stable")
@@ -548,17 +614,22 @@ class StoredRecords(Mapping):
     def __len__(self) -> int:
         return len(self._fids)
 
+    def records_of(self, feature_ids: np.ndarray) -> np.ndarray:
+        """The record each of ``feature_ids`` is, as :meth:`__getitem__`
+        finds it; ``KeyError`` for an absent id."""
+        at = np.searchsorted(self._sorted_fids, feature_ids, side="right") - 1
+        absent = (at < 0) | (self._sorted_fids[at] != feature_ids)
+        if absent.any():
+            raise KeyError(int(feature_ids[absent][0]))
+        return self._order[at]
+
     def columns(self, feature_ids: np.ndarray, decode):
         """The records of ``feature_ids`` as the coordinate columns
         ``decode`` makes of them (:func:`~repro.storage.tuples.polyline_runs`
         or :func:`~repro.storage.tuples.polygon_runs`), or ``None`` if one
         of them is not of its geometry; ``KeyError`` for an absent id.
         :meth:`__getitem__` for many ids at once, with no tuple built."""
-        at = np.searchsorted(self._sorted_fids, feature_ids, side="right") - 1
-        absent = (at < 0) | (self._sorted_fids[at] != feature_ids)
-        if absent.any():
-            raise KeyError(int(feature_ids[absent][0]))
-        records = self._order[at]
+        records = self.records_of(feature_ids)
         return decode(self._buffer, self._starts[records], self._ends[records])
 
 
@@ -566,37 +637,44 @@ def read_relation(path: str) -> StoredRecords:
     """A file of tuple blocks — a side's relation file — as
     :class:`StoredRecords`.
 
-    Reads and CRC-checks **every** frame and validates every block
-    directory — integrity is a property of the file read, not of the
-    tuples used — and keeps the frames' payloads, directories included,
-    as the one buffer the records' extents point into.
+    Reads the file once and checks **every** frame's CRC in place and
+    every block directory — integrity is a property of the file read, not
+    of the tuples used; the records' extents point into that one buffer.
+    A block's records end where its payload does, or where the
+    :data:`REFINE_DTYPE` rows of all of them begin; the relation has
+    ``refine`` rows if every block carries them.
     """
-    payloads: List[bytes] = []
+    with open(path, "rb") as fh:
+        data = fh.read()
     fids, starts, ends = ([np.empty(0, np.int64)] for _ in range(3))
-    base = 0
-    for frame in read_frames(path):
+    refine: Optional[List[np.ndarray]] = [np.empty(0, REFINE_DTYPE)]
+    for frame in read_frames_bytes(data, label=path):
         payload = frame.record
         words = np.frombuffer(payload, _U32, len(payload) // _U32.itemsize)
         count = int(words[0]) if len(words) else 0
         body = (2 * count + 2) * _U32.itemsize
         bounds = words[count + 1 : 2 * count + 2].astype(np.int64) + body
+        columns = len(payload) - count * REFINE_DTYPE.itemsize
         if (
             len(bounds) != count + 1
             or bounds[0] != body
-            or bounds[-1] != len(payload)
+            or bounds[-1] not in (columns, len(payload))
             or (bounds[1:] < bounds[:-1]).any()
         ):
             raise frame.violation(
                 "tuple block directory does not fit its payload"
             )
-        payloads.append(payload)
+        base = frame.offset + FRAME_HEADER_SIZE
         fids.append(words[1 : count + 1])
         starts.append(bounds[:-1] + base)
         ends.append(bounds[1:] + base)
-        base += len(payload)
+        if refine is not None and bounds[-1] == columns:
+            refine.append(np.frombuffer(payload[columns:], REFINE_DTYPE))
+        else:
+            refine = None
     return StoredRecords(
-        b"".join(payloads), np.concatenate(starts), np.concatenate(ends),
-        np.concatenate(fids),
+        data, np.concatenate(starts), np.concatenate(ends), np.concatenate(fids),
+        refine=None if refine is None else np.concatenate(refine),
     )
 
 
@@ -783,20 +861,30 @@ def refine_pair(
     count means the dedup-free invariant broke and is surfaced all the way
     up to the coordinator's ``merge.duplicates_dropped`` metric.
 
-    Two forms, one answer, chosen by the predicate and the records'
-    geometry — not by who holds the records, a worker (a spill's) or the
-    coordinator (the side's own).  When the predicate is ``intersects``
-    with every record a candidate names a polyline, or ``contains`` with
-    every one a polygon, the verdicts of all candidates come from
-    coordinate columns in one pass
-    (:func:`~repro.geometry.kernels.polylines_intersect_each`,
-    :func:`~repro.geometry.kernels.polygons_contain_each`) and no tuple is
-    built.  What needs a tuple — polygons under ``intersects``, mixed
-    geometry, any other predicate — takes the loop: look both tuples up,
-    call the predicate.  ``span``, if given, is tagged with which form
-    ran, what it decoded, how many rows reached the exact tests and how
-    many candidates were decided without them (``square_hits``).
+    Two forms, one answer, chosen by the predicate and the records —
+    not by who holds them, a worker (a file's) or the coordinator (the
+    side's own).  Under ``intersects`` with every record a candidate names
+    a polyline, the verdicts of all candidates come from coordinate
+    columns in one pass (:func:`~repro.geometry.kernels.polylines_intersect_each`);
+    under ``contains`` with ``refine`` rows on both sides, from those rows
+    and, for what they leave undecided, ring columns (:func:`_contains_each`).
+    No tuple is built.  What needs a tuple — polygons under ``intersects``,
+    a side of mixed geometry, any other predicate — takes the loop: look
+    both tuples up, call the predicate.  ``span``, if given, is tagged with
+    which form ran, what it decoded, how many rows reached the exact tests,
+    how many candidates were decided without them (``square_hits``), and
+    the seconds spent decoding columns (``decode_s``) and deciding
+    (``kernel_s``; all of the loop's, which decodes as it goes).
     """
+    started, decode_s = time.perf_counter(), 0.0
+
+    def fetch(records: StoredRecords, feature_ids: np.ndarray, decode):
+        nonlocal decode_s
+        at = time.perf_counter()
+        found = records.columns(feature_ids, decode)
+        decode_s += time.perf_counter() - at
+        return found
+
     pairs = np.array(candidates, dtype=np.int64).reshape(-1, 2)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     fresh = np.ones(len(pairs), dtype=bool)
@@ -804,35 +892,66 @@ def refine_pair(
     pairs = pairs[fresh]
     named_r, of_r = np.unique(pairs[:, 0], return_inverse=True)
     named_s, of_s = np.unique(pairs[:, 1], return_inverse=True)
-    decode = decide = None
-    if predicate is intersects:
-        decode, decide = polyline_runs, polylines_intersect_each
-    elif predicate is contains:
-        decode, decide = polygon_runs, polygons_contain_each
-    columns_r = columns_s = None
-    if decode is not None:
-        columns_r = records_r.columns(named_r, decode)
-    if columns_r is not None:
-        columns_s = records_s.columns(named_s, decode)
     rows = {"segment_pairs": 0, "vertex_rows": 0, "square_hits": 0}
-    if columns_s is not None:
-        hits, tested = decide(columns_r, columns_s, of_r, of_s)
-        rows.update(tested)
-    else:
+    hits = None
+    stored = records_r.refine is not None and records_s.refine is not None
+    if predicate is contains and stored:
+        hits, named_r, named_s = _contains_each(pairs, records_r, records_s, rows, fetch)
+    elif predicate is intersects:
+        chains_r = fetch(records_r, named_r, polyline_runs)
+        chains_s = None if chains_r is None else fetch(records_s, named_s, polyline_runs)
+        if chains_s is not None:
+            hits, tested = polylines_intersect_each(chains_r, chains_s, of_r, of_s)
+            rows.update(tested)
+    columnar = hits is not None
+    if not columnar:
         hits = np.fromiter(
             (predicate(records_r[r], records_s[s]) for r, s in pairs.tolist()),
             dtype=bool, count=len(pairs),
         )
     if span is not None:
-        span.tag("columnar", columns_s is not None)
+        rows.update(decode_s=decode_s, kernel_s=time.perf_counter() - started - decode_s)
+        span.tag("columnar", columnar)
         span.tag("records_decoded", len(named_r) + len(named_s))
-        for name, count in rows.items():
-            span.tag(name, count)
+        for name, value in rows.items():
+            span.tag(name, value)
     results = pairs[hits]
     return (
         list(zip(results[:, 0].tolist(), results[:, 1].tolist())),
         len(candidates) - len(pairs),
     )
+
+
+def _contains_each(pairs, records_r, records_s, rows, fetch):
+    """``contains`` for every pair: the verdicts, and the feature ids of
+    the polygons decoded, per side.
+
+    From the stored rows first, with nothing decoded: the shell MBRs nest
+    (``Rect.contains``), and of those the pairs whose inner extent — all
+    rings: a hole need not lie within its shell, and hole edges take part
+    in the crossing test — lies in the outer polygon's clearance square
+    are contained.  Only the polygons the pairs still undecided name are
+    decoded (``fetch`` of :func:`~repro.storage.tuples.polygon_runs`), and
+    only those pairs reach the exact tests
+    (:func:`~repro.geometry.kernels.polygons_contain_each`).
+    """
+    outer = records_r.refine[records_r.records_of(pairs[:, 0])]
+    inner = records_s.refine[records_s.records_of(pairs[:, 1])]
+    mbr, box, extent = outer["mbr"], inner["mbr"], inner["extent"]
+    inside = (mbr[:, :2] <= box[:, :2]).all(1) & (box[:, 2:] <= mbr[:, 2:]).all(1)
+    centre, half = outer["square"][:, :2], outer["square"][:, 2:]
+    hits = inside & (centre - half <= extent[:, :2]).all(1)
+    hits &= (extent[:, 2:] <= centre + half).all(1)
+    rows["square_hits"] = int(hits.sum())
+    undecided = np.flatnonzero(inside & ~hits)
+    named_r, of_r = np.unique(pairs[undecided, 0], return_inverse=True)
+    named_s, of_s = np.unique(pairs[undecided, 1], return_inverse=True)
+    hits[undecided], tested = polygons_contain_each(
+        fetch(records_r, named_r, polygon_runs), fetch(records_s, named_s, polygon_runs),
+        of_r, of_s, box[undecided].T,
+    )
+    rows.update(tested)
+    return hits, named_r, named_s
 
 
 def run_pair_task(task: PairTask) -> PairTaskResult:
@@ -869,7 +988,7 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
         raise WorkerTaskError(
             task.index, task.attempt, os.getpid(),
             type(exc).__name__, str(exc), traceback.format_exc(),
-            corruption=True,
+            corruption=True, damaged_path=exc.path,
         ) from exc
     except Exception as exc:
         raise WorkerTaskError(
@@ -910,10 +1029,13 @@ def _run_pair_task(task: PairTask) -> PairTaskResult:
         with tracer.span(
             "worker.refine", pair=task.index, candidates=len(candidates)
         ) as refine_span:
+            opened, misses = time.perf_counter(), _relation_as_of.cache_info().misses
+            records_r = open_relation(task.relation_r_path)
+            records_s = open_relation(task.relation_s_path)
+            read = _relation_as_of.cache_info().misses != misses
+            refine_span.tag("open_s", time.perf_counter() - opened if read else 0.0)
             pairs, dropped = refine_pair(
-                candidates, open_relation(task.relation_r_path),
-                open_relation(task.relation_s_path), task.predicate,
-                span=refine_span,
+                candidates, records_r, records_s, task.predicate, span=refine_span,
             )
 
         span.tag("candidates", len(candidates))

@@ -35,7 +35,6 @@ an abandoned write leaves only a ``*.tmp`` orphan for
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 import zlib
@@ -194,7 +193,8 @@ class Frame(NamedTuple):
     index: int
     offset: int
     """Byte offset of the frame's header."""
-    record: bytes
+    record: memoryview
+    """The payload, in place in the bytes scanned (read-only)."""
 
     @property
     def end(self) -> int:
@@ -216,57 +216,59 @@ def _violation(
     )
 
 
-def _read_frames(
-    fh: BinaryIO,
-    size: int,
-    label: str,
-    torn_tail: str,
-    on_torn_tail: Optional[Callable[[SpillCorruptionError], None]],
+def read_frames_bytes(
+    data: bytes,
+    *,
+    label: str = "<bytes>",
+    torn_tail: str = TORN_TAIL_ERROR,
+    on_torn_tail: Optional[Callable[[SpillCorruptionError], None]] = None,
 ) -> Iterator[Frame]:
-    """The framing scanner shared by file and in-memory readers.
+    """The frames of a framed byte string in write order, each positioned,
+    its CRC checked in place: no frame's payload is copied.
 
-    ``torn_tail`` picks the policy for a framing violation whose damaged
-    region reaches the end of the input: :data:`TORN_TAIL_ERROR` raises,
+    Raises :class:`SpillCorruptionError` on any framing violation: a torn
+    header, an implausible length, a truncated record, or a CRC mismatch.
+    ``torn_tail`` picks the policy for a violation whose damaged region
+    reaches the end of the input: :data:`TORN_TAIL_ERROR` raises,
     :data:`TORN_TAIL_TRUNCATE` calls ``on_torn_tail`` (if given) with the
-    would-be error and ends the iteration — the intact prefix is the log.
-    A violation with bytes *after* the damaged frame always raises: that
-    is mid-file corruption, not a torn append.
+    would-be error and ends the iteration — the intact prefix is the log,
+    as a writer that died mid-append leaves it.  A violation with bytes
+    *after* the damaged frame always raises: that is mid-file corruption,
+    not a torn append.
     """
     if torn_tail not in (TORN_TAIL_ERROR, TORN_TAIL_TRUNCATE):
         raise ValueError(f"unknown torn-tail policy {torn_tail!r}")
-    frame_index = 0
-    offset = 0
-    while True:
-        header = fh.read(FRAME_HEADER_SIZE)
-        if not header:
-            return
+    view = memoryview(data)
+    size = len(view)
+    frame_index = offset = 0
+    while offset < size:
 
         def violation(message: str, *, at_tail: bool) -> None:
             error = _violation(message, label, frame_index, offset)
-            if at_tail and torn_tail == TORN_TAIL_TRUNCATE:
-                if on_torn_tail is not None:
-                    on_torn_tail(error)
-                return
-            raise error
+            if not (at_tail and torn_tail == TORN_TAIL_TRUNCATE):
+                raise error
+            if on_torn_tail is not None:
+                on_torn_tail(error)
 
-        if len(header) < FRAME_HEADER_SIZE:
-            # A short header read necessarily touches EOF.
+        if size - offset < FRAME_HEADER_SIZE:
+            # A short header necessarily touches the end.
             violation("torn frame header", at_tail=True)
             return
-        length, expected_crc = _HEADER.unpack(header)
-        frame_end = offset + FRAME_HEADER_SIZE + length
+        length, expected_crc = _HEADER.unpack_from(view, offset)
+        start = offset + FRAME_HEADER_SIZE
+        frame_end = start + length
         if length > MAX_RECORD_BYTES:
             # The length prefix is garbage; framing cannot resync past it,
             # so it only counts as a tail when nothing could follow it.
             violation("corrupt frame length", at_tail=frame_end >= size)
             return
-        record = fh.read(length)
-        if len(record) < length:
+        if frame_end > size:
             violation(
-                f"truncated record ({len(record)} of {length} bytes)",
+                f"truncated record ({size - start} of {length} bytes)",
                 at_tail=True,
             )
             return
+        record = view[start:frame_end]
         actual_crc = zlib.crc32(record)
         if actual_crc != expected_crc:
             violation(
@@ -286,28 +288,9 @@ def read_frames(
     torn_tail: str = TORN_TAIL_ERROR,
     on_torn_tail: Optional[Callable[[SpillCorruptionError], None]] = None,
 ) -> Iterator[Frame]:
-    """Yield the frames of a spill file in write order, each positioned.
-
-    Raises :class:`SpillCorruptionError` on any framing violation: a torn
-    header, an implausible length, a truncated record, or a CRC mismatch.
-    With ``torn_tail="truncate"`` a violation at the end of the file — what
-    a writer that died mid-append leaves — is a clean end-of-log instead;
-    ``on_torn_tail`` (if given) observes the recovered damage.
-    """
+    """:func:`read_frames_bytes` over a spill file, read whole once."""
     path = Path(path)
-    size = os.path.getsize(path)
-    with path.open("rb") as fh:
-        yield from _read_frames(fh, size, str(path), torn_tail, on_torn_tail)
-
-
-def read_frames_bytes(
-    data: bytes,
-    *,
-    label: str = "<bytes>",
-    torn_tail: str = TORN_TAIL_ERROR,
-    on_torn_tail: Optional[Callable[[SpillCorruptionError], None]] = None,
-) -> Iterator[Frame]:
-    """:func:`read_frames` over an in-memory byte string (manifest loading)."""
-    yield from _read_frames(
-        io.BytesIO(data), len(data), label, torn_tail, on_torn_tail
+    yield from read_frames_bytes(
+        path.read_bytes(), label=str(path),
+        torn_tail=torn_tail, on_torn_tail=on_torn_tail,
     )

@@ -6,6 +6,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -138,15 +139,52 @@ class TestQuarantine:
                 assert tear_frame(built[0].relation_s_path, frame) >= 0
                 return built
 
-        result = TearsARelationFile(2, num_partitions=4).run(
-            tuples_r, tuples_s, intersects
-        )
+        sides = tasks.InputSide(tuples_r), tasks.InputSide(tuples_s)
+        result = TearsARelationFile(2, num_partitions=4).run(*sides, intersects)
         assert result.pairs == expected
         assert result.duplicates_dropped == 0
         assert result.fault_summary == dict.fromkeys(
             ("task_failures", "quarantined", "degraded"), len(built)
         )
         assert result.degraded_pairs == sorted(t.index for t in built)
+        # The damaged file goes with the run that found it: the next run
+        # on the same sides reads a fresh one.
+        again = ProcessPBSM(2, num_partitions=4).run(*sides, intersects)
+        assert again.pairs == expected and again.fault_summary == {}
+        assert sides[1].relation.path != built[0].relation_s_path
+
+    def test_two_runs_on_one_damaged_file_both_quarantine(self, workload):
+        """The server's case: a memoised side, two queries at once.  The
+        first run to finish drops the file; the second's tasks, named
+        before that, still find it on the disk — damaged, not gone."""
+        tuples_r, tuples_s, expected = workload
+        sides = tasks.InputSide(tuples_r), tasks.InputSide(tuples_s)
+        damaged = sides[1].relation.path
+        assert tear_frame(damaged, 0) >= 0
+        named, first_done, results = threading.Event(), threading.Event(), []
+
+        class WaitsForTheFirst(ProcessPBSM):
+            def _execute(self, *args, **kwargs):
+                named.set()
+                assert first_done.wait(60)
+                return super()._execute(*args, **kwargs)
+
+        second = threading.Thread(target=lambda: results.append(
+            WaitsForTheFirst(2, num_partitions=4).run(*sides, intersects)
+        ))
+        second.start()
+        assert named.wait(60)
+        results.append(ProcessPBSM(2, num_partitions=4).run(*sides, intersects))
+        assert os.path.exists(damaged)  # the second run holds it
+        first_done.set()
+        second.join(60)
+        assert len(results) == 2 and not os.path.exists(damaged)
+        assert results[0].pairs == results[1].pairs == expected
+        summary = results[0].fault_summary
+        assert summary == results[1].fault_summary
+        assert set(summary) == {"task_failures", "quarantined", "degraded"}
+        again = ProcessPBSM(2, num_partitions=4).run(*sides, intersects)
+        assert again.pairs == expected and again.fault_summary == {}
 
 
 class TestWorkerTaskError:

@@ -2,10 +2,13 @@
 
 import pickle
 import struct
+from pathlib import Path
 
 import pytest
 
 from repro.faults import tear_frame
+from repro.geometry import Polygon
+from repro.parallel.tasks import REFINE_DTYPE, InputSide, read_relation
 from repro.storage import SpillCorruptionError, StorageError
 from repro.storage.spill import (
     FRAME_HEADER_SIZE,
@@ -13,6 +16,7 @@ from repro.storage.spill import (
     SpillWriter,
     read_frames,
 )
+from repro.storage.tuples import SpatialTuple
 from tests.conftest import read_records, write_records
 
 RECORDS = [b"alpha", b"", b"gamma" * 100, b"\x00\xff" * 7]
@@ -108,6 +112,19 @@ class TestCorruptionDetection:
         assert next(reader).record == b"full frame"
         with pytest.raises(SpillCorruptionError, match="torn frame header"):
             next(reader)
+
+    def test_a_flipped_byte_in_a_relation_files_refine_rows(self, tmp_path):
+        """A polygon window's refine rows ride inside its frame."""
+        side = InputSide(
+            SpatialTuple(i, 0, "", Polygon([(i, 0), (i + 1, 0), (i, 1)]))
+            for i in range(3)
+        )
+        data = bytearray(Path(side.relation.path).read_bytes())
+        assert read_relation(side.relation.path).refine.tobytes() == side.refine.tobytes()
+        data[-REFINE_DTYPE.itemsize // 2] ^= 0xFF  # the last polygon's row
+        (tmp_path / "r.rel").write_bytes(data)
+        with pytest.raises(SpillCorruptionError, match="checksum mismatch"):
+            read_relation(str(tmp_path / "r.rel"))
 
     def test_implausible_length_prefix(self, tmp_path):
         path = tmp_path / "len.spill"

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import contains
 from repro.core.predicates import _geoms_intersect
 from repro.geometry import (
     Polygon,
@@ -31,10 +32,12 @@ from repro.geometry import (
     ring_segments,
     segments_intersect,
 )
-from repro.geometry.kernels import polygons_contain_each
 from repro.geometry.polygon import _point_strictly_in_ring
+from repro.obs import Tracer
 from repro.parallel import parallel_join
+from repro.parallel.tasks import InputSide, refine_pair
 from repro.serve.query import QuerySpec, result_digest
+from repro.storage.tuples import SpatialTuple
 from tests.geometry.test_polygon_property import star_polygons
 
 # ---------------------------------------------------------------------- #
@@ -314,7 +317,7 @@ class TestPolygonPredicates:
 
 
 # ---------------------------------------------------------------------- #
-# every candidate pair at once: ``polygons_contain_each``
+# every candidate pair at once: ``refine_pair`` under ``contains``
 # ---------------------------------------------------------------------- #
 
 
@@ -331,13 +334,20 @@ def ring_columns(polys):
 
 
 def contain_each(outers, inners, pairs):
-    of_outer, of_inner = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    verdicts, rows = polygons_contain_each(
-        ring_columns(outers), ring_columns(inners), of_outer, of_inner
-    )
-    assert verdicts.dtype == bool and len(verdicts) == len(pairs)
+    """The engine's verdict on each pair ``(o, i)``, ``outers[o]`` holding
+    ``inners[i]``: ``refine_pair`` over the sides' own stored records —
+    stored squares, then ``polygons_contain_each`` on what they leave —
+    and the rows it tagged."""
+    stored = [
+        InputSide(SpatialTuple(at, 0, "", poly) for at, poly in enumerate(polys)).stored
+        for polys in (outers, inners)
+    ]
+    span = Tracer().start_span("refine")
+    held = set(refine_pair(pairs, *stored, contains, span=span)[0])
+    assert span.tags["columnar"] is True
+    rows = {name: span.tags[name] for name in ("square_hits", "segment_pairs", "vertex_rows")}
     assert {type(count) for count in rows.values()} == {int}
-    return verdicts.tolist(), rows
+    return [tuple(pair) in held for pair in pairs], rows
 
 
 def moved(ring, dx, dy):

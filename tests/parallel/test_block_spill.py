@@ -93,7 +93,7 @@ def spill_side(directory, name, partitioner, side):
 
 def relation_copy(directory, name, side):
     """A copy of ``side``'s relation file that a test may damage."""
-    return shutil.copy(side.relation_path, os.path.join(directory, f"{name}.rel"))
+    return shutil.copy(side.relation.path, os.path.join(directory, f"{name}.rel"))
 
 
 @pytest.fixture
@@ -121,7 +121,7 @@ class TestOneFormat:
             single.add(t, partitioner.tile_assignments(t.mbr))
         single.close()
         assert single.count == count >= len(side)
-        for one, other in ((single.kp_path, kp), (single.tuple_path, side.relation_path)):
+        for one, other in ((single.kp_path, kp), (single.tuple_path, side.relation.path)):
             assert Path(one).read_bytes() == Path(other).read_bytes()
 
     def test_engine_files_are_what_add_writes_a_window_at_a_time(
@@ -213,7 +213,7 @@ class TestLazyTuples:
             return decode(data)
 
         monkeypatch.setattr(tasks, "deserialize_tuple", counting)
-        lookup = read_relation(side.relation_path)
+        lookup = read_relation(side.relation.path)
         assert len(lookup) == len(side) and not decoded
         wanted = side[len(side) // 2]
         assert lookup[wanted.feature_id] == wanted
@@ -223,7 +223,7 @@ class TestLazyTuples:
 
     def test_absent_feature_id_is_a_key_error(self, sides):
         _, side, _ = sides
-        lookup = read_relation(side.relation_path)
+        lookup = read_relation(side.relation.path)
         with pytest.raises(KeyError):
             lookup[max(t.feature_id for t in side) + 1]
         with pytest.raises(TypeError):
@@ -469,7 +469,7 @@ class TestRelationFileLifetime:
     def test_a_fork_worker_that_exits_leaves_the_coordinators_file(self):
         held = [InputSide(generate_roads(scale=0.001))]
         tuples_s = list(generate_hydrography(scale=0.001))
-        path = held[0].relation_path
+        path = held[0].relation.path
         first = ProcessPBSM(2, num_partitions=4, start_method="fork").run(
             held[0], tuples_s, intersects
         )
@@ -492,26 +492,26 @@ class TestRelationFileLifetime:
     def test_collecting_a_side_removes_its_file(self, sides):
         _, side, _ = sides
         copy = InputSide(list(side))
-        path = copy.relation_path
-        assert path != side.relation_path and os.path.exists(path)
+        path = copy.relation.path
+        assert path != side.relation.path and os.path.exists(path)
         del copy
         gc.collect()
-        assert not os.path.exists(path) and os.path.exists(side.relation_path)
+        assert not os.path.exists(path) and os.path.exists(side.relation.path)
 
     def test_a_file_taken_off_the_disk_is_written_again(self, sides):
         _, side, _ = sides
         copy = InputSide(list(side))
-        gone = copy.relation_path
+        gone = copy.relation.path
         os.unlink(gone)
-        assert copy.relation_path != gone
-        assert Path(copy.relation_path).read_bytes() == Path(side.relation_path).read_bytes()
+        assert copy.relation.path != gone
+        assert Path(copy.relation.path).read_bytes() == Path(side.relation.path).read_bytes()
 
     def test_exiting_the_interpreter_removes_its_files(self):
         code = (
             "from repro.data import generate_roads\n"
             "from repro.parallel.tasks import InputSide\n"
             "side = InputSide(generate_roads(scale=0.001))\n"
-            "print(side.relation_path)\n"
+            "print(side.relation.path)\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),

@@ -32,7 +32,9 @@ from repro.geometry import Polygon, Polyline, kernels
 from repro.obs import Tracer
 from repro.parallel import tasks
 from repro.parallel.process import DEFAULT_TASK_MEMORY, ProcessPBSM
-from repro.parallel.tasks import InputSide, read_relation, refine_pair
+from repro.parallel.tasks import (
+    InputSide, PartitionSpill, read_relation, read_tuple_spill, refine_pair,
+)
 from repro.serve.query import QuerySpec
 from repro.storage.tuples import (
     SpatialTuple,
@@ -41,7 +43,7 @@ from repro.storage.tuples import (
     serialize_tuple,
 )
 from tests.conftest import write_records
-from tests.geometry.test_kernels import HAND_MADE, lattice_batches
+from tests.geometry.test_kernels import HAND_MADE, lattice_batches, ref_contains
 from tests.geometry.test_polyline import PAD, chain_pairs
 
 NAMES = st.sampled_from(["", "a", "é", "道路 101", "x" * 300])
@@ -50,24 +52,26 @@ S_BASE = 100
 
 
 def spill(path, tuples, block=3):
-    """A relation file of ``tuples``, ``block`` records a frame."""
+    """A relation file of ``tuples``, ``block`` records (and their refine
+    rows, if they are polygons) a frame."""
     side = InputSide(tuples)
-    write_records(path, [
-        tasks.pack_tuple_block(
-            side.fids[at : at + block], side.offsets[at : at + block + 1],
-            side.payload,
-        )
-        for at in range(0, len(side), block)
-    ])
+    write_records(path, [side.tuple_block(at, at + block) for at in range(0, len(side), block)])
     return str(path)
 
 
-def tuple_block(*records):
+def tuple_block(*records, refine=None):
     """One tuple frame of ``(feature id, record bytes)`` pairs."""
     fids, blobs = zip(*records)
     return tasks.pack_tuple_block(
-        np.array(fids), np.cumsum([0, *map(len, blobs)]), b"".join(blobs)
+        np.array(fids), np.cumsum([0, *map(len, blobs)]), b"".join(blobs), refine
     )
+
+
+def untimed(span):
+    """A refine span's tags less its layer seconds, which it must have."""
+    tags = dict(span.tags)
+    assert tags.pop("decode_s") >= 0 and tags.pop("kernel_s") >= 0
+    return tags
 
 
 def refined(candidates, path_r, path_s, predicate):
@@ -78,7 +82,7 @@ def refined(candidates, path_r, path_s, predicate):
         candidates, read_relation(path_r), read_relation(path_s),
         predicate, span=span,
     )
-    return answer, span.tags
+    return answer, untimed(span)
 
 
 def by_the_loop(r, s):
@@ -142,9 +146,15 @@ def the_two_forms_agree(
     looped, loop_tags = refined(candidates, path_r, path_s, loop)
     assert columnar == looped
     assert tags["columnar"] is True and loop_tags["columnar"] is False
-    assert tags["records_decoded"] == loop_tags["records_decoded"] == (
-        len({r for r, _s in candidates}) + len({s for _r, s in candidates})
-    )
+    named = len({r for r, _s in candidates}) + len({s for _r, s in candidates})
+    assert loop_tags["records_decoded"] == named
+    if predicate is intersects:
+        assert tags["records_decoded"] == named
+    else:
+        # Only the polygons of the pairs the stored rows leave to the exact
+        # tests: none when no pair reaches them.
+        assert tags["records_decoded"] <= named
+        assert (tags["records_decoded"] == 0) is (tags["vertex_rows"] == 0)
     assert loop_tags["segment_pairs"] == loop_tags["vertex_rows"] == 0
     assert loop_tags["square_hits"] == 0
     by_fid = {t.feature_id: t.geom for t in (*tuples_r, *tuples_s)}
@@ -260,7 +270,7 @@ class TestWhichFormRuns:
                 candidates, stored_r, stored_s, predicate, span=span
             )
             assert span.tags["columnar"] is columnar
-            assert (answer, span.tags) == refined(
+            assert (answer, untimed(span)) == refined(
                 candidates, path_r, path_s, predicate
             )
 
@@ -288,6 +298,17 @@ def polygon_batches(draw):
     return tuples_r, tuples_s, [(o, S_BASE + i) for o, i in pairs]
 
 
+def hand_made_batch():
+    """``HAND_MADE``'s outers and inners as two relations, each outer a
+    candidate against each inner."""
+    cases = list(HAND_MADE.values())
+    return (
+        [area(i, outer) for i, (outer, _inner, _) in enumerate(cases)],
+        [area(S_BASE + i, inner) for i, (_outer, inner, _) in enumerate(cases)],
+        [(o, S_BASE + i) for o in range(len(cases)) for i in range(len(cases))],
+    )
+
+
 class TestPolygonsAgainstTheLoop:
     @given(polygon_batches(), st.sampled_from([1, 5, 1 << 16]))
     @settings(max_examples=200, deadline=None)
@@ -297,19 +318,42 @@ class TestPolygonsAgainstTheLoop:
             contains, contains_by_the_loop, Polygon.contains,
         )
 
+    @given(st.one_of(polygon_batches(), st.just(hand_made_batch())))
+    @settings(max_examples=100, deadline=None)
+    def test_stored_rows_whoever_built_them(self, tmp_path_factory, batch):
+        """``ref_contains``' verdicts and the same rows from the refine
+        rows of all three constructors: a side's own, its relation file's
+        and a ``PartitionSpill`` ``.tup``'s."""
+        tuples_r, tuples_s, candidates = batch
+        directory = str(tmp_path_factory.mktemp("stored"))
+        sides = [InputSide(tuples_r), InputSide(tuples_s)]
+        spills = [PartitionSpill(directory, name, 0) for name in "rs"]
+        for side, spilled in zip(sides, spills):
+            for t in side:
+                spilled.add(t, [(0, 0)])
+            spilled.close()
+        geoms = {t.feature_id: t.geom for t in (*tuples_r, *tuples_s)}
+        expected = sorted(
+            pair for pair in set(candidates) if ref_contains(geoms[pair[0]], geoms[pair[1]])
+        )
+        tags = []
+        for records in (
+            [side.stored for side in sides],
+            [read_relation(side.relation.path) for side in sides],
+            [read_tuple_spill(spilled.tuple_path) for spilled in spills],
+        ):
+            span = Tracer().start_span("worker.refine")
+            assert refine_pair(candidates, *records, contains, span=span)[0] == expected
+            tags.append(untimed(span))
+        assert tags[0] == tags[1] == tags[2] and tags[0]["columnar"] is True
+
     def test_the_hand_made_cases(self, tmp_path):
         """Among them the slivers only the cut's pad keeps, the inner holes
         and the known deviation: each outer against each inner."""
         cases = list(HAND_MADE.values())
-        path_r = spill(tmp_path / "r.rel", [
-            area(i, outer) for i, (outer, _inner, _) in enumerate(cases)
-        ])
-        path_s = spill(tmp_path / "s.rel", [
-            area(S_BASE + i, inner) for i, (_outer, inner, _) in enumerate(cases)
-        ])
-        candidates = [
-            (o, S_BASE + i) for o in range(len(cases)) for i in range(len(cases))
-        ]
+        tuples_r, tuples_s, candidates = hand_made_batch()
+        path_r = spill(tmp_path / "r.rel", tuples_r)
+        path_s = spill(tmp_path / "s.rel", tuples_s)
         columnar, tags = refined(candidates, path_r, path_s, contains)
         assert columnar == refined(
             candidates, path_r, path_s, contains_by_the_loop
@@ -326,12 +370,13 @@ class TestPolygonsAgainstTheLoop:
         assert columnar == refined(
             candidates, path_r, path_s, contains_by_the_loop
         )[0]
-        # The clearance square decides all the results but one; the exact
-        # tests see only what it leaves.
+        # The stored square decides all the results but one; the exact
+        # tests see, and only 67 of the 859 polygons named are decoded
+        # for, what it leaves.
         assert len(candidates) == 581 and columnar[1] == 0
         assert len(columnar[0]) == 333
         assert tags == {
-            "columnar": True, "records_decoded": 859, "square_hits": 332,
+            "columnar": True, "records_decoded": 67, "square_hits": 332,
             "segment_pairs": 516, "vertex_rows": 4198,
         }
 
@@ -359,11 +404,10 @@ class TestWhichFormRunsOnPolygons:
     def paths(self, tmp_path):
         outer, island, _ = HAND_MADE["island"]
         tuples_r = [area(1, outer), area(2, island)]
-        tuples_s = [
-            area(S_BASE, island),
-            line(S_BASE + 1, [(14.0, 14.0), (16.0, 16.0)]),
-        ]
-        return spill(tmp_path / "r.rel", tuples_r), spill(tmp_path / "s.rel", tuples_s)
+        return (
+            spill(tmp_path / "r.rel", tuples_r),
+            spill(tmp_path / "s.rel", [area(S_BASE, island)]),
+        )
 
     POLYGONS_ONLY = [(1, S_BASE), (2, S_BASE)]
 
@@ -374,7 +418,7 @@ class TestWhichFormRunsOnPolygons:
         # The box holds it by the square alone.
         assert answer == ([(1, S_BASE)], 0)
         assert tags == {
-            "columnar": True, "records_decoded": 3, "segment_pairs": 16,
+            "columnar": True, "records_decoded": 2, "segment_pairs": 16,
             "vertex_rows": 12, "square_hits": 1,
         }
 
@@ -386,12 +430,19 @@ class TestWhichFormRunsOnPolygons:
             "vertex_rows": 0, "square_hits": 0,
         }
 
-    def test_a_polyline_among_the_named_records_takes_the_loop(self, paths):
-        """... where ``contains`` refuses it, as it always has."""
-        with pytest.raises(TypeError, match="requires polygon inputs"):
-            refined(self.POLYGONS_ONLY + [(1, S_BASE + 1)], *paths, contains)
-        with pytest.raises(TypeError, match="requires polygon inputs"):
-            refined([(1, S_BASE + 1)], *paths, contains_by_the_loop)
+    def test_a_polyline_among_the_named_records_takes_the_loop(self, paths, tmp_path):
+        """It has no refine rows; and ``contains`` refuses a polyline, as
+        it always has."""
+        path_r, _ = paths
+        mixed = spill(tmp_path / "mixed.rel", [
+            area(S_BASE, HAND_MADE["island"][1]),
+            line(S_BASE + 1, [(14.0, 14.0), (16.0, 16.0)]),
+        ])
+        answer, tags = refined(self.POLYGONS_ONLY, path_r, mixed, contains)
+        assert answer == ([(1, S_BASE)], 0) and tags["columnar"] is False
+        for predicate in (contains, contains_by_the_loop):
+            with pytest.raises(TypeError, match="requires polygon inputs"):
+                refined([(1, S_BASE + 1)], path_r, mixed, predicate)
 
     @pytest.mark.parametrize(
         "predicate", [intersects, ContainsWithFilters(), contains_by_the_loop],
@@ -413,20 +464,23 @@ class TestWhichFormRunsOnPolygons:
         outer, island, _ = HAND_MADE["island"]
         good = serialize_tuple(area(1, outer))
         inner = serialize_tuple(area(2, island))
+        rows = InputSide([area(1, outer), area(2, island), area(3, island)]).refine
         # The ring's vertex count, two bytes before its four points.
         at = len(inner) - 16 * 4 - 2
         assert struct.unpack_from("<H", inner, at) == (4,)
         for count, loop_error in ((5, struct.error), (2, ValueError)):
             bad = inner[:at] + struct.pack("<H", count) + inner[at + 2 :]
             path = tmp_path / f"bad{count}.rel"
-            write_records(path, [tuple_block((1, good), (2, bad), (3, inner))])
+            write_records(path, [tuple_block((1, good), (2, bad), (3, inner), refine=rows)])
+            # The island against itself is for the exact tests to decide.
             with pytest.raises(ValueError, match="ring"):
-                refined([(1, 2)], str(path), str(path), contains)
+                refined([(2, 3)], str(path), str(path), contains)
             with pytest.raises(loop_error):
-                refined([(1, 2)], str(path), str(path), contains_by_the_loop)
-            # A bad record nobody names is not read at all.
-            assert refined([(1, 3)], str(path), str(path), contains)[0] == (
-                [(1, 3)], 0
+                refined([(2, 3)], str(path), str(path), contains_by_the_loop)
+            # A bad record nobody decodes is not read at all: the stored
+            # square decides that the box holds it.
+            assert refined([(1, 2), (1, 3)], str(path), str(path), contains)[0] == (
+                [(1, 2), (1, 3)], 0
             )
 
 
@@ -576,6 +630,8 @@ class TestSideAndSpillRecords:
             spill(tmp_path_factory.mktemp("records") / "r.rel", tuples)
         )
         assert of_side is side.stored  # built once, kept with the side
+        assert (of_side.refine is None) is (of_spill.refine is None)
+        assert of_side.refine is None or of_side.refine.tobytes() == of_spill.refine.tobytes()
         assert len(of_side) == len(of_spill) == len(tuples)
         assert list(of_side) == list(of_spill) == [t.feature_id for t in tuples]
         # Of two records with one feature id the later is found — and a

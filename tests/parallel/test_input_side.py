@@ -113,7 +113,7 @@ class TestGoldenIdentity:
         # The relation file: a window a frame, each its fids' directory
         # and then the records of the window, back to back.
         window = tasks.SPILL_BLOCK_RECORDS
-        frames = read_records(side.relation_path)
+        frames = read_records(side.relation.path)
         assert len(frames) == -(-len(side) // window)
         for at, frame in zip(range(0, len(side), window), frames):
             count = min(window, len(side) - at)
@@ -267,9 +267,9 @@ class TestImmutableAndShared:
         """The server's case: a memoised side, a breaker open, two queries."""
         indexed = []
 
-        def counting(buffer, starts, ends, fids, live):
+        def counting(buffer, starts, ends, fids, live, refine):
             indexed.append(live)
-            return stored_records(buffer, starts, ends, fids, live)
+            return stored_records(buffer, starts, ends, fids, live, refine)
 
         stored_records = tasks.StoredRecords
         monkeypatch.setattr(tasks, "StoredRecords", counting)
