@@ -113,7 +113,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
     from .checkpoint import CheckpointMismatchError
     from .obs import RunRecorder, live_renderer
     from .parallel import ProcessPBSM, parallel_join
-    from .serve.query import DATASETS, QuerySpec
+    from .serve.query import QuerySpec
     from .storage import DiskBudget, DiskFullError
 
     plan = None
@@ -137,11 +137,10 @@ def _cmd_join(args: argparse.Namespace) -> int:
             kill_coordinator_after=args.kill_coordinator_after,
             kill_hard=args.kill_hard,
         )
-    # The names a served query may use, and its rule that ``contains``
-    # needs a polygon pair; nothing else of the spec is used.
-    predicate = QuerySpec(
-        dataset=args.dataset, predicate=args.predicate
-    ).predicate_fn
+    # A served query's names, rules and inputs: ``contains`` needs a
+    # polygon pair, and no --seed is seed 0, each generator's own.
+    spec = QuerySpec(args.dataset, args.scale, args.seed or 0, args.predicate)
+    predicate = spec.predicate_fn
     if (args.live or args.out) and args.backend == "serial":
         raise ValueError(
             "--live/--out need a scheduled backend (process or simulated); "
@@ -151,13 +150,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         DiskBudget(args.disk_budget) if args.disk_budget is not None else None
     )
 
-    gen_r, gen_s = DATASETS[args.dataset]
-    if args.seed is None:
-        side_r = list(gen_r(args.scale))
-        side_s = list(gen_s(args.scale))
-    else:
-        side_r = list(gen_r(args.scale, seed=args.seed))
-        side_s = list(gen_s(args.scale, seed=args.seed + 1))
+    side_r, side_s = spec.generate()
 
     # A recorded run: `parallel --out` keeps the journal, `chaos --out`
     # the whole flight recorder `python -m repro report` diagnoses.

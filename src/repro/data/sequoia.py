@@ -15,13 +15,14 @@ character: a containment join with heavy per-candidate geometry.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from ..geometry import Polygon, Rect
-from ..storage.tuples import SpatialTuple
+from ..geometry import Rect
+from ..storage.tuples import SPILL_BLOCK_RECORDS, Records, pack_records
 
 CALIFORNIA = Rect(-124.4, 32.5, -114.1, 42.0)
 """Rough lon/lat bounding box of California — the generator's universe."""
@@ -45,24 +46,44 @@ _LAYOUT_SEED = 1996_06
 """Seed of the centre layout, shared by the polygon and island generators."""
 
 
-def _radial_polygon(
-    cx: float,
-    cy: float,
-    radius: float,
-    npoints: int,
-    rng: np.random.Generator,
+def _radial_draws(
+    cx: float, cy: float, radius: float, npoints: int, rng: np.random.Generator,
     min_frac: float = 0.55,
-) -> List[Tuple[float, float]]:
-    """A star-convex simple polygon around a centre."""
+) -> Tuple[float, float, np.ndarray, np.ndarray]:
+    """The draws of a star-convex simple ring around a centre — the
+    centre, the vertices' angles in ascending order and their radii — of
+    which :func:`_windows` makes the ring."""
     npoints = max(3, npoints)
     angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, npoints))
-    # Enforce distinct angles so consecutive vertices never coincide.
-    angles = angles + np.arange(npoints) * 1e-9
-    radii = rng.uniform(min_frac * radius, radius, npoints)
-    return [
-        (cx + r * math.cos(a), cy + r * math.sin(a))
-        for a, r in zip(angles.tolist(), radii.tolist())
-    ]
+    return cx, cy, angles, rng.uniform(min_frac * radius, radius, npoints)
+
+
+def _windows(category: int, prefix: str, polygons: Iterable[list]) -> Iterator[tuple]:
+    """Polygons, each the :func:`_radial_draws` of its rings (shell first),
+    a :data:`~repro.storage.tuples.SPILL_BLOCK_RECORDS` window at a time as
+    :func:`~repro.storage.tuples.pack_records` takes them.  A ring's vertex
+    ``k``, of angle ``a`` plus ``k`` nanoradians (so consecutive vertices
+    never coincide), is ``(cx + r cos a, cy + r sin a)``: float for float
+    the arithmetic of the vertices one at a time, on whole arrays,
+    ``math.cos``/``math.sin`` for the trigonometry."""
+    polygons = iter(polygons)
+    for first in itertools.count(0, SPILL_BLOCK_RECORDS):
+        window = list(itertools.islice(polygons, SPILL_BLOCK_RECORDS))
+        if not window:
+            return
+        cx, cy, angles, radii = zip(*(ring for rings in window for ring in rings))
+        counts = np.fromiter(map(len, angles), np.int64, len(angles))
+        ring_first = np.concatenate(([0], np.cumsum(counts)))
+        angles = np.concatenate(angles)
+        angles += (np.arange(len(angles)) - np.repeat(ring_first[:-1], counts)) * 1e-9
+        radii, angles = np.concatenate(radii), angles.tolist()
+        ids = range(first, first + len(window))
+        yield (
+            np.arange(ids.start, ids.stop), category, [f"{prefix}-{i}" for i in ids],
+            np.repeat(cx, counts) + radii * np.fromiter(map(math.cos, angles), float),
+            np.repeat(cy, counts) + radii * np.fromiter(map(math.sin, angles), float),
+            ring_first, np.cumsum([0, *map(len, window)]),
+        )
 
 
 def _grid_layout(count: int, universe: Rect) -> Tuple[int, int, float, float]:
@@ -97,36 +118,33 @@ def generate_landuse_polygons(
     scale: float = 0.01,
     seed: int = 404,
     universe: Rect = CALIFORNIA,
-) -> Iterator[SpatialTuple]:
-    """Yield the land-use polygons (the paper's "polygon" data set)."""
+) -> Records:
+    """The land-use polygons (the paper's "polygon" data set), stored;
+    iterating decodes them."""
     count = max(1, round(FULL_POLYGON_COUNT * scale))
     centres, cell_radius, _layout = _landuse_centres(count, universe)
     rng = np.random.default_rng(seed)
-    for i, (cx, cy) in enumerate(centres):
+
+    def polygon(cx: float, cy: float) -> list:
         npoints = max(8, int(rng.poisson(POLYGON_AVG_POINTS)))
-        shell = _radial_polygon(cx, cy, cell_radius, npoints, rng)
-        holes: List[List[Tuple[float, float]]] = []
+        rings = [_radial_draws(cx, cy, cell_radius, npoints, rng)]
         if rng.random() < HOLE_FRACTION:
             # A small hole offset from the centre, safely inside the shell.
             hx = cx + rng.uniform(-0.15, 0.15) * cell_radius
             hy = cy + rng.uniform(-0.15, 0.15) * cell_radius
-            holes.append(
-                _radial_polygon(hx, hy, 0.12 * cell_radius, 12, rng, min_frac=0.7)
-            )
-        yield SpatialTuple(
-            feature_id=i,
-            category=CATEGORY_LANDUSE,
-            name=f"landuse-{i}",
-            geom=Polygon(shell, holes),
-        )
+            rings.append(_radial_draws(hx, hy, 0.12 * cell_radius, 12, rng, min_frac=0.7))
+        return rings
+
+    return pack_records(_windows(CATEGORY_LANDUSE, "landuse", itertools.starmap(polygon, centres)))
 
 
 def generate_islands(
     scale: float = 0.01,
     seed: int = 505,
     universe: Rect = CALIFORNIA,
-) -> Iterator[SpatialTuple]:
-    """Yield the island polygons, most contained in some land-use polygon.
+) -> Records:
+    """The island polygons, most contained in some land-use polygon, stored;
+    iterating decodes them.
 
     Containment is arranged constructively: an island is a small star-convex
     polygon centred near a land-use polygon's centre with radius well under
@@ -143,7 +161,8 @@ def generate_islands(
         poly_count, universe
     )
     rng = np.random.default_rng(seed)
-    for i in range(count):
+
+    def island() -> list:
         npoints = max(6, int(rng.poisson(ISLAND_AVG_POINTS)))
         if rng.random() < STRAY_ISLAND_FRACTION:
             # Straddle a cell corner: rarely contained in anything.
@@ -159,10 +178,6 @@ def generate_islands(
             cy = py + rng.uniform(-0.08, 0.08) * cell_radius
             # Min shell radius is 0.55 * cell_radius; stay clearly inside.
             radius = rng.uniform(0.10, 0.30) * cell_radius
-        shell = _radial_polygon(cx, cy, radius, npoints, rng, min_frac=0.6)
-        yield SpatialTuple(
-            feature_id=i,
-            category=CATEGORY_ISLAND,
-            name=f"island-{i}",
-            geom=Polygon(shell),
-        )
+        return [_radial_draws(cx, cy, radius, npoints, rng, min_frac=0.6)]
+
+    return pack_records(_windows(CATEGORY_ISLAND, "island", (island() for _ in range(count))))

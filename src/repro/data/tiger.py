@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..geometry import Polyline, Rect
-from ..storage.tuples import SpatialTuple
+from ..geometry import Rect
+from ..storage.tuples import SPILL_BLOCK_RECORDS, Records, pack_records
 from .distributions import ClusteredDistribution
 
 WISCONSIN = Rect(-92.9, 42.49, -86.80, 47.08)
@@ -81,8 +81,9 @@ def _distribution(seed: int) -> ClusteredDistribution:
     )
 
 
-def _clip(value: float, lo: float, hi: float) -> float:
-    return lo if value < lo else hi if value > hi else value
+def _clip(value: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``lo if value < lo else hi if value > hi else value``, elementwise."""
+    return np.where(value < lo, lo, np.where(value > hi, hi, value))
 
 
 def generate_polylines(
@@ -91,8 +92,9 @@ def generate_polylines(
     seed: int,
     universe: Rect = WISCONSIN,
     step_scale: float = 1.0,
-) -> Iterator[SpatialTuple]:
-    """Yield ``count`` random-walk polylines of the given feature class.
+) -> Records:
+    """``count`` random-walk polylines of the given feature class, stored
+    (:func:`~repro.storage.tuples.pack_records`); iterating decodes them.
 
     All classes share the same cluster layout (same base seed) so roads,
     rivers and rails concentrate in the same metro areas and actually
@@ -100,44 +102,66 @@ def generate_polylines(
     """
     dist = _distribution(seed=7_1996)  # shared cluster layout
     rng = np.random.default_rng(seed)
-    step_base = spec.step * step_scale
-    # The draws below are numpy's own formulas for ``uniform`` and
-    # ``normal`` on the primitives they are built from — the same stream,
-    # value for value (tests/data/test_generators.py pins it), without the
-    # per-call argument handling that was most of the generator's time.
-    random, standard_normal, sample = rng.random, rng.standard_normal, dist.sample_point
-    cos, sin, wander, two_pi = math.cos, math.sin, spec.wander, 2.0 * math.pi
-    xl, yl, xu, yu = universe.xl, universe.yl, universe.xu, universe.yu
-    for i in range(count):
-        npoints = max(spec.min_points, int(rng.poisson(spec.avg_points)))
-        x, y = sample(rng)
-        heading = two_pi * random()
-        points: List[Tuple[float, float]] = [(x, y)]
+    return pack_records(
+        _walks(spec, range(first, min(first + SPILL_BLOCK_RECORDS, count)),
+               rng, dist, universe, spec.step * step_scale)
+        for first in range(0, count, SPILL_BLOCK_RECORDS)
+    )
+
+
+def _walks(spec: PolylineSpec, ids: range, rng: np.random.Generator,
+           dist: ClusteredDistribution, universe: Rect, step_base: float) -> tuple:
+    """One window of :func:`generate_polylines`: polylines ``ids``, as
+    :func:`~repro.storage.tuples.pack_records` takes them.
+
+    Each walk starts at a point of the clustered distribution, turns by
+    ``wander`` times a standard normal and steps ``step_base`` times a
+    uniform draw in [0.4, 1.6) each vertex, clipped to the universe; a walk
+    whose vertices all coincide becomes a two-point segment.  The draws are
+    numpy's own formulas for ``uniform`` and ``normal`` on the primitives
+    they are built from, one scalar call each, in walk order — the stream
+    tests/data/test_generators.py pins.  The arithmetic on them runs on
+    arrays, a walk a row: float for float what the walk's floats would do
+    (``math.cos``/``math.sin`` for the trigonometry), a column at a time
+    where each vertex is clipped from the one before.
+    """
+    poisson, random, standard_normal = rng.poisson, rng.random, rng.standard_normal
+    starts: List[float] = []  # per walk: points, x, y, heading
+    draws: List[float] = []  # per step: normal, uniform
+    for _ in ids:
+        npoints = max(spec.min_points, int(poisson(spec.avg_points)))
+        starts += (npoints, *dist.sample_point(rng), 2.0 * math.pi * random())
         for _ in range(npoints - 1):
-            heading += wander * standard_normal()
-            step = step_base * (0.4 + (1.6 - 0.4) * random())
-            x = _clip(x + step * cos(heading), xl, xu)
-            y = _clip(y + step * sin(heading), yl, yu)
-            points.append((x, y))
-        if len(points) < 2 or _degenerate(points):
-            points = [(x, y), (x + step_base, y + step_base)]
-            points = [
-                (_clip(px, universe.xl, universe.xu), _clip(py, universe.yl, universe.yu))
-                for px, py in points
-            ]
-            if points[0] == points[1]:
-                points[1] = (points[0][0] - step_base, points[0][1])
-        yield SpatialTuple(
-            feature_id=i,
-            category=spec.category,
-            name=f"{spec.name_prefix}-{i}",
-            geom=Polyline(points),
-        )
-
-
-def _degenerate(points: List[Tuple[float, float]]) -> bool:
-    first = points[0]
-    return all(p == first for p in points)
+            draws.append(standard_normal())
+            draws.append(random())
+    npoints, x0, y0, heading0 = np.array(starts).reshape(-1, 4).T
+    npoints = npoints.astype(np.int64)
+    normal, uniform = np.array(draws).reshape(-1, 2).T
+    moves = np.arange(max(1, npoints.max() - 1)) < npoints[:, None] - 1
+    turns = np.zeros(moves.shape)
+    turns[moves] = spec.wander * normal
+    heading = np.cumsum(np.column_stack((heading0, turns)), axis=1)[:, 1:][moves].tolist()
+    length = step_base * (0.4 + (1.6 - 0.4) * uniform)
+    xs, ys = np.empty((2, len(npoints), moves.shape[1] + 1))
+    for walk, start, trig, lo, hi in (
+        (xs, x0, math.cos, universe.xl, universe.xu),
+        (ys, y0, math.sin, universe.yl, universe.yu),
+    ):
+        delta = np.zeros(moves.shape)
+        delta[moves] = length * np.fromiter(map(trig, heading), float)
+        walk[:, 0] = start
+        for k in range(moves.shape[1]):
+            walk[:, k + 1] = _clip(walk[:, k] + delta[:, k], lo, hi)
+    past = np.arange(xs.shape[1]) >= npoints[:, None]
+    still = ((xs == xs[:, :1]) & (ys == ys[:, :1]) | past).all(axis=1)
+    for xy, lo, hi in ((xs, universe.xl, universe.xu), (ys, universe.yl, universe.yu)):
+        xy[still, :2] = _clip(np.column_stack((xy[still, 0], xy[still, 0] + step_base)), lo, hi)
+    same = still & (xs[:, 0] == xs[:, 1]) & (ys[:, 0] == ys[:, 1])
+    xs[same, 1] -= step_base
+    npoints[still] = 2
+    points = np.arange(xs.shape[1]) < npoints[:, None]
+    return (np.arange(ids.start, ids.stop), spec.category, [f"{spec.name_prefix}-{i}" for i in ids],
+            xs[points], ys[points], np.concatenate(([0], np.cumsum(npoints))))
 
 
 def scaled_counts(scale: float) -> Tuple[int, int, int]:
@@ -155,16 +179,16 @@ def _step_scale(scale: float) -> float:
     return (REFERENCE_SCALE / scale) ** 0.5
 
 
-def generate_roads(scale: float = 0.01, seed: int = 101) -> Iterator[SpatialTuple]:
+def generate_roads(scale: float = 0.01, seed: int = 101) -> Records:
     count, _, _ = scaled_counts(scale)
     return generate_polylines(ROAD_SPEC, count, seed, step_scale=_step_scale(scale))
 
 
-def generate_hydrography(scale: float = 0.01, seed: int = 202) -> Iterator[SpatialTuple]:
+def generate_hydrography(scale: float = 0.01, seed: int = 202) -> Records:
     _, count, _ = scaled_counts(scale)
     return generate_polylines(HYDRO_SPEC, count, seed, step_scale=_step_scale(scale))
 
 
-def generate_rail(scale: float = 0.01, seed: int = 303) -> Iterator[SpatialTuple]:
+def generate_rail(scale: float = 0.01, seed: int = 303) -> Records:
     _, _, count = scaled_counts(scale)
     return generate_polylines(RAIL_SPEC, count, seed, step_scale=_step_scale(scale))

@@ -82,11 +82,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.keypointer import conservative_f32
-from ..core.partition import (
-    ALLOWED_COMBO_TABLE,
-    RoutedSlots,
-    mbr_array,
-)
+from ..core.partition import ALLOWED_COMBO_TABLE, RoutedSlots
 from ..core.pbsm import PBSMConfig
 from ..core.predicates import Predicate, contains, intersects
 from ..faults.inject import apply_worker_faults
@@ -105,23 +101,19 @@ from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import SpillCorruptionError
 from ..storage.spill import FRAME_HEADER_SIZE, SpillWriter, read_frames, read_frames_bytes
 from ..storage.tuples import (
+    SPILL_BLOCK_RECORDS,
+    Records,
     SpatialTuple,
     deserialize_tuple,
     polygon_runs,
     polyline_runs,
+    record_columns,
     serialize_tuple,
 )
 
 DEFAULT_TASK_MEMORY = 8 * 1024 * 1024
 """What callers hand :func:`sweep_pair` as ``memory_bytes``: the array
 join has nothing to overflow, so no caller has another value to give."""
-
-SPILL_BLOCK_RECORDS = 4096
-"""Input ordinals per window: a relation file holds one frame a window,
-and a partition's share of a window is one frame of its key-pointer
-spill.  Large enough that framing, CRC and the budget charge are paid per
-block rather than per record; small enough that a window's serialised
-tuples are a few hundred kilobytes."""
 
 RELATION_MEMO_ENTRIES = 4
 """Relations a worker keeps open (:func:`open_relation`): both sides of
@@ -222,32 +214,44 @@ def _heartbeat(pair: int, attempt: int, phase: str) -> None:
         pass
 
 
-class InputSide(tuple):
-    """One materialised join input: the immutable sequence of its tuples,
-    owning five column groups that are each built once, on first touch,
-    and kept for as long as the input is:
+class InputSide(Sequence):
+    """One materialised join input: a read-only sequence of its tuples,
+    held in its stored form and owning column groups that are each built
+    once, on first touch, and kept for as long as the input is:
 
-    * the *routing columns* — ``mbrs`` (exact f64 N×4, what routing
-      reads), ``mbrs_f32`` (conservatively rounded) and ``fids`` (what a
-      key-pointer stores);
     * the *stored form* — ``payload`` (every ``serialize_tuple`` record
       back to back in one ``bytes``), ``offsets`` (N+1 int64: record ``i``
       is ``payload[offsets[i]:offsets[i + 1]]``) and ``crc`` (the
       order-sensitive CRC32 of the records, the run fingerprint's content
       check);
+    * the *routing columns*, taken from the records
+      (:func:`~repro.storage.tuples.record_columns`) — ``mbrs`` (exact f64
+      N×4, what routing reads), ``mbrs_f32`` (conservatively rounded) and
+      ``fids`` (what a key-pointer stores);
     * ``refine`` — the :data:`REFINE_DTYPE` rows of a polygon side
       (:func:`refine_columns`), ``None`` for any other;
     * ``stored`` — the stored form, ``fids`` and ``refine`` as :class:`StoredRecords`,
       sharing their memory: what refinement fetches from when the side
       itself, not a file of it, is at hand;
     * ``relation`` — the stored form written down once as the side's
-      relation file, what a worker's refinement fetches from.
+      relation file, what a worker's refinement fetches from;
+    * the tuples themselves.
 
-    Whoever holds the input across joins (``QuerySpec.generate`` returns
-    two of these; the server memoises them) therefore serialises it once;
-    an engine handed any other sequence wraps it for the length of the
-    run, and ``InputSide(side) is side`` as with any immutable.  This is
-    the only place the engine and the server serialise a tuple."""
+    Built of :class:`~repro.storage.tuples.Records` — what the generators
+    write (``QuerySpec.generate``) — a side *is* its stored form, and its
+    tuples are decoded the first time something indexes or iterates it: a
+    process-backend run never does.  Built of tuples, it serialises them
+    on first touch of any column.  Whoever holds the input across joins
+    (``QuerySpec.generate`` returns two of these; the server memoises
+    them) therefore serialises and decodes it at most once; an engine
+    handed any other sequence wraps it for the length of the run, and
+    ``InputSide(side) is side``.  Like a ``tuple`` it compares, hashes and
+    concatenates by its tuples.  This is the only place the engine and the
+    server serialise a tuple."""
+
+    # The tuples sit in a slot, so ``vars()`` holds exactly the column
+    # groups built.
+    __slots__ = ("_tuples", "__dict__")
 
     _building = threading.RLock()
     """Held by whoever builds a column group, of any side: the builders
@@ -256,7 +260,29 @@ class InputSide(tuple):
     groups.)"""
 
     def __new__(cls, tuples: Iterable[SpatialTuple] = ()):
-        return tuples if isinstance(tuples, cls) else super().__new__(cls, tuples)
+        if isinstance(tuples, cls):
+            return tuples
+        side = super().__new__(cls)
+        if isinstance(tuples, Records):
+            side.payload, side.offsets = tuples.payload, tuples.offsets
+        else:
+            side._tuples = tuple(tuples)
+        return side
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1 if "offsets" in vars(self) else len(self._tuples)
+
+    def __getitem__(self, index):
+        return self._tuples[index]
+
+    def __eq__(self, other) -> bool:
+        return self._tuples == getattr(other, "_tuples", other)
+
+    def __hash__(self) -> int:
+        return hash(self._tuples)
+
+    def __add__(self, other) -> tuple:
+        return self._tuples + tuple(other)
 
     def __getattr__(self, name: str):
         """Reached only for a column not built yet: build its group — one
@@ -264,31 +290,43 @@ class InputSide(tuple):
         for it, so nobody holds a ``payload`` without its ``offsets``."""
         if name not in (
             "mbrs", "mbrs_f32", "fids", "payload", "offsets", "crc", "refine",
-            "stored", "_relation",
+            "stored", "_relation", "_tuples",
         ):
             raise AttributeError(name)
         with self._building:
-            if name in self.__dict__:
-                pass  # built while this thread waited for the lock
+            try:
+                return object.__getattribute__(self, name)  # built meanwhile
+            except AttributeError:
+                pass
+            if name == "_tuples":
+                # Made in bulk and acyclic: a collection meanwhile frees nothing,
+                # and would walk every tuple made so far, again and again.
+                collecting = gc.isenabled()
+                gc.disable()
+                try:
+                    self._tuples = tuple(Records(self.payload, self.offsets))
+                finally:
+                    if collecting:
+                        gc.enable()
             elif name in ("payload", "offsets", "crc"):
-                records = [serialize_tuple(t) for t in self]
-                self.offsets = np.cumsum([0, *map(len, records)], dtype=np.int64)
-                self.payload = b"".join(records)
+                if "payload" not in vars(self):
+                    records = [serialize_tuple(t) for t in self]
+                    self.offsets = np.cumsum([0, *map(len, records)], dtype=np.int64)
+                    self.payload = b"".join(records)
                 self.crc = zlib.crc32(self.payload)
             elif name == "refine":
                 self.refine = refine_columns(self)
             elif name == "stored":
                 self.stored = StoredRecords(
                     self.payload, self.offsets[:-1], self.offsets[1:], self.fids,
-                    self, self.refine,
+                    self.refine,
                 )
             elif name == "_relation":
                 self._relation = _RelationFile(self)
             else:
-                self.mbrs = mbr_array(self)
+                self.fids, self.mbrs = record_columns(self.payload, self.offsets)
                 self.mbrs_f32 = conservative_f32(self.mbrs)
-                self.fids = np.fromiter((t.feature_id for t in self), _U32, len(self))
-        return self.__dict__[name]
+        return object.__getattribute__(self, name)
 
     @property
     def relation(self) -> "_RelationFile":
@@ -564,26 +602,22 @@ class StoredRecords(Mapping):
     one buffer, with the extents and feature id of each — as a read-only
     ``feature id → tuple`` mapping: what refinement fetches from.
 
-    One type, two constructors.  :func:`read_relation` makes it of a
-    side's relation file, and a lookup decodes the record on first use
-    (and memoises it): most tuples are never referenced by a candidate.
-    :class:`InputSide` makes it of its own columns, as views,
-    and a lookup returns the side's ``live`` tuple — nothing is decoded,
-    so a side kept across joins never grows a second copy of itself.
-    Either way the records are located through a sorted feature-id index
-    built once, :meth:`columns` serves many of them without building
-    a tuple at all, and ``refine`` — the records' :data:`REFINE_DTYPE`
-    rows, or ``None`` — without decoding any.  ``len()`` is the number of
-    records.
+    :func:`read_relation` makes it of a side's relation file, and
+    :class:`InputSide` of its own columns, as views.  Either way a lookup
+    decodes the record on first use and memoises it — most tuples are
+    never referenced by a candidate — the records are located through a
+    sorted feature-id index built once, :meth:`columns` serves many of them
+    without building a tuple at all, and ``refine`` — the records'
+    :data:`REFINE_DTYPE` rows, or ``None`` — without decoding any.
+    ``len()`` is the number of records.
     """
 
     def __init__(
         self, buffer: bytes, starts: np.ndarray, ends: np.ndarray,
-        fids: np.ndarray, live: Optional[Sequence[SpatialTuple]] = None,
-        refine: Optional[np.ndarray] = None,
+        fids: np.ndarray, refine: Optional[np.ndarray] = None,
     ):
         self._buffer, self._starts, self._ends = buffer, starts, ends
-        self._fids, self._live, self.refine = fids, live, refine
+        self._fids, self.refine = fids, refine
         # Stable, so that of two records with one feature id the later is
         # found, as a mapping filled in record order would have it.
         self._order = np.argsort(fids, kind="stable")
@@ -599,12 +633,9 @@ class StoredRecords(Mapping):
             if at < 0 or self._sorted_fids[at] != feature_id:
                 raise KeyError(feature_id)
             record = self._order[at]
-            if self._live is not None:
-                t = self._live[record]
-            else:
-                t = deserialize_tuple(
-                    self._buffer[self._starts[record] : self._ends[record]]
-                )
+            t = deserialize_tuple(
+                self._buffer[self._starts[record] : self._ends[record]]
+            )
             self._found[feature_id] = t
         return t
 

@@ -145,8 +145,10 @@ class QuerySpec:
 
     def generate(self) -> Tuple[InputSide, InputSide]:
         """Materialise the two inputs (deterministic in ``dataset_key``),
-        each an :class:`~repro.parallel.tasks.InputSide`: whoever keeps
-        the pair keeps what its joins and fingerprints derive from it.
+        each an :class:`~repro.parallel.tasks.InputSide` of the records
+        its generator writes — tuples are decoded only if something asks
+        for them: whoever keeps the pair keeps what its joins and
+        fingerprints derive from it.
 
         ``seed=0`` keeps each generator's default seed, exactly like the
         ``parallel`` subcommand without ``--seed``; otherwise the R side

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from itertools import repeat, starmap
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..geometry import Polygon, Polyline, Rect
+from ..geometry.kernels import polygon_extents
 
 Geometry = Union[Polyline, Polygon]
 
@@ -26,6 +28,15 @@ _GEOM_POLYGON = 2
 _HEAD = struct.Struct("<BIH")  # geom tag, feature id, category
 _U16 = struct.Struct("<H")
 _POINT = struct.Struct("<dd")
+_NAMED_HEAD = struct.Struct("<BIHH")  # _HEAD, then the name's length
+
+SPILL_BLOCK_RECORDS = 4096
+"""Records per window: the generators pack a side's records, and a
+relation file frames them, this many at a time (a partition's share of a
+window is one frame of its key-pointer spill).  Large enough that numpy,
+framing, CRC and the budget charge are paid per block rather than per
+record; small enough that a window's serialised tuples are a few hundred
+kilobytes."""
 
 
 def _unpack_run(data: bytes, pos: int):
@@ -57,61 +68,117 @@ class SpatialTuple:
         return self.geom.num_points
 
 
+def _runs(t: SpatialTuple) -> Tuple[int, bytes, Sequence[Sequence[Tuple[float, float]]]]:
+    """A tuple's geometry tag, its ring-count field and its coordinate runs."""
+    if isinstance(t.geom, Polyline):
+        return _GEOM_POLYLINE, b"", [t.geom.points]
+    if isinstance(t.geom, Polygon):
+        return _GEOM_POLYGON, _U16.pack(len(t.geom.rings)), t.geom.rings
+    raise TypeError(f"unsupported geometry: {type(t.geom).__name__}")
+
+
 def serialize_tuple(t: SpatialTuple) -> bytes:
     """Pack a tuple into bytes (inverse of :func:`deserialize_tuple`)."""
-    if isinstance(t.geom, Polyline):
-        tag = _GEOM_POLYLINE
-    elif isinstance(t.geom, Polygon):
-        tag = _GEOM_POLYGON
-    else:
-        raise TypeError(f"unsupported geometry: {type(t.geom).__name__}")
-
-    parts = [_HEAD.pack(tag, t.feature_id, t.category)]
-    name_bytes = t.name.encode("utf-8")
-    if len(name_bytes) > 0xFFFF:
+    tag, rings, runs = _runs(t)
+    name = t.name.encode("utf-8")
+    if len(name) > 0xFFFF:
         raise ValueError("name too long")
-    parts.append(_U16.pack(len(name_bytes)))
-    parts.append(name_bytes)
-
-    if tag == _GEOM_POLYLINE:
-        points = t.geom.points
-        parts.append(_U16.pack(len(points)))
-        for x, y in points:
-            parts.append(_POINT.pack(x, y))
-    else:
-        rings = t.geom.rings
-        parts.append(_U16.pack(len(rings)))
-        for ring in rings:
-            parts.append(_U16.pack(len(ring)))
-            for x, y in ring:
-                parts.append(_POINT.pack(x, y))
+    parts = [_NAMED_HEAD.pack(tag, t.feature_id, t.category, len(name)), name, rings]
+    for run in runs:
+        parts += (_U16.pack(len(run)), *starmap(_POINT.pack, run))
     return b"".join(parts)
 
 
 def deserialize_tuple(data: bytes) -> SpatialTuple:
     """Unpack bytes produced by :func:`serialize_tuple`."""
-    tag, feature_id, category = _HEAD.unpack_from(data, 0)
-    pos = _HEAD.size
-    (name_len,) = _U16.unpack_from(data, pos)
-    pos += _U16.size
-    name = data[pos : pos + name_len].decode("utf-8")
-    pos += name_len
-
-    geom: Geometry
-    if tag == _GEOM_POLYLINE:
-        points, pos = _unpack_run(data, pos)
-        geom = Polyline(points)
-    elif tag == _GEOM_POLYGON:
-        (nrings,) = _U16.unpack_from(data, pos)
-        pos += _U16.size
-        rings = []
-        for _ in range(nrings):
-            ring, pos = _unpack_run(data, pos)
-            rings.append(ring)
-        geom = Polygon(rings[0], rings[1:])
-    else:
+    tag, feature_id, category, name_len = _NAMED_HEAD.unpack_from(data, 0)
+    pos = _NAMED_HEAD.size + name_len
+    name = data[_NAMED_HEAD.size : pos].decode("utf-8")
+    if tag not in (_GEOM_POLYLINE, _GEOM_POLYGON):
         raise ValueError(f"unknown geometry tag {tag}")
+    (count,) = (1,) if tag == _GEOM_POLYLINE else _U16.unpack_from(data, pos)
+    pos += _U16.size * (tag == _GEOM_POLYGON)
+    runs = []
+    for _ in range(count):
+        run, pos = _unpack_run(data, pos)
+        runs.append(run)
+    geom: Geometry = Polyline(runs[0]) if tag == _GEOM_POLYLINE else Polygon(runs[0], runs[1:])
     return SpatialTuple(feature_id, category, name, geom)
+
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """A relation's stored form: every :func:`serialize_tuple` record back
+    to back in ``payload``; record ``i`` is
+    ``payload[offsets[i]:offsets[i + 1]]`` (``offsets``: N+1 int64).
+    Iterating it decodes the records, one at a time."""
+
+    payload: bytes
+    offsets: np.ndarray
+
+    def __iter__(self) -> Iterator[SpatialTuple]:
+        bounds = self.offsets.tolist()
+        for start, end in zip(bounds, bounds[1:]):
+            yield deserialize_tuple(self.payload[start:end])
+
+
+def pack_records(windows: Iterable[tuple]) -> Records:
+    """The records :func:`serialize_tuple` makes of geometries given as
+    columns, byte for byte, a window of records at a time.  A window is
+    ``(fids, category, names, x, y, first)`` — the inverse of
+    :func:`polyline_runs`: record ``i`` the polyline of points
+    ``first[i]:first[i + 1]`` — or, with ``poly_first`` after them, of
+    :func:`polygon_runs`: record ``i`` the polygon of rings
+    ``poly_first[i]:poly_first[i + 1]``, shell first, ring ``j`` the points
+    ``first[j]:first[j + 1]``, not closed (as ``Polygon`` keeps it).
+    Record ``i`` of a window has feature id ``fids[i]`` and name
+    ``names[i]``; no run may hold more than 65,535 points, the most a u16
+    count says."""
+    payloads, sizes = [], [np.zeros(1, np.int64)]
+    for fids, category, names, x, y, first, *polygon in windows:
+        poly_first = polygon[0] if polygon else np.arange(len(first))
+        counts = np.diff(first)
+        tag = _GEOM_POLYGON if polygon else _GEOM_POLYLINE
+        ring_counts = map(_U16.pack, np.diff(poly_first).tolist()) if polygon else repeat(b"")
+        heads = [
+            _NAMED_HEAD.pack(tag, fid, category, len(name)) + name + ring_count
+            for fid, name, ring_count in zip(fids.tolist(), map(str.encode, names), ring_counts)
+        ]
+        # Each run: its record's head (before the record's first run only),
+        # its point count, its coordinates.
+        head_len = np.zeros(len(counts), np.int64)
+        head_len[poly_first[:-1]] = np.fromiter(map(len, heads), np.int64, len(heads))
+        lengths = np.column_stack((head_len, np.full(len(counts), _U16.size), counts * _POINT.size))
+        source = np.repeat(np.tile(np.arange(3, dtype=np.uint8), len(counts)), lengths.ravel())
+        payload = np.empty(len(source), np.uint8)
+        parts = (np.frombuffer(b"".join(heads), np.uint8), counts.astype("<u2").view(np.uint8),
+                 np.column_stack((x, y)).astype("<f8").view(np.uint8).ravel())
+        for at, part in enumerate(parts):
+            payload[source == at] = part
+        payloads.append(payload.tobytes())
+        sizes.append(np.add.reduceat(lengths.sum(axis=1), poly_first[:-1]))
+    return Records(b"".join(payloads), np.cumsum(np.concatenate(sizes)))
+
+
+def record_columns(buffer: bytes, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each record's feature id, from its head, and the exact MBR of its
+    geometry, N×4 ``(xl, yl, xu, yu)``: of a polyline's points, of a
+    polygon's shell — the geometry's ``mbr`` (``Rect.from_points``) — from
+    the coordinate runs of a :data:`SPILL_BLOCK_RECORDS` window of records
+    at a time.  Every record is a polyline's or a polygon's, as
+    :func:`serialize_tuple` and :func:`pack_records` write them."""
+    tags = _windows(buffer, "u1")[offsets[:-1]]
+    mbrs = np.empty((len(tags), 4))
+    for at in range(0, len(tags), SPILL_BLOCK_RECORDS):
+        window = np.arange(at, min(at + SPILL_BLOCK_RECORDS, len(tags)))
+        for tag, decode in ((_GEOM_POLYLINE, polyline_runs), (_GEOM_POLYGON, polygon_runs)):
+            of = window[tags[window] == tag]
+            if len(of):
+                x, y, first, *shells = decode(buffer, offsets[of], offsets[of + 1])
+                # Each run's MBR: the extent of each run taken as its own polygon.
+                runs = np.column_stack(polygon_extents(x, y, first, np.arange(len(first))))
+                mbrs[of] = runs[shells[0][:-1]] if shells else runs
+    return _windows(buffer, "<u4")[offsets[:-1] + 1], mbrs
 
 
 def _windows(buffer: bytes, dtype: str) -> np.ndarray:
@@ -234,11 +301,7 @@ def polygon_runs(
 
 def tuple_size_bytes(t: SpatialTuple) -> int:
     """Serialised size without materialising the bytes twice."""
-    name_len = len(t.name.encode("utf-8"))
-    base = _HEAD.size + _U16.size + name_len
-    if isinstance(t.geom, Polyline):
-        return base + _U16.size + len(t.geom.points) * _POINT.size
-    rings = t.geom.rings
-    return base + _U16.size + sum(
-        _U16.size + len(ring) * _POINT.size for ring in rings
+    _, rings, runs = _runs(t)
+    return _NAMED_HEAD.size + len(t.name.encode("utf-8")) + len(rings) + sum(
+        _U16.size + len(run) * _POINT.size for run in runs
     )

@@ -1,7 +1,12 @@
 """Tests for the synthetic TIGER and Sequoia data generators."""
 
+import collections
 import hashlib
+import inspect
+import itertools
+import math
 
+import numpy as np
 import pytest
 
 from repro.data import (
@@ -14,6 +19,7 @@ from repro.data import (
     generate_roads,
     scaled_counts,
 )
+from repro.data import sequoia, tiger
 from repro.data.tiger import (
     FULL_HYDRO_COUNT,
     FULL_RAIL_COUNT,
@@ -21,8 +27,8 @@ from repro.data.tiger import (
     HYDRO_AVG_POINTS,
     ROAD_AVG_POINTS,
 )
-from repro.geometry import Polygon, Polyline
-from repro.storage.tuples import serialize_tuple
+from repro.geometry import Polygon, Polyline, Rect
+from repro.storage.tuples import SpatialTuple, serialize_tuple
 
 
 class TestScaledCounts:
@@ -210,3 +216,147 @@ class TestGoldenStream:
             assert all(
                 type(c) is float for ring in t.geom.rings for p in ring for c in p
             )
+
+
+# --------------------------------------------------------------------- #
+# the stored-form builders against the object walks they replaced
+# --------------------------------------------------------------------- #
+
+
+def frozen_polylines(spec, count, seed, universe, step_scale, seen):
+    """``generate_polylines`` as it was before the walk moved into columns:
+    objects, one vertex at a time.  ``seen`` counts clipped coordinates
+    and two-point fallbacks."""
+    dist = tiger._distribution(seed=7_1996)
+    rng = np.random.default_rng(seed)
+    step_base = spec.step * step_scale
+
+    def clip(value, lo, hi):
+        seen["clipped"] += not lo <= value <= hi
+        return lo if value < lo else hi if value > hi else value
+
+    for i in range(count):
+        npoints = max(spec.min_points, int(rng.poisson(spec.avg_points)))
+        x, y = dist.sample_point(rng)
+        heading = 2.0 * math.pi * rng.random()
+        points = [(x, y)]
+        for _ in range(npoints - 1):
+            heading += spec.wander * rng.standard_normal()
+            step = step_base * (0.4 + (1.6 - 0.4) * rng.random())
+            x = clip(x + step * math.cos(heading), universe.xl, universe.xu)
+            y = clip(y + step * math.sin(heading), universe.yl, universe.yu)
+            points.append((x, y))
+        seen["steps"] += npoints - 1
+        if len(points) < 2 or all(p == points[0] for p in points):
+            seen["fallbacks"] += 1
+            points = [
+                (clip(px, universe.xl, universe.xu), clip(py, universe.yl, universe.yu))
+                for px, py in ((x, y), (x + step_base, y + step_base))
+            ]
+            if points[0] == points[1]:
+                points[1] = (points[0][0] - step_base, points[0][1])
+        yield SpatialTuple(i, spec.category, f"{spec.name_prefix}-{i}", Polyline(points))
+
+
+def frozen_radial(cx, cy, radius, npoints, rng, min_frac=0.55):
+    npoints = max(3, npoints)
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, npoints))
+    angles = angles + np.arange(npoints) * 1e-9
+    radii = rng.uniform(min_frac * radius, radius, npoints)
+    return [
+        (cx + r * math.cos(a), cy + r * math.sin(a))
+        for a, r in zip(angles.tolist(), radii.tolist())
+    ]
+
+
+def frozen_landuse(scale, seed):
+    count = max(1, round(sequoia.FULL_POLYGON_COUNT * scale))
+    centres, cell_radius, _ = sequoia._landuse_centres(count, CALIFORNIA)
+    rng = np.random.default_rng(seed)
+    for i, (cx, cy) in enumerate(centres):
+        npoints = max(8, int(rng.poisson(sequoia.POLYGON_AVG_POINTS)))
+        shell, holes = frozen_radial(cx, cy, cell_radius, npoints, rng), []
+        if rng.random() < sequoia.HOLE_FRACTION:
+            hx = cx + rng.uniform(-0.15, 0.15) * cell_radius
+            hy = cy + rng.uniform(-0.15, 0.15) * cell_radius
+            holes.append(frozen_radial(hx, hy, 0.12 * cell_radius, 12, rng, min_frac=0.7))
+        yield SpatialTuple(i, sequoia.CATEGORY_LANDUSE, f"landuse-{i}", Polygon(shell, holes))
+
+
+def frozen_islands(scale, seed):
+    poly_count = max(1, round(sequoia.FULL_POLYGON_COUNT * scale))
+    count = max(1, round(sequoia.FULL_ISLAND_COUNT * scale))
+    centres, cell_radius, (rows, cols, cw, ch) = sequoia._landuse_centres(
+        poly_count, CALIFORNIA
+    )
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        npoints = max(6, int(rng.poisson(sequoia.ISLAND_AVG_POINTS)))
+        if rng.random() < sequoia.STRAY_ISLAND_FRACTION:
+            col, row = int(rng.integers(0, cols)), int(rng.integers(0, rows))
+            cx, cy = CALIFORNIA.xl + col * cw, CALIFORNIA.yl + row * ch
+            radius = 0.25 * cell_radius
+        else:
+            px, py = centres[int(rng.integers(0, poly_count))]
+            cx = px + rng.uniform(-0.08, 0.08) * cell_radius
+            cy = py + rng.uniform(-0.08, 0.08) * cell_radius
+            radius = rng.uniform(0.10, 0.30) * cell_radius
+        shell = frozen_radial(cx, cy, radius, npoints, rng, min_frac=0.6)
+        yield SpatialTuple(i, sequoia.CATEGORY_ISLAND, f"island-{i}", Polygon(shell))
+
+
+class TestAgainstTheObjectWalks:
+    """The stored-form builders write, byte for byte and offset for offset,
+    what ``serialize_tuple`` made of the tuples the object walks built —
+    a frozen copy of them, here, independent of the code under test."""
+
+    @staticmethod
+    def same(records, tuples):
+        serialised = [serialize_tuple(t) for t in tuples]
+        assert records.payload == b"".join(serialised)
+        assert records.offsets.tolist() == [0, *itertools.accumulate(map(len, serialised))]
+
+    @pytest.mark.parametrize("seed", [None, 7, 1996])
+    @pytest.mark.parametrize("scale", [GOLDEN_SCALE, 0.02])
+    @pytest.mark.parametrize("name", ["road", "hydro", "rail", "landuse", "island"])
+    def test_every_generator(self, name, scale, seed):
+        build = {
+            "road": generate_roads, "hydro": generate_hydrography, "rail": generate_rail,
+            "landuse": generate_landuse_polygons, "island": generate_islands,
+        }[name]
+        if seed is None:
+            seed = inspect.signature(build).parameters["seed"].default
+        if name in ("landuse", "island"):
+            frozen = frozen_landuse if name == "landuse" else frozen_islands
+            self.same(build(scale, seed=seed), frozen(scale, seed))
+            return
+        which = ["road", "hydro", "rail"].index(name)
+        self.same(build(scale, seed=seed), frozen_polylines(
+            (tiger.ROAD_SPEC, tiger.HYDRO_SPEC, tiger.RAIL_SPEC)[which],
+            tiger.scaled_counts(scale)[which], seed, WISCONSIN,
+            tiger._step_scale(scale), collections.Counter(),
+        ))
+
+    @pytest.mark.parametrize("seed", [101, 7, 1996])
+    @pytest.mark.parametrize("universe", ["point", "still"])
+    def test_a_shrunken_universe(self, universe, seed):
+        """``point``: the universe is road 0's first vertex, so nearly every
+        coordinate of every walk is clipped, and road 0, which never moves,
+        takes the fallback whose clipped second point is its first.
+        ``still``: the south-west quarter, with steps far below a
+        coordinate's precision, so every walk starting in it never moves."""
+        spec, count, seen = tiger.ROAD_SPEC, tiger.scaled_counts(0.02)[0], collections.Counter()
+        if universe == "point":
+            start = next(frozen_polylines(spec, 1, seed, WISCONSIN, 1.0, seen)).geom.points[0]
+            box, step_scale = Rect(*start, *start), 1.0
+        else:
+            box, step_scale = Rect(WISCONSIN.xl, WISCONSIN.yl, -89.85, 44.785), 1e-12
+        seen.clear()
+        self.same(
+            tiger.generate_polylines(spec, count, seed, box, step_scale),
+            frozen_polylines(spec, count, seed, box, step_scale, seen),
+        )
+        if universe == "point":
+            assert seen["clipped"] > 1.9 * seen["steps"] and seen["fallbacks"] >= 1
+        else:
+            assert seen["fallbacks"] > count / 10

@@ -634,11 +634,12 @@ class TestSideAndSpillRecords:
         assert of_side.refine is None or of_side.refine.tobytes() == of_spill.refine.tobytes()
         assert len(of_side) == len(of_spill) == len(tuples)
         assert list(of_side) == list(of_spill) == [t.feature_id for t in tuples]
-        # Of two records with one feature id the later is found — and a
-        # side hands out its own tuple where a spill decodes a copy.
+        # Of two records with one feature id the later is found — and both
+        # decode a copy of it, once.
         for fid, at in {t.feature_id: i for i, t in enumerate(tuples)}.items():
-            assert of_side[fid] is side[at]
-            assert of_spill[fid] == side[at] and of_spill[fid] is not side[at]
+            for records in (of_side, of_spill):
+                assert records[fid] == side[at] and records[fid] is not side[at]
+                assert records[fid] is records[fid]
         for decode in (polyline_runs, polygon_runs):
             columns, twin = of_side.columns(asked, decode), of_spill.columns(asked, decode)
             assert (columns is None) is (twin is None)

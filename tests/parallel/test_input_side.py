@@ -25,11 +25,11 @@ from repro import intersects
 from repro.checkpoint.manifest import RunFingerprint
 from repro.core.pbsm import PBSMConfig
 from repro.data import generate_hydrography, generate_roads
-from repro.parallel import ProcessPBSM, parallel_join, tasks
+from repro.parallel import ProcessPBSM, parallel_join, process, tasks
 from repro.parallel.tasks import InputSide
 from repro.serve.query import QuerySpec
 from repro.storage import DiskBudget
-from repro.storage.tuples import serialize_tuple
+from repro.storage.tuples import SpatialTuple, serialize_tuple
 from tests.conftest import read_records
 
 SCALE = 0.002
@@ -176,8 +176,8 @@ class TestSerialisedOnce:
         """... of their own.  The serial backend loads the tuples into its
         own heap files and builds no column of the side; a shed run refines
         from the side's stored records — made once if nobody has, then
-        read — and from a side that has them serialises nothing and
-        decodes nothing."""
+        read — and from a side that has them serialises nothing, and
+        decodes a record only the first time a candidate needs its tuple."""
         side_r, side_s = InputSide(workload[0]), InputSide(workload[1])
         serial = parallel_join(side_r, side_s, intersects, backend="serial")
         assert not vars(side_r) and not vars(side_s)
@@ -188,11 +188,19 @@ class TestSerialisedOnce:
         columns = dict(vars(side_r))
         assert {"mbrs", "payload", "stored"} <= set(columns)
         del serialised[:]
-        with mock.patch.object(tasks, "deserialize_tuple") as decode:
-            for predicate in (intersects, lambda r, s: intersects(r, s)):
+        decoded = []
+        with mock.patch.object(
+            tasks, "deserialize_tuple", wraps=tasks.deserialize_tuple
+        ) as decode:
+            def loop(r, s):
+                return intersects(r, s)
+
+            for predicate in (intersects, loop, loop):
                 again = engine.run_serial(side_r, side_s, predicate)
                 assert again.pairs == shed.pairs == serial.pairs != []
-        assert serialised == [] and not decode.called
+                decoded.append(decode.call_count)
+        assert serialised == [] and decoded[0] == 0
+        assert 0 < decoded[1] == decoded[2] < len(side_r) + len(side_s)
         assert vars(side_r).keys() == columns.keys()
         assert all(vars(side_r)[name] is columns[name] for name in columns)
 
@@ -267,9 +275,9 @@ class TestImmutableAndShared:
         """The server's case: a memoised side, a breaker open, two queries."""
         indexed = []
 
-        def counting(buffer, starts, ends, fids, live, refine):
-            indexed.append(live)
-            return stored_records(buffer, starts, ends, fids, live, refine)
+        def counting(buffer, starts, ends, fids, refine):
+            indexed.append(buffer)
+            return stored_records(buffer, starts, ends, fids, refine)
 
         stored_records = tasks.StoredRecords
         monkeypatch.setattr(tasks, "StoredRecords", counting)
@@ -293,7 +301,54 @@ class TestImmutableAndShared:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert len(indexed) == 2 and {id(side) for side in indexed} == {
-            id(side_r), id(side_s)
+        assert len(indexed) == 2 and {id(buffer) for buffer in indexed} == {
+            id(side_r.payload), id(side_s.payload)
         }
         assert len(answers) == 2 and answers[0] == answers[1] != []
+
+
+class TestGeneratedSidesBuildNoTuples:
+    @pytest.mark.parametrize("dataset, predicate", [
+        ("road_hydro", "intersects"), ("landuse_island", "contains"),
+    ])
+    def test_the_process_path_builds_none_and_the_shed_path_only_candidates(
+        self, dataset, predicate, monkeypatch
+    ):
+        """A side as ``QuerySpec.generate`` makes it is its stored form: a
+        fork-started process run builds no ``SpatialTuple``, in the
+        coordinator or a worker; the shed path, refining in the loop form,
+        decodes each record a candidate names once and no other."""
+        spec = QuerySpec(dataset, SCALE, seed=1996, predicate=predicate)
+        reference = parallel_join(*spec.generate(), spec.predicate_fn, backend="serial")
+        side_r, side_s = spec.generate()
+
+        def refusing(*_):
+            raise AssertionError("a SpatialTuple was built")
+
+        init = SpatialTuple.__init__
+        monkeypatch.setattr(SpatialTuple, "__init__", refusing)
+        engine = ProcessPBSM(2, num_partitions=PARTITIONS, start_method="fork")
+        result = engine.run(side_r, side_s, spec.predicate_fn)
+        assert result.pairs == reference.pairs != [] and result.fault_summary == {}
+        assert engine.run_serial(side_r, side_s, spec.predicate_fn).pairs == result.pairs
+
+        built, named_r, named_s = [], set(), set()
+
+        def building(t, feature_id, *rest):
+            built.append(feature_id)
+            init(t, feature_id, *rest)
+
+        def naming(candidates, *args, **kwargs):
+            named_r.update(r for r, _ in candidates)
+            named_s.update(s for _, s in candidates)
+            return refine_pair(candidates, *args, **kwargs)
+
+        refine_pair = process.refine_pair
+        monkeypatch.setattr(SpatialTuple, "__init__", building)
+        monkeypatch.setattr(process, "refine_pair", naming)
+        shed = engine.run_serial(
+            side_r, side_s, lambda r, s: spec.predicate_fn(r, s)
+        )
+        assert shed.pairs == result.pairs
+        assert sorted(built) == sorted([*named_r, *named_s])
+        assert len(built) < len(side_r) + len(side_s)
