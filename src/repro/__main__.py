@@ -110,9 +110,15 @@ def _cmd_join(args: argparse.Namespace) -> int:
     verified) — so inputs, recording, engine, recovery and exit codes are
     written once; only the two reports differ, as their readers expect.
     """
+    import time
+    from concurrent.futures import ProcessPoolExecutor
+    from contextlib import nullcontext
+
     from .checkpoint import CheckpointMismatchError
     from .obs import RunRecorder, live_renderer
     from .parallel import ProcessPBSM, parallel_join
+    from .parallel.process import mp_context
+    from .parallel.tasks import init_pool_worker
     from .serve.query import QuerySpec
     from .storage import DiskBudget, DiskFullError
 
@@ -139,7 +145,8 @@ def _cmd_join(args: argparse.Namespace) -> int:
         )
     # A served query's names, rules and inputs: ``contains`` needs a
     # polygon pair, and no --seed is seed 0, each generator's own.
-    spec = QuerySpec(args.dataset, args.scale, args.seed or 0, args.predicate)
+    spec = QuerySpec(args.dataset, args.scale, args.seed or 0, args.predicate,
+                     args.workers)
     predicate = spec.predicate_fn
     if (args.live or args.out) and args.backend == "serial":
         raise ValueError(
@@ -150,7 +157,14 @@ def _cmd_join(args: argparse.Namespace) -> int:
         DiskBudget(args.disk_budget) if args.disk_budget is not None else None
     )
 
-    side_r, side_s = spec.generate()
+    # With workers to spare, a child generates S while this process
+    # generates R; it is gone before the engine starts.
+    started = time.perf_counter()
+    with (ProcessPoolExecutor(1, mp_context=mp_context(args.start_method),
+                              initializer=init_pool_worker)
+          if spec.workers >= 2 else nullcontext()) as pool:
+        side_r, side_s = spec.generate(pool)
+    generate_s = time.perf_counter() - started
 
     # A recorded run: `parallel --out` keeps the journal, `chaos --out`
     # the whole flight recorder `python -m repro report` diagnoses.
@@ -204,13 +218,12 @@ def _cmd_join(args: argparse.Namespace) -> int:
             args, plan, result, len(reference), verified, killed_at, recorder
         )
     else:
-        _report_parallel(
-            args, result, (len(side_r), len(side_s)), verified, budget, recorder
-        )
+        _report_parallel(args, result, (len(side_r), len(side_s)), generate_s,
+                         verified, budget, recorder)
     return 0 if verified in (None, True) else 1
 
 
-def _report_parallel(args, result, sizes, verified, budget, recorder) -> None:
+def _report_parallel(args, result, sizes, generate_s, verified, budget, recorder) -> None:
     from .serve.query import result_digest
 
     if args.json:
@@ -228,6 +241,7 @@ def _report_parallel(args, result, sizes, verified, budget, recorder) -> None:
                 "coordinator_merge_s": round(result.coordinator_merge_s, 6),
             },
             "wall_s": round(result.wall_s, 6),
+            "generate_s": round(generate_s, 6),
             "critical_path_s": round(result.critical_path_s, 6),
             "total_work_s": round(result.total_work_s, 6),
             "speedup": round(result.speedup, 4),
@@ -259,7 +273,8 @@ def _report_parallel(args, result, sizes, verified, budget, recorder) -> None:
         return
     print(
         f"{sizes[0]} x {sizes[1]} features ({args.dataset}, "
-        f"scale={args.scale}) on backend={result.backend!r}"
+        f"scale={args.scale}, generated in {generate_s:.3f}s) on "
+        f"backend={result.backend!r}"
     )
     found = "contained" if args.predicate == "contains" else "intersecting"
     print(f"{len(result)} {found} pairs "

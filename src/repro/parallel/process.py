@@ -145,6 +145,13 @@ START_METHOD_ENV = "REPRO_MP_START_METHOD"
 """Environment override for the multiprocessing start method (CI uses it
 to force ``spawn`` on platforms that default to ``fork``)."""
 
+
+def mp_context(start_method: Optional[str] = None):
+    """The context a run starts its processes in: ``start_method``, else
+    :data:`START_METHOD_ENV`, else the platform's default."""
+    return multiprocessing.get_context(start_method or os.environ.get(START_METHOD_ENV))
+
+
 DEFAULT_MAX_TASK_RETRIES = 2
 """Retry budget per partition pair before the coordinator degrades it."""
 
@@ -282,7 +289,7 @@ class ProcessPBSM:
         if num_partitions is not None and num_partitions < 1:
             raise ValueError("need at least one partition")
         self.num_partitions = num_partitions or workers * DEFAULT_TASKS_PER_WORKER
-        self.start_method = start_method or os.environ.get(START_METHOD_ENV)
+        self.start_method = start_method
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.journal = journal
@@ -1177,7 +1184,7 @@ class ProcessPBSM:
         """
         if not tasks:
             return [], {}
-        context = multiprocessing.get_context(self.start_method)
+        context = mp_context(self.start_method)
         max_workers = min(self.workers, len(tasks))
         by_index = {task.index: task for task in tasks}
         attempts: Dict[int, int] = {task.index: 0 for task in tasks}

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import Executor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -143,7 +145,8 @@ class QuerySpec:
         """What the input tuples depend on (the server memoizes by this)."""
         return (self.dataset, self.scale, self.seed)
 
-    def generate(self) -> Tuple[InputSide, InputSide]:
+    def generate(self, executor: Optional[Executor] = None,
+                 on_broken: Callable = lambda pool: None) -> Tuple[InputSide, InputSide]:
         """Materialise the two inputs (deterministic in ``dataset_key``),
         each an :class:`~repro.parallel.tasks.InputSide` of the records
         its generator writes — tuples are decoded only if something asks
@@ -152,14 +155,26 @@ class QuerySpec:
 
         ``seed=0`` keeps each generator's default seed, exactly like the
         ``parallel`` subcommand without ``--seed``; otherwise the R side
-        uses ``seed`` and the S side ``seed + 1`` (same convention)."""
+        uses ``seed`` and the S side ``seed + 1`` (same convention).
+
+        Given an ``executor``, S's generator runs there while R's runs
+        here: the two are independent streams, so the bytes are the same
+        either way, and the child hands back only its ``Records``.  A
+        pool that breaks is handed to ``on_broken`` and S is generated
+        here instead."""
         gen_r, gen_s = DATASETS[self.dataset]
-        if self.seed == 0:
-            return InputSide(gen_r(self.scale)), InputSide(gen_s(self.scale))
-        return (
-            InputSide(gen_r(self.scale, seed=self.seed)),
-            InputSide(gen_s(self.scale, seed=self.seed + 1)),
-        )
+        seeds = ({}, {}) if self.seed == 0 else ({"seed": self.seed}, {"seed": self.seed + 1})
+        side_r = None
+        if executor is not None:
+            try:
+                pending = executor.submit(gen_s, scale=self.scale, **seeds[1])
+                side_r = InputSide(gen_r(scale=self.scale, **seeds[0]))
+                return side_r, InputSide(pending.result())
+            except BrokenProcessPool:
+                on_broken(executor)
+        # (Regenerating an empty R is harmless: its bytes are the same.)
+        return (side_r or InputSide(gen_r(scale=self.scale, **seeds[0])),
+                InputSide(gen_s(scale=self.scale, **seeds[1])))
 
     def fingerprint(
         self,

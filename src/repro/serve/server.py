@@ -65,11 +65,11 @@ from ..obs.metrics import (
     snapshot_delta,
 )
 from ..obs.timeseries import SlowLog, TelemetrySampler
-from ..parallel.process import DeadlineExceededError, ProcessPBSM
+from ..parallel.process import DeadlineExceededError, ProcessPBSM, mp_context
 from ..storage.errors import DiskFullError
 from ..storage.pressure import CATEGORY_CACHE, DiskBudget
 from .cache import LOOKUP_HIT, LOOKUP_WARM, ArtifactCache
-from .pool import SharedPoolProvider
+from .pool import BREAKER_CLOSED, SharedPoolProvider
 from .query import QueryError, QuerySpec, result_digest
 from .scrub import CacheScrubber
 
@@ -744,7 +744,13 @@ class JoinServer:
                 flight = self._datasets[key] = Future()
         if leading:
             try:
-                flight.set_result(spec.generate())
+                # While the breaker is closed, S is generated on the
+                # resident pool; a pool that breaks is discarded like one
+                # a run broke, and S is generated here.
+                pool = None
+                if self.provider.breaker_stats()["state"] == BREAKER_CLOSED:
+                    pool = self.provider.acquire(self.workers, mp_context(self.start_method))
+                flight.set_result(spec.generate(pool, self.provider.discard))
             except BaseException as exc:
                 with self._lock:
                     if self._datasets.get(key) is flight:

@@ -37,7 +37,7 @@ from repro.data import generate_hydrography, generate_roads
 from repro.faults import tear_frame
 from repro.parallel import ProcessPBSM, WorkerTaskError
 from repro.parallel import tasks
-from repro.parallel.process import DEFAULT_TASK_MEMORY, START_METHOD_ENV
+from repro.parallel.process import DEFAULT_TASK_MEMORY, mp_context
 from repro.parallel.tasks import (
     InputSide,
     PairTask,
@@ -440,9 +440,7 @@ class TestWorkerRelations:
 
 class TestFrozenWorkerHeap:
     def test_a_pool_worker_is_frozen_after_its_first_task(self, pair_task):
-        context = multiprocessing.get_context(
-            os.environ.get(START_METHOD_ENV)
-        )
+        context = mp_context()
         with ProcessPoolExecutor(1, mp_context=context) as pool:
             first = pool.submit(run_pair_task, pair_task).result(timeout=60)
             frozen = pool.submit(gc.get_freeze_count).result(timeout=60)

@@ -12,8 +12,6 @@ Three contracts:
 * a worker that dies mid-ping cannot keep the others from exiting.
 """
 
-import multiprocessing
-import os
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -201,9 +199,7 @@ class TestHeartbeatChannel:
         """A worker killed while its queue feeder sends a ping leaves the
         queue's shared write lock taken; the pool's other workers must
         still exit (their unsent pings are dropped)."""
-        context = multiprocessing.get_context(
-            os.environ.get(process.START_METHOD_ENV)
-        )
+        context = process.mp_context()
         heartbeats = context.Queue()
         heartbeats._wlock.acquire()  # what the dead worker took with it
         pool = ProcessPoolExecutor(

@@ -13,8 +13,11 @@
 """
 
 import hashlib
+import multiprocessing
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
@@ -308,25 +311,29 @@ class TestImmutableAndShared:
 
 
 class TestGeneratedSidesBuildNoTuples:
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
     @pytest.mark.parametrize("dataset, predicate", [
         ("road_hydro", "intersects"), ("landuse_island", "contains"),
     ])
     def test_the_process_path_builds_none_and_the_shed_path_only_candidates(
-        self, dataset, predicate, monkeypatch
+        self, dataset, predicate, pooled, monkeypatch
     ):
-        """A side as ``QuerySpec.generate`` makes it is its stored form: a
-        fork-started process run builds no ``SpatialTuple``, in the
-        coordinator or a worker; the shed path, refining in the loop form,
-        decodes each record a candidate names once and no other."""
+        """A side as ``QuerySpec.generate`` makes it, S in a fork-started
+        worker or not, is its stored form: generating it and a fork-started
+        process run build no ``SpatialTuple``, in the coordinator or a
+        worker; the shed path, refining in the loop form, decodes each
+        record a candidate names once and no other."""
         spec = QuerySpec(dataset, SCALE, seed=1996, predicate=predicate)
         reference = parallel_join(*spec.generate(), spec.predicate_fn, backend="serial")
-        side_r, side_s = spec.generate()
 
         def refusing(*_):
             raise AssertionError("a SpatialTuple was built")
 
         init = SpatialTuple.__init__
         monkeypatch.setattr(SpatialTuple, "__init__", refusing)
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, mp_context=fork) if pooled else nullcontext() as pool:
+            side_r, side_s = spec.generate(pool)
         engine = ProcessPBSM(2, num_partitions=PARTITIONS, start_method="fork")
         result = engine.run(side_r, side_s, spec.predicate_fn)
         assert result.pairs == reference.pairs != [] and result.fault_summary == {}

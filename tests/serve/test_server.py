@@ -4,6 +4,7 @@ real TCP socket."""
 
 import gc
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -11,11 +12,14 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.checkpoint import inspect_checkpoint_dir
+from repro.data import generate_hydrography, generate_roads
 from repro.faults import load_plan
 from repro.parallel import parallel_join
 from repro.parallel.tasks import InputSide
@@ -27,6 +31,7 @@ from repro.serve import (
     result_digest,
     wait_for_server,
 )
+from repro.serve.query import DATASETS
 
 SPEC = {"dataset": "road_hydro", "scale": 0.004, "workers": 2}
 
@@ -238,12 +243,13 @@ class TestMaterialise:
     ):
         server = JoinServer(tmp_path / "cache", tmp_path / "out")
         generate = QuerySpec.generate
-        calls, release = [], threading.Event()
+        calls, entered, release = [], threading.Event(), threading.Event()
 
-        def slow_generate(spec):
+        def slow_generate(spec, *pool):
             calls.append(spec.dataset_key)
+            entered.set()
             assert release.wait(timeout=30.0)
-            return generate(spec)
+            return generate(spec, *pool)
 
         monkeypatch.setattr(QuerySpec, "generate", slow_generate)
         specs = [QuerySpec(num_partitions=p, **SPEC) for p in (0, 5, 6, 7)]
@@ -259,6 +265,7 @@ class TestMaterialise:
         try:
             for thread in threads:
                 thread.start()
+            assert entered.wait(timeout=30.0)
             for _ in threads[1:]:  # three wait on the flight of the fourth
                 assert waiting.acquire(timeout=30.0)
             assert len(calls) == 1 and got == [None] * 4
@@ -282,7 +289,7 @@ class TestMaterialise:
         generate = QuerySpec.generate
         entered, release = threading.Event(), threading.Event()
 
-        def failing(spec):
+        def failing(spec, *pool):
             entered.set()
             assert release.wait(timeout=30.0)
             raise OSError("generator fell over")
@@ -328,7 +335,7 @@ class TestMaterialise:
         tuples = list(QuerySpec(**SPEC).generate()[1])[:8]
         monkeypatch.setattr(
             QuerySpec, "generate",
-            lambda spec: (InputSide(tuples), InputSide(tuples[:4])),
+            lambda spec, *pool: (InputSide(tuples), InputSide(tuples[:4])),
         )
         server = JoinServer(tmp_path / "cache", tmp_path / "out")
         try:
@@ -352,6 +359,46 @@ class TestMaterialise:
             assert all(ref() is None for ref in columns)
         finally:
             server.shutdown()
+
+    def test_a_generator_raising_in_the_child_leaves_no_entry(
+        self, tmp_path, monkeypatch
+    ):
+        """``generate`` surfaces the child's own exception; the flight
+        leaves no memo entry and the pool, which did not break, no
+        breaker failure."""
+        server = JoinServer(tmp_path / "cache", tmp_path / "out", start_method="fork")
+        monkeypatch.setitem(DATASETS, "road_hydro", (generate_roads, _raising_in_child))
+        try:
+            with pytest.raises(LookupError, match="fell over in pid") as raised:
+                server._materialise(QuerySpec(**SPEC))
+            assert f"pid {os.getpid()}" not in str(raised.value)
+            assert server._datasets == {}
+            assert server.provider.breaker_stats()["failures_in_window"] == 0
+        finally:
+            server.shutdown()
+
+    def test_a_child_dying_mid_generation_falls_back_inline(
+        self, tmp_path, monkeypatch
+    ):
+        """The pool breaks under S's generator: it is discarded (one breaker
+        failure), S is generated in the server, and no worker of the dead
+        pool outlives it."""
+        before = set(multiprocessing.active_children())
+        expected = QuerySpec(**SPEC).generate()
+        server = JoinServer(tmp_path / "cache", tmp_path / "out", start_method="fork")
+        monkeypatch.setitem(DATASETS, "road_hydro", (generate_roads, _dying_in_child))
+        try:
+            got = server._materialise(QuerySpec(**SPEC))
+            assert server.provider.breaker_stats()["failures_in_window"] == 1
+            deadline = time.monotonic() + 30.0
+            while set(multiprocessing.active_children()) - before:
+                assert time.monotonic() < deadline, "a dead pool's worker lives on"
+                time.sleep(0.05)
+        finally:
+            server.shutdown()
+        assert [(side.payload, side.offsets.tolist()) for side in got] == [
+            (side.payload, side.offsets.tolist()) for side in expected
+        ]
 
     def test_memoised_miss_warm_resume_and_hit_serialise_nothing(
         self, tmp_path, serialised
@@ -384,6 +431,40 @@ class TestMaterialise:
             cold["result_sha256"]
         }
         assert serialised == []
+
+
+def _raising_in_child(scale, **seed):
+    if multiprocessing.parent_process() is not None:
+        raise LookupError(f"generator fell over in pid {os.getpid()}")
+    return generate_hydrography(scale=scale, **seed)
+
+
+def _dying_in_child(scale, **seed):
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return generate_hydrography(scale=scale, **seed)
+
+
+class TestConcurrentGeneration:
+    """``QuerySpec.generate(pool)``: S generated in a worker while R is
+    generated here gives the bytes the sequential path gives."""
+
+    @pytest.fixture(scope="class", params=["fork", "spawn"])
+    def pool(self, request):
+        context = multiprocessing.get_context(request.param)
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            yield pool
+
+    @pytest.mark.parametrize("dataset", sorted(DATASETS))
+    @pytest.mark.parametrize("seed", [0, 7, 1996])
+    def test_same_stored_form_as_the_sequential_path(self, pool, dataset, seed):
+        spec = QuerySpec(dataset, scale=0.002, seed=seed)
+        broke = []
+        pooled = spec.generate(pool, broke.append)
+        assert broke == []
+        for got, expected in zip(pooled, spec.generate()):
+            assert got.payload == expected.payload
+            assert np.array_equal(got.offsets, expected.offsets)
 
 
 class TestAdmission:

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -98,11 +99,14 @@ class TestParallelCLI:
                 "--scale", "0.002", "--json"]
         if backend != "serial":
             args.append("--verify")
+        started = time.perf_counter()
         assert main(args) == 0
+        elapsed = time.perf_counter() - started
         document = json.loads(capsys.readouterr().out)
         assert document["backend"] == backend
         assert document["result_count"] > 0
         assert document["wall_s"] > 0
+        assert 0 < document["generate_s"] < elapsed
         if backend != "serial":
             assert document["verified_against_serial"] is True
 
@@ -529,6 +533,10 @@ REFUSED = [
      "--disk-budget", lambda: _join(backend="serial", disk_budget=object())),
     (["parallel", "--predicate", "contains"], "contains",
      lambda: _spec(predicate="contains")),
+    (["parallel", "--backend", "serial", "--workers", "0", *SMALL], "worker",
+     lambda: _spec(workers=0)),
+    (["parallel", "--backend", "simulated", "--workers", "-2", *SMALL], "worker",
+     lambda: _spec(workers=-2)),
     (["parallel", "--backend", "serial", "--live"], "--live", None),
     (["parallel", "--backend", "serial", "--out", "d"], "--out", None),
     (["chaos", "--plan", "none", "--kill-coordinator-after", "3", *SMALL],
