@@ -6,8 +6,9 @@ worker returned it, a retry salvaged it, or the degraded path rebuilt it —
 its :class:`~repro.parallel.tasks.PairTaskResult` is appended here as one
 framed, checksummed JSON record and fsynced before the coordinator
 considers the pair *committed*.  A resume replays the log to learn which
-pairs never need merging again, and re-adopts their spans and metrics so
-the observability story of a resumed run covers the whole join.
+pairs never need merging again, and re-adopts their spans so the trace
+of a resumed run covers the whole join (their metrics the coordinator
+derives from the replayed fields, as it does for every pair).
 
 Unlike the manifest, this file is never rewritten.  Two-layer
 partitioning makes every pair's result disjoint from every other's, so
@@ -27,6 +28,8 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.refine import merge_sorted_unique
 from ..storage.errors import ManifestCorruptionError, SpillCorruptionError
 from ..storage.spill import TORN_TAIL_TRUNCATE, pack_frame, read_frames
@@ -40,12 +43,13 @@ RESULT_RECORD_TYPE = "pair_result"
 
 
 def result_to_wire(result: "PairTaskResult") -> dict:
-    """A committed pair result as one JSON-safe log record."""
+    """A committed pair result as one JSON-safe log record: its ``pairs``
+    a list of ``[r, s]`` lists."""
     return {
         "type": RESULT_RECORD_TYPE,
         "index": result.index,
         "worker_pid": result.worker_pid,
-        "pairs": [list(p) for p in result.pairs],
+        "pairs": result.pairs.tolist(),
         "candidates": result.candidates,
         "count_r": result.count_r,
         "count_s": result.count_s,
@@ -55,11 +59,12 @@ def result_to_wire(result: "PairTaskResult") -> dict:
         "degraded_reason": result.degraded_reason,
         "duplicates_dropped": result.duplicates_dropped,
         "spans": result.spans,
-        "metrics": result.metrics,
     }
 
 
 def result_from_wire(payload: dict) -> "PairTaskResult":
+    """A log record as the result it committed.  The ``metrics`` key of a
+    log written before metrics were derived is ignored."""
     from ..parallel.tasks import PairTaskResult
 
     if payload.get("type") != RESULT_RECORD_TYPE:
@@ -67,10 +72,13 @@ def result_from_wire(payload: dict) -> "PairTaskResult":
             f"result-log record has type {payload.get('type')!r}, "
             f"expected {RESULT_RECORD_TYPE!r}"
         )
+    pairs = np.array(payload["pairs"], np.int64).reshape(-1, 2)
+    if len(pairs) != len(payload["pairs"]):
+        raise ValueError("result-log pairs are not [r, s] pairs")
     return PairTaskResult(
         index=int(payload["index"]),
         worker_pid=int(payload["worker_pid"]),
-        pairs=[(int(a), int(b)) for a, b in payload["pairs"]],
+        pairs=pairs,
         candidates=int(payload["candidates"]),
         count_r=int(payload["count_r"]),
         count_s=int(payload["count_s"]),
@@ -80,7 +88,6 @@ def result_from_wire(payload: dict) -> "PairTaskResult":
         degraded_reason=str(payload["degraded_reason"]),
         duplicates_dropped=int(payload.get("duplicates_dropped", 0)),
         spans=list(payload.get("spans", [])),
-        metrics=dict(payload.get("metrics", {})),
     )
 
 
@@ -193,13 +200,14 @@ def replay_result_log(
 
 def verified_replay(
     log_path: "Path | str", result_count: Optional[int]
-) -> Tuple[Optional[List[Tuple[int, int]]], str]:
-    """Is this complete run servable?  ``(pairs, "")`` or ``(None, why)``.
+) -> Tuple[Optional[np.ndarray], str]:
+    """Is this complete run servable?  ``(pairs, "")`` — one sorted
+    ``(n, 2)`` int64 array — or ``(None, why)``.
 
     The one verdict the query path and the scrubber share.  A finished
     log has no tail to cut: anything that ends its walk early means the
     directory is damaged.  Two-layer partitioning makes the per-pair logs
-    disjoint, so the replay is a k-way merge, not a set union; the
+    disjoint, so the replay is one sort, not a set union; the
     ``complete`` manifest event records the result count, and the replayed
     merge must reproduce it exactly — an unexpected duplicate or a
     different count means the directory is lying.  Neither is served.

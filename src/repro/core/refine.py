@@ -18,9 +18,10 @@ This is the [Val87]-style strategy the paper uses to avoid random seeks.
 
 from __future__ import annotations
 
-import heapq
 import struct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
@@ -35,27 +36,36 @@ _PAIR = struct.Struct(">IIIIII")
 
 CandidatePair = Tuple[OID, OID]
 
-T = TypeVar("T")
 
+def merge_sorted_unique(runs: Sequence) -> Tuple[np.ndarray, int]:
+    """Merge runs of ``(r, s)`` feature-id pairs — ``(n, 2)`` arrays or
+    lists of tuples — into one sorted ``(n, 2)`` int64 array, counting
+    dups: ``(merged, dropped)``.
 
-def merge_sorted_unique(lists: Sequence[Sequence[T]]) -> Tuple[List[T], int]:
-    """K-way merge of sorted lists into one sorted list, counting dups.
-
-    Returns ``(merged, dropped)`` where ``dropped`` is the number of
-    duplicate entries removed.  Under two-layer partitioning every result
-    pair is emitted by exactly one partition pair, so the streams are
-    disjoint and ``dropped`` must read 0 — the coordinator surfaces it as
-    ``merge.duplicates_dropped`` instead of silently paying a sorted-set
-    union, and CI gates on it staying zero.
+    Under two-layer partitioning every result pair is emitted by exactly
+    one partition pair, so the runs are disjoint and ``dropped`` must read
+    0 — the coordinator surfaces it as ``merge.duplicates_dropped``
+    instead of silently paying a sorted-set union, and CI gates on it
+    staying zero.  Disjoint runs need no interleave: one sort of all of
+    them is the merge.
     """
-    merged: List[T] = []
-    dropped = 0
-    for item in heapq.merge(*lists):
-        if merged and merged[-1] == item:
-            dropped += 1
-            continue
-        merged.append(item)
-    return merged, dropped
+    runs = [np.asarray(run, np.int64).reshape(-1, 2) for run in runs]
+    pairs = np.concatenate([np.empty((0, 2), np.int64), *runs])
+    return drop_adjacent(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+
+
+def drop_adjacent(pairs: np.ndarray) -> Tuple[np.ndarray, int]:
+    """A sorted ``(n, 2)`` pair array without its adjacent repeats, and how
+    many there were."""
+    fresh = np.ones(len(pairs), dtype=bool)
+    fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+    return pairs[fresh], len(pairs) - int(np.count_nonzero(fresh))
+
+
+def pair_tuples(pairs: np.ndarray) -> List[Tuple[int, int]]:
+    """An ``(n, 2)`` pair array as Python ``(r, s)`` tuples: built once,
+    where a public result is made, and nowhere else."""
+    return list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
 def dedup_sorted_pairs(pairs: List[CandidatePair]) -> List[CandidatePair]:

@@ -21,13 +21,13 @@ default ``repro report`` body) must key on the deterministic fields
 (pair indices, attempt numbers, fault kinds, checkpoint ordinals) and
 never on ``seq``/``t``.
 
-Worker processes cannot append to the coordinator's file; their
-task-lifecycle events ride back on the result wire (see
-``PairTaskResult.events``) and are re-emitted by the coordinator with the
-producer's relative clock preserved as ``worker_t``.  Liveness heartbeats
-take a real side channel instead (a multiprocessing queue drained by the
-coordinator's scheduling loop), because a crashed worker's result wire
-never arrives — which is exactly when you want its last heartbeat.
+Worker processes cannot append to the coordinator's file; the
+coordinator emits a task's ``task_started`` / ``task_finished`` when it
+harvests the result, from the result's own fields, with the worker's
+relative clock as ``worker_t``.  Liveness heartbeats take a real side
+channel (a multiprocessing queue drained by the coordinator's scheduling
+loop), because a crashed worker's result never arrives — which is
+exactly when you want its last heartbeat.
 
 :data:`NULL_JOURNAL` is the shared disabled journal: ``emit`` is one
 ``if`` and no I/O, so instrumented paths stay free when nobody records.
@@ -61,7 +61,8 @@ EVENT_SCHEDULE = "schedule"
 EVENT_TASK_DISPATCHED = "task_dispatched"
 """A pair task entered the pool's queue (pair, attempt)."""
 EVENT_TASK_STARTED = "task_started"
-"""Worker-side: a pair task began executing (shipped on the wire)."""
+"""A pair task began executing (emitted, with ``worker_t`` 0, when its
+result is harvested)."""
 EVENT_TASK_FINISHED = "task_finished"
 """Coordinator-side: a pair's result was harvested, with its stats."""
 EVENT_TASK_REPLAYED = "task_replayed"

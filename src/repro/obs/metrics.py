@@ -360,55 +360,6 @@ class MetricsRegistry:
             return {}
         return snapshot_delta(self.snapshot(), prev)
 
-    # ------------------------------------------------------------------ #
-    # cross-process merging
-    # ------------------------------------------------------------------ #
-
-    def merge_snapshot(self, snapshot: Dict[str, dict]) -> None:
-        """Fold another registry's :meth:`snapshot` into this registry.
-
-        The serialized twin of the tracer's cross-process adoption: each
-        worker process runs its own registry, ships ``snapshot()`` back with
-        its task result, and the coordinator merges.  Counters add, gauges
-        keep the last-merged value, histograms add bucket-by-bucket (bucket
-        bounds must match, which they do for same-named instruments created
-        by the same code).  Merging into a disabled registry is a no-op.
-        """
-        if not self.enabled:
-            return
-        for name, data in snapshot.items():
-            kind = data.get("type")
-            if kind == "counter":
-                self.counter(name).inc(data["value"])
-            elif kind == "gauge":
-                self.gauge(name).set(data["value"])
-            elif kind == "histogram":
-                bounds = [b["le"] for b in data["buckets"] if b["le"] != "inf"]
-                hist = self.histogram(name, bounds)
-                if hist.bounds != bounds:
-                    raise ValueError(
-                        f"histogram {name!r}: bucket bounds differ "
-                        f"({hist.bounds} vs {bounds})"
-                    )
-                for i, bucket in enumerate(data["buckets"]):
-                    hist.counts[i] += bucket["count"]
-                hist.count += data["count"]
-                hist.total += data["sum"]
-                for bound_name, better in (("min", min), ("max", max)):
-                    incoming = data[bound_name]
-                    if incoming is None:
-                        continue
-                    current = getattr(hist, bound_name)
-                    setattr(
-                        hist,
-                        bound_name,
-                        incoming if current is None else better(current, incoming),
-                    )
-            elif kind is None:
-                continue  # a disabled worker registry snapshots to {}
-            else:
-                raise ValueError(f"unknown instrument type {kind!r} for {name!r}")
-
 
 NULL_METRICS = MetricsRegistry(enabled=False)
 """Shared disabled registry — the default for every instrumented code path."""

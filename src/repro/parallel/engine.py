@@ -22,8 +22,8 @@ single-node PBSM; under MBR-only declustering the refinement step's
 fetches of non-resident tuples are charged a network round trip plus the
 owning node's page read.  Each node keeps only the pairs it *owns* under
 two-layer partitioning — the pairs whose reference tile hashes to it —
-so node outputs are disjoint and the coordinator k-way merges them with
-no dedup barrier (``merge.duplicates_dropped`` must read 0); the final
+so node outputs are disjoint and the coordinator merges them with one
+sort and no dedup barrier (``merge.duplicates_dropped`` must read 0); the final
 result must equal the serial join exactly (tested).
 """
 
@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.partition import SCHEME_HASH, RoutedSlots, SpatialPartitioner, mbr_array
 from ..core.pbsm import PBSMConfig, PBSMJoin
 from ..core.predicates import Predicate
-from ..core.refine import merge_sorted_unique
+from ..core.refine import merge_sorted_unique, pair_tuples
 from ..obs.journal import (
     EVENT_NODE_FINISHED,
     EVENT_PARTITION_SEALED,
@@ -139,8 +139,8 @@ class ParallelJoinResult:
     so this must read 0 on every backend; CI gates on it."""
     coordinator_merge_s: float = 0.0
     """Measured coordinator time spent merging the per-task (or per-node)
-    result streams into the final pair list — the cost the two-layer
-    refactor shrinks from a sorted-set dedup to a k-way interleave."""
+    results into the final pair list — one sort of their concatenation
+    (two-layer partitioning made them disjoint), not a sorted-set dedup."""
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -265,8 +265,8 @@ class ParallelPBSM:
             )
 
         # Each node kept only the pairs whose reference tile it owns, so
-        # the per-node sorted lists are disjoint: a k-way merge replaces
-        # the old sort + dedup barrier.  The drop counter must stay 0.
+        # the per-node lists are disjoint: one sort replaces the old sort +
+        # dedup barrier.  The drop counter must stay 0.
         merge_started = time.perf_counter()
         merged, duplicates_dropped = merge_sorted_unique(node_pairs)
         coordinator_merge_s = time.perf_counter() - merge_started
@@ -275,7 +275,7 @@ class ParallelPBSM:
             EVENT_RUN_FINISHED, results=len(merged), degraded_pairs=[]
         )
         return ParallelJoinResult(
-            merged,
+            pair_tuples(merged),
             nodes=reports,
             scheme=self.scheme,
             storage_factor_r=placed_r / len(tuples_r),

@@ -16,15 +16,15 @@ real wall-clock seconds:
    fallback — when skew makes the estimate wrong, whichever worker frees
    up first simply pulls the next pair, so no worker idles while tasks
    remain.
-3. **Merge** — exact per-pair results (feature-id pairs) arrive sorted
-   and, under two-layer partitioning, *disjoint*: only the tile holding a
-   pair's reference point may emit it, so the coordinator k-way merges
-   the streams in order instead of paying a sorted-set dedup barrier.
+3. **Merge** — exact per-pair results (sorted ``(n, 2)`` arrays of
+   feature-id pairs) arrive *disjoint* under two-layer partitioning: only
+   the tile holding a pair's reference point may emit it, so one sort of
+   their concatenation is the merge, with no dedup barrier.
    ``merge.duplicates_dropped`` counts anything the merge still had to
-   drop — it must read 0, and CI gates on it.  Each worker's spans and
-   metrics come back in wire form and are adopted into the coordinator's
-   tracer/registry, so one trace shows every process's work in its own
-   lane.
+   drop — it must read 0, and CI gates on it.  Each worker's spans come
+   back in wire form and are adopted into the coordinator's tracer, so one
+   trace shows every process's work in its own lane; each pair's metrics
+   and task events the coordinator derives from the result itself.
 
 The scheduler is **crash-recovering**.  A failed partition-pair task (a
 worker exception, a killed process, a task past its timeout) is retried
@@ -47,10 +47,9 @@ The coordinator itself is made killable by ``checkpoint_dir=``
 (:mod:`repro.checkpoint`): the run writes a durable join manifest and a
 per-pair result log, and :meth:`ProcessPBSM.resume` rebuilds the run from
 them — re-adopting intact partition spills, replaying committed pairs'
-results, metrics, and spans, and re-merging only the pairs that never
-committed.  Kill + resume produces the byte-identical pair set of an
-uninterrupted run; the kill-matrix suite asserts it at every checkpoint
-ordinal.
+results and spans, and re-merging only the pairs that never committed.
+Kill + resume produces the byte-identical pair set of an uninterrupted
+run; the kill-matrix suite asserts it at every checkpoint ordinal.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ from ..checkpoint.manifest import (
 from ..checkpoint.store import CheckpointMismatchError, CheckpointStore
 from ..core.partition import RoutedSlots, SpatialPartitioner
 from ..core.pbsm import PBSMConfig
-from ..core.refine import merge_sorted_unique
+from ..core.refine import merge_sorted_unique, pair_tuples
 from ..core.predicates import Predicate
 from ..faults.inject import (
     CheckpointFaultGate,
@@ -109,6 +108,7 @@ from ..obs.journal import (
     EVENT_TASK_DISPATCHED,
     EVENT_TASK_FINISHED,
     EVENT_TASK_REPLAYED,
+    EVENT_TASK_STARTED,
     EVENT_TIMEOUT,
     EVENT_WORKER_HEARTBEAT,
     NULL_JOURNAL,
@@ -387,11 +387,11 @@ class ProcessPBSM:
         Validates the run fingerprint (inputs, predicate, grid, config)
         against the checkpoint directory, re-adopts partition spills that
         are intact, replays committed pairs from the result log (their
-        metrics and spans are merged into this run's observability), and
-        re-merges only the pairs that never committed.  Raises
-        :class:`~repro.checkpoint.store.CheckpointMismatchError` when the
-        directory holds a *different* join's state; a missing or torn
-        manifest degrades to a fresh (but still checkpointed) run.
+        spans adopted into this run's trace, their metrics derived like any
+        other pair's), and re-merges only the pairs that never committed.
+        Raises :class:`~repro.checkpoint.store.CheckpointMismatchError`
+        when the directory holds a *different* join's state; a missing or
+        torn manifest degrades to a fresh (but still checkpointed) run.
         """
         if self.checkpoint_dir is None:
             raise ValueError("resume needs checkpoint_dir (--checkpoint-dir)")
@@ -527,19 +527,21 @@ class ProcessPBSM:
         resumed: Sequence[int] = (),
         store: Optional[CheckpointStore] = None,
     ) -> ParallelJoinResult:
-        """End a run: merge the per-pair streams, mark the checkpoint
-        complete, journal the finish and assemble the result."""
+        """End a run: account for every pair, merge their results, mark the
+        checkpoint complete, journal the finish and assemble the result."""
         outcomes.sort(key=lambda o: o.index)
+        for outcome in outcomes:
+            self._account(outcome)
         # Two-layer partitioning guarantees every result pair belongs to
-        # exactly one task, so the per-task sorted lists are disjoint:
-        # merging them is a streaming k-way interleave, not a sorted-set
-        # union.  The drop counter is the invariant's tripwire — it must
-        # stay 0 and CI gates on it.
+        # exactly one task, so the per-task arrays are disjoint: merging
+        # them is one sort, not a sorted-set union.  The drop counter is
+        # the invariant's tripwire — it must stay 0 and CI gates on it.
         merge_started = time.perf_counter()
         with self.tracer.span("process.merge", streams=len(outcomes)):
             merged, concat_dropped = merge_sorted_unique(
                 [o.pairs for o in outcomes]
             )
+            pairs = pair_tuples(merged)
         coordinator_merge_s = time.perf_counter() - merge_started
         duplicates_dropped = concat_dropped + sum(
             o.duplicates_dropped for o in outcomes
@@ -559,7 +561,7 @@ class ProcessPBSM:
             replayed_pairs=list(resumed),
         )
         return ParallelJoinResult(
-            merged,
+            pairs,
             nodes=self._node_reports(outcomes),
             storage_factor_r=placed_r / len(tuples_r),
             storage_factor_s=placed_s / len(tuples_s),
@@ -708,8 +710,6 @@ class ProcessPBSM:
                     self.tracer.adopt_wire(
                         prior.spans, worker=prior.worker_pid, replayed=True
                     )
-                if prior.metrics:
-                    self.metrics.merge_snapshot(prior.metrics)
             on_result: Optional[Callable[[PairTaskResult], None]] = None
             if store is not None:
                 if (
@@ -1178,9 +1178,9 @@ class ProcessPBSM:
         re-enter it, so a re-dispatched pair lands on whichever worker
         survives and frees up first.
 
-        ``on_result`` observes each harvested result *before* its spans and
-        metrics are adopted — the checkpoint layer commits the pair there,
-        so a kill mid-harvest loses at most the one uncommitted result.
+        ``on_result`` observes each harvested result *before* its spans are
+        adopted — the checkpoint layer commits the pair there, so a kill
+        mid-harvest loses at most the one uncommitted result.
         """
         if not tasks:
             return [], {}
@@ -1300,21 +1300,6 @@ class ProcessPBSM:
             self._count("pool_respawns")
             journal.emit(EVENT_POOL_RESPAWN, queued=len(to_submit))
 
-        def harvest(index: int, outcome: PairTaskResult) -> None:
-            """Journal one harvested result: the worker's wire events are
-            re-emitted with their producer-relative clock as ``worker_t``
-            (worker and coordinator clocks are not comparable)."""
-            if not journal.enabled:
-                return
-            for event in outcome.events:
-                fields = {
-                    k: v for k, v in event.items() if k not in ("type", "t")
-                }
-                fields["worker_t"] = event["t"]
-                if event["type"] == EVENT_TASK_FINISHED:
-                    fields["wall_s"] = round(outcome.wall_s, 6)
-                journal.emit(event["type"], **fields)
-
         try:
             while to_submit or inflight:
                 if self._deadline_expired():
@@ -1416,15 +1401,26 @@ class ProcessPBSM:
                         broken.append(index)
                     else:
                         outcomes.append(outcome)
-                        harvest(index, outcome)
+                        # The task's lifecycle, on the worker's clock
+                        # (``worker_t``: the two clocks are not comparable).
+                        ran = dict(
+                            pair=index, attempt=outcome.attempt,
+                            pid=outcome.worker_pid,
+                        )
+                        wall_s = round(outcome.wall_s, 6)
+                        journal.emit(EVENT_TASK_STARTED, **ran, worker_t=0.0)
+                        journal.emit(
+                            EVENT_TASK_FINISHED, **ran,
+                            candidates=outcome.candidates,
+                            results=len(outcome.pairs),
+                            worker_t=wall_s, wall_s=wall_s,
+                        )
                         if on_result is not None:
                             on_result(outcome)
                         if outcome.spans:
                             self.tracer.adopt_wire(
                                 outcome.spans, worker=outcome.worker_pid
                             )
-                        if outcome.metrics:
-                            self.metrics.merge_snapshot(outcome.metrics)
                 if broken:
                     # Every surviving in-flight future is doomed with the
                     # pool; they share the crash's charge.
@@ -1518,8 +1514,7 @@ class ProcessPBSM:
                 span.tag("reason", reason)
                 candidates = sweep_pair(
                     part_r, part_s, DEFAULT_TASK_MEMORY, self.config,
-                    label=f"degraded.{index}",
-                    tracer=self.tracer, metrics=self.metrics,
+                    label=f"degraded.{index}", tracer=self.tracer,
                 )
                 pairs, dropped = refine_pair(
                     candidates, side_r.stored, side_s.stored, predicate,
@@ -1544,6 +1539,30 @@ class ProcessPBSM:
                 on_result(outcome)
             results.append(outcome)
         return results
+
+    def _account(self, outcome: PairTaskResult) -> None:
+        """Record one pair's metrics from its result's own fields — the one
+        account of a pair, whether a worker returned it, the coordinator
+        rebuilt it or a resume replayed it.  ``pbsm.merge.*`` counts the
+        sweeps (:func:`~repro.parallel.tasks.sweep_pair` sweeps nothing
+        when a side is empty); ``parallel.worker.*`` the pairs a worker
+        ran, so not a degraded one."""
+        metrics, keypointers = self.metrics, outcome.count_r + outcome.count_s
+        if outcome.count_r and outcome.count_s:
+            metrics.counter("pbsm.merge.pairs_swept").inc()
+            metrics.histogram("pbsm.merge.inputs_per_pair").observe(keypointers)
+            metrics.histogram("pbsm.merge.candidates_per_pair").observe(
+                outcome.candidates
+            )
+        if not outcome.degraded:
+            metrics.counter("parallel.worker.candidates").inc(outcome.candidates)
+            metrics.counter("parallel.worker.pairs_checked").inc(
+                outcome.candidates - outcome.duplicates_dropped
+            )
+            metrics.counter("parallel.worker.results").inc(len(outcome.pairs))
+            metrics.histogram("parallel.worker.task_keypointers").observe(
+                keypointers
+            )
 
     def _node_reports(self, outcomes: List[PairTaskResult]) -> List[NodeReport]:
         """Per-worker rollups: which process did how much, for how long."""

@@ -39,8 +39,11 @@ A :class:`PairTask` names those files plus the join configuration; it
 pickles in a few hundred bytes no matter how large the partition is.
 :func:`run_pair_task` — a module-level function so it imports cleanly
 under the ``spawn`` start method — executes merge *and* refinement for one
-partition pair and returns exact feature-id result pairs, together with
-the worker's spans and metrics in wire form for the coordinator to adopt.
+partition pair and returns its answer — exact feature-id pairs, one
+sorted ``(n, 2)`` int64 array — and, on an observed run, the worker's
+spans in wire form.  Everything else the coordinator records about the
+pair (its metrics, its ``task_started`` / ``task_finished`` events) it
+derives from the result's own fields.
 
 Failure contract: any exception inside a worker is re-raised as
 :class:`WorkerTaskError` carrying the pair index, the attempt number, the
@@ -51,14 +54,12 @@ a file that will never read clean.  Tasks may also carry a
 :class:`~repro.faults.plan.WorkerFaults` slice of a fault plan, fired at
 the top of the task by attempt number.
 
-Flight-recorder hooks: when the coordinator runs a journal
-(:mod:`repro.obs.journal`), workers ship their task-lifecycle events
-(``task_started``/``task_finished``) back on the result wire alongside
-spans and metrics, and ping a **heartbeat queue** — installed in each
-pool worker by :func:`init_pool_worker` — at every phase boundary.
+Flight-recorder hook: when the coordinator runs a journal
+(:mod:`repro.obs.journal`), workers ping a **heartbeat queue** — installed
+in each pool worker by :func:`init_pool_worker` — at every phase boundary.
 The queue is the only channel that outlives a worker crash: a result
-wire from a dead process never arrives, but its last heartbeat already
-did, which is exactly what the live view and the post-mortem need.
+from a dead process never arrives, but its last heartbeat already did,
+which is exactly what the live view and the post-mortem need.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ from ..core.keypointer import conservative_f32
 from ..core.partition import ALLOWED_COMBO_TABLE, RoutedSlots
 from ..core.pbsm import PBSMConfig
 from ..core.predicates import Predicate, contains, intersects
+from ..core.refine import drop_adjacent
 from ..faults.inject import apply_worker_faults
 from ..faults.plan import WorkerFaults
 from ..geometry.kernels import (
@@ -96,7 +98,6 @@ from ..geometry.kernels import (
     polylines_intersect_each,
     ragged_rows,
 )
-from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import SpillCorruptionError
 from ..storage.spill import FRAME_HEADER_SIZE, SpillWriter, read_frames, read_frames_bytes
@@ -746,7 +747,7 @@ class PairTask:
     config: PBSMConfig
     predicate: Predicate
     observe: bool = False
-    """Ship wire-form spans and a metrics snapshot back with the result."""
+    """Ship wire-form spans back with the result."""
     attempt: int = 0
     """Which dispatch of this pair this is (0 = first); stamps results,
     errors, and fault-injection decisions."""
@@ -761,11 +762,15 @@ class PairTask:
 
 @dataclass
 class PairTaskResult:
-    """One executed partition pair, ready to merge at the coordinator."""
+    """One executed partition pair: its answer and its spans.  The
+    coordinator derives the pair's metrics and task events from these
+    fields (``ProcessPBSM._account``)."""
 
     index: int
     worker_pid: int
-    pairs: List[Tuple[int, int]]
+    pairs: np.ndarray
+    """The exact result, one sorted ``(n, 2)`` int64 array of
+    ``(r, s)`` feature ids."""
     candidates: int
     count_r: int
     count_s: int
@@ -781,11 +786,6 @@ class PairTaskResult:
     must read 0; anything else is an invariant violation the coordinator
     rolls up into ``merge.duplicates_dropped``."""
     spans: List[dict] = field(default_factory=list)
-    metrics: Dict[str, dict] = field(default_factory=dict)
-    events: List[dict] = field(default_factory=list)
-    """Worker-side journal events (task_started/task_finished) with
-    worker-relative ``t`` timestamps, shipped on the wire like spans; the
-    coordinator re-emits them into its journal as ``worker_t``."""
 
 
 def sweep_pair(
@@ -796,22 +796,22 @@ def sweep_pair(
     *,
     label: str,
     tracer: Tracer = NULL_TRACER,
-    metrics: MetricsRegistry = NULL_METRICS,
-) -> List[Tuple[int, int]]:
-    """The filter step for one in-memory pair: candidate feature-id pairs.
+) -> np.ndarray:
+    """The filter step for one in-memory pair: candidate feature-id pairs,
+    one sorted ``(n, 2)`` int64 array.
 
     One array join over both sides' :data:`KEYPOINTER_DTYPE` records that
     emits what :func:`~repro.core.pbsm.merge_partition_pair` emits — per
     shared tile, every ``(r, s)`` whose closed MBRs meet and whose class
-    combination the mini-join table admits, each exactly once — in no
-    particular order.  The x-bounds of both sides are replaced by their
-    ranks, so ``(tile, x)`` is one int64 key; with each side sorted on
-    ``(tile, xl)``, the partners of a record are a contiguous range found
-    by two binary searches: as the sweep has it, ``r`` meets the ``s`` that
-    start inside it (``r.xl <= s.xl <= r.xu``) and ``s`` the ``r`` that
-    start strictly inside it (``s.xl < r.xl <= s.xu``).  The ranges are
-    expanded a bounded chunk at a time and the y-overlap and class tests
-    are masks over the chunk.  ``memory_bytes`` and ``config`` change
+    combination the mini-join table admits, each exactly once.  The
+    x-bounds of both sides are replaced by their ranks, so ``(tile, x)``
+    is one int64 key; with each side sorted on ``(tile, xl)``, the
+    partners of a record are a contiguous range found by two binary
+    searches: as the sweep has it, ``r`` meets the ``s`` that start inside
+    it (``r.xl <= s.xl <= r.xu``) and ``s`` the ``r`` that start strictly
+    inside it (``s.xl < r.xl <= s.xu``).  The ranges are expanded a
+    bounded chunk at a time and the y-overlap and class tests are masks
+    over the chunk; one ``lexsort`` orders what they keep.  ``memory_bytes`` and ``config`` change
     nothing here: the join has no tile group to overflow and nothing to
     recurse into (see :class:`~repro.core.pbsm.PBSMConfig`).
     """
@@ -819,7 +819,7 @@ def sweep_pair(
         span.tag("len_r", len(kps_r))
         span.tag("len_s", len(kps_s))
         if not len(kps_r) or not len(kps_s):
-            return []
+            return np.empty((0, 2), np.int64)
         xl_r, yl_r, xu_r, yu_r = np.ascontiguousarray(kps_r["mbr"].T)
         xl_s, yl_s, xu_s, yu_s = np.ascontiguousarray(kps_s["mbr"].T)
         if (
@@ -857,40 +857,36 @@ def sweep_pair(
         for s, k in ragged_rows(high - low):
             emit(order_r[low[s] + k], s)
 
-        candidates = list(zip(
-            np.concatenate(found_r).tolist(), np.concatenate(found_s).tolist()
-        ))
+        fid_r, fid_s = np.concatenate(found_r), np.concatenate(found_s)
+        order = np.lexsort((fid_s, fid_r))
+        candidates = np.empty((len(order), 2), np.int64)
+        candidates[:, 0], candidates[:, 1] = fid_r[order], fid_s[order]
         if tracer.enabled:  # a set per side, for a tag nobody else reads
             span.tag("tile_groups", len(
                 set(kps_r["tile"].tolist()).intersection(kps_s["tile"].tolist())
             ))
         span.tag("candidates", len(candidates))
-        metrics.counter("pbsm.merge.pairs_swept").inc()
-        metrics.histogram("pbsm.merge.inputs_per_pair").observe(
-            len(kps_r) + len(kps_s)
-        )
-        metrics.histogram("pbsm.merge.candidates_per_pair").observe(
-            len(candidates)
-        )
         return candidates
 
 
 def refine_pair(
-    candidates: Sequence[Tuple[int, int]],
+    candidates: np.ndarray,
     records_r: StoredRecords,
     records_s: StoredRecords,
     predicate: Predicate,
     *,
     span=None,
-) -> Tuple[List[Tuple[int, int]], int]:
-    """Exact predicate over the sorted candidates of one pair.
+) -> Tuple[np.ndarray, int]:
+    """Exact predicate over the sorted candidates of one pair, an
+    ``(n, 2)`` int64 array as :func:`sweep_pair` returns them.
 
     Two-layer partitioning makes the candidate stream duplicate-free by
-    construction, so this no longer builds a dedup set — it sorts, applies
-    the predicate, and *counts* any adjacent duplicates it still sees.
-    Returns ``(sorted exact pairs, duplicates_dropped)``; a non-zero drop
-    count means the dedup-free invariant broke and is surfaced all the way
-    up to the coordinator's ``merge.duplicates_dropped`` metric.
+    construction, so this no longer builds a dedup set — it applies the
+    predicate and *counts* any adjacent duplicates it still sees.
+    Returns ``(exact pairs, duplicates_dropped)``, the pairs an array of
+    the same form; a non-zero drop count means the dedup-free invariant
+    broke and is surfaced all the way up to the coordinator's
+    ``merge.duplicates_dropped`` metric.
 
     Two forms, one answer, chosen by the predicate and the records —
     not by who holds them, a worker (a file's) or the coordinator (the
@@ -916,11 +912,7 @@ def refine_pair(
         decode_s += time.perf_counter() - at
         return found
 
-    pairs = np.array(candidates, dtype=np.int64).reshape(-1, 2)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    fresh = np.ones(len(pairs), dtype=bool)
-    fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
-    pairs = pairs[fresh]
+    pairs, dropped = drop_adjacent(candidates)
     named_r, of_r = np.unique(pairs[:, 0], return_inverse=True)
     named_s, of_s = np.unique(pairs[:, 1], return_inverse=True)
     rows = {"segment_pairs": 0, "vertex_rows": 0, "square_hits": 0}
@@ -946,11 +938,7 @@ def refine_pair(
         span.tag("records_decoded", len(named_r) + len(named_s))
         for name, value in rows.items():
             span.tag(name, value)
-    results = pairs[hits]
-    return (
-        list(zip(results[:, 0].tolist(), results[:, 1].tolist())),
-        len(candidates) - len(pairs),
-    )
+    return pairs[hits], dropped
 
 
 def _contains_each(pairs, records_r, records_s, rows, fetch):
@@ -992,10 +980,9 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
     two-layer class filter (:func:`sweep_pair`).  Refine: look the
     candidate feature-id pairs up in both sides' relations
     (:func:`open_relation`) and apply the exact predicate
-    (:func:`refine_pair`).  The returned pair list is
-    sorted, exact, and — because only one tile may emit any given pair —
-    disjoint from every other task's, so the coordinator's merge is a
-    plain ordered concatenation with no dedup barrier.
+    (:func:`refine_pair`).  The returned pair array is sorted, exact,
+    and — because only one tile may emit any given pair — disjoint from
+    every other task's, so the coordinator's merge has no dedup barrier.
 
     Any failure is re-raised as :class:`WorkerTaskError` with the pair
     index, attempt, and pid attached (corruption flagged); planned faults
@@ -1031,19 +1018,6 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
 def _run_pair_task(task: PairTask) -> PairTaskResult:
     started = time.perf_counter()
     tracer = Tracer() if task.observe else NULL_TRACER
-    metrics = MetricsRegistry() if task.observe else NULL_METRICS
-    events: List[dict] = []
-
-    def event(event_type: str, **fields) -> None:
-        if task.observe:
-            events.append(
-                {"type": event_type,
-                 "t": round(time.perf_counter() - started, 6),
-                 "pair": task.index, "attempt": task.attempt,
-                 "pid": os.getpid(), **fields}
-            )
-
-    event("task_started")
     _heartbeat(task.index, task.attempt, "merge")
     with tracer.span(
         "worker.task", pair=task.index, pid=os.getpid(), attempt=task.attempt
@@ -1053,7 +1027,7 @@ def _run_pair_task(task: PairTask) -> PairTaskResult:
             kps_s = read_keypointer_spill(task.kp_s_path)
             candidates = sweep_pair(
                 kps_r, kps_s, DEFAULT_TASK_MEMORY, task.config,
-                label=str(task.index), tracer=tracer, metrics=metrics,
+                label=str(task.index), tracer=tracer,
             )
 
         _heartbeat(task.index, task.attempt, "refine")
@@ -1071,16 +1045,7 @@ def _run_pair_task(task: PairTask) -> PairTaskResult:
 
         span.tag("candidates", len(candidates))
         span.tag("results", len(pairs))
-        metrics.counter("parallel.worker.candidates").inc(len(candidates))
-        metrics.counter("parallel.worker.pairs_checked").inc(
-            len(candidates) - dropped
-        )
-        metrics.counter("parallel.worker.results").inc(len(pairs))
-        metrics.histogram("parallel.worker.task_keypointers").observe(
-            task.cost_estimate
-        )
 
-    event("task_finished", candidates=len(candidates), results=len(pairs))
     _heartbeat(task.index, task.attempt, "done")
     return PairTaskResult(
         index=task.index,
@@ -1093,6 +1058,4 @@ def _run_pair_task(task: PairTask) -> PairTaskResult:
         attempt=task.attempt,
         duplicates_dropped=dropped,
         spans=tracer.export_wire(),
-        metrics=metrics.snapshot() if task.observe else {},
-        events=events,
     )

@@ -41,6 +41,7 @@ from ..checkpoint import (
     stat_run_dir,
     verified_replay,
 )
+from ..core.refine import pair_tuples
 from ..obs.journal import (
     EVENT_CACHE_CORRUPT,
     EVENT_CACHE_EVICT,
@@ -189,7 +190,8 @@ class ArtifactCache:
         )
         if merged is None:
             self._distrust(fingerprint.run_id, reason)
-        return merged
+            return None
+        return pair_tuples(merged)
 
     def _distrust(self, run_id: str, reason: str) -> None:
         """Record that a complete-looking entry failed replay checks."""

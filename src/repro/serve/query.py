@@ -4,7 +4,7 @@ A :class:`QuerySpec` names a join the service knows how to materialise —
 a dataset pair (the TIGER generator workloads), a scale, a generator
 seed, an exact predicate, and the execution knobs that change the
 *answer* (partition count, via the run fingerprint) or only its *cost*
-(buffer budget).  Specs travel as flat JSON objects on the wire
+(the deadline).  Specs travel as flat JSON objects on the wire
 (:mod:`repro.serve.server`) and resolve, deterministically, to the same
 input tuples and :class:`~repro.checkpoint.manifest.RunFingerprint` that
 a one-shot ``python -m repro parallel --checkpoint-dir`` run of the same
@@ -25,7 +25,7 @@ from ..core.pbsm import PBSMConfig
 from ..core.predicates import Predicate, contains, intersects, intersects_naive
 from ..data import sequoia, tiger
 from ..checkpoint.manifest import RunFingerprint
-from ..parallel.process import DEFAULT_TASK_MEMORY, DEFAULT_TASKS_PER_WORKER
+from ..parallel.process import DEFAULT_TASKS_PER_WORKER
 from ..parallel.tasks import InputSide
 from ..storage.tuples import SpatialTuple
 
@@ -82,10 +82,6 @@ class QuerySpec:
     workers: int = 2
     num_partitions: int = 0
     """0 means the process backend's default (workers x tasks/worker)."""
-    memory_bytes: int = DEFAULT_TASK_MEMORY
-    """Kept on the wire and validated, but it no longer reaches the
-    engine: the filter step's array join has nothing to overflow
-    (:func:`~repro.parallel.tasks.sweep_pair`)."""
     include_pairs: bool = False
     """Ship the full result pair list back (costly; off by default —
     responses always carry the count and a SHA-256 of the sorted pairs)."""
@@ -122,8 +118,6 @@ class QuerySpec:
             raise QueryError("need at least one worker")
         if self.num_partitions < 0:
             raise QueryError("num_partitions cannot be negative")
-        if self.memory_bytes < 1:
-            raise QueryError("memory budget must be positive")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise QueryError("deadline_s must be positive when given")
 
@@ -198,7 +192,6 @@ class QuerySpec:
             "predicate": self.predicate,
             "workers": self.workers,
             "num_partitions": self.num_partitions,
-            "memory_bytes": self.memory_bytes,
             "include_pairs": self.include_pairs,
             "deadline_s": self.deadline_s,
         }
@@ -209,7 +202,7 @@ class QuerySpec:
         (a typo'd knob silently ignored would serve the wrong join)."""
         known = {
             "dataset", "scale", "seed", "predicate", "workers",
-            "num_partitions", "memory_bytes", "include_pairs",
+            "num_partitions", "include_pairs",
             "deadline_s",
         }
         extra = set(payload) - known - {"op"}
@@ -223,7 +216,6 @@ class QuerySpec:
                 predicate=str(payload.get("predicate", "intersects")),
                 workers=int(payload.get("workers", 2)),
                 num_partitions=int(payload.get("num_partitions", 0)),
-                memory_bytes=int(payload.get("memory_bytes", DEFAULT_TASK_MEMORY)),
                 include_pairs=bool(payload.get("include_pairs", False)),
                 deadline_s=(
                     float(payload["deadline_s"])

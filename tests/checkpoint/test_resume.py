@@ -23,6 +23,7 @@ from repro.checkpoint import (
 )
 from repro.data import generate_hydrography, generate_roads
 from repro.faults import CoordinatorKilledError, load_plan, tear_tail
+from repro.obs import MetricsRegistry
 from repro.parallel import ProcessPBSM, serial_feature_pairs
 
 SCALE = 0.001
@@ -252,6 +253,21 @@ class TestResumeSemantics:
         assert again.pairs == expected
         assert len(again.resumed_pairs) == NUM_PARTITIONS
         assert all(t.resumed for t in again.tasks)
+
+    def test_replayed_pairs_count_in_the_metrics(self, tmp_path, workload):
+        """A first life that observed nothing still committed what each
+        pair's metrics are derived from."""
+        tuples_r, tuples_s, _ = workload
+        with pytest.raises(CoordinatorKilledError):
+            make_engine(tmp_path / "a", kill_coordinator_after=8).run(
+                tuples_r, tuples_s, intersects
+            )
+        resumed, clean = MetricsRegistry(), MetricsRegistry()
+        result = make_engine(tmp_path / "a", metrics=resumed).resume(tuples_r, tuples_s, intersects)
+        assert result.resumed_pairs
+        make_engine(tmp_path / "b", metrics=clean).run(tuples_r, tuples_s, intersects)
+        for name in ("parallel.worker.results", "pbsm.merge.pairs_swept"):
+            assert resumed.snapshot()[name] == clean.snapshot()[name]
 
     def test_run_discards_and_starts_over(self, tmp_path, workload):
         tuples_r, tuples_s, expected = workload

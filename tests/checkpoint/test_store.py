@@ -9,34 +9,16 @@ from repro.checkpoint import (
     CheckpointStore,
     JoinManifest,
     ResultLog,
-    RunFingerprint,
     gc_checkpoint_dir,
     inspect_checkpoint_dir,
     replay_result_log,
 )
+from repro.checkpoint.resultlog import result_from_wire, result_to_wire
 from repro.faults import CheckpointFaultGate, CoordinatorKilledError, tear_tail
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.parallel import PairTaskResult
 from repro.storage import DiskBudget, DiskFullError
 from repro.storage.disk import SimulatedDisk
-
-
-def make_fingerprint(salt=0):
-    return RunFingerprint(
-        count_r=10 + salt, count_s=20, crc_r=111, crc_s=222,
-        predicate="intersects", num_partitions=4, config={"num_tiles": 64},
-    )
-
-
-def make_result(index=0, pairs=((1, 2),)):
-    return PairTaskResult(
-        index=index, worker_pid=1234, pairs=[tuple(p) for p in pairs],
-        candidates=3, count_r=2, count_s=2, wall_s=0.01,
-    )
-
-
-SEAL_R = {"type": "spills_sealed", "side": "r", "files": [], "placed": 0}
-SEAL_S = {"type": "spills_sealed", "side": "s", "files": [], "placed": 0}
+from tests.conftest import SEAL_R, SEAL_S, make_fingerprint, make_result
 
 
 class TestOrdinalClock:
@@ -93,8 +75,12 @@ class TestResultRoundTrip:
         committed, torn = store.replay_results()
         assert not torn
         assert sorted(committed) == [0, 2]
-        assert committed[0].pairs == [(1, 2), (3, 4)]
-        assert committed[2].pairs == [(5, 6)]
+        assert committed[0].pairs.tolist() == [[1, 2], [3, 4]]
+        assert committed[2].pairs.tolist() == [[5, 6]]
+
+    def test_a_record_with_the_retired_metrics_key_loads(self):
+        record = {**result_to_wire(make_result(0, [(1, 2)])), "metrics": {"x": {}}}
+        assert result_from_wire(record).pairs.tolist() == [[1, 2]]
 
     def test_torn_result_tail_loses_only_the_last_append(self, tmp_path):
         store = CheckpointStore(tmp_path, make_fingerprint())
@@ -107,7 +93,9 @@ class TestResultRoundTrip:
         assert torn
         assert sorted(committed) == [0]
         # The replay cut the tail from the file, not just skipped it.
-        assert store.replay_results() == (committed, False)
+        again, torn = store.replay_results()
+        assert not torn and list(again) == [0]
+        assert again[0].pairs.tolist() == committed[0].pairs.tolist()
 
     def test_a_cut_tail_goes_back_to_the_budget(self, tmp_path):
         """A long-lived ledger (the server's) must not drift upward with

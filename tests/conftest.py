@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro import Database
+from repro.checkpoint import RunFingerprint
 from repro.geometry import Rect
+from repro.parallel import PairTaskResult
 from repro.storage.spill import SpillWriter, read_frames
 
 # --------------------------------------------------------------------- #
@@ -58,6 +61,29 @@ def read_records(path, **policy) -> list:
     """Every record of a spill file (``policy``: ``read_frames``'s
     torn-tail arguments)."""
     return [frame.record for frame in read_frames(path, **policy)]
+
+
+# --------------------------------------------------------------------- #
+# checkpoint state, made by hand
+# --------------------------------------------------------------------- #
+
+SEAL_R = {"type": "spills_sealed", "side": "r", "files": [], "placed": 0}
+SEAL_S = {"type": "spills_sealed", "side": "s", "files": [], "placed": 0}
+
+
+def make_fingerprint(salt=0):
+    return RunFingerprint(
+        count_r=10 + salt, count_s=20, crc_r=111, crc_s=222,
+        predicate="intersects", num_partitions=4, config={"num_tiles": 64},
+    )
+
+
+def make_result(index=0, pairs=((1, 2),)):
+    """A committed pair result whose answer is ``pairs``."""
+    return PairTaskResult(
+        index=index, worker_pid=1234, pairs=np.array(pairs, np.int64).reshape(-1, 2),
+        candidates=3, count_r=2, count_s=2, wall_s=0.01,
+    )
 
 
 # --------------------------------------------------------------------- #

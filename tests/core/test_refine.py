@@ -1,8 +1,13 @@
 """Tests for the shared refinement step."""
 
-import numpy as np
+import heapq
 
-from repro.core import dedup_sorted_pairs, intersects, refine
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import dedup_sorted_pairs, intersects, merge_sorted_unique, refine
+from repro.core.refine import pair_tuples
 from repro.geometry import Polyline
 from repro.storage import OID, SpatialTuple
 
@@ -29,6 +34,43 @@ class TestDedup:
 
     def test_empty(self):
         assert dedup_sorted_pairs([]) == []
+
+
+def heapq_merge(runs):
+    """The merge ``merge_sorted_unique`` replaced: a k-way interleave of
+    sorted runs, dropping and counting adjacent repeats."""
+    merged, dropped = [], 0
+    for item in heapq.merge(*runs):
+        if merged and merged[-1] == item:
+            dropped += 1
+            continue
+        merged.append(item)
+    return merged, dropped
+
+
+@st.composite
+def sorted_runs(draw):
+    """Sorted runs of pairs: overlapping (ids from a small range repeat,
+    across runs and within one), disjoint (distinct pairs dealt out, as
+    partitions deal out results) or empty."""
+    fid = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1))
+    pair, count = st.tuples(fid, fid), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return [sorted(draw(st.lists(pair, max_size=12))) for _ in range(count)]
+    pool = draw(st.lists(pair, unique=True, max_size=30))
+    return [sorted(pool[at::count]) for at in range(count)]
+
+
+class TestMergeSortedUnique:
+    @given(sorted_runs(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_it_is_the_heapq_merge_it_replaced(self, runs, as_arrays):
+        expected = heapq_merge(runs)
+        if as_arrays:
+            runs = [np.array(run, np.int64).reshape(-1, 2) for run in runs]
+        merged, dropped = merge_sorted_unique(runs)
+        assert merged.dtype == np.int64 and merged.shape == (len(merged), 2)
+        assert (pair_tuples(merged), dropped) == expected
 
 
 class TestRefine:

@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 
 from repro.core.partition import SpatialPartitioner
 from repro.core.pbsm import PBSMConfig, merge_partition_pair
+from repro.core.refine import pair_tuples
 from repro.geometry import Rect, kernels
 from repro.obs import MetricsRegistry, Tracer
-from repro.parallel.process import DEFAULT_TASK_MEMORY
+from repro.parallel.process import DEFAULT_TASK_MEMORY, ProcessPBSM
 from repro.parallel.tasks import (
     KEYPOINTER_DTYPE,
     InputSide,
@@ -62,9 +63,14 @@ def oracle(kps_r, kps_s, config=None, memory=DEFAULT_TASK_MEMORY):
 
 
 def joined(kps_r, kps_s, **observe):
-    return sweep_pair(
+    """The sweep's candidates, checked to be one sorted int64 array, as
+    ``(r, s)`` tuples."""
+    candidates = sweep_pair(
         kps_r, kps_s, DEFAULT_TASK_MEMORY, PBSMConfig(), label="t", **observe
     )
+    assert candidates.dtype == np.int64 and candidates.shape == (len(candidates), 2)
+    assert (np.lexsort(candidates.T[::-1]) == np.arange(len(candidates))).all()
+    return pair_tuples(candidates)
 
 
 LATTICE = [np.float32(v) for v in (0.0, 0.5, 1.0, 2.0, 3.0)]
@@ -180,15 +186,22 @@ class TestWhatTheCoordinatorStillSees:
     def test_span_tags_and_metrics_of_the_merge(self):
         kps_r, kps_s = np.zeros(3, KEYPOINTER_DTYPE), np.zeros(2, KEYPOINTER_DTYPE)
         kps_r["tile"], kps_s["tile"] = [1, 1, 2], [1, 3]
-        tracer, metrics = Tracer(), MetricsRegistry()
-        candidates = joined(kps_r, kps_s, tracer=tracer, metrics=metrics)
+        tracer = Tracer()
+        candidates = joined(kps_r, kps_s, tracer=tracer)
         assert len(candidates) == 2
         (span,) = tracer.find("merge_pair")
         assert span.tags == {
             "pair": "t", "depth": 0, "len_r": 3, "len_s": 2,
             "tile_groups": 1, "candidates": 2,
         }
+        # The merge metrics the coordinator derives from each pair's result.
+        spec, metrics = QuerySpec(dataset="road_hydro", scale=0.01, seed=7), MetricsRegistry()
+        result = ProcessPBSM(2, metrics=metrics).run(*spec.generate(), spec.predicate_fn)
         snapshot = metrics.snapshot()
-        assert snapshot["pbsm.merge.pairs_swept"]["value"] == 1
-        assert snapshot["pbsm.merge.inputs_per_pair"]["count"] == 1
-        assert snapshot["pbsm.merge.candidates_per_pair"]["sum"] == 2
+        assert snapshot["pbsm.merge.pairs_swept"]["value"] == len(result.tasks)
+        assert snapshot["pbsm.merge.inputs_per_pair"]["sum"] == sum(
+            t.cost_estimate for t in result.tasks
+        )
+        assert snapshot["pbsm.merge.candidates_per_pair"]["sum"] == sum(
+            t.candidates for t in result.tasks
+        )

@@ -28,12 +28,13 @@ from repro import contains, intersects
 from repro.core.partition import SpatialPartitioner
 from repro.core.pbsm import PBSMConfig
 from repro.core.predicates import ContainsWithFilters, intersects_naive
+from repro.core.refine import pair_tuples
 from repro.geometry import Polygon, Polyline, kernels
 from repro.obs import Tracer
 from repro.parallel import tasks
 from repro.parallel.process import DEFAULT_TASK_MEMORY, ProcessPBSM
 from repro.parallel.tasks import (
-    InputSide, PartitionSpill, read_relation, read_tuple_spill, refine_pair,
+    InputSide, PartitionSpill, read_relation, read_tuple_spill,
 )
 from repro.serve.query import QuerySpec
 from repro.storage.tuples import (
@@ -72,6 +73,14 @@ def untimed(span):
     tags = dict(span.tags)
     assert tags.pop("decode_s") >= 0 and tags.pop("kernel_s") >= 0
     return tags
+
+
+def refine_pair(candidates, *args, **kwargs):
+    """``tasks.refine_pair`` handed ``(r, s)`` pairs as the sorted array the
+    sweep makes, its answer back as tuples."""
+    pairs = np.array(candidates, np.int64).reshape(-1, 2)
+    answer, dropped = tasks.refine_pair(pairs[np.lexsort(pairs.T[::-1])], *args, **kwargs)
+    return pair_tuples(answer), dropped
 
 
 def refined(candidates, path_r, path_s, predicate):

@@ -346,8 +346,8 @@ class TestGeneratedSidesBuildNoTuples:
             init(t, feature_id, *rest)
 
         def naming(candidates, *args, **kwargs):
-            named_r.update(r for r, _ in candidates)
-            named_s.update(s for _, s in candidates)
+            named_r.update(candidates[:, 0].tolist())
+            named_s.update(candidates[:, 1].tolist())
             return refine_pair(candidates, *args, **kwargs)
 
         refine_pair = process.refine_pair

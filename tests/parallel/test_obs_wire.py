@@ -1,8 +1,7 @@
-"""Cross-process observability: span wire format and metrics merging."""
+"""Cross-process observability: the span wire format."""
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 
 
@@ -69,71 +68,3 @@ class TestSpanWire:
     def test_null_tracer_wire_noops(self):
         assert NULL_TRACER.export_wire() == []
         assert NULL_TRACER.adopt_wire([{"name": "x"}]) == []
-
-
-class TestMergeSnapshot:
-    def test_counters_add(self):
-        worker = MetricsRegistry()
-        worker.counter("results").inc(5)
-        coordinator = MetricsRegistry()
-        coordinator.counter("results").inc(2)
-        coordinator.merge_snapshot(worker.snapshot())
-        coordinator.merge_snapshot(worker.snapshot())
-        assert coordinator.counter("results").value == 12
-
-    def test_gauges_take_last_write(self):
-        worker = MetricsRegistry()
-        worker.gauge("partitions").set(16)
-        coordinator = MetricsRegistry()
-        coordinator.gauge("partitions").set(4)
-        coordinator.merge_snapshot(worker.snapshot())
-        assert coordinator.gauge("partitions").value == 16
-
-    def test_histograms_add_bucketwise(self):
-        worker_a = MetricsRegistry()
-        worker_b = MetricsRegistry()
-        for value in (1, 10, 100):
-            worker_a.histogram("sizes").observe(value)
-        worker_b.histogram("sizes").observe(1000)
-
-        coordinator = MetricsRegistry()
-        coordinator.merge_snapshot(worker_a.snapshot())
-        coordinator.merge_snapshot(worker_b.snapshot())
-
-        merged = coordinator.histogram("sizes")
-        assert merged.count == 4
-        assert merged.total == 1111
-        assert merged.min == 1
-        assert merged.max == 1000
-        # Bucket counts equal observing everything in one registry.
-        direct = MetricsRegistry()
-        for value in (1, 10, 100, 1000):
-            direct.histogram("sizes").observe(value)
-        assert merged.counts == direct.histogram("sizes").counts
-
-    def test_histogram_bounds_mismatch_rejected(self):
-        worker = MetricsRegistry()
-        worker.histogram("sizes", buckets=(1, 2, 3)).observe(2)
-        coordinator = MetricsRegistry()
-        coordinator.histogram("sizes")  # default bounds
-        with pytest.raises(ValueError, match="bucket bounds"):
-            coordinator.merge_snapshot(worker.snapshot())
-
-    def test_unknown_kind_rejected(self):
-        coordinator = MetricsRegistry()
-        with pytest.raises(ValueError, match="unknown instrument"):
-            coordinator.merge_snapshot({"x": {"type": "sparkline"}})
-
-    def test_disabled_coordinator_ignores(self):
-        worker = MetricsRegistry()
-        worker.counter("results").inc(5)
-        coordinator = MetricsRegistry(enabled=False)
-        coordinator.merge_snapshot(worker.snapshot())  # no-op, no error
-        assert coordinator.snapshot() == {}
-
-    def test_disabled_worker_snapshot_is_harmless(self):
-        worker = MetricsRegistry(enabled=False)
-        worker.counter("results").inc(5)
-        coordinator = MetricsRegistry()
-        coordinator.merge_snapshot({"results": worker.counter("results").snapshot()})
-        assert "results" not in coordinator.snapshot()

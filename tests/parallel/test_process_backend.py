@@ -171,10 +171,12 @@ class TestWorkerObservability:
         assert snapshot["parallel.worker.candidates"]["value"] == sum(
             t.candidates for t in result.tasks
         )
-        # One histogram observation per executed task.
-        assert (
-            snapshot["parallel.worker.task_keypointers"]["count"]
-            == len(result.tasks)
+        # One histogram observation per executed task, of the sweep too.
+        for name in ("parallel.worker.task_keypointers", "pbsm.merge.inputs_per_pair"):
+            assert snapshot[name]["count"] == len(result.tasks)
+        assert snapshot["pbsm.merge.pairs_swept"]["value"] == len(result.tasks)
+        assert snapshot["pbsm.merge.candidates_per_pair"]["sum"] == sum(
+            t.candidates for t in result.tasks
         )
 
     def test_adopted_spans_form_one_timeline(self, workload):

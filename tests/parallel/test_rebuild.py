@@ -18,6 +18,7 @@ from repro import contains, intersects
 from repro.checkpoint.manifest import RunFingerprint
 from repro.checkpoint.store import CheckpointStore
 from repro.core.partition import SpatialPartitioner
+from repro.core.refine import pair_tuples
 from repro.data import (
     generate_hydrography,
     generate_islands,
@@ -54,7 +55,7 @@ def pooled_run(tuples_r, tuples_s, predicate, root):
         engine.config,
     )
     committed, torn = CheckpointStore(root, fingerprint).replay_results()
-    assert not torn and any(o.pairs for o in committed.values())
+    assert not torn and any(len(o.pairs) for o in committed.values())
     return committed
 
 
@@ -136,7 +137,7 @@ class TestRebuildPairs:
         assert committed == rebuilt
         for outcome in rebuilt:
             task = pooled[outcome.index]
-            assert outcome.pairs == task.pairs
+            assert outcome.pairs.tolist() == task.pairs.tolist()
             assert outcome.candidates == task.candidates
             assert (outcome.count_r, outcome.count_s) == (
                 task.count_r, task.count_s
@@ -154,13 +155,13 @@ class TestRebuildPairs:
             roads, hydro, lambda r, s: intersects(r, s)
         )
         assert not any(columnar)
-        assert [o.pairs for o in rebuilt] == [
-            pooled[o.index].pairs for o in rebuilt
+        assert [o.pairs.tolist() for o in rebuilt] == [
+            pooled[o.index].pairs.tolist() for o in rebuilt
         ]
         landuse, islands, *_ = joins["landuse_island"]
         rebuilt, _, columnar, _ = rebuilt_pairs(landuse, islands, intersects)
         assert not any(columnar)
-        assert sorted(pair for o in rebuilt for pair in o.pairs) == (
+        assert sorted(pair for o in rebuilt for pair in pair_tuples(o.pairs)) == (
             parallel_join(landuse, islands, intersects, backend="serial").pairs
         ) != []
 
@@ -216,7 +217,7 @@ class TestRebuildPairs:
         assert result.degraded_pairs == [3]
         assert result.fault_summary["retry_exhausted"] == 1
         assert result.pairs == sorted(
-            pair for task in pooled.values() for pair in task.pairs
+            pair for task in pooled.values() for pair in pair_tuples(task.pairs)
         )
 
 
@@ -253,7 +254,7 @@ class TestDiskPressure:
             2, num_partitions=NUM_PAIRS, disk_budget=budget
         ).run(tuples_r, tuples_s, intersects)
         assert result.pairs == sorted(
-            pair for task in pooled.values() for pair in task.pairs
+            pair for task in pooled.values() for pair in pair_tuples(task.pairs)
         )
         assert result.duplicates_dropped == 0
         summary = result.fault_summary
@@ -273,7 +274,7 @@ class TestDiskPressure:
             2, num_partitions=NUM_PAIRS, fault_plan=plan
         ).run(tuples_r, tuples_s, intersects)
         assert result.pairs == sorted(
-            pair for task in pooled.values() for pair in task.pairs
+            pair for task in pooled.values() for pair in pair_tuples(task.pairs)
         )
         assert result.degraded_pairs == []
         assert result.fault_summary == {
@@ -305,7 +306,7 @@ class TestDiskPressure:
         assert result.degraded_pairs == []
         assert result.fault_summary["disk_full_recovered"] == 1
         assert result.pairs == sorted(
-            pair for task in pooled.values() for pair in task.pairs
+            pair for task in pooled.values() for pair in pair_tuples(task.pairs)
         )
         assert len(list(tmp_path.rglob("part*.[rs].*"))) == 2 * NUM_PAIRS
         assert not list(tmp_path.rglob("*.tmp"))
@@ -341,5 +342,5 @@ class TestDiskPressure:
         assert resumed.fault_summary == {"resumed_pairs": NUM_PAIRS}
         assert all(f.stat().st_size for f in files)
         assert resumed.pairs == result.pairs == sorted(
-            pair for task in pooled.values() for pair in task.pairs
+            pair for task in pooled.values() for pair in pair_tuples(task.pairs)
         )

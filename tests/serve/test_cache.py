@@ -12,30 +12,12 @@ from repro.checkpoint import (
     CheckpointInfo,
     CheckpointStore,
     JoinManifest,
-    RunFingerprint,
     gc_checkpoint_dir,
     select_lru_victims,
 )
-from repro.parallel import PairTaskResult
 from repro.serve import LOOKUP_HIT, LOOKUP_MISS, LOOKUP_WARM, ArtifactCache
 from repro.__main__ import main
-
-SEAL_R = {"type": "spills_sealed", "side": "r", "files": [], "placed": 0}
-SEAL_S = {"type": "spills_sealed", "side": "s", "files": [], "placed": 0}
-
-
-def make_fingerprint(salt=0):
-    return RunFingerprint(
-        count_r=10 + salt, count_s=20, crc_r=111, crc_s=222,
-        predicate="intersects", num_partitions=4, config={"num_tiles": 64},
-    )
-
-
-def make_result(index, pairs):
-    return PairTaskResult(
-        index=index, worker_pid=1234, pairs=[tuple(p) for p in pairs],
-        candidates=3, count_r=2, count_s=2, wall_s=0.01,
-    )
+from tests.conftest import SEAL_R, SEAL_S, make_fingerprint, make_result
 
 
 def seed_complete_run(root, salt=0, pad_bytes=0, fingerprint=None):

@@ -168,6 +168,18 @@ class TestCachePaths:
         assert server.stats()["admitted"] == 0
 
 
+    def test_a_retired_field_is_named_in_the_reject(self, tmp_path):
+        """``memory_bytes`` left the wire: a client still sending it is told
+        which field, not served a join that ignores it."""
+        server, host, port = start_server(tmp_path)
+        try:
+            with ServeClient(host, port) as client:
+                response = client.join(memory_bytes=8 << 20)
+        finally:
+            server.shutdown()
+        assert response["error"] == "bad_request" and "memory_bytes" in response["message"]
+
+
 class TestCoalescing:
     def test_simultaneous_identical_queries_coalesce(self, tmp_path):
         """The second identical query must wait on the first's result log
