@@ -290,7 +290,10 @@ def tear_frame(path: "Path | str", frame: int) -> int:
         return -1
     target = frames[frame % len(frames)]
     flip_at = target.offset + (FRAME_HEADER_SIZE if target.record else 4)
-    data = bytearray(path.read_bytes())
-    data[flip_at] ^= 0xFF
-    path.write_bytes(bytes(data))
+    # In place, one byte: the file keeps its inode and never shrinks, as a
+    # bad sector or a stray write leaves it under a reader's mapping.
+    with path.open("r+b") as fh:
+        flipped = fh.read()[flip_at] ^ 0xFF
+        fh.seek(flip_at)
+        fh.write(bytes([flipped]))
     return target.index

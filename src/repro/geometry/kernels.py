@@ -49,14 +49,19 @@ the per-call overhead of numpy out of sight."""
 def ragged_rows(counts: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The rows ``(i, k)`` for ``k < counts[i]``, in order, as ``(i, k)``
     column pairs of at most :data:`EXPANSION_CHUNK_ROWS` rows: a join's
-    expansion with its temporaries bounded."""
+    expansion with its temporaries bounded.  A chunk's rows belong to one
+    contiguous range of owners, found by two scalar searches; each owner
+    of it is repeated for as many of its rows as the chunk holds."""
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
-    firsts = ends - counts
     for start in range(0, total, EXPANSION_CHUNK_ROWS):
-        rows = np.arange(start, min(start + EXPANSION_CHUNK_ROWS, total))
-        owner = np.searchsorted(ends, rows, side="right")
-        yield owner, rows - firsts[owner]
+        stop = min(start + EXPANSION_CHUNK_ROWS, total)
+        lo = int(ends.searchsorted(start, side="right"))
+        hi = int(ends.searchsorted(stop - 1, side="right")) + 1
+        firsts = ends[lo:hi] - counts[lo:hi]
+        taken = np.minimum(ends[lo:hi], stop) - np.maximum(firsts, start)
+        owner = np.repeat(np.arange(lo, hi), taken)
+        yield owner, np.arange(start, stop) - np.repeat(firsts, taken)
 
 
 RANK_BITS = 31

@@ -6,9 +6,10 @@ refinement fetches tuples from the base relations.  Two kinds of file
 
 * one **relation file** per input — the side's stored records, in input
   order, written once on first touch (:attr:`InputSide.relation`):
-  the refinement step's input.  A worker opens each relation once and
-  keeps it (:func:`open_relation`), so it reads and checks a side once,
-  not once per task;
+  the refinement step's input.  A worker maps each relation read-only
+  and keeps it (:func:`open_relation`), so it checks a side once, not
+  once per task, and no worker copies it: all of them read the same
+  page-cache pages;
 * one **key-pointer spill** per partition and side — packed
   ``<MBR_f32, feature_id, tile, class>`` records, the filter step's input:
   one record per two-layer ``(tile, class)`` replica slot
@@ -24,9 +25,9 @@ Both are written as *blocks*, one CRC frame per
 frame is a partition's records of the window back to back, a relation
 frame the window's feature-id/offset directory followed by its serialised
 tuples and, for polygons, their refine rows — so nothing pays a Python
-call per record for framing.  A worker
-reads and checks every frame of the files it opens and keeps them as the
-arrays they already are: the filter step is one array join over the
+call per record for framing.  A worker checks every frame of the files
+it opens before it decodes any of them, and keeps them as the arrays
+they already are: the filter step is one array join over the
 key-pointer records (:func:`sweep_pair`), and a relation opens as columns
 (:class:`StoredRecords` — the type an :class:`InputSide` also gives its
 own records, for the coordinator's rebuilds) from which
@@ -68,6 +69,7 @@ import atexit
 import functools
 import gc
 import itertools
+import mmap
 import multiprocessing
 import os
 import shutil
@@ -603,8 +605,9 @@ class StoredRecords(Mapping):
     one buffer, with the extents and feature id of each — as a read-only
     ``feature id → tuple`` mapping: what refinement fetches from.
 
-    :func:`read_relation` makes it of a side's relation file, and
-    :class:`InputSide` of its own columns, as views.  Either way a lookup
+    :func:`read_relation` makes it of a side's relation file, the buffer
+    the file's read-only mapping, and :class:`InputSide` of its own
+    columns, the buffer its ``payload``: views either way.  A lookup
     decodes the record on first use and memoises it — most tuples are
     never referenced by a candidate — the records are located through a
     sorted feature-id index built once, :meth:`columns` serves many of them
@@ -613,8 +616,15 @@ class StoredRecords(Mapping):
     ``len()`` is the number of records.
     """
 
+    identity: Optional[tuple] = None
+    """The file's path and ``(st_ino, st_size, st_mtime_ns)`` when it was
+    mapped and checked (:func:`read_relation`); ``None`` for a side's own
+    columns."""
+    check_s = 0.0
+    """Seconds :func:`read_relation` spent walking and checking frames."""
+
     def __init__(
-        self, buffer: bytes, starts: np.ndarray, ends: np.ndarray,
+        self, buffer: bytes | mmap.mmap, starts: np.ndarray, ends: np.ndarray,
         fids: np.ndarray, refine: Optional[np.ndarray] = None,
     ):
         self._buffer, self._starts, self._ends = buffer, starts, ends
@@ -669,15 +679,23 @@ def read_relation(path: str) -> StoredRecords:
     """A file of tuple blocks — a side's relation file — as
     :class:`StoredRecords`.
 
-    Reads the file once and checks **every** frame's CRC in place and
-    every block directory — integrity is a property of the file read, not
-    of the tuples used; the records' extents point into that one buffer.
-    A block's records end where its payload does, or where the
-    :data:`REFINE_DTYPE` rows of all of them begin; the relation has
-    ``refine`` rows if every block carries them.
+    Maps the file read-only — every process that opens it reads the same
+    page-cache pages, and none copies them — and checks **every** frame's
+    CRC in place and every block directory before anything decodes a
+    byte of it: integrity is a property of the file opened, not of the
+    tuples used.  The records' extents point into the mapping; the file's
+    :func:`_identity` as checked is the relation's ``identity``, and the
+    frame walk's seconds its ``check_s``.  A block's records end where its
+    payload does, or where the :data:`REFINE_DTYPE` rows of all of them
+    begin; the relation has ``refine`` rows if every block carries them.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        stat = os.fstat(fh.fileno())
+        # ``mmap`` refuses an empty file, which is an empty relation.
+        data: bytes | mmap.mmap = (
+            mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if stat.st_size else b""
+        )
+    checked = time.perf_counter()
     fids, starts, ends = ([np.empty(0, np.int64)] for _ in range(3))
     refine: Optional[List[np.ndarray]] = [np.empty(0, REFINE_DTYPE)]
     for frame in read_frames_bytes(data, label=path):
@@ -704,10 +722,28 @@ def read_relation(path: str) -> StoredRecords:
             refine.append(np.frombuffer(payload[columns:], REFINE_DTYPE))
         else:
             refine = None
-    return StoredRecords(
+    check_s = time.perf_counter() - checked
+    records = StoredRecords(
         data, np.concatenate(starts), np.concatenate(ends), np.concatenate(fids),
         refine=None if refine is None else np.concatenate(refine),
     )
+    records.identity, records.check_s = _identity(path, stat), check_s
+    return records
+
+
+def _identity(path: str, stat: os.stat_result) -> tuple:
+    """What tells the file at ``path`` from another there, or from itself
+    after a write: ``(path, st_ino, st_size, st_mtime_ns)``."""
+    return path, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _check_unchanged(records: StoredRecords) -> None:
+    """Raise :class:`SpillCorruptionError` if the file ``records`` were
+    mapped and checked from has been written or replaced since: the
+    refine may have decoded bytes nobody checked."""
+    path = records.identity[0]
+    if _identity(path, os.stat(path)) != records.identity:
+        raise SpillCorruptionError("relation file changed after its check", path=path)
 
 
 read_tuple_spill = read_relation
@@ -717,15 +753,16 @@ layout — as :class:`StoredRecords`; this name is used only by
 
 
 def open_relation(path: str) -> StoredRecords:
-    """A worker's relation, read and checked (:func:`read_relation`) on
+    """A worker's relation, mapped and checked (:func:`read_relation`) on
     first use and kept for the tasks after it.
 
     Kept by path *and* by the file's ``(st_ino, st_size, st_mtime_ns)``,
-    so a different file at that path is read afresh; at most
+    so a different file at that path, or the same one written since, is
+    mapped and checked afresh — and a task re-checks that key after its
+    refine (:func:`_check_unchanged`); at most
     :data:`RELATION_MEMO_ENTRIES` are kept, least recently used dropped
     first."""
-    stat = os.stat(path)
-    return _relation_as_of(path, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    return _relation_as_of(*_identity(path, os.stat(path)))
 
 
 @functools.lru_cache(maxsize=RELATION_MEMO_ENTRIES)
@@ -980,7 +1017,8 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
     two-layer class filter (:func:`sweep_pair`).  Refine: look the
     candidate feature-id pairs up in both sides' relations
     (:func:`open_relation`) and apply the exact predicate
-    (:func:`refine_pair`).  The returned pair array is sorted, exact,
+    (:func:`refine_pair`), then make sure neither relation file changed
+    since it was checked.  The returned pair array is sorted, exact,
     and — because only one tile may emit any given pair — disjoint from
     every other task's, so the coordinator's merge has no dedup barrier.
 
@@ -1034,14 +1072,26 @@ def _run_pair_task(task: PairTask) -> PairTaskResult:
         with tracer.span(
             "worker.refine", pair=task.index, candidates=len(candidates)
         ) as refine_span:
-            opened, misses = time.perf_counter(), _relation_as_of.cache_info().misses
-            records_r = open_relation(task.relation_r_path)
-            records_s = open_relation(task.relation_s_path)
-            read = _relation_as_of.cache_info().misses != misses
-            refine_span.tag("open_s", time.perf_counter() - opened if read else 0.0)
-            pairs, dropped = refine_pair(
-                candidates, records_r, records_s, task.predicate, span=refine_span,
-            )
+            relations: List[StoredRecords] = []
+            open_s = check_s = 0.0
+            for path in task.relation_r_path, task.relation_s_path:
+                opened, misses = time.perf_counter(), _relation_as_of.cache_info().misses
+                relations.append(open_relation(path))
+                if _relation_as_of.cache_info().misses != misses:  # not memoised
+                    open_s += time.perf_counter() - opened
+                    check_s += relations[-1].check_s
+            refine_span.tag("open_s", open_s)
+            refine_span.tag("check_s", check_s)
+            records_r, records_s = relations
+            try:
+                pairs, dropped = refine_pair(
+                    candidates, records_r, records_s, task.predicate, span=refine_span,
+                )
+            finally:
+                # What the refine made of the mapped bytes counts only if
+                # they are still the ones checked.
+                for records in relations:
+                    _check_unchanged(records)
 
         span.tag("candidates", len(candidates))
         span.tag("results", len(pairs))

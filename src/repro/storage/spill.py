@@ -35,6 +35,7 @@ an abandoned write leaves only a ``*.tmp`` orphan for
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 import zlib
@@ -217,7 +218,7 @@ def _violation(
 
 
 def read_frames_bytes(
-    data: bytes,
+    data: bytes | mmap.mmap,
     *,
     label: str = "<bytes>",
     torn_tail: str = TORN_TAIL_ERROR,

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import contains
@@ -162,6 +162,26 @@ def seg_arrays(segs):
     if not segs:
         return np.empty((0, 2)), np.empty((0, 2))
     return np.array([s[0] for s in segs]), np.array([s[1] for s in segs])
+
+
+class TestRaggedRows:
+    @given(
+        st.lists(st.one_of(st.just(0), st.integers(0, 20)), max_size=30),
+        st.sampled_from([1, 3, 7]),
+    )
+    @example([], 3)
+    @example([0, 0, 0], 1)
+    @example([2, 0, 0, 0, 3, 0, 1], 3)  # runs of zeros between owners
+    @example([0, 20, 1], 7)  # one owner across several chunks
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_in_order_in_bounded_chunks(self, counts, chunk_rows):
+        with mock.patch.object(kernels, "EXPANSION_CHUNK_ROWS", chunk_rows):
+            chunks = list(kernels.ragged_rows(np.array(counts, np.int64)))
+        assert all(0 < len(owner) == len(k) <= chunk_rows for owner, k in chunks)
+        rows = [(i, k) for i, n in enumerate(counts) for k in range(n)]
+        assert [
+            row for owner, k in chunks for row in zip(owner.tolist(), k.tolist())
+        ] == rows
 
 
 class TestAnySegmentsIntersect:

@@ -110,6 +110,13 @@ def pair_task(tmp_path, sides):
     )
 
 
+def refine_tags(result):
+    """The ``worker.refine`` span's tags of an observed task."""
+    (root,) = result.spans
+    (tags,) = [c["tags"] for c in root["children"] if c["name"] == "worker.refine"]
+    return tags
+
+
 class TestOneFormat:
     def test_add_writes_the_engines_bytes(self, tmp_path, sides):
         """... a partition's key-pointers, and — one partition holding
@@ -270,6 +277,14 @@ class TestIntegrity:
             read_relation(str(path))
         self.located(info.value, path, 1)
 
+    def test_an_empty_file_is_an_empty_relation(self, tmp_path):
+        """``mmap`` refuses a 0-byte file; the reader does not."""
+        path = str(tmp_path / "nothing.rel")
+        open(path, "wb").close()
+        for records in (read_relation(path), tasks.open_relation(path)):
+            assert len(records) == 0 and list(records) == []
+            assert records.identity[2] == 0 and len(records.refine) == 0
+
     def test_empty_tuple_frame_is_corruption(self, tmp_path):
         path = tmp_path / "empty.rel"
         write_records(path, [b""])
@@ -332,19 +347,10 @@ class TestIntegrityThroughTheLookups(TestIntegrity):
         return dataclasses.replace(pair_task, predicate=intersects_naive)
 
     def test_the_two_tasks_are_the_two_forms(self, pair_task):
-        def refine_tags(task):
-            result = run_pair_task(dataclasses.replace(task, observe=True))
-            (root,) = result.spans
-            (span,) = [
-                child for child in root["children"]
-                if child["name"] == "worker.refine"
-            ]
-            return result, span["tags"]
-
-        loop, loop_tags = refine_tags(pair_task)
-        columnar, tags = refine_tags(
-            dataclasses.replace(pair_task, predicate=intersects)
-        )
+        observed = dataclasses.replace(pair_task, observe=True)
+        loop = run_pair_task(observed)
+        columnar = run_pair_task(dataclasses.replace(observed, predicate=intersects))
+        loop_tags, tags = refine_tags(loop), refine_tags(columnar)
         assert loop.pairs.tolist() == columnar.pairs.tolist() != []
         assert loop_tags["columnar"] is False and tags["columnar"] is True
         assert loop_tags["segment_pairs"] == 0 < tags["segment_pairs"]
@@ -373,11 +379,7 @@ class TestIntegrityThroughThePolygonColumns(TestIntegrity):
 
     def test_the_task_is_the_polygon_form(self, pair_task):
         result = run_pair_task(dataclasses.replace(pair_task, observe=True))
-        (root,) = result.spans
-        (tags,) = [
-            child["tags"] for child in root["children"]
-            if child["name"] == "worker.refine"
-        ]
+        tags = refine_tags(result)
         assert len(result.pairs) and tags["columnar"] is True
         assert tags["square_hits"] > 0 < tags["vertex_rows"]
         loop = run_pair_task(dataclasses.replace(
@@ -389,6 +391,22 @@ class TestIntegrityThroughThePolygonColumns(TestIntegrity):
 def memo_size():
     """How many relations the calling worker keeps."""
     return tasks._relation_as_of.cache_info().currsize
+
+
+def tear_while_refining(task):
+    """:func:`run_pair_task` with its R relation torn in place after the
+    worker mapped and checked it, before the refine reads it."""
+    refine = tasks.refine_pair
+
+    def tearing(*args, **kwargs):
+        assert tear_frame(task.relation_r_path, 0) == 0
+        return refine(*args, **kwargs)
+
+    tasks.refine_pair = tearing
+    try:
+        return run_pair_task(task)
+    finally:
+        tasks.refine_pair = refine
 
 
 class TestWorkerRelations:
@@ -419,6 +437,69 @@ class TestWorkerRelations:
         assert info.value.corruption
         os.replace(pristine, path)
         assert run_pair_task(pair_task).pairs.tolist() == clean.pairs.tolist()
+
+    def test_a_file_damaged_in_place_between_tasks_fails_the_next(self, pair_task):
+        """Same path, same inode: only the write's new ``mtime`` tells the
+        worker's memo that its mapping no longer holds checked bytes."""
+        path = pair_task.relation_r_path
+        inode = os.stat(path).st_ino
+        with ProcessPoolExecutor(1, mp_context=mp_context()) as pool:
+            assert pool.submit(run_pair_task, pair_task).result(timeout=60).pairs.size
+            assert tear_frame(path, 0) == 0 and os.stat(path).st_ino == inode
+            with pytest.raises(WorkerTaskError) as info:
+                pool.submit(run_pair_task, pair_task).result(timeout=60)
+        assert info.value.corruption and info.value.damaged_path == path
+
+    def test_a_file_damaged_during_a_task_fails_it(self, pair_task):
+        """The refine decoded from a mapping written after its check: the
+        task fails as corruption rather than answer from those bytes."""
+        with ProcessPoolExecutor(1, mp_context=mp_context()) as pool:
+            with pytest.raises(WorkerTaskError) as info:
+                pool.submit(tear_while_refining, pair_task).result(timeout=60)
+        assert info.value.corruption
+        assert info.value.damaged_path == pair_task.relation_r_path
+        assert "changed after its check" in info.value.cause_message
+
+    def test_a_relation_damaged_mid_run_is_quarantined_and_rebuilt(self):
+        """One worker keeps the S relation mapped across the run; the file
+        is torn in place after its first task.  Every later task fails as
+        corruption and is rebuilt from the side: the answer is the clean
+        run's."""
+        sides = tuple(map(InputSide, QuerySpec(scale=0.002, seed=5).generate()))
+        expected = ProcessPBSM(1, num_partitions=8).run(*sides, intersects)
+        later = []
+
+        class DamagesMidRun(ProcessPBSM):
+            def _execute(self, pair_tasks, on_result=None):
+                done, failed = super()._execute(pair_tasks[:1], on_result)
+                later.extend(pair_tasks[1:])
+                assert tear_frame(pair_tasks[0].relation_s_path, -1) >= 0
+                rest, failed_rest = super()._execute(pair_tasks[1:], on_result)
+                return done + rest, {**failed, **failed_rest}
+
+        provider = SharedPoolProvider(1)
+        try:
+            result = DamagesMidRun(
+                1, num_partitions=8, pool_provider=provider
+            ).run(*sides, intersects)
+        finally:
+            provider.close()
+        assert result.pairs == expected.pairs != [] and result.duplicates_dropped == 0
+        assert result.fault_summary == dict.fromkeys(
+            ("task_failures", "quarantined", "degraded"), len(later)
+        )
+        assert result.degraded_pairs == sorted(t.index for t in later) != []
+        again = ProcessPBSM(1, num_partitions=8).run(*sides, intersects)
+        assert again.pairs == expected.pairs and again.fault_summary == {}
+        assert sides[1].relation.path != later[0].relation_s_path
+
+    def test_the_open_reports_its_check(self, pair_task):
+        """``check_s`` is the frame walk of the relations opened, inside
+        ``open_s``; both are 0 when the memo served them."""
+        observed = dataclasses.replace(pair_task, observe=True)
+        first, again = map(refine_tags, (run_pair_task(observed), run_pair_task(observed)))
+        assert 0 < first["check_s"] <= first["open_s"]
+        assert again["check_s"] == again["open_s"] == 0
 
     def test_a_shared_pool_worker_keeps_at_most_the_bound(self):
         provider = SharedPoolProvider(1)
