@@ -73,7 +73,8 @@ ALLOWED_COMBO_TABLE: Tuple[Tuple[bool, bool, bool, bool], ...] = tuple(
     for cr in range(4)
 )
 """:data:`ALLOWED_CLASS_COMBOS` as a 4x4 lookup (``table[cls_r][cls_s]``)
-for the merge's emit filter hot path."""
+for the merge's emit filter hot path; the array join
+(``parallel.tasks.sweep_pair``) reads it flattened, at ``cls_r * 4 + cls_s``."""
 
 TileAssignment = Tuple[int, int]
 """One replica slot: ``(tile id, class)``."""

@@ -65,7 +65,8 @@ def ragged_rows(counts: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
 
 
 RANK_BITS = 31
-"""Bits of a :func:`grouped_keys` key that hold the rank."""
+"""Bits of a :func:`grouped_keys` key that hold the rank.  Ranks and
+grouped keys have one user, :func:`_vertices_outside`'s y-sorted shells."""
 
 
 def dense_ranks(*columns: np.ndarray) -> List[np.ndarray]:
@@ -80,7 +81,8 @@ def dense_ranks(*columns: np.ndarray) -> List[np.ndarray]:
 
 def grouped_keys(groups: np.ndarray, ranks) -> np.ndarray:
     """``(group, rank)`` as one int64 that sorts as the pair does: a u32
-    group above a rank below ``2**31`` fills 63 bits and never the sign."""
+    group above a rank below ``2**31`` fills 63 bits and never the sign.
+    :func:`_vertices_outside` keys its shells' vertices so."""
     return (groups.astype(np.int64) << RANK_BITS) | ranks
 
 
@@ -213,9 +215,10 @@ def _ray_crosses(x, y, x1, y1, x2, y2):
 
 class _Segments(NamedTuple):
     """The segments of a run of chains, as columns: segment ``first[i] + k``
-    is the ``k``-th of chain ``i``."""
+    for ``k < count[i]`` is the ``k``-th of chain ``i``."""
 
     first: np.ndarray
+    count: np.ndarray
     x1: np.ndarray
     y1: np.ndarray
     x2: np.ndarray
@@ -232,11 +235,12 @@ the two coordinate columns, at least two of them."""
 
 
 def _segments(x: np.ndarray, y: np.ndarray, first: np.ndarray) -> _Segments:
-    # Every point but a chain's last starts a segment.
-    start = np.delete(np.arange(len(x)), first[1:] - 1)
-    x1, y1, x2, y2 = x[start], y[start], x[start + 1], y[start + 1]
+    # Segment v runs from point v to point v + 1, so the columns are
+    # slices; the one from a chain's last point is no chain's, and no
+    # count reaches it.
+    x1, y1, x2, y2 = x[:-1], y[:-1], x[1:], y[1:]
     return _Segments(
-        first - np.arange(len(first)), x1, y1, x2, y2,
+        first[:-1], np.diff(first) - 1, x1, y1, x2, y2,
         np.minimum(x1, x2), np.maximum(x1, x2),
         np.minimum(y1, y2), np.maximum(y1, y2),
     )
@@ -255,20 +259,20 @@ def _near(segs: _Segments, of: np.ndarray, meet: np.ndarray, box, pad: float):
     segments of its chain ``of`` whose box, grown by the pad, reaches the
     other chain's MBR ``box`` — ``(pair, segment)`` columns in pair order.
     With no pad (``x - 0.0`` is ``x``) the two y-forms are one and the mask
-    is the closed box test, ``Polygon.boundary_intersects``' pre-filter."""
-    counts = np.where(meet, segs.first[of + 1] - segs.first[of], 0)
+    is the closed box test, ``Polygon.boundary_intersects``' pre-filter.
+    The x half rejects most rows, so only its survivors gather y columns."""
+    counts = np.where(meet, segs.count[of], 0)
     pairs: List[np.ndarray] = [counts[:0]]
     kept: List[np.ndarray] = [counts[:0]]
+    bxl, byl, bxu, byu = box
     for pair, k in ragged_rows(counts):
         s = segs.first[of[pair]] + k
-        bxl, byl, bxu, byu = (bound[pair] for bound in box)
-        xl, xu, ylo, yhi = segs.xl[s], segs.xu[s], segs.ylo[s], segs.yhi[s]
+        keep = ~((segs.xu[s] < bxl[pair] - pad) | (bxu[pair] < segs.xl[s] - pad))
+        pair, s = pair[keep], s[keep]
+        ylo, yhi, low, high = segs.ylo[s], segs.yhi[s], byl[pair], byu[pair]
         keep = ~(
-            (xu < bxl - pad) | (bxu < xl - pad)
-            | (
-                ((byl > yhi + pad) | (byu < ylo - pad))
-                & ((ylo > byu + pad) | (yhi < byl - pad))
-            )
+            ((low > yhi + pad) | (high < ylo - pad))
+            & ((ylo > high + pad) | (yhi < low - pad))
         )
         pairs.append(pair[keep])
         kept.append(s[keep])
@@ -318,19 +322,26 @@ def polylines_intersect_each(
     for pair, k in ragged_rows(count_a * count_b):
         sa = near_a[first_a[pair] + k // count_b[pair]]
         sb = near_b[first_b[pair] + k % count_b[pair]]
-        a_ylo, a_yhi, b_ylo, b_yhi = a.ylo[sa], a.yhi[sa], b.ylo[sb], b.yhi[sb]
-        keep = (
-            (a.xu[sa] >= b.xl[sb] - pad) & (b.xu[sb] >= a.xl[sa] - pad)
-            & ~np.where(
-                a.xl[sa] <= b.xl[sb],
-                (a_ylo > b_yhi + pad) | (a_yhi < b_ylo - pad),
-                (b_ylo > a_yhi + pad) | (b_yhi < a_ylo - pad),
-            )
-        )
-        pair, sa, sb = pair[keep], sa[keep], sb[keep]
+        pair, sa, sb = _swept(a, sa, b, sb, pair, pad)
         tested += len(pair)
         hits[pair[_segments_meet(a, sa, b, sb)]] = True
     return hits, {"segment_pairs": tested}
+
+
+def _swept(a: _Segments, sa: np.ndarray, b: _Segments, sb: np.ndarray, pair, pad):
+    """The rows ``(pair, sa, sb)`` whose segments the sweep would test:
+    their x-intervals overlap within the pad, and then, gathered only for
+    the rows that do, their y-intervals, seen from the event's side."""
+    a_xl, b_xl = a.xl[sa], b.xl[sb]
+    keep = (a.xu[sa] >= b_xl - pad) & (b.xu[sb] >= a_xl - pad)
+    pair, sa, sb, a_xl, b_xl = pair[keep], sa[keep], sb[keep], a_xl[keep], b_xl[keep]
+    a_ylo, a_yhi, b_ylo, b_yhi = a.ylo[sa], a.yhi[sa], b.ylo[sb], b.yhi[sb]
+    keep = ~np.where(
+        a_xl <= b_xl,
+        (a_ylo > b_yhi + pad) | (a_yhi < b_ylo - pad),
+        (b_ylo > a_yhi + pad) | (b_yhi < a_ylo - pad),
+    )
+    return pair[keep], sa[keep], sb[keep]
 
 
 Rings = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -344,10 +355,10 @@ def _ring_edges(x, y, ring_first, poly_first) -> _Segments:
     """Every ring closed (:func:`ring_segments`): edge ``v`` runs from
     vertex ``v`` to the next of its ring, from a ring's last vertex back to
     its first, and polygon ``i``'s are ``first[i]:first[i + 1]``."""
-    end = _ring_ends(ring_first)
+    end, first = _ring_ends(ring_first), ring_first[poly_first]
     x2, y2 = x[end], y[end]
     return _Segments(
-        ring_first[poly_first], x, y, x2, y2,
+        first[:-1], np.diff(first), x, y, x2, y2,
         np.minimum(x, x2), np.maximum(x, x2),
         np.minimum(y, y2), np.maximum(y, y2),
     )
@@ -456,7 +467,7 @@ def _boundaries_cross(o: _Segments, i: _Segments, of_outer, of_inner, inside, bo
     pair_o, near_o = _near(o, of_outer, inside, box, 0.0)
     count_o = np.bincount(pair_o, minlength=len(inside))
     first_o = np.cumsum(count_o) - count_o
-    count_i = i.first[of_inner + 1] - i.first[of_inner]
+    count_i = i.count[of_inner]
     crossed = np.zeros(len(inside), dtype=bool)
     tested = 0
     for pair, k in ragged_rows(count_o * count_i):
@@ -509,7 +520,7 @@ def _vertices_outside(o: _Segments, outer: Rings, inner: Rings, of_outer, of_inn
         np.arange(len(outer_ring_first) - 1), np.diff(outer_ring_first)
     )
     tested = 0
-    for pair, k in ragged_rows(o.first[of_outer + 1] - o.first[of_outer]):
+    for pair, k in ragged_rows(o.count[of_outer]):
         edge = o.first[of_outer[pair]] + k
         shell = of_inner[pair]
         low = np.searchsorted(keys, grouped_keys(shell, rank_low[edge]), "left")

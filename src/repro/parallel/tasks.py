@@ -93,8 +93,6 @@ from ..faults.inject import apply_worker_faults
 from ..faults.plan import WorkerFaults
 from ..geometry.kernels import (
     clearance_squares,
-    dense_ranks,
-    grouped_keys,
     polygon_extents,
     polygons_contain_each,
     polylines_intersect_each,
@@ -139,9 +137,6 @@ REFINE_DTYPE = np.dtype(
 half)`` — §4.4's enclosed rectangle, "precomputed and stored along with
 each spatial feature", from which ``contains`` decides most candidates
 without decoding either polygon."""
-
-_COMBOS = np.array(ALLOWED_COMBO_TABLE)
-"""The mini-join table as a ``[class of r, class of s]`` lookup."""
 
 _U32 = np.dtype("<u4")
 """The tuple block's directory words: record count, then one feature id
@@ -840,70 +835,82 @@ def sweep_pair(
     One array join over both sides' :data:`KEYPOINTER_DTYPE` records that
     emits what :func:`~repro.core.pbsm.merge_partition_pair` emits — per
     shared tile, every ``(r, s)`` whose closed MBRs meet and whose class
-    combination the mini-join table admits, each exactly once.  The
-    x-bounds of both sides are replaced by their ranks, so ``(tile, x)``
-    is one int64 key; with each side sorted on ``(tile, xl)``, the
-    partners of a record are a contiguous range found by two binary
-    searches: as the sweep has it, ``r`` meets the ``s`` that start inside
-    it (``r.xl <= s.xl <= r.xu``) and ``s`` the ``r`` that start strictly
-    inside it (``s.xl < r.xl <= s.xu``).  The ranges are expanded a
-    bounded chunk at a time and the y-overlap and class tests are masks
-    over the chunk; one ``lexsort`` orders what they keep.  ``memory_bytes`` and ``config`` change
-    nothing here: the join has no tile group to overflow and nothing to
-    recurse into (see :class:`~repro.core.pbsm.PBSMConfig`).
+    combination the mini-join table admits, each exactly once.  Each side
+    is put in ``(tile, xl)`` order once (:func:`_order_keys`), so the
+    partners of a record are a contiguous range of the other side's
+    records found by two binary searches of sorted keys: as the sweep has
+    it, ``r`` meets the ``s`` that start inside it (``r.xl <= s.xl <=
+    r.xu``) and ``s`` the ``r`` that start strictly inside it (``s.xl <
+    r.xl <= s.xu``).  The ranges are expanded a bounded chunk at a time;
+    the y-overlap test is a mask over the chunk and the class table is
+    looked up for the rows it keeps.  One sort of ``(fid_r, fid_s)`` keys
+    orders the output.  ``memory_bytes`` and ``config`` change nothing
+    here: the join has no tile group to overflow and nothing to recurse
+    into (see :class:`~repro.core.pbsm.PBSMConfig`).
     """
     with tracer.span("merge_pair", pair=label, depth=0) as span:
         span.tag("len_r", len(kps_r))
         span.tag("len_s", len(kps_s))
         if not len(kps_r) or not len(kps_s):
             return np.empty((0, 2), np.int64)
-        xl_r, yl_r, xu_r, yu_r = np.ascontiguousarray(kps_r["mbr"].T)
-        xl_s, yl_s, xu_s, yu_s = np.ascontiguousarray(kps_s["mbr"].T)
-        if (
-            ((xl_r > xu_r) | (yl_r > yu_r)).any()
-            or ((xl_s > xu_s) | (yl_s > yu_s)).any()
-        ):
-            raise ValueError("malformed rectangle in a key-pointer block")
-        rank_xl_r, rank_xu_r, rank_xl_s, rank_xu_s = dense_ranks(
-            xl_r, xu_r, xl_s, xu_s
-        )
-        from_r = grouped_keys(kps_r["tile"], rank_xl_r)
-        to_r = grouped_keys(kps_r["tile"], rank_xu_r)
-        from_s = grouped_keys(kps_s["tile"], rank_xl_s)
-        to_s = grouped_keys(kps_s["tile"], rank_xu_s)
-        order_r, order_s = np.argsort(from_r), np.argsort(from_s)
-        sorted_r, sorted_s = from_r[order_r], from_s[order_s]
-        cls_r, cls_s = kps_r["cls"], kps_s["cls"]
-        found_r: List[np.ndarray] = [kps_r["fid"][:0]]
-        found_s: List[np.ndarray] = [kps_s["fid"][:0]]
+        start_r, stop_r, yl_r, yu_r, cls_r, fid_r = _in_key_order(kps_r)
+        start_s, stop_s, yl_s, yu_s, cls_s, fid_s = _in_key_order(kps_s)
+        allowed = np.ravel(ALLOWED_COMBO_TABLE)
+        found = [np.empty(0, np.uint64)]
 
         def emit(r: np.ndarray, s: np.ndarray) -> None:
-            keep = (
-                (yl_r[r] <= yu_s[s]) & (yl_s[s] <= yu_r[r])
-                & _COMBOS[cls_r[r], cls_s[s]]
-            )
-            found_r.append(kps_r["fid"][r[keep]])
-            found_s.append(kps_s["fid"][s[keep]])
+            keep = (yl_r[r] <= yu_s[s]) & (yl_s[s] <= yu_r[r])
+            r, s = r[keep], s[keep]
+            keep = allowed[cls_r[r] * 4 + cls_s[s]]
+            found.append((fid_r[r[keep]] << np.uint64(32)) | fid_s[s[keep]])
 
-        low = np.searchsorted(sorted_s, from_r, side="left")
-        high = np.searchsorted(sorted_s, to_r, side="right")
+        low = np.searchsorted(start_s, start_r, side="left")
+        high = np.searchsorted(start_s, stop_r, side="right")
         for r, k in ragged_rows(high - low):
-            emit(r, order_s[low[r] + k])
-        low = np.searchsorted(sorted_r, from_s, side="right")
-        high = np.searchsorted(sorted_r, to_s, side="right")
+            emit(r, low[r] + k)
+        low = np.searchsorted(start_r, start_s, side="right")
+        high = np.searchsorted(start_r, stop_s, side="right")
         for s, k in ragged_rows(high - low):
-            emit(order_r[low[s] + k], s)
+            emit(low[s] + k, s)
 
-        fid_r, fid_s = np.concatenate(found_r), np.concatenate(found_s)
-        order = np.lexsort((fid_s, fid_r))
-        candidates = np.empty((len(order), 2), np.int64)
-        candidates[:, 0], candidates[:, 1] = fid_r[order], fid_s[order]
-        if tracer.enabled:  # a set per side, for a tag nobody else reads
-            span.tag("tile_groups", len(
-                set(kps_r["tile"].tolist()).intersection(kps_s["tile"].tolist())
-            ))
+        pairs = np.sort(np.concatenate(found))
+        candidates = np.empty((len(pairs), 2), np.int64)
+        candidates[:, 0], candidates[:, 1] = pairs >> np.uint64(32), pairs & np.uint64(2**32 - 1)
+        if tracer.enabled:  # for a tag nobody else reads
+            tiles_r, tiles_s = start_r >> np.uint64(32), start_s >> np.uint64(32)
+            tiles_r = tiles_r[np.concatenate(([True], tiles_r[1:] != tiles_r[:-1]))]
+            span.tag("tile_groups", int(np.count_nonzero(
+                tiles_s.searchsorted(tiles_r, "right") > tiles_s.searchsorted(tiles_r)
+            )))
         span.tag("candidates", len(candidates))
         return candidates
+
+
+def _order_keys(tiles: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(tile, x)`` for a u32 tile and a float32 ``x`` that is not NaN as
+    one uint64 that sorts as the pair does: the tile above ``x``'s bits
+    mapped to a u32 in the float order.  ``x + 0`` turns ``-0.0`` into
+    ``+0.0``; then a negative value's bits are flipped and a non-negative
+    one's sign bit is set."""
+    bits = (x + np.float32(0.0)).view(np.int32)
+    bits ^= (bits >> 31) | np.int32(-(1 << 31))
+    return (tiles.astype(np.uint64) << np.uint64(32)) | bits.view(np.uint32)
+
+
+def _in_key_order(kps: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """A side's sweep columns in ``(tile, xl)`` order, once its records
+    are checked: that key, the ``(tile, xu)`` key, ``yl``, ``yu``, the
+    class and the feature id (as uint64)."""
+    mbr, tiles = kps["mbr"], kps["tile"]
+    # Written so that a NaN bound fails it too.
+    if not ((mbr[:, 0] <= mbr[:, 2]) & (mbr[:, 1] <= mbr[:, 3])).all() or (kps["cls"] > 3).any():
+        raise ValueError("malformed rectangle in a key-pointer block")
+    start = _order_keys(tiles, mbr[:, 0])
+    order = np.argsort(start)
+    return (
+        start[order], _order_keys(tiles[order], mbr[order, 2]),
+        mbr[order, 1], mbr[order, 3], kps["cls"][order], kps["fid"][order].astype(np.uint64),
+    )
 
 
 def refine_pair(

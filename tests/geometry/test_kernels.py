@@ -34,6 +34,7 @@ from repro.geometry import (
     segments_intersect,
 )
 from repro.geometry.polygon import _point_strictly_in_ring
+from repro.geometry.polyline import SWEEP_PAD
 from repro.obs import Tracer
 from repro.parallel import parallel_join
 from repro.parallel.tasks import InputSide, refine_pair
@@ -182,6 +183,106 @@ class TestRaggedRows:
         assert [
             row for owner, k in chunks for row in zip(owner.tolist(), k.tolist())
         ] == rows
+
+
+def one_pass_near(segs, of, meet, box, pad):
+    """The entry mask the x-first ``_near`` replaced: every column gathered
+    for every row, one expression."""
+    counts = np.where(meet, segs.count[of], 0)
+    pair = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
+    s = segs.first[of[pair]] + k
+    bxl, byl, bxu, byu = (bound[pair] for bound in box)
+    xl, xu, ylo, yhi = segs.xl[s], segs.xu[s], segs.ylo[s], segs.yhi[s]
+    keep = ~(
+        (xu < bxl - pad) | (bxu < xl - pad)
+        | (
+            ((byl > yhi + pad) | (byu < ylo - pad))
+            & ((ylo > byu + pad) | (yhi < byl - pad))
+        )
+    )
+    return pair[keep], s[keep]
+
+
+def one_pass_swept(a, sa, b, sb, pair, pad):
+    """The product mask ``_swept`` replaced, likewise in one expression."""
+    a_ylo, a_yhi, b_ylo, b_yhi = a.ylo[sa], a.yhi[sa], b.ylo[sb], b.yhi[sb]
+    keep = (
+        (a.xu[sa] >= b.xl[sb] - pad) & (b.xu[sb] >= a.xl[sa] - pad)
+        & ~np.where(
+            a.xl[sa] <= b.xl[sb],
+            (a_ylo > b_yhi + pad) | (a_yhi < b_ylo - pad),
+            (b_ylo > a_yhi + pad) | (b_yhi < a_ylo - pad),
+        )
+    )
+    return pair[keep], sa[keep], sb[keep]
+
+
+def pad_steps(v):
+    """``v`` and the sums ``v + pad``, ``v + pad + pad``, ... as the masks
+    round them: ``(v + pad) - pad`` need not be ``v``, which is where the
+    two y-forms part."""
+    for _ in range(4):
+        yield v
+        v += SWEEP_PAD
+
+
+# Coordinates a pad apart and one ulp either side of that, so every
+# comparison of either mask is decided at its edge somewhere.
+PAD_LATTICE = sorted({
+    w
+    for base in (0.0, 0.5, 1.0)
+    for v in pad_steps(base)
+    for w in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))
+})
+
+
+@st.composite
+def chain_columns(draw):
+    """``Chains`` columns of one to four chains of two to five points."""
+    chains = draw(st.lists(
+        st.lists(
+            st.tuples(st.sampled_from(PAD_LATTICE), st.sampled_from(PAD_LATTICE)),
+            min_size=2, max_size=5,
+        ),
+        min_size=1, max_size=4,
+    ))
+    points = np.array([p for chain in chains for p in chain], dtype=float)
+    first = np.cumsum([0] + [len(chain) for chain in chains])
+    return points[:, 0].copy(), points[:, 1].copy(), first
+
+
+class TestMasksCompressAfterTheirXHalf:
+    @given(chain_columns(), chain_columns(), st.data(), st.sampled_from([1, 3, 1 << 16]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_rows_in_the_same_order_as_the_one_pass_masks(
+        self, chains_a, chains_b, data, chunk_rows
+    ):
+        a, b = kernels._segments(*chains_a), kernels._segments(*chains_b)
+        of_a, of_b, meet = map(np.array, zip(*data.draw(st.lists(
+            st.tuples(
+                st.integers(0, len(a.first) - 1), st.integers(0, len(b.first) - 1),
+                st.booleans(),
+            ),
+            min_size=1, max_size=6,
+        ))))
+        box = [bound[of_b] for bound in kernels._mbrs(*chains_b)]
+        for pad in (SWEEP_PAD, 0.0):
+            with mock.patch.object(kernels, "EXPANSION_CHUNK_ROWS", chunk_rows):
+                near = kernels._near(a, of_a, meet, box, pad)
+            expected = one_pass_near(a, of_a, meet, box, pad)
+            assert all(np.array_equal(x, y) for x, y in zip(near, expected))
+        # Every segment pair of every chain pair, in the kernel's row order.
+        rows = [
+            (p, sa, sb)
+            for p in range(len(meet))
+            for sa in range(a.first[of_a[p]], a.first[of_a[p]] + a.count[of_a[p]])
+            for sb in range(b.first[of_b[p]], b.first[of_b[p]] + b.count[of_b[p]])
+        ]
+        pair, sa, sb = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+        swept = kernels._swept(a, sa, b, sb, pair, SWEEP_PAD)
+        expected = one_pass_swept(a, sa, b, sb, pair, SWEEP_PAD)
+        assert all(np.array_equal(x, y) for x, y in zip(swept, expected))
 
 
 class TestAnySegmentsIntersect:

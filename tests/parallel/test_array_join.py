@@ -32,6 +32,7 @@ from repro.parallel.process import DEFAULT_TASK_MEMORY, ProcessPBSM
 from repro.parallel.tasks import (
     KEYPOINTER_DTYPE,
     InputSide,
+    _order_keys,
     sweep_pair,
 )
 from repro.serve.query import QuerySpec
@@ -159,8 +160,65 @@ class TestAgainstTheSweep:
         with pytest.raises(ValueError, match="malformed"):
             as_records(kps)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mbr", (0.0, 0.0, float("nan"), 1.0)),
+        ("mbr", (float("nan"),) * 4),
+        ("cls", 4),
+        ("cls", 255),
+    ])
+    def test_a_nan_bound_or_a_class_above_3_is_rejected(self, field, value):
+        good = np.zeros(2, KEYPOINTER_DTYPE)
+        bad = good.copy()
+        bad[field][1] = value
+        for kps_r, kps_s in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="malformed"):
+                joined(kps_r, kps_s)
+
+
+def with_neighbours(values):
+    """Each value, its negation, and the float32 one ulp either side of
+    both."""
+    down, up = np.float32(-np.inf), np.float32(np.inf)
+    with np.errstate(over="ignore"):  # the greatest float's next is inf
+        return [
+            w
+            for v in map(np.float32, values)
+            for u in (v, -v)
+            for w in (np.nextafter(u, down), u, np.nextafter(u, up))
+        ]
+
+
+ORDERED_F32 = st.one_of(
+    # Zero, the least and the greatest subnormal, one, the greatest
+    # finite float32 and infinity.
+    st.sampled_from(with_neighbours(
+        (0.0, 1.4e-45, 1.1754942e-38, 1.0, 3.4028235e38, np.inf)
+    )),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+)
+ORDERED_TILES = st.one_of(
+    st.sampled_from([0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]),
+    st.integers(0, 2**32 - 1),
+)
+
 
 class TestCompositeKey:
+    @given(st.lists(st.tuples(ORDERED_TILES, ORDERED_F32), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_the_order_key_compares_as_tile_then_float32(self, rows):
+        tiles = np.array([tile for tile, _ in rows], "<u4")
+        x = np.array([value for _, value in rows], np.float32)
+        keys = _order_keys(tiles, x)
+        assert keys.dtype == np.uint64
+        t, u = tiles[:, None], tiles[None, :]
+        same, below = t == u, t < u
+        a, b = x[:, None], x[None, :]
+        # float32's own comparisons, -0.0 == +0.0 among them, within a
+        # tile; a lower tile's keys all below a higher one's.
+        assert ((keys[:, None] < keys[None, :]) == (below | (same & (a < b)))).all()
+        assert ((keys[:, None] <= keys[None, :]) == (below | (same & (a <= b)))).all()
+        assert ((keys[:, None] == keys[None, :]) == (same & (a == b))).all()
+
     def test_the_largest_tile_and_rank_fit_an_int64(self):
         tiles = np.array([0, 1, 2**32 - 2, 2**32 - 1], "<u4")
         ranks = np.array([0, 1, 2**31 - 2, 2**31 - 1], np.int64)
