@@ -127,6 +127,7 @@ from .tasks import (
     PairTaskResult,
     SpillHandle,
     WorkerTaskError,
+    check_relations,
     init_pool_worker,
     refine_pair,
     run_pair_task,
@@ -601,6 +602,7 @@ class ProcessPBSM:
     ) -> ParallelJoinResult:
         self._disk_degraded = set()
         self._damaged_files: Set[str] = set()
+        self._open_s = self._check_s = 0.0
         self._disk_injector = None
         budget = self.disk_budget
         if (
@@ -724,8 +726,10 @@ class ProcessPBSM:
                         }
                     )
                 on_result = store.append_result
-            with self.tracer.span("process.execute", tasks=len(tasks)):
+            with self.tracer.span("process.execute", tasks=len(tasks)) as span:
                 outcomes, failed = self._execute(tasks, on_result=on_result)
+                span.tag("open_s", self._open_s)
+                span.tag("check_s", self._check_s)
             # A relation file that failed its check is damaged in place:
             # the next run on these sides writes a fresh one.
             side_r.forget_relation(self._damaged_files)
@@ -1211,6 +1215,11 @@ class ProcessPBSM:
             else None
         )
         initializer = None if provider.shared else init_pool_worker
+        # A private pool's forked workers inherit this process's relation
+        # memo: what it opens and checks before each fork, none of them
+        # opens again.  (A shared pool's workers forked before the sides
+        # existed; spawned ones inherit nothing.)
+        inherits = not provider.shared and context.get_start_method() == "fork"
         worker_phase: Dict[int, dict] = {}
         next_sample = time.monotonic() + SAMPLE_INTERVAL_S
 
@@ -1319,6 +1328,12 @@ class ProcessPBSM:
                         lose_pool()
                     raise error
                 if pool is None:
+                    if inherits:
+                        open_s, check_s = check_relations(
+                            tasks[0].relation_r_path, tasks[0].relation_s_path
+                        )
+                        self._open_s += open_s
+                        self._check_s += check_s
                     pool = provider.acquire(
                         max_workers, context,
                         initializer=initializer, initargs=(heartbeats,),

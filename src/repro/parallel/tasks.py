@@ -6,10 +6,11 @@ refinement fetches tuples from the base relations.  Two kinds of file
 
 * one **relation file** per input — the side's stored records, in input
   order, written once on first touch (:attr:`InputSide.relation`):
-  the refinement step's input.  A worker maps each relation read-only
+  the refinement step's input.  A process maps each relation read-only
   and keeps it (:func:`open_relation`), so it checks a side once, not
-  once per task, and no worker copies it: all of them read the same
-  page-cache pages;
+  once per task; a coordinator about to fork its pool opens both first
+  (:func:`check_relations`), so forked workers check nothing.  No process
+  copies a relation: all of them read the same page-cache pages;
 * one **key-pointer spill** per partition and side — packed
   ``<MBR_f32, feature_id, tile, class>`` records, the filter step's input:
   one record per two-layer ``(tile, class)`` replica slot
@@ -66,7 +67,6 @@ which is exactly what the live view and the post-mortem need.
 from __future__ import annotations
 
 import atexit
-import functools
 import gc
 import itertools
 import mmap
@@ -78,6 +78,7 @@ import threading
 import time
 import traceback
 import zlib
+from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -117,7 +118,7 @@ DEFAULT_TASK_MEMORY = 8 * 1024 * 1024
 join has nothing to overflow, so no caller has another value to give."""
 
 RELATION_MEMO_ENTRIES = 4
-"""Relations a worker keeps open (:func:`open_relation`): both sides of
+"""Relations a process keeps open (:func:`open_relation`): both sides of
 this join and of one more — the serve tier's shared pool outlives every
 query, so the memo must not grow with them."""
 
@@ -347,6 +348,7 @@ class InputSide(Sequence):
             relation = self.__dict__.get("_relation")
             if relation is not None and relation.path in damaged:
                 del self.__dict__["_relation"]
+                _evict_relation(relation.path)
 
     def tuple_block(self, start: int, stop: int) -> bytes:
         """Records ``start:stop`` as one tuple frame's payload
@@ -460,6 +462,7 @@ class _RelationFile:
 
     def __del__(self) -> None:
         if os.getpid() == self.pid:
+            _evict_relation(self.path)
             try:
                 os.unlink(self.path)
             except OSError:
@@ -625,11 +628,15 @@ class StoredRecords(Mapping):
         self._buffer, self._starts, self._ends = buffer, starts, ends
         self._fids, self.refine = fids, refine
         # Stable, so that of two records with one feature id the later is
-        # found, as a mapping filled in record order would have it.
-        self._order = np.argsort(fids, kind="stable")
+        # found, as a mapping filled in record order would have it.  Ids
+        # already in record order — every generated relation's — need no
+        # permutation: ``_order`` is None and they are their own index.
+        self._order = None if (fids[1:] >= fids[:-1]).all() else np.argsort(fids, kind="stable")
         # (int64, as a relation file's already are: what a lookup is asked for,
         # so no search converts the index again.)
-        self._sorted_fids = fids[self._order].astype(np.int64, copy=False)
+        self._sorted_fids = (fids if self._order is None else fids[self._order]).astype(
+            np.int64, copy=False
+        )
         self._found: Dict[int, SpatialTuple] = {}
 
     def __getitem__(self, feature_id: int) -> SpatialTuple:
@@ -638,7 +645,7 @@ class StoredRecords(Mapping):
             at = int(self._sorted_fids.searchsorted(feature_id, side="right")) - 1
             if at < 0 or self._sorted_fids[at] != feature_id:
                 raise KeyError(feature_id)
-            record = self._order[at]
+            record = at if self._order is None else self._order[at]
             t = deserialize_tuple(
                 self._buffer[self._starts[record] : self._ends[record]]
             )
@@ -658,7 +665,7 @@ class StoredRecords(Mapping):
         absent = (at < 0) | (self._sorted_fids[at] != feature_ids)
         if absent.any():
             raise KeyError(int(feature_ids[absent][0]))
-        return self._order[at]
+        return at if self._order is None else self._order[at]
 
     def columns(self, feature_ids: np.ndarray, decode):
         """The records of ``feature_ids`` as the coordinate columns
@@ -670,7 +677,7 @@ class StoredRecords(Mapping):
         return decode(self._buffer, self._starts[records], self._ends[records])
 
 
-def read_relation(path: str) -> StoredRecords:
+def read_relation(path: str, *, release: bool = False) -> StoredRecords:
     """A file of tuple blocks — a side's relation file — as
     :class:`StoredRecords`.
 
@@ -683,6 +690,12 @@ def read_relation(path: str) -> StoredRecords:
     frame walk's seconds its ``check_s``.  A block's records end where its
     payload does, or where the :data:`REFINE_DTYPE` rows of all of them
     begin; the relation has ``refine`` rows if every block carries them.
+
+    With ``release`` (it needs ``mmap.MADV_DONTNEED``), this process's
+    page-table entries for the mapping go as the walk passes each frame,
+    and all of them once the relation is built: its resident size never
+    holds the file, and a later read faults the pages back in from the
+    page cache, which keeps them.
     """
     with open(path, "rb") as fh:
         stat = os.fstat(fh.fileno())
@@ -693,7 +706,10 @@ def read_relation(path: str) -> StoredRecords:
     checked = time.perf_counter()
     fids, starts, ends = ([np.empty(0, np.int64)] for _ in range(3))
     refine: Optional[List[np.ndarray]] = [np.empty(0, REFINE_DTYPE)]
+    dropped = data if release and isinstance(data, mmap.mmap) else None
     for frame in read_frames_bytes(data, label=path):
+        if dropped is not None:  # every page wholly before this frame is checked
+            dropped.madvise(mmap.MADV_DONTNEED, 0, frame.offset - frame.offset % mmap.PAGESIZE)
         payload = frame.record
         words = np.frombuffer(payload, _U32, len(payload) // _U32.itemsize)
         count = int(words[0]) if len(words) else 0
@@ -718,10 +734,17 @@ def read_relation(path: str) -> StoredRecords:
         else:
             refine = None
     check_s = time.perf_counter() - checked
+    # A column at a time, its parts dropped as it is built: at the peak
+    # one column is held twice, not all three.
+    columns = []
+    for parts in starts, ends, fids:
+        columns.append(np.concatenate(parts))
+        parts.clear()
     records = StoredRecords(
-        data, np.concatenate(starts), np.concatenate(ends), np.concatenate(fids),
-        refine=None if refine is None else np.concatenate(refine),
+        data, *columns, refine=None if refine is None else np.concatenate(refine),
     )
+    if dropped is not None:
+        dropped.madvise(mmap.MADV_DONTNEED)
     records.identity, records.check_s = _identity(path, stat), check_s
     return records
 
@@ -747,22 +770,74 @@ layout — as :class:`StoredRecords`; this name is used only by
 ``benchmarks/perf/replay.py``, and ROADMAP item 1(a) deletes it with it."""
 
 
+_RELATIONS: "OrderedDict[tuple, StoredRecords]" = OrderedDict()
+"""This process's open relations (:func:`open_relation`) by the
+:func:`_identity` they were checked as, least recently used first.  Each
+step on it is one dictionary operation, atomic under the interpreter
+lock, and no lock guards it: one held by another thread as a pool forks
+would stay held in every worker, and one taken in a side's collection
+(:func:`_evict_relation`) could be taken already by the thread
+collecting.  Two threads between steps cost at most a second read of a
+file, or one entry dropped early."""
+
+
 def open_relation(path: str) -> StoredRecords:
-    """A worker's relation, mapped and checked (:func:`read_relation`) on
-    first use and kept for the tasks after it.
+    """A relation, mapped and checked (:func:`read_relation`) on first use
+    and kept for the tasks after it — and, opened by a coordinator before
+    its pool forks (:func:`check_relations`), for every forked worker.
 
     Kept by path *and* by the file's ``(st_ino, st_size, st_mtime_ns)``,
     so a different file at that path, or the same one written since, is
     mapped and checked afresh — and a task re-checks that key after its
     refine (:func:`_check_unchanged`); at most
     :data:`RELATION_MEMO_ENTRIES` are kept, least recently used dropped
-    first."""
-    return _relation_as_of(*_identity(path, os.stat(path)))
+    first, and the process that wrote a file drops it when the file goes
+    (:func:`_evict_relation`)."""
+    return _open_relation(path)[0]
 
 
-@functools.lru_cache(maxsize=RELATION_MEMO_ENTRIES)
-def _relation_as_of(path: str, *_stat: int) -> StoredRecords:
-    return read_relation(path)
+def _open_relation(path: str, release: bool = False) -> Tuple[StoredRecords, bool]:
+    """:func:`open_relation`, and whether the memo already had it;
+    ``release`` as :func:`read_relation` has it."""
+    records = _RELATIONS.pop(_identity(path, os.stat(path)), None)
+    hit = records is not None
+    if not hit:
+        records = read_relation(path, release=release)
+    _RELATIONS[records.identity] = records
+    while len(_RELATIONS) > RELATION_MEMO_ENTRIES:
+        _RELATIONS.popitem(last=False)
+    return records, hit
+
+
+def _evict_relation(path: str) -> None:
+    """Drop whatever the memo keeps of the file at ``path``, its mapping
+    with it: a file its writer removes must not stay pinned on the disk."""
+    for key in [key for key in list(_RELATIONS) if key[0] == path]:
+        _RELATIONS.pop(key, None)
+
+
+def check_relations(*paths: str) -> Tuple[float, float]:
+    """Open the relation files at ``paths`` into this process's memo, so
+    that the workers a pool forks next inherit them mapped and checked:
+    ``(open_s, check_s)`` of the opens the memo did not serve.
+
+    Best effort: a file that fails its check is not kept and its error is
+    dropped — the worker's own open raises it, as without this.  The check
+    releases its pages as it goes (:func:`read_relation`'s ``release``),
+    so this process's resident size does not grow by the file: workers
+    fault the pages in as they read them.  Takes paths only, so nothing
+    here holds a side's file on the disk past its run."""
+    open_s = check_s = 0.0
+    for path in paths:
+        started = time.perf_counter()
+        try:
+            records, hit = _open_relation(path, release=hasattr(mmap, "MADV_DONTNEED"))
+        except (OSError, ValueError):  # a SpillCorruptionError is a ValueError
+            continue
+        if not hit:
+            open_s += time.perf_counter() - started
+            check_s += records.check_s
+    return open_s, check_s
 
 
 @dataclass(frozen=True)
@@ -1082,11 +1157,12 @@ def _run_pair_task(task: PairTask) -> PairTaskResult:
             relations: List[StoredRecords] = []
             open_s = check_s = 0.0
             for path in task.relation_r_path, task.relation_s_path:
-                opened, misses = time.perf_counter(), _relation_as_of.cache_info().misses
-                relations.append(open_relation(path))
-                if _relation_as_of.cache_info().misses != misses:  # not memoised
+                opened = time.perf_counter()
+                records, hit = _open_relation(path)
+                relations.append(records)
+                if not hit:
                     open_s += time.perf_counter() - opened
-                    check_s += relations[-1].check_s
+                    check_s += records.check_s
             refine_span.tag("open_s", open_s)
             refine_span.tag("check_s", check_s)
             records_r, records_s = relations

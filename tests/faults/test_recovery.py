@@ -119,16 +119,24 @@ class TestQuarantine:
         assert len(result.degraded_pairs) == 1
 
 
-    @pytest.mark.parametrize("frame", [0, -1])
+    @pytest.mark.parametrize("frame, opened", [
+        pytest.param(0, False, id="0"),
+        pytest.param(-1, False, id="-1"),
+        pytest.param(0, True, id="0-opened"),
+        pytest.param(-1, True, id="-1-opened"),
+    ])
     def test_a_torn_tuple_spill_is_quarantined_and_rebuilt(
-        self, workload, frame, monkeypatch
+        self, workload, frame, opened, monkeypatch
     ):
         # The tuple file is the side's relation file.  Its reader decodes
         # lazily but checks every frame, so damage anywhere in it — even
         # in tuples no candidate needs — must take the same quarantine-
         # and-rebuild path as a torn .kp, for every pair that reads it.
         # (Fault plans only tear .kp files; this tears the relation file
-        # by hand, after partitioning and before any task reads it.)
+        # by hand, after partitioning and before any task reads it — and
+        # before a forking coordinator opens it for its workers.  With
+        # ``opened``, a clean run on the sides has already left the file
+        # open in this process.)
         monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", 16)
         tuples_r, tuples_s, expected = workload
         built = []
@@ -140,6 +148,9 @@ class TestQuarantine:
                 return built
 
         sides = tasks.InputSide(tuples_r), tasks.InputSide(tuples_s)
+        if opened:
+            clean = ProcessPBSM(2, num_partitions=4).run(*sides, intersects)
+            assert clean.pairs == expected and clean.fault_summary == {}
         result = TearsARelationFile(2, num_partitions=4).run(*sides, intersects)
         assert result.pairs == expected
         assert result.duplicates_dropped == 0
@@ -147,6 +158,9 @@ class TestQuarantine:
             ("task_failures", "quarantined", "degraded"), len(built)
         )
         assert result.degraded_pairs == sorted(t.index for t in built)
+        damaged = built[0].relation_s_path
+        assert not os.path.exists(damaged)
+        assert not any(key[0] == damaged for key in tasks._RELATIONS)
         # The damaged file goes with the run that found it: the next run
         # on the same sides reads a fresh one.
         again = ProcessPBSM(2, num_partitions=4).run(*sides, intersects)

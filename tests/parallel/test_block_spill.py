@@ -35,6 +35,7 @@ from repro.core.partition import SpatialPartitioner
 from repro.core.pbsm import PBSMConfig
 from repro.data import generate_hydrography, generate_roads
 from repro.faults import tear_frame
+from repro.obs import Tracer
 from repro.parallel import ProcessPBSM, WorkerTaskError
 from repro.parallel import tasks
 from repro.parallel.process import DEFAULT_TASK_MEMORY, mp_context
@@ -42,6 +43,7 @@ from repro.parallel.tasks import (
     InputSide,
     PairTask,
     PartitionSpill,
+    StoredRecords,
     read_keypointer_spill,
     read_relation,
     run_pair_task,
@@ -66,7 +68,7 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 def small_blocks(monkeypatch):
     monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", BLOCK)
     # Each test's own worker memo: tasks run in this process here.
-    tasks._relation_as_of.cache_clear()
+    tasks._RELATIONS.clear()
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +238,24 @@ class TestLazyTuples:
         with pytest.raises(TypeError):
             lookup[0] = side[0]  # read-only
 
+    @pytest.mark.parametrize("ids", ["ascending", "shuffled", "duplicated", "shuffled duplicates"])
+    def test_the_index_finds_what_record_order_would(self, sides, ids):
+        """Ascending ids skip the sort; either way a lookup finds what a
+        mapping filled in record order would — of two records with one
+        feature id, the later."""
+        _, side, _ = sides
+        fids = np.arange(len(side))
+        if "duplicate" in ids:
+            fids //= 2
+        if "shuffled" in ids:
+            fids = np.random.default_rng(7).permutation(fids)
+        records = StoredRecords(side.payload, side.offsets[:-1], side.offsets[1:], fids)
+        expected = {fid: record for record, fid in enumerate(fids.tolist())}
+        wanted = np.array(sorted(expected))
+        assert records.records_of(wanted).tolist() == [expected[f] for f in wanted.tolist()]
+        for fid in wanted.tolist()[::7]:
+            assert records[fid] == side[expected[fid]]
+
 
 class TestIntegrity:
     def located(self, error, path, frame):
@@ -390,7 +410,7 @@ class TestIntegrityThroughThePolygonColumns(TestIntegrity):
 
 def memo_size():
     """How many relations the calling worker keeps."""
-    return tasks._relation_as_of.cache_info().currsize
+    return len(tasks._RELATIONS)
 
 
 def tear_while_refining(task):
@@ -414,9 +434,9 @@ class TestWorkerRelations:
         reads = []
         read = tasks.read_relation
 
-        def counting(path):
+        def counting(path, **kwargs):
             reads.append(path)
-            return read(path)
+            return read(path, **kwargs)
 
         monkeypatch.setattr(tasks, "read_relation", counting)
         first, again = run_pair_task(pair_task), run_pair_task(pair_task)
@@ -500,6 +520,99 @@ class TestWorkerRelations:
         first, again = map(refine_tags, (run_pair_task(observed), run_pair_task(observed)))
         assert 0 < first["check_s"] <= first["open_s"]
         assert again["check_s"] == again["open_s"] == 0
+
+    def test_forked_workers_inherit_the_coordinators_check(self):
+        """Under fork the coordinator opens and checks both relations
+        before its pool forks, and says so on ``process.execute`` — on the
+        sides' first run, not the next; no worker's refine opens anything.
+        Under spawn each worker opens them in its first task."""
+        sides = tuple(map(InputSide, QuerySpec(scale=0.002, seed=5).generate()))
+        runs = []
+        for _ in range(2):
+            tracer = Tracer()
+            ProcessPBSM(2, num_partitions=8, tracer=tracer).run(*sides, intersects)
+            (execute,) = tracer.find("process.execute")
+            runs.append((execute.tags, tracer.find("worker.task")))
+        for tags, worker_tasks in runs:
+            assert worker_tasks
+            refines = [
+                next(c.tags for c in task.children if c.name == "worker.refine")
+                for task in worker_tasks
+            ]
+            if mp_context().get_start_method() == "fork":
+                assert all(r["open_s"] == r["check_s"] == 0 for r in refines)
+            else:
+                assert tags["open_s"] == tags["check_s"] == 0
+                seen = set()
+                for task, refine in zip(worker_tasks, refines):
+                    assert (refine["open_s"] > 0) == (task.tags["pid"] not in seen)
+                    seen.add(task.tags["pid"])
+        if mp_context().get_start_method() == "fork":
+            (first, _), (again, _) = runs
+            assert 0 < first["check_s"] <= first["open_s"]
+            assert again["open_s"] == again["check_s"] == 0
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+    )
+    def test_a_dropped_file_leaves_the_memo_and_the_address_space(self):
+        """A memo entry maps its file: the writer drops it with the file —
+        when the side goes, and when a damaged file is forgotten while a
+        run still holds it — so no deleted file stays pinned."""
+
+        def memoised(path):
+            return any(key[0] == path for key in tasks._RELATIONS)
+
+        def mapped(path):
+            return path in Path("/proc/self/maps").read_text()
+
+        side = InputSide(generate_roads(scale=0.001))
+        path = side.relation.path
+        tasks.check_relations(path)
+        assert memoised(path) and mapped(path)
+        del side
+        gc.collect()
+        assert not os.path.exists(path)
+        assert not memoised(path) and not mapped(path)
+
+        side = InputSide(generate_roads(scale=0.001))
+        held = side.relation  # a run that still holds the file
+        tasks.check_relations(held.path)
+        side.forget_relation({held.path})
+        assert not memoised(held.path) and not mapped(held.path)
+        assert os.path.exists(held.path) and side.relation.path != held.path
+        path = held.path
+        del held
+        gc.collect()
+        assert not os.path.exists(path)
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps"
+    )
+    def test_the_coordinators_check_keeps_no_page_resident(self):
+        """``check_relations`` maps the file and checks every frame, yet
+        leaves none of its pages in this process's resident set; a read
+        afterwards faults them back in."""
+
+        def resident_kb(path):
+            total = inside = 0
+            for line in Path("/proc/self/smaps").read_text().splitlines():
+                head = line.split()
+                if not head[0].endswith(":"):
+                    inside = head[-1] == path
+                elif inside and head[0] == "Rss:":
+                    total += int(head[1])
+            return total
+
+        side = InputSide(generate_roads(scale=0.001))
+        path = side.relation.path
+        assert os.path.getsize(path) > 4 * os.sysconf("SC_PAGE_SIZE")
+        open_s, check_s = tasks.check_relations(path)
+        assert 0 < check_s <= open_s
+        assert path in Path("/proc/self/maps").read_text() and resident_kb(path) == 0
+        records = tasks.open_relation(path)
+        assert [records[t.feature_id] for t in side[::9]] == list(side[::9])
+        assert resident_kb(path) > 0
 
     def test_a_shared_pool_worker_keeps_at_most_the_bound(self):
         provider = SharedPoolProvider(1)
