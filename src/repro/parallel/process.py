@@ -78,7 +78,7 @@ from ..checkpoint.manifest import (
     RunFingerprint,
 )
 from ..checkpoint.store import CheckpointMismatchError, CheckpointStore
-from ..core.partition import RoutedSlots, SpatialPartitioner
+from ..core.partition import SpatialPartitioner
 from ..core.pbsm import PBSMConfig
 from ..core.refine import merge_sorted_unique, pair_tuples
 from ..core.predicates import Predicate
@@ -125,12 +125,14 @@ from .tasks import (
     InputSide,
     PairTask,
     PairTaskResult,
+    SideRouting,
     SpillHandle,
     WorkerTaskError,
     check_relations,
     init_pool_worker,
     refine_pair,
     run_pair_task,
+    spill_blocks,
     spill_bytes,
     sweep_pair,
 )
@@ -230,34 +232,6 @@ class RunPoolProvider:
     def release(self, pool: ProcessPoolExecutor) -> None:
         """The run is done with a healthy pool."""
         pool.shutdown(wait=True)
-
-
-class RunRouting:
-    """Where one run's tuples go: ``routing["r"]`` / ``routing["s"]`` is
-    that side's :meth:`~repro.core.partition.SpatialPartitioner.route_all`
-    — one :class:`~repro.core.partition.RoutedSlots` per partition —
-    computed on first use and read by everything that places tuples: the
-    spill pass and its rewrites, the serial rebuild of a pair, the spill
-    footprint.  The paper scans each input once (§3.1); so does a run.  (A
-    resumed run that adopts both sides and rebuilds nothing never routes.)
-    """
-
-    def __init__(
-        self, partitioner: SpatialPartitioner, side_r: InputSide, side_s: InputSide
-    ):
-        self._partitioner = partitioner
-        self.sides = {"r": side_r, "s": side_s}
-        self._routed: Dict[str, List[RoutedSlots]] = {}
-
-    def __getitem__(self, side: str) -> List[RoutedSlots]:
-        if side not in self._routed:
-            self._routed[side] = self._partitioner.route_all(self.sides[side].mbrs)
-        return self._routed[side]
-
-    def placed(self, side: str) -> int:
-        """Tuples placed, each once per partition it reaches: the
-        numerator of ``storage_factor``, whichever path ran the join."""
-        return sum(len(routed.tuple_ordinals) for routed in self[side])
 
 
 class ProcessPBSM:
@@ -442,14 +416,15 @@ class ProcessPBSM:
         early = self._start("process-serial", 0, side_r, side_s, resuming=False)
         if early is not None:
             return early
-        routing = self._routing(side_r, side_s)
+        partitioner = self._partitioner(side_r, side_s)
         outcomes = self._rebuild_pairs(
             dict.fromkeys(range(self.num_partitions), "breaker_shed"),
-            side_r, side_s, routing, predicate,
+            side_r, side_s, partitioner, predicate,
         )
         return self._finish(
             "process-serial", outcomes, side_r, side_s,
-            placed_r=routing.placed("r"), placed_s=routing.placed("s"),
+            placed_r=side_r.routing(partitioner).placed,
+            placed_s=side_s.routing(partitioner).placed,
         )
 
     # ------------------------------------------------------------------ #
@@ -676,12 +651,12 @@ class ProcessPBSM:
         try:
             injector = WriteErrorInjector(self.fault_plan, journal=self.journal)
             with self.tracer.span("process.partition"):
-                routing = self._routing(side_r, side_s)
+                partitioner = self._partitioner(side_r, side_s)
                 spills_r, placed_r = self._obtain_side(
-                    "r", side_r, routing, spill_root, injector, store, fresh,
+                    "r", side_r, partitioner, spill_root, injector, store, fresh,
                 )
                 spills_s, placed_s = self._obtain_side(
-                    "s", side_s, routing, spill_root, injector, store, fresh,
+                    "s", side_s, partitioner, spill_root, injector, store, fresh,
                 )
             if self.fault_plan and self.fault_plan.torn_frames and fresh:
                 # Only freshly written sides: for an adopted spill the
@@ -689,7 +664,10 @@ class ProcessPBSM:
                 self._apply_torn_frames(spills_r, spills_s, set(fresh))
             # Held until the run ends: a concurrent run that drops a damaged
             # relation file must not take it off the disk under these tasks.
-            relations = side_r.relation, side_s.relation
+            # On a side's first run this writes its file, polygons' refine
+            # rows and all.
+            with self.tracer.span("process.relations"):
+                relations = side_r.relation, side_s.relation
             all_tasks = self._build_tasks(
                 spills_r, spills_s, *(r.path for r in relations), predicate
             )
@@ -744,7 +722,7 @@ class ProcessPBSM:
             )
             outcomes.extend(
                 self._rebuild_pairs(
-                    failed, side_r, side_s, routing, predicate,
+                    failed, side_r, side_s, partitioner, predicate,
                     on_result=on_result,
                 )
             )
@@ -823,7 +801,7 @@ class ProcessPBSM:
         self,
         side: str,
         columns: InputSide,
-        routing: RunRouting,
+        partitioner: SpatialPartitioner,
         spill_root: str,
         injector: WriteErrorInjector,
         store: Optional[CheckpointStore],
@@ -835,44 +813,35 @@ class ProcessPBSM:
         Adoption requires every recorded file to exist at its recorded
         size; anything less re-partitions the side from the base relation
         and appends a superseding seal event (last seal per side wins)."""
-        manifest = store.manifest if store is not None else None
-        if manifest is not None:
-            seal = manifest.sealed(side)
-            if seal is not None:
-                handles = self._adopt_spills(seal, spill_root)
-                if handles is not None:
-                    self._count("spill_sides_adopted")
-                    self.journal.emit(
-                        EVENT_PARTITION_SEALED,
-                        side=side,
-                        placed=int(seal["placed"]),
-                        counts=[h.count for h in handles],
-                        adopted=True,
-                    )
-                    return handles, int(seal["placed"])
-                self._count("spill_sides_rebuilt")
-        routed = routing[side]
-        fresh[side] = self._spill_side(
-            side, columns, routed, spill_root, injector,
-            atomic=store is not None,
-        )
-        # A degraded partition's spill is a sealed empty file.
-        spills = [
-            SpillHandle(str(w.path), 0 if p in self._disk_degraded else len(slots.ordinal))
-            for p, (w, slots) in enumerate(zip(fresh[side], routed))
-        ]
-        skew = self.metrics.histogram(f"parallel.partition.keypointers_{side}")
-        for spill in spills:
-            skew.observe(spill.count)
-        placed = routing.placed(side)
+        seal = store.manifest.sealed(side) if store is not None else None
+        adopted = None if seal is None else self._adopt_spills(seal, spill_root)
+        if seal is not None:
+            self._count("spill_sides_rebuilt" if adopted is None else "spill_sides_adopted")
+        if adopted is None:
+            routing = columns.routing(partitioner)
+            fresh[side] = self._spill_side(
+                side, len(columns), routing, spill_root, injector,
+                atomic=store is not None,
+            )
+            # A degraded partition's spill is a sealed empty file.
+            spills = [
+                SpillHandle(str(w.path), 0 if p in self._disk_degraded else len(ordinal))
+                for p, (w, ordinal) in enumerate(zip(fresh[side], routing.ordinals))
+            ]
+            skew = self.metrics.histogram(f"parallel.partition.keypointers_{side}")
+            for spill in spills:
+                skew.observe(spill.count)
+            placed = routing.placed
+        else:
+            spills, placed = adopted
         self.journal.emit(
             EVENT_PARTITION_SEALED,
             side=side,
             placed=placed,
             counts=[s.count for s in spills],
-            adopted=False,
+            adopted=side not in fresh,
         )
-        if store is not None and not self._disk_degraded:
+        if side in fresh and store is not None and not self._disk_degraded:
             # A side partitioned under disk pressure holds deliberately
             # empty spills for its degraded partitions; sealing it would
             # let a resume adopt files that lie about the data.  No seal
@@ -897,8 +866,9 @@ class ProcessPBSM:
 
     def _adopt_spills(
         self, seal: dict, spill_root: str
-    ) -> Optional[SideSpills]:
-        """Re-validate one seal event against the disk; ``None`` = rebuild.
+    ) -> Optional[Tuple[SideSpills, int]]:
+        """Re-validate one seal event against the disk: its spills and the
+        tuples it placed, or ``None`` = rebuild.
         Only the key-pointer fields count: the ``tup`` / ``tup_bytes`` of
         a seal written when partitions also spilled tuples are ignored."""
         files = seal.get("files", [])
@@ -913,7 +883,7 @@ class ProcessPBSM:
             )
         except OSError:
             return None
-        return handles if intact else None
+        return (handles, int(seal["placed"])) if intact else None
 
     def _count(self, what: str, amount: int = 1) -> None:
         """One fault/recovery event: tallied on the run *and* in metrics."""
@@ -936,15 +906,11 @@ class ProcessPBSM:
     # partitioning + spilling
     # ------------------------------------------------------------------ #
 
-    def _routing(self, side_r: InputSide, side_s: InputSide) -> RunRouting:
-        """The run's routing, its partitioner made from both sides' MBR
-        columns."""
-        return RunRouting(
-            SpatialPartitioner.for_inputs(
-                side_r.mbrs, side_s.mbrs,
-                self.num_partitions, self.config.num_tiles, self.config.scheme,
-            ),
-            side_r, side_s,
+    def _partitioner(self, side_r: InputSide, side_s: InputSide) -> SpatialPartitioner:
+        """The run's partitioner, its universe both sides' bounds."""
+        return SpatialPartitioner.for_inputs(
+            side_r.bounds, side_s.bounds,
+            self.num_partitions, self.config.num_tiles, self.config.scheme,
         )
 
     def spill_footprint(
@@ -957,19 +923,22 @@ class ProcessPBSM:
         the routed key-pointer counts.  Checkpoint manifest and result-log
         bytes are not included; the spills dominate by orders of magnitude.
         Nor is the sides' relation files: they are the inputs' stored
-        form, which no run's budget charges."""
+        form, which no run's budget charges.  It routes the sides as a run
+        does, so a run after it on the same sides routes neither again."""
         if not tuples_r or not tuples_s:
             return 0
-        routing = self._routing(InputSide(tuples_r), InputSide(tuples_s))
+        sides = InputSide(tuples_r), InputSide(tuples_s)
+        partitioner = self._partitioner(*sides)
         return sum(
-            spill_bytes(routed) for name in routing.sides for routed in routing[name]
+            spill_bytes(ordinal) for side in sides
+            for ordinal in side.routing(partitioner).ordinals
         )
 
     def _spill_side(
         self,
         side: str,
-        columns: InputSide,
-        routed: List[RoutedSlots],
+        length: int,
+        routing: SideRouting,
         spill_root: str,
         injector: WriteErrorInjector,
         atomic: bool,
@@ -982,14 +951,13 @@ class ProcessPBSM:
         costs the one being written; the side's files are sealed together
         at the end, their fsyncs back to back (spaced a partition's work
         apart they take longer, and less steadily)."""
-        injector.arm_side(side, len(columns))
+        injector.arm_side(side, length)
         spills: List[SpillWriter] = []
         try:
-            for p, slots in enumerate(routed):
+            for p in range(self.num_partitions):
                 spills.append(
                     self._spill_partition(
-                        side, p, columns, slots, spill_root, injector, atomic,
-                        spills,
+                        side, p, routing, spill_root, injector, atomic, spills,
                     )
                 )
             for spill in spills:
@@ -1007,15 +975,14 @@ class ProcessPBSM:
         self,
         side: str,
         p: int,
-        columns: InputSide,
-        routed: RoutedSlots,
+        routing: SideRouting,
         spill_root: str,
         injector: WriteErrorInjector,
         atomic: bool,
         written: List[SpillWriter],
     ) -> SpillWriter:
         """Write partition ``p``'s key-pointer spill, a block at a time
-        (:meth:`~repro.parallel.tasks.InputSide.blocks`), and retry *here*
+        (:func:`~repro.parallel.tasks.spill_blocks`), and retry *here*
         when a write fails — the one place a failed spill write is
         recovered; the writer comes back complete but unsealed, after
         those in ``written``.  With ``atomic=True`` (checkpointed runs)
@@ -1043,7 +1010,8 @@ class ProcessPBSM:
         while p not in self._disk_degraded:
             spill = SpillWriter(path, atomic=atomic, budget=self._budget)
             try:
-                for window, keypointers in columns.blocks(routed):
+                blocks = spill_blocks(routing.ordinals[p], routing.keypointers[p])
+                for window, keypointers in blocks:
                     injector.check(side, window)
                     spill.append(keypointers.tobytes())
             except InjectedFaultError:
@@ -1489,7 +1457,7 @@ class ProcessPBSM:
         reasons: Dict[int, str],
         side_r: InputSide,
         side_s: InputSide,
-        routing: RunRouting,
+        partitioner: SpatialPartitioner,
         predicate: Predicate,
         on_result: Optional[Callable[[PairTaskResult], None]] = None,
     ) -> List[PairTaskResult]:
@@ -1499,11 +1467,11 @@ class ProcessPBSM:
         it: ``retry_exhausted`` / ``corrupt_spill`` (the pool gave up),
         ``disk_full`` (its spill was dropped under pressure) or
         ``breaker_shed`` (there is no pool: :meth:`run_serial`).  The
-        coordinator still holds the base relations, so the partitions are
-        re-derived from source tuples in one routing pass per side and
-        merged in-process — slower, but exact.  Each merge is fed the
-        key-pointer block the spill pass would have written, so it sees
-        bit-identical input to what a worker would have read; refinement
+        coordinator still holds the base relations, so each merge is fed
+        the key-pointer block the spill pass wrote or would have written
+        (the sides' :meth:`~repro.parallel.tasks.InputSide.routing`), so
+        it sees bit-identical input to what a worker would have read, and
+        runs in-process — slower, but exact; refinement
         fetches from the sides' own stored records (``InputSide.stored``),
         in whichever form a worker's would have taken.  The run deadline is
         checked between pairs; ``on_result`` commits each rebuilt pair as
@@ -1511,7 +1479,7 @@ class ProcessPBSM:
         """
         if not reasons:
             return []
-        routed_r, routed_s = routing["r"], routing["s"]
+        routing_r, routing_s = side_r.routing(partitioner), side_s.routing(partitioner)
         results: List[PairTaskResult] = []
         for index in sorted(reasons):
             if self._deadline_expired():
@@ -1522,8 +1490,7 @@ class ProcessPBSM:
                 )
             reason = reasons[index]
             started = time.perf_counter()
-            part_r = side_r.keypointers(routed_r[index])
-            part_s = side_s.keypointers(routed_s[index])
+            part_r, part_s = routing_r.keypointers[index], routing_s.keypointers[index]
             with self.tracer.span("process.degraded_pair", pair=index) as span:
                 span.tag("degraded", True)
                 span.tag("reason", reason)

@@ -81,12 +81,12 @@ import zlib
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.keypointer import conservative_f32
-from ..core.partition import ALLOWED_COMBO_TABLE, RoutedSlots
+from ..core.partition import ALLOWED_COMBO_TABLE, RoutedSlots, SpatialPartitioner, mbr_bounds
 from ..core.pbsm import PBSMConfig
 from ..core.predicates import Predicate, contains, intersects
 from ..core.refine import drop_adjacent
@@ -226,7 +226,10 @@ class InputSide(Sequence):
     * the *routing columns*, taken from the records
       (:func:`~repro.storage.tuples.record_columns`) — ``mbrs`` (exact f64
       N×4, what routing reads), ``mbrs_f32`` (conservatively rounded) and
-      ``fids`` (what a key-pointer stores);
+      ``fids`` (what a key-pointer stores) — and ``bounds``, their
+      :func:`~repro.core.partition.mbr_bounds`;
+    * the *routing memo* (:meth:`routing`) — what the partition phase
+      derives from this side alone under one tiling, kept for the latest;
     * ``refine`` — the :data:`REFINE_DTYPE` rows of a polygon side
       (:func:`refine_columns`), ``None`` for any other;
     * ``stored`` — the stored form, ``fids`` and ``refine`` as :class:`StoredRecords`,
@@ -288,8 +291,8 @@ class InputSide(Sequence):
         builder at a time, and whoever finds a column missing waits here
         for it, so nobody holds a ``payload`` without its ``offsets``."""
         if name not in (
-            "mbrs", "mbrs_f32", "fids", "payload", "offsets", "crc", "refine",
-            "stored", "_relation", "_tuples",
+            "mbrs", "mbrs_f32", "fids", "bounds", "payload", "offsets", "crc",
+            "refine", "stored", "_relation", "_tuples",
         ):
             raise AttributeError(name)
         with self._building:
@@ -322,6 +325,8 @@ class InputSide(Sequence):
                 )
             elif name == "_relation":
                 self._relation = _RelationFile(self)
+            elif name == "bounds":
+                self.bounds = mbr_bounds(self.mbrs)
             else:
                 self.fids, self.mbrs = record_columns(self.payload, self.offsets)
                 self.mbrs_f32 = conservative_f32(self.mbrs)
@@ -359,8 +364,8 @@ class InputSide(Sequence):
         )
 
     def keypointers(self, routed: RoutedSlots) -> np.ndarray:
-        """The key-pointer block of one partition's routed slots: rounded
-        MBRs, tags from the exact-MBR routing."""
+        """The key-pointer block of routed slots: rounded MBRs, tags from
+        the exact-MBR routing."""
         block = np.empty(len(routed.ordinal), KEYPOINTER_DTYPE)
         block["mbr"] = self.mbrs_f32[routed.ordinal]
         block["fid"] = self.fids[routed.ordinal]
@@ -368,21 +373,59 @@ class InputSide(Sequence):
         block["cls"] = routed.cls
         return block
 
-    def blocks(self, routed: RoutedSlots) -> Iterator[Tuple[range, np.ndarray]]:
-        """One partition's key-pointer spill, a block at a time: ``(window,
-        key-pointers)`` for every window of :data:`SPILL_BLOCK_RECORDS`
-        input ordinals the partition places tuples of — its ``routed``
-        slots cut where ``ordinal // SPILL_BLOCK_RECORDS`` changes, which
-        is what :func:`spill_bytes` counts."""
-        keypointers = self.keypointers(routed)
-        window = routed.ordinal // SPILL_BLOCK_RECORDS
-        cuts = np.flatnonzero(np.diff(window, prepend=-1, append=-1)).tolist()
-        for start, stop in zip(cuts, cuts[1:]):
-            first = int(window[start]) * SPILL_BLOCK_RECORDS
-            yield (
-                range(first, min(first + SPILL_BLOCK_RECORDS, len(self))),
-                keypointers[start:stop],
-            )
+    def routing(self, partitioner: SpatialPartitioner) -> "SideRouting":
+        """The side's routing under ``partitioner``'s tiling (§3.1: nothing
+        in it depends on the other side but the universe), derived on first
+        use and kept until another tiling asks for the side's: one entry,
+        the latest.  A caller holds what it is handed, so a run that a
+        thread with another tiling overtakes still reads its own; only
+        asking again pays a second derivation.  (No lock: two threads
+        deriving one tiling at once derive the same arrays.)"""
+        grid = partitioner.grid
+        key = (grid.universe, grid.num_tiles, partitioner.num_partitions, partitioner.scheme)
+        routing = vars(self).get("_routing")
+        if routing is None or routing.key != key:
+            slots, bounds = partitioner.route(self.mbrs)
+            ordinal, keypointers = slots.ordinal.astype(np.int32), self.keypointers(slots)
+            keypointers.flags.writeable = ordinal.flags.writeable = False
+            cuts = list(zip(bounds.tolist(), bounds[1:].tolist()))
+            ordinals, blocks = ([column[a:b] for a, b in cuts] for column in (ordinal, keypointers))
+            routing = self._routing = SideRouting(key, ordinals, blocks, sum(map(_runs, ordinals)))
+        return routing
+
+
+class SideRouting(NamedTuple):
+    """What the partition phase derives from one side alone under one
+    tiling (:meth:`InputSide.routing`): 29 bytes a replica slot."""
+
+    key: tuple
+    """The tiling: the partitioner's universe, ``num_tiles``,
+    ``num_partitions`` and scheme."""
+    ordinals: List[np.ndarray]
+    """Per partition, the input ordinal of each of its key-pointers:
+    int32, ascending."""
+    keypointers: List[np.ndarray]
+    """Per partition, its :data:`KEYPOINTER_DTYPE` block, read-only: what
+    its spill holds and a serial rebuild sweeps."""
+    placed: int
+    """Tuples placed, each once per partition it reaches: the numerator of
+    ``storage_factor``, whichever path ran the join."""
+
+
+def spill_blocks(
+    ordinal: np.ndarray, keypointers: np.ndarray
+) -> Iterator[Tuple[range, np.ndarray]]:
+    """One partition's key-pointer spill, a block at a time: ``(window,
+    key-pointers)`` for every window of :data:`SPILL_BLOCK_RECORDS` input
+    ordinals the partition places tuples of — its key-pointers cut where
+    ``ordinal // SPILL_BLOCK_RECORDS`` changes, which is what
+    :func:`spill_bytes` counts.  (Cut by a binary search per window: a
+    whole-array ``np.diff`` takes ~6× as long.)"""
+    size, last = SPILL_BLOCK_RECORDS, int(ordinal[-1]) if len(ordinal) else -1
+    cuts = np.searchsorted(ordinal, np.arange(0, last + size + 1, size)).tolist()
+    for first, start, stop in zip(range(0, last + 1, size), cuts, cuts[1:]):
+        if start < stop:
+            yield range(first, first + size), keypointers[start:stop]
 
 
 def pack_tuple_block(
@@ -469,15 +512,19 @@ class _RelationFile:
                 pass
 
 
-def spill_bytes(routed: RoutedSlots) -> int:
-    """The bytes the spill pass puts on disk for one partition's routed
-    slots — its key-pointer frames: the block format's footprint, kept
-    beside the format so the two cannot drift."""
-    window = routed.ordinal // SPILL_BLOCK_RECORDS
-    # Ascending, so a new block is a change of quotient.  (Counting them
-    # with an index-less ``np.unique`` would import ``numpy.ma``.)
-    blocks = int(np.count_nonzero(np.diff(window))) + 1 if len(window) else 0
-    return blocks * FRAME_HEADER_SIZE + len(window) * KEYPOINTER_DTYPE.itemsize
+def spill_bytes(ordinal: np.ndarray) -> int:
+    """The bytes the spill pass puts on disk for one partition whose
+    key-pointers are of the input ordinals ``ordinal`` (ascending) — its
+    key-pointer frames: the block format's footprint, kept beside the
+    format so the two cannot drift."""
+    frames = _runs(ordinal // SPILL_BLOCK_RECORDS)
+    return frames * FRAME_HEADER_SIZE + len(ordinal) * KEYPOINTER_DTYPE.itemsize
+
+
+def _runs(values: np.ndarray) -> int:
+    """Runs of equal neighbours in ``values``.  (Not an index-less
+    ``np.unique``, which would import ``numpy.ma``.)"""
+    return int(np.count_nonzero(values[1:] != values[:-1])) + 1 if len(values) else 0
 
 
 class WorkerTaskError(RuntimeError):

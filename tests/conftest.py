@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -69,6 +70,36 @@ def read_records(path, **policy) -> list:
 
 SEAL_R = {"type": "spills_sealed", "side": "r", "files": [], "placed": 0}
 SEAL_S = {"type": "spills_sealed", "side": "s", "files": [], "placed": 0}
+
+
+def road_hydro(scale: float) -> tuple:
+    """Roads × hydrography at ``scale``, as lists, and their serial
+    ``intersects`` answer, which must not be empty."""
+    from repro import intersects
+    from repro.data import generate_hydrography, generate_roads
+    from repro.parallel import serial_feature_pairs
+
+    tuples_r, tuples_s = list(generate_roads(scale=scale)), list(generate_hydrography(scale=scale))
+    expected, _ = serial_feature_pairs(tuples_r, tuples_s, intersects)
+    assert expected, "the workload must not be trivial"
+    return tuples_r, tuples_s, expected
+
+
+def race(*targets, timeout: float = 60.0) -> None:
+    """Run each of ``targets`` on a thread of its own, all at once, with
+    the interpreter switching between threads as often as it can; fail if
+    one is still running ``timeout`` seconds after it was joined."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=target) for target in targets]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def make_fingerprint(salt=0):

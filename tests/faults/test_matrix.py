@@ -8,9 +8,9 @@ serial run — recovery is only recovery if the answer is byte-identical.
 import pytest
 
 from repro import intersects
-from repro.data import generate_hydrography, generate_roads
 from repro.faults import load_plan
-from repro.parallel import ProcessPBSM, serial_feature_pairs
+from repro.parallel import ProcessPBSM
+from tests.conftest import road_hydro
 
 SCALE = 0.001
 NUM_PARTITIONS = 8
@@ -27,11 +27,7 @@ MATRIX = ["disk_error", "torn_frame", "worker_crash", "slow", "combined"]
 
 @pytest.fixture(scope="module")
 def workload():
-    tuples_r = list(generate_roads(scale=SCALE))
-    tuples_s = list(generate_hydrography(scale=SCALE))
-    expected, _ = serial_feature_pairs(tuples_r, tuples_s, intersects)
-    assert expected, "fault matrix needs a non-trivial workload"
-    return tuples_r, tuples_s, expected
+    return road_hydro(SCALE)
 
 
 def _run_under(plan_name, plan_seed, workload):

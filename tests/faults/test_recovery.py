@@ -14,7 +14,6 @@ import pytest
 
 from repro import intersects
 from repro.__main__ import main
-from repro.data import generate_hydrography, generate_roads
 from repro.faults import (
     FaultPlan, FaultSpec, TornFrame, WorkerFaults, WriteError, tear_frame,
 )
@@ -22,20 +21,17 @@ from repro.parallel import (
     ProcessPBSM,
     WorkerTaskError,
     parallel_join,
-    serial_feature_pairs,
     tasks,
 )
 from repro.storage import DiskBudget
+from tests.conftest import road_hydro
 
 SCALE = 0.001
 
 
 @pytest.fixture(scope="module")
 def workload():
-    tuples_r = list(generate_roads(scale=SCALE))
-    tuples_s = list(generate_hydrography(scale=SCALE))
-    expected, _ = serial_feature_pairs(tuples_r, tuples_s, intersects)
-    return tuples_r, tuples_s, expected
+    return road_hydro(SCALE)
 
 
 def _always_failing_plan():
@@ -90,8 +86,8 @@ class TestSpillWriteError:
         }
         side_r, side_s = tasks.InputSide(tuples_r), tasks.InputSide(tuples_s)
         hit = next(  # the first partition with a block in that window
-            routed for routed in engine._routing(side_r, side_s)["r"]
-            if ordinal // 16 in routed.ordinal // 16
+            routed for routed in side_r.routing(engine._partitioner(side_r, side_s)).ordinals
+            if ordinal // 16 in routed // 16
         )
         assert 0 < budget.charged_clock["spill"] - engine.spill_footprint(
             tuples_r, tuples_s

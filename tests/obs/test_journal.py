@@ -1,8 +1,6 @@
 """Tests for the run journal: vocabulary, persistence, torn tails."""
 
 import json
-import sys
-import threading
 
 import pytest
 
@@ -14,6 +12,7 @@ from repro.obs.journal import (
     journal_path,
     read_journal,
 )
+from tests.conftest import race
 
 
 class TestVocabulary:
@@ -92,22 +91,9 @@ class TestPersistence:
         # and the interpreter switching between them as often as it can.
         path = journal_path(tmp_path)
         journal = RunJournal(path)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
         try:
-            threads = [
-                threading.Thread(
-                    target=lambda: [journal.emit("sample") for _ in range(200)]
-                )
-                for _ in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
+            race(*[lambda: [journal.emit("sample") for _ in range(200)]] * 8)
         finally:
-            sys.setswitchinterval(interval)
             journal.close()
         assert len(path.read_text().splitlines()) == 1600
         assert sorted(r["seq"] for r in read_journal(path)) == list(range(1, 1601))

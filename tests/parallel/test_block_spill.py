@@ -47,6 +47,7 @@ from repro.parallel.tasks import (
     read_keypointer_spill,
     read_relation,
     run_pair_task,
+    spill_blocks,
     spill_bytes,
     sweep_pair,
 )
@@ -85,12 +86,12 @@ def sides():
 def spill_side(directory, name, partitioner, side):
     """Partition 0 of ``side``, its key-pointers spilled the way the
     coordinator does: ``(path, records)``."""
-    routed = partitioner.route_all(side.mbrs)[0]
+    routing = side.routing(partitioner)
     path = os.path.join(directory, f"part0000.{name}.kp")
     with SpillWriter(path) as writer:
-        for _window, keypointers in side.blocks(routed):
+        for _window, keypointers in spill_blocks(routing.ordinals[0], routing.keypointers[0]):
             writer.append(keypointers.tobytes())
-    return path, len(routed.ordinal)
+    return path, len(routing.ordinals[0])
 
 
 def relation_copy(directory, name, side):
@@ -197,12 +198,12 @@ class TestOneFormat:
         partitioner, side, _ = sides
         path, _count = spill_side(tmp_path, "r", partitioner, side)
         (routed,) = partitioner.route_all(side.mbrs)
-        footprint = spill_bytes(routed)
+        footprint = spill_bytes(routed.ordinal)
         assert footprint == os.path.getsize(path)
         # A reject quotes it over the wire: an int, not a numpy scalar.
         assert type(footprint) is int
         (nothing,) = partitioner.route_all(side.mbrs[:0])
-        assert spill_bytes(nothing) == 0
+        assert spill_bytes(nothing.ordinal) == 0
 
 
 def block_fids(block):

@@ -12,14 +12,10 @@ import json
 import pytest
 
 from repro import intersects
-from repro.data import generate_hydrography, generate_roads
 from repro.faults import load_plan
 from repro.obs import RunJournal
-from repro.parallel import (
-    DeadlineExceededError,
-    ProcessPBSM,
-    serial_feature_pairs,
-)
+from repro.parallel import DeadlineExceededError, ProcessPBSM
+from tests.conftest import road_hydro
 
 SCALE = 0.002
 NUM_PAIRS = 8
@@ -28,10 +24,7 @@ STALL_SEED = 3  # pins the hang to one pair's attempt 0 across the suite
 
 @pytest.fixture(scope="module")
 def workload():
-    tuples_r = list(generate_roads(scale=SCALE))
-    tuples_s = list(generate_hydrography(scale=SCALE))
-    expected, _ = serial_feature_pairs(tuples_r, tuples_s, intersects)
-    return tuples_r, tuples_s, expected
+    return road_hydro(SCALE)
 
 
 def stall_plan(hang_s):

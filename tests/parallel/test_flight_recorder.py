@@ -19,11 +19,11 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro import intersects
-from repro.data import generate_hydrography, generate_roads
 from repro.faults import CoordinatorKilledError, load_plan
 from repro.obs import RunJournal, Tracer, analyze_events, render_report
 from repro.obs.journal import journal_path, read_journal
-from repro.parallel import ProcessPBSM, process, serial_feature_pairs, tasks
+from repro.parallel import ProcessPBSM, process, tasks
+from tests.conftest import road_hydro
 
 SCALE = 0.001
 NUM_PARTITIONS = 8
@@ -32,11 +32,7 @@ WORKERS = 2
 
 @pytest.fixture(scope="module")
 def workload():
-    tuples_r = list(generate_roads(scale=SCALE))
-    tuples_s = list(generate_hydrography(scale=SCALE))
-    expected, _ = serial_feature_pairs(tuples_r, tuples_s, intersects)
-    assert expected, "flight-recorder tests need a non-trivial workload"
-    return tuples_r, tuples_s, expected
+    return road_hydro(SCALE)
 
 
 class TestJournaledRun:

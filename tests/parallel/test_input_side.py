@@ -14,7 +14,6 @@
 
 import hashlib
 import multiprocessing
-import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -33,7 +32,7 @@ from repro.parallel.tasks import InputSide
 from repro.serve.query import QuerySpec
 from repro.storage import DiskBudget
 from repro.storage.tuples import SpatialTuple, serialize_tuple
-from tests.conftest import read_records
+from tests.conftest import race, read_records
 
 SCALE = 0.002
 PARTITIONS = 4
@@ -244,33 +243,20 @@ class TestImmutableAndShared:
                 side.mbrs, side.mbrs_f32, side.fids, side.stored,
             ))
 
-        threads = [
-            threading.Thread(target=touch, args=(order,))
-            for order in TestImmutableAndShared.ORDERS
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
+        race(*(lambda order=order: touch(order) for order in TestImmutableAndShared.ORDERS))
         return seen
 
     def test_two_threads_first_touching_get_one_consistent_group(self, workload):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                side = InputSide(workload[1])
-                seen = self.first_touches(side)
-                assert len(seen) == len(self.ORDERS)
-                for got in seen:
-                    # One builder: every thread holds the same objects.
-                    assert all(a is b for a, b in zip(got, seen[0]))
-                    payload, offsets = got[0], got[1]
-                    assert offsets[-1] == len(payload)
-                    assert len(offsets) == len(side) + 1
-        finally:
-            sys.setswitchinterval(interval)
+        for _ in range(5):
+            side = InputSide(workload[1])
+            seen = self.first_touches(side)
+            assert len(seen) == len(self.ORDERS)
+            for got in seen:
+                # One builder: every thread holds the same objects.
+                assert all(a is b for a, b in zip(got, seen[0]))
+                payload, offsets = got[0], got[1]
+                assert offsets[-1] == len(payload)
+                assert len(offsets) == len(side) + 1
 
     def test_two_shed_runs_sharing_a_side_index_its_records_once(
         self, workload, monkeypatch
@@ -293,17 +279,7 @@ class TestImmutableAndShared:
                 side_r, side_s, intersects
             ).pairs)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=shed) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
+        race(shed, shed)
         assert len(indexed) == 2 and {id(buffer) for buffer in indexed} == {
             id(side_r.payload), id(side_s.payload)
         }

@@ -17,8 +17,8 @@ from repro.parallel import (
     ParallelPBSM,
     ProcessPBSM,
     parallel_join,
-    serial_feature_pairs,
 )
+from tests.conftest import road_hydro
 
 
 def _workload(scale, seed=None):
@@ -33,9 +33,7 @@ def _workload(scale, seed=None):
 
 @pytest.fixture(scope="module")
 def workload():
-    tuples_r, tuples_s = _workload(0.002)
-    expected, _ = serial_feature_pairs(tuples_r, tuples_s, intersects)
-    return tuples_r, tuples_s, expected
+    return road_hydro(0.002)
 
 
 class TestCrossBackendEquivalence:
@@ -201,7 +199,9 @@ class TestWorkerObservability:
             # Every result is at least one segment pair that intersected.
             assert refine.tags["segment_pairs"] >= span.tags["results"]
             assert refine.tags["vertex_rows"] == 0
-        assert tracer.find("process.partition")
+        # The relations get a root span of their own: on a side's first run
+        # they are written there.
+        assert tracer.find("process.partition") and tracer.find("process.relations")
         assert tracer.find("process.execute")
 
     @pytest.mark.parametrize("seed", [1996, 7, 3017])
@@ -240,9 +240,8 @@ class TestWorkerObservability:
 
 
 class TestCandidateFetchCharging:
-    def test_charging_candidates_counts_at_least_result_fetches(self):
-        tuples_r, tuples_s = _workload(0.002)
-        expected, _ = serial_feature_pairs(tuples_r, tuples_s, intersects)
+    def test_charging_candidates_counts_at_least_result_fetches(self, workload):
+        tuples_r, tuples_s, expected = workload
 
         default = ParallelPBSM(6, scheme=REPLICATE_MBRS).run(
             tuples_r, tuples_s, intersects

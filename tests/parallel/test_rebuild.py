@@ -5,7 +5,9 @@
   returned, refining from the sides' own stored records in the form the
   worker's refine took;
 * a run routes each input side once — a shed ``run_serial``, and a pool
-  run whose spill pass and rebuild of a degraded pair both place tuples;
+  run whose spill pass and rebuild of a degraded pair both place tuples —
+  and a side keeps its routing for the latest tiling, so a warm run or a
+  run after ``spill_footprint`` routes nothing;
 * ``spill_footprint`` is to the byte what an unconstrained run meters;
 * a run starved of disk, or denied one write, returns the same pairs.
 """
@@ -17,7 +19,7 @@ import pytest
 from repro import contains, intersects
 from repro.checkpoint.manifest import RunFingerprint
 from repro.checkpoint.store import CheckpointStore
-from repro.core.partition import SpatialPartitioner
+from repro.core.partition import TileGrid
 from repro.core.refine import pair_tuples
 from repro.data import (
     generate_hydrography,
@@ -31,6 +33,7 @@ from repro.obs import RunJournal, Tracer
 from repro.parallel import ProcessPBSM, parallel_join, tasks
 from repro.parallel.tasks import InputSide
 from repro.storage import DiskBudget
+from tests.conftest import race
 
 SCALE = 0.002
 NUM_PAIRS = 8
@@ -65,6 +68,12 @@ def pooled(workload, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def expected(pooled):
+    """The pooled run's answer, as a result's ``pairs``."""
+    return sorted(pair for task in pooled.values() for pair in pair_tuples(task.pairs))
+
+
+@pytest.fixture(scope="module")
 def joins(workload, pooled, tmp_path_factory):
     """``name → (R, S, predicate, pooled results, pairs columnar?)``:
     polylines under ``intersects`` and polygons under ``contains`` — the
@@ -93,6 +102,20 @@ def joins(workload, pooled, tmp_path_factory):
     }
 
 
+@pytest.fixture
+def routed(monkeypatch):
+    """The length of every input ``slots_all`` is called with."""
+    calls = []
+    slots_all = TileGrid.slots_all
+
+    def counting(self, mbrs):
+        calls.append(len(mbrs))
+        return slots_all(self, mbrs)
+
+    monkeypatch.setattr(TileGrid, "slots_all", counting)
+    return calls
+
+
 REASONS = ("retry_exhausted", "corrupt_spill", "disk_full", "breaker_shed")
 
 
@@ -105,7 +128,7 @@ def rebuilt_pairs(tuples_r, tuples_s, predicate, reason="breaker_shed"):
     side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
     rebuilt = engine._rebuild_pairs(
         dict.fromkeys(range(NUM_PAIRS), reason), side_r, side_s,
-        engine._routing(side_r, side_s), predicate,
+        engine._partitioner(side_r, side_s), predicate,
         on_result=committed.append,
     )
     columnar = [
@@ -165,19 +188,6 @@ class TestRebuildPairs:
             parallel_join(landuse, islands, intersects, backend="serial").pairs
         ) != []
 
-    @pytest.fixture
-    def routed(self, monkeypatch):
-        """The length of every input ``route_all`` is called with."""
-        calls = []
-        route_all = SpatialPartitioner.route_all
-
-        def counting(self, mbrs):
-            calls.append(len(mbrs))
-            return route_all(self, mbrs)
-
-        monkeypatch.setattr(SpatialPartitioner, "route_all", counting)
-        return calls
-
     def test_shed_run_routes_each_side_once(self, workload, routed):
         tuples_r, tuples_s = workload
         result = ProcessPBSM(2, num_partitions=NUM_PAIRS).run_serial(
@@ -201,7 +211,7 @@ class TestRebuildPairs:
         assert 1 < pool.storage_factor_r < pool.storage_factor_s
 
     def test_pool_run_that_degrades_a_pair_routes_each_side_once(
-        self, workload, pooled, routed
+        self, workload, expected, routed
     ):
         """The spill pass and the rebuild of the pair the pool gave up on
         read one routing."""
@@ -216,9 +226,73 @@ class TestRebuildPairs:
         assert routed == [len(tuples_r), len(tuples_s)]
         assert result.degraded_pairs == [3]
         assert result.fault_summary["retry_exhausted"] == 1
-        assert result.pairs == sorted(
-            pair for task in pooled.values() for pair in pair_tuples(task.pairs)
-        )
+        assert result.pairs == expected
+
+
+class TestRoutingMemo:
+    """A side keeps its routing for the latest tiling: a warm run routes
+    nothing, and any other tiling routes afresh to the unmemoised answer."""
+
+    def test_a_second_run_on_the_same_sides_routes_nothing(self, workload, routed):
+        sides = [InputSide(tuples) for tuples in workload]
+        first, second = (parallel_join(*sides, intersects, workers=2) for _ in range(2))
+        assert routed == [len(side) for side in sides]
+        assert second.pairs == first.pairs != []
+
+    def test_another_tiling_routes_afresh_to_the_unmemoised_answer(self, workload, routed):
+        """Over every partition count the serve benchmark asks for, then a
+        new universe, tile count and scheme."""
+        side_r, side_s = (InputSide(tuples) for tuples in workload)
+        for partitions in [8, *range(9, 17), *range(24, 29)]:
+            engine = ProcessPBSM(2, num_partitions=partitions)
+            memoised = engine.run_serial(side_r, side_s, intersects)
+            assert memoised.pairs == engine.run_serial(*workload, intersects).pairs
+            partitioner = engine._partitioner(side_r, side_s)
+            routing, placed = side_r.routing(partitioner), partitioner.route_all(side_r.mbrs)
+            assert [o.tolist() for o in routing.ordinals] == [p.ordinal.tolist() for p in placed]
+            blocks = [side_r.keypointers(p).tobytes() for p in placed]
+            assert [k.tobytes() for k in routing.keypointers] == blocks
+            assert routing.placed == sum(len(p.tuple_ordinals) for p in placed)
+        # Per count: the shared sides once, the unmemoised run's, route_all's.
+        assert routed == [len(side_r), len(side_s), len(side_r), len(side_s), len(side_r)] * 14
+        del routed[:]
+        config = engine.config
+        for change in ({"num_tiles": 256}, {"scheme": "round_robin"}):
+            engine.config = dataclasses.replace(config, **change)
+            assert engine.run_serial(side_r, side_s, intersects).pairs == memoised.pairs
+        engine.config = config
+        wider = InputSide(generate_landuse_polygons(scale=SCALE, universe=WISCONSIN))
+        engine.run_serial(side_r, wider, intersects)
+        assert routed == [len(side_r), len(side_s)] * 2 + [len(side_r), len(wider)]
+
+    def test_a_footprint_and_the_run_after_it_route_each_side_once(
+        self, workload, expected, routed
+    ):
+        sides = [InputSide(tuples) for tuples in workload]
+        engine = ProcessPBSM(2, num_partitions=NUM_PAIRS)
+        assert engine.spill_footprint(*sides) > 0
+        assert engine.run(*sides, intersects).pairs == expected
+        assert routed == [len(side) for side in sides]
+
+    def test_the_memo_holds_at_most_30_bytes_a_replica_slot(self, workload):
+        side_r, side_s = (InputSide(tuples) for tuples in workload)
+        routing = side_r.routing(ProcessPBSM(2)._partitioner(side_r, side_s))
+        slots = sum(map(len, routing.ordinals))
+        held = sum(block.nbytes for block in routing.ordinals + routing.keypointers)
+        assert len(side_r) < slots and held <= 30 * slots
+
+    def test_two_threads_with_different_tilings_on_one_side_agree(self, workload):
+        side_r, side_s = (InputSide(tuples) for tuples in workload)
+        expected = parallel_join(*workload, intersects, backend="serial").pairs
+        answers = []
+
+        def join(partitions):
+            for _ in range(3):
+                engine = ProcessPBSM(1, num_partitions=partitions)
+                answers.append(engine.run(side_r, side_s, intersects).pairs)
+
+        race(lambda: join(8), lambda: join(9), timeout=120)
+        assert answers == [expected] * 6
 
 
 class TestSpillFootprint:
@@ -244,7 +318,7 @@ class TestDiskPressure:
     columns; the answer must not notice."""
 
     def test_half_the_footprint_degrades_but_stays_exact(
-        self, workload, pooled
+        self, workload, expected
     ):
         tuples_r, tuples_s = workload
         engine = ProcessPBSM(2, num_partitions=NUM_PAIRS)
@@ -253,9 +327,7 @@ class TestDiskPressure:
         result = ProcessPBSM(
             2, num_partitions=NUM_PAIRS, disk_budget=budget
         ).run(tuples_r, tuples_s, intersects)
-        assert result.pairs == sorted(
-            pair for task in pooled.values() for pair in pair_tuples(task.pairs)
-        )
+        assert result.pairs == expected
         assert result.duplicates_dropped == 0
         summary = result.fault_summary
         assert summary["disk_pressure"] >= 1
@@ -263,7 +335,7 @@ class TestDiskPressure:
         assert budget.snapshot()["high_watermark_bytes"] <= cap
 
     def test_an_injected_denial_is_recovered_by_one_rewrite(
-        self, workload, pooled
+        self, workload, expected
     ):
         tuples_r, tuples_s = workload
         plan = FaultPlan(
@@ -273,9 +345,7 @@ class TestDiskPressure:
         result = ProcessPBSM(
             2, num_partitions=NUM_PAIRS, fault_plan=plan
         ).run(tuples_r, tuples_s, intersects)
-        assert result.pairs == sorted(
-            pair for task in pooled.values() for pair in pair_tuples(task.pairs)
-        )
+        assert result.pairs == expected
         assert result.degraded_pairs == []
         assert result.fault_summary == {
             "disk_pressure": 1, "disk_full_recovered": 1,
@@ -283,7 +353,7 @@ class TestDiskPressure:
         }
 
     def test_a_denial_after_the_first_partition_spares_the_ones_written(
-        self, workload, pooled, tmp_path
+        self, workload, expected, tmp_path
     ):
         """A checkpointed side's files are sealed together at its end, so a
         denial at a later partition finds earlier ones still staged: they
@@ -305,14 +375,12 @@ class TestDiskPressure:
         assert denied["partition"] > 0
         assert result.degraded_pairs == []
         assert result.fault_summary["disk_full_recovered"] == 1
-        assert result.pairs == sorted(
-            pair for task in pooled.values() for pair in pair_tuples(task.pairs)
-        )
+        assert result.pairs == expected
         assert len(list(tmp_path.rglob("part*.[rs].*"))) == 2 * NUM_PAIRS
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_a_second_denial_degrades_the_partition_and_nothing_adopts_it(
-        self, workload, pooled, tmp_path, monkeypatch
+        self, workload, expected, tmp_path, monkeypatch
     ):
         """Partition 0 of side ``r`` is denied, rewritten, denied again:
         both its sides become sealed empty files, no side is sealed in
@@ -341,6 +409,4 @@ class TestDiskPressure:
         ).resume(tuples_r, tuples_s, intersects)
         assert resumed.fault_summary == {"resumed_pairs": NUM_PAIRS}
         assert all(f.stat().st_size for f in files)
-        assert resumed.pairs == result.pairs == sorted(
-            pair for task in pooled.values() for pair in pair_tuples(task.pairs)
-        )
+        assert resumed.pairs == result.pairs == expected

@@ -32,6 +32,7 @@ from repro.serve import (
     wait_for_server,
 )
 from repro.serve.query import DATASETS
+from tests.conftest import race
 
 SPEC = {"dataset": "road_hydro", "scale": 0.004, "workers": 2}
 
@@ -812,17 +813,7 @@ class TestStatsOp:
             for _ in range(joins_n):
                 assert server._op_join(dict(SPEC))["ok"]
 
-        threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        race(*[hammer] * threads_n)
         try:
             stats = server.stats()
             parsed = parse_exposition(
