@@ -10,7 +10,8 @@ real wall-clock seconds:
    workers can read; the tuples they refine with are each side's relation
    file, written once per input (:mod:`repro.parallel.tasks`).
 2. **Schedule** — partition-pair merge tasks are submitted to a
-   ``ProcessPoolExecutor`` in longest-processing-time-first order, seeded
+   ``ProcessPoolExecutor`` (kept between runs: :class:`ResidentPoolProvider`)
+   in longest-processing-time-first order, seeded
    by per-pair key-pointer counts.  LPT places the big pairs first; the
    executor's single shared task queue then acts as the work-stealing
    fallback — when skew makes the estimate wrong, whichever worker frees
@@ -59,6 +60,7 @@ import multiprocessing
 import os
 import shutil
 import tempfile
+import threading
 import time
 from collections import Counter as TallyCounter
 from concurrent.futures import (
@@ -130,7 +132,9 @@ from .tasks import (
     WorkerTaskError,
     check_relations,
     init_pool_worker,
+    open_relation_keys,
     refine_pair,
+    relation_key,
     run_pair_task,
     spill_blocks,
     spill_bytes,
@@ -197,28 +201,28 @@ class DeadlineExceededError(RuntimeError):
 
 
 class RunPoolProvider:
-    """Per-run executor ownership: the default pool lifecycle.
+    """A private pool per run: fresh on acquire, torn down when the run
+    abandons or finishes it.
 
     The coordinator's scheduling loop never creates or destroys a
-    ``ProcessPoolExecutor`` directly; it asks its provider.  This default
-    provider reproduces the historical behaviour — a fresh pool per
-    acquire, torn down when the run abandons or finishes it — while the
-    serving tier substitutes :class:`repro.serve.pool.SharedPoolProvider`
-    to multiplex many concurrent queries onto one resident pool.
+    ``ProcessPoolExecutor`` directly; it asks its provider.  A run gets
+    this one when it journals (its heartbeat queue rides the pool's
+    initializer) or carries a fault plan (whose faults kill and wedge
+    workers); every other run gets the process's :data:`RESIDENT_POOL`.
 
     ``shared`` tells the coordinator whether it may install per-pool
     worker state (the initializer and its heartbeat queue): only a
     private pool can carry one run's heartbeat queue.
+    ``forks_for_sides``: a pool it hands out forks after the run's
+    relation check (:func:`~repro.parallel.tasks.check_relations`).
     """
 
     shared = False
+    forks_for_sides = True
 
     def acquire(
-        self,
-        max_workers: int,
-        context,
-        initializer=None,
-        initargs: tuple = (),
+        self, max_workers: int, context, initializer=None, initargs: tuple = (),
+        relations: Sequence[str] = (),
     ) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=max_workers, mp_context=context,
@@ -232,6 +236,130 @@ class RunPoolProvider:
     def release(self, pool: ProcessPoolExecutor) -> None:
         """The run is done with a healthy pool."""
         pool.shutdown(wait=True)
+
+
+class ResidentPoolProvider:
+    """One pool kept from run to run, a *generation* at a time.
+
+    The first run that asks starts it; ``release`` leaves it standing;
+    the first ``discard`` of a generation (a broken pool, a task timeout,
+    a run deadline) retires it, later discards of it are no-ops, and the
+    next ``acquire`` starts the next generation — as does one that finds
+    the pool broken (a worker killed between runs).  ``close`` shuts it
+    down; so does the interpreter's exit (``concurrent.futures`` joins
+    every live pool's workers first).  Its workers run
+    :func:`~repro.parallel.tasks.init_pool_worker` with no heartbeat queue,
+    so they die with their coordinator.
+
+    Built without a size (:data:`RESIDENT_POOL`, one per process) a
+    generation serves the runs it fits: same worker count and start
+    method, and under ``fork`` only runs whose relation files it
+    inherited — their coordinator checks them before the pool forks, so
+    its workers open nothing.  A run on other sides retires the idle
+    generation and forks the next after its own check; one that finds it
+    busy (another thread's run) uses it as it is, so no tenant's pool is
+    retired under it.  Built with a size (the serve
+    tier's :class:`~repro.serve.pool.SharedPoolProvider`), one generation
+    serves every run whatever it asks: co-tenant queries share it.
+    """
+
+    shared = True
+
+    def __init__(self, max_workers: Optional[int] = None):
+        if max_workers is not None and max_workers < 1:
+            raise ValueError("need at least one worker")
+        self.max_workers = max_workers
+        self.forks_for_sides = max_workers is None
+        self._lock = threading.Lock()
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._fits: tuple = ()
+        """``(workers, start method, inherited relation keys)``."""
+        self._tenants = 0
+        self._closed = False
+        self.generation = 0
+        """How many pools have been started; bumps on every new one."""
+
+    def acquire(
+        self, max_workers: int, context, initializer=None, initargs: tuple = (),
+        relations: Sequence[str] = (),
+    ) -> ProcessPoolExecutor:
+        """The resident pool, when it fits this run (started if need be).
+        Initializers are refused: they carry one run's state into workers
+        that serve others (the engine passes none to ``shared`` providers)."""
+        if initializer is not None:
+            raise ValueError("a shared pool cannot run per-run initializers")
+        size = self.max_workers or max_workers
+        context = context or multiprocessing.get_context()
+        fork = self.forks_for_sides and context.get_start_method() == "fork"
+        try:
+            wanted = frozenset(map(relation_key, relations)) if fork else frozenset()
+        except OSError:  # a file gone: no generation inherited it
+            wanted = frozenset({None})
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("resident pool provider is closed")
+            retired = self._pool
+            if retired is not None and retired._broken:  # type: ignore[attr-defined]
+                self._retire_locked()
+            elif retired is not None and (
+                self._tenants
+                or not self.forks_for_sides
+                or self._fits[:2] == (size, context.get_start_method())
+                and wanted <= self._fits[2]
+            ):
+                retired = None  # it serves this run
+            else:
+                self._pool = None
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    size, mp_context=context, initializer=init_pool_worker
+                )
+                self._fits = (
+                    size, context.get_start_method(),
+                    open_relation_keys() if fork else frozenset(),
+                )
+                self._tenants = 0
+                self.generation += 1
+            self._tenants += 1
+            pool = self._pool
+        if retired is not None:  # idle or broken: gone before the next fork
+            retired.shutdown(wait=True)
+        return pool
+
+    def discard(self, pool: ProcessPoolExecutor) -> None:
+        """Retire a broken or wedged generation without waiting on its
+        workers (first caller wins; a retired one's late discards no-op)."""
+        with self._lock:
+            if pool is not self._pool:
+                return
+            self._retire_locked()
+        pool.shutdown(wait=False, cancel_futures=True)
+
+    def release(self, pool: ProcessPoolExecutor) -> None:
+        """The run is done with the pool; the pool is not."""
+        with self._lock:
+            if pool is self._pool:
+                self._tenants -= 1
+
+    def close(self) -> None:
+        """Shut the pool down and refuse future acquires."""
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def _retire_locked(self) -> None:
+        self._pool = None
+        self._on_retire_locked()
+
+    def _on_retire_locked(self) -> None:
+        """A generation was retired by a discard or found broken."""
+
+
+RESIDENT_POOL = ResidentPoolProvider()
+"""The process's resident pool: every run without a journal, a fault plan
+or a provider of its own."""
 
 
 class ProcessPBSM:
@@ -254,7 +382,7 @@ class ProcessPBSM:
         checkpoint_dir: Optional[str] = None,
         kill_coordinator_after: Optional[int] = None,
         kill_hard: bool = False,
-        pool_provider: Optional[RunPoolProvider] = None,
+        pool_provider=None,
         disk_budget: Optional[DiskBudget] = None,
     ):
         if workers < 1:
@@ -310,11 +438,15 @@ class ProcessPBSM:
             )
         self.kill_coordinator_after = kill_coordinator_after
         self.kill_hard = kill_hard
-        self.pool_provider = pool_provider or RunPoolProvider()
-        """Executor lifecycle hooks.  The default owns a fresh pool per
-        run; a shared provider (the serve tier) hands every run the same
-        resident pool, ignores ``release``, and heals ``discard`` by
-        swapping in a new generation for everyone."""
+        self.pool_provider = pool_provider or (
+            RunPoolProvider()
+            if journal.enabled or fault_plan is not None
+            else RESIDENT_POOL
+        )
+        """Executor lifecycle hooks.  By default the process's resident
+        pool (:data:`RESIDENT_POOL`), kept between runs; a run with a
+        journal or a fault plan owns a fresh pool (:class:`RunPoolProvider`);
+        the serve tier hands every query its own resident pool."""
         self.disk_budget = disk_budget
         """Optional :class:`~repro.storage.pressure.DiskBudget` every
         coordinator-side write (partition spills, checkpoint manifests,
@@ -825,7 +957,7 @@ class ProcessPBSM:
             )
             # A degraded partition's spill is a sealed empty file.
             spills = [
-                SpillHandle(str(w.path), 0 if p in self._disk_degraded else len(ordinal))
+                SpillHandle(w.path, 0 if p in self._disk_degraded else len(ordinal))
                 for p, (w, ordinal) in enumerate(zip(fresh[side], routing.ordinals))
             ]
             skew = self.metrics.histogram(f"parallel.partition.keypointers_{side}")
@@ -1183,11 +1315,13 @@ class ProcessPBSM:
             else None
         )
         initializer = None if provider.shared else init_pool_worker
-        # A private pool's forked workers inherit this process's relation
-        # memo: what it opens and checks before each fork, none of them
-        # opens again.  (A shared pool's workers forked before the sides
+        # Forked workers inherit this process's relation memo: what it
+        # opens and checks before the fork, none of them opens again — and
+        # a resident generation serves only the runs whose files it
+        # inherited.  (The serve tier's workers forked before the sides
         # existed; spawned ones inherit nothing.)
-        inherits = not provider.shared and context.get_start_method() == "fork"
+        inherits = provider.forks_for_sides and context.get_start_method() == "fork"
+        relations = tasks[0].relation_r_path, tasks[0].relation_s_path
         worker_phase: Dict[int, dict] = {}
         next_sample = time.monotonic() + SAMPLE_INTERVAL_S
 
@@ -1297,14 +1431,13 @@ class ProcessPBSM:
                     raise error
                 if pool is None:
                     if inherits:
-                        open_s, check_s = check_relations(
-                            tasks[0].relation_r_path, tasks[0].relation_s_path
-                        )
+                        open_s, check_s = check_relations(*relations)
                         self._open_s += open_s
                         self._check_s += check_s
                     pool = provider.acquire(
                         max_workers, context,
                         initializer=initializer, initargs=(heartbeats,),
+                        relations=relations,
                     )
                 while to_submit:
                     index = to_submit.pop(0)
@@ -1441,6 +1574,11 @@ class ProcessPBSM:
                         )
         finally:
             if pool is not None:
+                # An abandoned run (a coordinator kill, an exception) leaves
+                # the pool as it found it: its queued tasks cancelled, its
+                # running ones waited for — no later run queues behind
+                # them, and none reads a spill this run is about to remove.
+                wait([future for future in inflight if not future.cancel()])
                 provider.release(pool)
             drain_heartbeats()
             if heartbeats is not None:

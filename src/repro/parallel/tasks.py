@@ -856,6 +856,17 @@ def _open_relation(path: str, release: bool = False) -> Tuple[StoredRecords, boo
     return records, hit
 
 
+def open_relation_keys() -> frozenset:
+    """The keys of every relation this process keeps open: what a pool
+    that forks now inherits, mapped and checked."""
+    return frozenset(_RELATIONS)
+
+
+def relation_key(path: str) -> tuple:
+    """The key the relation file at ``path`` is kept under as it is now."""
+    return _identity(path, os.stat(path))
+
+
 def _evict_relation(path: str) -> None:
     """Drop whatever the memo keeps of the file at ``path``, its mapping
     with it: a file its writer removes must not stay pinned on the disk."""

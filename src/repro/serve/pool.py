@@ -1,11 +1,11 @@
 """The resident pool: one process pool multiplexed across all queries.
 
-A one-shot run owns its :class:`~concurrent.futures.ProcessPoolExecutor`
-— spawn, use, shut down.  A serving tier cannot afford that: spawn cost
-per query would dwarf small joins, and an unbounded pool-per-query would
-blow past the machine.  :class:`SharedPoolProvider` plugs into the
-:class:`~repro.parallel.process.ProcessPBSM` pool-provider seam and
-hands every run the *same* resident executor.
+:class:`SharedPoolProvider` is the engine's resident pool lifecycle
+(:class:`~repro.parallel.process.ResidentPoolProvider`: started lazily, a
+new generation on the first discard of the old, ``close``) sized for the
+server, plus a circuit breaker.  Unlike a one-shot process's resident
+pool it never re-forks for new sides: co-tenant queries share it, so one
+generation serves every query, whatever its sides or worker count.
 
 The awkward part is failure.  When any tenant's task crashes its worker,
 the executor breaks for **everyone**: the crashing run sees
@@ -34,21 +34,19 @@ it with a fresh cooldown.  State transitions are journaled
 (``breaker_transition``) and exposed via :meth:`breaker_stats` for the
 ``stats`` op.
 
-:meth:`release` is deliberately a no-op — the run is done, the pool is
+:meth:`release` leaves the pool standing — the run is done, the pool is
 not.  Only the server's :meth:`close` (shutdown/SIGTERM) retires the
 pool for good.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from typing import Deque, Optional
+from typing import Deque
 
 from ..obs.journal import EVENT_BREAKER, NULL_JOURNAL
-from ..parallel.tasks import init_pool_worker
+from ..parallel.process import ResidentPoolProvider
 
 BREAKER_CLOSED = "closed"
 """Healthy: pool-backed queries flow."""
@@ -58,10 +56,8 @@ BREAKER_HALF_OPEN = "half_open"
 """Probing: exactly one query holds the pool; its fate decides."""
 
 
-class SharedPoolProvider:
-    """Pool provider that keeps one executor alive across runs."""
-
-    shared = True
+class SharedPoolProvider(ResidentPoolProvider):
+    """The resident pool, sized for the server, behind a circuit breaker."""
 
     def __init__(
         self,
@@ -72,81 +68,25 @@ class SharedPoolProvider:
         breaker_cooldown_s: float = 5.0,
         journal=NULL_JOURNAL,
     ):
-        if max_workers < 1:
-            raise ValueError("need at least one worker")
+        super().__init__(max_workers)
         if breaker_threshold < 1:
             raise ValueError("breaker threshold must be at least 1")
         if breaker_window_s <= 0 or breaker_cooldown_s <= 0:
             raise ValueError("breaker window and cooldown must be positive")
-        self.max_workers = max_workers
         self.breaker_threshold = breaker_threshold
         self.breaker_window_s = breaker_window_s
         self.breaker_cooldown_s = breaker_cooldown_s
         self.journal = journal
-        self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._closed = False
-        self.generation = 0
-        """How many pools have been spawned; bumps on every heal."""
         self._state = BREAKER_CLOSED
         self._failures: Deque[float] = deque()
         self._opened_at = 0.0
         self._trips = 0
 
-    # ------------------------------------------------------------------ #
-    # provider seam (what ProcessPBSM calls)
-    # ------------------------------------------------------------------ #
-
-    def acquire(self, max_workers, context, initializer=None, initargs=()):
-        """Hand out the resident pool (spawning it lazily).
-
-        The per-run ``max_workers`` is ignored — the pool is sized for
-        the *server*, and run fingerprints exclude worker count, so a
-        query asking for 2 workers and one asking for 8 are the same
-        join either way.  Initializers are refused: they carry one run's
-        state into workers that serve everybody (the engine passes none
-        to ``shared`` providers).  The pool runs the engine's own, with no
-        heartbeat queue, so that its workers die with the server.
-        """
-        if initializer is not None:
-            raise ValueError(
-                "a shared pool cannot run per-run initializers"
-            )
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("shared pool provider is closed")
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers, mp_context=context,
-                    initializer=init_pool_worker,
-                )
-                self.generation += 1
-            return self._pool
-
-    def discard(self, pool) -> None:
-        """Retire a broken generation (first caller wins; late calls no-op).
-
-        Only the caller that actually retires the generation charges the
+    def _on_retire_locked(self) -> None:
+        """Only the caller that actually retires a generation charges the
         breaker one failure — N tenants reporting the same dead pool is
-        one pool death, not N.
-        """
-        with self._lock:
-            if pool is not self._pool:
-                return  # already retired by a co-tenant
-            self._pool = None
-            self._record_failure_locked()
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def release(self, pool) -> None:
-        """End-of-run hook: the pool outlives the run, so do nothing."""
-
-    def close(self) -> None:
-        """Server shutdown: drain the workers and refuse future acquires."""
-        with self._lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        one pool death, not N."""
+        self._record_failure_locked()
 
     # ------------------------------------------------------------------ #
     # circuit breaker (what JoinServer calls)

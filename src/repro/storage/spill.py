@@ -72,6 +72,7 @@ def pack_frame(record: bytes) -> bytes:
 class SpillWriter:
     """Append length-prefixed, checksummed records to a spill file.
 
+    A run makes its spill directory once; a writer makes a missing one.
     Usable as a context manager: a clean exit seals the file, an exception
     aborts it (the partial file is deleted — an abandoned partition must
     not leave its frames on disk).  With ``atomic=True`` records are
@@ -89,24 +90,23 @@ class SpillWriter:
 
     def __init__(
         self,
-        path: "Path | str",
+        path: "os.PathLike[str] | str",
         *,
         atomic: bool = False,
         budget=None,
         category: str = "spill",
     ):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path = os.fspath(path)
         self.atomic = atomic
         self.budget = budget
         self.category = category
         self.charged = 0
-        self._write_path = (
-            self.path.with_name(self.path.name + TMP_SUFFIX)
-            if atomic
-            else self.path
-        )
-        self._fh: Optional[BinaryIO] = self._write_path.open("wb")
+        self._write_path = self.path + TMP_SUFFIX if atomic else self.path
+        try:
+            self._fh: Optional[BinaryIO] = open(self._write_path, "wb")
+        except FileNotFoundError:  # a caller that made no directory
+            os.makedirs(os.path.dirname(self._write_path), exist_ok=True)
+            self._fh = open(self._write_path, "wb")
         self.count = 0
 
     def append(self, record: bytes) -> None:

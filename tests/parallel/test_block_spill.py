@@ -526,9 +526,10 @@ class TestWorkerRelations:
         """Under fork the coordinator opens and checks both relations
         before its pool forks, and says so on ``process.execute`` — on the
         sides' first run, not the next; no worker's refine opens anything.
-        Under spawn each worker opens them in its first task."""
+        Under spawn each worker opens them in its first task of the sides,
+        whichever run it comes in: the pool outlives the run."""
         sides = tuple(map(InputSide, QuerySpec(scale=0.002, seed=5).generate()))
-        runs = []
+        runs, seen = [], set()
         for _ in range(2):
             tracer = Tracer()
             ProcessPBSM(2, num_partitions=8, tracer=tracer).run(*sides, intersects)
@@ -544,7 +545,6 @@ class TestWorkerRelations:
                 assert all(r["open_s"] == r["check_s"] == 0 for r in refines)
             else:
                 assert tags["open_s"] == tags["check_s"] == 0
-                seen = set()
                 for task, refine in zip(worker_tasks, refines):
                     assert (refine["open_s"] > 0) == (task.tags["pid"] not in seen)
                     seen.add(task.tags["pid"])
