@@ -163,13 +163,6 @@ class BPlusTree:
     def num_pages(self) -> int:
         return self.pool.disk.file_length(self.file_id)
 
-    def _descend(self, key: int) -> _Node:
-        node = self._read(self.root_page)
-        while not node.is_leaf:
-            idx = _upper_bound(node.keys, key)
-            node = self._read(node.children[idx])
-        return node
-
     def _descend_left(self, key: int) -> _Node:
         """Descend to the first leaf that may hold ``key``.
 

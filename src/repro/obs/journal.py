@@ -25,9 +25,10 @@ Worker processes cannot append to the coordinator's file; the
 coordinator emits a task's ``task_started`` / ``task_finished`` when it
 harvests the result, from the result's own fields, with the worker's
 relative clock as ``worker_t``.  Liveness heartbeats take a real side
-channel (a multiprocessing queue drained by the coordinator's scheduling
-loop), because a crashed worker's result never arrives — which is
-exactly when you want its last heartbeat.
+channel, because a crashed worker's result never arrives — which is
+exactly when you want its last heartbeat: workers append them to a file
+of the run's own (:class:`~repro.parallel.tasks.HeartbeatFile`), and the
+coordinator's scheduling loop journals each complete line it reads.
 
 :data:`NULL_JOURNAL` is the shared disabled journal: ``emit`` is one
 ``if`` and no I/O, so instrumented paths stay free when nobody records.

@@ -28,7 +28,7 @@ from .engine import (
     TaskReport,
     serial_feature_pairs,
 )
-from .process import DeadlineExceededError, ProcessPBSM, RunPoolProvider
+from .process import DeadlineExceededError, ProcessPBSM
 from .tasks import (
     PairTask,
     PairTaskResult,
@@ -49,7 +49,6 @@ __all__ = [
     "ParallelJoinResult",
     "ParallelPBSM",
     "ProcessPBSM",
-    "RunPoolProvider",
     "SpillHandle",
     "REMOTE_FETCH_SECONDS",
     "REPLICATE_MBRS",

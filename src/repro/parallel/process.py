@@ -10,9 +10,10 @@ real wall-clock seconds:
    workers can read; the tuples they refine with are each side's relation
    file, written once per input (:mod:`repro.parallel.tasks`).
 2. **Schedule** — partition-pair merge tasks are submitted to a
-   ``ProcessPoolExecutor`` (kept between runs: :class:`ResidentPoolProvider`)
-   in longest-processing-time-first order, seeded
-   by per-pair key-pointer counts.  LPT places the big pairs first; the
+   ``ProcessPoolExecutor`` kept between runs (:class:`ResidentPoolProvider`,
+   one lifecycle for every run: journaled, fault-injected or plain) in
+   longest-processing-time-first order, seeded by per-pair key-pointer
+   counts.  LPT places the big pairs first; the
    executor's single shared task queue then acts as the work-stealing
    fallback — when skew makes the estimate wrong, whichever worker frees
    up first simply pulls the next pair, so no worker idles while tasks
@@ -124,6 +125,7 @@ from ..storage.tuples import SpatialTuple
 from .engine import NodeReport, ParallelJoinResult, TaskReport
 from .tasks import (
     DEFAULT_TASK_MEMORY,
+    HeartbeatFile,
     InputSide,
     PairTask,
     PairTaskResult,
@@ -200,44 +202,6 @@ class DeadlineExceededError(RuntimeError):
         self.pending = pending
 
 
-class RunPoolProvider:
-    """A private pool per run: fresh on acquire, torn down when the run
-    abandons or finishes it.
-
-    The coordinator's scheduling loop never creates or destroys a
-    ``ProcessPoolExecutor`` directly; it asks its provider.  A run gets
-    this one when it journals (its heartbeat queue rides the pool's
-    initializer) or carries a fault plan (whose faults kill and wedge
-    workers); every other run gets the process's :data:`RESIDENT_POOL`.
-
-    ``shared`` tells the coordinator whether it may install per-pool
-    worker state (the initializer and its heartbeat queue): only a
-    private pool can carry one run's heartbeat queue.
-    ``forks_for_sides``: a pool it hands out forks after the run's
-    relation check (:func:`~repro.parallel.tasks.check_relations`).
-    """
-
-    shared = False
-    forks_for_sides = True
-
-    def acquire(
-        self, max_workers: int, context, initializer=None, initargs: tuple = (),
-        relations: Sequence[str] = (),
-    ) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=context,
-            initializer=initializer, initargs=initargs,
-        )
-
-    def discard(self, pool: ProcessPoolExecutor) -> None:
-        """Drop a broken or wedged pool without waiting on its workers."""
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def release(self, pool: ProcessPoolExecutor) -> None:
-        """The run is done with a healthy pool."""
-        pool.shutdown(wait=True)
-
-
 class ResidentPoolProvider:
     """One pool kept from run to run, a *generation* at a time.
 
@@ -248,8 +212,10 @@ class ResidentPoolProvider:
     the pool broken (a worker killed between runs).  ``close`` shuts it
     down; so does the interpreter's exit (``concurrent.futures`` joins
     every live pool's workers first).  Its workers run
-    :func:`~repro.parallel.tasks.init_pool_worker` with no heartbeat queue,
-    so they die with their coordinator.
+    :func:`~repro.parallel.tasks.init_pool_worker`, so they die with
+    their coordinator.  Every run uses it the same way, journaled or with
+    a fault plan or neither: a journaled run's heartbeats go to a file of
+    its own, named by its tasks, not to any state of the pool's.
 
     Built without a size (:data:`RESIDENT_POOL`, one per process) a
     generation serves the runs it fits: same worker count and start
@@ -262,8 +228,6 @@ class ResidentPoolProvider:
     tier's :class:`~repro.serve.pool.SharedPoolProvider`), one generation
     serves every run whatever it asks: co-tenant queries share it.
     """
-
-    shared = True
 
     def __init__(self, max_workers: Optional[int] = None):
         if max_workers is not None and max_workers < 1:
@@ -280,14 +244,9 @@ class ResidentPoolProvider:
         """How many pools have been started; bumps on every new one."""
 
     def acquire(
-        self, max_workers: int, context, initializer=None, initargs: tuple = (),
-        relations: Sequence[str] = (),
+        self, max_workers: int, context, relations: Sequence[str] = ()
     ) -> ProcessPoolExecutor:
-        """The resident pool, when it fits this run (started if need be).
-        Initializers are refused: they carry one run's state into workers
-        that serve others (the engine passes none to ``shared`` providers)."""
-        if initializer is not None:
-            raise ValueError("a shared pool cannot run per-run initializers")
+        """The resident pool, when it fits this run (started if need be)."""
         size = self.max_workers or max_workers
         context = context or multiprocessing.get_context()
         fork = self.forks_for_sides and context.get_start_method() == "fork"
@@ -358,8 +317,7 @@ class ResidentPoolProvider:
 
 
 RESIDENT_POOL = ResidentPoolProvider()
-"""The process's resident pool: every run without a journal, a fault plan
-or a provider of its own."""
+"""The process's resident pool: every run without a provider of its own."""
 
 
 class ProcessPBSM:
@@ -398,7 +356,8 @@ class ProcessPBSM:
         self.journal = journal
         """Flight recorder (:class:`repro.obs.journal.RunJournal`); the
         default :data:`NULL_JOURNAL` records nothing.  When enabled, the
-        coordinator also opens a heartbeat side channel to the workers and
+        run's workers also append heartbeats to a file of its own
+        (:class:`~repro.parallel.tasks.HeartbeatFile`), and the coordinator
         samples its own scheduling state every :data:`SAMPLE_INTERVAL_S`."""
         self.fault_plan = fault_plan
         if task_timeout_s is not None and task_timeout_s <= 0:
@@ -438,15 +397,10 @@ class ProcessPBSM:
             )
         self.kill_coordinator_after = kill_coordinator_after
         self.kill_hard = kill_hard
-        self.pool_provider = pool_provider or (
-            RunPoolProvider()
-            if journal.enabled or fault_plan is not None
-            else RESIDENT_POOL
-        )
+        self.pool_provider = pool_provider or RESIDENT_POOL
         """Executor lifecycle hooks.  By default the process's resident
-        pool (:data:`RESIDENT_POOL`), kept between runs; a run with a
-        journal or a fault plan owns a fresh pool (:class:`RunPoolProvider`);
-        the serve tier hands every query its own resident pool."""
+        pool (:data:`RESIDENT_POOL`), kept between runs; the serve tier
+        hands every query its own resident pool."""
         self.disk_budget = disk_budget
         """Optional :class:`~repro.storage.pressure.DiskBudget` every
         coordinator-side write (partition spills, checkpoint manifests,
@@ -1303,18 +1257,7 @@ class ProcessPBSM:
         )
         journal = self.journal
         provider = self.pool_provider
-        # The heartbeat side channel: an mp queue handed to every worker
-        # via the pool initializer (initargs travel as process-constructor
-        # arguments, which is the one spawn-safe way to inherit a queue).
-        # Only a journaling run with a *private* pool pays for it — a
-        # shared pool serves many runs at once, cannot carry one run's
-        # initializer state and runs the initializer itself.
-        heartbeats = (
-            context.Queue()
-            if journal.enabled and not provider.shared
-            else None
-        )
-        initializer = None if provider.shared else init_pool_worker
+        heartbeats = HeartbeatFile() if journal.enabled else None
         # Forked workers inherit this process's relation memo: what it
         # opens and checks before the fork, none of them opens again — and
         # a resident generation serves only the runs whose files it
@@ -1322,22 +1265,15 @@ class ProcessPBSM:
         # existed; spawned ones inherit nothing.)
         inherits = provider.forks_for_sides and context.get_start_method() == "fork"
         relations = tasks[0].relation_r_path, tasks[0].relation_s_path
-        worker_phase: Dict[int, dict] = {}
+        worker_phase: Dict[int, str] = {}
         next_sample = time.monotonic() + SAMPLE_INTERVAL_S
 
         def drain_heartbeats() -> None:
-            if heartbeats is None:
-                return
-            while True:
-                try:
-                    ping = heartbeats.get_nowait()
-                except Exception:
-                    return
-                worker_phase[ping["pid"]] = ping
+            for pid, pair, attempt, phase in heartbeats.read() if heartbeats else ():
+                worker_phase[pid] = phase
                 journal.emit(
                     EVENT_WORKER_HEARTBEAT,
-                    pid=ping["pid"], pair=ping["pair"],
-                    attempt=ping["attempt"], phase=ping["phase"],
+                    pid=pid, pair=pair, attempt=attempt, phase=phase,
                 )
 
         def maybe_sample() -> None:
@@ -1351,10 +1287,7 @@ class ProcessPBSM:
                 inflight=sorted(inflight.values()),
                 done=len(outcomes),
                 total=len(tasks),
-                workers={
-                    str(pid): ping["phase"]
-                    for pid, ping in sorted(worker_phase.items())
-                },
+                workers={str(pid): phase for pid, phase in sorted(worker_phase.items())},
             )
 
         def on_failure(index: int, error: WorkerTaskError) -> None:
@@ -1434,15 +1367,12 @@ class ProcessPBSM:
                         open_s, check_s = check_relations(*relations)
                         self._open_s += open_s
                         self._check_s += check_s
-                    pool = provider.acquire(
-                        max_workers, context,
-                        initializer=initializer, initargs=(heartbeats,),
-                        relations=relations,
-                    )
+                    pool = provider.acquire(max_workers, context, relations)
                 while to_submit:
                     index = to_submit.pop(0)
                     task = dataclasses.replace(
-                        by_index[index], attempt=attempts[index]
+                        by_index[index], attempt=attempts[index],
+                        heartbeats=heartbeats.path if heartbeats else None,
                     )
                     try:
                         future = pool.submit(run_pair_task, task)
@@ -1583,7 +1513,6 @@ class ProcessPBSM:
             drain_heartbeats()
             if heartbeats is not None:
                 heartbeats.close()
-                heartbeats.join_thread()
         return outcomes, failed
 
     # ------------------------------------------------------------------ #

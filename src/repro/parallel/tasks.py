@@ -57,11 +57,12 @@ a file that will never read clean.  Tasks may also carry a
 the top of the task by attempt number.
 
 Flight-recorder hook: when the coordinator runs a journal
-(:mod:`repro.obs.journal`), workers ping a **heartbeat queue** — installed
-in each pool worker by :func:`init_pool_worker` — at every phase boundary.
-The queue is the only channel that outlives a worker crash: a result
-from a dead process never arrives, but its last heartbeat already did,
-which is exactly what the live view and the post-mortem need.
+(:mod:`repro.obs.journal`), its tasks name a **heartbeat file**
+(:class:`HeartbeatFile`), one per run, and a worker appends a line to it
+at every phase boundary.  The file is the only channel that outlives a
+worker crash: a result from a dead process never arrives, but its last
+heartbeat already did, which is exactly what the live view and the
+post-mortem need.
 """
 
 from __future__ import annotations
@@ -157,38 +158,21 @@ the same records, and each removes its own file."""
 PARENT_POLL_S = 0.25
 """How often a pool worker checks that its coordinator is still alive."""
 
-_HEARTBEAT_QUEUE = None
-"""Worker-process global: the coordinator's heartbeat queue, installed by
-:func:`init_pool_worker` when the pool is spawned with a journal.
-``None`` (the default) keeps the hot path ping-free."""
 
+def init_pool_worker() -> None:
+    """Pool initializer, run by every worker as it starts: *the worker
+    dies with its coordinator*.
 
-def init_pool_worker(heartbeats=None) -> None:
-    """Pool initializer, run by every worker as it starts.
-
-    *The worker dies with its coordinator.*  A hard-killed coordinator
-    cannot shut its pool down, and a worker holds an end of the very pipe
-    it waits on for calls (fork-started ones each other's as well), so
-    the end-of-file that would stop it never arrives: without this the
-    workers sit parentless for ever.  A daemon thread compares
-    ``os.getppid()`` with the process that started this one — the same
-    under ``fork`` and ``spawn``, in a run's own pool and in a shared
-    one — every :data:`PARENT_POLL_S`, and leaves without clean-up, as
-    the coordinator did.  Armed here and not by the first task: a worker
-    that is still starting when the coordinator dies never gets one.
-
-    *Its heartbeat channel is armed*, if the run journals: passed as
-    ``initargs=(queue,)``, because multiprocessing queues survive that
-    trip under every start method — they are process-constructor
-    arguments, not task payloads.  A worker's exit does not wait for its
-    unsent pings: one that dies mid-send (a crash) takes the queue's
-    shared write lock with it, and every other worker's exit — hence the
-    pool's shutdown — would wait on that lock for ever.
+    A hard-killed coordinator cannot shut its pool down, and a worker
+    holds an end of the very pipe it waits on for calls (fork-started
+    ones each other's as well), so the end-of-file that would stop it
+    never arrives: without this the workers sit parentless for ever.  A
+    daemon thread compares ``os.getppid()`` with the process that started
+    this one — the same under ``fork`` and ``spawn`` — every
+    :data:`PARENT_POLL_S`, and leaves without clean-up, as the
+    coordinator did.  Armed here and not by the first task: a worker that
+    is still starting when the coordinator dies never gets one.
     """
-    global _HEARTBEAT_QUEUE
-    _HEARTBEAT_QUEUE = heartbeats
-    if heartbeats is not None:
-        heartbeats.cancel_join_thread()
     parent = multiprocessing.parent_process()
 
     def watch() -> None:
@@ -199,18 +183,60 @@ def init_pool_worker(heartbeats=None) -> None:
     threading.Thread(target=watch, name="parent-watchdog", daemon=True).start()
 
 
-def _heartbeat(pair: int, attempt: int, phase: str) -> None:
-    """Best-effort liveness ping; a sick queue must never fail the task."""
-    queue = _HEARTBEAT_QUEUE
-    if queue is None:
+def _heartbeat(task: "PairTask", phase: str) -> None:
+    """Best-effort liveness ping: one line appended to the task's run's
+    heartbeat file, if it has one.  Opened without ``O_CREAT``, so a ping
+    that outlives its run (the file removed) creates nothing; nothing
+    here ever fails the task."""
+    if task.heartbeats is None:
         return
+    line = f"{os.getpid()} {task.index} {task.attempt} {phase}\n".encode()
     try:
-        queue.put_nowait(
-            {"pid": os.getpid(), "pair": pair, "attempt": attempt,
-             "phase": phase}
-        )
-    except Exception:
+        fd = os.open(task.heartbeats, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, line)
+        finally:
+            os.close(fd)
+    except OSError:
         pass
+
+
+class HeartbeatFile:
+    """One journaled run's heartbeat file: workers append a line a ping
+    (:func:`_heartbeat`), the coordinator reads the complete lines since
+    its last read.  A line is one ``write`` on an ``O_APPEND`` file, so
+    pings from many workers never interleave; each run reads only its
+    own file, so co-tenant runs on one pool never see each other's.  The
+    file is best effort and a few bytes a ping: it is not charged to a
+    disk budget."""
+
+    def __init__(self):
+        fd, self.path = tempfile.mkstemp(prefix="repro-heartbeats-")
+        self._file = os.fdopen(fd, "rb", buffering=0)
+        self._tail = b""
+        """A last line not yet complete (or torn by a dying writer)."""
+
+    def read(self) -> List[Tuple[int, int, int, str]]:
+        """The ``(pid, pair, attempt, phase)`` pings completed since the
+        last read; a line that does not parse is skipped."""
+        self._tail += self._file.read()
+        *lines, self._tail = self._tail.split(b"\n")
+        pings = []
+        for line in lines:
+            try:
+                pid, pair, attempt, phase = line.decode().split()
+                pings.append((int(pid), int(pair), int(attempt), phase))
+            except ValueError:
+                continue
+        return pings
+
+    def close(self) -> None:
+        """Stop reading and remove the file: a late ping creates nothing."""
+        self._file.close()
+        try:
+            os.unlink(self.path)
+        except FileNotFoundError:
+            pass
 
 
 class InputSide(Sequence):
@@ -918,6 +944,8 @@ class PairTask:
     errors, and fault-injection decisions."""
     faults: Optional[WorkerFaults] = None
     """This pair's slice of the active fault plan, if any."""
+    heartbeats: Optional[str] = None
+    """The run's :class:`HeartbeatFile` path; ``None`` pings nothing."""
 
     @property
     def cost_estimate(self) -> int:
@@ -1196,7 +1224,7 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
 def _run_pair_task(task: PairTask) -> PairTaskResult:
     started = time.perf_counter()
     tracer = Tracer() if task.observe else NULL_TRACER
-    _heartbeat(task.index, task.attempt, "merge")
+    _heartbeat(task, "merge")
     with tracer.span(
         "worker.task", pair=task.index, pid=os.getpid(), attempt=task.attempt
     ) as span:
@@ -1208,7 +1236,7 @@ def _run_pair_task(task: PairTask) -> PairTaskResult:
                 label=str(task.index), tracer=tracer,
             )
 
-        _heartbeat(task.index, task.attempt, "refine")
+        _heartbeat(task, "refine")
         with tracer.span(
             "worker.refine", pair=task.index, candidates=len(candidates)
         ) as refine_span:
@@ -1237,7 +1265,7 @@ def _run_pair_task(task: PairTask) -> PairTaskResult:
         span.tag("candidates", len(candidates))
         span.tag("results", len(pairs))
 
-    _heartbeat(task.index, task.attempt, "done")
+    _heartbeat(task, "done")
     return PairTaskResult(
         index=task.index,
         worker_pid=os.getpid(),

@@ -5,7 +5,10 @@
 new generation on the first discard of the old, ``close``) sized for the
 server, plus a circuit breaker.  Unlike a one-shot process's resident
 pool it never re-forks for new sides: co-tenant queries share it, so one
-generation serves every query, whatever its sides or worker count.
+generation serves every query, whatever its sides, worker count, journal
+or fault plan.  A journaled query's heartbeats go to a file of its own
+(:class:`~repro.parallel.tasks.HeartbeatFile`), so co-tenants never see
+each other's.
 
 The awkward part is failure.  When any tenant's task crashes its worker,
 the executor breaks for **everyone**: the crashing run sees
@@ -16,7 +19,7 @@ in-flight futures cancelled) and the next :meth:`acquire` — from any
 tenant — spawns the replacement.  Late discards of an already-retired
 pool are no-ops, so tenants never kill each other's *healthy* pool.
 Every tenant then heals through the engine's normal respawn/requeue
-path, exactly as if its private pool had broken.
+path, the one a one-shot run takes on the process's resident pool.
 
 Healing forever is its own failure mode: a workload that keeps wedging
 or crashing workers turns the service into a pool-respawn loop where

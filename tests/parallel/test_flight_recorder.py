@@ -1,6 +1,6 @@
 """Flight-recorder integration: journaled runs, deterministic reports.
 
-Three contracts:
+Four contracts:
 
 * a journaled process run records the full task lifecycle — dispatches,
   worker-side start/finish events (shipped on the result wire), liveness
@@ -9,12 +9,15 @@ Three contracts:
   bodies naming the planned fault pairs (the acceptance criterion);
 * a kill-then-resume run journals the adopted pairs as ``task_replayed``
   and the analyzer excludes them from straggler/critical-path analysis;
-* a worker that dies mid-ping cannot keep the others from exiting.
+* each journaled run reads only its own heartbeat file, and only its
+  complete lines.
 """
 
-import threading
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+import functools
+import os
+from collections import Counter, defaultdict
+from contextlib import closing
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +26,8 @@ from repro.faults import CoordinatorKilledError, load_plan
 from repro.obs import RunJournal, Tracer, analyze_events, render_report
 from repro.obs.journal import journal_path, read_journal
 from repro.parallel import ProcessPBSM, process, tasks
-from tests.conftest import road_hydro
+from repro.serve import SharedPoolProvider
+from tests.conftest import race, road_hydro
 
 SCALE = 0.001
 NUM_PARTITIONS = 8
@@ -35,79 +39,54 @@ def workload():
     return road_hydro(SCALE)
 
 
+def journaled(tmp_path, workload):
+    """A journaled run's result and the records of its journal file, by
+    type."""
+    journal = RunJournal(journal_path(tmp_path))
+    result = ProcessPBSM(WORKERS, num_partitions=NUM_PARTITIONS, journal=journal).run(
+        *workload[:2], intersects
+    )
+    journal.close()
+    events = defaultdict(list)
+    for record in read_journal(journal_path(tmp_path)):
+        events[record["type"]].append(record)
+    return result, events
+
+
 class TestJournaledRun:
     def test_clean_run_records_full_lifecycle(self, tmp_path, workload):
-        tuples_r, tuples_s, expected = workload
-        journal = RunJournal(journal_path(tmp_path))
-        result = ProcessPBSM(
-            WORKERS, num_partitions=NUM_PARTITIONS, journal=journal,
-        ).run(tuples_r, tuples_s, intersects)
-        journal.close()
-        assert result.pairs == expected
-
-        records = read_journal(journal_path(tmp_path))
-        counts = Counter(r["type"] for r in records)
-        assert counts["run_started"] == 1
-        assert counts["run_finished"] == 1
+        result, events = journaled(tmp_path, workload)
+        assert result.pairs == workload[2]
+        counts = {kind: len(records) for kind, records in events.items()}
+        assert counts["run_started"] == counts["run_finished"] == counts["schedule"] == 1
         assert counts["partition_sealed"] == 2
-        assert counts["schedule"] == 1
         assert counts["task_dispatched"] == NUM_PARTITIONS
-        assert counts["task_started"] == NUM_PARTITIONS
-        assert counts["task_finished"] == NUM_PARTITIONS
+        assert counts["task_started"] == counts["task_finished"] == NUM_PARTITIONS
         # Three heartbeats per pair: merge, refine, done.
         assert counts["worker_heartbeat"] == 3 * NUM_PARTITIONS
 
     def test_worker_events_ride_the_wire(self, tmp_path, workload):
-        tuples_r, tuples_s, _ = workload
-        journal = RunJournal(journal_path(tmp_path))
-        ProcessPBSM(
-            WORKERS, num_partitions=NUM_PARTITIONS, journal=journal,
-        ).run(tuples_r, tuples_s, intersects)
-        journal.close()
-        records = read_journal(journal_path(tmp_path))
-        started = [r for r in records if r["type"] == "task_started"]
-        finished = [r for r in records if r["type"] == "task_finished"]
+        _, events = journaled(tmp_path, workload)
         # Worker-side events are re-emitted by the coordinator with the
         # producer's clock preserved, so ordering questions stay answerable.
-        assert all("worker_t" in r and r["pid"] > 0 for r in started)
-        assert all(r["wall_s"] >= 0 for r in finished)
-        assert {r["pair"] for r in finished} == set(range(NUM_PARTITIONS))
+        assert all("worker_t" in r and r["pid"] > 0 for r in events["task_started"])
+        assert all(r["wall_s"] >= 0 for r in events["task_finished"])
+        assert {r["pair"] for r in events["task_finished"]} == set(range(NUM_PARTITIONS))
 
-    def test_sampler_emits_utilization_ticks(
-        self, tmp_path, workload, monkeypatch
-    ):
-        tuples_r, tuples_s, _ = workload
+    def test_sampler_emits_utilization_ticks(self, tmp_path, workload, monkeypatch):
         monkeypatch.setattr(process, "SAMPLE_INTERVAL_S", 0.0001)
-        journal = RunJournal(journal_path(tmp_path))
-        ProcessPBSM(
-            WORKERS, num_partitions=NUM_PARTITIONS, journal=journal,
-        ).run(tuples_r, tuples_s, intersects)
-        journal.close()
-        samples = [
-            r for r in read_journal(journal_path(tmp_path))
-            if r["type"] == "sample"
-        ]
-        assert samples, "scheduling loop never sampled"
-        tick = samples[0]
+        _, events = journaled(tmp_path, workload)
+        assert events["sample"], "scheduling loop never sampled"
+        tick = events["sample"][0]
         assert set(tick) >= {"queued", "inflight", "done", "total", "workers"}
         assert tick["total"] == NUM_PARTITIONS
 
     def test_schedule_event_carries_lpt_order(self, tmp_path, workload):
-        tuples_r, tuples_s, _ = workload
-        journal = RunJournal(journal_path(tmp_path))
-        ProcessPBSM(
-            WORKERS, num_partitions=NUM_PARTITIONS, journal=journal,
-        ).run(tuples_r, tuples_s, intersects)
-        journal.close()
-        (schedule,) = [
-            r for r in read_journal(journal_path(tmp_path))
-            if r["type"] == "schedule"
-        ]
+        _, events = journaled(tmp_path, workload)
+        (schedule,) = events["schedule"]
         costs = [item["cost"] for item in schedule["order"]]
         assert costs == sorted(costs, reverse=True)  # LPT: heaviest first
-        assert {item["pair"] for item in schedule["order"]} == set(
-            range(NUM_PARTITIONS)
-        )
+        assert {item["pair"] for item in schedule["order"]} == set(range(NUM_PARTITIONS))
 
 
 class TestChaosReportDeterminism:
@@ -190,23 +169,45 @@ class TestResumeThenReport:
         assert f"{analysis.replayed_pairs}" in report
 
 
-class TestHeartbeatChannel:
-    def test_a_lock_a_dead_worker_held_does_not_stall_shutdown(self):
-        """A worker killed while its queue feeder sends a ping leaves the
-        queue's shared write lock taken; the pool's other workers must
-        still exit (their unsent pings are dropped)."""
-        context = process.mp_context()
-        heartbeats = context.Queue()
-        heartbeats._wlock.acquire()  # what the dead worker took with it
-        pool = ProcessPoolExecutor(
-            1, mp_context=context, initializer=tasks.init_pool_worker,
-            initargs=(heartbeats,),
-        )
-        pool.submit(tasks._heartbeat, 0, 0, "done").result(timeout=60)
-        shutdown = threading.Thread(target=pool.shutdown, daemon=True)
-        shutdown.start()
-        shutdown.join(timeout=30)
-        if shutdown.is_alive():  # a failing run must not leak the worker
-            for worker in pool._processes.values():
-                worker.kill()
-        assert not shutdown.is_alive()
+class TestHeartbeatFile:
+    def test_co_tenant_runs_each_journal_their_own_heartbeats(self, workload):
+        """Two journaled runs racing on one shared pool: each run's file
+        holds its own pings and no one else's."""
+        results = {}
+
+        def run(engine):
+            results[engine] = engine.run(*workload[:2], intersects)
+
+        with closing(SharedPoolProvider(WORKERS)) as provider:
+            engines = [
+                ProcessPBSM(WORKERS, num_partitions=partitions, journal=RunJournal(),
+                            pool_provider=provider)
+                for partitions in (NUM_PARTITIONS, 6)
+            ]
+            race(*(functools.partial(run, engine) for engine in engines))
+        for engine in engines:
+            beats = [r for r in engine.journal.records if r["type"] == "worker_heartbeat"]
+            assert results[engine].pairs == workload[2]
+            assert Counter((r["pair"], r["phase"]) for r in beats) == {
+                (task.index, phase): 1
+                for task in results[engine].tasks for phase in ("merge", "refine", "done")
+            }
+
+    def test_a_ping_after_its_run_creates_nothing(self):
+        beats = tasks.HeartbeatFile()
+        beats.close()  # the run is over: its file is removed
+        tasks._heartbeat(SimpleNamespace(heartbeats=beats.path, index=0, attempt=0), "done")
+        assert not os.path.exists(beats.path)
+
+    def test_only_complete_lines_are_read(self):
+        beats = tasks.HeartbeatFile()
+        ping = SimpleNamespace(heartbeats=beats.path, index=3, attempt=1)
+        try:
+            tasks._heartbeat(ping, "merge")
+            with open(beats.path, "ab") as file:
+                file.write(b"4242 3 1 ref")  # a writer torn mid-line
+            assert beats.read() == [(os.getpid(), 3, 1, "merge")]
+            assert beats.read() == []
+        finally:
+            beats.close()
+        assert not os.path.exists(beats.path)

@@ -15,14 +15,13 @@ import pytest
 
 from repro import intersects
 from repro.faults import CoordinatorKilledError
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec, WorkerFaults
 from repro.obs import RunJournal, Tracer
 from repro.parallel import parallel_join
 from repro.parallel.process import (
     RESIDENT_POOL,
     ProcessPBSM,
     ResidentPoolProvider,
-    RunPoolProvider,
 )
 from repro.parallel.tasks import InputSide
 from repro.serve.query import QuerySpec, result_digest
@@ -48,6 +47,13 @@ def one_pool(*results):
     """The results' workers are one pool's two (spawn starts them as the
     tasks need them)."""
     return len(set().union(*map(pids, results))) <= 2
+
+
+def plan_for(result, **firing):
+    """A plan that fires ``firing`` (:class:`WorkerFaults` fields) on the
+    first pair ``result`` ran, so it fires whatever the sides."""
+    faults = {result.tasks[0].index: WorkerFaults(**firing)}
+    return FaultPlan(seed=0, num_pairs=PARTITIONS, spec=FaultSpec(), worker_faults=faults)
 
 
 def refine_open_s(tracer):
@@ -107,20 +113,47 @@ class TestLifecycle:
         assert pids(again).isdisjoint(pids(first))
         assert result_digest(again.pairs) == digest and not again.fault_summary
 
-    def test_journaled_and_fault_plan_runs_get_a_private_pool(self, method, tmp_path):
+    def test_journaled_and_fault_plan_runs_use_the_resident_pool(self, method):
         sides, digest = generate(15)
-        resident = engine(method).run(*sides, intersects)
-        journal = RunJournal(tmp_path / "journal.jsonl")
-        plan = FaultPlan(seed=0, num_pairs=PARTITIONS, spec=FaultSpec())
-        try:
-            for private in (engine(method, journal=journal), engine(method, fault_plan=plan)):
-                assert isinstance(private.pool_provider, RunPoolProvider)
-                result = private.run(*sides, intersects)
-                assert result_digest(result.pairs) == digest
-                assert pids(result).isdisjoint(pids(resident))
-        finally:
-            journal.close()
-        assert one_pool(engine(method).run(*sides, intersects), resident)
+        plain = engine(method).run(*sides, intersects)
+        generation = RESIDENT_POOL.generation
+        runs = [
+            engine(method, journal=RunJournal()).run(*sides, intersects),
+            engine(method, fault_plan=plan_for(plain, slow_attempts=(0,))).run(*sides, intersects),
+        ]
+        assert RESIDENT_POOL.generation == generation
+        assert one_pool(plain, *runs)
+        assert [result_digest(run.pairs) for run in runs] == [digest, digest]
+
+    def test_a_worker_killed_by_a_plan_retires_one_generation(self, method):
+        sides, digest = generate(17)
+        plain = engine(method).run(*sides, intersects)
+        generation = RESIDENT_POOL.generation
+        crashed = engine(method, fault_plan=plan_for(plain, crash_attempts=(0,))).run(
+            *sides, intersects
+        )
+        assert result_digest(crashed.pairs) == digest
+        assert crashed.fault_summary["pool_respawns"] == 1
+        assert RESIDENT_POOL.generation == generation + 1
+        again = engine(method).run(*sides, intersects)
+        assert RESIDENT_POOL.generation == generation + 1
+        assert result_digest(again.pairs) == digest and not again.fault_summary
+
+    def test_a_hang_past_the_task_timeout_retires_its_generation(self, method):
+        hang_s = 5.0
+        sides, digest = generate(18)
+        plain = engine(method).run(*sides, intersects)
+        generation = RESIDENT_POOL.generation
+        hung = engine(
+            method, task_timeout_s=0.5,
+            fault_plan=plan_for(plain, hang_attempts=(0,), hang_s=hang_s),
+        ).run(*sides, intersects)
+        assert result_digest(hung.pairs) == digest and hung.fault_summary["timeouts"] == 1
+        assert RESIDENT_POOL.generation == generation + 1
+        started = time.monotonic()
+        again = engine(method).run(*sides, intersects)
+        assert time.monotonic() - started < hang_s
+        assert result_digest(again.pairs) == digest and not again.fault_summary
 
     def test_a_killed_run_leaves_nothing_queued(self, method, tmp_path, monkeypatch):
         """A coordinator killed mid-merge cancels the tasks it had queued

