@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -111,14 +112,10 @@ def _cmd_join(args: argparse.Namespace) -> int:
     written once; only the two reports differ, as their readers expect.
     """
     import time
-    from concurrent.futures import ProcessPoolExecutor
-    from contextlib import nullcontext
 
     from .checkpoint import CheckpointMismatchError
     from .obs import RunRecorder, live_renderer
     from .parallel import ProcessPBSM, parallel_join
-    from .parallel.process import mp_context
-    from .parallel.tasks import init_pool_worker
     from .serve.query import QuerySpec
     from .storage import DiskBudget, DiskFullError
 
@@ -157,13 +154,12 @@ def _cmd_join(args: argparse.Namespace) -> int:
         DiskBudget(args.disk_budget) if args.disk_budget is not None else None
     )
 
-    # With workers to spare, a child generates S while this process
-    # generates R; it is gone before the engine starts.
+    # With workers to spare, the resident pool generates S while this
+    # process generates R.
     started = time.perf_counter()
-    with (ProcessPoolExecutor(1, mp_context=mp_context(args.start_method),
-                              initializer=init_pool_worker)
-          if spec.workers >= 2 else nullcontext()) as pool:
-        side_r, side_s = spec.generate(pool)
+    side_r, side_s = spec.generate(
+        spec.workers if spec.workers >= 2 else 0, args.start_method
+    )
     generate_s = time.perf_counter() - started
 
     # A recorded run: `parallel --out` keeps the journal, `chaos --out`
@@ -1149,7 +1145,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): nothing left to show.
+        # Point stdout at /dev/null so the exit's own flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, FileNotFoundError) as exc:
         # A flag combination the code it acts on refuses (its message
         # names the flag), one of the shell's own refusals above, or a

@@ -10,8 +10,8 @@ real wall-clock seconds:
    workers can read; the tuples they refine with are each side's relation
    file, written once per input (:mod:`repro.parallel.tasks`).
 2. **Schedule** — partition-pair merge tasks are submitted to a
-   ``ProcessPoolExecutor`` kept between runs (:class:`ResidentPoolProvider`,
-   one lifecycle for every run: journaled, fault-injected or plain) in
+   ``ProcessPoolExecutor`` kept between runs (:data:`RESIDENT_POOL`, the
+   process's one pool: journaled, fault-injected, plain and served runs) in
    longest-processing-time-first order, seeded by per-pair key-pointer
    counts.  LPT places the big pairs first; the
    executor's single shared task queue then acts as the work-stealing
@@ -64,6 +64,7 @@ import tempfile
 import threading
 import time
 from collections import Counter as TallyCounter
+from contextlib import suppress
 from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
@@ -209,85 +210,84 @@ class ResidentPoolProvider:
     the first ``discard`` of a generation (a broken pool, a task timeout,
     a run deadline) retires it, later discards of it are no-ops, and the
     next ``acquire`` starts the next generation — as does one that finds
-    the pool broken (a worker killed between runs).  ``close`` shuts it
-    down; so does the interpreter's exit (``concurrent.futures`` joins
-    every live pool's workers first).  Its workers run
+    the pool broken (a worker killed between runs).  Either way
+    :attr:`retired` counts it: the serve tier's circuit breaker reads it.
+    A retired generation's workers are terminated when its last tenant
+    releases it, so a wedged one holds up neither a co-tenant's running
+    pairs nor the interpreter's exit; the current generation's workers
+    exit with the interpreter (``concurrent.futures`` joins every live
+    pool's workers first).  Its workers run
     :func:`~repro.parallel.tasks.init_pool_worker`, so they die with
     their coordinator.  Every run uses it the same way, journaled or with
     a fault plan or neither: a journaled run's heartbeats go to a file of
     its own, named by its tasks, not to any state of the pool's.
 
-    Built without a size (:data:`RESIDENT_POOL`, one per process) a
-    generation serves the runs it fits: same worker count and start
+    A generation serves the runs it fits: same worker count and start
     method, and under ``fork`` only runs whose relation files it
     inherited — their coordinator checks them before the pool forks, so
     its workers open nothing.  A run on other sides retires the idle
-    generation and forks the next after its own check; one that finds it
-    busy (another thread's run) uses it as it is, so no tenant's pool is
-    retired under it.  Built with a size (the serve
-    tier's :class:`~repro.serve.pool.SharedPoolProvider`), one generation
-    serves every run whatever it asks: co-tenant queries share it.
+    generation (no fault: :attr:`retired` stays) and forks the next after
+    its own check; one that finds it busy (another thread's run) uses it
+    as it is, so no tenant's pool is retired under it.
     """
 
-    def __init__(self, max_workers: Optional[int] = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("need at least one worker")
-        self.max_workers = max_workers
-        self.forks_for_sides = max_workers is None
+    def __init__(self):
         self._lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._fits: tuple = ()
         """``(workers, start method, inherited relation keys)``."""
-        self._tenants = 0
-        self._closed = False
+        self._held: Dict[ProcessPoolExecutor, list] = {}
+        """``[tenants, worker processes]`` of the current generation and
+        of each retired one a run still holds."""
         self.generation = 0
         """How many pools have been started; bumps on every new one."""
+        self.retired = 0
+        """How many generations a fault retired: discarded, or found broken."""
 
     def acquire(
         self, max_workers: int, context, relations: Sequence[str] = ()
     ) -> ProcessPoolExecutor:
-        """The resident pool, when it fits this run (started if need be)."""
-        size = self.max_workers or max_workers
-        context = context or multiprocessing.get_context()
-        fork = self.forks_for_sides and context.get_start_method() == "fork"
+        """The resident pool, when it fits this run (started if need be).
+        Every acquire is paired with one :meth:`release`."""
+        fork = context.get_start_method() == "fork"
         try:
             wanted = frozenset(map(relation_key, relations)) if fork else frozenset()
         except OSError:  # a file gone: no generation inherited it
             wanted = frozenset({None})
         with self._lock:
-            if self._closed:
-                raise RuntimeError("resident pool provider is closed")
-            retired = self._pool
-            if retired is not None and retired._broken:  # type: ignore[attr-defined]
+            old = self._pool
+            if old is not None and old._broken:  # type: ignore[attr-defined]
                 self._retire_locked()
-            elif retired is not None and (
-                self._tenants
-                or not self.forks_for_sides
-                or self._fits[:2] == (size, context.get_start_method())
+            elif old is not None and (
+                self._held[old][0]
+                or self._fits[:2] == (max_workers, context.get_start_method())
                 and wanted <= self._fits[2]
             ):
-                retired = None  # it serves this run
-            else:
-                self._pool = None
+                old = None  # it serves this run
+            elif old is not None:
+                self._pool = None  # idle, for other sides: no fault
+                del self._held[old]
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
-                    size, mp_context=context, initializer=init_pool_worker
+                    max_workers, mp_context=context, initializer=init_pool_worker
                 )
                 self._fits = (
-                    size, context.get_start_method(),
+                    max_workers, context.get_start_method(),
                     open_relation_keys() if fork else frozenset(),
                 )
-                self._tenants = 0
+                self._held[self._pool] = [0, self._pool._processes]  # type: ignore[attr-defined]
                 self.generation += 1
-            self._tenants += 1
+            self._held[self._pool][0] += 1
             pool = self._pool
-        if retired is not None:  # idle or broken: gone before the next fork
-            retired.shutdown(wait=True)
+        if old is not None:  # idle or broken: gone before the next fork
+            old.shutdown(wait=True)
         return pool
 
     def discard(self, pool: ProcessPoolExecutor) -> None:
         """Retire a broken or wedged generation without waiting on its
-        workers (first caller wins; a retired one's late discards no-op)."""
+        workers (first caller wins; a retired one's late discards no-op).
+        Its queued tasks are cancelled; its running ones keep their
+        workers until its last tenant releases it."""
         with self._lock:
             if pool is not self._pool:
                 return
@@ -295,29 +295,28 @@ class ResidentPoolProvider:
         pool.shutdown(wait=False, cancel_futures=True)
 
     def release(self, pool: ProcessPoolExecutor) -> None:
-        """The run is done with the pool; the pool is not."""
+        """The run is done with the pool.  The current generation stays
+        standing; a retired one's workers are terminated with its last
+        tenant."""
         with self._lock:
-            if pool is self._pool:
-                self._tenants -= 1
-
-    def close(self) -> None:
-        """Shut the pool down and refuse future acquires."""
-        with self._lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+            held = self._held[pool]
+            held[0] -= 1
+            if held[0] or pool is self._pool:
+                return
+            del self._held[pool]
+        for worker in list(held[1].values()):
+            worker.terminate()
 
     def _retire_locked(self) -> None:
+        if not self._held[self._pool][0]:
+            del self._held[self._pool]
         self._pool = None
-        self._on_retire_locked()
-
-    def _on_retire_locked(self) -> None:
-        """A generation was retired by a discard or found broken."""
+        self.retired += 1
 
 
 RESIDENT_POOL = ResidentPoolProvider()
-"""The process's resident pool: every run without a provider of its own."""
+"""The process's one worker pool: every process-backend run, served or
+not, and the S side's generator run on it."""
 
 
 class ProcessPBSM:
@@ -340,7 +339,6 @@ class ProcessPBSM:
         checkpoint_dir: Optional[str] = None,
         kill_coordinator_after: Optional[int] = None,
         kill_hard: bool = False,
-        pool_provider=None,
         disk_budget: Optional[DiskBudget] = None,
     ):
         if workers < 1:
@@ -397,10 +395,6 @@ class ProcessPBSM:
             )
         self.kill_coordinator_after = kill_coordinator_after
         self.kill_hard = kill_hard
-        self.pool_provider = pool_provider or RESIDENT_POOL
-        """Executor lifecycle hooks.  By default the process's resident
-        pool (:data:`RESIDENT_POOL`), kept between runs; the serve tier
-        hands every query its own resident pool."""
         self.disk_budget = disk_budget
         """Optional :class:`~repro.storage.pressure.DiskBudget` every
         coordinator-side write (partition spills, checkpoint manifests,
@@ -1243,7 +1237,6 @@ class ProcessPBSM:
         if not tasks:
             return [], {}
         context = mp_context(self.start_method)
-        max_workers = min(self.workers, len(tasks))
         by_index = {task.index: task for task in tasks}
         attempts: Dict[int, int] = {task.index: 0 for task in tasks}
         to_submit: List[int] = [task.index for task in tasks]  # LPT order
@@ -1256,14 +1249,13 @@ class ProcessPBSM:
             "faults.retry_backoff_s", LATENCY_BUCKETS_S
         )
         journal = self.journal
-        provider = self.pool_provider
+        provider = RESIDENT_POOL
         heartbeats = HeartbeatFile() if journal.enabled else None
         # Forked workers inherit this process's relation memo: what it
         # opens and checks before the fork, none of them opens again — and
         # a resident generation serves only the runs whose files it
-        # inherited.  (The serve tier's workers forked before the sides
-        # existed; spawned ones inherit nothing.)
-        inherits = provider.forks_for_sides and context.get_start_method() == "fork"
+        # inherited.  (Spawned ones inherit nothing.)
+        inherits = context.get_start_method() == "fork"
         relations = tasks[0].relation_r_path, tasks[0].relation_s_path
         worker_phase: Dict[int, str] = {}
         next_sample = time.monotonic() + SAMPLE_INTERVAL_S
@@ -1334,6 +1326,7 @@ class ProcessPBSM:
             deadlines.clear()
             if pool is not None:
                 provider.discard(pool)
+                provider.release(pool)
                 pool = None
             for index in charged:
                 on_failure(
@@ -1367,7 +1360,15 @@ class ProcessPBSM:
                         open_s, check_s = check_relations(*relations)
                         self._open_s += open_s
                         self._check_s += check_s
-                    pool = provider.acquire(max_workers, context, relations)
+                    pool = provider.acquire(self.workers, context, relations)
+                    if self.task_timeout_s is not None:
+                        # A task's timeout bounds the task, not the start
+                        # of a new generation's workers (a spawned one's
+                        # interpreter and imports take most of 0.5 s): the
+                        # clock starts once a worker answers.  A broken or
+                        # retired pool fails the submits below instead.
+                        with suppress(RuntimeError):
+                            wait([pool.submit(os.getpid)])
                 while to_submit:
                     index = to_submit.pop(0)
                     task = dataclasses.replace(
@@ -1377,11 +1378,11 @@ class ProcessPBSM:
                     try:
                         future = pool.submit(run_pair_task, task)
                     except RuntimeError:
-                        # BrokenProcessPool, or (shared pool) a co-tenant
-                        # already discarded this generation and submit
-                        # raises "cannot schedule new futures"; heal and
-                        # resubmit everything (no attempt charged — the
-                        # task never reached a worker).
+                        # BrokenProcessPool, or a co-tenant already
+                        # discarded this generation and submit raises
+                        # "cannot schedule new futures"; heal and resubmit
+                        # everything (no attempt charged — the task never
+                        # reached a worker).
                         to_submit.insert(0, index)
                         lose_pool()
                         break
@@ -1440,10 +1441,12 @@ class ProcessPBSM:
                         outcome = future.result()
                     except WorkerTaskError as error:
                         on_failure(index, error)
-                    except (BrokenProcessPool, CancelledError):
-                        # CancelledError reaches here only on a shared
-                        # pool: a co-tenant's discard cancelled our queued
-                        # future — same recovery as a pool death.
+                    except CancelledError:
+                        # A co-tenant's discard cancelled it before any
+                        # worker took it: requeued free, and the next
+                        # submit finds the generation retired.
+                        to_submit.append(index)
+                    except BrokenProcessPool:
                         broken.append(index)
                     else:
                         outcomes.append(outcome)

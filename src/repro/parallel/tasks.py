@@ -120,8 +120,9 @@ join has nothing to overflow, so no caller has another value to give."""
 
 RELATION_MEMO_ENTRIES = 4
 """Relations a process keeps open (:func:`open_relation`): both sides of
-this join and of one more — the serve tier's shared pool outlives every
-query, so the memo must not grow with them."""
+this join and of one more — a resident generation can outlive many
+joins on other sides (under spawn, or while busy), so the memo must not
+grow with them."""
 
 KEYPOINTER_DTYPE = np.dtype(
     [("mbr", "<f4", (4,)), ("fid", "<u4"), ("tile", "<u4"), ("cls", "u1")]

@@ -1,8 +1,8 @@
 """The serving tier: a resident join service over the PBSM engine.
 
 One long-lived coordinator (:mod:`repro.serve.server`) accepts join
-queries over a local TCP socket, multiplexes them onto a single shared
-process pool (:mod:`repro.serve.pool`), and answers repeats from a
+queries over a local TCP socket, runs them on the process's one worker
+pool (:data:`repro.parallel.process.RESIDENT_POOL`), and answers repeats from a
 fingerprint-keyed artifact cache (:mod:`repro.serve.cache`) built on the
 checkpoint store — a completed query's durable result log *is* its
 cache entry, and a half-finished one resumes instead of restarting.
@@ -12,8 +12,8 @@ in-flight queries, a bounded queue, and explicit rejects past both.
 Resilience rides on three mechanisms: per-query **deadlines**
 (``deadline_s`` on the spec, cooperatively cancelled inside the engine,
 typed ``deadline_exceeded`` rejects with adoptable checkpoint state), a
-**circuit breaker** over the shared pool's respawn rate
-(:mod:`repro.serve.pool` — open breakers shed queries to a
+**circuit breaker** over the pool's retirement rate
+(:mod:`repro.serve.breaker` — open breakers shed queries to a
 byte-identical in-process serial path, reported as ``degraded``), and a
 background **cache scrubber** (:mod:`repro.serve.scrub`) that CRC-walks
 entries at rest, repairing warm ones and quarantining liars.
@@ -30,11 +30,11 @@ from .cache import (
     ArtifactCache,
 )
 from .client import ServeClient, read_port_file, wait_for_server
-from .pool import (
+from .breaker import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    SharedPoolProvider,
+    CircuitBreaker,
 )
 from .query import (
     DATASETS,
@@ -68,6 +68,7 @@ __all__ = [
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "CacheScrubber",
+    "CircuitBreaker",
     "DATASETS",
     "DEFAULT_HOST",
     "JoinServer",
@@ -88,7 +89,6 @@ __all__ = [
     "SOURCE_MISS",
     "SOURCE_WARM",
     "ServeClient",
-    "SharedPoolProvider",
     "StorageOverloadError",
     "outcome_block",
     "read_port_file",

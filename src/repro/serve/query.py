@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import Executor
+from concurrent.futures import CancelledError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
@@ -25,7 +25,7 @@ from ..core.pbsm import PBSMConfig
 from ..core.predicates import Predicate, contains, intersects, intersects_naive
 from ..data import sequoia, tiger
 from ..checkpoint.manifest import RunFingerprint
-from ..parallel.process import DEFAULT_TASKS_PER_WORKER
+from ..parallel import process
 from ..parallel.tasks import InputSide
 from ..storage.tuples import SpatialTuple
 
@@ -128,7 +128,7 @@ class QuerySpec:
         """The effective partition count — must match what ProcessPBSM
         would derive, or the fingerprints (and thus the cache keys)
         of served and one-shot runs would diverge."""
-        return self.num_partitions or self.workers * DEFAULT_TASKS_PER_WORKER
+        return self.num_partitions or self.workers * process.DEFAULT_TASKS_PER_WORKER
 
     @property
     def predicate_fn(self) -> Predicate:
@@ -139,8 +139,9 @@ class QuerySpec:
         """What the input tuples depend on (the server memoizes by this)."""
         return (self.dataset, self.scale, self.seed)
 
-    def generate(self, executor: Optional[Executor] = None,
-                 on_broken: Callable = lambda pool: None) -> Tuple[InputSide, InputSide]:
+    def generate(
+        self, workers: int = 0, start_method: Optional[str] = None
+    ) -> Tuple[InputSide, InputSide]:
         """Materialise the two inputs (deterministic in ``dataset_key``),
         each an :class:`~repro.parallel.tasks.InputSide` of the records
         its generator writes — tuples are decoded only if something asks
@@ -151,21 +152,27 @@ class QuerySpec:
         ``parallel`` subcommand without ``--seed``; otherwise the R side
         uses ``seed`` and the S side ``seed + 1`` (same convention).
 
-        Given an ``executor``, S's generator runs there while R's runs
-        here: the two are independent streams, so the bytes are the same
-        either way, and the child hands back only its ``Records``.  A
-        pool that breaks is handed to ``on_broken`` and S is generated
-        here instead."""
+        Given ``workers``, S's generator runs on the process's resident
+        pool (:data:`~repro.parallel.process.RESIDENT_POOL`, at that size
+        and ``start_method``) while R's runs here: the two are independent
+        streams, so the bytes are the same either way, and the worker hands
+        back only its ``Records``.  A pool that breaks is discarded, as a
+        run discards one, and S is generated here instead, as it is when a
+        co-tenant's discard cancelled the generator."""
         gen_r, gen_s = DATASETS[self.dataset]
         seeds = ({}, {}) if self.seed == 0 else ({"seed": self.seed}, {"seed": self.seed + 1})
         side_r = None
-        if executor is not None:
+        if workers:
+            provider = process.RESIDENT_POOL
+            pool = provider.acquire(workers, process.mp_context(start_method))
             try:
-                pending = executor.submit(gen_s, scale=self.scale, **seeds[1])
+                pending = pool.submit(gen_s, scale=self.scale, **seeds[1])
                 side_r = InputSide(gen_r(scale=self.scale, **seeds[0]))
                 return side_r, InputSide(pending.result())
-            except BrokenProcessPool:
-                on_broken(executor)
+            except (BrokenProcessPool, CancelledError):  # or a co-tenant's discard
+                provider.discard(pool)
+            finally:
+                provider.release(pool)
         # (Regenerating an empty R is harmless: its bytes are the same.)
         return (side_r or InputSide(gen_r(scale=self.scale, **seeds[0])),
                 InputSide(gen_s(scale=self.scale, **seeds[1])))

@@ -2,8 +2,9 @@
 
 :class:`JoinServer` listens on a local TCP socket for newline-delimited
 JSON requests (one object per line, one response line per request) and
-multiplexes join queries onto a single shared process pool.  Three
-mechanisms do the real work:
+runs join queries on the process's one worker pool
+(:data:`~repro.parallel.process.RESIDENT_POOL`).  Three mechanisms do
+the real work:
 
 **Admission control.**  At most ``max_inflight`` queries execute at
 once; at most ``max_queue`` more may wait.  A query past both bounds is
@@ -33,9 +34,10 @@ Every query gets its own journal directory under ``out_dir`` (so
 and the server keeps a service-level journal of ``query_received`` /
 ``cache_hit`` / ``cache_evict`` / ``query_done`` events.  SIGTERM
 handling lives in the CLI wrapper; it calls :meth:`shutdown`, which
-drains in-flight queries, rejects new ones, retires the pool, and
-leaves the cache manifests consistent (they are atomically written, so
-there is nothing to repair — drain just stops adding to them).
+drains in-flight queries, rejects new ones, leaves the pool to the
+interpreter's exit, and leaves the cache manifests consistent (they are
+atomically written, so there is nothing to repair — drain just stops
+adding to them).
 """
 
 from __future__ import annotations
@@ -65,11 +67,12 @@ from ..obs.metrics import (
     snapshot_delta,
 )
 from ..obs.timeseries import SlowLog, TelemetrySampler
-from ..parallel.process import DeadlineExceededError, ProcessPBSM, mp_context
+from ..parallel import process
+from ..parallel.process import DeadlineExceededError, ProcessPBSM
 from ..storage.errors import DiskFullError
 from ..storage.pressure import CATEGORY_CACHE, DiskBudget
 from .cache import LOOKUP_HIT, LOOKUP_WARM, ArtifactCache
-from .pool import BREAKER_CLOSED, SharedPoolProvider
+from .breaker import BREAKER_CLOSED, CircuitBreaker
 from .query import QueryError, QuerySpec, result_digest
 from .scrub import CacheScrubber
 
@@ -227,11 +230,8 @@ class JoinServer:
             metrics=self.metrics,
             budget=self.disk_budget,
         )
-        self.provider = SharedPoolProvider(
-            workers,
-            breaker_threshold=breaker_threshold,
-            breaker_window_s=breaker_window_s,
-            breaker_cooldown_s=breaker_cooldown_s,
+        self.breaker = CircuitBreaker(
+            breaker_threshold, breaker_window_s, breaker_cooldown_s,
             journal=self.journal,
         )
         self.scrub_interval_s = scrub_interval_s
@@ -302,8 +302,9 @@ class JoinServer:
         return self._stopped
 
     def shutdown(self, *, drain: bool = True) -> None:
-        """Drain and stop: reject new joins, finish admitted ones, retire
-        the pool.  Idempotent; concurrent callers wait for the first."""
+        """Drain and stop: reject new joins, finish admitted ones.  The
+        pool is the process's and exits with it.  Idempotent; concurrent
+        callers wait for the first."""
         with self._shutdown_lock:
             if self._stopped.is_set():
                 return
@@ -320,7 +321,6 @@ class JoinServer:
                     pass
             self.sampler.stop()
             self.scrubber.stop()
-            self.provider.close()
             self.cache.ensure_budget()
             self.journal.close()
             self._stopped.set()
@@ -566,12 +566,12 @@ class JoinServer:
                     self._admit_storage(
                         spec, tuples_r, tuples_s, query_id, journal
                     )
-                    if self.provider.admit():
+                    if self.breaker.admit():
                         pairs, drill = self._run_engine(
                             spec, tuples_r, tuples_s, journal,
                             resume=(source == SOURCE_WARM),
                         )
-                        self.provider.report_success()
+                        self.breaker.report_success()
                     else:
                         # The breaker is open: shed off the pool onto the
                         # in-process serial path.  Same answer (digest
@@ -627,7 +627,7 @@ class JoinServer:
     def _run_engine(
         self, spec, tuples_r, tuples_s, journal, *, resume: bool
     ) -> Tuple[List[Tuple[int, int]], Optional[dict]]:
-        """Execute (or resume) the join through the shared pool; if the
+        """Execute (or resume) the join on the resident pool; if the
         coordinator-kill drill fires, recover by resuming our own cache
         entry — the same protocol a crashed one-shot run recovers by."""
         kill_after: Optional[int] = None
@@ -669,8 +669,10 @@ class JoinServer:
         return result.pairs
 
     def _engine(self, spec, journal, *, kill_after=None) -> ProcessPBSM:
+        """A served run: the server's ``workers`` (the pool's size), the
+        spec's partitions (the fingerprint's)."""
         return ProcessPBSM(
-            spec.workers,
+            self.workers,
             num_partitions=spec.partitions,
             start_method=self.start_method,
             journal=journal,
@@ -678,7 +680,6 @@ class JoinServer:
             fault_plan=self.fault_plan,
             checkpoint_dir=str(self.cache.root),
             kill_coordinator_after=kill_after,
-            pool_provider=self.provider,
             deadline_s=spec.deadline_s,
             disk_budget=self.disk_budget,
         )
@@ -745,12 +746,12 @@ class JoinServer:
         if leading:
             try:
                 # While the breaker is closed, S is generated on the
-                # resident pool; a pool that breaks is discarded like one
-                # a run broke, and S is generated here.
-                pool = None
-                if self.provider.breaker_stats()["state"] == BREAKER_CLOSED:
-                    pool = self.provider.acquire(self.workers, mp_context(self.start_method))
-                flight.set_result(spec.generate(pool, self.provider.discard))
+                # resident pool (a pool that breaks is discarded like one
+                # a run broke, and S is generated here).
+                closed = self.breaker.breaker_stats()["state"] == BREAKER_CLOSED
+                flight.set_result(spec.generate(
+                    self.workers if closed else 0, self.start_method
+                ))
             except BaseException as exc:
                 with self._lock:
                     if self._datasets.get(key) is flight:
@@ -828,7 +829,7 @@ class JoinServer:
                 if value is not None:
                     readings[f"latency_{label}_s"] = round(value, 6)
             readings["latency_max_s"] = round(latency["max"], 6)
-        state = self.provider.breaker_stats().get("state")
+        state = self.breaker.breaker_stats().get("state")
         readings["breaker_state"] = BREAKER_STATE_CODES.get(state, -1.0)
         if self.disk_budget is not None:
             disk = self.disk_budget.snapshot()
@@ -904,12 +905,12 @@ class JoinServer:
                     if self.disk_budget is not None
                     else None
                 ),
-                "breaker": self.provider.breaker_stats(),
+                "breaker": self.breaker.breaker_stats(),
                 "scrub": self.scrubber.stats(),
                 "duplicates_dropped": self.metrics.counter(
                     "merge.duplicates_dropped"
                 ).value,
-                "pool_generation": self.provider.generation,
+                "pool_generation": process.RESIDENT_POOL.generation,
                 "workers": self.workers,
                 "draining": self._draining.is_set(),
                 "uptime_s": round(time.perf_counter() - self._started_at, 6),

@@ -149,3 +149,16 @@ def db() -> Database:
 @pytest.fixture
 def big_db() -> Database:
     return Database(buffer_mb=16.0)
+
+
+@pytest.fixture
+def resident_pool(monkeypatch):
+    """A resident pool of the test's own in place of the process's: what
+    the test's runs start, the test's end shuts down."""
+    from repro.parallel import process
+
+    provider = process.ResidentPoolProvider()
+    monkeypatch.setattr(process, "RESIDENT_POOL", provider)
+    yield provider
+    if provider._pool is not None:
+        provider._pool.shutdown(wait=True)

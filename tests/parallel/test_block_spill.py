@@ -51,7 +51,6 @@ from repro.parallel.tasks import (
     spill_bytes,
     sweep_pair,
 )
-from repro.serve.pool import SharedPoolProvider
 from repro.serve.query import QuerySpec
 from repro.storage import SpillCorruptionError
 from repro.storage.spill import FRAME_HEADER_SIZE, SpillWriter
@@ -481,7 +480,7 @@ class TestWorkerRelations:
         assert info.value.damaged_path == pair_task.relation_r_path
         assert "changed after its check" in info.value.cause_message
 
-    def test_a_relation_damaged_mid_run_is_quarantined_and_rebuilt(self):
+    def test_a_relation_damaged_mid_run_is_quarantined_and_rebuilt(self, resident_pool):
         """One worker keeps the S relation mapped across the run; the file
         is torn in place after its first task.  Every later task fails as
         corruption and is rebuilt from the side: the answer is the clean
@@ -498,13 +497,12 @@ class TestWorkerRelations:
                 rest, failed_rest = super()._execute(pair_tasks[1:], on_result)
                 return done + rest, {**failed, **failed_rest}
 
-        provider = SharedPoolProvider(1)
+        # One generation serves both halves: the run holds it throughout.
+        held = resident_pool.acquire(1, mp_context())
         try:
-            result = DamagesMidRun(
-                1, num_partitions=8, pool_provider=provider
-            ).run(*sides, intersects)
+            result = DamagesMidRun(1, num_partitions=8).run(*sides, intersects)
         finally:
-            provider.close()
+            resident_pool.release(held)
         assert result.pairs == expected.pairs != [] and result.duplicates_dropped == 0
         assert result.fault_summary == dict.fromkeys(
             ("task_failures", "quarantined", "degraded"), len(later)
@@ -615,22 +613,23 @@ class TestWorkerRelations:
         assert [records[t.feature_id] for t in side[::9]] == list(side[::9])
         assert resident_kb(path) > 0
 
-    def test_a_shared_pool_worker_keeps_at_most_the_bound(self):
-        provider = SharedPoolProvider(1)
+    def test_a_shared_pool_worker_keeps_at_most_the_bound(self, resident_pool):
+        """A busy generation serves every run on it as it is, whatever
+        its sides, so its worker opens each join's relations itself."""
+        pool = resident_pool.acquire(1, mp_context())
         joins = (tasks.RELATION_MEMO_ENTRIES // 2) + 1
         try:
             for seed in range(1, joins + 1):
                 spec = QuerySpec(scale=0.001, seed=seed)
-                result = ProcessPBSM(
-                    1, num_partitions=2, pool_provider=provider
-                ).run(*spec.generate(), spec.predicate_fn)
+                result = ProcessPBSM(1, num_partitions=2).run(
+                    *spec.generate(), spec.predicate_fn
+                )
                 assert result.pairs and not result.degraded_pairs
-            pool = provider.acquire(1, None)
             assert pool.submit(memo_size).result(timeout=60) == (
                 tasks.RELATION_MEMO_ENTRIES
             )
         finally:
-            provider.close()
+            resident_pool.release(pool)
 
 
 class TestFrozenWorkerHeap:

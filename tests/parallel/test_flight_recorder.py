@@ -16,7 +16,6 @@ Four contracts:
 import functools
 import os
 from collections import Counter, defaultdict
-from contextlib import closing
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +25,6 @@ from repro.faults import CoordinatorKilledError, load_plan
 from repro.obs import RunJournal, Tracer, analyze_events, render_report
 from repro.obs.journal import journal_path, read_journal
 from repro.parallel import ProcessPBSM, process, tasks
-from repro.serve import SharedPoolProvider
 from tests.conftest import race, road_hydro
 
 SCALE = 0.001
@@ -170,21 +168,24 @@ class TestResumeThenReport:
 
 
 class TestHeartbeatFile:
-    def test_co_tenant_runs_each_journal_their_own_heartbeats(self, workload):
-        """Two journaled runs racing on one shared pool: each run's file
-        holds its own pings and no one else's."""
+    def test_co_tenant_runs_each_journal_their_own_heartbeats(self, workload, resident_pool):
+        """Two journaled runs racing on one pool (held busy, so it serves
+        both): each run's file holds its own pings and no one else's."""
         results = {}
 
         def run(engine):
             results[engine] = engine.run(*workload[:2], intersects)
 
-        with closing(SharedPoolProvider(WORKERS)) as provider:
-            engines = [
-                ProcessPBSM(WORKERS, num_partitions=partitions, journal=RunJournal(),
-                            pool_provider=provider)
-                for partitions in (NUM_PARTITIONS, 6)
-            ]
+        engines = [
+            ProcessPBSM(WORKERS, num_partitions=partitions, journal=RunJournal())
+            for partitions in (NUM_PARTITIONS, 6)
+        ]
+        held = resident_pool.acquire(WORKERS, process.mp_context())
+        try:
             race(*(functools.partial(run, engine) for engine in engines))
+        finally:
+            resident_pool.release(held)
+        assert resident_pool.generation == 1
         for engine in engines:
             beats = [r for r in engine.journal.records if r["type"] == "worker_heartbeat"]
             assert results[engine].pairs == workload[2]

@@ -13,10 +13,7 @@
 """
 
 import hashlib
-import multiprocessing
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
@@ -307,9 +304,7 @@ class TestGeneratedSidesBuildNoTuples:
 
         init = SpatialTuple.__init__
         monkeypatch.setattr(SpatialTuple, "__init__", refusing)
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(1, mp_context=fork) if pooled else nullcontext() as pool:
-            side_r, side_s = spec.generate(pool)
+        side_r, side_s = spec.generate(1 if pooled else 0, "fork")
         engine = ProcessPBSM(2, num_partitions=PARTITIONS, start_method="fork")
         result = engine.run(side_r, side_s, spec.predicate_fn)
         assert result.pairs == reference.pairs != [] and result.fault_summary == {}

@@ -8,8 +8,11 @@ them.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +20,13 @@ from repro import intersects
 from repro.faults import CoordinatorKilledError
 from repro.faults.plan import FaultPlan, FaultSpec, WorkerFaults
 from repro.obs import RunJournal, Tracer
+from repro.obs.journal import EVENT_TASK_DISPATCHED
 from repro.parallel import parallel_join
 from repro.parallel.process import (
     RESIDENT_POOL,
     ProcessPBSM,
     ResidentPoolProvider,
+    mp_context,
 )
 from repro.parallel.tasks import InputSide
 from repro.serve.query import QuerySpec, result_digest
@@ -184,28 +189,137 @@ class TestLifecycle:
         assert len(again.tasks) == PARTITIONS
 
 
+JOIN_THEN_SERVE = """
+import multiprocessing, tempfile
+from repro import intersects
+from repro.parallel import ProcessPBSM, process
+from repro.serve import JoinServer, QuerySpec, ServeClient
+ProcessPBSM(2).run(*QuerySpec(scale=0.002, seed=3).generate(), intersects)
+with tempfile.TemporaryDirectory() as out:
+    server = JoinServer(f"{out}/cache", f"{out}/out", workers=2)
+    host, port = server.start()
+    with ServeClient(host, port) as client:
+        answers = [client.join(scale=0.002, seed=seed) for seed in (4, 5, 4)]
+    live = len(multiprocessing.active_children())
+    server.shutdown()
+tenants = sum(held[0] for held in process.RESIDENT_POOL._held.values())
+print(live, tenants, *(answer["source"] for answer in answers))
+"""
+
+
+def python(method, *args, timeout=300):
+    """Run ``python *args`` under ``method``; its completed process."""
+    env = dict(os.environ, REPRO_MP_START_METHOD=method)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+
+
+class CoTenantDiscards(RunJournal):
+    """A run's journal that, once the run has dispatched every pair (most
+    of them still queued), has another tenant of the pool discard it."""
+
+    def __init__(self, pool, context):
+        super().__init__()
+        self.pool, self.context, self.dispatched = pool, context, 0
+
+    def emit(self, event_type, **fields):
+        super().emit(event_type, **fields)
+        if event_type == EVENT_TASK_DISPATCHED:
+            self.dispatched += 1
+            if self.dispatched == PARTITIONS:
+                held = self.pool.acquire(1, self.context)  # busy: the run's
+                self.pool.discard(held)
+                self.pool.release(held)
+
+
+@METHODS
+class TestOnePoolPerProcess:
+    def test_a_process_that_joins_then_serves_holds_one_pool(self, method):
+        """The server's queries and its S generator run on the pool the
+        join left standing: ``workers`` processes, and no tenant left."""
+        done = python(method, "-c", JOIN_THEN_SERVE)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2", "0", "miss", "miss", "hit"]
+
+    def test_a_co_tenants_discard_charges_nothing(self, method, resident_pool):
+        """Pairs a co-tenant's discard cancelled never reached a worker:
+        they requeue free, with the rest of the run's, on the next
+        generation."""
+        sides, digest = generate(19, scale=0.01)
+        context = mp_context(method)
+        journal = CoTenantDiscards(resident_pool, context)
+        result = ProcessPBSM(
+            1, num_partitions=PARTITIONS, start_method=method, journal=journal
+        ).run(*sides, intersects)
+        assert result_digest(result.pairs) == digest
+        assert result.fault_summary == {"pool_respawns": 1}
+        assert (resident_pool.generation, resident_pool.retired) == (2, 1)
+        assert len(result.tasks) == PARTITIONS
+
+    def test_a_new_generations_start_is_not_a_tasks_time(self, method, resident_pool):
+        """A task timeout shorter than a spawned worker's start: the run
+        on a new generation times nothing out."""
+        sides, digest = generate(20)
+        result = engine(method, task_timeout_s=0.25).run(*sides, intersects)
+        assert result_digest(result.pairs) == digest and not result.fault_summary
+        assert resident_pool.generation == 1
+
+    def test_a_hang_past_its_timeout_does_not_hold_up_the_exit(self, method):
+        hang_s = 20.0
+        started = time.monotonic()
+        done = python(
+            method, "-m", "repro", "chaos", "--plan", "hang", "--scale", "0.002",
+            "--timeout", "0.5", "--hang-s", str(hang_s), "--out", "",
+        )
+        assert done.returncode == 0, done.stderr
+        assert time.monotonic() - started < hang_s / 2
+
+
 class TestProvider:
     def test_a_generation_serves_what_it_fits_and_a_busy_one_serves_all(self):
         """No process starts here: a pool forks or spawns at its first
         submit."""
         context = multiprocessing.get_context()
         provider = ResidentPoolProvider()
-        try:
-            resident = provider.acquire(2, context)
-            assert provider.acquire(1, context) is resident  # busy: shared
-            provider.release(resident)
-            provider.release(resident)
-            assert provider.acquire(2, context) is resident
-            provider.release(resident)
-            fresh = provider.acquire(1, context)  # idle: retired for the next
-            assert fresh is not resident and provider.generation == 2
-            with pytest.raises(RuntimeError):
-                resident.submit(int)
-            provider.discard(fresh)
-            provider.discard(fresh)  # a late discard is a no-op
-            assert provider.acquire(1, context) is not fresh
-            assert provider.generation == 3
-        finally:
-            provider.close()
+        resident = provider.acquire(2, context)
+        assert provider.acquire(1, context) is resident  # busy: shared
+        provider.release(resident)
+        provider.release(resident)
+        assert provider.acquire(2, context) is resident
+        provider.release(resident)
+        fresh = provider.acquire(1, context)  # idle: retired for the next
+        assert fresh is not resident and provider.generation == 2
+        assert provider.retired == 0  # to fit, not for a fault
         with pytest.raises(RuntimeError):
-            provider.acquire(1, context)
+            resident.submit(int)
+        provider.discard(fresh)
+        provider.discard(fresh)  # a late discard is a no-op
+        provider.release(fresh)
+        last = provider.acquire(1, context)
+        assert last is not fresh
+        assert (provider.generation, provider.retired) == (3, 1)
+        provider.discard(last)
+        provider.release(last)
+
+    @METHODS
+    def test_a_retired_generations_workers_go_with_its_last_tenant(self, method):
+        """A discard leaves a co-tenant's running task to its worker; the
+        last release terminates the worker, wedged or not."""
+        provider = ResidentPoolProvider()
+        pool = provider.acquire(1, multiprocessing.get_context(method))
+        assert provider.acquire(1, multiprocessing.get_context(method)) is pool
+        wedged = pool.submit(time.sleep, 600)
+        while not wedged.running():
+            time.sleep(0.01)
+        (worker,) = pool._processes.values()
+        provider.discard(pool)
+        provider.release(pool)
+        time.sleep(0.3)
+        assert worker.is_alive() and not wedged.done()
+        provider.release(pool)
+        worker.join(timeout=30)
+        assert not worker.is_alive()

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-import repro.serve.pool
+import repro.serve.breaker
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def clock(monkeypatch):
     windows elapse when the test says so, however fast the host is."""
     clock = _Clock()
     monkeypatch.setattr(
-        repro.serve.pool, "time", SimpleNamespace(monotonic=lambda: clock.now)
+        repro.serve.breaker, "time", SimpleNamespace(monotonic=lambda: clock.now)
     )
     return clock
 

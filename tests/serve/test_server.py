@@ -12,7 +12,6 @@ import sys
 import threading
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ import pytest
 from repro.checkpoint import inspect_checkpoint_dir
 from repro.data import generate_hydrography, generate_roads
 from repro.faults import load_plan
-from repro.parallel import parallel_join
+from repro.parallel import parallel_join, process
 from repro.parallel.tasks import InputSide
 from repro.serve import (
     JoinServer,
@@ -386,7 +385,7 @@ class TestMaterialise:
                 server._materialise(QuerySpec(**SPEC))
             assert f"pid {os.getpid()}" not in str(raised.value)
             assert server._datasets == {}
-            assert server.provider.breaker_stats()["failures_in_window"] == 0
+            assert server.breaker.breaker_stats()["failures_in_window"] == 0
         finally:
             server.shutdown()
 
@@ -402,7 +401,7 @@ class TestMaterialise:
         monkeypatch.setitem(DATASETS, "road_hydro", (generate_roads, _dying_in_child))
         try:
             got = server._materialise(QuerySpec(**SPEC))
-            assert server.provider.breaker_stats()["failures_in_window"] == 1
+            assert server.breaker.breaker_stats()["failures_in_window"] == 1
             deadline = time.monotonic() + 30.0
             while set(multiprocessing.active_children()) - before:
                 assert time.monotonic() < deadline, "a dead pool's worker lives on"
@@ -459,22 +458,20 @@ def _dying_in_child(scale, **seed):
 
 
 class TestConcurrentGeneration:
-    """``QuerySpec.generate(pool)``: S generated in a worker while R is
-    generated here gives the bytes the sequential path gives."""
+    """``QuerySpec.generate(workers)``: S generated on the resident pool
+    while R is generated here gives the bytes the sequential path gives."""
 
     @pytest.fixture(scope="class", params=["fork", "spawn"])
-    def pool(self, request):
-        context = multiprocessing.get_context(request.param)
-        with ProcessPoolExecutor(1, mp_context=context) as pool:
-            yield pool
+    def method(self, request):
+        return request.param
 
     @pytest.mark.parametrize("dataset", sorted(DATASETS))
     @pytest.mark.parametrize("seed", [0, 7, 1996])
-    def test_same_stored_form_as_the_sequential_path(self, pool, dataset, seed):
+    def test_same_stored_form_as_the_sequential_path(self, method, dataset, seed):
         spec = QuerySpec(dataset, scale=0.002, seed=seed)
-        broke = []
-        pooled = spec.generate(pool, broke.append)
-        assert broke == []
+        retired = process.RESIDENT_POOL.retired
+        pooled = spec.generate(1, method)
+        assert process.RESIDENT_POOL.retired == retired
         for got, expected in zip(pooled, spec.generate()):
             assert got.payload == expected.payload
             assert np.array_equal(got.offsets, expected.offsets)
@@ -653,12 +650,11 @@ class TestDeadlines:
         assert hit["result_sha256"] == miss["result_sha256"]
 
 
-def retire_pool_generation(server):
+def retire_pool_generation():
     """Simulate a worker crash's pool retirement (one breaker failure)."""
-    import multiprocessing
-
-    pool = server.provider.acquire(2, multiprocessing.get_context())
-    server.provider.discard(pool)
+    pool = process.RESIDENT_POOL.acquire(2, multiprocessing.get_context())
+    process.RESIDENT_POOL.discard(pool)
+    process.RESIDENT_POOL.release(pool)
 
 
 class TestBreaker:
@@ -671,7 +667,7 @@ class TestBreaker:
         try:
             with ServeClient(host, port) as client:
                 baseline = client.join(**SPEC)
-                retire_pool_generation(server)
+                retire_pool_generation()
                 degraded = client.join(**self.OTHER)
                 # Cache hits never consult the breaker: the cached spec
                 # still serves from the log while the pool is shunned.
@@ -696,8 +692,8 @@ class TestBreaker:
             tmp_path, breaker_threshold=1, breaker_cooldown_s=0.3
         )
         try:
-            retire_pool_generation(server)
-            assert server.provider.breaker_stats()["state"] == "open"
+            retire_pool_generation()
+            assert server.breaker.breaker_stats()["state"] == "open"
             clock.advance(0.35)
             with ServeClient(host, port) as client:
                 probe = client.join(**SPEC)

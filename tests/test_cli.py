@@ -1,7 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -110,6 +113,21 @@ class TestParallelCLI:
         assert 0 < document["generate_s"] < elapsed
         if backend != "serial":
             assert document["verified_against_serial"] is True
+
+    def test_a_closed_reader_is_a_quiet_exit(self):
+        """``repro parallel | head -1`` with the reader gone before the
+        report is written: exit 0, nothing on stderr."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "parallel", "--backend", "serial",
+             "--scale", "0.002"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0 and err == b""
 
     def test_process_reports_tasks(self, capsys):
         assert main(["parallel", "--backend", "process", "--workers", "2",
