@@ -64,7 +64,6 @@ import tempfile
 import threading
 import time
 from collections import Counter as TallyCounter
-from contextlib import suppress
 from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
@@ -133,11 +132,8 @@ from .tasks import (
     SideRouting,
     SpillHandle,
     WorkerTaskError,
-    check_relations,
     init_pool_worker,
-    open_relation_keys,
     refine_pair,
-    relation_key,
     run_pair_task,
     spill_blocks,
     spill_bytes,
@@ -222,20 +218,20 @@ class ResidentPoolProvider:
     a fault plan or neither: a journaled run's heartbeats go to a file of
     its own, named by its tasks, not to any state of the pool's.
 
-    A generation serves the runs it fits: same worker count and start
-    method, and under ``fork`` only runs whose relation files it
-    inherited — their coordinator checks them before the pool forks, so
-    its workers open nothing.  A run on other sides retires the idle
-    generation (no fault: :attr:`retired` stays) and forks the next after
-    its own check; one that finds it busy (another thread's run) uses it
-    as it is, so no tenant's pool is retired under it.
+    A generation serves the runs it fits — same worker count and start
+    method — whatever their sides: each worker opens the relation files
+    it refines itself (:func:`~repro.parallel.tasks.open_relation`).  A
+    run that does not fit retires the idle generation (no fault:
+    :attr:`retired` stays) and starts the next; one that finds it busy
+    (another thread's run) uses it as it is, so no tenant's pool is
+    retired under it.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._fits: tuple = ()
-        """``(workers, start method, inherited relation keys)``."""
+        """``(workers, start method)``."""
         self._held: Dict[ProcessPoolExecutor, list] = {}
         """``[tenants, worker processes]`` of the current generation and
         of each retired one a run still holds."""
@@ -244,37 +240,24 @@ class ResidentPoolProvider:
         self.retired = 0
         """How many generations a fault retired: discarded, or found broken."""
 
-    def acquire(
-        self, max_workers: int, context, relations: Sequence[str] = ()
-    ) -> ProcessPoolExecutor:
+    def acquire(self, max_workers: int, context) -> ProcessPoolExecutor:
         """The resident pool, when it fits this run (started if need be).
         Every acquire is paired with one :meth:`release`."""
-        fork = context.get_start_method() == "fork"
-        try:
-            wanted = frozenset(map(relation_key, relations)) if fork else frozenset()
-        except OSError:  # a file gone: no generation inherited it
-            wanted = frozenset({None})
+        fits = (max_workers, context.get_start_method())
         with self._lock:
             old = self._pool
             if old is not None and old._broken:  # type: ignore[attr-defined]
                 self._retire_locked()
-            elif old is not None and (
-                self._held[old][0]
-                or self._fits[:2] == (max_workers, context.get_start_method())
-                and wanted <= self._fits[2]
-            ):
+            elif old is not None and (self._held[old][0] or self._fits == fits):
                 old = None  # it serves this run
             elif old is not None:
-                self._pool = None  # idle, for other sides: no fault
+                self._pool = None  # idle, and does not fit: no fault
                 del self._held[old]
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
                     max_workers, mp_context=context, initializer=init_pool_worker
                 )
-                self._fits = (
-                    max_workers, context.get_start_method(),
-                    open_relation_keys() if fork else frozenset(),
-                )
+                self._fits = fits
                 self._held[self._pool] = [0, self._pool._processes]  # type: ignore[attr-defined]
                 self.generation += 1
             self._held[self._pool][0] += 1
@@ -657,7 +640,6 @@ class ProcessPBSM:
     ) -> ParallelJoinResult:
         self._disk_degraded = set()
         self._damaged_files: Set[str] = set()
-        self._open_s = self._check_s = 0.0
         self._disk_injector = None
         budget = self.disk_budget
         if (
@@ -784,10 +766,8 @@ class ProcessPBSM:
                         }
                     )
                 on_result = store.append_result
-            with self.tracer.span("process.execute", tasks=len(tasks)) as span:
+            with self.tracer.span("process.execute", tasks=len(tasks)):
                 outcomes, failed = self._execute(tasks, on_result=on_result)
-                span.tag("open_s", self._open_s)
-                span.tag("check_s", self._check_s)
             # A relation file that failed its check is damaged in place:
             # the next run on these sides writes a fresh one.
             side_r.forget_relation(self._damaged_files)
@@ -1250,23 +1230,30 @@ class ProcessPBSM:
         )
         journal = self.journal
         provider = RESIDENT_POOL
-        heartbeats = HeartbeatFile() if journal.enabled else None
-        # Forked workers inherit this process's relation memo: what it
-        # opens and checks before the fork, none of them opens again — and
-        # a resident generation serves only the runs whose files it
-        # inherited.  (Spawned ones inherit nothing.)
-        inherits = context.get_start_method() == "fork"
-        relations = tasks[0].relation_r_path, tasks[0].relation_s_path
+        timeout_s = self.task_timeout_s
+        # A pair's timeout counts from its worker's first heartbeat (as
+        # read, within a poll slice), not from its submit: time queued
+        # behind busy or still-starting workers is no task's.
+        heartbeats = (
+            HeartbeatFile() if journal.enabled or timeout_s is not None else None
+        )
         worker_phase: Dict[int, str] = {}
         next_sample = time.monotonic() + SAMPLE_INTERVAL_S
 
         def drain_heartbeats() -> None:
+            # Only the current generation's workers start this run's
+            # clocks: a retired one may still run a pair's earlier dispatch.
+            workers = (pool and pool._processes) or {}  # type: ignore[attr-defined]
             for pid, pair, attempt, phase in heartbeats.read() if heartbeats else ():
                 worker_phase[pid] = phase
                 journal.emit(
                     EVENT_WORKER_HEARTBEAT,
                     pid=pid, pair=pair, attempt=attempt, phase=phase,
                 )
+                if timeout_s is not None and pid in workers:
+                    for future, index in inflight.items():
+                        if index == pair and future not in deadlines:
+                            deadlines[future] = time.monotonic() + timeout_s
 
         def maybe_sample() -> None:
             nonlocal next_sample
@@ -1356,24 +1343,13 @@ class ProcessPBSM:
                         lose_pool()
                     raise error
                 if pool is None:
-                    if inherits:
-                        open_s, check_s = check_relations(*relations)
-                        self._open_s += open_s
-                        self._check_s += check_s
-                    pool = provider.acquire(self.workers, context, relations)
-                    if self.task_timeout_s is not None:
-                        # A task's timeout bounds the task, not the start
-                        # of a new generation's workers (a spawned one's
-                        # interpreter and imports take most of 0.5 s): the
-                        # clock starts once a worker answers.  A broken or
-                        # retired pool fails the submits below instead.
-                        with suppress(RuntimeError):
-                            wait([pool.submit(os.getpid)])
+                    pool = provider.acquire(self.workers, context)
                 while to_submit:
                     index = to_submit.pop(0)
                     task = dataclasses.replace(
                         by_index[index], attempt=attempts[index],
                         heartbeats=heartbeats.path if heartbeats else None,
+                        timed=timeout_s is not None,
                     )
                     try:
                         future = pool.submit(run_pair_task, task)
@@ -1406,26 +1382,18 @@ class ProcessPBSM:
                             EVENT_FAULT_INJECTED,
                             kind=kind, pair=index, attempt=task.attempt,
                         )
-                    if self.task_timeout_s is not None:
-                        deadlines[future] = (
-                            time.monotonic() + self.task_timeout_s
-                        )
                 if pool is None or not inflight:
                     continue
 
-                # A journaling run polls so heartbeats and sampler ticks
-                # keep flowing while tasks are quiet; otherwise the wait
-                # only needs a slice when a deadline — per-task or
-                # whole-run — must be enforced.
+                # A run with heartbeats polls, so pings (which start a timed
+                # run's pair clocks) and sampler ticks keep flowing while
+                # tasks are quiet; otherwise the wait only needs a slice
+                # when the whole-run deadline must be enforced.
                 wait(
                     set(inflight),
                     timeout=(
                         _POLL_S
-                        if (
-                            deadlines
-                            or journal.enabled
-                            or self._deadline_at is not None
-                        )
+                        if heartbeats is not None or self._deadline_at is not None
                         else None
                     ),
                     return_when=FIRST_COMPLETED,

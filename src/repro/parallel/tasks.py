@@ -6,10 +6,9 @@ refinement fetches tuples from the base relations.  Two kinds of file
 
 * one **relation file** per input — the side's stored records, in input
   order, written once on first touch (:attr:`InputSide.relation`):
-  the refinement step's input.  A process maps each relation read-only
-  and keeps it (:func:`open_relation`), so it checks a side once, not
-  once per task; a coordinator about to fork its pool opens both first
-  (:func:`check_relations`), so forked workers check nothing.  No process
+  the refinement step's input.  Each worker maps the relations it refines
+  read-only and keeps them (:func:`open_relation`), so it checks a file
+  once, not once per task; the coordinator opens none.  No process
   copies a relation: all of them read the same page-cache pages;
 * one **key-pointer spill** per partition and side — packed
   ``<MBR_f32, feature_id, tile, class>`` records, the filter step's input:
@@ -57,12 +56,13 @@ a file that will never read clean.  Tasks may also carry a
 the top of the task by attempt number.
 
 Flight-recorder hook: when the coordinator runs a journal
-(:mod:`repro.obs.journal`), its tasks name a **heartbeat file**
-(:class:`HeartbeatFile`), one per run, and a worker appends a line to it
-at every phase boundary.  The file is the only channel that outlives a
-worker crash: a result from a dead process never arrives, but its last
-heartbeat already did, which is exactly what the live view and the
-post-mortem need.
+(:mod:`repro.obs.journal`) or a task timeout, its tasks name a
+**heartbeat file** (:class:`HeartbeatFile`), one per run, and a worker
+appends a line to it as it starts a task and at every phase boundary
+after.  The file is the only channel that outlives a worker crash: a
+result from a dead process never arrives, but its last heartbeat
+already did, which is exactly what the live view and the post-mortem
+need — and a task's first line is where its timeout starts counting.
 """
 
 from __future__ import annotations
@@ -119,10 +119,9 @@ DEFAULT_TASK_MEMORY = 8 * 1024 * 1024
 join has nothing to overflow, so no caller has another value to give."""
 
 RELATION_MEMO_ENTRIES = 4
-"""Relations a process keeps open (:func:`open_relation`): both sides of
-this join and of one more — a resident generation can outlive many
-joins on other sides (under spawn, or while busy), so the memo must not
-grow with them."""
+"""Relations a worker keeps open (:func:`open_relation`): both sides of
+this join and of one more — a resident generation outlives many joins
+on other sides, so the memo must not grow with them."""
 
 KEYPOINTER_DTYPE = np.dtype(
     [("mbr", "<f4", (4,)), ("fid", "<u4"), ("tile", "<u4"), ("cls", "u1")]
@@ -184,11 +183,12 @@ def init_pool_worker() -> None:
     threading.Thread(target=watch, name="parent-watchdog", daemon=True).start()
 
 
-def _heartbeat(task: "PairTask", phase: str) -> None:
-    """Best-effort liveness ping: one line appended to the task's run's
-    heartbeat file, if it has one.  Opened without ``O_CREAT``, so a ping
-    that outlives its run (the file removed) creates nothing; nothing
-    here ever fails the task."""
+def _heartbeat(task: "PairTask", phase: str, *, strict: bool = False) -> None:
+    """Liveness ping: one line appended to the task's run's heartbeat
+    file, if it has one.  Opened without ``O_CREAT``, so a ping that
+    outlives its run (the file removed) creates nothing.  Best effort
+    unless ``strict``: a timed run's first ping starts the task's clock,
+    and a task that cannot start it fails rather than run unclocked."""
     if task.heartbeats is None:
         return
     line = f"{os.getpid()} {task.index} {task.attempt} {phase}\n".encode()
@@ -199,17 +199,17 @@ def _heartbeat(task: "PairTask", phase: str) -> None:
         finally:
             os.close(fd)
     except OSError:
-        pass
+        if strict:
+            raise
 
 
 class HeartbeatFile:
-    """One journaled run's heartbeat file: workers append a line a ping
-    (:func:`_heartbeat`), the coordinator reads the complete lines since
-    its last read.  A line is one ``write`` on an ``O_APPEND`` file, so
-    pings from many workers never interleave; each run reads only its
+    """One journaled or timed run's heartbeat file: workers append a line
+    a ping (:func:`_heartbeat`), the coordinator reads the complete lines
+    since its last read.  A line is one ``write`` on an ``O_APPEND`` file,
+    so pings from many workers never interleave; each run reads only its
     own file, so co-tenant runs on one pool never see each other's.  The
-    file is best effort and a few bytes a ping: it is not charged to a
-    disk budget."""
+    file is a few bytes a ping: it is not charged to a disk budget."""
 
     def __init__(self):
         fd, self.path = tempfile.mkstemp(prefix="repro-heartbeats-")
@@ -380,7 +380,6 @@ class InputSide(Sequence):
             relation = self.__dict__.get("_relation")
             if relation is not None and relation.path in damaged:
                 del self.__dict__["_relation"]
-                _evict_relation(relation.path)
 
     def tuple_block(self, start: int, stop: int) -> bytes:
         """Records ``start:stop`` as one tuple frame's payload
@@ -532,7 +531,6 @@ class _RelationFile:
 
     def __del__(self) -> None:
         if os.getpid() == self.pid:
-            _evict_relation(self.path)
             try:
                 os.unlink(self.path)
             except OSError:
@@ -751,7 +749,7 @@ class StoredRecords(Mapping):
         return decode(self._buffer, self._starts[records], self._ends[records])
 
 
-def read_relation(path: str, *, release: bool = False) -> StoredRecords:
+def read_relation(path: str) -> StoredRecords:
     """A file of tuple blocks — a side's relation file — as
     :class:`StoredRecords`.
 
@@ -764,12 +762,6 @@ def read_relation(path: str, *, release: bool = False) -> StoredRecords:
     frame walk's seconds its ``check_s``.  A block's records end where its
     payload does, or where the :data:`REFINE_DTYPE` rows of all of them
     begin; the relation has ``refine`` rows if every block carries them.
-
-    With ``release`` (it needs ``mmap.MADV_DONTNEED``), this process's
-    page-table entries for the mapping go as the walk passes each frame,
-    and all of them once the relation is built: its resident size never
-    holds the file, and a later read faults the pages back in from the
-    page cache, which keeps them.
     """
     with open(path, "rb") as fh:
         stat = os.fstat(fh.fileno())
@@ -780,10 +772,7 @@ def read_relation(path: str, *, release: bool = False) -> StoredRecords:
     checked = time.perf_counter()
     fids, starts, ends = ([np.empty(0, np.int64)] for _ in range(3))
     refine: Optional[List[np.ndarray]] = [np.empty(0, REFINE_DTYPE)]
-    dropped = data if release and isinstance(data, mmap.mmap) else None
     for frame in read_frames_bytes(data, label=path):
-        if dropped is not None:  # every page wholly before this frame is checked
-            dropped.madvise(mmap.MADV_DONTNEED, 0, frame.offset - frame.offset % mmap.PAGESIZE)
         payload = frame.record
         words = np.frombuffer(payload, _U32, len(payload) // _U32.itemsize)
         count = int(words[0]) if len(words) else 0
@@ -817,8 +806,6 @@ def read_relation(path: str, *, release: bool = False) -> StoredRecords:
     records = StoredRecords(
         data, *columns, refine=None if refine is None else np.concatenate(refine),
     )
-    if dropped is not None:
-        dropped.madvise(mmap.MADV_DONTNEED)
     records.identity, records.check_s = _identity(path, stat), check_s
     return records
 
@@ -846,83 +833,32 @@ layout — as :class:`StoredRecords`; this name is used only by
 
 _RELATIONS: "OrderedDict[tuple, StoredRecords]" = OrderedDict()
 """This process's open relations (:func:`open_relation`) by the
-:func:`_identity` they were checked as, least recently used first.  Each
-step on it is one dictionary operation, atomic under the interpreter
-lock, and no lock guards it: one held by another thread as a pool forks
-would stay held in every worker, and one taken in a side's collection
-(:func:`_evict_relation`) could be taken already by the thread
-collecting.  Two threads between steps cost at most a second read of a
-file, or one entry dropped early."""
+:func:`_identity` they were checked as, least recently used first."""
 
 
 def open_relation(path: str) -> StoredRecords:
     """A relation, mapped and checked (:func:`read_relation`) on first use
-    and kept for the tasks after it — and, opened by a coordinator before
-    its pool forks (:func:`check_relations`), for every forked worker.
+    and kept for the tasks after it.
 
     Kept by path *and* by the file's ``(st_ino, st_size, st_mtime_ns)``,
     so a different file at that path, or the same one written since, is
     mapped and checked afresh — and a task re-checks that key after its
     refine (:func:`_check_unchanged`); at most
     :data:`RELATION_MEMO_ENTRIES` are kept, least recently used dropped
-    first, and the process that wrote a file drops it when the file goes
-    (:func:`_evict_relation`)."""
+    first."""
     return _open_relation(path)[0]
 
 
-def _open_relation(path: str, release: bool = False) -> Tuple[StoredRecords, bool]:
-    """:func:`open_relation`, and whether the memo already had it;
-    ``release`` as :func:`read_relation` has it."""
+def _open_relation(path: str) -> Tuple[StoredRecords, bool]:
+    """:func:`open_relation`, and whether the memo already had it."""
     records = _RELATIONS.pop(_identity(path, os.stat(path)), None)
     hit = records is not None
     if not hit:
-        records = read_relation(path, release=release)
+        records = read_relation(path)
     _RELATIONS[records.identity] = records
     while len(_RELATIONS) > RELATION_MEMO_ENTRIES:
         _RELATIONS.popitem(last=False)
     return records, hit
-
-
-def open_relation_keys() -> frozenset:
-    """The keys of every relation this process keeps open: what a pool
-    that forks now inherits, mapped and checked."""
-    return frozenset(_RELATIONS)
-
-
-def relation_key(path: str) -> tuple:
-    """The key the relation file at ``path`` is kept under as it is now."""
-    return _identity(path, os.stat(path))
-
-
-def _evict_relation(path: str) -> None:
-    """Drop whatever the memo keeps of the file at ``path``, its mapping
-    with it: a file its writer removes must not stay pinned on the disk."""
-    for key in [key for key in list(_RELATIONS) if key[0] == path]:
-        _RELATIONS.pop(key, None)
-
-
-def check_relations(*paths: str) -> Tuple[float, float]:
-    """Open the relation files at ``paths`` into this process's memo, so
-    that the workers a pool forks next inherit them mapped and checked:
-    ``(open_s, check_s)`` of the opens the memo did not serve.
-
-    Best effort: a file that fails its check is not kept and its error is
-    dropped — the worker's own open raises it, as without this.  The check
-    releases its pages as it goes (:func:`read_relation`'s ``release``),
-    so this process's resident size does not grow by the file: workers
-    fault the pages in as they read them.  Takes paths only, so nothing
-    here holds a side's file on the disk past its run."""
-    open_s = check_s = 0.0
-    for path in paths:
-        started = time.perf_counter()
-        try:
-            records, hit = _open_relation(path, release=hasattr(mmap, "MADV_DONTNEED"))
-        except (OSError, ValueError):  # a SpillCorruptionError is a ValueError
-            continue
-        if not hit:
-            open_s += time.perf_counter() - started
-            check_s += records.check_s
-    return open_s, check_s
 
 
 @dataclass(frozen=True)
@@ -947,6 +883,8 @@ class PairTask:
     """This pair's slice of the active fault plan, if any."""
     heartbeats: Optional[str] = None
     """The run's :class:`HeartbeatFile` path; ``None`` pings nothing."""
+    timed: bool = False
+    """The run times the task from its first ping, which must be written."""
 
     @property
     def cost_estimate(self) -> int:
@@ -1192,8 +1130,9 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
     every other task's, so the coordinator's merge has no dedup barrier.
 
     Any failure is re-raised as :class:`WorkerTaskError` with the pair
-    index, attempt, and pid attached (corruption flagged); planned faults
-    fire first, keyed by the task's attempt number.
+    index, attempt, and pid attached (corruption flagged).  The first
+    heartbeat — where a timed run starts the task's clock — comes first,
+    then the planned faults, keyed by the task's attempt number.
     """
     global _FROZEN_PID
     if _FROZEN_PID != os.getpid():
@@ -1205,6 +1144,7 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
         gc.freeze()
         _FROZEN_PID = os.getpid()
     try:
+        _heartbeat(task, "merge", strict=task.timed)
         apply_worker_faults(task.faults, task.index, task.attempt)
         return _run_pair_task(task)
     except WorkerTaskError:
@@ -1225,7 +1165,6 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
 def _run_pair_task(task: PairTask) -> PairTaskResult:
     started = time.perf_counter()
     tracer = Tracer() if task.observe else NULL_TRACER
-    _heartbeat(task, "merge")
     with tracer.span(
         "worker.task", pair=task.index, pid=os.getpid(), attempt=task.attempt
     ) as span:

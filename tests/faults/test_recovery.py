@@ -129,10 +129,9 @@ class TestQuarantine:
         # in tuples no candidate needs — must take the same quarantine-
         # and-rebuild path as a torn .kp, for every pair that reads it.
         # (Fault plans only tear .kp files; this tears the relation file
-        # by hand, after partitioning and before any task reads it — and
-        # before a forking coordinator opens it for its workers.  With
+        # by hand, after partitioning and before any task reads it.  With
         # ``opened``, a clean run on the sides has already left the file
-        # open in this process.)
+        # open in the workers.)
         monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", 16)
         tuples_r, tuples_s, expected = workload
         built = []
@@ -156,7 +155,6 @@ class TestQuarantine:
         assert result.degraded_pairs == sorted(t.index for t in built)
         damaged = built[0].relation_s_path
         assert not os.path.exists(damaged)
-        assert not any(key[0] == damaged for key in tasks._RELATIONS)
         # The damaged file goes with the run that found it: the next run
         # on the same sides reads a fresh one.
         again = ProcessPBSM(2, num_partitions=4).run(*sides, intersects)

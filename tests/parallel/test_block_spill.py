@@ -520,98 +520,22 @@ class TestWorkerRelations:
         assert 0 < first["check_s"] <= first["open_s"]
         assert again["check_s"] == again["open_s"] == 0
 
-    def test_forked_workers_inherit_the_coordinators_check(self):
-        """Under fork the coordinator opens and checks both relations
-        before its pool forks, and says so on ``process.execute`` — on the
-        sides' first run, not the next; no worker's refine opens anything.
-        Under spawn each worker opens them in its first task of the sides,
-        whichever run it comes in: the pool outlives the run."""
+    def test_each_worker_checks_a_file_in_its_first_task_of_it(self):
+        """Under fork as under spawn, a worker opens and checks both
+        relations in its first task of the sides, whichever run that comes
+        in (the pool outlives the run), and no later task of it opens
+        anything."""
         sides = tuple(map(InputSide, QuerySpec(scale=0.002, seed=5).generate()))
-        runs, seen = [], set()
+        seen = set()
         for _ in range(2):
             tracer = Tracer()
             ProcessPBSM(2, num_partitions=8, tracer=tracer).run(*sides, intersects)
-            (execute,) = tracer.find("process.execute")
-            runs.append((execute.tags, tracer.find("worker.task")))
-        for tags, worker_tasks in runs:
+            worker_tasks = tracer.find("worker.task")
             assert worker_tasks
-            refines = [
-                next(c.tags for c in task.children if c.name == "worker.refine")
-                for task in worker_tasks
-            ]
-            if mp_context().get_start_method() == "fork":
-                assert all(r["open_s"] == r["check_s"] == 0 for r in refines)
-            else:
-                assert tags["open_s"] == tags["check_s"] == 0
-                for task, refine in zip(worker_tasks, refines):
-                    assert (refine["open_s"] > 0) == (task.tags["pid"] not in seen)
-                    seen.add(task.tags["pid"])
-        if mp_context().get_start_method() == "fork":
-            (first, _), (again, _) = runs
-            assert 0 < first["check_s"] <= first["open_s"]
-            assert again["open_s"] == again["check_s"] == 0
-
-    @pytest.mark.skipif(
-        not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
-    )
-    def test_a_dropped_file_leaves_the_memo_and_the_address_space(self):
-        """A memo entry maps its file: the writer drops it with the file —
-        when the side goes, and when a damaged file is forgotten while a
-        run still holds it — so no deleted file stays pinned."""
-
-        def memoised(path):
-            return any(key[0] == path for key in tasks._RELATIONS)
-
-        def mapped(path):
-            return path in Path("/proc/self/maps").read_text()
-
-        side = InputSide(generate_roads(scale=0.001))
-        path = side.relation.path
-        tasks.check_relations(path)
-        assert memoised(path) and mapped(path)
-        del side
-        gc.collect()
-        assert not os.path.exists(path)
-        assert not memoised(path) and not mapped(path)
-
-        side = InputSide(generate_roads(scale=0.001))
-        held = side.relation  # a run that still holds the file
-        tasks.check_relations(held.path)
-        side.forget_relation({held.path})
-        assert not memoised(held.path) and not mapped(held.path)
-        assert os.path.exists(held.path) and side.relation.path != held.path
-        path = held.path
-        del held
-        gc.collect()
-        assert not os.path.exists(path)
-
-    @pytest.mark.skipif(
-        not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps"
-    )
-    def test_the_coordinators_check_keeps_no_page_resident(self):
-        """``check_relations`` maps the file and checks every frame, yet
-        leaves none of its pages in this process's resident set; a read
-        afterwards faults them back in."""
-
-        def resident_kb(path):
-            total = inside = 0
-            for line in Path("/proc/self/smaps").read_text().splitlines():
-                head = line.split()
-                if not head[0].endswith(":"):
-                    inside = head[-1] == path
-                elif inside and head[0] == "Rss:":
-                    total += int(head[1])
-            return total
-
-        side = InputSide(generate_roads(scale=0.001))
-        path = side.relation.path
-        assert os.path.getsize(path) > 4 * os.sysconf("SC_PAGE_SIZE")
-        open_s, check_s = tasks.check_relations(path)
-        assert 0 < check_s <= open_s
-        assert path in Path("/proc/self/maps").read_text() and resident_kb(path) == 0
-        records = tasks.open_relation(path)
-        assert [records[t.feature_id] for t in side[::9]] == list(side[::9])
-        assert resident_kb(path) > 0
+            for task in worker_tasks:
+                refine = next(c.tags for c in task.children if c.name == "worker.refine")
+                assert (refine["open_s"] > 0) == (task.tags["pid"] not in seen)
+                seen.add(task.tags["pid"])
 
     def test_a_shared_pool_worker_keeps_at_most_the_bound(self, resident_pool):
         """A busy generation serves every run on it as it is, whatever

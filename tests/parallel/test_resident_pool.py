@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro import intersects
+from repro.__main__ import main
 from repro.faults import CoordinatorKilledError
 from repro.faults.plan import FaultPlan, FaultSpec, WorkerFaults
 from repro.obs import RunJournal, Tracer
@@ -24,6 +25,7 @@ from repro.obs.journal import EVENT_TASK_DISPATCHED
 from repro.parallel import parallel_join
 from repro.parallel.process import (
     RESIDENT_POOL,
+    START_METHOD_ENV,
     ProcessPBSM,
     ResidentPoolProvider,
     mp_context,
@@ -82,9 +84,8 @@ class TestLifecycle:
         assert result_digest(first.pairs) == result_digest(again.pairs) == digest
 
     def test_new_sides(self, method):
-        """Under fork a run on new sides forks a new generation, after its
-        own check, so no worker opens a relation; under spawn the
-        generation serves it."""
+        """A run on new sides reuses the generation: its workers open and
+        check the new relation files themselves."""
         old, _ = generate(12)
         before = engine(method).run(*old, intersects)
         generation = RESIDENT_POOL.generation
@@ -92,13 +93,9 @@ class TestLifecycle:
         tracer = Tracer()
         result = engine(method, tracer=tracer).run(*sides, intersects)
         assert result_digest(result.pairs) == digest and not result.fault_summary
-        if method == "fork":
-            assert RESIDENT_POOL.generation == generation + 1
-            assert pids(result).isdisjoint(pids(before))
-            assert refine_open_s(tracer) == 0
-        else:
-            assert RESIDENT_POOL.generation == generation
-            assert one_pool(result, before)
+        assert RESIDENT_POOL.generation == generation
+        assert one_pool(result, before)
+        assert refine_open_s(tracer) > 0
 
     def test_a_worker_killed_between_runs_retires_its_generation(self, method):
         sides, digest = generate(14)
@@ -267,6 +264,27 @@ class TestOnePoolPerProcess:
         result = engine(method, task_timeout_s=0.25).run(*sides, intersects)
         assert result_digest(result.pairs) == digest and not result.fault_summary
         assert resident_pool.generation == 1
+
+    def test_a_pairs_timeout_counts_no_time_queued(self, method, resident_pool):
+        """One worker; the first two pairs dispatched sleep 0.7 s each
+        under a 1 s task timeout.  The second waits 0.7 s behind the
+        first, yet runs no longer than it: nothing times out."""
+        sides, digest = generate(21)
+        plain = ProcessPBSM(1, num_partitions=8, start_method=method).run(*sides, intersects)
+        lpt = sorted(plain.tasks, key=lambda task: (-task.cost_estimate, task.index))
+        slow = {task.index: WorkerFaults(slow_attempts=(0,), slow_s=0.7) for task in lpt[:2]}
+        plan = FaultPlan(seed=0, num_pairs=8, spec=FaultSpec(), worker_faults=slow)
+        result = ProcessPBSM(
+            1, num_partitions=8, start_method=method, task_timeout_s=1.0, fault_plan=plan
+        ).run(*sides, intersects)
+        assert result_digest(result.pairs) == digest
+        assert result.fault_summary == {"injected_worker_faults": 2}
+
+    def test_a_one_shot_cli_run_uses_one_generation(self, method, resident_pool, monkeypatch):
+        """S's generator and the join share the generation the CLI starts."""
+        monkeypatch.setenv(START_METHOD_ENV, method)
+        assert main(["parallel", "--scale", "0.1", "--workers", "2", "--json"]) == 0
+        assert (resident_pool.generation, resident_pool.retired) == (1, 0)
 
     def test_a_hang_past_its_timeout_does_not_hold_up_the_exit(self, method):
         hang_s = 20.0
