@@ -21,8 +21,14 @@ This module parses, dispatches and prints; it decides nothing twice:
   recorded run is handed and writes is :class:`~repro.obs.export.RunRecorder`;
   ``--live`` is :func:`~repro.obs.journal.live_renderer`.
 
-Every subcommand imports what it needs when it runs, so ``info`` or a
-usage error never pays for the engine.
+Every subcommand imports what it needs when it runs, but no command is
+free of the engine: ``python -m repro`` imports the ``repro`` package
+first, and its ``__init__`` (the README quickstart's names) loads
+``core``, ``geometry``, ``index``, ``joins``, ``obs`` and ``storage``.
+``python -X importtime -m repro info`` lists 49 ``repro`` modules; none
+of ``parallel``, ``serve``, ``checkpoint``, ``faults`` or ``data`` is
+among them, nor the run warehouse, dashboard and telemetry series
+(``obs.corpus``, ``obs.top``, ``obs.timeseries``).
 """
 
 from __future__ import annotations

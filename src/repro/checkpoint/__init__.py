@@ -45,21 +45,15 @@ from .manifest import (
     STATE_CREATED,
     STATE_MERGING,
     STATE_PARTITIONED,
-    STATES,
     JoinManifest,
     RunFingerprint,
 )
 from .resultlog import ResultLog, replay_result_log, verified_replay
 from .store import (
-    MANIFEST_FILENAME,
     RESULTS_FILENAME,
-    RUN_DIR_PREFIX,
-    SPILL_DIRNAME,
     CheckpointInfo,
     CheckpointMismatchError,
     CheckpointStore,
-    GCReport,
-    RunDirSize,
     gc_checkpoint_dir,
     inspect_checkpoint_dir,
     run_dirs,
@@ -71,12 +65,8 @@ from .store import (
 
 __all__ = [
     "EVENT_TYPES",
-    "MANIFEST_FILENAME",
     "MANIFEST_VERSION",
     "RESULTS_FILENAME",
-    "RUN_DIR_PREFIX",
-    "SPILL_DIRNAME",
-    "STATES",
     "STATE_COMPLETE",
     "STATE_CREATED",
     "STATE_MERGING",
@@ -84,10 +74,8 @@ __all__ = [
     "CheckpointInfo",
     "CheckpointMismatchError",
     "CheckpointStore",
-    "GCReport",
     "JoinManifest",
     "ResultLog",
-    "RunDirSize",
     "RunFingerprint",
     "gc_checkpoint_dir",
     "inspect_checkpoint_dir",

@@ -8,33 +8,17 @@ from .keypointer import (
     unpack_keypointer,
 )
 from .partition import (
-    ALLOWED_CLASS_COMBOS,
-    ALLOWED_COMBO_TABLE,
-    CLASS_A,
-    CLASS_B,
-    CLASS_C,
-    CLASS_D,
-    CLASS_NAMES,
     SCHEME_HASH,
     SCHEME_ROUND_ROBIN,
-    SCHEMES,
-    PartitioningProfile,
     SpatialPartitioner,
     TileGrid,
     coefficient_of_variation,
     estimate_num_partitions,
     profile_partitioning,
 )
-from .pbsm import (
-    DEFAULT_NUM_TILES,
-    PBSMConfig,
-    PBSMJoin,
-    merge_partition_pair,
-)
-from .planner import JoinPlan, choose_algorithm, plan_join
+from .pbsm import PBSMConfig, PBSMJoin
 from .predicates import (
     ContainsWithFilters,
-    Predicate,
     contains,
     intersects,
     intersects_naive,
@@ -43,33 +27,20 @@ from .refine import dedup_sorted_pairs, merge_sorted_unique, refine
 from .stats import JoinReport, JoinResult, PhaseCost, PhaseMeter
 
 __all__ = [
-    "ALLOWED_CLASS_COMBOS",
-    "ALLOWED_COMBO_TABLE",
-    "CLASS_A",
-    "CLASS_B",
-    "CLASS_C",
-    "CLASS_D",
-    "CLASS_NAMES",
-    "DEFAULT_NUM_TILES",
     "KEYPTR_SIZE",
-    "SCHEMES",
     "SCHEME_HASH",
     "SCHEME_ROUND_ROBIN",
     "CandidateFile",
     "ContainsWithFilters",
-    "JoinPlan",
     "JoinReport",
     "JoinResult",
     "KeyPointerFile",
     "PBSMConfig",
     "PBSMJoin",
-    "PartitioningProfile",
     "PhaseCost",
     "PhaseMeter",
-    "Predicate",
     "SpatialPartitioner",
     "TileGrid",
-    "choose_algorithm",
     "coefficient_of_variation",
     "contains",
     "dedup_sorted_pairs",
@@ -77,9 +48,7 @@ __all__ = [
     "intersects",
     "intersects_naive",
     "pack_keypointer",
-    "merge_partition_pair",
     "merge_sorted_unique",
-    "plan_join",
     "profile_partitioning",
     "refine",
     "unpack_keypointer",

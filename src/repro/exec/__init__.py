@@ -4,7 +4,6 @@ from .operators import (
     Filter,
     Limit,
     Materialize,
-    Operator,
     RelationScan,
     SpatialJoin,
     WindowFilter,
@@ -14,7 +13,6 @@ __all__ = [
     "Filter",
     "Limit",
     "Materialize",
-    "Operator",
     "RelationScan",
     "SpatialJoin",
     "WindowFilter",

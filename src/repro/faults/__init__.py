@@ -20,19 +20,12 @@ and reports survival.
 """
 
 from .inject import (
-    WORKER_CRASH_EXIT_CODE,
     CheckpointFaultGate,
     CoordinatorKilledError,
-    DiskFullInjector,
-    InjectedFaultError,
-    WriteErrorInjector,
-    apply_worker_faults,
     tear_frame,
     tear_tail,
 )
 from .plan import (
-    DEFAULT_HANG_S,
-    DEFAULT_SLOW_S,
     NAMED_SPECS,
     FaultPlan,
     FaultSpec,
@@ -43,21 +36,14 @@ from .plan import (
 )
 
 __all__ = [
-    "DEFAULT_HANG_S",
-    "DEFAULT_SLOW_S",
     "CheckpointFaultGate",
     "CoordinatorKilledError",
-    "DiskFullInjector",
     "FaultPlan",
     "FaultSpec",
-    "InjectedFaultError",
     "NAMED_SPECS",
     "TornFrame",
-    "WORKER_CRASH_EXIT_CODE",
     "WorkerFaults",
     "WriteError",
-    "WriteErrorInjector",
-    "apply_worker_faults",
     "load_plan",
     "tear_frame",
     "tear_tail",

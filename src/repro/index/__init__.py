@@ -1,35 +1,23 @@
 """Spatial indexing substrate: page-based R*-tree, bulk loading, tree join."""
 
-from .gridfile import BUCKET_CAPACITY, GridFile, build_grid_file
 from .bulkload import (
-    DEFAULT_FILL,
     build_from_sorted,
     bulk_load_rstar,
     extract_keypointers,
     spatial_sort,
-    spatial_sort_external,
 )
-from .node import ENTRY_BYTES, NODE_CAPACITY, Node
-from .rstar import MIN_FILL, REINSERT_COUNT, RStarTree, rstar_split
-from .treejoin import rtree_join, rtree_join_pairs
+from .node import NODE_CAPACITY, Node
+from .rstar import RStarTree, rstar_split
+from .treejoin import rtree_join_pairs
 
 __all__ = [
-    "BUCKET_CAPACITY",
-    "DEFAULT_FILL",
-    "ENTRY_BYTES",
-    "GridFile",
-    "MIN_FILL",
     "NODE_CAPACITY",
     "Node",
-    "REINSERT_COUNT",
     "RStarTree",
     "build_from_sorted",
-    "build_grid_file",
     "bulk_load_rstar",
     "extract_keypointers",
     "rstar_split",
-    "rtree_join",
     "rtree_join_pairs",
     "spatial_sort",
-    "spatial_sort_external",
 ]

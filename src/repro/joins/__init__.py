@@ -4,29 +4,17 @@ from .inl import IndexedNestedLoopsJoin
 from .joinindex import SpatialJoinIndex
 from .naive import NaiveNestedLoopsJoin
 from .rtree import RTreeJoin
-from .seeded import SeededTreeJoin, seeded_seeded_join
 from .spatial_hash import SpatialHashJoin
-from .zorder import (
-    ZOrderConfig,
-    ZOrderIndex,
-    ZOrderJoin,
-    decompose_rect,
-    zmerge,
-    zorder_join_indexed,
-)
+from .zorder import ZOrderConfig, ZOrderIndex, ZOrderJoin, zorder_join_indexed
 
 __all__ = [
     "IndexedNestedLoopsJoin",
     "NaiveNestedLoopsJoin",
     "RTreeJoin",
-    "SeededTreeJoin",
     "SpatialJoinIndex",
     "SpatialHashJoin",
     "ZOrderConfig",
     "ZOrderIndex",
     "ZOrderJoin",
-    "decompose_rect",
-    "seeded_seeded_join",
-    "zmerge",
     "zorder_join_indexed",
 ]

@@ -44,14 +44,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .export import TRACE_FILENAME
 from .journal import (
+    EVENT_BREAKER,
+    EVENT_CACHE_CORRUPT,
+    EVENT_CACHE_HIT,
+    EVENT_CACHE_QUARANTINE,
+    EVENT_CACHE_SCRUB,
     EVENT_CHECKPOINT_COMMIT,
+    EVENT_DEADLINE_EXCEEDED,
     EVENT_DEGRADED,
     EVENT_DISK_FULL_RECOVERED,
     EVENT_DISK_PRESSURE,
     EVENT_FAULT_INJECTED,
     EVENT_PARTITION_SEALED,
     EVENT_QUARANTINED,
+    EVENT_QUERY_DONE,
+    EVENT_QUERY_RECEIVED,
+    EVENT_RETRY,
+    EVENT_RUN_FINISHED,
     EVENT_RUN_STARTED,
+    EVENT_SAMPLE,
     EVENT_SCHEDULE,
     EVENT_TASK_FINISHED,
     EVENT_TASK_REPLAYED,
@@ -342,7 +353,7 @@ def analyze_events(
             analysis.resuming = bool(record.get("resuming", False))
             if record.get("disk_budget") is not None:
                 analysis.disk_budget = int(record["disk_budget"])
-        elif kind == "run_finished":
+        elif kind == EVENT_RUN_FINISHED:
             analysis.results = int(record.get("results", 0))
         elif kind == EVENT_PARTITION_SEALED:
             side = str(record.get("side", "?"))
@@ -406,51 +417,51 @@ def analyze_events(
                     if record.get(key) is not None
                 }
             )
-        elif kind == "retry":
+        elif kind == EVENT_RETRY:
             if record.get("backoff_s") is not None:
                 analysis.backoff_hist.observe(float(record["backoff_s"]))
-        elif kind == "query_received":
+        elif kind == EVENT_QUERY_RECEIVED:
             # A serving-tier journal (repro serve): the query's identity
             # frames everything below it, cache hits included.
             analysis.serve["query"] = record.get("query")
             for key in ("dataset", "scale", "seed", "predicate"):
                 if key in record:
                     analysis.serve[key] = record[key]
-        elif kind == "cache_hit":
+        elif kind == EVENT_CACHE_HIT:
             analysis.serve["cache_hit"] = True
             analysis.serve["coalesced"] = bool(record.get("coalesced", False))
-        elif kind == "query_done":
+        elif kind == EVENT_QUERY_DONE:
             analysis.serve["source"] = record.get("source")
             analysis.serve["run_id"] = record.get("run_id")
             if not analysis.results:
                 # A pure cache hit never emits run_finished; the served
                 # result count is the only total there is.
                 analysis.results = int(record.get("result_count", 0) or 0)
-        elif kind == "deadline_exceeded":
+        elif kind == EVENT_DEADLINE_EXCEEDED:
             analysis.serve["deadline_exceeded"] = {
                 "deadline_s": record.get("deadline_s"),
                 "queued": record.get("queued"),
                 "completed": record.get("completed"),
             }
-        elif kind == "breaker_transition":
+        elif kind == EVENT_BREAKER:
             analysis.serve.setdefault("breaker_transitions", []).append(
                 f"{record.get('from_state')}->{record.get('to_state')}"
             )
-        elif kind == "cache_corrupt":
+        elif kind == EVENT_CACHE_CORRUPT:
             analysis.serve.setdefault("cache_corrupt", []).append(
                 {
                     "run_id": record.get("run_id"),
                     "reason": record.get("reason"),
                 }
             )
-        elif kind == "cache_quarantine":
+        elif kind == EVENT_CACHE_QUARANTINE:
             analysis.serve.setdefault("quarantined_entries", []).append(
                 {
                     "run_id": record.get("run_id"),
                     "reason": record.get("reason"),
                 }
             )
-        elif kind == "cache_scrub":
+        elif kind == EVENT_CACHE_SCRUB:
             totals = analysis.serve.setdefault(
                 "scrub", {"passes": 0, "scanned": 0, "repaired": 0,
                           "quarantined": 0, "evicted": 0}
@@ -458,7 +469,7 @@ def analyze_events(
             totals["passes"] += 1
             for key in ("scanned", "repaired", "quarantined", "evicted"):
                 totals[key] += int(record.get(key, 0) or 0)
-        elif kind == "sample" and record.get("kind") == "telemetry":
+        elif kind == EVENT_SAMPLE and record.get("kind") == "telemetry":
             # The serve tier's telemetry sampler: summarize the run's
             # live load shape (the per-tick series live on the wire op,
             # not in the journal — only the load peaks are recorded).

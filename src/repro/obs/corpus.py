@@ -32,8 +32,18 @@ from typing import Dict, List, Optional, Sequence
 from .analyze import analyze_events
 from .bench import load_bench_file
 from .export import METRICS_FILENAME
+from .journal import (
+    EVENT_BREAKER,
+    EVENT_CACHE_EVICT,
+    EVENT_CACHE_HIT,
+    EVENT_DEADLINE_EXCEEDED,
+    EVENT_DISK_PRESSURE,
+    EVENT_QUERY_DONE,
+    EVENT_QUERY_RECEIVED,
+    EVENT_RETRY,
+    read_journal,
+)
 from .journal import JOURNAL_FILENAME as ENGINE_JOURNAL_FILENAME
-from .journal import read_journal
 from .timeseries import quantile
 
 SERVE_JOURNAL_FILENAME = "serve.jsonl"
@@ -120,7 +130,7 @@ def index_engine_run(run_dir: "Path | str", run_id: Optional[str] = None) -> Run
         "makespan_cost": analysis.replay.makespan_cost,
         "total_cost": analysis.replay.total_cost,
         "faults_injected": len(analysis.fault_ledger),
-        "retries": analysis.event_counts.get("retry", 0),
+        "retries": analysis.event_counts.get(EVENT_RETRY, 0),
         "quarantined": len(analysis.quarantined_pairs),
         "degraded": len(analysis.degraded_pairs),
         "replayed": len(analysis.replayed_pairs),
@@ -129,7 +139,7 @@ def index_engine_run(run_dir: "Path | str", run_id: Optional[str] = None) -> Run
         "disk_recoveries": len(analysis.disk_recoveries),
     }
     for record in records:
-        if record.get("type") == "query_done" and record.get("latency_s") is not None:
+        if record.get("type") == EVENT_QUERY_DONE and record.get("latency_s") is not None:
             metrics["latency_s"] = float(record["latency_s"])
     metrics.update(_metrics_file_extract(run_dir))
     return RunRecord(
@@ -157,12 +167,12 @@ def index_serve_run(out_dir: "Path | str", run_id: Optional[str] = None) -> RunR
     latencies: List[float] = []
     for record in records:
         kind = record.get("type")
-        if kind == "query_received":
+        if kind == EVENT_QUERY_RECEIVED:
             if record.get("dataset") is not None:
                 datasets.add(str(record["dataset"]))
             if record.get("seed") is not None:
                 seeds.add(int(record["seed"]))
-        elif kind == "query_done":
+        elif kind == EVENT_QUERY_DONE:
             source = str(record.get("source", "?"))
             sources[source] = sources.get(source, 0) + 1
             if record.get("latency_s") is not None:
@@ -172,13 +182,13 @@ def index_serve_run(out_dir: "Path | str", run_id: Optional[str] = None) -> RunR
         "seeds": sorted(seeds),
     }
     metrics: Dict[str, float] = {
-        "queries_received": tallies.get("query_received", 0),
-        "queries_done": tallies.get("query_done", 0),
-        "cache_hits": tallies.get("cache_hit", 0),
-        "cache_evicts": tallies.get("cache_evict", 0),
-        "deadline_exceeded": tallies.get("deadline_exceeded", 0),
-        "breaker_transitions": tallies.get("breaker_transition", 0),
-        "disk_pressure_events": tallies.get("disk_pressure", 0),
+        "queries_received": tallies.get(EVENT_QUERY_RECEIVED, 0),
+        "queries_done": tallies.get(EVENT_QUERY_DONE, 0),
+        "cache_hits": tallies.get(EVENT_CACHE_HIT, 0),
+        "cache_evicts": tallies.get(EVENT_CACHE_EVICT, 0),
+        "deadline_exceeded": tallies.get(EVENT_DEADLINE_EXCEEDED, 0),
+        "breaker_transitions": tallies.get(EVENT_BREAKER, 0),
+        "disk_pressure_events": tallies.get(EVENT_DISK_PRESSURE, 0),
     }
     for source in sorted(sources):
         metrics[f"source.{source}"] = sources[source]

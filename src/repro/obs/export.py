@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .journal import (
+    EVENT_CHECKPOINT_COMMIT,
     FAULT_TIMELINE_TYPES,
     SERVE_TIMELINE_TYPES,
     OnJournalEvent,
@@ -166,7 +167,7 @@ def chrome_instant_events(journal_events: List[dict]) -> List[dict]:
     already exist as spans, and heartbeats/samples would drown the
     timeline.
     """
-    fault_marked = FAULT_TIMELINE_TYPES | {"checkpoint_commit"}
+    fault_marked = FAULT_TIMELINE_TYPES | {EVENT_CHECKPOINT_COMMIT}
     events: List[dict] = []
     for record in journal_events:
         kind = record.get("type")

@@ -132,40 +132,11 @@ EVENT_DISK_FULL_RECOVERED = "disk_full_recovered"
 collection, ``cache_evict`` for serve-tier eviction)."""
 
 EVENT_TYPES = frozenset(
-    {
-        EVENT_RUN_STARTED,
-        EVENT_RUN_FINISHED,
-        EVENT_PARTITION_SEALED,
-        EVENT_SCHEDULE,
-        EVENT_TASK_DISPATCHED,
-        EVENT_TASK_STARTED,
-        EVENT_TASK_FINISHED,
-        EVENT_TASK_REPLAYED,
-        EVENT_WORKER_HEARTBEAT,
-        EVENT_RETRY,
-        EVENT_FAULT_INJECTED,
-        EVENT_QUARANTINED,
-        EVENT_DEGRADED,
-        EVENT_CHECKPOINT_COMMIT,
-        EVENT_POOL_RESPAWN,
-        EVENT_TIMEOUT,
-        EVENT_SAMPLE,
-        EVENT_NODE_FINISHED,
-        EVENT_QUERY_RECEIVED,
-        EVENT_CACHE_HIT,
-        EVENT_CACHE_EVICT,
-        EVENT_QUERY_DONE,
-        EVENT_DEADLINE_EXCEEDED,
-        EVENT_BREAKER,
-        EVENT_CACHE_CORRUPT,
-        EVENT_CACHE_SCRUB,
-        EVENT_CACHE_QUARANTINE,
-        EVENT_DISK_PRESSURE,
-        EVENT_DISK_FULL_RECOVERED,
-    }
+    value for name, value in globals().items() if name.startswith("EVENT_")
 )
-"""Every type :meth:`RunJournal.emit` accepts; a typo'd type is a bug in
-the emitter, so it raises instead of polluting the stream."""
+"""Every type :meth:`RunJournal.emit` accepts — each ``EVENT_*`` declared
+above, gathered rather than listed again; a typo'd type is a bug in the
+emitter, so it raises instead of polluting the stream."""
 
 FAULT_TIMELINE_TYPES = frozenset(
     {
@@ -333,37 +304,37 @@ def live_renderer(stream) -> OnJournalEvent:
     def on_event(record: dict) -> None:
         kind = record.get("type")
         line = None
-        if kind == "run_started":
+        if kind == EVENT_RUN_STARTED:
             line = (f"run started: backend={record.get('backend')} "
                     f"workers={record.get('workers')} "
                     f"partitions={record.get('partitions')}")
-        elif kind == "schedule":
+        elif kind == EVENT_SCHEDULE:
             state["total"] = len(record.get("order", []))
             line = f"{state['total']} partition-pair tasks scheduled (LPT order)"
-        elif kind == "task_dispatched":
+        elif kind == EVENT_TASK_DISPATCHED:
             line = f"-> pair {record.get('pair')} attempt {record.get('attempt')}"
-        elif kind == "worker_heartbeat":
+        elif kind == EVENT_WORKER_HEARTBEAT:
             line = (f"   worker {record.get('pid')} pair {record.get('pair')} "
                     f"{record.get('phase')}")
-        elif kind in ("task_finished", "task_replayed"):
+        elif kind in (EVENT_TASK_FINISHED, EVENT_TASK_REPLAYED):
             state["done"] += 1
             total = state["total"] if state["total"] is not None else "?"
-            verb = "replayed" if kind == "task_replayed" else "done"
+            verb = "replayed" if kind == EVENT_TASK_REPLAYED else "done"
             line = (f"<- pair {record.get('pair')} {verb} "
                     f"({state['done']}/{total}, "
                     f"{record.get('results', 0)} results)")
-        elif kind == "node_finished":
+        elif kind == EVENT_NODE_FINISHED:
             line = (f"<- node {record.get('node')} finished "
                     f"({record.get('local_pairs', 0)} local pairs)")
-        elif kind == "fault_injected":
+        elif kind == EVENT_FAULT_INJECTED:
             line = f"!! fault {record.get('kind')} pair {record.get('pair')}"
-        elif kind == "retry":
+        elif kind == EVENT_RETRY:
             line = (f"!! retry pair {record.get('pair')} "
                     f"attempt {record.get('attempt')} "
                     f"(cause {record.get('cause')})")
-        elif kind == "pool_respawn":
+        elif kind == EVENT_POOL_RESPAWN:
             line = "!! worker pool respawned"
-        elif kind == "run_finished":
+        elif kind == EVENT_RUN_FINISHED:
             line = f"run finished: {record.get('results')} result pairs"
         if line is not None and not state.get("dead"):
             # A dead stream (e.g. the output piped to a pager that quit)

@@ -157,27 +157,14 @@ class Histogram:
             ],
         }
 
-    def delta(self, prev: Optional[dict]) -> dict:
-        """This histogram's change since ``prev`` (a prior :meth:`snapshot`).
-
-        Returns a snapshot-shaped dict describing only the observations
-        made *after* ``prev`` was taken, so samplers can compute windowed
-        rates and quantiles without re-reading cumulative totals.  An
-        empty or ``None`` ``prev`` yields the full current snapshot; a
-        ``prev`` with more observations than the present state (any
-        regressed bucket) means the instrument restarted, and the whole
-        current state is the delta — counter-reset semantics.
-        """
-        return histogram_delta(self.snapshot(), prev)
-
     @classmethod
     def from_snapshot(cls, data: dict, name: str = "") -> "Histogram":
         """Rebuild a histogram (quantiles and all) from a snapshot dict.
 
         The inverse of :meth:`snapshot`, used to take quantiles of a
-        :meth:`delta` window.  Deltas carry bucket-edge min/max estimates
-        rather than exact extremes, so quantiles of a rebuilt delta are
-        bucket-resolution — the same resolution Prometheus offers.
+        :func:`histogram_delta` window.  Deltas carry bucket-edge min/max
+        estimates rather than exact extremes, so quantiles of a rebuilt
+        delta are bucket-resolution — the same resolution Prometheus offers.
         """
         bounds = [b["le"] for b in data["buckets"] if b["le"] != "inf"]
         hist = cls(name, bounds)
@@ -302,9 +289,6 @@ class _NullInstrument:
     def snapshot(self) -> dict:
         return {}
 
-    def delta(self, prev: Optional[dict]) -> dict:
-        return {}
-
 
 _NULL_INSTRUMENT = _NullInstrument()
 
@@ -352,13 +336,6 @@ class MetricsRegistry:
         return {
             name: self._instruments[name].snapshot() for name in self.names()
         }
-
-    def delta(self, prev: Optional[Dict[str, dict]]) -> Dict[str, dict]:
-        """Change since ``prev`` (a prior :meth:`snapshot`) — see
-        :func:`snapshot_delta`.  A disabled registry answers ``{}``."""
-        if not self.enabled:
-            return {}
-        return snapshot_delta(self.snapshot(), prev)
 
 
 NULL_METRICS = MetricsRegistry(enabled=False)

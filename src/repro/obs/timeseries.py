@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 DEFAULT_CAPACITY = 240
 """Retained samples per series: four minutes of history at the default
@@ -57,13 +58,12 @@ def quantile(values: List[float], q: float) -> Optional[float]:
 class RingBufferSeries:
     """Last-``capacity`` ``(t, value)`` samples of one named signal.
 
-    Append is O(1) into a preallocated slot; reads reconstruct the
-    retained suffix oldest-first.  ``count_total`` keeps the lifetime
-    append count so callers can tell "empty" from "wrapped past
-    everything".
+    A ``deque(maxlen=capacity)``: append is O(1) and drops the oldest
+    sample once full.  ``count_total`` keeps the lifetime append count so
+    callers can tell "empty" from "wrapped past everything".
     """
 
-    __slots__ = ("name", "capacity", "count_total", "_slots")
+    __slots__ = ("name", "capacity", "count_total", "_samples")
 
     def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
@@ -71,24 +71,18 @@ class RingBufferSeries:
         self.name = name
         self.capacity = capacity
         self.count_total = 0
-        self._slots: List[Optional[Tuple[float, float]]] = [None] * capacity
+        self._samples: Deque[Tuple[float, float]] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
-        return min(self.count_total, self.capacity)
+        return len(self._samples)
 
     def append(self, t: float, value: float) -> None:
-        self._slots[self.count_total % self.capacity] = (t, float(value))
+        self._samples.append((t, float(value)))
         self.count_total += 1
 
     def samples(self) -> List[Tuple[float, float]]:
         """Retained samples, oldest first."""
-        n = len(self)
-        if n < self.capacity:
-            retained = self._slots[:n]
-        else:
-            start = self.count_total % self.capacity
-            retained = self._slots[start:] + self._slots[:start]
-        return [s for s in retained if s is not None]
+        return list(self._samples)
 
     def values(
         self,
@@ -106,8 +100,7 @@ class RingBufferSeries:
         return [v for t, v in samples if t >= horizon]
 
     def last(self) -> Optional[float]:
-        samples = self.samples()
-        return samples[-1][1] if samples else None
+        return self._samples[-1][1] if self._samples else None
 
     def window(
         self,
@@ -146,30 +139,22 @@ class SlowLog:
         self.top_k = top_k
         self.capacity = capacity
         self.count_total = 0
-        self._entries: List[Optional[dict]] = [None] * capacity
+        self._entries: Deque[dict] = deque(maxlen=capacity)
         self._lock = threading.Lock()
 
     def record(self, entry: Mapping[str, object]) -> None:
         with self._lock:
-            slot = self.count_total % self.capacity
-            self._entries[slot] = dict(entry)
+            self._entries.append(dict(entry))
             self.count_total += 1
 
     def top(self, k: Optional[int] = None) -> List[dict]:
         """The ``k`` slowest retained entries, slowest first.  Ties break
         on recency (newer first) so the ordering is deterministic."""
-        if k is None:
-            k = self.top_k
         with self._lock:
-            retained = [
-                (i, dict(e))
-                for i, e in enumerate(self._entries)
-                if e is not None
-            ]
-        retained.sort(
-            key=lambda pair: (-float(pair[1].get("latency_s", 0.0)), -pair[0])
-        )
-        return [entry for _i, entry in retained[:k]]
+            newest_first = [dict(e) for e in reversed(self._entries)]
+        # A stable sort keeps entries of equal latency newest first.
+        newest_first.sort(key=lambda e: -float(e.get("latency_s", 0.0)))
+        return newest_first[: self.top_k if k is None else k]
 
 
 class TelemetrySampler:

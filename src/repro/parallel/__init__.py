@@ -10,53 +10,26 @@
 * :mod:`repro.parallel.api` — :func:`parallel_join`, the one front door.
 """
 
-from .api import (
-    BACKEND_PROCESS,
-    BACKEND_SERIAL,
-    BACKEND_SIMULATED,
-    BACKENDS,
-    parallel_join,
-)
+from .api import parallel_join
 from .engine import (
-    REMOTE_FETCH_SECONDS,
     REPLICATE_MBRS,
     REPLICATE_OBJECTS,
-    SCHEMES,
-    NodeReport,
     ParallelJoinResult,
     ParallelPBSM,
-    TaskReport,
     serial_feature_pairs,
 )
 from .process import DeadlineExceededError, ProcessPBSM
-from .tasks import (
-    PairTask,
-    PairTaskResult,
-    SpillHandle,
-    WorkerTaskError,
-    run_pair_task,
-)
+from .tasks import PairTaskResult, WorkerTaskError
 
 __all__ = [
-    "BACKENDS",
-    "BACKEND_PROCESS",
-    "BACKEND_SERIAL",
-    "BACKEND_SIMULATED",
     "DeadlineExceededError",
-    "NodeReport",
-    "PairTask",
     "PairTaskResult",
     "ParallelJoinResult",
     "ParallelPBSM",
     "ProcessPBSM",
-    "SpillHandle",
-    "REMOTE_FETCH_SECONDS",
     "REPLICATE_MBRS",
     "REPLICATE_OBJECTS",
-    "SCHEMES",
-    "TaskReport",
     "WorkerTaskError",
     "parallel_join",
-    "run_pair_task",
     "serial_feature_pairs",
 ]

@@ -816,6 +816,14 @@ def _identity(path: str, stat: os.stat_result) -> tuple:
     return path, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
+def _still_there(identity: tuple) -> bool:
+    """Whether the file checked as ``identity`` is still at its path."""
+    try:
+        return _identity(identity[0], os.stat(identity[0])) == identity
+    except FileNotFoundError:
+        return False
+
+
 def _check_unchanged(records: StoredRecords) -> None:
     """Raise :class:`SpillCorruptionError` if the file ``records`` were
     mapped and checked from has been written or replaced since: the
@@ -845,7 +853,8 @@ def open_relation(path: str) -> StoredRecords:
     mapped and checked afresh — and a task re-checks that key after its
     refine (:func:`_check_unchanged`); at most
     :data:`RELATION_MEMO_ENTRIES` are kept, least recently used dropped
-    first."""
+    first, and a file removed or replaced since its entry was made is
+    dropped before another is mapped."""
     return _open_relation(path)[0]
 
 
@@ -854,6 +863,10 @@ def _open_relation(path: str) -> Tuple[StoredRecords, bool]:
     records = _RELATIONS.pop(_identity(path, os.stat(path)), None)
     hit = records is not None
     if not hit:
+        # An entry whose file was removed or replaced is never hit again:
+        # unmap it before mapping another.
+        for identity in [key for key in _RELATIONS if not _still_there(key)]:
+            del _RELATIONS[identity]
         records = read_relation(path)
     _RELATIONS[records.identity] = records
     while len(_RELATIONS) > RELATION_MEMO_ENTRIES:

@@ -36,60 +36,24 @@ from .breaker import (
     BREAKER_OPEN,
     CircuitBreaker,
 )
-from .query import (
-    DATASETS,
-    PREDICATES,
-    QueryError,
-    QuerySpec,
-    result_digest,
-)
+from .query import QuerySpec, result_digest
 from .scrub import CacheScrubber
-from .server import (
-    BREAKER_STATE_CODES,
-    DEFAULT_HOST,
-    REJECT_DEADLINE,
-    REJECT_QUEUE_FULL,
-    REJECT_SHUTTING_DOWN,
-    REJECT_STORAGE_OVERLOAD,
-    SOURCE_COALESCED,
-    SOURCE_DEGRADED,
-    SOURCE_HIT,
-    SOURCE_MISS,
-    SOURCE_WARM,
-    JoinServer,
-    StorageOverloadError,
-    outcome_block,
-)
+from .server import JoinServer, outcome_block
 
 __all__ = [
     "ArtifactCache",
     "BREAKER_CLOSED",
-    "BREAKER_STATE_CODES",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "CacheScrubber",
     "CircuitBreaker",
-    "DATASETS",
-    "DEFAULT_HOST",
     "JoinServer",
     "LOOKUP_HIT",
     "LOOKUP_MISS",
     "LOOKUP_WARM",
-    "PREDICATES",
     "QUARANTINE_DIRNAME",
-    "QueryError",
     "QuerySpec",
-    "REJECT_DEADLINE",
-    "REJECT_QUEUE_FULL",
-    "REJECT_SHUTTING_DOWN",
-    "REJECT_STORAGE_OVERLOAD",
-    "SOURCE_COALESCED",
-    "SOURCE_DEGRADED",
-    "SOURCE_HIT",
-    "SOURCE_MISS",
-    "SOURCE_WARM",
     "ServeClient",
-    "StorageOverloadError",
     "outcome_block",
     "read_port_file",
     "result_digest",

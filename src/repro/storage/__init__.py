@@ -2,16 +2,9 @@
 
 from .buffer import BufferPool, BufferPoolError, pages_for_megabytes
 from .database import Database
-from .disk import (
-    PAGE_SIZE,
-    DiskStats,
-    IOCostModel,
-    SimulatedDisk,
-    atomic_write_bytes,
-)
+from .disk import PAGE_SIZE, DiskStats, IOCostModel, SimulatedDisk
 from .errors import (
     DiskFullError,
-    ManifestCorruptionError,
     PageSizeError,
     SpillCorruptionError,
     StorageError,
@@ -20,7 +13,7 @@ from .errors import (
 )
 from .pressure import CATEGORIES, DiskBudget
 from .heapfile import MAX_RECORD_SIZE, RID, HeapFile, HeapFileError
-from .relation import OID, CatalogEntry, Relation
+from .relation import OID, Relation
 from .tuples import (
     SpatialTuple,
     deserialize_tuple,
@@ -36,7 +29,6 @@ __all__ = [
     "RID",
     "BufferPool",
     "BufferPoolError",
-    "CatalogEntry",
     "Database",
     "DiskBudget",
     "DiskFullError",
@@ -44,7 +36,6 @@ __all__ = [
     "HeapFile",
     "HeapFileError",
     "IOCostModel",
-    "ManifestCorruptionError",
     "PageSizeError",
     "Relation",
     "SimulatedDisk",
@@ -53,7 +44,6 @@ __all__ = [
     "StorageError",
     "UnallocatedPageError",
     "UnknownFileError",
-    "atomic_write_bytes",
     "deserialize_tuple",
     "pages_for_megabytes",
     "serialize_tuple",

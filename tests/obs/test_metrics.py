@@ -128,12 +128,12 @@ class TestHistogramDelta:
 
     def test_empty_prev_yields_full_snapshot(self):
         h = self.make(5, 50)
-        assert h.delta(None) == h.snapshot()
-        assert h.delta({}) == h.snapshot()
+        assert histogram_delta(h.snapshot(), None) == h.snapshot()
+        assert histogram_delta(h.snapshot(), {}) == h.snapshot()
 
     def test_identical_snapshots_yield_zero(self):
         h = self.make(5, 50)
-        d = h.delta(h.snapshot())
+        d = histogram_delta(h.snapshot(), h.snapshot())
         assert d["count"] == 0
         assert d["sum"] == 0.0
         assert d["min"] is None and d["max"] is None
@@ -144,7 +144,7 @@ class TestHistogramDelta:
         prev = h.snapshot()
         h.observe(50)
         h.observe(60)
-        d = h.delta(prev)
+        d = histogram_delta(h.snapshot(), prev)
         assert d["count"] == 2
         assert d["sum"] == 110.0
         assert [b["count"] for b in d["buckets"]] == [0, 0, 2, 0]
@@ -156,7 +156,7 @@ class TestHistogramDelta:
         prev = h.snapshot()
         h.observe(5)
         h.observe(50)
-        d = h.delta(prev)
+        d = histogram_delta(h.snapshot(), prev)
         assert d["min"] == 5 and d["max"] == 50
 
     def test_regressed_bucket_means_restart(self):
@@ -164,7 +164,7 @@ class TestHistogramDelta:
         # the instrument restarted, so the whole current state is the delta.
         prev = self.make(5, 50, 60).snapshot()
         h = self.make(7)
-        assert h.delta(prev) == h.snapshot()
+        assert histogram_delta(h.snapshot(), prev) == h.snapshot()
 
     def test_regressed_single_bucket_detected(self):
         # Same total count but one bucket moved backwards — still a restart.
@@ -175,14 +175,14 @@ class TestHistogramDelta:
     def test_mismatched_bounds_rejected(self):
         prev = Histogram("h", buckets=[1, 2]).snapshot()
         with pytest.raises(ValueError):
-            self.make(5).delta(prev)
+            histogram_delta(self.make(5).snapshot(), prev)
 
     def test_quantiles_of_a_rebuilt_delta(self):
         h = self.make(5)
         prev = h.snapshot()
         for v in (20, 30, 40):
             h.observe(v)
-        window = Histogram.from_snapshot(h.delta(prev))
+        window = Histogram.from_snapshot(histogram_delta(h.snapshot(), prev))
         assert window.count == 3
         # All three landed in (10, 100]; the estimate stays in-bucket.
         assert 10 <= window.quantile(0.5) <= 100
@@ -196,7 +196,7 @@ class TestSnapshotDelta:
         prev = reg.snapshot()
         reg.counter("c").inc(3)
         reg.gauge("g").set(7)
-        d = reg.delta(prev)
+        d = snapshot_delta(reg.snapshot(), prev)
         assert d["c"] == {"type": "counter", "value": 3}
         assert d["g"] == {"type": "gauge", "value": 7}
 
@@ -209,7 +209,7 @@ class TestSnapshotDelta:
         reg = MetricsRegistry()
         prev = reg.snapshot()
         reg.counter("born").inc(4)
-        assert reg.delta(prev)["born"]["value"] == 4
+        assert snapshot_delta(reg.snapshot(), prev)["born"]["value"] == 4
 
     def test_histograms_delegate(self):
         reg = MetricsRegistry()
@@ -217,12 +217,12 @@ class TestSnapshotDelta:
         h.observe(5)
         prev = reg.snapshot()
         h.observe(7)
-        d = reg.delta(prev)
+        d = snapshot_delta(reg.snapshot(), prev)
         assert d["h"]["count"] == 1
 
     def test_disabled_registry_answers_empty(self):
-        assert MetricsRegistry(enabled=False).delta({}) == {}
-        assert NULL_METRICS.counter("x").delta({}) == {}
+        assert snapshot_delta(MetricsRegistry(enabled=False).snapshot(), {}) == {}
+        assert NULL_METRICS.counter("x").snapshot() == {}
 
 
 class TestRegistry:

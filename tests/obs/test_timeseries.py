@@ -153,6 +153,12 @@ class TestSlowLog:
         log.record({"query": "second", "latency_s": 0.5})
         assert [e["query"] for e in log.top()] == ["second", "first"]
 
+    def test_ties_prefer_newer_after_the_ring_wraps(self):
+        log = SlowLog(top_k=4, capacity=4)
+        for i in range(1, 6):
+            log.record({"query": f"q{i}", "latency_s": 0.5})
+        assert [e["query"] for e in log.top()] == ["q5", "q4", "q3", "q2"]
+
 
 class ScriptedClock:
     """A deterministic clock: each call returns the next scripted instant."""

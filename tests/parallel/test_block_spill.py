@@ -539,15 +539,16 @@ class TestWorkerRelations:
 
     def test_a_shared_pool_worker_keeps_at_most_the_bound(self, resident_pool):
         """A busy generation serves every run on it as it is, whatever
-        its sides, so its worker opens each join's relations itself."""
+        its sides, so its worker opens each join's relations itself.  The
+        sides are kept: a removed file's entry would leave the memo."""
         pool = resident_pool.acquire(1, mp_context())
         joins = (tasks.RELATION_MEMO_ENTRIES // 2) + 1
+        kept = []
         try:
             for seed in range(1, joins + 1):
                 spec = QuerySpec(scale=0.001, seed=seed)
-                result = ProcessPBSM(1, num_partitions=2).run(
-                    *spec.generate(), spec.predicate_fn
-                )
+                kept.append(spec.generate())
+                result = ProcessPBSM(1, num_partitions=2).run(*kept[-1], spec.predicate_fn)
                 assert result.pairs and not result.degraded_pairs
             assert pool.submit(memo_size).result(timeout=60) == (
                 tasks.RELATION_MEMO_ENTRIES

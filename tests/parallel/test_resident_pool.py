@@ -5,6 +5,7 @@ process's own, so each test reads generations relative to where it found
 them.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -96,6 +97,33 @@ class TestLifecycle:
         assert RESIDENT_POOL.generation == generation
         assert one_pool(result, before)
         assert refine_open_s(tracer) > 0
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps")
+    def test_a_worker_unmaps_removed_relation_files(self, method):
+        """A worker drops memo entries whose file is gone before it maps
+        another: after four joins on sides dropped in turn, each worker
+        maps only the last join's two files.  Re-joins on the same sides
+        still open nothing after each worker's first task of them."""
+        workers = set()
+        for seed in range(31, 35):
+            sides, _ = generate(seed)
+            workers |= pids(engine(method).run(*sides, intersects))
+            del sides
+            gc.collect()
+        assert len(workers) == 2
+        for pid in workers:
+            lines = Path(f"/proc/{pid}/maps").read_text().splitlines()
+            deleted = {line.split()[-2] for line in lines if line.endswith("(deleted)")}
+            assert len([path for path in deleted if "repro-relations" in path]) <= 2
+        sides, _ = generate(35)
+        seen = set()
+        for _ in range(2):
+            tracer = Tracer()
+            engine(method, tracer=tracer).run(*sides, intersects)
+            for task in tracer.find("worker.task"):
+                refine = next(c.tags for c in task.children if c.name == "worker.refine")
+                assert (refine["open_s"] > 0) == (task.tags["pid"] not in seen)
+                seen.add(task.tags["pid"])
 
     def test_a_worker_killed_between_runs_retires_its_generation(self, method):
         sides, digest = generate(14)
