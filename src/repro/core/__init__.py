@@ -23,7 +23,7 @@ from .predicates import (
     intersects,
     intersects_naive,
 )
-from .refine import dedup_sorted_pairs, merge_sorted_unique, refine
+from .refine import dedup_sorted_pairs, merge_sorted_unique
 from .stats import JoinReport, JoinResult, PhaseCost, PhaseMeter
 
 __all__ = [
@@ -50,6 +50,5 @@ __all__ = [
     "pack_keypointer",
     "merge_sorted_unique",
     "profile_partitioning",
-    "refine",
     "unpack_keypointer",
 ]

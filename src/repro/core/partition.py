@@ -335,20 +335,21 @@ class SpatialPartitioner:
         """The MBR's two-layer ``(tile, class)`` replica slots."""
         return self.grid.tile_assignments(rect)
 
-    def route(self, mbrs: np.ndarray) -> Tuple[RoutedSlots, np.ndarray]:
-        """Every MBR's replica slots (:meth:`TileGrid.slots_all`) grouped
-        by receiving partition, and ``P + 1`` bounds: partition ``p``'s
-        slots, in input order, are rows ``bounds[p]:bounds[p + 1]``."""
-        ordinal, tile, cls = self.grid.slots_all(mbrs)
-        partition = self.partition_of_tile(tile.astype(np.uint64))
+    def group(self, slots: RoutedSlots) -> Tuple[RoutedSlots, np.ndarray]:
+        """Replica slots on this partitioner's grid (:meth:`TileGrid.slots_all`)
+        grouped by receiving partition, and ``P + 1`` bounds: partition
+        ``p``'s slots, in input order, are rows ``bounds[p]:bounds[p + 1]``.
+        All of routing that depends on the partition count."""
+        partition = self.partition_of_tile(slots.tile.astype(np.uint64))
         order = np.argsort(partition, kind="stable")
         bounds = np.searchsorted(partition[order], np.arange(self.num_partitions + 1))
-        return RoutedSlots(ordinal[order], tile[order], cls[order]), bounds
+        return RoutedSlots(*(column[order] for column in slots)), bounds
 
     def route_all(self, mbrs: np.ndarray) -> List[RoutedSlots]:
-        """:meth:`route`, one :class:`RoutedSlots` per partition: element
-        ``p`` of the result holds partition ``p``'s slots."""
-        slots, bounds = self.route(mbrs)
+        """Every MBR's replica slots, one :class:`RoutedSlots` per
+        partition: element ``p`` of the result holds partition ``p``'s
+        slots, in input order."""
+        slots, bounds = self.group(self.grid.slots_all(mbrs))
         return [RoutedSlots(*(column[a:b] for column in slots)) for a, b in zip(bounds, bounds[1:])]
 
     def owners(self, mbrs_r: np.ndarray, mbrs_s: np.ndarray) -> np.ndarray:

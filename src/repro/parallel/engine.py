@@ -48,7 +48,8 @@ from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.database import Database
 from ..storage.relation import OID
-from ..storage.tuples import SpatialTuple
+from ..storage.tuples import Records, SpatialTuple
+from .tasks import InputSide
 
 REPLICATE_OBJECTS = "replicate_objects"
 """Full replication: every overlapping node stores the whole tuple."""
@@ -403,12 +404,16 @@ def serial_feature_pairs(
     predicate: Predicate,
     buffer_mb: float = 8.0,
 ) -> Tuple[List[Tuple[int, int]], float]:
-    """Single-node PBSM reference: (feature-id pairs, simulated seconds)."""
+    """Single-node PBSM reference: (feature-id pairs, simulated seconds).
+
+    Each side is loaded in its stored form (:class:`InputSide`'s records),
+    so neither is decoded here: only refinement's fetches decode, one
+    candidate at a time."""
     db = Database(buffer_mb=buffer_mb)
-    rel_r = db.create_relation("serial_r")
-    rel_r.bulk_load(tuples_r)
-    rel_s = db.create_relation("serial_s")
-    rel_s.bulk_load(tuples_s)
+    rel_r, rel_s = db.create_relation("serial_r"), db.create_relation("serial_s")
+    for relation, tuples in ((rel_r, tuples_r), (rel_s, tuples_s)):
+        side = InputSide(tuples)
+        relation.bulk_load(Records(side.payload, side.offsets))
     db.pool.clear()
     result = PBSMJoin(db.pool).run(rel_r, rel_s, predicate)
     pairs = sorted(

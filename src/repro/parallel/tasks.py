@@ -111,7 +111,6 @@ from ..storage.tuples import (
     polygon_runs,
     polyline_runs,
     record_columns,
-    serialize_tuple,
 )
 
 DEFAULT_TASK_MEMORY = 8 * 1024 * 1024
@@ -268,8 +267,9 @@ class InputSide(Sequence):
 
     Built of :class:`~repro.storage.tuples.Records` — what the generators
     write (``QuerySpec.generate``) — a side *is* its stored form, and its
-    tuples are decoded the first time something indexes or iterates it: a
-    process-backend run never does.  Built of tuples, it serialises them
+    tuples are decoded the first time something indexes or iterates it:
+    neither a process-backend run nor the serial reference (which loads
+    the stored form) ever does.  Built of tuples, it serialises them
     on first touch of any column.  Whoever holds the input across joins
     (``QuerySpec.generate`` returns two of these; the server memoises
     them) therefore serialises and decodes it at most once; an engine
@@ -339,9 +339,8 @@ class InputSide(Sequence):
                         gc.enable()
             elif name in ("payload", "offsets", "crc"):
                 if "payload" not in vars(self):
-                    records = [serialize_tuple(t) for t in self]
-                    self.offsets = np.cumsum([0, *map(len, records)], dtype=np.int64)
-                    self.payload = b"".join(records)
+                    records = Records.of(self._tuples)
+                    self.offsets, self.payload = records.offsets, records.payload
                 self.crc = zlib.crc32(self.payload)
             elif name == "refine":
                 self.refine = refine_columns(self)
@@ -403,16 +402,24 @@ class InputSide(Sequence):
         """The side's routing under ``partitioner``'s tiling (§3.1: nothing
         in it depends on the other side but the universe), derived on first
         use and kept until another tiling asks for the side's: one entry,
-        the latest.  A caller holds what it is handed, so a run that a
-        thread with another tiling overtakes still reads its own; only
-        asking again pays a second derivation.  (No lock: two threads
-        deriving one tiling at once derive the same arrays.)"""
+        the latest.  It is cut from the side's slots on the tiling's grid,
+        kept the same way, so another partition count on the same grid —
+        any count up to the default 1,024 tiles — places nothing again.  A
+        caller holds what it is handed, so a run that a thread with another
+        tiling overtakes still reads its own; only asking again pays a
+        second derivation.  (No lock: two threads deriving one tiling at
+        once derive the same arrays.)"""
         grid = partitioner.grid
         key = (grid.universe, grid.num_tiles, partitioner.num_partitions, partitioner.scheme)
         routing = vars(self).get("_routing")
         if routing is None or routing.key != key:
-            slots, bounds = partitioner.route(self.mbrs)
-            ordinal, keypointers = slots.ordinal.astype(np.int32), self.keypointers(slots)
+            placed = vars(self).get("_slots")
+            if placed is None or placed[0] != grid:
+                # 9 bytes a slot: the columns as narrow as a key-pointer's.
+                narrow = zip(grid.slots_all(self.mbrs), (np.int32, np.uint32, np.uint8))
+                placed = self._slots = grid, RoutedSlots(*(c.astype(t) for c, t in narrow))
+            slots, bounds = partitioner.group(placed[1])
+            ordinal, keypointers = slots.ordinal, self.keypointers(slots)
             keypointers.flags.writeable = ordinal.flags.writeable = False
             cuts = list(zip(bounds.tolist(), bounds[1:].tolist()))
             ordinals, blocks = ([column[a:b] for a, b in cuts] for column in (ordinal, keypointers))

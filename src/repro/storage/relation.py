@@ -2,19 +2,22 @@
 
 The catalog keeps exactly what PBSM's filter step needs (§3.1): the
 cardinality and the *universe* — the minimum cover of the join attribute of
-all tuples — which is maintained incrementally on insert, the way a real
-system would keep it in its statistics.
+all tuples — which is maintained incrementally on insert, and from the
+records' columns on a bulk load, the way a real system would keep it in
+its statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, NamedTuple, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Union
 
 from ..geometry import Rect
 from .buffer import BufferPool
 from .heapfile import RID, HeapFile
-from .tuples import SpatialTuple, deserialize_tuple, serialize_tuple
+from .tuples import (
+    Records, SpatialTuple, deserialize_tuple, record_columns, record_points, serialize_tuple,
+)
 
 
 class OID(NamedTuple):
@@ -43,10 +46,10 @@ class CatalogEntry:
     universe: Optional[Rect] = None
     total_points: int = 0
 
-    def observe(self, t: SpatialTuple) -> None:
-        self.cardinality += 1
-        self.total_points += t.num_points
-        mbr = t.mbr
+    def observe(self, count: int, points: int, mbr: Rect) -> None:
+        """Count ``count`` tuples of ``points`` points in all, covered by ``mbr``."""
+        self.cardinality += count
+        self.total_points += points
         self.universe = mbr if self.universe is None else self.universe.union(mbr)
 
     @property
@@ -78,15 +81,26 @@ class Relation:
 
     def insert(self, t: SpatialTuple) -> OID:
         rid = self.heap.append(serialize_tuple(t))
-        self.catalog.observe(t)
+        self.catalog.observe(1, t.num_points, t.mbr)
         return OID(self.heap.file_id, rid.page_no, rid.slot)
 
-    def bulk_load(self, tuples: Iterable[SpatialTuple]) -> int:
-        """Append many tuples; returns the number loaded."""
-        n = 0
-        for t in tuples:
-            self.insert(t)
-            n += 1
+    def bulk_load(self, source: Union[Records, Iterable[SpatialTuple]]) -> int:
+        """Append records in their stored form — ``source``'s bytes as they
+        are, or tuples serialised once — and return the number loaded.
+
+        The pages, the catalog and the I/O are those of inserting each
+        record in turn, but nothing is decoded: the universe and the point
+        count come from the records' columns."""
+        records = source if isinstance(source, Records) else Records.of(source)
+        payload, offsets = records.payload, records.offsets
+        bounds = offsets.tolist()
+        for start, end in zip(bounds, bounds[1:]):
+            self.heap.append(payload[start:end])
+        n = len(bounds) - 1
+        if n:
+            _, mbrs = record_columns(payload, offsets)
+            low, high = mbrs[:, :2].min(axis=0).tolist(), mbrs[:, 2:].max(axis=0).tolist()
+            self.catalog.observe(n, record_points(payload, offsets), Rect(*low, *high))
         return n
 
     # ------------------------------------------------------------------ #

@@ -116,6 +116,12 @@ class Records:
     payload: bytes
     offsets: np.ndarray
 
+    @classmethod
+    def of(cls, tuples: Iterable[SpatialTuple]) -> "Records":
+        """The stored form of tuples: each serialised once."""
+        records = [serialize_tuple(t) for t in tuples]
+        return cls(b"".join(records), np.cumsum([0, *map(len, records)], dtype=np.int64))
+
     def __iter__(self) -> Iterator[SpatialTuple]:
         bounds = self.offsets.tolist()
         for start, end in zip(bounds, bounds[1:]):
@@ -179,6 +185,22 @@ def record_columns(buffer: bytes, offsets: np.ndarray) -> Tuple[np.ndarray, np.n
                 runs = np.column_stack(polygon_extents(x, y, first, np.arange(len(first))))
                 mbrs[of] = runs[shells[0][:-1]] if shells else runs
     return _windows(buffer, "<u4")[offsets[:-1] + 1], mbrs
+
+
+def record_points(buffer: bytes, offsets: np.ndarray) -> int:
+    """The points the records hold, every run of every record: what is
+    left of a record after its head, name, ring count and run counts, at
+    16 bytes a point — the sum of the geometries' ``num_points``.  Every
+    record is a polyline's or a polygon's whose runs end where it does, as
+    :func:`record_columns` checks them."""
+    starts = offsets[:-1]
+    u16 = _windows(buffer, "<u2")
+    name_at = starts + _HEAD.size
+    at = name_at + _U16.size + u16[name_at]
+    polygon = _windows(buffer, "u1")[starts] == _GEOM_POLYGON
+    runs = np.where(polygon, u16[at].astype(np.int64), 1)
+    counts = (polygon + runs) * _U16.size
+    return int((offsets[1:] - at - counts).sum()) // _POINT.size
 
 
 def _windows(buffer: bytes, dtype: str) -> np.ndarray:

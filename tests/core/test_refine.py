@@ -6,8 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import dedup_sorted_pairs, intersects, merge_sorted_unique, refine
-from repro.core.refine import pair_tuples
+from repro.core import dedup_sorted_pairs, intersects, merge_sorted_unique
+from repro.core.refine import pair_tuples, refine
 from repro.geometry import Polyline
 from repro.storage import OID, SpatialTuple
 

@@ -172,18 +172,19 @@ class TestSerialisedOnce:
             assert len(serialised) == len(tuples_r) + len(tuples_s)
 
     def test_serial_and_shed_runs_need_no_stored_form(self, workload, serialised):
-        """... of their own.  The serial backend loads the tuples into its
-        own heap files and builds no column of the side; a shed run refines
-        from the side's stored records — made once if nobody has, then
-        read — and from a side that has them serialises nothing, and
-        decodes a record only the first time a candidate needs its tuple."""
+        """... of their own.  The serial backend loads each side's stored
+        form — made once if nobody has — into its heap files and builds no
+        other column; a shed run refines from the same records, serialises
+        nothing, and decodes a record only the first time a candidate needs
+        its tuple."""
         side_r, side_s = InputSide(workload[0]), InputSide(workload[1])
         serial = parallel_join(side_r, side_s, intersects, backend="serial")
-        assert not vars(side_r) and not vars(side_s)
+        assert serialised == [t.feature_id for t in side_r + side_s]
+        assert vars(side_r).keys() == vars(side_s).keys() == {"payload", "offsets", "crc"}
         del serialised[:]
         engine = ProcessPBSM(2, num_partitions=PARTITIONS)
         shed = engine.run_serial(side_r, side_s, intersects)
-        assert serialised == [t.feature_id for t in side_r + side_s]
+        assert serialised == []
         columns = dict(vars(side_r))
         assert {"mbrs", "payload", "stored"} <= set(columns)
         del serialised[:]

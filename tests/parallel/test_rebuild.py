@@ -253,8 +253,9 @@ class TestRoutingMemo:
             blocks = [side_r.keypointers(p).tobytes() for p in placed]
             assert [k.tobytes() for k in routing.keypointers] == blocks
             assert routing.placed == sum(len(p.tuple_ordinals) for p in placed)
-        # Per count: the shared sides once, the unmemoised run's, route_all's.
-        assert routed == [len(side_r), len(side_s), len(side_r), len(side_s), len(side_r)] * 14
+        # The shared sides once, on one grid for every count; then per count
+        # the unmemoised run's and route_all's.
+        assert routed == [len(side_r), len(side_s)] + [len(side_r), len(side_s), len(side_r)] * 14
         del routed[:]
         config = engine.config
         for change in ({"num_tiles": 256}, {"scheme": "round_robin"}):

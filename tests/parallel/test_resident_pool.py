@@ -7,6 +7,7 @@ them.
 
 import gc
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -367,5 +368,7 @@ class TestProvider:
         time.sleep(0.3)
         assert worker.is_alive() and not wedged.done()
         provider.release(pool)
-        worker.join(timeout=30)
-        assert not worker.is_alive()
+        # The worker's end, not ``is_alive()``: the executor's own thread
+        # may reap it first, and until that thread records the exit code
+        # ``is_alive()`` still reads True for a process that is gone.
+        assert multiprocessing.connection.wait([worker.sentinel], timeout=30)
