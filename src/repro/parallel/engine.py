@@ -48,7 +48,7 @@ from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.database import Database
 from ..storage.relation import OID
-from ..storage.tuples import Records, SpatialTuple
+from ..storage.tuples import Records, SpatialTuple, record_feature_id
 from .tasks import InputSide
 
 REPLICATE_OBJECTS = "replicate_objects"
@@ -408,7 +408,8 @@ def serial_feature_pairs(
 
     Each side is loaded in its stored form (:class:`InputSide`'s records),
     so neither is decoded here: only refinement's fetches decode, one
-    candidate at a time."""
+    candidate at a time, and each result pair's feature ids are read from
+    its records' heads."""
     db = Database(buffer_mb=buffer_mb)
     rel_r, rel_s = db.create_relation("serial_r"), db.create_relation("serial_s")
     for relation, tuples in ((rel_r, tuples_r), (rel_s, tuples_s)):
@@ -417,7 +418,7 @@ def serial_feature_pairs(
     db.pool.clear()
     result = PBSMJoin(db.pool).run(rel_r, rel_s, predicate)
     pairs = sorted(
-        (rel_r.fetch(a).feature_id, rel_s.fetch(b).feature_id)
+        (record_feature_id(rel_r.heap.get(a.rid)), record_feature_id(rel_s.heap.get(b.rid)))
         for a, b in result.pairs
     )
     return pairs, result.report.total_s

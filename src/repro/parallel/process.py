@@ -45,6 +45,14 @@ Deterministic fault injection plugs in via ``fault_plan=`` (see
 :mod:`repro.faults`); every recovery action is counted in the
 ``faults.*`` metrics and summarised on the result.
 
+An engine is configuration only.  Each call on it is one run
+(:class:`_Run`), which holds everything the call changes — tallies,
+deadline, disk budget, checkpoint store, the scheduling loop's pool and
+queue — so no call reports another's faults; the scheduling loop
+(:meth:`ProcessPBSM._execute`) is a loop over the run's steps.  A
+worker's task and the coordinator's rebuild of a pair join it with the
+same :func:`~repro.parallel.tasks.join_pair`.
+
 The coordinator itself is made killable by ``checkpoint_dir=``
 (:mod:`repro.checkpoint`): the run writes a durable join manifest and a
 per-pair result log, and :meth:`ProcessPBSM.resume` rebuilds the run from
@@ -72,7 +80,11 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..checkpoint.manifest import (
     STATE_COMPLETE,
@@ -123,21 +135,21 @@ from ..storage.pressure import DiskBudget
 from ..storage.spill import SpillWriter, sweep_orphan_spills
 from ..storage.tuples import SpatialTuple
 from .engine import NodeReport, ParallelJoinResult, TaskReport
+from .tasks import DEFAULT_TASK_MEMORY  # noqa: F401 -- benchmarks/perf/replay.py's import
 from .tasks import (
-    DEFAULT_TASK_MEMORY,
     HeartbeatFile,
     InputSide,
     PairTask,
     PairTaskResult,
     SideRouting,
     SpillHandle,
+    StoredRecords,
     WorkerTaskError,
     init_pool_worker,
-    refine_pair,
+    join_pair,
     run_pair_task,
     spill_blocks,
     spill_bytes,
-    sweep_pair,
 )
 
 SideSpills = List[SpillHandle]
@@ -302,8 +314,393 @@ RESIDENT_POOL = ResidentPoolProvider()
 not, and the S side's generator run on it."""
 
 
+class _Run:
+    """One call on a :class:`ProcessPBSM` and everything it changes.
+
+    The engine is its configuration; a run is one call's state — its
+    sides, deadline, fault tallies, disk budget and injector, checkpoint
+    store and spill directory, and the scheduling loop's pool, queue and
+    futures — made fresh by each :meth:`~ProcessPBSM.run`,
+    :meth:`~ProcessPBSM.resume` or :meth:`~ProcessPBSM.run_serial`, so no
+    call reads another's.  The engine's phases are handed it; its methods
+    are the loop's steps (:meth:`ProcessPBSM._execute`): dispatch,
+    harvest, fail, lose the pool, expire task timeouts, drain heartbeats
+    and sample.
+    """
+
+    def __init__(
+        self,
+        engine: "ProcessPBSM",
+        tuples_r: Sequence[SpatialTuple],
+        tuples_s: Sequence[SpatialTuple],
+        predicate: Predicate,
+        backend: str,
+        budget: Optional[DiskBudget] = None,
+        disk_injector: Optional[DiskFullInjector] = None,
+    ):
+        self.engine, self.predicate, self.backend = engine, predicate, backend
+        # An InputSide is used as is — columns a caller's earlier join or
+        # fingerprint built are read, not rebuilt; any other sequence
+        # becomes one for the length of this run.
+        self.side_r, self.side_s = InputSide(tuples_r), InputSide(tuples_s)
+        self.budget, self.disk_injector = budget, disk_injector
+        self.started = time.perf_counter()
+        self.deadline_at = (
+            None if engine.deadline_s is None
+            else time.monotonic() + engine.deadline_s
+        )
+        self.faults: TallyCounter = TallyCounter()
+        self.partitioner: Optional[SpatialPartitioner] = None
+        self.routing: Tuple[SideRouting, ...] = ()
+        """Both sides' routing, as a rebuild holds it."""
+        self.store: Optional[CheckpointStore] = None
+        self.spill_root = ""
+        self.fresh: Dict[str, List[SpillWriter]] = {}
+        """The writers of each side this run spilled (not adopted)."""
+        self.write_errors = WriteErrorInjector(engine.fault_plan, journal=engine.journal)
+        self.disk_degraded: Set[int] = set()
+        """Partitions whose spill the disk budget denied twice."""
+        self.damaged_files: Set[str] = set()
+        """Relation files a task found changed or torn."""
+        self.on_result: Optional[Callable[[PairTaskResult], None]] = None
+        """Sees each finished pair before its spans are adopted — the
+        checkpoint commits it there, so a kill mid-harvest loses at most
+        the one uncommitted result."""
+        self.pool: Optional[ProcessPoolExecutor] = None
+        self.by_index: Dict[int, PairTask] = {}
+        self.attempts: Dict[int, int] = {}
+        self.to_submit: List[int] = []
+        """Pair indices waiting for a worker, in LPT order."""
+        self.backoff = None
+        """The ``faults.retry_backoff_s`` histogram, from the loop's
+        first :meth:`schedule` on."""
+        self.inflight: Dict[Future, int] = {}
+        self.deadlines: Dict[Future, float] = {}
+        """Task-timeout deadlines, from each pair's first heartbeat."""
+        self.outcomes: List[PairTaskResult] = []
+        self.failed: Dict[int, str] = {}
+        """Pairs the pool gave up on, mapped to why."""
+        self.heartbeats: Optional[HeartbeatFile] = None
+        self.worker_phase: Dict[int, str] = {}
+        self.next_sample = 0.0
+
+    def begin(self, workers: int, **fields) -> Optional[ParallelJoinResult]:
+        """Journal the run's start (``fields`` ride the event).  An empty
+        input has nothing to partition: the run ends here and its (empty)
+        result is returned; otherwise ``None``."""
+        journal = self.engine.journal
+        journal.emit(
+            EVENT_RUN_STARTED,
+            backend=self.backend,
+            workers=workers,
+            partitions=self.engine.num_partitions,
+            tuples_r=len(self.side_r),
+            tuples_s=len(self.side_s),
+            **fields,
+        )
+        if self.side_r and self.side_s:
+            return None
+        journal.emit(EVENT_RUN_FINISHED, results=0, degraded_pairs=[])
+        return ParallelJoinResult(
+            [], backend=self.backend, wall_s=time.perf_counter() - self.started
+        )
+
+    def count(self, what: str, amount: int = 1) -> None:
+        """One fault/recovery event: tallied on the run *and* in metrics."""
+        self.faults[what] += amount
+        self.engine.metrics.counter(f"faults.{what}").inc(amount)
+
+    def gate_event(self, kind: str) -> None:
+        """The checkpoint fault gate fired one of the plan's points."""
+        if kind == "coordinator_kill":
+            self.count("injected_coordinator_kills")
+        elif kind == "torn_manifest":
+            self.count("injected_torn_manifests")
+
+    def fault_summary(self) -> dict:
+        """The run's fault tallies plus spent disk_full plan points.
+
+        The injector fires inside ``DiskBudget.charge`` — below the
+        layers that tally recoveries — so its count is folded in here
+        rather than at each catch site; that covers the spill and
+        checkpoint layers uniformly."""
+        summary = dict(self.faults)
+        if self.disk_injector is not None and self.disk_injector.fired:
+            summary["injected_disk_full"] = self.disk_injector.fired
+        return summary
+
+    def check_deadline(self, queued: int, completed: int) -> None:
+        """Past the run's deadline, journal the expiry and raise
+        :class:`DeadlineExceededError`, with ``queued`` pairs not started
+        and ``completed`` ones done.
+
+        Cooperative cancellation: everything harvested so far was already
+        committed through :attr:`on_result`, so a checkpointed retry
+        resumes instead of restarting.  Pairs in flight ride the same
+        pool-loss path a task timeout uses (a wedged worker cannot be
+        killed without breaking the pool); with nothing in flight the pool
+        is left healthy for its other tenants."""
+        if self.deadline_at is None or time.monotonic() <= self.deadline_at:
+            return
+        deadline_s, inflight = self.engine.deadline_s, sorted(self.inflight.values())
+        self.count("deadline_exceeded")
+        self.engine.journal.emit(
+            EVENT_DEADLINE_EXCEEDED,
+            deadline_s=deadline_s, queued=queued, inflight=inflight, completed=completed,
+        )
+        if inflight:
+            self.lose_pool()
+        raise DeadlineExceededError(
+            deadline_s, completed=completed, pending=queued + len(inflight)
+        )
+
+    # ------------------------------------------------------------------ #
+    # the scheduling loop's steps
+    # ------------------------------------------------------------------ #
+
+    def schedule(self, tasks: List[PairTask]) -> None:
+        """Queue ``tasks`` (in LPT order).  A journaled or timed run's
+        workers ping a heartbeat file of its own: a pair's timeout counts
+        from its worker's first heartbeat (as read, within a poll slice),
+        not from its submit, so time queued behind busy or still-starting
+        workers is no task's."""
+        engine = self.engine
+        self.by_index.update((task.index, task) for task in tasks)
+        self.attempts.update((task.index, 0) for task in tasks)
+        self.to_submit.extend(task.index for task in tasks)
+        self.backoff = engine.metrics.histogram("faults.retry_backoff_s", LATENCY_BUCKETS_S)
+        if engine.journal.enabled or engine.task_timeout_s is not None:
+            self.heartbeats = HeartbeatFile()
+        self.next_sample = time.monotonic() + SAMPLE_INTERVAL_S
+
+    def dispatch(self) -> bool:
+        """Submit every queued pair, acquiring the pool first if the run
+        holds none; whether pairs are then in flight on it.  A pool that
+        refuses a submit is lost."""
+        engine, journal = self.engine, self.engine.journal
+        if self.pool is None:
+            self.pool = RESIDENT_POOL.acquire(engine.workers, mp_context(engine.start_method))
+        while self.to_submit:
+            index = self.to_submit.pop(0)
+            task = dataclasses.replace(
+                self.by_index[index], attempt=self.attempts[index],
+                heartbeats=self.heartbeats.path if self.heartbeats else None,
+                timed=engine.task_timeout_s is not None,
+            )
+            try:
+                future = self.pool.submit(run_pair_task, task)
+            except RuntimeError:
+                # BrokenProcessPool, or a co-tenant already discarded this
+                # generation and submit raises "cannot schedule new
+                # futures"; heal and resubmit everything (no attempt
+                # charged — the task never reached a worker).
+                self.to_submit.insert(0, index)
+                self.lose_pool()
+                return False
+            self.inflight[future] = index
+            journal.emit(
+                EVENT_TASK_DISPATCHED,
+                pair=index, attempt=task.attempt, cost=task.cost_estimate,
+            )
+            # Planned faults are journaled at dispatch, not at failure or
+            # harvest: a dispatched attempt always executes its planned
+            # injection, so the emitted set is a pure function of the plan
+            # and tells *injected* trouble apart from collateral damage
+            # (innocent pairs requeued by a BrokenProcessPool) —
+            # harvest-time detection would race against whichever
+            # unrelated crash broke the pool first.
+            for kind in task.faults.firing(task.attempt) if task.faults else ():
+                journal.emit(
+                    EVENT_FAULT_INJECTED, kind=kind, pair=index, attempt=task.attempt,
+                )
+        return bool(self.inflight)
+
+    def harvest(self) -> bool:
+        """Take in every pair that finished, well or badly.  True when the
+        pool died under one: it is then lost, and every pair in flight
+        shares the crash's charge."""
+        journal, broken = self.engine.journal, []
+        for future in [f for f in self.inflight if f.done()]:
+            index = self.inflight.pop(future)
+            self.deadlines.pop(future, None)
+            try:
+                outcome = future.result()
+            except WorkerTaskError as error:
+                self.fail(index, error)
+            except CancelledError:
+                # A co-tenant's discard cancelled it before any worker
+                # took it: requeued free, and the next submit finds the
+                # generation retired.
+                self.to_submit.append(index)
+            except BrokenProcessPool:
+                broken.append(index)
+            else:
+                self.outcomes.append(outcome)
+                # The task's lifecycle, on the worker's clock (``worker_t``:
+                # the two clocks are not comparable).
+                ran = dict(pair=index, attempt=outcome.attempt, pid=outcome.worker_pid)
+                wall_s = round(outcome.wall_s, 6)
+                journal.emit(EVENT_TASK_STARTED, **ran, worker_t=0.0)
+                journal.emit(
+                    EVENT_TASK_FINISHED, **ran,
+                    candidates=outcome.candidates, results=len(outcome.pairs),
+                    worker_t=wall_s, wall_s=wall_s,
+                )
+                if self.on_result is not None:
+                    self.on_result(outcome)
+                if outcome.spans:
+                    self.engine.tracer.adopt_wire(outcome.spans, worker=outcome.worker_pid)
+        if broken:
+            self.lose_pool(
+                broken + list(self.inflight.values()),
+                "BrokenProcessPool", "worker process died mid-task",
+            )
+        return bool(broken)
+
+    def fail(self, index: int, error: WorkerTaskError) -> None:
+        """Charge one attempt; requeue within budget, else give up."""
+        journal = self.engine.journal
+        self.count("task_failures")
+        if error.corruption:
+            # The file is wrong on disk — no retry can fix it.
+            self.failed[index] = "corrupt_spill"
+            self.damaged_files.add(error.damaged_path)
+            self.count("quarantined")
+            journal.emit(EVENT_QUARANTINED, pair=index, attempt=self.attempts[index])
+            return
+        attempt = self.attempts[index] = self.attempts[index] + 1
+        if attempt > self.engine.max_task_retries:
+            self.failed[index] = "retry_exhausted"
+            self.count("retry_exhausted")
+            return
+        self.count("retries")
+        backoff = RETRY_BACKOFF_S * (2 ** (attempt - 1))
+        self.backoff.observe(backoff)
+        journal.emit(
+            EVENT_RETRY,
+            pair=index, attempt=attempt,
+            backoff_s=round(backoff, 6), cause=error.cause_type,
+        )
+        if backoff > 0:
+            time.sleep(backoff)
+        self.to_submit.append(index)
+
+    def lose_pool(
+        self, charged: Sequence[int] = (), cause: str = "", message: str = ""
+    ) -> None:
+        """The pool is gone — broken, wedged, or walked away from.
+
+        Every ``charged`` pair pays one attempt for ``cause``; every other
+        in-flight pair requeues free (it never got to finish).  The
+        provider disposes without waiting: a hung worker must not hold the
+        coordinator hostage."""
+        survivors = [i for i in self.inflight.values() if i not in charged]
+        self.inflight.clear()
+        self.deadlines.clear()
+        if self.pool is not None:
+            RESIDENT_POOL.discard(self.pool)
+            RESIDENT_POOL.release(self.pool)
+            self.pool = None
+        for index in charged:
+            self.fail(index, WorkerTaskError(index, self.attempts[index], 0, cause, message))
+        self.to_submit.extend(survivors)
+        self.count("pool_respawns")
+        self.engine.journal.emit(EVENT_POOL_RESPAWN, queued=len(self.to_submit))
+
+    def expire(self) -> None:
+        """Enforce task deadlines: a wedged worker cannot be killed inside
+        ``ProcessPoolExecutor`` without breaking the pool, so the pool is
+        abandoned wholesale and unfinished innocents are resubmitted
+        uncharged.  A completed but unharvested future postpones this to
+        the next round, so no result is dropped."""
+        if not self.deadlines or any(f.done() for f in self.inflight):
+            return
+        now, timeout_s = time.monotonic(), self.engine.task_timeout_s
+        timed_out = [
+            self.inflight[f] for f, deadline in self.deadlines.items() if now > deadline
+        ]
+        for index in timed_out:
+            self.count("timeouts")
+            self.engine.journal.emit(
+                EVENT_TIMEOUT, pair=index, attempt=self.attempts[index], timeout_s=timeout_s,
+            )
+        if timed_out:
+            self.lose_pool(timed_out, "TaskTimeout", f"no result within {timeout_s}s")
+
+    def drain_heartbeats(self) -> None:
+        """Journal the pings since the last drain; a timed run's pair
+        clocks start at their first."""
+        if self.heartbeats is None:
+            return
+        timeout_s = self.engine.task_timeout_s
+        # Only the current generation's workers start this run's clocks: a
+        # retired one may still run a pair's earlier dispatch.
+        workers = (self.pool and self.pool._processes) or {}  # type: ignore[attr-defined]
+        for pid, pair, attempt, phase in self.heartbeats.read():
+            self.worker_phase[pid] = phase
+            self.engine.journal.emit(
+                EVENT_WORKER_HEARTBEAT, pid=pid, pair=pair, attempt=attempt, phase=phase,
+            )
+            if timeout_s is not None and pid in workers:
+                for future, index in self.inflight.items():
+                    if index == pair and future not in self.deadlines:
+                        self.deadlines[future] = time.monotonic() + timeout_s
+
+    def sample(self) -> None:
+        """A journaling run's scheduling state, every
+        :data:`SAMPLE_INTERVAL_S`."""
+        journal = self.engine.journal
+        if not journal.enabled or time.monotonic() < self.next_sample:
+            return
+        self.next_sample = time.monotonic() + SAMPLE_INTERVAL_S
+        journal.emit(
+            EVENT_SAMPLE,
+            queued=len(self.to_submit),
+            inflight=sorted(self.inflight.values()),
+            done=len(self.outcomes),
+            total=len(self.by_index),
+            workers={str(pid): phase for pid, phase in sorted(self.worker_phase.items())},
+        )
+
+    def stop(self) -> None:
+        """The loop is over, however it ended.  An abandoned run (a
+        coordinator kill, an exception) leaves the pool as it found it:
+        its queued tasks cancelled, its running ones waited for — no later
+        run queues behind them, and none reads a spill this run is about
+        to remove."""
+        if self.pool is not None:
+            wait([future for future in self.inflight if not future.cancel()])
+            RESIDENT_POOL.release(self.pool)
+        self.drain_heartbeats()
+        self.pool = None
+        if self.heartbeats is not None:
+            self.heartbeats.close()
+
+    # ------------------------------------------------------------------ #
+    # a rebuild's input (:func:`~repro.parallel.tasks.join_pair`)
+    # ------------------------------------------------------------------ #
+
+    def keypointers(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Pair ``index``'s key-pointer blocks, as the spill pass wrote or
+        would have written them."""
+        routing_r, routing_s = self.routing
+        return routing_r.keypointers[index], routing_s.keypointers[index]
+
+    def stored(self, span=None) -> Tuple[StoredRecords, StoredRecords]:
+        """The sides' own stored records (``InputSide.stored``)."""
+        return self.side_r.stored, self.side_s.stored
+
+
 class ProcessPBSM:
-    """PBSM executed across real worker processes, surviving their faults."""
+    """PBSM executed across real worker processes, surviving their faults.
+
+    An engine is its configuration: it keeps what its constructor was
+    given and nothing else.  Each call makes one :class:`_Run` and hands it
+    through the phases — partition (:meth:`_obtain_side`), build tasks
+    (:meth:`_build_tasks`), execute (:meth:`_execute`), rebuild
+    (:meth:`_rebuild_pairs`) and finish (:meth:`_finish`) — so what one
+    call tallies, meters or injects no later call reports.
+    """
 
     def __init__(
         self,
@@ -352,7 +749,6 @@ class ProcessPBSM:
         dispatching, abandons in-flight futures through the pool-abandonment
         path, and raises :class:`DeadlineExceededError`.  Committed
         checkpoint state survives, so a retry can :meth:`resume`."""
-        self._deadline_at: Optional[float] = None
         if max_task_retries < 0:
             raise ValueError("retry budget cannot be negative")
         self.max_task_retries = max_task_retries
@@ -388,11 +784,6 @@ class ProcessPBSM:
         only ever *read* spills.  A ``fault_plan`` with ``disk_full``
         points auto-creates an unbounded metering budget so the injector
         has a clock to key on."""
-        self._faults: TallyCounter = TallyCounter()
-        self._disk_injector: Optional[DiskFullInjector] = None
-        self._budget: Optional[DiskBudget] = None
-        self._disk_degraded: Set[int] = set()
-        self._active_store: Optional[CheckpointStore] = None
 
     # ------------------------------------------------------------------ #
 
@@ -464,111 +855,185 @@ class ProcessPBSM:
     ) -> ParallelJoinResult:
         """The whole join, serially, in this process: the shed path.
 
-        No pool, no spills, no checkpoint — the paper's first case (§3.1:
-        both key-pointer sets fit in memory, so no partition file is
-        written) with the base relations' own records fetched for the
-        refinement.  Every partition pair is rebuilt through the same
-        machinery the degraded path uses, so the answer is byte-identical
-        to any other backend — the serve tier's circuit breaker leans on
-        that to serve ``degraded`` responses whose digests match a healthy
-        run's.  Worker faults never fire here (they live in
-        ``run_pair_task``), and the run deadline still applies, checked
-        between pairs.
+        No pool, no spills, no checkpoint, no disk budget — the paper's
+        first case (§3.1: both key-pointer sets fit in memory, so no
+        partition file is written) with the base relations' own records
+        fetched for the refinement.  Every partition pair is rebuilt
+        through the same machinery the degraded path uses, so the answer
+        is byte-identical to any other backend — the serve tier's circuit
+        breaker leans on that to serve ``degraded`` responses whose
+        digests match a healthy run's.  Worker faults never fire here
+        (they live in ``run_pair_task``), and the run deadline still
+        applies, checked between pairs.
         """
-        side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
-        early = self._start("process-serial", 0, side_r, side_s, resuming=False)
+        run = _Run(self, tuples_r, tuples_s, predicate, "process-serial")
+        early = run.begin(0, resuming=False)
         if early is not None:
             return early
-        partitioner = self._partitioner(side_r, side_s)
+        run.partitioner = self._partitioner(run.side_r, run.side_s)
         outcomes = self._rebuild_pairs(
-            dict.fromkeys(range(self.num_partitions), "breaker_shed"),
-            side_r, side_s, partitioner, predicate,
+            run, dict.fromkeys(range(self.num_partitions), "breaker_shed")
         )
-        return self._finish(
-            "process-serial", outcomes, side_r, side_s,
-            placed_r=side_r.routing(partitioner).placed,
-            placed_s=side_s.routing(partitioner).placed,
-        )
+        return self._finish(run, outcomes, *(routing.placed for routing in run.routing))
 
-    # ------------------------------------------------------------------ #
-    # run lifecycle: start, deadline, finish
-    # ------------------------------------------------------------------ #
-
-    def _start(
+    def spill_footprint(
         self,
-        backend: str,
-        workers: int,
         tuples_r: Sequence[SpatialTuple],
         tuples_s: Sequence[SpatialTuple],
-        **fields,
-    ) -> Optional[ParallelJoinResult]:
-        """Begin a run: reset the per-run tallies, arm the deadline and
-        journal the start (``fields`` ride the event).  An empty input has
-        nothing to partition: the run ends here and its (empty) result is
-        returned; otherwise ``None``."""
-        self._started = time.perf_counter()
-        self._faults = TallyCounter()
-        self._deadline_at = (
-            time.monotonic() + self.deadline_s
-            if self.deadline_s is not None
-            else None
-        )
-        self.journal.emit(
-            EVENT_RUN_STARTED,
-            backend=backend,
-            workers=workers,
-            partitions=self.num_partitions,
-            tuples_r=len(tuples_r),
-            tuples_s=len(tuples_s),
-            **fields,
-        )
-        if tuples_r and tuples_s:
-            return None
-        self.journal.emit(EVENT_RUN_FINISHED, results=0, degraded_pairs=[])
-        return ParallelJoinResult(
-            [], backend=backend, wall_s=time.perf_counter() - self._started
+    ) -> int:
+        """The bytes this engine's partition phase would spill for these
+        inputs — exactly an unconstrained run's metered spill peak, from
+        the routed key-pointer counts.  Checkpoint manifest and result-log
+        bytes are not included; the spills dominate by orders of magnitude.
+        Nor is the sides' relation files: they are the inputs' stored
+        form, which no run's budget charges.  It routes the sides as a run
+        does, so a run after it on the same sides routes neither again."""
+        if not tuples_r or not tuples_s:
+            return 0
+        sides = InputSide(tuples_r), InputSide(tuples_s)
+        partitioner = self._partitioner(*sides)
+        return sum(
+            spill_bytes(ordinal) for side in sides
+            for ordinal in side.routing(partitioner).ordinals
         )
 
-    def _deadline_expired(self) -> bool:
-        return (
-            self._deadline_at is not None
-            and time.monotonic() > self._deadline_at
+    def _partitioner(self, side_r: InputSide, side_s: InputSide) -> SpatialPartitioner:
+        """The run's partitioner, its universe both sides' bounds."""
+        return SpatialPartitioner.for_inputs(
+            side_r.bounds, side_s.bounds,
+            self.num_partitions, self.config.num_tiles, self.config.scheme,
         )
 
-    def _deadline_error(
-        self, *, queued: int, inflight: List[int], completed: int
-    ) -> DeadlineExceededError:
-        """Journal the expiry and build the typed error (caller raises)."""
-        assert self.deadline_s is not None
-        self._count("deadline_exceeded")
-        self.journal.emit(
-            EVENT_DEADLINE_EXCEEDED,
-            deadline_s=self.deadline_s,
-            queued=queued,
-            inflight=sorted(inflight),
-            completed=completed,
+    # ------------------------------------------------------------------ #
+    # a pool run, start to finish
+    # ------------------------------------------------------------------ #
+
+    def _disk_meter(self) -> Tuple[Optional[DiskBudget], Optional[DiskFullInjector]]:
+        """A pool run's disk budget, bound to this engine's metrics, and the
+        injector of the plan's ``disk_full`` points, bound into it.  The
+        injector needs a charged-byte clock to key on: without a budget of
+        the caller's, an unbounded one meters without ever denying on its
+        own."""
+        plan = self.fault_plan
+        injector = (
+            DiskFullInjector(plan, journal=self.journal)
+            if plan is not None and plan.disk_full_points else None
         )
-        return DeadlineExceededError(
-            self.deadline_s,
-            completed=completed,
-            pending=queued + len(inflight),
+        budget = self.disk_budget
+        if budget is None and injector is not None:
+            budget = DiskBudget()
+        if budget is not None:
+            budget.bind(metrics=self.metrics, injector=injector)
+        return budget, injector
+
+    def _run(
+        self,
+        tuples_r: Sequence[SpatialTuple],
+        tuples_s: Sequence[SpatialTuple],
+        predicate: Predicate,
+        *,
+        resuming: bool,
+    ) -> ParallelJoinResult:
+        run = _Run(self, tuples_r, tuples_s, predicate, "process", *self._disk_meter())
+        early = run.begin(
+            self.workers,
+            resuming=resuming,
+            disk_budget=run.budget.max_bytes if run.budget is not None else None,
+        )
+        if early is not None:
+            return early
+        committed: Dict[int, PairTaskResult] = {}
+        if self.checkpoint_dir is not None:
+            committed = self._open_store(run, resuming)
+        else:
+            run.spill_root = tempfile.mkdtemp(prefix="repro-pbsm-")
+        try:
+            result = self._join(run, committed)
+        finally:
+            if run.store is not None:
+                run.store.sweep_orphans()
+                run.store.close()
+            else:
+                shutil.rmtree(run.spill_root, ignore_errors=True)
+                # The tempdir's spills just left the disk; checkpoint runs
+                # keep their charges (the files persist).
+                for writers in run.fresh.values():
+                    for writer in writers:
+                        writer.release_budget()
+        self.metrics.gauge("parallel.process.partitions").set(self.num_partitions)
+        self.metrics.gauge("parallel.process.workers").set(self.workers)
+        self.metrics.counter("parallel.process.tasks").inc(len(result.tasks))
+        return result
+
+    def _join(
+        self, run: _Run, committed: Dict[int, PairTaskResult]
+    ) -> ParallelJoinResult:
+        """Partition, execute the pairs not ``committed``, rebuild the ones
+        the pool gave up on, finish."""
+        side_r, side_s = run.side_r, run.side_s
+        with self.tracer.span("process.partition"):
+            run.partitioner = self._partitioner(side_r, side_s)
+            spills_r, placed_r = self._obtain_side(run, "r", side_r)
+            spills_s, placed_s = self._obtain_side(run, "s", side_s)
+        if self.fault_plan and self.fault_plan.torn_frames and run.fresh:
+            self._apply_torn_frames(run, spills_r, spills_s)
+        # Held until the run ends: a concurrent run that drops a damaged
+        # relation file must not take it off the disk under these tasks.
+        # On a side's first run this writes its file, polygons' refine
+        # rows and all.
+        with self.tracer.span("process.relations"):
+            relations = side_r.relation, side_s.relation
+        all_tasks = self._build_tasks(run, spills_r, spills_s, *(r.path for r in relations))
+        tasks = [t for t in all_tasks if t.index not in committed]
+        self.journal.emit(
+            EVENT_SCHEDULE,
+            order=[{"pair": t.index, "cost": t.cost_estimate} for t in tasks],
+        )
+        for index in sorted(committed):
+            prior = committed[index]
+            self.journal.emit(
+                EVENT_TASK_REPLAYED,
+                pair=index, candidates=prior.candidates, results=len(prior.pairs),
+            )
+            if prior.spans:
+                self.tracer.adopt_wire(prior.spans, worker=prior.worker_pid, replayed=True)
+        store = run.store
+        if store is not None:
+            if store.manifest.pairs_total is None and store.manifest.state != STATE_COMPLETE:
+                store.append_event(
+                    {"type": "phase", "state": STATE_MERGING, "pairs_total": len(all_tasks)}
+                )
+            run.on_result = store.append_result
+        with self.tracer.span("process.execute", tasks=len(tasks)):
+            self._execute(run, tasks)
+        # A relation file that failed its check is damaged in place: the
+        # next run on these sides writes a fresh one.
+        side_r.forget_relation(run.damaged_files)
+        side_s.forget_relation(run.damaged_files)
+        del relations  # the tasks are done with them
+        # Partitions whose spills were dropped under disk pressure never
+        # became tasks; like the pairs the pool gave up on, they are
+        # rebuilt in memory — no spill, no budget charge — so the answer
+        # stays byte-identical.
+        run.failed.update(dict.fromkeys(run.disk_degraded - set(committed), "disk_full"))
+        rebuilt = self._rebuild_pairs(run, run.failed)
+        return self._finish(
+            run, [*run.outcomes, *rebuilt, *committed.values()], placed_r, placed_s,
+            resumed=sorted(committed),
         )
 
     def _finish(
         self,
-        backend: str,
+        run: _Run,
         outcomes: List[PairTaskResult],
-        tuples_r: Sequence[SpatialTuple],
-        tuples_s: Sequence[SpatialTuple],
-        *,
         placed_r: int,
         placed_s: int,
+        *,
         resumed: Sequence[int] = (),
-        store: Optional[CheckpointStore] = None,
     ) -> ParallelJoinResult:
         """End a run: account for every pair, merge their results, mark the
         checkpoint complete, journal the finish and assemble the result."""
-        outcomes.sort(key=lambda o: o.index)
+        outcomes.sort(key=attrgetter("index"))
         for outcome in outcomes:
             self._account(outcome)
         # Two-layer partitioning guarantees every result pair belongs to
@@ -577,21 +1042,14 @@ class ProcessPBSM:
         # the invariant's tripwire — it must stay 0 and CI gates on it.
         merge_started = time.perf_counter()
         with self.tracer.span("process.merge", streams=len(outcomes)):
-            merged, concat_dropped = merge_sorted_unique(
-                [o.pairs for o in outcomes]
-            )
+            merged, concat_dropped = merge_sorted_unique([o.pairs for o in outcomes])
             pairs = pair_tuples(merged)
         coordinator_merge_s = time.perf_counter() - merge_started
-        duplicates_dropped = concat_dropped + sum(
-            o.duplicates_dropped for o in outcomes
-        )
-        self.metrics.counter("merge.duplicates_dropped").inc(
-            duplicates_dropped
-        )
+        duplicates_dropped = concat_dropped + sum(o.duplicates_dropped for o in outcomes)
+        self.metrics.counter("merge.duplicates_dropped").inc(duplicates_dropped)
+        store = run.store
         if store is not None and store.manifest.state != STATE_COMPLETE:
-            store.append_event(
-                {"type": "complete", "result_count": len(merged)}
-            )
+            store.append_event({"type": "complete", "result_count": len(merged)})
         degraded_pairs = sorted(o.index for o in outcomes if o.degraded)
         self.journal.emit(
             EVENT_RUN_FINISHED,
@@ -602,10 +1060,10 @@ class ProcessPBSM:
         return ParallelJoinResult(
             pairs,
             nodes=self._node_reports(outcomes),
-            storage_factor_r=placed_r / len(tuples_r),
-            storage_factor_s=placed_s / len(tuples_s),
-            backend=backend,
-            wall_s=time.perf_counter() - self._started,
+            storage_factor_r=placed_r / len(run.side_r),
+            storage_factor_s=placed_s / len(run.side_s),
+            backend=run.backend,
+            wall_s=time.perf_counter() - run.started,
             tasks=[
                 TaskReport(
                     index=o.index,
@@ -621,205 +1079,56 @@ class ProcessPBSM:
                 for o in outcomes
             ],
             degraded_pairs=degraded_pairs,
-            fault_summary=self._fault_summary(),
+            fault_summary=run.fault_summary(),
             resumed_pairs=list(resumed),
-            checkpoint_run_id=(
-                store.fingerprint.run_id if store is not None else ""
-            ),
+            checkpoint_run_id=store.fingerprint.run_id if store is not None else "",
             duplicates_dropped=duplicates_dropped,
             coordinator_merge_s=coordinator_merge_s,
         )
-
-    def _run(
-        self,
-        tuples_r: Sequence[SpatialTuple],
-        tuples_s: Sequence[SpatialTuple],
-        predicate: Predicate,
-        *,
-        resuming: bool,
-    ) -> ParallelJoinResult:
-        self._disk_degraded = set()
-        self._damaged_files: Set[str] = set()
-        self._disk_injector = None
-        budget = self.disk_budget
-        if (
-            budget is None
-            and self.fault_plan is not None
-            and self.fault_plan.disk_full_points
-        ):
-            # The injector needs a charged-byte clock to key on; an
-            # unbounded budget meters without ever denying on its own.
-            budget = DiskBudget()
-        if budget is not None:
-            budget.bind(metrics=self.metrics)
-            if self.fault_plan is not None and self.fault_plan.disk_full_points:
-                self._disk_injector = DiskFullInjector(
-                    self.fault_plan, journal=self.journal
-                )
-                budget.bind(injector=self._disk_injector)
-        self._budget = budget
-        # An InputSide is used as is — columns a caller's earlier join or
-        # fingerprint built are read, not rebuilt; any other sequence
-        # becomes one for the length of this run.
-        side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
-        early = self._start(
-            "process", self.workers, side_r, side_s,
-            resuming=resuming,
-            disk_budget=budget.max_bytes if budget is not None else None,
-        )
-        if early is not None:
-            return early
-
-        store: Optional[CheckpointStore] = None
-        committed: Dict[int, PairTaskResult] = {}
-        if self.checkpoint_dir is not None:
-            fingerprint = RunFingerprint.compute(
-                side_r, side_s, predicate, self.num_partitions, self.config
-            )
-            # A resume is the recovery run: the plan's coordinator-kill and
-            # torn-manifest points already fired (or are waived) — re-arming
-            # them would make recovery unrecoverable.  An *explicit*
-            # kill_coordinator_after still applies (killing the recovery
-            # coordinator too is a legitimate test), so callers that
-            # auto-resume must clear it first.
-            gate = CheckpointFaultGate(
-                None if resuming else self.fault_plan,
-                hard=self.kill_hard,
-                on_event=self._gate_event,
-                extra_kills=(
-                    ()
-                    if self.kill_coordinator_after is None
-                    else (self.kill_coordinator_after,)
-                ),
-                journal=self.journal,
-            )
-            store = CheckpointStore(
-                self.checkpoint_dir, fingerprint,
-                on_durable=gate.after_durable, journal=self.journal,
-                budget=budget,
-            )
-            store.run_dir.mkdir(parents=True, exist_ok=True)
-            swept = store.sweep_orphans()
-            if swept:
-                self._count("orphan_spills_swept", len(swept))
-            manifest, committed = self._recover_state(store, resuming)
-            store.begin(manifest)
-            spill_root = str(store.spill_dir)
-        else:
-            spill_root = tempfile.mkdtemp(prefix="repro-pbsm-")
-        self._active_store = store
-
-        fresh: Dict[str, List[SpillWriter]] = {}
-        try:
-            injector = WriteErrorInjector(self.fault_plan, journal=self.journal)
-            with self.tracer.span("process.partition"):
-                partitioner = self._partitioner(side_r, side_s)
-                spills_r, placed_r = self._obtain_side(
-                    "r", side_r, partitioner, spill_root, injector, store, fresh,
-                )
-                spills_s, placed_s = self._obtain_side(
-                    "s", side_s, partitioner, spill_root, injector, store, fresh,
-                )
-            if self.fault_plan and self.fault_plan.torn_frames and fresh:
-                # Only freshly written sides: for an adopted spill the
-                # fault already happened in the run that wrote it.
-                self._apply_torn_frames(spills_r, spills_s, set(fresh))
-            # Held until the run ends: a concurrent run that drops a damaged
-            # relation file must not take it off the disk under these tasks.
-            # On a side's first run this writes its file, polygons' refine
-            # rows and all.
-            with self.tracer.span("process.relations"):
-                relations = side_r.relation, side_s.relation
-            all_tasks = self._build_tasks(
-                spills_r, spills_s, *(r.path for r in relations), predicate
-            )
-            tasks = [t for t in all_tasks if t.index not in committed]
-            self.journal.emit(
-                EVENT_SCHEDULE,
-                order=[
-                    {"pair": t.index, "cost": t.cost_estimate} for t in tasks
-                ],
-            )
-            for index in sorted(committed):
-                prior = committed[index]
-                self.journal.emit(
-                    EVENT_TASK_REPLAYED,
-                    pair=index,
-                    candidates=prior.candidates,
-                    results=len(prior.pairs),
-                )
-                if prior.spans:
-                    self.tracer.adopt_wire(
-                        prior.spans, worker=prior.worker_pid, replayed=True
-                    )
-            on_result: Optional[Callable[[PairTaskResult], None]] = None
-            if store is not None:
-                if (
-                    store.manifest.pairs_total is None
-                    and store.manifest.state != STATE_COMPLETE
-                ):
-                    store.append_event(
-                        {
-                            "type": "phase",
-                            "state": STATE_MERGING,
-                            "pairs_total": len(all_tasks),
-                        }
-                    )
-                on_result = store.append_result
-            with self.tracer.span("process.execute", tasks=len(tasks)):
-                outcomes, failed = self._execute(tasks, on_result=on_result)
-            # A relation file that failed its check is damaged in place:
-            # the next run on these sides writes a fresh one.
-            side_r.forget_relation(self._damaged_files)
-            side_s.forget_relation(self._damaged_files)
-            del relations  # the tasks are done with them
-            # Partitions whose spills were dropped under disk pressure
-            # never became tasks; like the pairs the pool gave up on, they
-            # are rebuilt in memory — no spill, no budget charge — so the
-            # answer stays byte-identical.
-            failed.update(
-                dict.fromkeys(self._disk_degraded - set(committed), "disk_full")
-            )
-            outcomes.extend(
-                self._rebuild_pairs(
-                    failed, side_r, side_s, partitioner, predicate,
-                    on_result=on_result,
-                )
-            )
-            outcomes.extend(committed.values())
-            result = self._finish(
-                "process", outcomes, side_r, side_s,
-                placed_r=placed_r, placed_s=placed_s,
-                resumed=sorted(committed), store=store,
-            )
-        finally:
-            if store is not None:
-                store.sweep_orphans()
-                store.close()
-            else:
-                shutil.rmtree(spill_root, ignore_errors=True)
-                # The tempdir's spills just left the disk; checkpoint runs
-                # keep their charges (the files persist).
-                for writers in fresh.values():
-                    for writer in writers:
-                        writer.release_budget()
-        self.metrics.gauge("parallel.process.partitions").set(self.num_partitions)
-        self.metrics.gauge("parallel.process.workers").set(self.workers)
-        self.metrics.counter("parallel.process.tasks").inc(len(outcomes))
-        return result
 
     # ------------------------------------------------------------------ #
     # checkpoint recovery
     # ------------------------------------------------------------------ #
 
-    def _gate_event(self, kind: str) -> None:
-        if kind == "coordinator_kill":
-            self._count("injected_coordinator_kills")
-        elif kind == "torn_manifest":
-            self._count("injected_torn_manifests")
+    def _open_store(self, run: _Run, resuming: bool) -> Dict[int, PairTaskResult]:
+        """Open the run's checkpoint store (``run.store``, its spill
+        directory the run's) and recover what the run starts from: the
+        pairs already committed."""
+        fingerprint = RunFingerprint.compute(
+            run.side_r, run.side_s, run.predicate, self.num_partitions, self.config
+        )
+        # A resume is the recovery run: the plan's coordinator-kill and
+        # torn-manifest points already fired (or are waived) — re-arming
+        # them would make recovery unrecoverable.  An *explicit*
+        # kill_coordinator_after still applies (killing the recovery
+        # coordinator too is a legitimate test), so callers that
+        # auto-resume must clear it first.
+        gate = CheckpointFaultGate(
+            None if resuming else self.fault_plan,
+            hard=self.kill_hard,
+            on_event=run.gate_event,
+            extra_kills=(
+                () if self.kill_coordinator_after is None
+                else (self.kill_coordinator_after,)
+            ),
+            journal=self.journal,
+        )
+        store = run.store = CheckpointStore(
+            self.checkpoint_dir, fingerprint,  # type: ignore[arg-type]
+            on_durable=gate.after_durable, journal=self.journal,
+            budget=run.budget,
+        )
+        store.run_dir.mkdir(parents=True, exist_ok=True)
+        swept = store.sweep_orphans()
+        if swept:
+            run.count("orphan_spills_swept", len(swept))
+        manifest, committed = self._recover_state(run, store, resuming)
+        store.begin(manifest)
+        run.spill_root = str(store.spill_dir)
+        return committed
 
     def _recover_state(
-        self, store: CheckpointStore, resuming: bool
+        self, run: _Run, store: CheckpointStore, resuming: bool
     ) -> Tuple[JoinManifest, Dict[int, PairTaskResult]]:
         """Decide what durable state this run starts from.
 
@@ -838,55 +1147,44 @@ class ProcessPBSM:
         try:
             manifest = store.load()
         except ManifestCorruptionError:
-            self._count("manifest_discarded")
+            run.count("manifest_discarded")
             store.discard_results()
             return JoinManifest(store.fingerprint), {}
         if manifest is None:
             siblings = store.sibling_run_ids()
             if siblings:
-                raise CheckpointMismatchError(
-                    store.fingerprint.run_id, siblings
-                )
+                raise CheckpointMismatchError(store.fingerprint.run_id, siblings)
             return JoinManifest(store.fingerprint), {}
         if manifest.recovered_torn_tail:
-            self._count("torn_tail_recovered")
+            run.count("torn_tail_recovered")
         committed, cut = store.replay_results()
         if cut:
-            self._count("torn_tail_recovered")
+            run.count("torn_tail_recovered")
         if committed:
-            self._count("resumed_pairs", len(committed))
+            run.count("resumed_pairs", len(committed))
         return manifest, committed
 
     def _obtain_side(
-        self,
-        side: str,
-        columns: InputSide,
-        partitioner: SpatialPartitioner,
-        spill_root: str,
-        injector: WriteErrorInjector,
-        store: Optional[CheckpointStore],
-        fresh: Dict[str, List[SpillWriter]],
+        self, run: _Run, side: str, columns: InputSide
     ) -> Tuple[SideSpills, int]:
         """Adopt one side's sealed spills from the checkpoint, else spill it
-        (its writers go in ``fresh``).
+        (its writers go in ``run.fresh``).
 
         Adoption requires every recorded file to exist at its recorded
         size; anything less re-partitions the side from the base relation
         and appends a superseding seal event (last seal per side wins)."""
+        store = run.store
         seal = store.manifest.sealed(side) if store is not None else None
-        adopted = None if seal is None else self._adopt_spills(seal, spill_root)
+        adopted = None if seal is None else self._adopt_spills(seal, run.spill_root)
         if seal is not None:
-            self._count("spill_sides_rebuilt" if adopted is None else "spill_sides_adopted")
+            run.count("spill_sides_rebuilt" if adopted is None else "spill_sides_adopted")
         if adopted is None:
-            routing = columns.routing(partitioner)
-            fresh[side] = self._spill_side(
-                side, len(columns), routing, spill_root, injector,
-                atomic=store is not None,
-            )
+            routing = columns.routing(run.partitioner)  # type: ignore[arg-type]
+            run.fresh[side] = self._spill_side(run, side, len(columns), routing)
             # A degraded partition's spill is a sealed empty file.
             spills = [
-                SpillHandle(w.path, 0 if p in self._disk_degraded else len(ordinal))
-                for p, (w, ordinal) in enumerate(zip(fresh[side], routing.ordinals))
+                SpillHandle(w.path, 0 if p in run.disk_degraded else len(ordinal))
+                for p, (w, ordinal) in enumerate(zip(run.fresh[side], routing.ordinals))
             ]
             skew = self.metrics.histogram(f"parallel.partition.keypointers_{side}")
             for spill in spills:
@@ -899,9 +1197,9 @@ class ProcessPBSM:
             side=side,
             placed=placed,
             counts=[s.count for s in spills],
-            adopted=side not in fresh,
+            adopted=side not in run.fresh,
         )
-        if side in fresh and store is not None and not self._disk_degraded:
+        if side in run.fresh and store is not None and not run.disk_degraded:
             # A side partitioned under disk pressure holds deliberately
             # empty spills for its degraded partitions; sealing it would
             # let a resume adopt files that lie about the data.  No seal
@@ -945,63 +1243,12 @@ class ProcessPBSM:
             return None
         return (handles, int(seal["placed"])) if intact else None
 
-    def _count(self, what: str, amount: int = 1) -> None:
-        """One fault/recovery event: tallied on the run *and* in metrics."""
-        self._faults[what] += amount
-        self.metrics.counter(f"faults.{what}").inc(amount)
-
-    def _fault_summary(self) -> dict:
-        """The run's fault tallies plus spent disk_full plan points.
-
-        The injector fires inside ``DiskBudget.charge`` — below the
-        layers that tally recoveries — so its count is folded in here
-        rather than at each catch site; that covers the spill and
-        checkpoint layers uniformly."""
-        summary = dict(self._faults)
-        if self._disk_injector is not None and self._disk_injector.fired:
-            summary["injected_disk_full"] = self._disk_injector.fired
-        return summary
-
     # ------------------------------------------------------------------ #
     # partitioning + spilling
     # ------------------------------------------------------------------ #
 
-    def _partitioner(self, side_r: InputSide, side_s: InputSide) -> SpatialPartitioner:
-        """The run's partitioner, its universe both sides' bounds."""
-        return SpatialPartitioner.for_inputs(
-            side_r.bounds, side_s.bounds,
-            self.num_partitions, self.config.num_tiles, self.config.scheme,
-        )
-
-    def spill_footprint(
-        self,
-        tuples_r: Sequence[SpatialTuple],
-        tuples_s: Sequence[SpatialTuple],
-    ) -> int:
-        """The bytes this engine's partition phase would spill for these
-        inputs — exactly an unconstrained run's metered spill peak, from
-        the routed key-pointer counts.  Checkpoint manifest and result-log
-        bytes are not included; the spills dominate by orders of magnitude.
-        Nor is the sides' relation files: they are the inputs' stored
-        form, which no run's budget charges.  It routes the sides as a run
-        does, so a run after it on the same sides routes neither again."""
-        if not tuples_r or not tuples_s:
-            return 0
-        sides = InputSide(tuples_r), InputSide(tuples_s)
-        partitioner = self._partitioner(*sides)
-        return sum(
-            spill_bytes(ordinal) for side in sides
-            for ordinal in side.routing(partitioner).ordinals
-        )
-
     def _spill_side(
-        self,
-        side: str,
-        length: int,
-        routing: SideRouting,
-        spill_root: str,
-        injector: WriteErrorInjector,
-        atomic: bool,
+        self, run: _Run, side: str, length: int, routing: SideRouting
     ) -> List[SpillWriter]:
         """Spill one input's key-pointers, replicated across the partitions
         it overlaps: for each partition in turn, every tuple's two-layer
@@ -1011,15 +1258,11 @@ class ProcessPBSM:
         costs the one being written; the side's files are sealed together
         at the end, their fsyncs back to back (spaced a partition's work
         apart they take longer, and less steadily)."""
-        injector.arm_side(side, length)
+        run.write_errors.arm_side(side, length)
         spills: List[SpillWriter] = []
         try:
             for p in range(self.num_partitions):
-                spills.append(
-                    self._spill_partition(
-                        side, p, routing, spill_root, injector, atomic, spills,
-                    )
-                )
+                spills.append(self._spill_partition(run, side, p, routing, spills))
             for spill in spills:
                 spill.close()
         except BaseException:
@@ -1033,23 +1276,21 @@ class ProcessPBSM:
 
     def _spill_partition(
         self,
+        run: _Run,
         side: str,
         p: int,
         routing: SideRouting,
-        spill_root: str,
-        injector: WriteErrorInjector,
-        atomic: bool,
         written: List[SpillWriter],
     ) -> SpillWriter:
         """Write partition ``p``'s key-pointer spill, a block at a time
         (:func:`~repro.parallel.tasks.spill_blocks`), and retry *here*
         when a write fails — the one place a failed spill write is
         recovered; the writer comes back complete but unsealed, after
-        those in ``written``.  With ``atomic=True`` (checkpointed runs)
-        the file stages through ``*.tmp`` and only reaches its final name
-        sealed, so a resume can trust any spill file that exists under the
-        run directory.  Whatever fails, the partial file is aborted — and
-        its budget charge released — before anything else happens.
+        those in ``written``.  A checkpointed run's file stages through
+        ``*.tmp`` and only reaches its final name sealed, so a resume can
+        trust any spill file that exists under the run directory.
+        Whatever fails, the partial file is aborted — and its budget
+        charge released — before anything else happens.
 
         * A write error (the plan's; the injector is one-shot, so it
           cannot starve the loop) → rewrite the partition, at most
@@ -1065,44 +1306,44 @@ class ProcessPBSM:
           it does for the other side of a partition already degraded).
 
         Every way the run finishes exact."""
-        path = os.path.join(spill_root, f"part{p:04d}.{side}.kp")
-        write_errors, denied = 0, False
-        while p not in self._disk_degraded:
-            spill = SpillWriter(path, atomic=atomic, budget=self._budget)
+        path = os.path.join(run.spill_root, f"part{p:04d}.{side}.kp")
+        atomic, write_errors, denied = run.store is not None, 0, False
+        while p not in run.disk_degraded:
+            spill = SpillWriter(path, atomic=atomic, budget=run.budget)
             try:
                 blocks = spill_blocks(routing.ordinals[p], routing.keypointers[p])
                 for window, keypointers in blocks:
-                    injector.check(side, window)
+                    run.write_errors.check(side, window)
                     spill.append(keypointers.tobytes())
             except InjectedFaultError:
                 spill.abort()
                 write_errors += 1
-                self._count("injected_write_errors")
-                self._count("partition_retries")
+                run.count("injected_write_errors")
+                run.count("partition_retries")
                 if write_errors > PARTITION_WRITE_RETRIES:
                     raise
             except DiskFullError:
                 spill.abort()
                 if denied:
-                    self._count("disk_degraded")
-                    self._disk_degraded.add(p)
+                    run.count("disk_degraded")
+                    run.disk_degraded.add(p)
                     break
                 denied = True
-                self._count("disk_pressure")
+                run.count("disk_pressure")
                 self.journal.emit(
                     EVENT_DISK_PRESSURE, category="spill", side=side, partition=p
                 )
                 for earlier in written:
                     earlier.close()
-                sweep_orphan_spills(spill_root, self._budget)
-                if self._active_store is not None:
-                    self._active_store.reclaim_completed_siblings()
+                sweep_orphan_spills(run.spill_root, run.budget)
+                if run.store is not None:
+                    run.store.reclaim_completed_siblings()
             except BaseException:
                 spill.abort()
                 raise
             else:
                 if denied:
-                    self._count("disk_full_recovered")
+                    run.count("disk_full_recovered")
                     self.journal.emit(
                         EVENT_DISK_FULL_RECOVERED, category="spill",
                         side=side, partition=p, action="sweep_retry",
@@ -1113,18 +1354,15 @@ class ProcessPBSM:
         return empty
 
     def _apply_torn_frames(
-        self,
-        spills_r: SideSpills,
-        spills_s: SideSpills,
-        sides: Optional[Set[str]] = None,
+        self, run: _Run, spills_r: SideSpills, spills_s: SideSpills
     ) -> None:
         """Corrupt the planned spill frames on disk, post-write.
 
         A torn frame in a partition that never becomes a task would go
         unread, so plans targeting an inactive pair are redirected onto an
         active one deterministically — the fault always has a victim.
-        ``sides`` (when given) restricts tearing to those sides: a resumed
-        run tears only what it freshly wrote, never adopted spills."""
+        Only the sides this run spilled are torn: for an adopted spill the
+        fault already happened in the run that wrote it."""
         assert self.fault_plan is not None
         active = [
             p
@@ -1135,14 +1373,14 @@ class ProcessPBSM:
             return
         active_set = set(active)
         for torn in self.fault_plan.torn_frames:
-            if sides is not None and torn.side not in sides:
+            if torn.side not in run.fresh:
                 continue
             partition = torn.partition % self.num_partitions
             if partition not in active_set:
                 partition = active[torn.partition % len(active)]
             spill = (spills_r if torn.side == "r" else spills_s)[partition]
             if tear_frame(spill.kp_path, torn.frame) >= 0:
-                self._count("injected_torn_frames")
+                run.count("injected_torn_frames")
                 self.journal.emit(
                     EVENT_FAULT_INJECTED,
                     kind="torn_frame", side=torn.side, pair=partition,
@@ -1150,11 +1388,11 @@ class ProcessPBSM:
 
     def _build_tasks(
         self,
+        run: _Run,
         spills_r: SideSpills,
         spills_s: SideSpills,
         relation_r_path: str,
         relation_s_path: str,
-        predicate: Predicate,
     ) -> List[PairTask]:
         """One task per non-empty partition pair, in LPT order, its
         refinement fetching from the sides' relation files."""
@@ -1173,7 +1411,7 @@ class ProcessPBSM:
                 count_r=spill_r.count,
                 count_s=spill_s.count,
                 config=self.config,
-                predicate=predicate,
+                predicate=run.predicate,
                 observe=observe,
                 faults=plan.faults_for_pair(p) if plan else None,
             )
@@ -1181,382 +1419,99 @@ class ProcessPBSM:
             if spill_r.count and spill_s.count
         ]
         # Longest processing time first, seeded by key-pointer counts; ties
-        # broken by partition index so the submission order is reproducible.
-        tasks.sort(key=lambda t: (-t.cost_estimate, t.index))
+        # keep partition order (a reversed sort is still stable), so the
+        # submission order is reproducible.
+        tasks.sort(key=attrgetter("cost_estimate"), reverse=True)
         cost = self.metrics.histogram("parallel.task.cost_estimate")
         for task in tasks:
             cost.observe(task.cost_estimate)
         planned = sum(t.faults.total_points for t in tasks if t.faults)
         if planned:
-            self._count("injected_worker_faults", planned)
+            run.count("injected_worker_faults", planned)
         return tasks
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
 
-    def _execute(
-        self,
-        tasks: List[PairTask],
-        on_result: Optional[Callable[[PairTaskResult], None]] = None,
-    ) -> Tuple[List[PairTaskResult], Dict[int, str]]:
+    def _execute(self, run: _Run, tasks: List[PairTask]) -> None:
         """Run the tasks on the pool, recovering from task and pool faults.
 
-        Returns ``(outcomes, failed)``: completed results, and the pairs
-        the pool gave up on mapped to why — ``"retry_exhausted"`` (the
-        retry budget ran out) or ``"corrupt_spill"`` (a spill file failed
-        its integrity check); the caller rebuilds those serially.  The
-        shared submission queue is what rebalances skew; retries simply
-        re-enter it, so a re-dispatched pair lands on whichever worker
-        survives and frees up first.
-
-        ``on_result`` observes each harvested result *before* its spans are
-        adopted — the checkpoint layer commits the pair there, so a kill
-        mid-harvest loses at most the one uncommitted result.
+        Each pair ends in ``run.outcomes`` or in ``run.failed``, mapped to
+        why the pool gave up on it — ``"retry_exhausted"`` (the retry
+        budget ran out) or ``"corrupt_spill"`` (a spill file failed its
+        integrity check); the caller rebuilds those serially.  The shared
+        submission queue is what rebalances skew; retries simply re-enter
+        it, so a re-dispatched pair lands on whichever worker survives and
+        frees up first.
         """
         if not tasks:
-            return [], {}
-        context = mp_context(self.start_method)
-        by_index = {task.index: task for task in tasks}
-        attempts: Dict[int, int] = {task.index: 0 for task in tasks}
-        to_submit: List[int] = [task.index for task in tasks]  # LPT order
-        outcomes: List[PairTaskResult] = []
-        failed: Dict[int, str] = {}
-        pool: Optional[ProcessPoolExecutor] = None
-        inflight: Dict[Future, int] = {}
-        deadlines: Dict[Future, float] = {}
-        backoff_hist = self.metrics.histogram(
-            "faults.retry_backoff_s", LATENCY_BUCKETS_S
-        )
-        journal = self.journal
-        provider = RESIDENT_POOL
-        timeout_s = self.task_timeout_s
-        # A pair's timeout counts from its worker's first heartbeat (as
-        # read, within a poll slice), not from its submit: time queued
-        # behind busy or still-starting workers is no task's.
-        heartbeats = (
-            HeartbeatFile() if journal.enabled or timeout_s is not None else None
-        )
-        worker_phase: Dict[int, str] = {}
-        next_sample = time.monotonic() + SAMPLE_INTERVAL_S
-
-        def drain_heartbeats() -> None:
-            # Only the current generation's workers start this run's
-            # clocks: a retired one may still run a pair's earlier dispatch.
-            workers = (pool and pool._processes) or {}  # type: ignore[attr-defined]
-            for pid, pair, attempt, phase in heartbeats.read() if heartbeats else ():
-                worker_phase[pid] = phase
-                journal.emit(
-                    EVENT_WORKER_HEARTBEAT,
-                    pid=pid, pair=pair, attempt=attempt, phase=phase,
-                )
-                if timeout_s is not None and pid in workers:
-                    for future, index in inflight.items():
-                        if index == pair and future not in deadlines:
-                            deadlines[future] = time.monotonic() + timeout_s
-
-        def maybe_sample() -> None:
-            nonlocal next_sample
-            if not journal.enabled or time.monotonic() < next_sample:
-                return
-            next_sample = time.monotonic() + SAMPLE_INTERVAL_S
-            journal.emit(
-                EVENT_SAMPLE,
-                queued=len(to_submit),
-                inflight=sorted(inflight.values()),
-                done=len(outcomes),
-                total=len(tasks),
-                workers={str(pid): phase for pid, phase in sorted(worker_phase.items())},
-            )
-
-        def on_failure(index: int, error: WorkerTaskError) -> None:
-            """Charge one attempt; requeue within budget, else give up."""
-            self._count("task_failures")
-            if error.corruption:
-                # The file is wrong on disk — no retry can fix it.
-                failed[index] = "corrupt_spill"
-                self._damaged_files.add(error.damaged_path)
-                self._count("quarantined")
-                journal.emit(
-                    EVENT_QUARANTINED, pair=index, attempt=attempts[index]
-                )
-                return
-            attempt = attempts[index] = attempts[index] + 1
-            if attempt > self.max_task_retries:
-                failed[index] = "retry_exhausted"
-                self._count("retry_exhausted")
-                return
-            self._count("retries")
-            backoff = RETRY_BACKOFF_S * (2 ** (attempt - 1))
-            backoff_hist.observe(backoff)
-            journal.emit(
-                EVENT_RETRY,
-                pair=index, attempt=attempt,
-                backoff_s=round(backoff, 6), cause=error.cause_type,
-            )
-            if backoff > 0:
-                time.sleep(backoff)
-            to_submit.append(index)
-
-        def lose_pool(
-            charged: Sequence[int] = (), cause: str = "", message: str = ""
-        ) -> None:
-            """The pool is gone — broken, wedged, or walked away from.
-
-            Every ``charged`` pair pays one attempt for ``cause``; every
-            other in-flight pair requeues free (it never got to finish).
-            The provider disposes without waiting: a hung worker must not
-            hold the coordinator hostage."""
-            nonlocal pool
-            survivors = [i for i in inflight.values() if i not in charged]
-            inflight.clear()
-            deadlines.clear()
-            if pool is not None:
-                provider.discard(pool)
-                provider.release(pool)
-                pool = None
-            for index in charged:
-                on_failure(
-                    index,
-                    WorkerTaskError(index, attempts[index], 0, cause, message),
-                )
-            to_submit.extend(survivors)
-            self._count("pool_respawns")
-            journal.emit(EVENT_POOL_RESPAWN, queued=len(to_submit))
-
+            return
+        run.schedule(tasks)
         try:
-            while to_submit or inflight:
-                if self._deadline_expired():
-                    # Cooperative cancellation.  Everything harvested so
-                    # far was already committed through ``on_result``, so a
-                    # checkpointed retry resumes instead of restarting.
-                    # In-flight futures ride the same pool-loss path a
-                    # task timeout uses (a wedged worker cannot be killed
-                    # without breaking the pool); with nothing in flight
-                    # the pool is left healthy for its other tenants.
-                    error = self._deadline_error(
-                        queued=len(to_submit),
-                        inflight=list(inflight.values()),
-                        completed=len(outcomes),
-                    )
-                    if inflight:
-                        lose_pool()
-                    raise error
-                if pool is None:
-                    pool = provider.acquire(self.workers, context)
-                while to_submit:
-                    index = to_submit.pop(0)
-                    task = dataclasses.replace(
-                        by_index[index], attempt=attempts[index],
-                        heartbeats=heartbeats.path if heartbeats else None,
-                        timed=timeout_s is not None,
-                    )
-                    try:
-                        future = pool.submit(run_pair_task, task)
-                    except RuntimeError:
-                        # BrokenProcessPool, or a co-tenant already
-                        # discarded this generation and submit raises
-                        # "cannot schedule new futures"; heal and resubmit
-                        # everything (no attempt charged — the task never
-                        # reached a worker).
-                        to_submit.insert(0, index)
-                        lose_pool()
-                        break
-                    inflight[future] = index
-                    journal.emit(
-                        EVENT_TASK_DISPATCHED,
-                        pair=index, attempt=task.attempt,
-                        cost=task.cost_estimate,
-                    )
-                    # Planned faults are journaled at dispatch, not at
-                    # failure or harvest: a dispatched attempt always
-                    # executes its planned injection, so the emitted set is
-                    # a pure function of the plan and tells *injected*
-                    # trouble apart from collateral damage (innocent pairs
-                    # requeued by a BrokenProcessPool) — harvest-time
-                    # detection would race against whichever unrelated
-                    # crash broke the pool first.
-                    faults = task.faults
-                    for kind in faults.firing(task.attempt) if faults else ():
-                        journal.emit(
-                            EVENT_FAULT_INJECTED,
-                            kind=kind, pair=index, attempt=task.attempt,
-                        )
-                if pool is None or not inflight:
+            while run.to_submit or run.inflight:
+                run.check_deadline(len(run.to_submit), len(run.outcomes))
+                if not run.dispatch():
                     continue
-
-                # A run with heartbeats polls, so pings (which start a timed
-                # run's pair clocks) and sampler ticks keep flowing while
-                # tasks are quiet; otherwise the wait only needs a slice
-                # when the whole-run deadline must be enforced.
+                # A run with heartbeats polls, so pings (which start a
+                # timed run's pair clocks) and sampler ticks keep flowing
+                # while tasks are quiet; otherwise the wait only needs a
+                # slice when the whole-run deadline must be enforced.
+                polls = run.heartbeats is not None or run.deadline_at is not None
                 wait(
-                    set(inflight),
-                    timeout=(
-                        _POLL_S
-                        if heartbeats is not None or self._deadline_at is not None
-                        else None
-                    ),
+                    set(run.inflight),
+                    timeout=_POLL_S if polls else None,
                     return_when=FIRST_COMPLETED,
                 )
-                drain_heartbeats()
-                maybe_sample()
-                # Harvest everything that finished, well or badly.
-                broken: List[int] = []
-                for future in [f for f in inflight if f.done()]:
-                    index = inflight.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        outcome = future.result()
-                    except WorkerTaskError as error:
-                        on_failure(index, error)
-                    except CancelledError:
-                        # A co-tenant's discard cancelled it before any
-                        # worker took it: requeued free, and the next
-                        # submit finds the generation retired.
-                        to_submit.append(index)
-                    except BrokenProcessPool:
-                        broken.append(index)
-                    else:
-                        outcomes.append(outcome)
-                        # The task's lifecycle, on the worker's clock
-                        # (``worker_t``: the two clocks are not comparable).
-                        ran = dict(
-                            pair=index, attempt=outcome.attempt,
-                            pid=outcome.worker_pid,
-                        )
-                        wall_s = round(outcome.wall_s, 6)
-                        journal.emit(EVENT_TASK_STARTED, **ran, worker_t=0.0)
-                        journal.emit(
-                            EVENT_TASK_FINISHED, **ran,
-                            candidates=outcome.candidates,
-                            results=len(outcome.pairs),
-                            worker_t=wall_s, wall_s=wall_s,
-                        )
-                        if on_result is not None:
-                            on_result(outcome)
-                        if outcome.spans:
-                            self.tracer.adopt_wire(
-                                outcome.spans, worker=outcome.worker_pid
-                            )
-                if broken:
-                    # Every surviving in-flight future is doomed with the
-                    # pool; they share the crash's charge.
-                    lose_pool(
-                        broken + list(inflight.values()),
-                        "BrokenProcessPool", "worker process died mid-task",
-                    )
-                    continue
-
-                # Enforce task deadlines: a wedged worker cannot be killed
-                # inside ProcessPoolExecutor without breaking the pool, so
-                # the pool is abandoned wholesale and unfinished innocents
-                # are resubmitted uncharged.
-                if deadlines and not any(f.done() for f in inflight):
-                    # (any completed-but-unharvested future postpones this
-                    # to the next round, so results are never dropped)
-                    now = time.monotonic()
-                    timed_out = [
-                        inflight[f]
-                        for f, deadline in deadlines.items()
-                        if now > deadline
-                    ]
-                    for index in timed_out:
-                        self._count("timeouts")
-                        journal.emit(
-                            EVENT_TIMEOUT,
-                            pair=index,
-                            attempt=attempts[index],
-                            timeout_s=self.task_timeout_s,
-                        )
-                    if timed_out:
-                        lose_pool(
-                            timed_out, "TaskTimeout",
-                            f"no result within {self.task_timeout_s}s",
-                        )
+                run.drain_heartbeats()
+                run.sample()
+                if not run.harvest():
+                    run.expire()
         finally:
-            if pool is not None:
-                # An abandoned run (a coordinator kill, an exception) leaves
-                # the pool as it found it: its queued tasks cancelled, its
-                # running ones waited for — no later run queues behind
-                # them, and none reads a spill this run is about to remove.
-                wait([future for future in inflight if not future.cancel()])
-                provider.release(pool)
-            drain_heartbeats()
-            if heartbeats is not None:
-                heartbeats.close()
-        return outcomes, failed
+            run.stop()
 
     # ------------------------------------------------------------------ #
     # graceful degradation
     # ------------------------------------------------------------------ #
 
-    def _rebuild_pairs(
-        self,
-        reasons: Dict[int, str],
-        side_r: InputSide,
-        side_s: InputSide,
-        partitioner: SpatialPartitioner,
-        predicate: Predicate,
-        on_result: Optional[Callable[[PairTaskResult], None]] = None,
-    ) -> List[PairTaskResult]:
+    def _rebuild_pairs(self, run: _Run, reasons: Dict[int, str]) -> List[PairTaskResult]:
         """Serially rebuild pairs from the base relations, in index order.
 
         ``reasons`` maps each pair to why the process path does not have
         it: ``retry_exhausted`` / ``corrupt_spill`` (the pool gave up),
         ``disk_full`` (its spill was dropped under pressure) or
         ``breaker_shed`` (there is no pool: :meth:`run_serial`).  The
-        coordinator still holds the base relations, so each merge is fed
-        the key-pointer block the spill pass wrote or would have written
-        (the sides' :meth:`~repro.parallel.tasks.InputSide.routing`), so
-        it sees bit-identical input to what a worker would have read, and
-        runs in-process — slower, but exact; refinement
-        fetches from the sides' own stored records (``InputSide.stored``),
-        in whichever form a worker's would have taken.  The run deadline is
-        checked between pairs; ``on_result`` commits each rebuilt pair as
-        it completes.
+        coordinator still holds the base relations, so each pair is
+        joined as a worker joins it (:func:`~repro.parallel.tasks.join_pair`)
+        from the key-pointer blocks the spill pass wrote or would have
+        written (the sides' :meth:`~repro.parallel.tasks.InputSide.routing`)
+        and the sides' own stored records — bit-identical input — in
+        process: slower, but exact.  The run deadline is checked between
+        pairs; ``run.on_result`` commits each rebuilt pair as it completes.
         """
         if not reasons:
             return []
-        routing_r, routing_s = side_r.routing(partitioner), side_s.routing(partitioner)
+        # Held for the rebuild: a thread with another tiling that overtakes
+        # this run re-derives the sides' routing, not this run's.
+        run.routing = tuple(side.routing(run.partitioner) for side in (run.side_r, run.side_s))
         results: List[PairTaskResult] = []
         for index in sorted(reasons):
-            if self._deadline_expired():
-                raise self._deadline_error(
-                    queued=len(reasons) - len(results),
-                    inflight=[],
-                    completed=len(results),
-                )
+            run.check_deadline(len(reasons) - len(results), len(results))
             reason = reasons[index]
-            started = time.perf_counter()
-            part_r, part_s = routing_r.keypointers[index], routing_s.keypointers[index]
             with self.tracer.span("process.degraded_pair", pair=index) as span:
                 span.tag("degraded", True)
                 span.tag("reason", reason)
-                candidates = sweep_pair(
-                    part_r, part_s, DEFAULT_TASK_MEMORY, self.config,
-                    label=f"degraded.{index}", tracer=self.tracer,
+                outcome = join_pair(
+                    index, partial(run.keypointers, index), run.stored,
+                    run.predicate, self.config,
+                    label=f"degraded.{index}", tracer=self.tracer, span=span,
+                    degraded=True, degraded_reason=reason,
                 )
-                pairs, dropped = refine_pair(
-                    candidates, side_r.stored, side_s.stored, predicate,
-                    span=span,
-                )
-                span.tag("results", len(pairs))
-            outcome = PairTaskResult(
-                index=index,
-                worker_pid=os.getpid(),
-                pairs=pairs,
-                candidates=len(candidates),
-                count_r=len(part_r),
-                count_s=len(part_s),
-                wall_s=time.perf_counter() - started,
-                degraded=True,
-                degraded_reason=reason,
-                duplicates_dropped=dropped,
-            )
-            self._count("degraded")
+                span.tag("results", len(outcome.pairs))
+            run.count("degraded")
             self.journal.emit(EVENT_DEGRADED, pair=index, reason=reason)
-            if on_result is not None:
-                on_result(outcome)
+            if run.on_result is not None:
+                run.on_result(outcome)
             results.append(outcome)
         return results
 

@@ -40,7 +40,8 @@ A :class:`PairTask` names those files plus the join configuration; it
 pickles in a few hundred bytes no matter how large the partition is.
 :func:`run_pair_task` — a module-level function so it imports cleanly
 under the ``spawn`` start method — executes merge *and* refinement for one
-partition pair and returns its answer — exact feature-id pairs, one
+partition pair (:func:`join_pair`, the sequence a coordinator's rebuild of
+a pair runs too) and returns its answer — exact feature-id pairs, one
 sorted ``(n, 2)`` int64 array — and, on an observed run, the worker's
 spans in wire form.  Everything else the coordinator records about the
 pair (its metrics, its ``task_started`` / ``task_finished`` events) it
@@ -81,8 +82,12 @@ import traceback
 import zlib
 from collections import OrderedDict
 from collections.abc import Mapping
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -911,6 +916,10 @@ class PairTask:
         """The LPT scheduling seed: total key-pointers in the pair."""
         return self.count_r + self.count_s
 
+    def keypointers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Both sides' key-pointer spills, every frame checked."""
+        return read_keypointer_spill(self.kp_r_path), read_keypointer_spill(self.kp_s_path)
+
 
 @dataclass
 class PairTaskResult:
@@ -1137,17 +1146,67 @@ def _contains_each(pairs, records_r, records_s, rows, fetch):
     return hits, named_r, named_s
 
 
-def run_pair_task(task: PairTask) -> PairTaskResult:
-    """Execute one partition-pair task inside a worker process.
+def join_pair(
+    index: int,
+    keypointers: Callable[[], Tuple[np.ndarray, np.ndarray]],
+    relations: Callable[..., Sequence[StoredRecords]],
+    predicate: Predicate,
+    config: PBSMConfig,
+    *,
+    label: str,
+    tracer: Tracer = NULL_TRACER,
+    span=None,
+    **fields,
+) -> PairTaskResult:
+    """One partition pair, filtered and refined: read its key-pointer
+    blocks (``keypointers()``), sweep them (:func:`sweep_pair`), take its
+    two relations (``relations(span)``, given the span the refine tags)
+    and apply the exact predicate to the candidates (:func:`refine_pair`).
 
-    Filter: read the key-pointer spills, join them per tile group with the
-    two-layer class filter (:func:`sweep_pair`).  Refine: look the
-    candidate feature-id pairs up in both sides' relations
-    (:func:`open_relation`) and apply the exact predicate
-    (:func:`refine_pair`), then make sure neither relation file changed
-    since it was checked.  The returned pair array is sorted, exact,
-    and — because only one tile may emit any given pair — disjoint from
-    every other task's, so the coordinator's merge has no dedup barrier.
+    The one sequence of a worker's task (:func:`run_pair_task`: spill and
+    relation files) and of the coordinator's rebuild of a pair
+    (``ProcessPBSM._rebuild_pairs``: the sides' own blocks and records),
+    so both see the same input and give the same answer.  Without
+    ``span``, each phase has a span of its own, ``worker.merge`` and
+    ``worker.refine``, as a worker's trace shows them; with it, the refine
+    tags that span.  ``fields`` are the result's own: its attempt, or why
+    the pair was rebuilt.
+    """
+    started = time.perf_counter()
+    with tracer.span("worker.merge", pair=index) if span is None else nullcontext():
+        kps_r, kps_s = keypointers()
+        candidates = sweep_pair(
+            kps_r, kps_s, DEFAULT_TASK_MEMORY, config, label=label, tracer=tracer
+        )
+    with (
+        tracer.span("worker.refine", pair=index, candidates=len(candidates))
+        if span is None else nullcontext(span)
+    ) as refine_span:
+        records_r, records_s = relations(refine_span)
+        pairs, dropped = refine_pair(
+            candidates, records_r, records_s, predicate, span=refine_span
+        )
+    return PairTaskResult(
+        index=index,
+        worker_pid=os.getpid(),
+        pairs=pairs,
+        candidates=len(candidates),
+        count_r=len(kps_r),
+        count_s=len(kps_s),
+        wall_s=time.perf_counter() - started,
+        duplicates_dropped=dropped,
+        **fields,
+    )
+
+
+def run_pair_task(task: PairTask) -> PairTaskResult:
+    """Execute one partition-pair task inside a worker process:
+    :func:`join_pair` of its key-pointer spills and relation files
+    (:func:`open_relation`), then a check that neither relation file
+    changed since it was checked.  The returned pair array is sorted,
+    exact, and — because only one tile may emit any given pair — disjoint
+    from every other task's, so the coordinator's merge has no dedup
+    barrier.
 
     Any failure is re-raised as :class:`WorkerTaskError` with the pair
     index, attempt, and pid attached (corruption flagged).  The first
@@ -1166,7 +1225,27 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
     try:
         _heartbeat(task, "merge", strict=task.timed)
         apply_worker_faults(task.faults, task.index, task.attempt)
-        return _run_pair_task(task)
+        tracer = Tracer() if task.observe else NULL_TRACER
+        opened: List[StoredRecords] = []
+        with tracer.span(
+            "worker.task", pair=task.index, pid=os.getpid(), attempt=task.attempt
+        ) as span:
+            try:
+                outcome = join_pair(
+                    task.index, task.keypointers, partial(_open_relations, task, opened),
+                    task.predicate, task.config,
+                    label=str(task.index), tracer=tracer, attempt=task.attempt,
+                )
+            finally:
+                # What the refine made of the mapped bytes counts only if
+                # they are still the ones checked.
+                for records in opened:
+                    _check_unchanged(records)
+            span.tag("candidates", outcome.candidates)
+            span.tag("results", len(outcome.pairs))
+        _heartbeat(task, "done")
+        outcome.spans = tracer.export_wire()
+        return outcome
     except WorkerTaskError:
         raise
     except SpillCorruptionError as exc:
@@ -1182,59 +1261,22 @@ def run_pair_task(task: PairTask) -> PairTaskResult:
         ) from exc
 
 
-def _run_pair_task(task: PairTask) -> PairTaskResult:
-    started = time.perf_counter()
-    tracer = Tracer() if task.observe else NULL_TRACER
-    with tracer.span(
-        "worker.task", pair=task.index, pid=os.getpid(), attempt=task.attempt
-    ) as span:
-        with tracer.span("worker.merge", pair=task.index):
-            kps_r = read_keypointer_spill(task.kp_r_path)
-            kps_s = read_keypointer_spill(task.kp_s_path)
-            candidates = sweep_pair(
-                kps_r, kps_s, DEFAULT_TASK_MEMORY, task.config,
-                label=str(task.index), tracer=tracer,
-            )
-
-        _heartbeat(task, "refine")
-        with tracer.span(
-            "worker.refine", pair=task.index, candidates=len(candidates)
-        ) as refine_span:
-            relations: List[StoredRecords] = []
-            open_s = check_s = 0.0
-            for path in task.relation_r_path, task.relation_s_path:
-                opened = time.perf_counter()
-                records, hit = _open_relation(path)
-                relations.append(records)
-                if not hit:
-                    open_s += time.perf_counter() - opened
-                    check_s += records.check_s
-            refine_span.tag("open_s", open_s)
-            refine_span.tag("check_s", check_s)
-            records_r, records_s = relations
-            try:
-                pairs, dropped = refine_pair(
-                    candidates, records_r, records_s, task.predicate, span=refine_span,
-                )
-            finally:
-                # What the refine made of the mapped bytes counts only if
-                # they are still the ones checked.
-                for records in relations:
-                    _check_unchanged(records)
-
-        span.tag("candidates", len(candidates))
-        span.tag("results", len(pairs))
-
-    _heartbeat(task, "done")
-    return PairTaskResult(
-        index=task.index,
-        worker_pid=os.getpid(),
-        pairs=pairs,
-        candidates=len(candidates),
-        count_r=task.count_r,
-        count_s=task.count_s,
-        wall_s=time.perf_counter() - started,
-        attempt=task.attempt,
-        duplicates_dropped=dropped,
-        spans=tracer.export_wire(),
-    )
+def _open_relations(
+    task: PairTask, opened: List[StoredRecords], span
+) -> List[StoredRecords]:
+    """A worker's ``relations`` for :func:`join_pair`: ping the refine
+    phase, then both relation files, opened (:func:`open_relation`) into
+    ``opened``; ``span`` is tagged with the seconds spent mapping
+    (``open_s``) and checking (``check_s``) the ones not already open."""
+    _heartbeat(task, "refine")
+    open_s = check_s = 0.0
+    for path in task.relation_r_path, task.relation_s_path:
+        at = time.perf_counter()
+        records, hit = _open_relation(path)
+        opened.append(records)
+        if not hit:
+            open_s += time.perf_counter() - at
+            check_s += records.check_s
+    span.tag("open_s", open_s)
+    span.tag("check_s", check_s)
+    return opened

@@ -106,6 +106,12 @@ def deserialize_tuple(data: bytes) -> SpatialTuple:
     return SpatialTuple(feature_id, category, name, geom)
 
 
+def record_feature_id(data: bytes) -> int:
+    """The feature id in the head of a :func:`serialize_tuple` record,
+    with nothing else of it decoded."""
+    return _NAMED_HEAD.unpack_from(data)[1]
+
+
 @dataclass(frozen=True, eq=False)
 class Records:
     """A relation's stored form: every :func:`serialize_tuple` record back

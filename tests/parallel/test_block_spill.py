@@ -490,12 +490,11 @@ class TestWorkerRelations:
         later = []
 
         class DamagesMidRun(ProcessPBSM):
-            def _execute(self, pair_tasks, on_result=None):
-                done, failed = super()._execute(pair_tasks[:1], on_result)
+            def _execute(self, run, pair_tasks):
+                super()._execute(run, pair_tasks[:1])
                 later.extend(pair_tasks[1:])
                 assert tear_frame(pair_tasks[0].relation_s_path, -1) >= 0
-                rest, failed_rest = super()._execute(pair_tasks[1:], on_result)
-                return done + rest, {**failed, **failed_rest}
+                super()._execute(run, pair_tasks[1:])
 
         # One generation serves both halves: the run holds it throughout.
         held = resident_pool.acquire(1, mp_context())

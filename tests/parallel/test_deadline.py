@@ -130,6 +130,18 @@ class TestSerialExpiry:
         assert result.backend == "process-serial"
         assert result.duplicates_dropped == 0
 
+    def test_run_serial_after_a_run_reports_only_its_own_faults(self, workload):
+        """One engine, two calls: the shed path writes nothing to disk, so
+        the disk_full points the pool run spent are not its to report."""
+        tuples_r, tuples_s, expected = workload
+        plan = load_plan("disk_full", seed=0, num_pairs=NUM_PAIRS)
+        engine, fresh = (ProcessPBSM(2, num_partitions=NUM_PAIRS, fault_plan=plan) for _ in (0, 1))
+        pooled = engine.run(tuples_r, tuples_s, intersects)
+        assert pooled.pairs == expected and pooled.fault_summary["injected_disk_full"] > 0
+        shed, alone = (e.run_serial(tuples_r, tuples_s, intersects) for e in (engine, fresh))
+        assert shed.pairs == expected
+        assert shed.fault_summary == alone.fault_summary == {"degraded": NUM_PAIRS}
+
 
 class TestAdoptableState:
     def test_deadlined_checkpoint_resumes_to_the_exact_answer(

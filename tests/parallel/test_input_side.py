@@ -24,7 +24,7 @@ from repro import intersects
 from repro.checkpoint.manifest import RunFingerprint
 from repro.core.pbsm import PBSMConfig
 from repro.data import generate_hydrography, generate_roads
-from repro.parallel import ProcessPBSM, parallel_join, process, tasks
+from repro.parallel import ProcessPBSM, parallel_join, tasks
 from repro.parallel.tasks import InputSide
 from repro.serve.query import QuerySpec
 from repro.storage import DiskBudget
@@ -322,9 +322,9 @@ class TestGeneratedSidesBuildNoTuples:
             named_s.update(candidates[:, 1].tolist())
             return refine_pair(candidates, *args, **kwargs)
 
-        refine_pair = process.refine_pair
+        refine_pair = tasks.refine_pair
         monkeypatch.setattr(SpatialTuple, "__init__", building)
-        monkeypatch.setattr(process, "refine_pair", naming)
+        monkeypatch.setattr(tasks, "refine_pair", naming)
         shed = engine.run_serial(
             side_r, side_s, lambda r, s: spec.predicate_fn(r, s)
         )

@@ -30,7 +30,7 @@ from repro.data import (
 from repro.data.tiger import WISCONSIN
 from repro.faults import FaultPlan, FaultSpec, WorkerFaults
 from repro.obs import RunJournal, Tracer
-from repro.parallel import ProcessPBSM, parallel_join, tasks
+from repro.parallel import ProcessPBSM, parallel_join, process, tasks
 from repro.parallel.tasks import InputSide
 from repro.storage import DiskBudget
 from tests.conftest import race
@@ -125,16 +125,14 @@ def rebuilt_pairs(tuples_r, tuples_s, predicate, reason="breaker_shed"):
     tracer = Tracer()
     engine = ProcessPBSM(2, num_partitions=NUM_PAIRS, tracer=tracer)
     committed = []
-    side_r, side_s = InputSide(tuples_r), InputSide(tuples_s)
-    rebuilt = engine._rebuild_pairs(
-        dict.fromkeys(range(NUM_PAIRS), reason), side_r, side_s,
-        engine._partitioner(side_r, side_s), predicate,
-        on_result=committed.append,
-    )
+    run = process._Run(engine, tuples_r, tuples_s, predicate, "process")
+    run.partitioner = engine._partitioner(run.side_r, run.side_s)
+    run.on_result = committed.append
+    rebuilt = engine._rebuild_pairs(run, dict.fromkeys(range(NUM_PAIRS), reason))
     columnar = [
         span.tags["columnar"] for span in tracer.find("process.degraded_pair")
     ]
-    return rebuilt, committed, columnar, engine._fault_summary()
+    return rebuilt, committed, columnar, run.fault_summary()
 
 
 class TestRebuildPairs:
