@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, BinaryIO, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.refine import merge_sorted_unique
+from ..core.refine import SortedPairs, merge_sorted_unique
 from ..storage.errors import ManifestCorruptionError, SpillCorruptionError
 from ..storage.spill import TORN_TAIL_TRUNCATE, pack_frame, read_frames
 
@@ -200,9 +200,9 @@ def replay_result_log(
 
 def verified_replay(
     log_path: "Path | str", result_count: Optional[int]
-) -> Tuple[Optional[np.ndarray], str]:
-    """Is this complete run servable?  ``(pairs, "")`` — one sorted
-    ``(n, 2)`` int64 array — or ``(None, why)``.
+) -> Tuple[Optional[SortedPairs], str]:
+    """Is this complete run servable?  ``(pairs, "")`` — the run's
+    answer, as its merge made it — or ``(None, why)``.
 
     The one verdict the query path and the scrubber share.  A finished
     log has no tail to cut: anything that ends its walk early means the

@@ -19,6 +19,7 @@ This is the [Val87]-style strategy the paper uses to avoid random seeks.
 from __future__ import annotations
 
 import struct
+from collections import abc
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,21 +38,69 @@ _PAIR = struct.Struct(">IIIIII")
 CandidatePair = Tuple[OID, OID]
 
 
-def merge_sorted_unique(runs: Sequence) -> Tuple[np.ndarray, int]:
+class SortedPairs(abc.Sequence):
+    """A join's answer: ``(r, s)`` feature-id pairs, ascending and each
+    once, held as one read-only ``(n, 2)`` int64 ``array``.
+
+    It compares equal to the list of tuples it stands for and builds
+    tuples only when iterated or indexed (a slice is a list); the digest
+    and the wire read ``array`` itself.  :func:`merge_sorted_unique` makes
+    it, and its sort is what the order rests on: ``SortedPairs()`` is the
+    empty answer, and any other array handed in must already be sorted and
+    distinct."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array=()):
+        self.array = np.asarray(array, np.int64).reshape(-1, 2)
+        self.array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, index):
+        rows = self.array[index]
+        return list(_tuples(rows)) if isinstance(index, slice) else tuple(rows.tolist())
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return _tuples(self.array)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SortedPairs):
+            return np.array_equal(self.array, other.array)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SortedPairs({list(self)!r})"
+
+
+def _tuples(rows: np.ndarray) -> Iterator[Tuple[int, int]]:
+    return zip(rows[:, 0].tolist(), rows[:, 1].tolist())
+
+
+def merge_sorted_unique(runs: Sequence) -> Tuple[SortedPairs, int]:
     """Merge runs of ``(r, s)`` feature-id pairs — ``(n, 2)`` arrays or
-    lists of tuples — into one sorted ``(n, 2)`` int64 array, counting
-    dups: ``(merged, dropped)``.
+    lists of tuples — into one :class:`SortedPairs`, counting dups:
+    ``(merged, dropped)``.
 
     Under two-layer partitioning every result pair is emitted by exactly
     one partition pair, so the runs are disjoint and ``dropped`` must read
     0 — the coordinator surfaces it as ``merge.duplicates_dropped``
     instead of silently paying a sorted-set union, and CI gates on it
     staying zero.  Disjoint runs need no interleave: one sort of all of
-    them is the merge.
+    them is the merge.  Ids that fit 32 bits sort as one uint64 key
+    (``r << 32 | s``); wider or negative ones take a lexsort.
     """
     runs = [np.asarray(run, np.int64).reshape(-1, 2) for run in runs]
     pairs = np.concatenate([np.empty((0, 2), np.int64), *runs])
-    return drop_adjacent(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+    if pairs.size and pairs.min() >= 0 and pairs.max() < 2**32:
+        key = pairs.astype(np.uint64)
+        key = np.sort(key[:, 0] << np.uint64(32) | key[:, 1])
+        pairs = np.column_stack((key >> np.uint64(32), key & np.uint64(2**32 - 1)))
+    else:
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    merged, dropped = drop_adjacent(pairs)
+    return SortedPairs(merged), dropped
 
 
 def drop_adjacent(pairs: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -60,12 +109,6 @@ def drop_adjacent(pairs: np.ndarray) -> Tuple[np.ndarray, int]:
     fresh = np.ones(len(pairs), dtype=bool)
     fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
     return pairs[fresh], len(pairs) - int(np.count_nonzero(fresh))
-
-
-def pair_tuples(pairs: np.ndarray) -> List[Tuple[int, int]]:
-    """An ``(n, 2)`` pair array as Python ``(r, s)`` tuples: built once,
-    where a public result is made, and nowhere else."""
-    return list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
 def dedup_sorted_pairs(pairs: List[CandidatePair]) -> List[CandidatePair]:

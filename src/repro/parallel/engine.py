@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.partition import SCHEME_HASH, RoutedSlots, SpatialPartitioner, mbr_array
 from ..core.pbsm import PBSMConfig, PBSMJoin
 from ..core.predicates import Predicate
-from ..core.refine import merge_sorted_unique, pair_tuples
+from ..core.refine import SortedPairs, merge_sorted_unique
 from ..obs.journal import (
     EVENT_NODE_FINISHED,
     EVENT_PARTITION_SEALED,
@@ -110,7 +110,7 @@ class ParallelJoinResult:
     ``critical_path_s``/``speedup`` read the same way for both.
     """
 
-    pairs: List[Tuple[int, int]]  # (r feature_id, s feature_id)
+    pairs: SortedPairs  # (r feature_id, s feature_id)
     nodes: List[NodeReport] = field(default_factory=list)
     scheme: str = REPLICATE_OBJECTS
     storage_factor_r: float = 1.0
@@ -215,7 +215,7 @@ class ParallelPBSM:
         )
         if not tuples_r or not tuples_s:
             self.journal.emit(EVENT_RUN_FINISHED, results=0, degraded_pairs=[])
-            return ParallelJoinResult([], scheme=self.scheme)
+            return ParallelJoinResult(SortedPairs(), scheme=self.scheme)
 
         mbrs_r, mbrs_s = mbr_array(tuples_r), mbr_array(tuples_s)
         partitioner = SpatialPartitioner.for_inputs(
@@ -276,7 +276,7 @@ class ParallelPBSM:
             EVENT_RUN_FINISHED, results=len(merged), degraded_pairs=[]
         )
         return ParallelJoinResult(
-            pair_tuples(merged),
+            merged,
             nodes=reports,
             scheme=self.scheme,
             storage_factor_r=placed_r / len(tuples_r),
@@ -403,7 +403,7 @@ def serial_feature_pairs(
     tuples_s: Iterable[SpatialTuple],
     predicate: Predicate,
     buffer_mb: float = 8.0,
-) -> Tuple[List[Tuple[int, int]], float]:
+) -> Tuple[SortedPairs, float]:
     """Single-node PBSM reference: (feature-id pairs, simulated seconds).
 
     Each side is loaded in its stored form (:class:`InputSide`'s records),
@@ -417,8 +417,8 @@ def serial_feature_pairs(
         relation.bulk_load(Records(side.payload, side.offsets))
     db.pool.clear()
     result = PBSMJoin(db.pool).run(rel_r, rel_s, predicate)
-    pairs = sorted(
+    pairs, _ = merge_sorted_unique([[
         (record_feature_id(rel_r.heap.get(a.rid)), record_feature_id(rel_s.heap.get(b.rid)))
         for a, b in result.pairs
-    )
+    ]])
     return pairs, result.report.total_s

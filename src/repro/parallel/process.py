@@ -95,7 +95,7 @@ from ..checkpoint.manifest import (
 from ..checkpoint.store import CheckpointMismatchError, CheckpointStore
 from ..core.partition import SpatialPartitioner
 from ..core.pbsm import PBSMConfig
-from ..core.refine import merge_sorted_unique, pair_tuples
+from ..core.refine import SortedPairs, merge_sorted_unique
 from ..core.predicates import Predicate
 from ..faults.inject import (
     CheckpointFaultGate,
@@ -383,6 +383,8 @@ class _Run:
         self.heartbeats: Optional[HeartbeatFile] = None
         self.worker_phase: Dict[int, str] = {}
         self.next_sample = 0.0
+        self.kill_after: Optional[int] = engine.kill_coordinator_after
+        """The explicit kill ordinal this run's checkpoint gate arms."""
 
     def begin(self, workers: int, **fields) -> Optional[ParallelJoinResult]:
         """Journal the run's start (``fields`` ride the event).  An empty
@@ -402,7 +404,7 @@ class _Run:
             return None
         journal.emit(EVENT_RUN_FINISHED, results=0, degraded_pairs=[])
         return ParallelJoinResult(
-            [], backend=self.backend, wall_s=time.perf_counter() - self.started
+            SortedPairs(), backend=self.backend, wall_s=time.perf_counter() - self.started
         )
 
     def count(self, what: str, amount: int = 1) -> None:
@@ -835,17 +837,17 @@ class ProcessPBSM:
         before the kill must carry the rest of the join.
 
         Returns the result and the checkpoint ordinal the coordinator was
-        killed after (``None``: nobody killed it).  The explicit
-        ``kill_coordinator_after`` is disarmed first, or the recovery run
-        would die at the same ordinal forever; a plan's kill points are
-        never re-armed on a resume.
+        killed after (``None``: nobody killed it).  The recovery run has
+        the explicit ``kill_coordinator_after`` disarmed, or it would die
+        at the same ordinal forever; the engine keeps it for later calls.
+        A plan's kill points are never re-armed on a resume.
         """
         start = self.resume if resume else self.run
         try:
             return start(tuples_r, tuples_s, predicate), None
         except CoordinatorKilledError as exc:
-            self.kill_coordinator_after = None
-            return self.resume(tuples_r, tuples_s, predicate), exc.ordinal
+            again = self._run(tuples_r, tuples_s, predicate, resuming=True, disarmed=True)
+            return again, exc.ordinal
 
     def run_serial(
         self,
@@ -933,8 +935,13 @@ class ProcessPBSM:
         predicate: Predicate,
         *,
         resuming: bool,
+        disarmed: bool = False,
     ) -> ParallelJoinResult:
+        """A pool run; ``disarmed`` runs it without the engine's explicit
+        ``kill_coordinator_after``."""
         run = _Run(self, tuples_r, tuples_s, predicate, "process", *self._disk_meter())
+        if disarmed:
+            run.kill_after = None
         early = run.begin(
             self.workers,
             resuming=resuming,
@@ -1043,7 +1050,6 @@ class ProcessPBSM:
         merge_started = time.perf_counter()
         with self.tracer.span("process.merge", streams=len(outcomes)):
             merged, concat_dropped = merge_sorted_unique([o.pairs for o in outcomes])
-            pairs = pair_tuples(merged)
         coordinator_merge_s = time.perf_counter() - merge_started
         duplicates_dropped = concat_dropped + sum(o.duplicates_dropped for o in outcomes)
         self.metrics.counter("merge.duplicates_dropped").inc(duplicates_dropped)
@@ -1058,7 +1064,7 @@ class ProcessPBSM:
             replayed_pairs=list(resumed),
         )
         return ParallelJoinResult(
-            pairs,
+            merged,
             nodes=self._node_reports(outcomes),
             storage_factor_r=placed_r / len(run.side_r),
             storage_factor_s=placed_s / len(run.side_s),
@@ -1101,16 +1107,13 @@ class ProcessPBSM:
         # torn-manifest points already fired (or are waived) — re-arming
         # them would make recovery unrecoverable.  An *explicit*
         # kill_coordinator_after still applies (killing the recovery
-        # coordinator too is a legitimate test), so callers that
-        # auto-resume must clear it first.
+        # coordinator too is a legitimate test); run_through_kill disarms
+        # it on its own recovery run only.
         gate = CheckpointFaultGate(
             None if resuming else self.fault_plan,
             hard=self.kill_hard,
             on_event=run.gate_event,
-            extra_kills=(
-                () if self.kill_coordinator_after is None
-                else (self.kill_coordinator_after,)
-            ),
+            extra_kills=() if run.kill_after is None else (run.kill_after,),
             journal=self.journal,
         )
         store = run.store = CheckpointStore(

@@ -30,7 +30,7 @@ import shutil
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..checkpoint import (
     STATE_COMPLETE,
@@ -41,7 +41,7 @@ from ..checkpoint import (
     stat_run_dir,
     verified_replay,
 )
-from ..core.refine import pair_tuples
+from ..core.refine import SortedPairs
 from ..obs.journal import (
     EVENT_CACHE_CORRUPT,
     EVENT_CACHE_EVICT,
@@ -164,16 +164,13 @@ class ArtifactCache:
                 self._hits[fingerprint.run_id] = entry
         return LOOKUP_HIT
 
-    def replay(
-        self, fingerprint: RunFingerprint
-    ) -> Optional[List[Tuple[int, int]]]:
+    def replay(self, fingerprint: RunFingerprint) -> Optional[SortedPairs]:
         """Answer a complete run from its committed result log.
 
-        Returns the sorted feature-id pair set — byte-equal to what the
-        run that wrote the log returned — or ``None`` when the entry
-        cannot be trusted after all (the caller falls back to the miss
-        path).  Trust is :func:`~repro.checkpoint.verified_replay`'s
-        verdict.
+        Returns the feature-id pairs — equal to what the run that wrote
+        the log returned — or ``None`` when the entry cannot be trusted
+        after all (the caller falls back to the miss path).  Trust is
+        :func:`~repro.checkpoint.verified_replay`'s verdict.
 
         Distrust is always a *downgrade*, never an exception: a log that
         is truncated, torn mid-file, or CRC-broken surfaces to the query
@@ -191,7 +188,7 @@ class ArtifactCache:
         if merged is None:
             self._distrust(fingerprint.run_id, reason)
             return None
-        return pair_tuples(merged)
+        return merged
 
     def _distrust(self, run_id: str, reason: str) -> None:
         """Record that a complete-looking entry failed replay checks."""

@@ -15,7 +15,6 @@ one-shot artifacts are interchangeable because their identity is.
 from __future__ import annotations
 
 import hashlib
-import json
 from concurrent.futures import CancelledError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..core.pbsm import PBSMConfig
 from ..core.predicates import Predicate, contains, intersects, intersects_naive
+from ..core.refine import SortedPairs, merge_sorted_unique
 from ..data import sequoia, tiger
 from ..checkpoint.manifest import RunFingerprint
 from ..parallel import process
@@ -65,9 +65,13 @@ def result_digest(pairs: Iterable[Tuple[int, int]]) -> str:
     list in canonical JSON, so any two paths to the same answer — a cold
     run, a checkpoint replay, a one-shot ``parallel`` run — hash equal,
     and anything else does not.  Responses always carry it; shipping the
-    full pair list is opt-in."""
-    canon = sorted({(int(a), int(b)) for a, b in pairs})
-    blob = json.dumps([list(p) for p in canon], separators=(",", ":"))
+    full pair list is opt-in.  A join's
+    :class:`~repro.core.refine.SortedPairs` is that list already; any
+    other iterable is merged into one first.  The array is then formatted
+    in one pass."""
+    if not isinstance(pairs, SortedPairs):
+        pairs, _ = merge_sorted_unique([list(pairs)])
+    blob = "[%s]" % ("[%d,%d]," * len(pairs))[:-1] % tuple(pairs.array.ravel().tolist())
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 

@@ -48,9 +48,10 @@ import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..checkpoint.store import CheckpointMismatchError
+from ..core.refine import SortedPairs
 from ..obs.journal import (
     EVENT_CACHE_HIT,
     EVENT_DISK_PRESSURE,
@@ -537,7 +538,7 @@ class JoinServer:
                     EVENT_QUERY_RECEIVED, query=query_id, **spec.to_wire()
                 )
                 disposition = self.cache.lookup(fingerprint)
-                pairs: Optional[List[Tuple[int, int]]] = None
+                pairs: Optional[SortedPairs] = None
                 if disposition == LOOKUP_HIT:
                     pairs = self.cache.replay(fingerprint)
                 if pairs is not None:
@@ -621,12 +622,12 @@ class JoinServer:
         if drill is not None:
             response["drill"] = drill
         if spec.include_pairs:
-            response["pairs"] = [list(p) for p in pairs]
+            response["pairs"] = pairs.array.tolist()
         return response
 
     def _run_engine(
         self, spec, tuples_r, tuples_s, journal, *, resume: bool
-    ) -> Tuple[List[Tuple[int, int]], Optional[dict]]:
+    ) -> Tuple[SortedPairs, Optional[dict]]:
         """Execute (or resume) the join on the resident pool; if the
         coordinator-kill drill fires, recover by resuming our own cache
         entry — the same protocol a crashed one-shot run recovers by."""

@@ -269,6 +269,16 @@ class TestResumeSemantics:
         for name in ("parallel.worker.results", "pbsm.merge.pairs_swept"):
             assert resumed.snapshot()[name] == clean.snapshot()[name]
 
+    def test_run_through_kill_disarms_only_its_own_recovery(self, tmp_path, workload):
+        tuples_r, tuples_s, expected = workload
+        engine = make_engine(tmp_path, kill_coordinator_after=3)
+        result, killed_at = engine.run_through_kill(tuples_r, tuples_s, intersects)
+        assert killed_at == 3 and result.pairs == expected
+        with pytest.raises(CoordinatorKilledError) as exc_info:
+            engine.run(tuples_r, tuples_s, intersects)
+        assert exc_info.value.ordinal == 3
+        assert engine.kill_coordinator_after == 3
+
     def test_run_discards_and_starts_over(self, tmp_path, workload):
         tuples_r, tuples_s, expected = workload
         with pytest.raises(CoordinatorKilledError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import dedup_sorted_pairs, intersects, merge_sorted_unique
-from repro.core.refine import pair_tuples, refine
+from repro.core.refine import refine
 from repro.geometry import Polyline
 from repro.storage import OID, SpatialTuple
 
@@ -69,8 +69,8 @@ class TestMergeSortedUnique:
         if as_arrays:
             runs = [np.array(run, np.int64).reshape(-1, 2) for run in runs]
         merged, dropped = merge_sorted_unique(runs)
-        assert merged.dtype == np.int64 and merged.shape == (len(merged), 2)
-        assert (pair_tuples(merged), dropped) == expected
+        assert merged.array.dtype == np.int64 and merged.array.shape == (len(merged), 2)
+        assert (list(merged), dropped) == expected
 
 
 class TestRefine:

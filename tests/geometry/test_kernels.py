@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro import contains
 from repro.core.predicates import _geoms_intersect
-from repro.core.refine import pair_tuples
 from repro.geometry import (
     Polygon,
     Polyline,
@@ -466,7 +465,7 @@ def contain_each(outers, inners, pairs):
     ]
     span = Tracer().start_span("refine")
     candidates = np.array(sorted(pairs), np.int64).reshape(-1, 2)
-    held = set(pair_tuples(refine_pair(candidates, *stored, contains, span=span)[0]))
+    held = set(map(tuple, refine_pair(candidates, *stored, contains, span=span)[0].tolist()))
     assert span.tags["columnar"] is True
     rows = {name: span.tags[name] for name in ("square_hits", "segment_pairs", "vertex_rows")}
     assert {type(count) for count in rows.values()} == {int}

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.core.partition import SpatialPartitioner
 from repro.core.pbsm import PBSMConfig, merge_partition_pair
-from repro.core.refine import pair_tuples
 from repro.geometry import Rect, kernels
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel.process import DEFAULT_TASK_MEMORY, ProcessPBSM
@@ -71,7 +70,7 @@ def joined(kps_r, kps_s, **observe):
     )
     assert candidates.dtype == np.int64 and candidates.shape == (len(candidates), 2)
     assert (np.lexsort(candidates.T[::-1]) == np.arange(len(candidates))).all()
-    return pair_tuples(candidates)
+    return list(map(tuple, candidates.tolist()))
 
 
 LATTICE = [np.float32(v) for v in (0.0, 0.5, 1.0, 2.0, 3.0)]

@@ -28,7 +28,6 @@ from repro import contains, intersects
 from repro.core.partition import SpatialPartitioner
 from repro.core.pbsm import PBSMConfig
 from repro.core.predicates import ContainsWithFilters, intersects_naive
-from repro.core.refine import pair_tuples
 from repro.geometry import Polygon, Polyline, kernels
 from repro.obs import Tracer
 from repro.parallel import tasks
@@ -80,7 +79,7 @@ def refine_pair(candidates, *args, **kwargs):
     sweep makes, its answer back as tuples."""
     pairs = np.array(candidates, np.int64).reshape(-1, 2)
     answer, dropped = tasks.refine_pair(pairs[np.lexsort(pairs.T[::-1])], *args, **kwargs)
-    return pair_tuples(answer), dropped
+    return list(map(tuple, answer.tolist())), dropped
 
 
 def refined(candidates, path_r, path_s, predicate):

@@ -20,7 +20,6 @@ from repro import contains, intersects
 from repro.checkpoint.manifest import RunFingerprint
 from repro.checkpoint.store import CheckpointStore
 from repro.core.partition import TileGrid
-from repro.core.refine import pair_tuples
 from repro.data import (
     generate_hydrography,
     generate_islands,
@@ -70,7 +69,7 @@ def pooled(workload, tmp_path_factory):
 @pytest.fixture(scope="module")
 def expected(pooled):
     """The pooled run's answer, as a result's ``pairs``."""
-    return sorted(pair for task in pooled.values() for pair in pair_tuples(task.pairs))
+    return sorted(tuple(pair) for task in pooled.values() for pair in task.pairs.tolist())
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +181,7 @@ class TestRebuildPairs:
         landuse, islands, *_ = joins["landuse_island"]
         rebuilt, _, columnar, _ = rebuilt_pairs(landuse, islands, intersects)
         assert not any(columnar)
-        assert sorted(pair for o in rebuilt for pair in pair_tuples(o.pairs)) == (
+        assert sorted(tuple(pair) for o in rebuilt for pair in o.pairs.tolist()) == (
             parallel_join(landuse, islands, intersects, backend="serial").pairs
         ) != []
 
