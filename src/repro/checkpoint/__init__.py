@@ -1,9 +1,10 @@
 """Durable checkpoint/resume: crash-safe coordinator state for PBSM joins.
 
 The multiprocess backend's coordinator can die — a crashed host, an OOM
-kill, an operator's ctrl-C — and before this package existed, everything
-it had already paid for (partitioning both inputs, every merged partition
-pair) died with it.  ``repro.checkpoint`` makes that work durable:
+kill, an operator's ctrl-C — and before this package existed, every
+partition pair it had already merged died with it.  ``repro.checkpoint``
+makes that work durable (partitioning is cheap and depends only on the
+inputs, so a resume redoes it rather than storing it):
 
 * :class:`~repro.checkpoint.manifest.RunFingerprint` — the join's identity
   (input CRCs, predicate, grid, config), so state can never be resumed
@@ -44,7 +45,6 @@ from .manifest import (
     STATE_COMPLETE,
     STATE_CREATED,
     STATE_MERGING,
-    STATE_PARTITIONED,
     JoinManifest,
     RunFingerprint,
 )
@@ -70,7 +70,6 @@ __all__ = [
     "STATE_COMPLETE",
     "STATE_CREATED",
     "STATE_MERGING",
-    "STATE_PARTITIONED",
     "CheckpointInfo",
     "CheckpointMismatchError",
     "CheckpointStore",

@@ -6,12 +6,12 @@ A :class:`JoinManifest` is an append-only event log with a header:
   :class:`RunFingerprint` — everything that determines the join's answer
   (input cardinalities and content CRCs, the predicate, the partitioning
   grid, the full PBSM config).  Two runs with the same fingerprint are
-  the same join, so their partition spills and committed pair results are
-  interchangeable; a resume against a different fingerprint must refuse.
-* **frames 1..n — events**: ``spills_sealed`` (one side's partition spill
-  files hit disk, with per-file sizes and record counts), ``phase`` (the
-  coordinator advanced its state machine), ``complete`` (the join
-  finished, with its result count).
+  the same join, so their committed pair results are interchangeable; a
+  resume against a different fingerprint must refuse.
+* **frames 1..n — events**: ``phase`` (the coordinator advanced its
+  state machine: merging began, with the pair count) and ``complete``
+  (the join finished, with its result count).  Spills are not recorded:
+  they are never durable, and a resume re-partitions from its inputs.
 
 On disk every frame uses the spill format's ``<len><crc32>payload``
 framing, and the whole file is only ever replaced through the atomic
@@ -24,9 +24,9 @@ loader's contract is strict: it returns a manifest built from an intact
 wrong state — the Hypothesis corruption suite flips every byte to hold it
 to that.
 
-The derived state machine (``created → partitioned → merging →
-complete``) is never stored; it is recomputed from the events, so there
-is no second copy to disagree with the log.
+The derived state machine (``created → merging → complete``) is never
+stored; it is recomputed from the events, so there is no second copy to
+disagree with the log.
 """
 
 from __future__ import annotations
@@ -46,15 +46,14 @@ MANIFEST_VERSION = 1
 
 HEADER_TYPE = "pbsm-join-manifest"
 
-EVENT_TYPES = ("spills_sealed", "phase", "complete")
+EVENT_TYPES = ("phase", "complete")
 """Every event kind the loader will accept; anything else is corruption."""
 
 STATE_CREATED = "created"
-STATE_PARTITIONED = "partitioned"
 STATE_MERGING = "merging"
 STATE_COMPLETE = "complete"
 
-STATES = (STATE_CREATED, STATE_PARTITIONED, STATE_MERGING, STATE_COMPLETE)
+STATES = (STATE_CREATED, STATE_MERGING, STATE_COMPLETE)
 
 PARTITION_LAYOUT = "two-layer-v2-blocks"
 """The current partition/spill layout generation, part of the fingerprint.
@@ -66,7 +65,7 @@ written under an older layout (``two-layer-v1``: the same records, one
 frame each; ``replicate-dedup-v0``: one untagged key-pointer per
 overlapped *partition*, sorted-set dedup at the coordinator) describe
 different spill bytes or per-pair result logs, so they must never be
-adopted by a resume or served from the artifact cache — a layout bump
+replayed by a resume or served from the artifact cache — a layout bump
 changes the fingerprint digest, turning every stale artifact into a cache
 miss."""
 
@@ -179,26 +178,11 @@ class JoinManifest:
     @property
     def state(self) -> str:
         state = STATE_CREATED
-        sealed = set()
         for event in self.events:
-            kind = event["type"]
-            if kind == "complete":
+            if event["type"] == "complete":
                 return STATE_COMPLETE
-            if kind == "phase":
-                state = event["state"]
-            elif kind == "spills_sealed":
-                sealed.add(event["side"])
-                if sealed >= {"r", "s"} and state == STATE_CREATED:
-                    state = STATE_PARTITIONED
+            state = event["state"]
         return state
-
-    def sealed(self, side: str) -> Optional[dict]:
-        """The latest seal event for one side (a re-partition supersedes)."""
-        found = None
-        for event in self.events:
-            if event["type"] == "spills_sealed" and event["side"] == side:
-                found = event
-        return found
 
     @property
     def pairs_total(self) -> Optional[int]:

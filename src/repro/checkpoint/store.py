@@ -7,7 +7,9 @@ run under the user's checkpoint directory::
       run-<sha256[:12]>/          one directory per distinct join
         manifest.bin              framed event log, atomically rewritten
         results.log               framed pair results, append + fsync
-        spills/                   partition spill files (adoptable)
+
+Nothing else: a run's partition spills live in a temporary directory of
+its own, and a resume re-partitions both sides from its inputs.
 
 Every **durable operation** — a manifest rewrite or a result-log append —
 ticks the store's *checkpoint ordinal*.  That clock is what makes crash
@@ -39,7 +41,6 @@ from ..obs.journal import (
 )
 from ..storage.disk import SimulatedDisk, atomic_write_bytes
 from ..storage.errors import DiskFullError, ManifestCorruptionError
-from ..storage.spill import sweep_orphan_spills
 
 from .manifest import STATE_COMPLETE, JoinManifest, RunFingerprint
 from .resultlog import (
@@ -54,7 +55,6 @@ if TYPE_CHECKING:  # imported only for typing to avoid a package cycle
 
 MANIFEST_FILENAME = "manifest.bin"
 RESULTS_FILENAME = "results.log"
-SPILL_DIRNAME = "spills"
 
 RUN_DIR_PREFIX = "run-"
 
@@ -102,21 +102,21 @@ class CheckpointStore:
         self.disk = disk
         self.on_durable = on_durable
         self.journal = journal
+        """Flight recorder for ``checkpoint_commit`` events; the journal
+        entry lands *before* ``on_durable`` runs, so a fault gate that
+        kills the coordinator at this ordinal leaves the commit on
+        record — the post-mortem sees exactly how far durability got."""
         self.budget = budget
         """Optional :class:`~repro.storage.pressure.DiskBudget` every
         durable write charges under ``checkpoint`` before touching disk.
         A denied write triggers one round of sibling-run garbage
         collection (completed runs in the same directory are finished
-        with) and one retry before the denial propagates."""
-        self._manifest_charged = 0
-        """Flight recorder for ``checkpoint_commit`` events; the journal
-        entry lands *before* ``on_durable`` runs, so a fault gate that
-        kills the coordinator at this ordinal leaves the commit on
-        record — the post-mortem sees exactly how far durability got."""
+        with) and one retry before the denial propagates.  The budget
+        meters the run directory's files: a file this store replaces or
+        removes returns its bytes, whoever wrote it."""
         self.run_dir = self.root / fingerprint.run_id
         self.manifest_path = self.run_dir / MANIFEST_FILENAME
         self.results_path = self.run_dir / RESULTS_FILENAME
-        self.spill_dir = self.run_dir / SPILL_DIRNAME
         self.manifest: Optional[JoinManifest] = None
         self.ordinal = 0
         """Durable operations completed by *this* coordinator process."""
@@ -163,7 +163,6 @@ class CheckpointStore:
     def begin(self, manifest: JoinManifest) -> None:
         """Adopt ``manifest`` as this run's state and persist it (durable)."""
         self.manifest = manifest
-        self.spill_dir.mkdir(parents=True, exist_ok=True)
         self._rewrite_manifest()
 
     def append_event(self, event: dict) -> dict:
@@ -176,6 +175,7 @@ class CheckpointStore:
     def _rewrite_manifest(self) -> None:
         assert self.manifest is not None
         data = self.manifest.to_bytes()
+        replaced = _file_bytes(self.manifest_path)
         # The disk charge is folded into _durable; atomic_write_bytes only
         # performs the real-filesystem protocol here.
         self._write_durable(
@@ -187,8 +187,7 @@ class CheckpointStore:
         if self.budget is not None:
             # The rename replaced the previous manifest; its bytes left
             # the disk, so return them to the budget.
-            self.budget.release(self._manifest_charged, "checkpoint")
-            self._manifest_charged = len(data)
+            self.budget.release(replaced, "checkpoint")
         self._durable(self.manifest_path, DURABLE_MANIFEST, len(data))
 
     # ------------------------------------------------------------------ #
@@ -213,7 +212,7 @@ class CheckpointStore:
 
         A :class:`DiskFullError` triggers garbage collection of completed
         sibling runs (a finished run's checkpoints exist only to be
-        adopted; under pressure, finishing *this* run wins) and one
+        replayed; under pressure, finishing *this* run wins) and one
         retry.  A second denial propagates — there is nothing left to
         free at this layer.
         """
@@ -264,18 +263,17 @@ class CheckpointStore:
     def discard_results(self) -> None:
         """Drop the result log: every pair gets requeued."""
         self.close()
+        dropped = _file_bytes(self.results_path)
         try:
             self.results_path.unlink()
         except FileNotFoundError:
-            pass
+            return
+        if self.budget is not None:
+            self.budget.release(dropped, "checkpoint")
 
     # ------------------------------------------------------------------ #
     # housekeeping
     # ------------------------------------------------------------------ #
-
-    def sweep_orphans(self) -> List[str]:
-        """Collect unsealed ``*.tmp`` files a dead writer left in this run."""
-        return sweep_orphan_spills(self.run_dir)
 
     def sibling_run_ids(self) -> List[str]:
         """Other runs' ids present in the same checkpoint directory."""
@@ -392,15 +390,16 @@ def select_lru_victims(
     return victims
 
 
+def _file_bytes(path: Path) -> int:
+    """A file's size, 0 when it is absent."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
 def _dir_bytes(path: Path) -> int:
-    total = 0
-    for child in path.rglob("*"):
-        if child.is_file():
-            try:
-                total += child.stat().st_size
-            except OSError:
-                continue
-    return total
+    return sum(_file_bytes(child) for child in path.rglob("*") if child.is_file())
 
 
 def run_dirs(root: "Path | str") -> List[Path]:

@@ -105,10 +105,10 @@ def merge_sorted_unique(runs: Sequence) -> Tuple[SortedPairs, int]:
 
 def drop_adjacent(pairs: np.ndarray) -> Tuple[np.ndarray, int]:
     """A sorted ``(n, 2)`` pair array without its adjacent repeats, and how
-    many there were."""
-    fresh = np.ones(len(pairs), dtype=bool)
-    fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
-    return pairs[fresh], len(pairs) - int(np.count_nonzero(fresh))
+    many there were: ``pairs`` itself, uncopied, when there were none."""
+    repeat = (pairs[1:, 0] == pairs[:-1, 0]) & (pairs[1:, 1] == pairs[:-1, 1])
+    dropped = int(np.count_nonzero(repeat))
+    return (pairs[np.concatenate(([True], ~repeat))] if dropped else pairs), dropped
 
 
 def dedup_sorted_pairs(pairs: List[CandidatePair]) -> List[CandidatePair]:

@@ -251,11 +251,12 @@ class FaultPlan:
             for _ in range(spec.disk_write_errors)
         )
         # Checkpoint-ordinal faults.  A fresh run's durable ops are:
-        # 1 = manifest init, 2/3 = spill seals, 4 = merging phase, then one
-        # per committed pair.  Kills draw from [2, 5) — after real work
-        # exists to preserve, before the worker pool spawns, so a hard
-        # SIGKILL cannot orphan workers.  Manifest tears draw from [1, 5):
-        # any manifest rewrite's tail is fair game.
+        # 1 = manifest, 2 = merging, then one per committed pair.  Kills
+        # draw from [2, 5) — from the merging phase to two commits in (a
+        # hard SIGKILL's workers die of their parent watchdog).  Manifest
+        # tears draw from [1, 5): whatever the op, the manifest's tail is
+        # fair game.  Changing either range would move every seeded
+        # plan's stream after it.
         kills = tuple(
             sorted(rng.randrange(2, 5) for _ in range(spec.coordinator_kills))
         )

@@ -55,8 +55,7 @@ EVENT_RUN_FINISHED = "run_finished"
 """Last event of a run: result count, wall seconds, degraded pairs."""
 EVENT_PARTITION_SEALED = "partition_sealed"
 """One side's spill pass finished: per-partition tuple counts (the raw
-material of the Figure 4 skew statistics), plus whether the side was
-freshly written or adopted from a checkpoint."""
+material of the Figure 4 skew statistics) and the tuples it placed."""
 EVENT_SCHEDULE = "schedule"
 """The LPT task order as submitted: ``[{"pair", "cost"}, ...]``."""
 EVENT_TASK_DISPATCHED = "task_dispatched"
@@ -97,7 +96,7 @@ EVENT_QUERY_RECEIVED = "query_received"
 """Serving tier: a join query was admitted (query ordinal, run id, spec)."""
 EVENT_CACHE_HIT = "cache_hit"
 """Serving tier: a query was answered by replaying its cached result log
-(or by adopting a warm run's spills) instead of a cold run."""
+instead of a cold run."""
 EVENT_CACHE_EVICT = "cache_evict"
 """Serving tier: the artifact cache evicted a run directory to fit its
 byte budget (run id, bytes freed)."""

@@ -233,12 +233,10 @@ class ParallelPBSM:
             skew_r.observe(len(frag_r[node_id]))
             skew_s.observe(len(frag_s[node_id]))
         self.journal.emit(
-            EVENT_PARTITION_SEALED, side="r", placed=placed_r,
-            counts=[len(f) for f in frag_r], adopted=False,
+            EVENT_PARTITION_SEALED, side="r", placed=placed_r, counts=[len(f) for f in frag_r]
         )
         self.journal.emit(
-            EVENT_PARTITION_SEALED, side="s", placed=placed_s,
-            counts=[len(f) for f in frag_s], adopted=False,
+            EVENT_PARTITION_SEALED, side="s", placed=placed_s, counts=[len(f) for f in frag_s]
         )
 
         reports: List[NodeReport] = []

@@ -56,8 +56,11 @@ same :func:`~repro.parallel.tasks.join_pair`.
 The coordinator itself is made killable by ``checkpoint_dir=``
 (:mod:`repro.checkpoint`): the run writes a durable join manifest and a
 per-pair result log, and :meth:`ProcessPBSM.resume` rebuilds the run from
-them — re-adopting intact partition spills, replaying committed pairs'
-results and spans, and re-merging only the pairs that never committed.
+them — re-partitioning both sides from the inputs, replaying committed
+pairs' results and spans, and re-merging only the pairs that never
+committed.  Spills are never durable: every pool run writes them to a
+temporary directory of its own, removed when the run ends (a SIGKILLed
+coordinator leaves it in ``TMPDIR``).
 Kill + resume produces the byte-identical pair set of an uninterrupted
 run; the kill-matrix suite asserts it at every checkpoint ordinal.
 """
@@ -132,7 +135,7 @@ from ..obs.metrics import LATENCY_BUCKETS_S, NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..storage.errors import DiskFullError, ManifestCorruptionError
 from ..storage.pressure import DiskBudget
-from ..storage.spill import SpillWriter, sweep_orphan_spills
+from ..storage.spill import SpillWriter
 from ..storage.tuples import SpatialTuple
 from .engine import NodeReport, ParallelJoinResult, TaskReport
 from .tasks import DEFAULT_TASK_MEMORY  # noqa: F401 -- benchmarks/perf/replay.py's import
@@ -153,7 +156,7 @@ from .tasks import (
 )
 
 SideSpills = List[SpillHandle]
-"""One side's per-partition spills: freshly written or checkpoint-adopted."""
+"""One side's per-partition spills, as this run wrote them."""
 
 DEFAULT_TASKS_PER_WORKER = 4
 """Partition count multiplier: more pairs than workers, so LPT ordering
@@ -355,8 +358,9 @@ class _Run:
         """Both sides' routing, as a rebuild holds it."""
         self.store: Optional[CheckpointStore] = None
         self.spill_root = ""
-        self.fresh: Dict[str, List[SpillWriter]] = {}
-        """The writers of each side this run spilled (not adopted)."""
+        """This run's own temporary spill directory."""
+        self.writers: List[SpillWriter] = []
+        """Every spill this run wrote: released from the budget at its end."""
         self.write_errors = WriteErrorInjector(engine.fault_plan, journal=engine.journal)
         self.disk_degraded: Set[int] = set()
         """Partitions whose spill the disk budget denied twice."""
@@ -698,7 +702,7 @@ class ProcessPBSM:
 
     An engine is its configuration: it keeps what its constructor was
     given and nothing else.  Each call makes one :class:`_Run` and hands it
-    through the phases — partition (:meth:`_obtain_side`), build tasks
+    through the phases — partition (:meth:`_spill_side`), build tasks
     (:meth:`_build_tasks`), execute (:meth:`_execute`), rebuild
     (:meth:`_rebuild_pairs`) and finish (:meth:`_finish`) — so what one
     call tallies, meters or injects no later call reports.
@@ -804,7 +808,7 @@ class ProcessPBSM:
         protocol first, so a died coordinator can be picked up by
         :meth:`resume`.  Existing checkpoint state for the same join is
         *discarded* — ``run()`` means start over; only ``resume()``
-        adopts."""
+        replays it."""
         return self._run(tuples_r, tuples_s, predicate, resuming=False)
 
     def resume(
@@ -816,8 +820,8 @@ class ProcessPBSM:
         """Continue a checkpointed run from its durable state.
 
         Validates the run fingerprint (inputs, predicate, grid, config)
-        against the checkpoint directory, re-adopts partition spills that
-        are intact, replays committed pairs from the result log (their
+        against the checkpoint directory, re-partitions both sides from
+        the inputs, replays committed pairs from the result log (their
         spans adopted into this run's trace, their metrics derived like any
         other pair's), and re-merges only the pairs that never committed.
         Raises :class:`~repro.checkpoint.store.CheckpointMismatchError`
@@ -952,21 +956,16 @@ class ProcessPBSM:
         committed: Dict[int, PairTaskResult] = {}
         if self.checkpoint_dir is not None:
             committed = self._open_store(run, resuming)
-        else:
-            run.spill_root = tempfile.mkdtemp(prefix="repro-pbsm-")
+        run.spill_root = tempfile.mkdtemp(prefix="repro-pbsm-")
         try:
             result = self._join(run, committed)
         finally:
             if run.store is not None:
-                run.store.sweep_orphans()
                 run.store.close()
-            else:
-                shutil.rmtree(run.spill_root, ignore_errors=True)
-                # The tempdir's spills just left the disk; checkpoint runs
-                # keep their charges (the files persist).
-                for writers in run.fresh.values():
-                    for writer in writers:
-                        writer.release_budget()
+            shutil.rmtree(run.spill_root, ignore_errors=True)
+            # The spills just left the disk, and their charges with them.
+            for writer in run.writers:
+                writer.release_budget()
         self.metrics.gauge("parallel.process.partitions").set(self.num_partitions)
         self.metrics.gauge("parallel.process.workers").set(self.workers)
         self.metrics.counter("parallel.process.tasks").inc(len(result.tasks))
@@ -980,9 +979,9 @@ class ProcessPBSM:
         side_r, side_s = run.side_r, run.side_s
         with self.tracer.span("process.partition"):
             run.partitioner = self._partitioner(side_r, side_s)
-            spills_r, placed_r = self._obtain_side(run, "r", side_r)
-            spills_s, placed_s = self._obtain_side(run, "s", side_s)
-        if self.fault_plan and self.fault_plan.torn_frames and run.fresh:
+            spills_r, placed_r = self._spill_side(run, "r", side_r)
+            spills_s, placed_s = self._spill_side(run, "s", side_s)
+        if self.fault_plan and self.fault_plan.torn_frames:
             self._apply_torn_frames(run, spills_r, spills_s)
         # Held until the run ends: a concurrent run that drops a damaged
         # relation file must not take it off the disk under these tasks.
@@ -1097,9 +1096,8 @@ class ProcessPBSM:
     # ------------------------------------------------------------------ #
 
     def _open_store(self, run: _Run, resuming: bool) -> Dict[int, PairTaskResult]:
-        """Open the run's checkpoint store (``run.store``, its spill
-        directory the run's) and recover what the run starts from: the
-        pairs already committed."""
+        """Open the run's checkpoint store (``run.store``) and recover
+        what the run starts from: the pairs already committed."""
         fingerprint = RunFingerprint.compute(
             run.side_r, run.side_s, run.predicate, self.num_partitions, self.config
         )
@@ -1121,13 +1119,8 @@ class ProcessPBSM:
             on_durable=gate.after_durable, journal=self.journal,
             budget=run.budget,
         )
-        store.run_dir.mkdir(parents=True, exist_ok=True)
-        swept = store.sweep_orphans()
-        if swept:
-            run.count("orphan_spills_swept", len(swept))
         manifest, committed = self._recover_state(run, store, resuming)
         store.begin(manifest)
-        run.spill_root = str(store.spill_dir)
         return committed
 
     def _recover_state(
@@ -1167,115 +1160,46 @@ class ProcessPBSM:
             run.count("resumed_pairs", len(committed))
         return manifest, committed
 
-    def _obtain_side(
-        self, run: _Run, side: str, columns: InputSide
-    ) -> Tuple[SideSpills, int]:
-        """Adopt one side's sealed spills from the checkpoint, else spill it
-        (its writers go in ``run.fresh``).
-
-        Adoption requires every recorded file to exist at its recorded
-        size; anything less re-partitions the side from the base relation
-        and appends a superseding seal event (last seal per side wins)."""
-        store = run.store
-        seal = store.manifest.sealed(side) if store is not None else None
-        adopted = None if seal is None else self._adopt_spills(seal, run.spill_root)
-        if seal is not None:
-            run.count("spill_sides_rebuilt" if adopted is None else "spill_sides_adopted")
-        if adopted is None:
-            routing = columns.routing(run.partitioner)  # type: ignore[arg-type]
-            run.fresh[side] = self._spill_side(run, side, len(columns), routing)
-            # A degraded partition's spill is a sealed empty file.
-            spills = [
-                SpillHandle(w.path, 0 if p in run.disk_degraded else len(ordinal))
-                for p, (w, ordinal) in enumerate(zip(run.fresh[side], routing.ordinals))
-            ]
-            skew = self.metrics.histogram(f"parallel.partition.keypointers_{side}")
-            for spill in spills:
-                skew.observe(spill.count)
-            placed = routing.placed
-        else:
-            spills, placed = adopted
-        self.journal.emit(
-            EVENT_PARTITION_SEALED,
-            side=side,
-            placed=placed,
-            counts=[s.count for s in spills],
-            adopted=side not in run.fresh,
-        )
-        if side in run.fresh and store is not None and not run.disk_degraded:
-            # A side partitioned under disk pressure holds deliberately
-            # empty spills for its degraded partitions; sealing it would
-            # let a resume adopt files that lie about the data.  No seal
-            # event → a resume re-partitions the side from source.
-            store.append_event(
-                {
-                    "type": "spills_sealed",
-                    "side": side,
-                    "placed": placed,
-                    "files": [
-                        {
-                            "partition": p,
-                            "kp": os.path.basename(s.kp_path),
-                            "kp_bytes": os.path.getsize(s.kp_path),
-                            "count": s.count,
-                        }
-                        for p, s in enumerate(spills)
-                    ],
-                }
-            )
-        return spills, placed
-
-    def _adopt_spills(
-        self, seal: dict, spill_root: str
-    ) -> Optional[Tuple[SideSpills, int]]:
-        """Re-validate one seal event against the disk: its spills and the
-        tuples it placed, or ``None`` = rebuild.
-        Only the key-pointer fields count: the ``tup`` / ``tup_bytes`` of
-        a seal written when partitions also spilled tuples are ignored."""
-        files = seal.get("files", [])
-        handles = [
-            SpillHandle(os.path.join(spill_root, entry["kp"]), int(entry["count"]))
-            for entry in files
-        ]
-        try:
-            intact = len(files) == self.num_partitions and all(
-                os.path.getsize(handle.kp_path) == entry["kp_bytes"]
-                for handle, entry in zip(handles, files)
-            )
-        except OSError:
-            return None
-        return (handles, int(seal["placed"])) if intact else None
-
     # ------------------------------------------------------------------ #
     # partitioning + spilling
     # ------------------------------------------------------------------ #
 
     def _spill_side(
-        self, run: _Run, side: str, length: int, routing: SideRouting
-    ) -> List[SpillWriter]:
+        self, run: _Run, side: str, columns: InputSide
+    ) -> Tuple[SideSpills, int]:
         """Spill one input's key-pointers, replicated across the partitions
         it overlaps: for each partition in turn, every tuple's two-layer
         ``(tile, class)`` slots there — routed from the exact f64 MBR — as
         one tagged key-pointer each.  A partition is written whole
         (:meth:`_spill_partition`) before the next is opened, so a failure
-        costs the one being written; the side's files are sealed together
-        at the end, their fsyncs back to back (spaced a partition's work
-        apart they take longer, and less steadily)."""
-        run.write_errors.arm_side(side, length)
-        spills: List[SpillWriter] = []
+        costs the one being written.  Returns the side's spills (a
+        degraded partition's is an empty file) and the tuples it placed."""
+        routing = columns.routing(run.partitioner)  # type: ignore[arg-type]
+        run.write_errors.arm_side(side, len(columns))
+        writers: List[SpillWriter] = []
         try:
             for p in range(self.num_partitions):
-                spills.append(self._spill_partition(run, side, p, routing, spills))
-            for spill in spills:
-                spill.close()
+                writers.append(self._spill_partition(run, side, p, routing))
+                writers[-1].close()
         except BaseException:
-            # Abort, not remove: discard the output, sealed or not, of
-            # the partitions before the one that failed (which aborted
-            # its own), leaving no spill litter on the failure path.
-            for spill in spills:
-                spill.abort()
+            # Discard the output of the partitions before the one that
+            # failed (which aborted its own): no spill litter.
+            for writer in writers:
+                writer.abort()
             raise
-        return spills
+        run.writers.extend(writers)
+        spills = [
+            SpillHandle(w.path, 0 if p in run.disk_degraded else len(ordinal))
+            for p, (w, ordinal) in enumerate(zip(writers, routing.ordinals))
+        ]
+        skew = self.metrics.histogram(f"parallel.partition.keypointers_{side}")
+        for spill in spills:
+            skew.observe(spill.count)
+        self.journal.emit(
+            EVENT_PARTITION_SEALED,
+            side=side, placed=routing.placed, counts=[s.count for s in spills],
+        )
+        return spills, routing.placed
 
     def _spill_partition(
         self,
@@ -1283,36 +1207,29 @@ class ProcessPBSM:
         side: str,
         p: int,
         routing: SideRouting,
-        written: List[SpillWriter],
     ) -> SpillWriter:
         """Write partition ``p``'s key-pointer spill, a block at a time
         (:func:`~repro.parallel.tasks.spill_blocks`), and retry *here*
         when a write fails — the one place a failed spill write is
-        recovered; the writer comes back complete but unsealed, after
-        those in ``written``.  A checkpointed run's file stages through
-        ``*.tmp`` and only reaches its final name sealed, so a resume can
-        trust any spill file that exists under the run directory.
+        recovered; the writer comes back complete but unclosed.
         Whatever fails, the partial file is aborted — and its budget
         charge released — before anything else happens.
 
         * A write error (the plan's; the injector is one-shot, so it
           cannot starve the loop) → rewrite the partition, at most
           :data:`PARTITION_WRITE_RETRIES` times.
-        * A write the disk budget denies → reclaim, cheapest first (the
-          partial file; stale orphan temp files, the partitions already
-          ``written`` sealed first so that none of them is this run's;
-          and — when checkpointing — completed sibling runs), and rewrite
-          **once**.
-        * A second denial → the partition is *degraded*: its spill is a
-          sealed empty file, so no task is built, and the coordinator
+        * A write the disk budget denies → reclaim (the partial file and,
+          when checkpointing, completed sibling runs) and rewrite **once**.
+        * A second denial → the partition is *degraded*: its spill is an
+          empty file, so no task is built, and the coordinator
           rebuilds the pair serially in memory after the merge phase (as
           it does for the other side of a partition already degraded).
 
         Every way the run finishes exact."""
         path = os.path.join(run.spill_root, f"part{p:04d}.{side}.kp")
-        atomic, write_errors, denied = run.store is not None, 0, False
+        write_errors, denied = 0, False
         while p not in run.disk_degraded:
-            spill = SpillWriter(path, atomic=atomic, budget=run.budget)
+            spill = SpillWriter(path, budget=run.budget)
             try:
                 blocks = spill_blocks(routing.ordinals[p], routing.keypointers[p])
                 for window, keypointers in blocks:
@@ -1336,9 +1253,6 @@ class ProcessPBSM:
                 self.journal.emit(
                     EVENT_DISK_PRESSURE, category="spill", side=side, partition=p
                 )
-                for earlier in written:
-                    earlier.close()
-                sweep_orphan_spills(run.spill_root, run.budget)
                 if run.store is not None:
                     run.store.reclaim_completed_siblings()
             except BaseException:
@@ -1352,9 +1266,7 @@ class ProcessPBSM:
                         side=side, partition=p, action="sweep_retry",
                     )
                 return spill
-        empty = SpillWriter(path, atomic=atomic)
-        empty.close()
-        return empty
+        return SpillWriter(path)
 
     def _apply_torn_frames(
         self, run: _Run, spills_r: SideSpills, spills_s: SideSpills
@@ -1363,9 +1275,7 @@ class ProcessPBSM:
 
         A torn frame in a partition that never becomes a task would go
         unread, so plans targeting an inactive pair are redirected onto an
-        active one deterministically — the fault always has a victim.
-        Only the sides this run spilled are torn: for an adopted spill the
-        fault already happened in the run that wrote it."""
+        active one deterministically — the fault always has a victim."""
         assert self.fault_plan is not None
         active = [
             p
@@ -1376,8 +1286,6 @@ class ProcessPBSM:
             return
         active_set = set(active)
         for torn in self.fault_plan.torn_frames:
-            if torn.side not in run.fresh:
-                continue
             partition = torn.partition % self.num_partitions
             if partition not in active_set:
                 partition = active[torn.partition % len(active)]

@@ -33,8 +33,8 @@ key-pointer records (:func:`sweep_pair`), and a relation opens as columns
 own records, for the coordinator's rebuilds) from which
 :func:`refine_pair` either gathers coordinate runs (polylines under
 ``intersects``; under ``contains``, the polygons the stored refine rows
-leave undecided) or decodes, on first lookup, the tuples a candidate
-names.
+leave undecided) or decodes, once per call, the tuples the candidates
+name.
 
 A :class:`PairTask` names those files plus the join configuration; it
 pickles in a few hundred bytes no matter how large the partition is.
@@ -86,7 +86,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -658,8 +658,8 @@ class PartitionSpill:
 
 @dataclass(frozen=True)
 class SpillHandle:
-    """One partition's sealed key-pointer spill, as the coordinator builds
-    tasks from it: freshly written or adopted from a checkpoint."""
+    """One partition's key-pointer spill, as the coordinator builds tasks
+    from it."""
 
     kp_path: str
     count: int
@@ -690,8 +690,7 @@ class StoredRecords(Mapping):
     :func:`read_relation` makes it of a side's relation file, the buffer
     the file's read-only mapping, and :class:`InputSide` of its own
     columns, the buffer its ``payload``: views either way.  A lookup
-    decodes the record on first use and memoises it — most tuples are
-    never referenced by a candidate — the records are located through a
+    decodes its record afresh — nothing decoded is kept — found through a
     sorted feature-id index built once, :meth:`columns` serves many of them
     without building a tuple at all, and ``refine`` — the records'
     :data:`REFINE_DTYPE` rows, or ``None`` — without decoding any.
@@ -721,20 +720,13 @@ class StoredRecords(Mapping):
         self._sorted_fids = (fids if self._order is None else fids[self._order]).astype(
             np.int64, copy=False
         )
-        self._found: Dict[int, SpatialTuple] = {}
 
     def __getitem__(self, feature_id: int) -> SpatialTuple:
-        t = self._found.get(feature_id)
-        if t is None:
-            at = int(self._sorted_fids.searchsorted(feature_id, side="right")) - 1
-            if at < 0 or self._sorted_fids[at] != feature_id:
-                raise KeyError(feature_id)
-            record = at if self._order is None else self._order[at]
-            t = deserialize_tuple(
-                self._buffer[self._starts[record] : self._ends[record]]
-            )
-            self._found[feature_id] = t
-        return t
+        at = int(self._sorted_fids.searchsorted(feature_id, side="right")) - 1
+        if at < 0 or self._sorted_fids[at] != feature_id:
+            raise KeyError(feature_id)
+        record = at if self._order is None else self._order[at]
+        return deserialize_tuple(self._buffer[self._starts[record] : self._ends[record]])
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._fids.tolist())
@@ -1069,12 +1061,13 @@ def refine_pair(
     under ``contains`` with ``refine`` rows on both sides, from those rows
     and, for what they leave undecided, ring columns (:func:`_contains_each`).
     No tuple is built.  What needs a tuple — polygons under ``intersects``,
-    a side of mixed geometry, any other predicate — takes the loop: look
-    both tuples up, call the predicate.  ``span``, if given, is tagged with
-    which form ran, what it decoded, how many rows reached the exact tests,
+    a side of mixed geometry, any other predicate — takes the loop: decode
+    each record the candidates name once, for this call, and call the
+    predicate per candidate.  ``span``, if given, is tagged with which
+    form ran, what it decoded, how many rows reached the exact tests,
     how many candidates were decided without them (``square_hits``), and
     the seconds spent decoding columns (``decode_s``) and deciding
-    (``kernel_s``; all of the loop's, which decodes as it goes).
+    (``kernel_s``; all of the loop's, its decoding included).
     """
     started, decode_s = time.perf_counter(), 0.0
 
@@ -1101,8 +1094,10 @@ def refine_pair(
             rows.update(tested)
     columnar = hits is not None
     if not columnar:
+        tuples_r = [records_r[r] for r in named_r.tolist()]
+        tuples_s = [records_s[s] for s in named_s.tolist()]
         hits = np.fromiter(
-            (predicate(records_r[r], records_s[s]) for r, s in pairs.tolist()),
+            (predicate(tuples_r[i], tuples_s[j]) for i, j in zip(of_r.tolist(), of_s.tolist())),
             dtype=bool, count=len(pairs),
         )
     if span is not None:

@@ -1,15 +1,16 @@
 """The artifact cache: checkpoint run directories as a serving cache.
 
-PR 4's checkpoint store already makes every join's partition spills and
-committed pair results durable, fingerprinted, and replayable — built as
-crash-recovery machinery, but shaped exactly like a cache entry.  An
+The checkpoint store already makes every join's committed pair results
+durable, fingerprinted and replayable — built as crash-recovery
+machinery, but shaped exactly like a cache entry: a run directory is its
+``manifest.bin`` and ``results.log``, nothing else.  An
 :class:`ArtifactCache` manages a checkpoint root as one:
 
 * **lookup** classifies a fingerprint's run directory as a *hit* (the
   manifest says ``complete`` and the result log replays clean — answer
   the query by unioning the committed pairs, no processes spawned), a
-  *warm* entry (partitioned but unfinished — resume it, adopting the
-  spill files and merging only uncommitted pairs), or a *miss* (run cold
+  *warm* entry (unfinished — resume it: re-partition from the inputs,
+  replay the committed pairs and merge only the rest), or a *miss* (run cold
   with ``checkpoint_dir`` pointed here, which **is** the fill);
 * **pinning** marks entries queries are actively reading or writing;
 * **eviction** prunes least-recently-used runs until the directory fits

@@ -14,14 +14,15 @@ of an invisible, ever-growing queue.  During shutdown the reject reason
 is ``"shutting_down"``.
 
 **The artifact cache.**  Every executed query runs with its checkpoint
-directory pointed at the cache root, so the durable spill + result-log
+directory pointed at the cache root, so the durable manifest + result-log
 state a crash-safe run leaves behind doubles as the cache fill.  A
 repeat of a *completed* query replays its committed result log — no
 processes, no partitioning, just a file read.  A repeat of a query that
-died midway resumes: spills are adopted, committed pairs replayed, only
-the remainder merged.  Identity is the run fingerprint, which one-shot
-``repro parallel --checkpoint-dir`` runs share — the server can adopt a
-CLI run's artifacts and vice versa.
+died midway resumes: both sides re-partitioned from the inputs,
+committed pairs replayed, only the remainder merged.  Identity is the run
+fingerprint, which one-shot ``repro parallel --checkpoint-dir`` runs
+share — the server can resume or replay a CLI run's artifacts and vice
+versa.
 
 **Coalescing.**  Two simultaneous identical queries would race to write
 the same run directory.  Per fingerprint, the first arrival becomes the

@@ -238,9 +238,10 @@ def atomic_write_bytes(
 
     A reader concurrent with (or resumed after) a crash sees either the
     complete old bytes or the complete new bytes under ``path`` — the
-    half-written state only ever exists under ``<path>.tmp``, which orphan
-    sweeps collect.  ``disk`` (optional) charges the protocol's modeled
-    cost on a :class:`SimulatedDisk` via :meth:`~SimulatedDisk.charge_durable_write`.
+    half-written state only ever exists under ``<path>.tmp``, which the
+    next write to ``path`` replaces.  ``disk`` (optional) charges the
+    protocol's modeled cost on a :class:`SimulatedDisk` via
+    :meth:`~SimulatedDisk.charge_durable_write`.
 
     ``budget`` (optional :class:`~repro.storage.pressure.DiskBudget`)
     charges ``len(data)`` under ``category`` *before* any byte is staged,

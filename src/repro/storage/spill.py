@@ -26,11 +26,9 @@ log and yields the intact prefix.  Damage *followed by* more bytes is
 still corruption and still raises — a torn tail cannot have a successor
 frame.
 
-Writers can be atomic (``SpillWriter(path, atomic=True)``): records go to
-``<path>.tmp`` and the file is fsynced and renamed into place on close,
-so a reader never observes a half-written spill under its final name and
-an abandoned write leaves only a ``*.tmp`` orphan for
-:func:`sweep_orphan_spills` to collect.
+Spills are never durable: a run writes them into a temporary directory
+of its own and removes it when it ends, so a writer neither fsyncs nor
+stages through a temporary name.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, List, NamedTuple, Optional
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional
 
 from .errors import SpillCorruptionError
 
@@ -58,10 +56,6 @@ TORN_TAIL_ERROR = "error"
 TORN_TAIL_TRUNCATE = "truncate"
 """A violation whose damage reaches EOF ends the log cleanly instead."""
 
-TMP_SUFFIX = ".tmp"
-"""Suffix of unsealed (atomic, not yet renamed) spill files."""
-
-
 def pack_frame(record: bytes) -> bytes:
     """One framed record: length + CRC32 header, then the payload."""
     if len(record) > MAX_RECORD_BYTES:
@@ -75,38 +69,32 @@ class SpillWriter:
     A run makes its spill directory once; a writer makes a missing one.
     Usable as a context manager: a clean exit seals the file, an exception
     aborts it (the partial file is deleted — an abandoned partition must
-    not leave its frames on disk).  With ``atomic=True`` records are
-    written to ``<path>.tmp`` and fsync+renamed into place on close, so
-    the final path only ever holds a completely written spill.  ``count``
-    tracks records written so the coordinator can seed scheduling
+    not leave its frames on disk).  ``count`` tracks records written so the coordinator can seed scheduling
     estimates without re-reading the file.
 
     With a ``budget`` (:class:`~repro.storage.pressure.DiskBudget`) every
     frame is charged *before* it is written — a denied append raises
     :class:`~repro.storage.errors.DiskFullError` with the file unchanged
     — and ``abort`` releases everything this writer charged.  ``close``
-    does not release: sealed bytes stay on disk and stay accounted.
+    does not release: closed bytes stay on disk and stay accounted.
     """
 
     def __init__(
         self,
         path: "os.PathLike[str] | str",
         *,
-        atomic: bool = False,
         budget=None,
         category: str = "spill",
     ):
         self.path = os.fspath(path)
-        self.atomic = atomic
         self.budget = budget
         self.category = category
         self.charged = 0
-        self._write_path = self.path + TMP_SUFFIX if atomic else self.path
         try:
-            self._fh: Optional[BinaryIO] = open(self._write_path, "wb")
+            self._fh: Optional[BinaryIO] = open(self.path, "wb")
         except FileNotFoundError:  # a caller that made no directory
-            os.makedirs(os.path.dirname(self._write_path), exist_ok=True)
-            self._fh = open(self._write_path, "wb")
+            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            self._fh = open(self.path, "wb")
         self.count = 0
 
     def append(self, record: bytes) -> None:
@@ -119,27 +107,20 @@ class SpillWriter:
         self.count += 1
 
     def close(self) -> None:
-        """Seal the file: flush (and, when atomic, fsync + rename)."""
-        if self._fh is None:
-            return
-        fh, self._fh = self._fh, None
-        if self.atomic:
-            fh.flush()
-            os.fsync(fh.fileno())
-        fh.close()
-        if self.atomic:
-            os.replace(self._write_path, self.path)
+        """Finish the file (flushed, not fsynced)."""
+        if self._fh is not None:
+            fh, self._fh = self._fh, None
+            fh.close()
 
     def abort(self) -> None:
         """Discard the write: close and delete whatever hit the disk."""
         if self._fh is not None:
             fh, self._fh = self._fh, None
             fh.close()
-        for path in {self._write_path, self.path}:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
+        try:
+            os.unlink(self.path)
+        except FileNotFoundError:
+            pass
         self.release_budget()
 
     def release_budget(self) -> None:
@@ -156,33 +137,6 @@ class SpillWriter:
             self.abort()
         else:
             self.close()
-
-
-def sweep_orphan_spills(directory: "Path | str", budget=None) -> List[str]:
-    """Delete every unsealed ``*.tmp`` file under ``directory``.
-
-    Atomic writers that died before their rename leave these behind; the
-    coordinator calls this on its failure paths (and before a resume) so
-    an abandoned partitioning pass cannot leak its frames forever, and
-    under disk pressure (its own writers sealed or aborted first) with its
-    ``budget``, which is credited the bytes freed: it models the
-    directory's footprint, so any file gone is headroom regained.
-    Returns the paths removed.
-    """
-    directory = Path(directory)
-    removed: List[str] = []
-    if not directory.is_dir():
-        return removed
-    for path in sorted(directory.rglob(f"*{TMP_SUFFIX}")):
-        try:
-            size = path.stat().st_size
-            os.unlink(path)
-        except FileNotFoundError:
-            continue
-        removed.append(str(path))
-        if budget is not None:
-            budget.release(size, "spill")
-    return removed
 
 
 class Frame(NamedTuple):

@@ -9,7 +9,6 @@ from repro.checkpoint import (
     STATE_COMPLETE,
     STATE_CREATED,
     STATE_MERGING,
-    STATE_PARTITIONED,
     JoinManifest,
     RunFingerprint,
 )
@@ -29,22 +28,10 @@ def make_fingerprint(**overrides):
     return RunFingerprint(**base)
 
 
-SEAL_R = {
-    "type": "spills_sealed", "side": "r",
-    "files": [{"partition": 0, "kp": "r_0.kp", "tup": "r_0.tup",
-               "kp_bytes": 40, "tup_bytes": 80, "count": 2}],
-    "placed": 2,
-}
-SEAL_S = {
-    "type": "spills_sealed", "side": "s",
-    "files": [{"partition": 0, "kp": "s_0.kp", "tup": "s_0.tup",
-               "kp_bytes": 20, "tup_bytes": 40, "count": 1}],
-    "placed": 1,
-}
 MERGING = {"type": "phase", "state": STATE_MERGING, "pairs_total": 8}
 COMPLETE = {"type": "complete", "result_count": 39}
 
-EVENTS = [SEAL_R, SEAL_S, MERGING, COMPLETE]
+EVENTS = [MERGING, COMPLETE]
 
 
 class TestFingerprint:
@@ -70,28 +57,14 @@ class TestStateMachine:
     def test_fresh_manifest_is_created(self):
         assert JoinManifest(make_fingerprint()).state == STATE_CREATED
 
-    def test_both_seals_reach_partitioned(self):
-        m = JoinManifest(make_fingerprint())
-        m.apply(SEAL_R)
-        assert m.state == STATE_CREATED
-        m.apply(SEAL_S)
-        assert m.state == STATE_PARTITIONED
-
     def test_phase_and_complete_events(self):
-        m = JoinManifest(make_fingerprint(), events=[SEAL_R, SEAL_S])
+        m = JoinManifest(make_fingerprint())
         m.apply(MERGING)
         assert m.state == STATE_MERGING
         assert m.pairs_total == 8
         m.apply(COMPLETE)
         assert m.state == STATE_COMPLETE
         assert m.result_count == 39
-
-    def test_later_seal_supersedes(self):
-        m = JoinManifest(make_fingerprint(), events=[SEAL_R])
-        reseal = dict(SEAL_R, placed=99)
-        m.apply(reseal)
-        assert m.sealed("r")["placed"] == 99
-        assert m.sealed("s") is None
 
     def test_unknown_event_type_is_rejected_at_apply(self):
         m = JoinManifest(make_fingerprint())
@@ -179,6 +152,6 @@ class TestLoaderContract:
         assert exc_info.value.frame_index == 1
 
     def test_every_accepted_event_type_round_trips(self):
-        assert set(EVENT_TYPES) == {"spills_sealed", "phase", "complete"}
+        assert set(EVENT_TYPES) == {"phase", "complete"}
         for event in EVENTS:
             assert event["type"] in EVENT_TYPES

@@ -23,12 +23,8 @@ FINGERPRINT = RunFingerprint(
 )
 
 EVENTS = [
-    {"type": "spills_sealed", "side": "r", "placed": 457,
-     "files": [{"partition": i, "kp": f"r_{i}.kp", "tup": f"r_{i}.tup",
-                "kp_bytes": 20 * i, "tup_bytes": 40 * i, "count": i}
-               for i in range(4)]},
-    {"type": "spills_sealed", "side": "s", "placed": 122, "files": []},
     {"type": "phase", "state": "merging", "pairs_total": 8},
+    {"type": "phase", "state": "merging", "pairs_total": 12},
     {"type": "complete", "result_count": 39},
 ]
 

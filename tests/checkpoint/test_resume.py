@@ -6,9 +6,12 @@ sorted feature-id pair set of an uninterrupted serial join — for every N,
 under worker-fault plans, with torn logs, and across repeated kills.
 
 Checkpoint ordinal layout for a fresh run (8 partition pairs):
-ordinal 1 = manifest init, 2/3 = the two spill seals, 4 = merging phase,
-5..12 = the eight result commits, 13 = the complete event.
+ordinal 1 = manifest init, 2 = merging phase, 3..10 = the eight result
+commits, 11 = the complete event.  Spills are not part of it: a resume
+re-partitions both sides from the inputs.
 """
+
+import tempfile
 
 import pytest
 
@@ -16,8 +19,6 @@ from repro import intersects
 from repro.checkpoint import (
     RESULTS_FILENAME,
     CheckpointMismatchError,
-    CheckpointStore,
-    JoinManifest,
     RunFingerprint,
     replay_result_log,
 )
@@ -25,14 +26,14 @@ from repro.data import generate_hydrography, generate_roads
 from repro.faults import CoordinatorKilledError, load_plan, tear_tail
 from repro.obs import MetricsRegistry
 from repro.parallel import ProcessPBSM, serial_feature_pairs
+from repro.storage.pressure import DiskBudget
 
 SCALE = 0.001
 NUM_PARTITIONS = 8
 WORKERS = 2
 
 # >= 3 kill ordinals x >= 2 fault plans (the acceptance matrix): one kill
-# in the partitioning prologue, one at the merging transition, one after
-# results have committed.
+# at the merging transition, two after results have committed.
 KILL_ORDINALS = [2, 4, 6]
 PLANS = ["none", "disk_error"]
 
@@ -85,28 +86,25 @@ class TestKillResumeMatrix:
             tuples_r, tuples_s, intersects
         )
         assert result.pairs == expected
-        # Exactly the durably committed pairs were adopted, none re-merged.
+        # Exactly the durably committed pairs were replayed, none re-merged.
         assert set(result.resumed_pairs) == survived
         assert all(
             t.resumed == (t.index in survived) for t in result.tasks
         )
-        if kill_at >= 4:
-            # Both seals were durable before the kill: spills re-adopted.
-            assert result.fault_summary.get("spill_sides_adopted") == 2
 
     def test_every_result_ordinal_resumes(self, tmp_path, workload):
         # Kill after each committed result in one run's lifetime: each
-        # resume starts from one more adopted pair and ends identically.
+        # resume starts from one more replayed pair and ends identically.
         tuples_r, tuples_s, expected = workload
-        for kill_at in range(5, 5 + 3):
+        for kill_at in range(3, 3 + 3):
             ckpt = tmp_path / f"at-{kill_at}"
             engine = make_engine(ckpt, kill_coordinator_after=kill_at)
             with pytest.raises(CoordinatorKilledError):
                 engine.run(tuples_r, tuples_s, intersects)
-            assert len(committed_indexes(ckpt)) == kill_at - 4
+            assert len(committed_indexes(ckpt)) == kill_at - 2
             result = make_engine(ckpt).resume(tuples_r, tuples_s, intersects)
             assert result.pairs == expected
-            assert len(result.resumed_pairs) == kill_at - 4
+            assert len(result.resumed_pairs) == kill_at - 2
 
     def test_double_kill_double_resume(self, tmp_path, workload):
         tuples_r, tuples_s, expected = workload
@@ -132,7 +130,7 @@ class TestTornState:
     ):
         tuples_r, tuples_s, expected = workload
         with pytest.raises(CoordinatorKilledError):
-            make_engine(tmp_path, kill_coordinator_after=7).run(
+            make_engine(tmp_path, kill_coordinator_after=5).run(
                 tuples_r, tuples_s, intersects
             )
         before = committed_indexes(tmp_path)
@@ -165,7 +163,7 @@ class TestTornState:
         # adopts the union of what both earlier lives committed.
         tuples_r, tuples_s, expected = workload
         with pytest.raises(CoordinatorKilledError):
-            make_engine(tmp_path, kill_coordinator_after=7).run(
+            make_engine(tmp_path, kill_coordinator_after=5).run(
                 tuples_r, tuples_s, intersects
             )
         (log,) = tmp_path.glob(f"run-*/{RESULTS_FILENAME}")
@@ -193,7 +191,7 @@ class TestTornState:
         # takes — and the pairs behind the damage are merged again.
         tuples_r, tuples_s, expected = workload
         with pytest.raises(CoordinatorKilledError):
-            make_engine(tmp_path, kill_coordinator_after=7).run(
+            make_engine(tmp_path, kill_coordinator_after=5).run(
                 tuples_r, tuples_s, intersects
             )
         (log,) = tmp_path.glob(f"run-*/{RESULTS_FILENAME}")
@@ -216,7 +214,7 @@ class TestTornState:
     def test_torn_manifest_tail_recovers_the_prefix(self, tmp_path, workload):
         tuples_r, tuples_s, expected = workload
         with pytest.raises(CoordinatorKilledError):
-            make_engine(tmp_path, kill_coordinator_after=6).run(
+            make_engine(tmp_path, kill_coordinator_after=4).run(
                 tuples_r, tuples_s, intersects
             )
         (manifest,) = tmp_path.glob("run-*/manifest.bin")
@@ -233,7 +231,7 @@ class TestTornState:
         # guess, then still converge to the right answer.
         tuples_r, tuples_s, expected = workload
         with pytest.raises(CoordinatorKilledError):
-            make_engine(tmp_path, kill_coordinator_after=6).run(
+            make_engine(tmp_path, kill_coordinator_after=4).run(
                 tuples_r, tuples_s, intersects
             )
         (manifest,) = tmp_path.glob("run-*/manifest.bin")
@@ -259,7 +257,7 @@ class TestResumeSemantics:
         pair's metrics are derived from."""
         tuples_r, tuples_s, _ = workload
         with pytest.raises(CoordinatorKilledError):
-            make_engine(tmp_path / "a", kill_coordinator_after=8).run(
+            make_engine(tmp_path / "a", kill_coordinator_after=6).run(
                 tuples_r, tuples_s, intersects
             )
         resumed, clean = MetricsRegistry(), MetricsRegistry()
@@ -282,7 +280,7 @@ class TestResumeSemantics:
     def test_run_discards_and_starts_over(self, tmp_path, workload):
         tuples_r, tuples_s, expected = workload
         with pytest.raises(CoordinatorKilledError):
-            make_engine(tmp_path, kill_coordinator_after=6).run(
+            make_engine(tmp_path, kill_coordinator_after=4).run(
                 tuples_r, tuples_s, intersects
             )
         assert committed_indexes(tmp_path)
@@ -312,7 +310,7 @@ class TestResumeSemantics:
             "repro.checkpoint.manifest.PARTITION_LAYOUT", "two-layer-v1"
         )
         with pytest.raises(CoordinatorKilledError):
-            make_engine(tmp_path, kill_coordinator_after=6).run(
+            make_engine(tmp_path, kill_coordinator_after=4).run(
                 tuples_r, tuples_s, intersects
             )
         monkeypatch.undo()
@@ -321,34 +319,7 @@ class TestResumeSemantics:
         result = make_engine(tmp_path).run(tuples_r, tuples_s, intersects)
         assert result.pairs == expected
         assert result.resumed_pairs == [] and result.degraded_pairs == []
-        assert "spill_sides_adopted" not in result.fault_summary
         assert len(list(tmp_path.glob("run-*"))) == 2
-
-    def test_a_seal_that_lists_tuple_spills_is_adopted_on_its_key_pointers(
-        self, tmp_path, workload
-    ):
-        # A run killed when partitions also spilled tuples sealed each
-        # side with ``tup`` / ``tup_bytes`` beside the key-pointer fields
-        # and left the .tup files next to the .kp ones.  Same layout, same
-        # run id: the resume adopts both sides on their .kp files alone —
-        # here with the .tup files gone — and ends on the same pairs.
-        tuples_r, tuples_s, expected = workload
-        with pytest.raises(CoordinatorKilledError):
-            make_engine(tmp_path, kill_coordinator_after=4).run(
-                tuples_r, tuples_s, intersects
-            )
-        (path,) = tmp_path.glob("run-*/manifest.bin")
-        manifest = JoinManifest.from_bytes(path.read_bytes())
-        for event in manifest.events:
-            for entry in event.get("files", ()):
-                entry["tup"] = entry["kp"][: -len(".kp")] + ".tup"
-                entry["tup_bytes"] = 4 * entry["kp_bytes"]
-        path.write_bytes(manifest.to_bytes())
-        assert JoinManifest.from_bytes(path.read_bytes()).sealed("r")["files"][0]["tup"]
-        result = make_engine(tmp_path).resume(tuples_r, tuples_s, intersects)
-        assert result.pairs == expected and result.duplicates_dropped == 0
-        assert result.fault_summary.get("spill_sides_adopted") == 2
-        assert "spill_sides_rebuilt" not in result.fault_summary
 
     def test_resume_of_an_empty_directory_is_a_fresh_run(
         self, tmp_path, workload
@@ -363,7 +334,7 @@ class TestResumeSemantics:
     ):
         tuples_r, tuples_s, expected = workload
         with pytest.raises(CoordinatorKilledError):
-            make_engine(tmp_path, kill_coordinator_after=6).run(
+            make_engine(tmp_path, kill_coordinator_after=4).run(
                 tuples_r, tuples_s, intersects
             )
         survived = committed_indexes(tmp_path)
@@ -424,17 +395,35 @@ class TestChaosPlansEndToEnd:
         assert result.fault_summary.get("injected_torn_manifests") == 1
 
 
-class TestOrphanSweep:
-    def test_resume_sweeps_a_dead_writers_temp_files(self, tmp_path, workload):
+class TestRunDirectory:
+    def test_holds_only_the_manifest_and_the_result_log(
+        self, tmp_path, workload, monkeypatch
+    ):
+        # Complete, killed or resumed, a run directory is its manifest and
+        # its result log — the spills went with the run's own temporary
+        # directory — and the disk budget meters exactly those two files.
         tuples_r, tuples_s, expected = workload
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        budget = DiskBudget()
+
+        def check(ckpt):
+            (run_dir,) = ckpt.glob("run-*")
+            files = sorted(run_dir.iterdir())
+            assert [f.name for f in files] == ["manifest.bin", RESULTS_FILENAME]
+            assert budget.used == sum(f.stat().st_size for f in files)
+            assert not list((tmp_path / "tmp").glob("repro-pbsm-*"))
+
+        ckpt = tmp_path / "ckpt"
+        assert make_engine(ckpt, disk_budget=budget).run(
+            tuples_r, tuples_s, intersects
+        ).pairs == expected
+        check(ckpt)
         with pytest.raises(CoordinatorKilledError):
-            make_engine(tmp_path, kill_coordinator_after=4).run(
+            make_engine(ckpt, disk_budget=budget, kill_coordinator_after=4).run(
                 tuples_r, tuples_s, intersects
             )
-        (spills,) = tmp_path.glob("run-*/spills")
-        orphan = spills / "r_99.kp.tmp"
-        orphan.write_bytes(b"partial write from a dead coordinator")
-        result = make_engine(tmp_path).resume(tuples_r, tuples_s, intersects)
-        assert result.pairs == expected
-        assert not orphan.exists()
-        assert result.fault_summary.get("orphan_spills_swept", 0) >= 1
+        check(ckpt)
+        result = make_engine(ckpt, disk_budget=budget).resume(tuples_r, tuples_s, intersects)
+        assert result.pairs == expected and len(result.resumed_pairs) == 2
+        check(ckpt)

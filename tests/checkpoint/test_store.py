@@ -18,7 +18,7 @@ from repro.faults import CheckpointFaultGate, CoordinatorKilledError, tear_tail
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.storage import DiskBudget, DiskFullError
 from repro.storage.disk import SimulatedDisk
-from tests.conftest import SEAL_R, SEAL_S, make_fingerprint, make_result
+from tests.conftest import MERGING, make_fingerprint, make_result
 
 
 class TestOrdinalClock:
@@ -30,7 +30,7 @@ class TestOrdinalClock:
         )
         with store:
             store.begin(JoinManifest(store.fingerprint))      # ordinal 1
-            store.append_event(SEAL_R)                        # ordinal 2
+            store.append_event(MERGING)                        # ordinal 2
             store.append_result(make_result(0))               # ordinal 3
             store.append_result(make_result(1))               # ordinal 4
         assert store.ordinal == 4
@@ -49,9 +49,9 @@ class TestOrdinalClock:
         store.on_durable = peek
         with store:
             store.begin(JoinManifest(store.fingerprint))
-            store.append_event(SEAL_R)
+            store.append_event(MERGING)
         reloaded = JoinManifest.from_bytes(observed[2])
-        assert reloaded.events == [SEAL_R]
+        assert reloaded.events == [MERGING]
 
     def test_durable_writes_charge_the_simulated_disk(self, tmp_path):
         disk = SimulatedDisk()
@@ -132,12 +132,12 @@ class TestFaultGate:
         with store:
             store.begin(JoinManifest(store.fingerprint))
             with pytest.raises(CoordinatorKilledError) as exc_info:
-                store.append_event(SEAL_R)
+                store.append_event(MERGING)
             assert exc_info.value.ordinal == 2
         assert gate.fired_kills == 1
         # Ordinal 2's write completed before the kill: it must be on disk.
         reloaded = store.load()
-        assert reloaded.events == [SEAL_R]
+        assert reloaded.events == [MERGING]
 
     def test_kill_is_one_shot(self, tmp_path):
         gate = CheckpointFaultGate(None, extra_kills=(1,))
@@ -148,7 +148,7 @@ class TestFaultGate:
             with pytest.raises(CoordinatorKilledError):
                 store.begin(JoinManifest(store.fingerprint))
             store.manifest = JoinManifest(store.fingerprint)
-            store.append_event(SEAL_R)  # ordinal 2: no second kill
+            store.append_event(MERGING)  # ordinal 2: no second kill
         assert gate.fired_kills == 1
         assert not gate.armed
 
@@ -167,7 +167,7 @@ class TestFaultGate:
             store.begin(JoinManifest(store.fingerprint))
             for _ in range(ordinal):  # push past the tear point
                 try:
-                    store.append_event(SEAL_R)
+                    store.append_event(MERGING)
                 except CoordinatorKilledError:  # pragma: no cover
                     pytest.fail("tear-only plan must not kill")
         assert gate.fired_tears == 1
@@ -242,7 +242,7 @@ class TestDiskFullRecovery:
             before = store.manifest_path.read_bytes()
             budget.max_bytes = budget.used  # nothing fits, nothing to free
             with pytest.raises(DiskFullError):
-                store.append_event(SEAL_R)
+                store.append_event(MERGING)
         assert budget.denials == 2
         assert store.manifest_path.read_bytes() == before
         reloaded = CheckpointStore(tmp_path, make_fingerprint(0)).load()
@@ -252,16 +252,6 @@ class TestDiskFullRecovery:
 
 
 class TestHousekeeping:
-    def test_sweep_collects_orphan_temp_files(self, tmp_path):
-        store = CheckpointStore(tmp_path, make_fingerprint())
-        with store:
-            store.begin(JoinManifest(store.fingerprint))
-            orphan = store.spill_dir / "r_3.kp.tmp"
-            orphan.write_bytes(b"half-written")
-            swept = store.sweep_orphans()
-        assert [p.endswith("r_3.kp.tmp") for p in swept] == [True]
-        assert not orphan.exists()
-
     def test_sibling_run_ids(self, tmp_path):
         a = CheckpointStore(tmp_path, make_fingerprint(0))
         b = CheckpointStore(tmp_path, make_fingerprint(1))
@@ -277,8 +267,6 @@ class TestInspectAndGC:
         done = CheckpointStore(tmp_path, make_fingerprint(0))
         with done:
             done.begin(JoinManifest(done.fingerprint))
-            done.append_event(SEAL_R)
-            done.append_event(SEAL_S)
             done.append_event({"type": "phase", "state": STATE_MERGING,
                                "pairs_total": 2})
             done.append_result(make_result(0))
@@ -287,7 +275,6 @@ class TestInspectAndGC:
         half = CheckpointStore(tmp_path, make_fingerprint(1))
         with half:
             half.begin(JoinManifest(half.fingerprint))
-            half.append_event(SEAL_R)
         return done, half
 
     def test_inspect_reports_state_and_progress(self, tmp_path):

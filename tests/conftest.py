@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 
@@ -64,12 +65,29 @@ def read_records(path, **policy) -> list:
     return [frame.record for frame in read_frames(path, **policy)]
 
 
+@pytest.fixture
+def spilled(monkeypatch) -> dict:
+    """The bytes of every spill the process backend writes, by file name,
+    kept as each is closed: a run removes its spill directory as it ends."""
+    from repro.parallel import process
+
+    written = {}
+
+    class Recording(SpillWriter):
+        def close(self):
+            super().close()
+            with open(self.path, "rb") as fh:
+                written[os.path.basename(self.path)] = fh.read()
+
+    monkeypatch.setattr(process, "SpillWriter", Recording)
+    return written
+
+
 # --------------------------------------------------------------------- #
 # checkpoint state, made by hand
 # --------------------------------------------------------------------- #
 
-SEAL_R = {"type": "spills_sealed", "side": "r", "files": [], "placed": 0}
-SEAL_S = {"type": "spills_sealed", "side": "s", "files": [], "placed": 0}
+MERGING = {"type": "phase", "state": "merging", "pairs_total": 2}
 
 
 def road_hydro(scale: float) -> tuple:

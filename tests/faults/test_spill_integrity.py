@@ -208,25 +208,13 @@ class TestTornTailTruncate:
 
 
 class TestAtomicWriter:
-    def test_atomic_writer_stages_then_renames(self, tmp_path):
-        path = tmp_path / "part.spill"
-        writer = SpillWriter(path, atomic=True)
-        writer.append(b"alpha")
-        assert not path.exists()
-        assert path.with_name("part.spill.tmp").exists()
-        writer.close()
-        assert path.exists()
-        assert not path.with_name("part.spill.tmp").exists()
-        assert read_records(path) == [b"alpha"]
-
     def test_context_manager_exception_aborts(self, tmp_path):
         path = tmp_path / "part.spill"
         with pytest.raises(RuntimeError):
-            with SpillWriter(path, atomic=True) as writer:
+            with SpillWriter(path) as writer:
                 writer.append(b"alpha")
                 raise RuntimeError("partitioning failed")
         assert not path.exists()
-        assert not path.with_name("part.spill.tmp").exists()
 
     def test_abort_removes_non_atomic_partial_too(self, tmp_path):
         path = tmp_path / "part.spill"
@@ -234,22 +222,3 @@ class TestAtomicWriter:
         writer.append(b"alpha")
         writer.abort()
         assert not path.exists()
-
-    def test_sweep_orphan_spills(self, tmp_path):
-        from repro.storage.spill import sweep_orphan_spills
-
-        sealed = tmp_path / "spills" / "r_0.kp"
-        write_records(sealed, [b"keep me"])
-        orphan = tmp_path / "spills" / "r_1.kp.tmp"
-        orphan.write_bytes(b"half")
-        nested = tmp_path / "spills" / "deep" / "s_2.tup.tmp"
-        nested.parent.mkdir()
-        nested.write_bytes(b"half")
-        removed = sweep_orphan_spills(tmp_path)
-        assert set(removed) == {str(orphan), str(nested)}
-        assert sealed.exists() and not orphan.exists() and not nested.exists()
-
-    def test_sweep_of_missing_directory_is_empty(self, tmp_path):
-        from repro.storage.spill import sweep_orphan_spills
-
-        assert sweep_orphan_spills(tmp_path / "nope") == []

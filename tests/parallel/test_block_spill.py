@@ -46,6 +46,7 @@ from repro.parallel.tasks import (
     StoredRecords,
     read_keypointer_spill,
     read_relation,
+    refine_pair,
     run_pair_task,
     spill_blocks,
     spill_bytes,
@@ -134,7 +135,7 @@ class TestOneFormat:
             assert Path(one).read_bytes() == Path(other).read_bytes()
 
     def test_engine_files_are_what_add_writes_a_window_at_a_time(
-        self, tmp_path, sides
+        self, tmp_path, sides, spilled
     ):
         """The format pin, over many windows and four partitions: a block
         is a partition's share of one window of ``BLOCK`` input ordinals,
@@ -144,7 +145,7 @@ class TestOneFormat:
         ProcessPBSM(2, num_partitions=4, checkpoint_dir=str(tmp_path / "run")).run(
             side_r, side_s, intersects
         )
-        assert not list((tmp_path / "run").rglob("*.tup"))
+        assert len(spilled) == 8 and all(name.endswith(".kp") for name in spilled)
         partitioner = SpatialPartitioner.for_inputs(
             side_r.mbrs, side_s.mbrs, 4, PBSMConfig().num_tiles
         )
@@ -164,8 +165,7 @@ class TestOneFormat:
             for spill in spills:
                 spill.close()
                 path = Path(spill.kp_path)
-                (written,) = (tmp_path / "run").rglob(path.name)
-                assert written.read_bytes() == path.read_bytes() != b""
+                assert spilled[path.name] == path.read_bytes() != b""
 
     def test_keypointer_records_are_the_scalar_codecs_bytes(
         self, tmp_path, sides
@@ -224,11 +224,17 @@ class TestLazyTuples:
         monkeypatch.setattr(tasks, "deserialize_tuple", counting)
         lookup = read_relation(side.relation.path)
         assert len(lookup) == len(side) and not decoded
-        wanted = side[len(side) // 2]
+        wanted, other = side[len(side) // 2], side[0]
         assert lookup[wanted.feature_id] == wanted
-        assert lookup[wanted.feature_id] is lookup[wanted.feature_id]
         assert decoded == [serialize_tuple(wanted)]
         assert sorted(lookup) == sorted(t.feature_id for t in side)
+        # The tuple loop decodes each record its candidates name once per
+        # call, and keeps none of them for the next.
+        ids = sorted([wanted.feature_id, other.feature_id])
+        candidates = np.array([[a, b] for a in ids for b in ids], np.int64)
+        for calls in (1, 2):
+            refine_pair(candidates, lookup, lookup, lambda r, s: True)
+            assert len(decoded) == 1 + 4 * calls
 
     def test_absent_feature_id_is_a_key_error(self, sides):
         _, side, _ = sides

@@ -643,11 +643,10 @@ class TestSideAndSpillRecords:
         assert len(of_side) == len(of_spill) == len(tuples)
         assert list(of_side) == list(of_spill) == [t.feature_id for t in tuples]
         # Of two records with one feature id the later is found — and both
-        # decode a copy of it, once.
+        # decode a copy of it.
         for fid, at in {t.feature_id: i for i, t in enumerate(tuples)}.items():
             for records in (of_side, of_spill):
                 assert records[fid] == side[at] and records[fid] is not side[at]
-                assert records[fid] is records[fid]
         for decode in (polyline_runs, polygon_runs):
             columns, twin = of_side.columns(asked, decode), of_spill.columns(asked, decode)
             assert (columns is None) is (twin is None)

@@ -124,11 +124,11 @@ class TestResumeThenReport:
                 checkpoint_dir=str(tmp_path / "ckpt"), **kwargs,
             )
 
-        # Kill after ordinal 8: manifest + 2 seals + merging = 4, so four
-        # result commits are durable when the coordinator dies.
+        # Kill after ordinal 6: manifest + merging = 2, so four result
+        # commits are durable when the coordinator dies.
         first = RunJournal()
         with pytest.raises(CoordinatorKilledError):
-            engine(first, kill_coordinator_after=8).run(
+            engine(first, kill_coordinator_after=6).run(
                 tuples_r, tuples_s, intersects
             )
 

@@ -351,11 +351,10 @@ class TestDiskPressure:
         }
 
     def test_a_denial_after_the_first_partition_spares_the_ones_written(
-        self, workload, expected, tmp_path
+        self, workload, expected, tmp_path, spilled
     ):
-        """A checkpointed side's files are sealed together at its end, so a
-        denial at a later partition finds earlier ones still staged: they
-        are sealed before the orphan sweep, which must not take them."""
+        """A denial at a later partition aborts and rewrites that partition
+        alone: the files written before it stay as they are."""
         tuples_r, tuples_s = workload
         engine = ProcessPBSM(2, num_partitions=NUM_PAIRS)
         plan = FaultPlan(
@@ -374,15 +373,14 @@ class TestDiskPressure:
         assert result.degraded_pairs == []
         assert result.fault_summary["disk_full_recovered"] == 1
         assert result.pairs == expected
-        assert len(list(tmp_path.rglob("part*.[rs].*"))) == 2 * NUM_PAIRS
-        assert not list(tmp_path.rglob("*.tmp"))
+        assert len(spilled) == 2 * NUM_PAIRS and all(spilled.values())
 
     def test_a_second_denial_degrades_the_partition_and_nothing_adopts_it(
-        self, workload, expected, tmp_path, monkeypatch
+        self, workload, expected, tmp_path, monkeypatch, spilled
     ):
         """Partition 0 of side ``r`` is denied, rewritten, denied again:
-        both its sides become sealed empty files, no side is sealed in
-        the manifest, and a resume partitions again from the inputs.
+        both its sides become empty files, and a resume partitions again
+        from the inputs.
         (Blocks of 64 tuples: a denial spends every point its frame
         spans, so the second must fall in a later frame of the rewrite.)"""
         monkeypatch.setattr(tasks, "SPILL_BLOCK_RECORDS", 64)
@@ -400,11 +398,11 @@ class TestDiskPressure:
             "disk_pressure": 1, "disk_degraded": 1, "degraded": 1,
             "injected_disk_full": 2,
         }
-        files = sorted(tmp_path.rglob("part0000.*"))
-        assert len(files) == 2 and not any(f.stat().st_size for f in files)
+        first = ("part0000.r.kp", "part0000.s.kp")
+        assert [spilled.pop(name) for name in first] == [b"", b""]
         resumed = ProcessPBSM(
             2, num_partitions=NUM_PAIRS, checkpoint_dir=str(tmp_path)
         ).resume(tuples_r, tuples_s, intersects)
         assert resumed.fault_summary == {"resumed_pairs": NUM_PAIRS}
-        assert all(f.stat().st_size for f in files)
+        assert all(spilled[name] for name in first)
         assert resumed.pairs == result.pairs == expected

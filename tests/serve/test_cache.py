@@ -17,7 +17,7 @@ from repro.checkpoint import (
 )
 from repro.serve import LOOKUP_HIT, LOOKUP_MISS, LOOKUP_WARM, ArtifactCache
 from repro.__main__ import main
-from tests.conftest import SEAL_R, SEAL_S, make_fingerprint, make_result
+from tests.conftest import make_fingerprint, make_result
 
 
 def seed_complete_run(root, salt=0, pad_bytes=0, fingerprint=None):
@@ -25,8 +25,6 @@ def seed_complete_run(root, salt=0, pad_bytes=0, fingerprint=None):
     store = CheckpointStore(root, fingerprint or make_fingerprint(salt))
     with store:
         store.begin(JoinManifest(store.fingerprint))
-        store.append_event(SEAL_R)
-        store.append_event(SEAL_S)
         store.append_event(
             {"type": "phase", "state": STATE_MERGING, "pairs_total": 2}
         )
@@ -42,8 +40,6 @@ def seed_partial_run(root, salt=0, fingerprint=None):
     store = CheckpointStore(root, fingerprint or make_fingerprint(salt))
     with store:
         store.begin(JoinManifest(store.fingerprint))
-        store.append_event(SEAL_R)
-        store.append_event(SEAL_S)
     return store
 
 
@@ -124,8 +120,6 @@ class TestReplay:
         store = CheckpointStore(tmp_path, make_fingerprint(7))
         with store:
             store.begin(JoinManifest(store.fingerprint))
-            store.append_event(SEAL_R)
-            store.append_event(SEAL_S)
             store.append_event(
                 {"type": "phase", "state": STATE_MERGING, "pairs_total": 2}
             )

@@ -19,15 +19,13 @@ from repro.serve import (
     ArtifactCache,
     CacheScrubber,
 )
-from tests.conftest import SEAL_R, SEAL_S, make_fingerprint, make_result
+from tests.conftest import make_fingerprint, make_result
 
 
 def seed_complete_run(root, salt=0, result_count=3):
     store = CheckpointStore(root, make_fingerprint(salt))
     with store:
         store.begin(JoinManifest(store.fingerprint))
-        store.append_event(SEAL_R)
-        store.append_event(SEAL_S)
         store.append_event(
             {"type": "phase", "state": STATE_MERGING, "pairs_total": 2}
         )
@@ -42,8 +40,6 @@ def seed_warm_run(root, salt=0):
     store = CheckpointStore(root, make_fingerprint(salt))
     with store:
         store.begin(JoinManifest(store.fingerprint))
-        store.append_event(SEAL_R)
-        store.append_event(SEAL_S)
         store.append_event(
             {"type": "phase", "state": STATE_MERGING, "pairs_total": 4}
         )

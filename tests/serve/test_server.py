@@ -78,7 +78,7 @@ class TestCachePaths:
 
     def test_warm_entry_resumes_instead_of_restarting(self, tmp_path):
         # Interrupt a one-shot checkpointed run by killing its
-        # coordinator; the server then adopts the half-finished cache
+        # coordinator; the server then resumes the half-finished cache
         # entry and serves it as a resume, not a cold start.
         from repro.faults import CoordinatorKilledError
         from repro.parallel import ProcessPBSM
@@ -117,7 +117,7 @@ class TestCachePaths:
         engine = ProcessPBSM(
             spec.workers,
             checkpoint_dir=str(tmp_path / "cache"),
-            kill_coordinator_after=7,
+            kill_coordinator_after=5,
         )
         with pytest.raises(CoordinatorKilledError):
             engine.run(tuples_r, tuples_s, spec.predicate_fn)

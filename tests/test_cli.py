@@ -386,11 +386,11 @@ class TestCheckpointCLI:
         document = json.loads(capsys.readouterr().out)
         assert document["survived"] is True
         assert document["coordinator_killed_at"] == 6
-        # Ordinals 5 and 6 committed two results before the kill; the
-        # auto-resume adopted exactly those.
-        assert len(document["resumed_pairs"]) == 2
+        # Ordinals 3 to 6 committed four results before the kill; the
+        # auto-resume replayed exactly those.
+        assert len(document["resumed_pairs"]) == 4
         assert document["faults"]["coordinator_killed_at"] == 6
-        assert document["faults"]["resumed_pairs"] == 2
+        assert document["faults"]["resumed_pairs"] == 4
 
     def test_chaos_coordinator_kill_plan_auto_resumes(self, capsys, tmp_path):
         ckpt = str(tmp_path / "ckpt")
